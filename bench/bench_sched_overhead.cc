@@ -11,7 +11,11 @@
 // BM_SessionSweep pins the wall-clock of a representative experiment
 // grid through harness::Session's sweep executor, serial (Arg = 1) vs
 // one thread per core — the headline win of the declarative API is that
-// Figure-7-style sweeps saturate the machine.
+// Figure-7-style sweeps saturate the machine. BM_SimRun times the
+// discrete-event engine on one fixed task graph spread over 8, 64 or 512
+// resources: the events are the same at every width, so per-task time
+// against resource count shows what a dispatch costs beyond the
+// resources an event touches.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +30,8 @@
 #include "models/builder.h"
 #include "models/random_dag.h"
 #include "models/zoo.h"
+#include "sim/engine.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -218,6 +224,42 @@ BENCHMARK_CAPTURE(BM_RecvSetScan, scalar, false)
     ->Arg(1 << 14)
     ->Arg(1 << 18);
 BENCHMARK_CAPTURE(BM_RecvSetScan, widened, true)->Arg(1 << 14)->Arg(1 << 18);
+
+// 4096 tasks with unique priorities, up to two preds among the previous
+// 64 tasks (a wide, pipelined DAG), assigned uniformly to the resources.
+constexpr int kSimTasks = 4096;
+
+std::vector<tictac::sim::Task> SimWorkload(int num_resources) {
+  tictac::util::Rng rng(11);
+  std::vector<tictac::sim::Task> tasks(kSimTasks);
+  for (int t = 0; t < kSimTasks; ++t) {
+    tictac::sim::Task& task = tasks[static_cast<std::size_t>(t)];
+    task.duration = rng.Uniform(0.1, 1.0);
+    task.resource = static_cast<int>(
+        rng.Index(static_cast<std::size_t>(num_resources)));
+    task.priority = t;
+    for (int p = 0; p < 2 && t > 0; ++p) {
+      task.preds.push_back(static_cast<tictac::sim::TaskId>(
+          t - 1 - static_cast<int>(rng.Index(
+                      static_cast<std::size_t>(std::min(t, 64))))));
+    }
+  }
+  return tasks;
+}
+
+void BM_SimRun(benchmark::State& state) {
+  const int resources = static_cast<int>(state.range(0));
+  const tictac::sim::TaskGraphSim sim(SimWorkload(resources), resources);
+  const tictac::sim::SimOptions options;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.Run(options, /*seed=*/1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kSimTasks);
+  state.SetLabel(std::to_string(kSimTasks) + " tasks");
+}
+
+BENCHMARK(BM_SimRun)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 // End-to-end sweep wall-clock through the Session executor. A fresh
 // Session per iteration makes every grid pay its dependency-analysis

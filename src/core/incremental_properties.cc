@@ -30,7 +30,6 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   remaining_ = recvs.size();
   dirty_flag_.assign(recvs.size(), 0);
   dirty_.reserve(recvs.size());
-  surviving_.reserve(recvs.size());
 
   // Sparse mirrors of the dep/consumer bitsets. The bitset scans cost
   // O(bits/64) words regardless of population; at 100k recvs that is
@@ -106,18 +105,22 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
     // d >= 2: still an M+ contributor, but its outstanding communication
     // time shrank. Re-sum M over dep ∩ outstanding — the sparse list is
     // in increasing recv order, the full pass's order, so the sum is
-    // bit-identical — then fold the new value into the M+ of every recv
-    // the op still depends on: a pure min() update, exact because
-    // contributions only ever decrease.
+    // bit-identical — compacting the list to its survivors as it goes,
+    // so later re-sums never revisit a completed recv. Then fold the new
+    // value into the M+ of every recv the op still depends on: a pure
+    // min() update, exact because contributions only ever decrease.
+    std::vector<std::uint32_t>& deps = dep_recvs_[id];
     double m = 0.0;
-    surviving_.clear();
-    for (const std::uint32_t r : dep_recvs_[id]) {
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < deps.size(); ++k) {
+      const std::uint32_t r = deps[k];
       if (outstanding_[r] == 0) continue;
       m += recv_time_[r];
-      surviving_.push_back(r);
+      deps[kept++] = r;
     }
+    deps.resize(kept);
     op_M_[id] = m;
-    for (const std::uint32_t r : surviving_) {
+    for (const std::uint32_t r : deps) {
       if (m < props_[r].Mplus) {
         props_[r].Mplus = m;
         // Lowering a member's M+ moves the block's min to

@@ -50,7 +50,7 @@ class IncrementalProperties {
   std::size_t remaining() const { return remaining_; }
 
   // Marks recv index `ri` (which must be outstanding) as transferred and
-  // updates the properties of the affected ops only: O(V/64 + Σ|dep|)
+  // updates the properties of the affected ops only: O(Σ surviving deps)
   // over consumers(ri) instead of a full O(V·R) pass.
   void CompleteRecv(std::size_t ri);
 
@@ -101,7 +101,9 @@ class IncrementalProperties {
   // Sparse mirrors of PropertyIndex's dep/consumer bitsets, in the same
   // increasing-index order the bitset ForEach visits — O(members) per
   // scan instead of O(bits/64) words, which is what the per-completion
-  // update actually pays at 100k recvs.
+  // update actually pays at 100k recvs. CompleteRecv compacts an op's
+  // dep list to its outstanding members whenever it re-sums M, keeping
+  // the order, so each re-sum walks only the previous survivors.
   std::vector<std::vector<std::uint32_t>> dep_recvs_;     // op -> recv idxs
   std::vector<std::vector<std::uint32_t>> consumer_ops_;  // recv -> op ids
   // op id -> Σ of outstanding recv indices in dep; when dep_count_ hits 1
@@ -114,7 +116,6 @@ class IncrementalProperties {
   // Scratch for CompleteRecv (reused across calls; no per-call allocation).
   std::vector<std::size_t> dirty_;
   std::vector<char> dirty_flag_;
-  std::vector<std::uint32_t> surviving_;  // one op's dep ∩ outstanding
 
   // BestRecv's block-pruning state (see the method comment).
   static constexpr std::size_t kBlockShift = 8;  // 256 recvs per block

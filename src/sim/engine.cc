@@ -255,13 +255,28 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<double> speed;     // per-resource rate multiplier
   std::vector<char> res_down;    // speed <= 0: start nothing new
   std::size_t next_fault = 0;
+  // Wake list: the resources that may be able to start a task at the
+  // next dispatch. A resource joins when its ready queue gains a task,
+  // when a completion frees it, or when a fault event changes it; every
+  // other resource is busy, down or has nothing ready, and stays so —
+  // starting a task never readies another (gate counters advance at
+  // enqueue) — so a dispatch touches only these.
+  std::vector<int> wake;
+  std::vector<char> woken(static_cast<std::size_t>(num_resources_), 0);
+  auto wake_resource = [&](int r) {
+    if (woken[static_cast<std::size_t>(r)] == 0) {
+      woken[static_cast<std::size_t>(r)] = 1;
+      wake.push_back(r);
+    }
+  };
   if (has_faults) {
     speed.assign(static_cast<std::size_t>(num_resources_), 1.0);
     res_down.assign(static_cast<std::size_t>(num_resources_), 0);
   }
   // Applies every timeline event with time <= t (events are sorted).
   // Speed changes affect tasks that start afterwards; in-flight tasks
-  // keep the rate they started with.
+  // keep the rate they started with. A resource coming back up restarts
+  // its queue at the next dispatch.
   auto apply_faults_through = [&](double t) {
     while (next_fault < options.faults->size() &&
            (*options.faults)[next_fault].time <= t) {
@@ -270,6 +285,7 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
         const auto r = static_cast<std::size_t>(f.resource);
         speed[r] = f.speed > 0.0 ? f.speed : 0.0;
         res_down[r] = f.speed <= 0.0;
+        wake_resource(f.resource);
       }
     }
   };
@@ -329,8 +345,9 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<bool> busy(static_cast<std::size_t>(num_resources_), false);
 
   auto push_ready = [&](TaskId t) {
-    ready.Push(tasks_[static_cast<std::size_t>(t)].resource,
-               priority_rank_[static_cast<std::size_t>(t)], t);
+    const int r = tasks_[static_cast<std::size_t>(t)].resource;
+    ready.Push(r, priority_rank_[static_cast<std::size_t>(t)], t);
+    wake_resource(r);
   };
 
   // Hand-off (§5.1): a gated task is *enqueued* on its channel once its
@@ -504,48 +521,46 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     return chosen;
   };
 
-  // Starting gated tasks opens downstream gates, possibly releasing tasks
-  // for other idle resources, so iterate to a fixpoint.
+  // Dispatch: each woken resource that is up, idle and has a ready task
+  // starts one. Resources are visited in ascending id, so the RNG draws
+  // and start_order depend only on which resources can start, never on
+  // the order events woke them.
   auto start_eligible = [&] {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (int r = 0; r < num_resources_; ++r) {
-        if (has_faults && res_down[static_cast<std::size_t>(r)]) continue;
-        while (!busy[static_cast<std::size_t>(r)] &&
-               !ready.flat[static_cast<std::size_t>(r)].empty()) {
-          const TaskId t = select_task(r);
-          busy[static_cast<std::size_t>(r)] = true;
-          result.start[static_cast<std::size_t>(t)] = now;
-          result.start_order.push_back(t);
-          // A task runs at its resource's speed at start time; division
-          // only happens on the fault path so the plain path stays bit
-          // for bit what it always was.
-          const double d =
-              has_faults
-                  ? duration[static_cast<std::size_t>(t)] /
-                        speed[static_cast<std::size_t>(r)]
-                  : duration[static_cast<std::size_t>(t)];
-          if (has_flows && is_flow_resource(r)) {
-            // A flow's fault/jitter-adjusted duration is its demand at
-            // the nominal (static-split) rate; the water-fill converts
-            // it to wall time. Joining reshapes every rate, so recompute
-            // immediately — the new flow's first projection comes from
-            // its 0 -> fair-share rate change.
-            const auto ti = static_cast<std::size_t>(t);
-            flow_remaining[ti] = d;
-            flow_rate[ti] = 0.0;
-            flow_last[ti] = now;
-            active_pos[ti] = active_flows.size();
-            active_flows.push_back(t);
-            recompute_rates(now);
-          } else {
-            completions.push({now + d, t});
-          }
-          progress = true;
-        }
+    std::sort(wake.begin(), wake.end());
+    for (const int r : wake) {
+      const auto ri = static_cast<std::size_t>(r);
+      woken[ri] = 0;
+      if (busy[ri] || ready.flat[ri].empty() || (has_faults && res_down[ri])) {
+        continue;
+      }
+      const TaskId t = select_task(r);
+      busy[ri] = true;
+      result.start[static_cast<std::size_t>(t)] = now;
+      result.start_order.push_back(t);
+      // A task runs at its resource's speed at start time; division
+      // only happens on the fault path so the plain path stays bit
+      // for bit what it always was.
+      const double d = has_faults
+                           ? duration[static_cast<std::size_t>(t)] / speed[ri]
+                           : duration[static_cast<std::size_t>(t)];
+      if (has_flows && is_flow_resource(r)) {
+        // A flow's fault/jitter-adjusted duration is its demand at the
+        // nominal (static-split) rate; the water-fill converts it to
+        // wall time. Joining reshapes every rate, so recompute
+        // immediately — the new flow's first projection comes from its
+        // 0 -> fair-share rate change.
+        const auto ti = static_cast<std::size_t>(t);
+        flow_remaining[ti] = d;
+        flow_rate[ti] = 0.0;
+        flow_last[ti] = now;
+        active_pos[ti] = active_flows.size();
+        active_flows.push_back(t);
+        recompute_rates(now);
+      } else {
+        completions.push({now + d, t});
       }
     }
+    wake.clear();
   };
 
   // Timeline events at t <= 0 (perturbations already in effect when the
@@ -580,8 +595,9 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     now = time;
     result.end[static_cast<std::size_t>(t)] = now;
     result.makespan = std::max(result.makespan, now);
-    busy[static_cast<std::size_t>(
-        tasks_[static_cast<std::size_t>(t)].resource)] = false;
+    const int freed = tasks_[static_cast<std::size_t>(t)].resource;
+    busy[static_cast<std::size_t>(freed)] = false;
+    wake_resource(freed);
     if (has_flows && epoch != 0) {
       // A flow finished: swap-remove it from the active list, invalidate
       // any projections still queued for it, and hand its bandwidth to

@@ -7,7 +7,7 @@
 //   * an idle resource picks uniformly at random among the ready tasks
 //     holding the lowest priority number plus those without a priority —
 //     exactly the ready-to-execute queue rule of Section 3.1;
-//   * starting a gated task advances its group's hand-off counter.
+//   * enqueueing a gated task advances its group's hand-off counter.
 //
 // The engine is deterministic given (tasks, options, seed).
 //
@@ -37,7 +37,11 @@
 //     for the out-of-order uniform pick — a pick is O(1) instead of an
 //     O(queue) min-scan into a freshly allocated candidate vector;
 //   * gate-waiting tasks are bucketed by rank, so a cascade release is
-//     O(1) per released task instead of a rescan of the waiting list.
+//     O(1) per released task instead of a rescan of the waiting list;
+//   * a wake list holds the resources an event touched (a task enqueued,
+//     a completion freed it, a fault changed it), so a dispatch costs
+//     O(touched · log touched) in ascending resource id instead of a
+//     scan over every resource.
 #pragma once
 
 #include <vector>

@@ -32,10 +32,11 @@ struct Task {
   // (Section 3.1 semantics).
   int priority = kNoPriority;
 
-  // Enforcement gate (§5.1). A task with gate_group >= 0 may start only
-  // when its group's hand-off counter equals gate_rank; the counter
-  // increments when the task starts (is "handed to gRPC"), so transfers
-  // pipeline while their initiation order stays fixed.
+  // Enforcement gate (§5.1). A task with gate_group >= 0 is enqueued on
+  // its resource only when its group's hand-off counter equals gate_rank;
+  // the counter increments at that enqueue (the transfer is "handed to
+  // gRPC"), not when it starts, so transfers pipeline while their
+  // initiation order stays fixed.
   int gate_group = -1;
   int gate_rank = -1;
 

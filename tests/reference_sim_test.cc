@@ -1,6 +1,9 @@
 // Differential testing: the event-driven engine vs the naive reference
 // executor. On deterministic inputs (unique priorities per resource, no
-// gates, no jitter) both must agree exactly.
+// gates, no jitter) both must agree exactly. The wide cases spread a few
+// busy resources over 64-512 mostly idle ones, so each event wakes only
+// a handful of resources: the engine's dispatch must still start exactly
+// what the reference's scan of every resource starts.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -12,8 +15,10 @@
 namespace tictac::sim {
 namespace {
 
+// Tasks land on `used_resources` resources spaced `stride` apart, each
+// at the top of its stride (the last one is resource used * stride - 1).
 std::vector<Task> RandomTaskGraph(std::uint64_t seed, int num_tasks,
-                                  int num_resources) {
+                                  int used_resources, int stride = 1) {
   util::Rng rng(seed);
   std::vector<Task> tasks(static_cast<std::size_t>(num_tasks));
   // Unique global priorities remove all tie-break freedom.
@@ -23,8 +28,9 @@ std::vector<Task> RandomTaskGraph(std::uint64_t seed, int num_tasks,
   for (int t = 0; t < num_tasks; ++t) {
     Task& task = tasks[static_cast<std::size_t>(t)];
     task.duration = rng.Uniform(0.05, 2.0);
-    task.resource = static_cast<int>(
-        rng.Index(static_cast<std::size_t>(num_resources)));
+    task.resource = stride * static_cast<int>(rng.Index(
+                                 static_cast<std::size_t>(used_resources))) +
+                    stride - 1;
     task.priority = priorities[static_cast<std::size_t>(t)];
     // Edges only from earlier tasks: acyclic by construction.
     const int preds = static_cast<int>(rng.Index(3));
@@ -36,14 +42,35 @@ std::vector<Task> RandomTaskGraph(std::uint64_t seed, int num_tasks,
   return tasks;
 }
 
-class DifferentialSweep : public ::testing::TestWithParam<std::uint64_t> {};
+struct SweepCase {
+  std::uint64_t seed;
+  int num_resources;
+  int used_resources;  // spaced evenly over [0, num_resources)
+  int num_tasks;
+};
+
+std::vector<SweepCase> SweepCases() {
+  std::vector<SweepCase> cases;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    const int resources = 2 + static_cast<int>(seed % 4);
+    cases.push_back({seed, resources, resources,
+                     20 + static_cast<int>(seed % 30)});
+  }
+  for (const int resources : {64, 128, 256, 512}) {
+    for (std::uint64_t seed = 100; seed < 103; ++seed) {
+      cases.push_back({seed + static_cast<std::uint64_t>(resources), resources,
+                       2 + static_cast<int>(seed % 7), 120});
+    }
+  }
+  return cases;
+}
+
+class DifferentialSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DifferentialSweep, EngineMatchesReferenceExactly) {
-  const std::uint64_t seed = GetParam();
-  const int num_resources = 2 + static_cast<int>(seed % 4);
-  const int num_tasks = 20 + static_cast<int>(seed % 30);
-  const std::vector<Task> tasks =
-      RandomTaskGraph(seed, num_tasks, num_resources);
+  const auto [seed, num_resources, used_resources, num_tasks] = GetParam();
+  const std::vector<Task> tasks = RandomTaskGraph(
+      seed, num_tasks, used_resources, num_resources / used_resources);
 
   TaskGraphSim engine(tasks, num_resources);
   engine.Validate();
@@ -62,7 +89,7 @@ TEST_P(DifferentialSweep, EngineMatchesReferenceExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSweep,
-                         ::testing::Range<std::uint64_t>(0, 30));
+                         ::testing::ValuesIn(SweepCases()));
 
 TEST(ReferenceRun, HandlesUnprioritizedTasks) {
   std::vector<Task> tasks(2);

@@ -1,0 +1,259 @@
+// Golden SimResult fingerprints: the engine's exact dispatch, pinned.
+//
+// The other sim suites compare the engine with itself (fault-free vs
+// empty timeline, flow off vs legacy, 1 thread vs N) or with the naive
+// reference on tie-free graphs. None of them pins *which* tied task a
+// resource elects or when the random draws happen, so a dispatcher
+// rewrite that reorders resource visits would pass them all. These
+// 64-bit fingerprints hash every start/end bit pattern, the start order
+// and the makespan of seeded runs across the zoo, fault timelines,
+// flow-level fabrics and the sharded engine; they were generated with
+// the all-resource scan dispatcher and must never move unless a change
+// is meant to alter simulated results.
+//
+// A mismatch prints the new table line for the cell, so an intentional
+// re-pin is a copy of the failure output into Goldens().
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "models/zoo.h"
+#include "runtime/cluster.h"
+#include "runtime/lowering.h"
+#include "runtime/multijob.h"
+#include "runtime/runner.h"
+#include "runtime/spec.h"
+#include "sim/engine.h"
+
+namespace tictac {
+namespace {
+
+// FNV-1a over 64-bit words: the makespan, then each vector's length and
+// elements (doubles by bit pattern, so -0.0/0.0 and last-ulp moves count).
+std::uint64_t Fingerprint(const sim::SimResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(std::bit_cast<std::uint64_t>(r.makespan));
+  mix(r.start.size());
+  for (const double s : r.start) mix(std::bit_cast<std::uint64_t>(s));
+  mix(r.end.size());
+  for (const double e : r.end) mix(std::bit_cast<std::uint64_t>(e));
+  mix(r.start_order.size());
+  for (const sim::TaskId t : r.start_order) {
+    mix(static_cast<std::uint32_t>(t));
+  }
+  return h;
+}
+
+const std::map<std::string, std::uint64_t>& Goldens() {
+  static const std::map<std::string, std::uint64_t> kGoldens = {
+      {"zoo/AlexNet v2/baseline", 0x61e59d41762290dbull},
+      {"zoo/AlexNet v2/tic", 0x512906f3f9a016c2ull},
+      {"zoo/AlexNet v2/tac", 0x512906f3f9a016c2ull},
+      {"zoo/Inception v1/baseline", 0xe6b522e7964ef3cfull},
+      {"zoo/Inception v1/tic", 0x5f998c139b87b1f9ull},
+      {"zoo/Inception v1/tac", 0x697dd1e3d8f76dceull},
+      {"zoo/Inception v2/baseline", 0xeed6216047c93312ull},
+      {"zoo/Inception v2/tic", 0xe27a626b9d23a117ull},
+      {"zoo/Inception v2/tac", 0x31ca603c968c24edull},
+      {"zoo/Inception v3/baseline", 0xaca7cc972676b46dull},
+      {"zoo/Inception v3/tic", 0xb18a37d9e8d32ae6ull},
+      {"zoo/Inception v3/tac", 0x4799524b11e7401dull},
+      {"zoo/ResNet-50 v1/baseline", 0x3d16399d113f6eb1ull},
+      {"zoo/ResNet-50 v1/tic", 0x43c8660a44b5a8cbull},
+      {"zoo/ResNet-50 v1/tac", 0x43c8660a44b5a8cbull},
+      {"zoo/ResNet-101 v1/baseline", 0x118152af64668733ull},
+      {"zoo/ResNet-101 v1/tic", 0xd5beb4b152dcf8c3ull},
+      {"zoo/ResNet-101 v1/tac", 0xd5beb4b152dcf8c3ull},
+      {"zoo/ResNet-50 v2/baseline", 0x17409933eeca5a57ull},
+      {"zoo/ResNet-50 v2/tic", 0x97a8afe438c1d732ull},
+      {"zoo/ResNet-50 v2/tac", 0x97a8afe438c1d732ull},
+      {"zoo/ResNet-101 v2/baseline", 0xa5b4c6f3153ba894ull},
+      {"zoo/ResNet-101 v2/tic", 0xef523d4a7574e137ull},
+      {"zoo/ResNet-101 v2/tac", 0xef523d4a7574e137ull},
+      {"zoo/VGG-16/baseline", 0x2be674d3277e7680ull},
+      {"zoo/VGG-16/tic", 0x75a99be8551ffde0ull},
+      {"zoo/VGG-16/tac", 0x75a99be8551ffde0ull},
+      {"zoo/VGG-19/baseline", 0x8134dc44b5250513ull},
+      {"zoo/VGG-19/tic", 0x5ebc12ad523b7dd5ull},
+      {"zoo/VGG-19/tac", 0x5ebc12ad523b7dd5ull},
+      {"fault/AlexNet v2/tac", 0x8d1ccacd10cb3225ull},
+      {"fault/wide-hand-built", 0x5f7f578580162324ull},
+      {"flow/fat-tree-2job/seed1", 0x32ac8c9a8d43b1eeull},
+      {"flow/fat-tree-2job/seed7", 0xbdb49277f947c1c9ull},
+      {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
+  };
+  return kGoldens;
+}
+
+void ExpectGolden(const std::string& cell, const sim::SimResult& result) {
+  const std::uint64_t got = Fingerprint(result);
+  char line[128];
+  std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},", cell.c_str(),
+                static_cast<unsigned long long>(got));
+  const auto it = Goldens().find(cell);
+  if (it == Goldens().end()) {
+    ADD_FAILURE() << "cell not pinned; table line:\n    " << line;
+  } else if (it->second != got) {
+    ADD_FAILURE() << "fingerprint moved; new table line:\n    " << line;
+  }
+}
+
+// Jitter and out-of-order draws on, so every tie-break and every RNG
+// draw position feeds the fingerprint.
+sim::SimOptions Randomized(sim::SimOptions options) {
+  options.jitter_sigma = 0.1;
+  options.out_of_order_probability = 0.05;
+  return options;
+}
+
+runtime::Lowering LowerZoo(const runtime::Runner& runner,
+                           const std::string& policy) {
+  return runtime::LowerCluster(runner.worker_graph(),
+                               runner.MakeSchedule(policy),
+                               runner.ps_of_param(), runner.config());
+}
+
+TEST(SimFingerprint, ZooTimesPolicies) {
+  for (const models::ModelInfo& info : models::ModelZoo()) {
+    const runtime::Runner runner(info, runtime::EnvG(4, 2, true));
+    for (const char* policy : {"baseline", "tic", "tac"}) {
+      const sim::TaskGraphSim sim = LowerZoo(runner, policy).BuildSim();
+      ExpectGolden("zoo/" + info.name + "/" + policy,
+                   sim.Run(Randomized(runner.config().sim), 42));
+    }
+  }
+}
+
+// A resource with queued work goes down mid-run and comes back: the up
+// event alone must restart its queue, at exactly the up time.
+TEST(SimFingerprint, FaultTimelineRestartsAQueueOnResume) {
+  const runtime::Runner runner(models::FindModel("AlexNet v2"),
+                               runtime::EnvG(4, 2, true));
+  const runtime::Lowering low = LowerZoo(runner, "tac");
+  const sim::TaskGraphSim sim = low.BuildSim();
+  const sim::SimOptions options = Randomized(runner.config().sim);
+  const double makespan = sim.Run(options, 42).makespan;
+
+  std::vector<int> load(static_cast<std::size_t>(low.num_resources), 0);
+  for (const sim::Task& t : low.tasks) {
+    ++load[static_cast<std::size_t>(t.resource)];
+  }
+  const int busiest = static_cast<int>(
+      std::max_element(load.begin(), load.end()) - load.begin());
+  const int other = (busiest + 1) % low.num_resources;
+  const double up_at = 0.4 * makespan;
+  const std::vector<sim::ResourceFault> faults{
+      {0.1 * makespan, busiest, 0.0},
+      {0.2 * makespan, other, 0.5},
+      {up_at, busiest, 1.0},
+  };
+  sim::SimOptions faulted = options;
+  faulted.faults = &faults;
+  const sim::SimResult r = sim.Run(faulted, 42);
+  ExpectGolden("fault/AlexNet v2/tac", r);
+
+  bool resumed = false;
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    resumed |= low.tasks[t].resource == busiest && r.start[t] == up_at;
+  }
+  EXPECT_TRUE(resumed) << "no task started on resource " << busiest
+                       << " when it came back up";
+}
+
+// Hand-built: 64 resources, two in use. Resource 5 goes down with two
+// unprioritized tasks queued behind the one in flight; a completion on
+// resource 40 readies another of its tasks while it is down.
+TEST(SimFingerprint, FaultOnAWideMostlyIdleGraph) {
+  std::vector<sim::Task> tasks(5);
+  for (sim::Task& t : tasks) t.resource = 5;
+  tasks[0].duration = 1.0;
+  tasks[1].duration = 1.25;
+  tasks[2].duration = 1.5;
+  tasks[3].duration = 1.5;
+  tasks[3].resource = 40;
+  tasks[4].duration = 0.25;
+  tasks[4].preds = {3};
+  const std::vector<sim::ResourceFault> faults{{0.5, 5, 0.0}, {2.0, 5, 2.0}};
+  sim::SimOptions options;
+  options.faults = &faults;
+  const sim::SimResult r = sim::TaskGraphSim(tasks, 64).Run(options, 3);
+  ExpectGolden("fault/wide-hand-built", r);
+  // Resources start in ascending id order: resource 5's pick comes first.
+  const auto first = static_cast<std::size_t>(r.start_order.at(0));
+  ASSERT_EQ(tasks[first].resource, 5);
+  EXPECT_EQ(r.end[first], tasks[first].duration);  // keeps its start rate
+  double resumed = 1e9;
+  for (const std::size_t t : {0u, 1u, 2u, 4u}) {
+    if (t != first) resumed = std::min(resumed, r.start[t]);
+  }
+  EXPECT_EQ(resumed, 2.0);
+}
+
+TEST(SimFingerprint, FlowFatTreeMultiJob) {
+  runtime::MultiJobSpec spec;
+  for (const char* job : {"model=AlexNet v2 policy=tac",
+                          "model=Inception v2 policy=tic"}) {
+    runtime::MultiJobEntry entry;
+    entry.spec = runtime::ExperimentSpec::Parse(
+        std::string("envG:workers=4:ps=2:training:flow:pods=2:oversub=2 ") +
+        job + " iterations=2 seed=3");
+    spec.jobs.push_back(entry);
+  }
+  const runtime::MultiJobRunner runner(std::move(spec));
+  ASSERT_NE(runner.sim_options().network, nullptr);
+  const sim::TaskGraphSim sim = runner.lowering().combined.BuildSim();
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    ExpectGolden("flow/fat-tree-2job/seed" + std::to_string(seed),
+                 sim.Run(Randomized(runner.sim_options()), seed));
+  }
+}
+
+// Three zoo lowerings side by side — disjoint tasks, resources and gate
+// groups — form a three-component graph for the sharded engine.
+TEST(SimFingerprint, RunParallelMultiComponent) {
+  const runtime::ClusterConfig cluster = runtime::EnvG(2, 1, true);
+  std::vector<sim::Task> merged;
+  int resources = 0;
+  int gate_groups = 0;
+  for (const auto& [model, policy] :
+       {std::pair{"AlexNet v2", "tac"}, std::pair{"Inception v2", "tic"},
+        std::pair{"ResNet-50 v2", "baseline"}}) {
+    const runtime::Runner runner(models::FindModel(model), cluster);
+    const runtime::Lowering low = LowerZoo(runner, policy);
+    const auto base = static_cast<sim::TaskId>(merged.size());
+    int groups = 0;
+    for (sim::Task t : low.tasks) {
+      for (sim::TaskId& p : t.preds) p += base;
+      t.resource += resources;
+      if (t.gate_group >= 0) {
+        groups = std::max(groups, t.gate_group + 1);
+        t.gate_group += gate_groups;
+      }
+      merged.push_back(std::move(t));
+    }
+    resources += low.num_resources;
+    gate_groups += groups;
+  }
+  const sim::TaskGraphSim sim(std::move(merged), resources);
+  const sim::SimOptions options = Randomized(cluster.sim);
+  const std::vector<int> component = sim.ComponentOf(options);
+  ASSERT_EQ(*std::max_element(component.begin(), component.end()), 2);
+  for (const int threads : {1, 4}) {
+    ExpectGolden("parallel/3-component", sim.RunParallel(options, 9, threads));
+  }
+}
+
+}  // namespace
+}  // namespace tictac
