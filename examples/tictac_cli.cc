@@ -656,40 +656,18 @@ int CmdLower(const Args& args) {
   const ir::Module module =
       pipeline.Run(ir::BuildModuleForSpec(spec), options);
 
+  runtime::SharedFabric fabric;
+  fabric.lowering = ir::ToMultiJobLowering(module);
   bool any_scheduled = false;
-  for (const auto& job : module.jobs) any_scheduled |= job.scheduled;
-  const runtime::MultiJobLowering lowering = ir::ToMultiJobLowering(module);
-
-  sim::SimOptions sim_options = spec.jobs.front().spec.BuildCluster().sim;
-  sim_options.enforce_gates = any_scheduled;
-  sim::TaskGraphSim sim = lowering.combined.BuildSim();
-
-  // Same iteration loop (and seeding) as MultiJobRunner::Run.
-  const int iterations = spec.jobs.front().spec.iterations;
-  const std::uint64_t seed = spec.jobs.front().spec.seed;
-  runtime::MultiJobResult result;
-  result.jobs.resize(spec.jobs.size());
-  double combined_samples = 0.0;
-  for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
-    const runtime::ExperimentSpec& job = spec.jobs[j].spec;
-    const double samples = models::FindModel(job.model).standard_batch *
-                           job.cluster.batch_factor * job.cluster.workers;
-    result.jobs[j].samples_per_iteration = samples;
-    combined_samples += samples;
+  for (std::size_t j = 0; j < module.jobs.size(); ++j) {
+    any_scheduled |= module.jobs[j].scheduled;
+    fabric.samples_per_iteration.push_back(runtime::SamplesPerIteration(
+        models::FindModel(spec.jobs[j].spec.model), module.jobs[j].config));
   }
-  result.combined.samples_per_iteration = combined_samples;
-  for (int i = 0; i < iterations; ++i) {
-    const sim::SimResult run =
-        sim.Run(sim_options, seed + static_cast<std::uint64_t>(i));
-    result.combined.iterations.push_back(
-        runtime::ComputeIterationStats(lowering.combined, run));
-    for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
-      const sim::SimResult sliced =
-          runtime::SliceResult(run, lowering.jobs[j]);
-      result.jobs[j].iterations.push_back(
-          runtime::ComputeIterationStats(lowering.jobs[j].lowering, sliced));
-    }
-  }
+  fabric.options = runtime::SharedFabricOptions(
+      fabric.lowering, module.jobs.front().config.sim, any_scheduled);
+  const runtime::MultiJobResult result = runtime::RunSharedFabric(
+      fabric, spec.jobs.front().spec.iterations, spec.jobs.front().spec.seed);
 
   if (args.emit == Args::Emit::kJson) {
     std::cout << "{\n  \"passes\": [";

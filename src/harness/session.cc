@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "models/zoo.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/stats.h"
@@ -242,7 +242,7 @@ std::string MultiJobReport::ToJson() const {
 
 MultiJobReport Session::RunMultiJob(const runtime::MultiJobSpec& spec,
                                     bool with_isolated) {
-  return RunMultiJob(runtime::MultiJobRunner(spec),  // validates the spec
+  return RunMultiJob(runtime::MultiJobRunner(spec, &cache_),  // validates
                      with_isolated);
 }
 
@@ -291,32 +291,7 @@ exec::ExecReport Session::RunExec(const exec::ExecSpec& spec) {
 }
 
 const runtime::Runner& Session::runner(const runtime::ExperimentSpec& spec) {
-  // '\n' cannot appear in a model name or a cluster spec, so the key is
-  // collision-free.
-  const std::string key = spec.model + '\n' + spec.cluster.ToString();
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Entry>& slot = cache_[key];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
-  }
-  try {
-    std::call_once(entry->once, [&] {
-      entry->runner = std::make_unique<runtime::Runner>(
-          models::FindModel(spec.model), spec.cluster.Build());
-    });
-  } catch (...) {
-    // Construction failed (unknown model, invalid cluster): drop the
-    // dead entry so cached_runners() counts only analyzed graphs. The
-    // entry-identity check tolerates a concurrent retry that already
-    // replaced it.
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end() && it->second == entry) cache_.erase(it);
-    throw;
-  }
-  return *entry->runner;
+  return cache_.runner(spec, spec.cluster.workers);
 }
 
 runtime::ExperimentResult Session::Run(const runtime::ExperimentSpec& spec) {
@@ -387,11 +362,6 @@ ResultTable Session::RunAll(const runtime::SweepSpec& sweep,
 int Session::DefaultParallelism() {
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 4 : static_cast<int>(hardware);
-}
-
-std::size_t Session::cached_runners() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
 }
 
 }  // namespace tictac::harness

@@ -1,24 +1,16 @@
 // Session: the experiment execution engine behind the declarative
 // ExperimentSpec/SweepSpec API (DESIGN.md §5).
 //
-// A Session owns a cache of runtime::Runners keyed by (model, cluster),
-// so the PropertyIndex dependency analysis — the expensive part of
-// setting up a run — is built once per distinct (model, cluster)
-// configuration and reused across every policy and seed that touches
-// it. (A Runner binds its full ClusterConfig at construction, so
-// sweeping a sim-only axis such as sigma= or enforce= still builds one
-// Runner per value; only the policy/seed dimensions share.) Run() executes one spec;
-// RunAll() executes a grid on a thread pool and returns a ResultTable
-// whose rows are in spec order regardless of parallelism, bit-identical
-// to serial execution (each run is deterministic in its spec alone, and
-// runs share no mutable state).
+// A Session owns a runtime::RunnerCache, so the PropertyIndex analysis —
+// the expensive part of setting up a run — is built once per distinct
+// (model, cluster) and reused by every policy, seed and multi-job run
+// that touches it (sim-only axes such as sigma= still build one Runner
+// per value). Run() executes one spec; RunAll() runs a grid on a thread
+// pool, rows in spec order and bit-identical to serial execution.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metrics.h"
@@ -110,15 +102,9 @@ struct MultiJobReport {
 
 class Session {
  public:
-  Session() = default;
-  // The runner cache holds pointers handed out by runner(); moving or
-  // copying a Session would invalidate them.
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  // The cached Runner for the spec's (model, cluster); built on first
-  // use, shared by every later spec with the same key. The reference
-  // stays valid for the Session's lifetime. Thread-safe.
+  // The cached Runner for the spec's (model, cluster) run alone; built on
+  // first use, shared by every later spec with the same key. The
+  // reference stays valid for the Session's lifetime. Thread-safe.
   const runtime::Runner& runner(const runtime::ExperimentSpec& spec);
 
   // Executes one spec (validates it first). Thread-safe.
@@ -132,14 +118,13 @@ class Session {
                      int parallelism = 1);
   ResultTable RunAll(const runtime::SweepSpec& sweep, int parallelism = 1);
 
-  // Executes a multi-job experiment on the shared fabric
-  // (runtime::MultiJobRunner) and, when `with_isolated` is true, each
-  // job alone through Run() — reusing this Session's Runner cache — to
-  // derive per-job slowdown and Jain fairness. The multi-job runner
-  // itself is not cached: its schedules depend on the co-located worker
-  // total, not on any one (model, cluster) key. The second overload
-  // reuses a caller-built runner (its construction — per-job scheduling
-  // and the shared-fabric lowering — is the expensive part). Thread-safe.
+  // Executes a multi-job experiment (runtime::MultiJobRunner on this
+  // Session's RunnerCache) and, when `with_isolated` is true, each job
+  // alone through Run() — the single-job Runner, same cache — to derive
+  // per-job slowdown and Jain fairness. Contended Runners (fabric size
+  // T > the job's workers) stay cached for the Session's lifetime: one
+  // per distinct (model, cluster, T), reused by a repeated mix. The
+  // second overload reuses a caller-built runner. Thread-safe.
   MultiJobReport RunMultiJob(const runtime::MultiJobSpec& spec,
                              bool with_isolated = true);
   MultiJobReport RunMultiJob(const runtime::MultiJobRunner& runner,
@@ -147,10 +132,9 @@ class Session {
 
   // Plays a cluster-scheduler service run (sched::SchedulerService) to
   // completion: open-system arrivals, admission, placement over K
-  // fabrics, SLO metrics. The service maintains its own Runner cache —
-  // shared-fabric runners are keyed by contention level, not only by
-  // (model, cluster) — so this call does not touch this Session's cache.
-  // Deterministic in the config alone.
+  // fabrics, SLO metrics. The service builds its fabrics through a
+  // RunnerCache of its own, not this Session's, so its cache counters —
+  // and the whole report — are deterministic in the config alone.
   sched::ServiceReport RunService(const sched::ServiceConfig& config);
 
   // Executes the spec's lowered task graphs for real on the in-process
@@ -165,21 +149,13 @@ class Session {
   // Hardware concurrency, with a floor of 1 (and 4 when unknown).
   static int DefaultParallelism();
 
-  // Distinct (model, cluster) graphs analyzed so far.
-  std::size_t cached_runners() const;
+  // Runners analyzed so far: one per distinct (model, cluster) run alone
+  // (a sweep's distinct graphs) plus one per (model, cluster, fabric
+  // size T) a multi-job run co-located.
+  std::size_t cached_runners() const { return cache_.size(); }
 
  private:
-  // Entries are created under mu_ but constructed outside it via
-  // call_once, so two clusters can build their PropertyIndexes
-  // concurrently while later lookups of the same key block only on the
-  // one entry they need.
-  struct Entry {
-    std::once_flag once;
-    std::unique_ptr<runtime::Runner> runner;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> cache_;
+  runtime::RunnerCache cache_;
 };
 
 }  // namespace tictac::harness

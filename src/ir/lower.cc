@@ -200,13 +200,8 @@ Module BuildModuleForSpec(const runtime::MultiJobSpec& spec) {
   const int T = spec.TotalWorkers();
   Module module;
   for (const runtime::MultiJobEntry& entry : spec.jobs) {
-    runtime::ClusterConfig config = entry.spec.BuildCluster();
-    // Every PS NIC is time-shared by the pair-channels of ALL jobs'
-    // workers: scale this job's platform bandwidth by W_j / T so the
-    // per-channel figure (bandwidth / W_j) comes out as the contended
-    // bandwidth / T. Exactly 1.0 for a single job.
-    config.platform.bandwidth_bps *= static_cast<double>(config.num_workers) /
-                                     static_cast<double>(T);
+    const runtime::ClusterConfig config =
+        runtime::SharedFabricConfig(entry.spec, T);
     const models::ModelInfo& model = models::FindModel(entry.spec.model);
     models::BuildOptions build;
     build.training = config.training;

@@ -53,14 +53,16 @@ Module BuildLogicalModule(const std::vector<runtime::JobLoweringInput>& jobs);
 
 // A kLogical module from a declarative multi-job spec: per job, builds
 // the worker graph from the model zoo, carries policy + parameter sizes
-// for the logical-stage passes, and prescales the platform bandwidth by
-// W_j / T (the shared-fabric contention model, runtime/multijob.h).
+// for the logical-stage passes, and takes the cluster config from
+// runtime::SharedFabricConfig (bandwidth scaled by W_j / T, the
+// shared-fabric contention model).
 // Validates the spec. Unlike BuildLogicalModule the graphs are owned.
 Module BuildModuleForSpec(const runtime::MultiJobSpec& spec);
 
 // The preset pass orders.
 //   kPsFabric: expand_replicas, lower_ps_fabric, merge_jobs,
-//              apply_arrival_offsets, pipeline_iters:<iterations>
+//              lower_flow_nics, apply_arrival_offsets,
+//              pipeline_iters:<iterations>
 //   kRing:     expand_replicas, lower_allreduce_ring,
 //              apply_arrival_offsets, pipeline_iters:<iterations>
 // Throws std::invalid_argument("iterations must be >= 1") for

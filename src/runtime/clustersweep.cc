@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "models/zoo.h"
 #include "sim/flow.h"
 
 namespace tictac::runtime {
@@ -13,11 +12,6 @@ namespace {
 [[noreturn]] void Fail(const std::string& message) {
   throw std::invalid_argument("clustersweep: " + message);
 }
-
-// Per-fabric cap mirrored from runtime/multijob.cc (MultiJobSpec
-// enforces it; the sweep's partitioner must agree so its error message
-// can name the fix).
-constexpr int kMaxJobsPerFabric = 64;
 
 // Nearest-rank percentile of a sorted sample: deterministic, no
 // interpolation, exact for the byte-compare CI smoke.
@@ -56,7 +50,10 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
 
   // Contiguous, size-balanced chunks; each fabric computes its own
   // schedules against its own contended oracle (jobs only contend with
-  // co-located jobs, never across fabrics).
+  // co-located jobs, never across fabrics). Fabrics of the same size
+  // share Runners and schedules through one cache, so replicated jobs
+  // are analyzed once per sweep.
+  RunnerCache cache;
   fabrics_.reserve(static_cast<std::size_t>(fabrics));
   std::size_t next = 0;
   for (int f = 0; f < fabrics; ++f) {
@@ -65,17 +62,18 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
     spec.jobs.assign(jobs.begin() + static_cast<std::ptrdiff_t>(next),
                      jobs.begin() + static_cast<std::ptrdiff_t>(next) + size);
     next += static_cast<std::size_t>(size);
-    fabrics_.push_back(std::make_unique<MultiJobRunner>(std::move(spec)));
+    fabrics_.push_back(
+        std::make_unique<MultiJobRunner>(std::move(spec), &cache));
   }
 
   // Simulation options are global to the merged run: every fabric must
   // agree on the knobs a single SimOptions carries. Gate enforcement
   // ORs across fabrics exactly as MultiJobRunner ORs it across
   // co-located jobs.
-  const sim::SimOptions& head = fabrics_.front()->sim_options();
+  const sim::SimOptions& head = fabrics_.front()->fabric().options;
   merged_options_ = head;
   for (std::size_t f = 1; f < fabrics_.size(); ++f) {
-    const sim::SimOptions& other = fabrics_[f]->sim_options();
+    const sim::SimOptions& other = fabrics_[f]->fabric().options;
     if (other.jitter_sigma != head.jitter_sigma ||
         other.out_of_order_probability != head.out_of_order_probability) {
       Fail("fabric " + std::to_string(f) +
@@ -90,18 +88,16 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
   // and flow-link id ranges, so the merged graph decomposes back into
   // one independent component per fabric (sim::TaskGraphSim::ComponentOf)
   // and the sharded engine runs the K event loops in parallel.
-  task_base_.reserve(fabrics_.size() + 1);
-  bool any_flow = false;
-  for (const auto& fabric : fabrics_) {
-    any_flow |= fabric->lowering().combined.flow != nullptr;
+  fabric_slices_.reserve(fabrics_.size());
+  // A fabric turns flow fairness on exactly when it has a flow network.
+  if (merged_options_.flow_fairness) {
+    merged_flow_ = std::make_shared<sim::FlowNetwork>();
   }
-  if (any_flow) merged_flow_ = std::make_shared<sim::FlowNetwork>();
   int gate_base = 0;
   for (const auto& fabric : fabrics_) {
-    const Lowering& lowering = fabric->lowering().combined;
+    const Lowering& lowering = fabric->fabric().lowering.combined;
     const auto task_base = static_cast<sim::TaskId>(merged_tasks_.size());
     const int resource_base = merged_resources_;
-    task_base_.push_back(task_base);
     int max_gate = -1;
     for (const sim::Task& task : lowering.tasks) {
       sim::Task merged = task;
@@ -135,8 +131,10 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
     }
     merged_resources_ += lowering.num_resources;
     gate_base += max_gate + 1;
+    MultiJobLowering::JobSlice& slice = fabric_slices_.emplace_back();
+    slice.first_task = task_base;
+    slice.last_task = static_cast<sim::TaskId>(merged_tasks_.size());
   }
-  task_base_.push_back(static_cast<sim::TaskId>(merged_tasks_.size()));
   merged_options_.network = merged_flow_.get();
 }
 
@@ -170,18 +168,13 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
   }
 
   // Per-job accumulators, global job order (fabric-major).
-  std::vector<ExperimentResult> per_job(static_cast<std::size_t>(result.jobs));
-  {
-    std::size_t g = 0;
-    for (const auto& fabric : fabrics_) {
-      for (const MultiJobEntry& entry : fabric->spec().jobs) {
-        const ExperimentSpec& job = entry.spec;
-        per_job[g].samples_per_iteration =
-            models::FindModel(job.model).standard_batch *
-            job.cluster.batch_factor * job.cluster.workers;
-        per_job[g].iterations.reserve(static_cast<std::size_t>(iterations));
-        ++g;
-      }
+  std::vector<ExperimentResult> per_job;
+  per_job.reserve(static_cast<std::size_t>(result.jobs));
+  for (const auto& fabric : fabrics_) {
+    for (const double samples : fabric->fabric().samples_per_iteration) {
+      ExperimentResult& job = per_job.emplace_back();
+      job.samples_per_iteration = samples;
+      job.iterations.reserve(static_cast<std::size_t>(iterations));
     }
   }
 
@@ -195,21 +188,8 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
     for (std::size_t f = 0; f < fabrics_.size(); ++f) {
       // Cut the fabric's task range back out so the per-fabric slices
       // (fabric-local task ids) apply unchanged.
-      const auto first = static_cast<std::size_t>(task_base_[f]);
-      const auto last = static_cast<std::size_t>(task_base_[f + 1]);
-      sim::SimResult fabric_run;
-      fabric_run.start.assign(
-          run.start.begin() + static_cast<std::ptrdiff_t>(first),
-          run.start.begin() + static_cast<std::ptrdiff_t>(last));
-      fabric_run.end.assign(
-          run.end.begin() + static_cast<std::ptrdiff_t>(first),
-          run.end.begin() + static_cast<std::ptrdiff_t>(last));
-      for (const sim::TaskId t : run.start_order) {
-        if (t >= task_base_[f] && t < task_base_[f + 1]) {
-          fabric_run.start_order.push_back(t - task_base_[f]);
-        }
-      }
-      const MultiJobLowering& lowering = fabrics_[f]->lowering();
+      const sim::SimResult fabric_run = SliceResult(run, fabric_slices_[f]);
+      const MultiJobLowering& lowering = fabrics_[f]->fabric().lowering;
       for (const MultiJobLowering::JobSlice& slice : lowering.jobs) {
         const sim::SimResult sliced = SliceResult(fabric_run, slice);
         per_job[g].iterations.push_back(

@@ -58,7 +58,8 @@ struct ClusterSweepResult {
 
 // Builds and runs the partitioned sweep. Construction partitions the
 // jobs, constructs one MultiJobRunner per fabric (schedules computed
-// against each fabric's contended oracle), and merges the per-fabric
+// against each fabric's contended oracle, Runners and schedules shared
+// across fabrics through one RunnerCache), and merges the per-fabric
 // lowerings into one task graph with disjoint resource, gate-group and
 // flow-link id ranges. Throws std::invalid_argument on an empty job
 // list, a partition that overflows the per-fabric cap, or fabrics whose
@@ -82,9 +83,9 @@ class ClusterSweep {
  private:
   ClusterSweepOptions options_;
   std::vector<std::unique_ptr<MultiJobRunner>> fabrics_;
-  // The merged graph: fabric f's tasks at [task_base_[f], task_base_[f+1]).
+  // The merged graph; fabric_slices_[f] is fabric f's task range.
   std::vector<sim::Task> merged_tasks_;
-  std::vector<sim::TaskId> task_base_;
+  std::vector<MultiJobLowering::JobSlice> fabric_slices_;
   int merged_resources_ = 0;
   // Merged capacity graph (null when no fabric enables flow fairness);
   // merged_options_.network points at it.

@@ -59,8 +59,8 @@ struct Lowering {
 // One job's already-scheduled inputs to a lowering (single-job entry
 // points use exactly one; the shared-fabric lowering takes a vector). The
 // config's platform must already carry any contended bandwidth scaling
-// (bandwidth_bps · W_j / T) — MultiJobRunner does this; callers invoking
-// LowerSharedCluster directly are responsible for it.
+// (runtime::SharedFabricConfig); runtime::BuildSharedFabric assembles
+// these inputs from RunnerCache entries that do.
 struct JobLoweringInput {
   const core::Graph& graph;
   const core::Schedule& schedule;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "ir/lower.h"
-#include "models/zoo.h"
 
 namespace tictac::runtime {
 namespace {
@@ -14,13 +13,6 @@ namespace {
 [[noreturn]] void Fail(const std::string& message) {
   throw std::invalid_argument("multijob: " + message);
 }
-
-// Construction cost is one full Runner (graph build + dependency
-// analysis + schedule) per job and a combined fabric of 2·T·S channel
-// resources, so an over-generous job count turns a one-line spec into
-// minutes of work; 64 co-located jobs is far beyond any realistic
-// shared-PS scenario.
-constexpr long long kMaxJobs = 64;
 
 }  // namespace
 
@@ -124,16 +116,16 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
 
 MultiJobSpec MultiJobSpec::Parse(std::string_view text) {
   MultiJobSpec spec;
-  spec.jobs = ParseJobGroups(text, kMaxJobs);
+  spec.jobs = ParseJobGroups(text, kMaxJobsPerFabric);
   spec.Validate();
   return spec;
 }
 
 void MultiJobSpec::Validate() const {
   if (jobs.empty()) Fail("need >= 1 job");
-  if (jobs.size() > static_cast<std::size_t>(kMaxJobs)) {
-    Fail("at most " + std::to_string(kMaxJobs) + " jobs per fabric, got " +
-         std::to_string(jobs.size()));
+  if (jobs.size() > static_cast<std::size_t>(kMaxJobsPerFabric)) {
+    Fail("at most " + std::to_string(kMaxJobsPerFabric) +
+         " jobs per fabric, got " + std::to_string(jobs.size()));
   }
   const ExperimentSpec& head = jobs.front().spec;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -233,49 +225,48 @@ sim::SimResult SliceResult(const sim::SimResult& combined,
   return out;
 }
 
-MultiJobRunner::MultiJobRunner(MultiJobSpec spec) : spec_(std::move(spec)) {
-  spec_.Validate();
-  const int T = spec_.TotalWorkers();
-  runners_.reserve(spec_.jobs.size());
-  schedules_.reserve(spec_.jobs.size());
-  scheduled_.reserve(spec_.jobs.size());
-  for (const MultiJobEntry& entry : spec_.jobs) {
-    ClusterConfig config = entry.spec.BuildCluster();
-    // Every PS NIC is time-shared by the pair-channels of ALL jobs'
-    // workers, not just this job's: scale the platform bandwidth by
-    // W_j / T so LowerCluster's and MakeSchedule's per-channel figure
-    // (bandwidth / W_j) comes out as the contended bandwidth / T.
-    // Exactly 1.0 — bit-identical — for a single job.
-    config.platform.bandwidth_bps *=
-        static_cast<double>(config.num_workers) / static_cast<double>(T);
-    runners_.push_back(std::make_unique<Runner>(
-        models::FindModel(entry.spec.model), config));
-    const Runner& runner = *runners_.back();
-    schedules_.push_back(runner.MakeSchedule(entry.spec.policy));
-    scheduled_.push_back(
-        schedules_.back().size() == runner.worker_graph().size() &&
-        schedules_.back().CoversAllRecvs(runner.worker_graph()));
-  }
-
-  std::vector<JobLoweringInput> inputs;
-  inputs.reserve(spec_.jobs.size());
-  for (std::size_t j = 0; j < spec_.jobs.size(); ++j) {
-    inputs.push_back(JobLoweringInput{
-        runners_[j]->worker_graph(), schedules_[j], runners_[j]->ps_of_param(),
-        runners_[j]->config(), spec_.jobs[j].start_offset});
-  }
-  lowering_ = LowerSharedCluster(inputs);
-
-  sim_options_ = runners_.front()->config().sim;
-  bool any_scheduled = false;
-  for (const bool covered : scheduled_) any_scheduled |= covered;
-  sim_options_.enforce_gates = any_scheduled;
+sim::SimOptions SharedFabricOptions(const MultiJobLowering& lowering,
+                                    sim::SimOptions head, bool any_scheduled) {
+  head.enforce_gates = any_scheduled;
   // Non-null exactly when a config enabled sim.flow_fairness
-  // (lower_flow_nics); the lowering outlives every Run(). Like
-  // enforce_gates, any one job opting in turns the flow model on for the
-  // shared fabric — contention is fabric-wide or not at all.
-  sim_options_.network = lowering_.combined.flow.get();
-  sim_options_.flow_fairness |= sim_options_.network != nullptr;
+  // (lower_flow_nics); the lowering owns it.
+  head.network = lowering.combined.flow.get();
+  head.flow_fairness |= head.network != nullptr;
+  return head;
+}
+
+SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
+                               RunnerCache& cache) {
+  int total_workers = 0;
+  for (const MultiJobEntry& entry : entries) {
+    total_workers += entry.spec.cluster.workers;
+  }
+  SharedFabric fabric;
+  std::vector<JobLoweringInput> inputs;
+  inputs.reserve(entries.size());
+  bool any_scheduled = false;
+  for (const MultiJobEntry& entry : entries) {
+    const Runner& runner = cache.runner(entry.spec, total_workers);
+    const RunnerCache::CachedSchedule& schedule =
+        cache.schedule(entry.spec, total_workers);
+    any_scheduled |= schedule.covers_all_recvs;
+    inputs.push_back(JobLoweringInput{
+        runner.worker_graph(), schedule.schedule, runner.ps_of_param(),
+        runner.config(), entry.start_offset});
+    fabric.samples_per_iteration.push_back(
+        SamplesPerIteration(runner.model(), runner.config()));
+  }
+  fabric.lowering = LowerSharedCluster(inputs);
+  fabric.options = SharedFabricOptions(
+      fabric.lowering, inputs.front().config.sim, any_scheduled);
+  return fabric;
+}
+
+MultiJobRunner::MultiJobRunner(MultiJobSpec spec, RunnerCache* cache)
+    : spec_(std::move(spec)) {
+  spec_.Validate();
+  RunnerCache own;  // nothing built from it outlives the lowering
+  fabric_ = BuildSharedFabric(spec_.jobs, cache != nullptr ? *cache : own);
 }
 
 MultiJobResult MultiJobRunner::Run() const {
@@ -285,35 +276,37 @@ MultiJobResult MultiJobRunner::Run() const {
 
 MultiJobResult MultiJobRunner::Run(int iterations,
                                    std::uint64_t seed) const {
+  return RunSharedFabric(fabric_, iterations, seed);
+}
+
+MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
+                               std::uint64_t seed) {
   if (iterations < 1) {
     throw std::invalid_argument("MultiJobRunner: iterations must be >= 1");
   }
-  sim::TaskGraphSim sim = lowering_.combined.BuildSim();
+  const MultiJobLowering& lowering = fabric.lowering;
+  sim::TaskGraphSim sim = lowering.combined.BuildSim();
 
   MultiJobResult result;
-  result.jobs.resize(spec_.jobs.size());
+  result.jobs.resize(lowering.jobs.size());
   double combined_samples = 0.0;
-  for (std::size_t j = 0; j < spec_.jobs.size(); ++j) {
-    const ExperimentSpec& job = spec_.jobs[j].spec;
-    // Same expression (and evaluation order) as Runner::Run.
-    const double samples = models::FindModel(job.model).standard_batch *
-                           job.cluster.batch_factor * job.cluster.workers;
-    result.jobs[j].samples_per_iteration = samples;
+  for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
+    result.jobs[j].samples_per_iteration = fabric.samples_per_iteration[j];
     result.jobs[j].iterations.reserve(static_cast<std::size_t>(iterations));
-    combined_samples += samples;
+    combined_samples += fabric.samples_per_iteration[j];
   }
   result.combined.samples_per_iteration = combined_samples;
   result.combined.iterations.reserve(static_cast<std::size_t>(iterations));
 
   for (int i = 0; i < iterations; ++i) {
     const sim::SimResult run =
-        sim.Run(sim_options_, seed + static_cast<std::uint64_t>(i));
+        sim.Run(fabric.options, seed + static_cast<std::uint64_t>(i));
     result.combined.iterations.push_back(
-        ComputeIterationStats(lowering_.combined, run));
-    for (std::size_t j = 0; j < lowering_.jobs.size(); ++j) {
-      const sim::SimResult sliced = SliceResult(run, lowering_.jobs[j]);
+        ComputeIterationStats(lowering.combined, run));
+    for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
+      const sim::SimResult sliced = SliceResult(run, lowering.jobs[j]);
       result.jobs[j].iterations.push_back(
-          ComputeIterationStats(lowering_.jobs[j].lowering, sliced));
+          ComputeIterationStats(lowering.jobs[j].lowering, sliced));
     }
   }
   return result;

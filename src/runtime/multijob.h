@@ -21,9 +21,10 @@
 // Each PS NIC is time-shared by the T pair-channels of ALL jobs, so the
 // per-channel bandwidth is bandwidth/T — adding a co-located job slows
 // every transfer in the fabric, and the per-job schedules are computed
-// against that contended oracle (MultiJobRunner scales each job's
-// platform bandwidth by W_j/T before handing it to runtime::Runner,
-// whose MakeSchedule divides by W_j; the product is bandwidth/T).
+// against that contended oracle (BuildSharedFabric takes each job's
+// Runner from a RunnerCache at fabric size T, built with the platform
+// bandwidth scaled by W_j/T — runtime::SharedFabricConfig — and
+// Runner::MakeSchedule divides by W_j; the product is bandwidth/T).
 //
 // The combined task graph runs through the existing sim::TaskGraphSim
 // unchanged — tasks, resources, priorities and per-(job, worker) gate
@@ -33,17 +34,22 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/schedule.h"
 #include "runtime/lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
 
 namespace tictac::runtime {
+
+// Jobs per shared fabric, at most: each distinct job costs a full Runner
+// construction (graph build, dependency analysis, schedule) and every
+// job 2·S channel resources, so an over-generous count turns a one-line
+// spec into minutes of work; 64 co-located jobs is far beyond any
+// realistic shared-PS scenario.
+inline constexpr int kMaxJobsPerFabric = 64;
 
 // One job of a multi-job experiment: a complete single-job spec plus an
 // arrival offset (seconds after t = 0 before any of the job's tasks may
@@ -77,9 +83,8 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
 //
 // `COUNT x` replicates the group (2x{...} = two identical co-located
 // jobs); `@offset` delays every replica's arrival. ToString() collapses
-// consecutive identical entries back into the counted form. At most 64
-// jobs per fabric — each job costs a full Runner construction, so the
-// cap keeps a one-line spec from encoding minutes of setup work.
+// consecutive identical entries back into the counted form. At most
+// kMaxJobsPerFabric jobs.
 struct MultiJobSpec {
   std::vector<MultiJobEntry> jobs;
 
@@ -171,18 +176,43 @@ struct MultiJobResult {
   std::vector<ExperimentResult> jobs;
 };
 
+// One shared PS fabric, ready to simulate.
+struct SharedFabric {
+  MultiJobLowering lowering;
+  sim::SimOptions options;  // every run's options (SharedFabricOptions)
+  // SamplesPerIteration of each job.
+  std::vector<double> samples_per_iteration;
+};
+
+// `head` (job 0's sim options) with enforce_gates = `any_scheduled` and
+// the lowering's flow network attached (flow fairness fabric-wide). Used
+// by BuildSharedFabric and by `tictac_cli lower`'s pass-pipeline fabric.
+sim::SimOptions SharedFabricOptions(const MultiJobLowering& lowering,
+                                    sim::SimOptions head, bool any_scheduled);
+
+// The shared-fabric decision, in one place: sums the jobs' workers into
+// T, takes each job's Runner and schedule from `cache` at fabric size T
+// (so the schedules see the contended oracle), lowers the fabric with
+// LowerSharedCluster, and derives the sim options (SharedFabricOptions).
+// The result owns everything it points into; the cache need not outlive
+// it. MultiJobRunner, ClusterSweep and the scheduler service build here.
+SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
+                               RunnerCache& cache);
+
+// Simulates `iterations` iterations of `fabric`, seeded seed + i as the
+// single-job path is, and slices each into per-job results.
+MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
+                               std::uint64_t seed);
+
 // Builds and runs a multi-job experiment. Construction validates the
-// spec, computes each job's schedule against the contended oracle, and
-// lowers the shared fabric; Run() then simulates the spec's iterations.
-// A 1-job MultiJobRunner reproduces the single-job Session/Runner path
-// bit for bit (pinned by tests/multijob_test.cc).
+// spec and builds the shared fabric (BuildSharedFabric), with Runners
+// from the borrowed `cache` when one is given and from a private cache
+// otherwise; Run() then simulates the spec's iterations. A 1-job
+// MultiJobRunner reproduces the single-job Session/Runner path bit for
+// bit (pinned by tests/multijob_test.cc).
 class MultiJobRunner {
  public:
-  explicit MultiJobRunner(MultiJobSpec spec);
-
-  // The per-job Runners hold the graphs lowering_ points into.
-  MultiJobRunner(const MultiJobRunner&) = delete;
-  MultiJobRunner& operator=(const MultiJobRunner&) = delete;
+  explicit MultiJobRunner(MultiJobSpec spec, RunnerCache* cache = nullptr);
 
   // Simulates spec().jobs[0].spec.iterations iterations (validated equal
   // across jobs), seeds seed + i as the single-job path does. Thread-safe
@@ -191,24 +221,12 @@ class MultiJobRunner {
   MultiJobResult Run(int iterations, std::uint64_t seed) const;
 
   const MultiJobSpec& spec() const { return spec_; }
-  const MultiJobLowering& lowering() const { return lowering_; }
-  int total_workers() const { return lowering_.total_workers; }
-  // The options every Run() simulates with (gates, jitter, flow network),
-  // derived from the jobs' configs at construction. The cluster sweep
-  // (runtime/clustersweep.h) reads these to merge fabrics into one sim.
-  const sim::SimOptions& sim_options() const { return sim_options_; }
+  // The lowered fabric and the options every Run() simulates with.
+  const SharedFabric& fabric() const { return fabric_; }
 
  private:
   MultiJobSpec spec_;
-  // One Runner per job, constructed with the contended-bandwidth config;
-  // supplies the worker graph, PropertyIndex-backed scheduling, and
-  // parameter sharding.
-  std::vector<std::unique_ptr<Runner>> runners_;
-  std::vector<core::Schedule> schedules_;
-  // Whether job j's schedule covers all its recvs (gates enforced).
-  std::vector<bool> scheduled_;
-  MultiJobLowering lowering_;
-  sim::SimOptions sim_options_;
+  SharedFabric fabric_;
 };
 
 }  // namespace tictac::runtime

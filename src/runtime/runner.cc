@@ -171,6 +171,19 @@ int ExperimentResult::UniqueRecvOrders() const {
   return static_cast<int>(orders.size());
 }
 
+double SamplesPerIteration(const models::ModelInfo& model,
+                           const ClusterConfig& config) {
+  return model.standard_batch * config.batch_factor * config.num_workers;
+}
+
+ClusterConfig SharedFabricConfig(const ExperimentSpec& spec,
+                                 int total_workers) {
+  ClusterConfig config = spec.BuildCluster();
+  config.platform.bandwidth_bps *= static_cast<double>(config.num_workers) /
+                                   static_cast<double>(total_workers);
+  return config;
+}
+
 Runner::Runner(const models::ModelInfo& model, ClusterConfig config)
     : model_(model), config_(config) {
   config_.Validate();
@@ -234,9 +247,7 @@ ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
   sim::TaskGraphSim sim = lowering.BuildSim();
 
   ExperimentResult result;
-  result.samples_per_iteration = model_.standard_batch *
-                                 config_.batch_factor *
-                                 config_.num_workers;
+  result.samples_per_iteration = SamplesPerIteration(model_, config_);
   result.iterations.reserve(static_cast<std::size_t>(iterations));
 
   for (int i = 0; i < iterations; ++i) {
@@ -245,6 +256,84 @@ ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
     result.iterations.push_back(ComputeIterationStats(lowering, run));
   }
   return result;
+}
+
+namespace {
+
+// '\n' cannot appear in a model name or a cluster spec, so the key is
+// collision-free.
+std::string RunnerKey(const ExperimentSpec& spec, int total_workers) {
+  return spec.model + '\n' + spec.cluster.ToString() + '\n' +
+         std::to_string(total_workers);
+}
+
+// The entry of `key` in `map`, built by `build` on the first lookup.
+// Counts the lookup in `builds` or `hits` (under `mu`).
+template <typename Map, typename Build>
+const auto& GetOrBuild(std::mutex& mu, Map& map, const std::string& key,
+                       std::uint64_t& builds, std::uint64_t& hits,
+                       const Build& build) {
+  using Slot = typename Map::mapped_type::element_type;
+  std::shared_ptr<Slot> slot;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    std::shared_ptr<Slot>& entry = map[key];
+    ++(entry ? hits : builds);
+    if (!entry) entry = std::make_shared<Slot>();
+    slot = entry;
+  }
+  try {
+    std::call_once(slot->once, [&] { slot->value = build(); });
+  } catch (...) {
+    // Construction failed (unknown model or policy, invalid cluster):
+    // drop the dead entry so size() counts only built Runners. The
+    // identity check tolerates a concurrent retry that already replaced
+    // it.
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = map.find(key);
+    if (it != map.end() && it->second == slot) map.erase(it);
+    throw;
+  }
+  return *slot->value;
+}
+
+}  // namespace
+
+const Runner& RunnerCache::runner(const ExperimentSpec& spec,
+                                  int total_workers) {
+  const auto build = [&] {
+    return std::make_unique<const Runner>(
+        models::FindModel(spec.model), SharedFabricConfig(spec, total_workers));
+  };
+  return GetOrBuild(mu_, runners_, RunnerKey(spec, total_workers),
+                    counters_.runner_builds, counters_.runner_hits, build);
+}
+
+const RunnerCache::CachedSchedule& RunnerCache::schedule(
+    const ExperimentSpec& spec, int total_workers) {
+  const auto build = [&] {
+    const Runner& on = runner(spec, total_workers);
+    auto entry = std::make_unique<CachedSchedule>();
+    entry->schedule = on.MakeSchedule(spec.policy);
+    entry->covers_all_recvs =
+        entry->schedule.size() == on.worker_graph().size() &&
+        entry->schedule.CoversAllRecvs(on.worker_graph());
+    return std::unique_ptr<const CachedSchedule>(std::move(entry));
+  };
+  return GetOrBuild(mu_, schedules_,
+                    RunnerKey(spec, total_workers) + '\n' + spec.policy,
+                    counters_.schedules_computed, counters_.schedule_hits,
+                    build);
+}
+
+std::size_t RunnerCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return runners_.size();
+}
+
+RunnerCache::Counters RunnerCache::counters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_;
 }
 
 }  // namespace tictac::runtime

@@ -1,13 +1,16 @@
 // Experiment runner: builds a model's worker partition, schedules it with
 // the requested policy, lowers the cluster, and simulates iterations,
 // collecting the paper's metrics (throughput, scheduling efficiency E,
-// straggler share, transfer orders).
+// straggler share, transfer orders). RunnerCache is the one place
+// Runners and their schedules are built and shared.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/policy.h"
@@ -15,6 +18,7 @@
 #include "core/schedule.h"
 #include "models/builder.h"
 #include "runtime/lowering.h"
+#include "runtime/spec.h"
 
 namespace tictac::runtime {
 
@@ -56,6 +60,20 @@ struct ExperimentResult {
   int UniqueRecvOrders() const;
 };
 
+// Samples one iteration of a job processes: the model's standard batch,
+// scaled by the batch factor, on each of the job's workers.
+double SamplesPerIteration(const models::ModelInfo& model,
+                           const ClusterConfig& config);
+
+// `spec`'s cluster as one job of a shared PS fabric of `total_workers`
+// workers in all (DESIGN.md §6). Every PS NIC is time-shared by the
+// pair-channels of all T workers, so the platform bandwidth is scaled by
+// W_j / T; the per-channel figure LowerCluster and Runner::MakeSchedule
+// derive (bandwidth / W_j) then comes out as the contended bandwidth / T.
+// A job alone on its fabric (T = W_j) gets spec.BuildCluster() exactly.
+ClusterConfig SharedFabricConfig(const ExperimentSpec& spec,
+                                 int total_workers);
+
 class Runner {
  public:
   // Validates `config` (ClusterConfig::Validate) before building the
@@ -92,6 +110,7 @@ class Runner {
   ExperimentResult Run(const std::string& policy, int iterations,
                        std::uint64_t seed) const;
 
+  const models::ModelInfo& model() const { return model_; }
   const core::Graph& worker_graph() const { return graph_; }
   const ClusterConfig& config() const { return config_; }
   const std::vector<int>& ps_of_param() const { return ps_of_param_; }
@@ -103,6 +122,51 @@ class Runner {
   // Dependency analysis of graph_, shared by every policy invocation.
   std::unique_ptr<const core::PropertyIndex> index_;
   std::vector<int> ps_of_param_;
+};
+
+// The one cache of analyzed Runners (DESIGN.md §5): an entry is the
+// Runner for a spec's (model, cluster) as one job of a fabric of
+// `total_workers` workers, built from SharedFabricConfig — with
+// total_workers = spec.cluster.workers, the plain single-job Runner —
+// plus each policy's schedule on it. Thread-safe: an entry is created
+// under the lock but built outside it, once, so distinct keys build
+// concurrently; a build that throws leaves no entry. References stay
+// valid for the cache's lifetime (which the mutex makes non-copyable).
+class RunnerCache {
+ public:
+  struct CachedSchedule {
+    core::Schedule schedule;
+    bool covers_all_recvs = false;  // gates are enforced
+  };
+  // Lookups so far. A schedule miss looks up its Runner through
+  // runner(), so it counts there as well.
+  struct Counters {
+    std::uint64_t runner_builds = 0;
+    std::uint64_t runner_hits = 0;
+    std::uint64_t schedules_computed = 0;
+    std::uint64_t schedule_hits = 0;
+  };
+
+  const Runner& runner(const ExperimentSpec& spec, int total_workers);
+  // spec.policy's schedule on runner(spec, total_workers).
+  const CachedSchedule& schedule(const ExperimentSpec& spec,
+                                 int total_workers);
+
+  std::size_t size() const;  // Runners cached
+  Counters counters() const;
+
+ private:
+  template <typename Value>
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<const Value> value;
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<Slot<Runner>>> runners_;
+  std::unordered_map<std::string, std::shared_ptr<Slot<CachedSchedule>>>
+      schedules_;
+  Counters counters_;  // guarded by mu_
 };
 
 }  // namespace tictac::runtime

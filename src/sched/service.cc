@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -25,10 +26,6 @@ using util::JsonEscape;
   throw std::invalid_argument("service: " + message);
 }
 
-// LowerSharedCluster's per-fabric job bound (runtime/multijob.h caps
-// MultiJobSpec at 64 jobs for the same reason: each resident job costs a
-// full Runner analysis and 2·T·S channel resources).
-constexpr int kMaxJobsPerFabric = 64;
 constexpr int kMaxFabrics = 4096;
 
 // How long after a fault window lifts (or a worker crash fires) the
@@ -79,9 +76,10 @@ void ServiceConfig::Validate() const {
   if (!(duration > 0.0) || !std::isfinite(duration)) {
     Fail("duration must be finite and > 0, got " + FormatDouble(duration));
   }
-  if (max_jobs_per_fabric < 1 || max_jobs_per_fabric > kMaxJobsPerFabric) {
+  if (max_jobs_per_fabric < 1 ||
+      max_jobs_per_fabric > runtime::kMaxJobsPerFabric) {
     Fail("max_jobs_per_fabric must be in [1, " +
-         std::to_string(kMaxJobsPerFabric) + "], got " +
+         std::to_string(runtime::kMaxJobsPerFabric) + "], got " +
          std::to_string(max_jobs_per_fabric));
   }
   if (admission_queue_capacity < 0) {
@@ -112,60 +110,14 @@ SchedulerService::SchedulerService(ServiceConfig config)
   config_.Validate();
 }
 
-const runtime::Runner& SchedulerService::GetRunner(
-    const runtime::ExperimentSpec& spec, double bandwidth_scale,
-    ServiceCounters& counters) {
-  // '\n' cannot appear in a model name or cluster spec (same argument as
-  // harness::Session's cache key).
-  const std::string key = spec.model + '\n' + spec.cluster.ToString() +
-                          '\n' + FormatDouble(bandwidth_scale);
-  const auto it = runners_.find(key);
-  if (it != runners_.end()) {
-    ++counters.runner_cache_hits;
-    return *it->second.runner;
-  }
-  runtime::ClusterConfig cluster = spec.BuildCluster();
-  // Same contention scaling as runtime::MultiJobRunner: every PS NIC is
-  // time-shared by ALL resident jobs' workers, so scale the platform
-  // bandwidth by W_j / T before the per-channel division by W_j. Exactly
-  // 1.0 — the untouched isolated config — for a lone job.
-  cluster.platform.bandwidth_bps *= bandwidth_scale;
-  ++counters.property_index_builds;
-  CachedRunner& entry = runners_[key];
-  entry.runner = std::make_unique<runtime::Runner>(
-      models::FindModel(spec.model), cluster);
-  return *entry.runner;
-}
-
-const SchedulerService::CachedSchedule& SchedulerService::GetSchedule(
-    const runtime::ExperimentSpec& spec, double bandwidth_scale,
-    ServiceCounters& counters) {
-  const std::string key = spec.model + '\n' + spec.cluster.ToString() +
-                          '\n' + FormatDouble(bandwidth_scale) + '\n' +
-                          spec.policy;
-  const auto it = schedules_.find(key);
-  if (it != schedules_.end()) {
-    ++counters.schedule_cache_hits;
-    return it->second;
-  }
-  const runtime::Runner& runner = GetRunner(spec, bandwidth_scale, counters);
-  ++counters.schedules_computed;
-  CachedSchedule& entry = schedules_[key];
-  entry.schedule = runner.MakeSchedule(spec.policy);
-  entry.covers_all_recvs =
-      entry.schedule.size() == runner.worker_graph().size() &&
-      entry.schedule.CoversAllRecvs(runner.worker_graph());
-  return entry;
-}
-
 double SchedulerService::IsolatedIterationTime(
-    const runtime::ExperimentSpec& spec, ServiceCounters& counters) {
+    const runtime::ExperimentSpec& spec) {
   const std::string key = spec.ToString();
   const auto it = isolated_.find(key);
   if (it != isolated_.end()) return it->second;
-  // Scale 1 is the single-job Session path: the job alone on a fabric.
-  const runtime::Runner& runner = GetRunner(spec, 1.0, counters);
-  const double mean = runner.Run(spec.policy, spec.iterations, spec.seed)
+  // The job alone on a fabric: the single-job Session path.
+  const double mean = cache_.runner(spec, spec.cluster.workers)
+                          .Run(spec.policy, spec.iterations, spec.seed)
                           .MeanIterationTime();
   isolated_[key] = mean;
   return mean;
@@ -175,6 +127,7 @@ ServiceReport SchedulerService::Run() {
   ServiceReport report;
   report.config = config_;
   ServiceCounters& counters = report.counters;
+  const runtime::RunnerCache::Counters cache_before = cache_.counters();
 
   const std::vector<ArrivalEvent> arrivals = GenerateArrivals(
       config_.arrivals, config_.workload, config_.duration, config_.seed);
@@ -220,11 +173,10 @@ ServiceReport SchedulerService::Run() {
     double iteration_finish = 0.0;  // absolute finish of the in-flight one
   };
   struct Fabric {
-    std::vector<ActiveJob> jobs;  // order matches lowering.jobs slices
-    runtime::MultiJobLowering lowering;
+    std::vector<ActiveJob> jobs;  // order matches shared.lowering.jobs
+    runtime::SharedFabric shared;
     std::unique_ptr<sim::TaskGraphSim> sim;
-    sim::SimOptions options;
-    bool dirty = false;  // membership changed since `lowering` was built
+    bool dirty = false;  // membership changed since `shared` was built
     bool down = false;   // crash:fabric fired — permanently out of service
   };
   std::vector<Fabric> fabrics(static_cast<std::size_t>(config_.fabrics));
@@ -311,31 +263,15 @@ ServiceReport SchedulerService::Run() {
   // Re-lowers ONE fabric from its current membership; every other fabric
   // keeps its lowering, sim, and cached analyses untouched.
   const auto relower = [&](Fabric& fabric) {
-    int total_workers = 0;
+    std::vector<runtime::MultiJobEntry> entries;
+    entries.reserve(fabric.jobs.size());
     for (const ActiveJob& job : fabric.jobs) {
-      total_workers += report.jobs[static_cast<std::size_t>(job.record)]
-                           .spec.cluster.workers;
+      entries.push_back(
+          {report.jobs[static_cast<std::size_t>(job.record)].spec, 0.0});
     }
-    std::vector<runtime::JobLoweringInput> inputs;
-    inputs.reserve(fabric.jobs.size());
-    bool any_covered = false;
-    for (const ActiveJob& job : fabric.jobs) {
-      const runtime::ExperimentSpec& spec =
-          report.jobs[static_cast<std::size_t>(job.record)].spec;
-      const double scale = static_cast<double>(spec.cluster.workers) /
-                           static_cast<double>(total_workers);
-      const runtime::Runner& runner = GetRunner(spec, scale, counters);
-      const CachedSchedule& schedule = GetSchedule(spec, scale, counters);
-      any_covered |= schedule.covers_all_recvs;
-      inputs.push_back(runtime::JobLoweringInput{
-          runner.worker_graph(), schedule.schedule, runner.ps_of_param(),
-          runner.config(), /*start_offset=*/0.0});
-    }
-    fabric.lowering = runtime::LowerSharedCluster(inputs);
+    fabric.shared = runtime::BuildSharedFabric(entries, cache_);
     fabric.sim = std::make_unique<sim::TaskGraphSim>(
-        fabric.lowering.combined.BuildSim());
-    fabric.options = inputs.front().config.sim;
-    fabric.options.enforce_gates = any_covered;
+        fabric.shared.lowering.combined.BuildSim());
     fabric.dirty = false;
     ++counters.fabric_relowerings;
   };
@@ -355,14 +291,10 @@ ServiceReport SchedulerService::Run() {
   const auto build_iteration_faults = [&](std::size_t f) {
     iter_faults.clear();
     const std::vector<Window>& windows = fault_windows[f];
-    int total_workers = 0;
-    for (const ActiveJob& job : fabrics[f].jobs) {
-      total_workers += report.jobs[static_cast<std::size_t>(job.record)]
-                           .spec.cluster.workers;
-    }
-    const int servers =
-        report.jobs[static_cast<std::size_t>(fabrics[f].jobs.front().record)]
-            .spec.cluster.ps;
+    // The fabric's lowering is current: schedule_iteration relowers a
+    // dirty fabric first.
+    const int total_workers = fabrics[f].shared.lowering.total_workers;
+    const int servers = fabrics[f].shared.lowering.num_ps;
     for (std::size_t i = 0; i < windows.size(); ++i) {
       // First window of each distinct target drives that whole target.
       bool seen = false;
@@ -433,16 +365,18 @@ ServiceReport SchedulerService::Run() {
     if (fabric.dirty) relower(fabric);
     ActiveJob& job = fabric.jobs[j];
     JobRecord& record = report.jobs[static_cast<std::size_t>(job.record)];
-    fabric.options.faults = nullptr;
+    sim::SimOptions& options = fabric.shared.options;
+    options.faults = nullptr;
     if (has_faults && !fault_windows[f].empty()) {
       build_iteration_faults(f);
-      if (!iter_faults.empty()) fabric.options.faults = &iter_faults;
+      if (!iter_faults.empty()) options.faults = &iter_faults;
     }
     const sim::SimResult run = fabric.sim->Run(
-        fabric.options,
+        options,
         record.spec.seed + static_cast<std::uint64_t>(job.next_iteration));
     ++counters.sim_runs;
-    const runtime::MultiJobLowering::JobSlice& slice = fabric.lowering.jobs[j];
+    const runtime::MultiJobLowering::JobSlice& slice =
+        fabric.shared.lowering.jobs[j];
     double duration = 0.0;
     for (sim::TaskId t = slice.first_task; t < slice.last_task; ++t) {
       duration = std::max(duration, run.end[static_cast<std::size_t>(t)]);
@@ -770,7 +704,7 @@ ServiceReport SchedulerService::Run() {
   for (JobRecord& record : report.jobs) {
     if (record.rejected) continue;
     record.mean_iter_s = MeanOf(record.iteration_times);
-    record.isolated_iter_s = IsolatedIterationTime(record.spec, counters);
+    record.isolated_iter_s = IsolatedIterationTime(record.spec);
     record.slowdown = record.isolated_iter_s > 0.0
                           ? record.mean_iter_s / record.isolated_iter_s
                           : 1.0;
@@ -846,6 +780,16 @@ ServiceReport SchedulerService::Run() {
       report.goodput_iters_per_s = good / report.makespan;
     }
   }
+
+  const runtime::RunnerCache::Counters cache_after = cache_.counters();
+  counters.property_index_builds =
+      cache_after.runner_builds - cache_before.runner_builds;
+  counters.runner_cache_hits =
+      cache_after.runner_hits - cache_before.runner_hits;
+  counters.schedules_computed =
+      cache_after.schedules_computed - cache_before.schedules_computed;
+  counters.schedule_cache_hits =
+      cache_after.schedule_hits - cache_before.schedule_hits;
   return report;
 }
 

@@ -8,11 +8,11 @@
 //     -> admission (bounded FIFO queue, queueing-delay accounting)
 //       -> placement (sched/placement.h: which fabric)
 //         -> incremental re-lowering (ONLY the affected fabric is
-//            re-lowered on an arrival or drain; schedules and
-//            PropertyIndex dependency analyses are cached and reused,
-//            so the PR-2 incremental machinery is built once per
-//            distinct (model, cluster, contention level), never per
-//            event)
+//            re-lowered on an arrival or drain, by
+//            runtime::BuildSharedFabric; schedules and PropertyIndex
+//            dependency analyses come from the service's
+//            runtime::RunnerCache, so they are built once per distinct
+//            (model, cluster, fabric size), never per event)
 //           -> SLO metrics over time (p50/p99 per-job slowdown vs the
 //              cached isolated baseline, windowed Jain fairness,
 //              utilization, queueing delay)
@@ -24,22 +24,21 @@
 //     runtime reconfigures between steps, and what keeps replays
 //     bit-identical.
 //   * A job's iteration time under the current mix comes from one
-//     combined-fabric simulation (runtime::LowerSharedCluster of the
+//     combined-fabric simulation (runtime::BuildSharedFabric of the
 //     resident jobs, seeded spec.seed + iteration index) sliced to the
 //     job. A lone job on a fabric therefore reproduces the single-job
-//     Session result bit for bit (the 1-job lowering degenerates
-//     exactly; pinned in tests/service_test.cc).
+//     Session result bit for bit, with or without flow-level fairness
+//     (the 1-job fabric degenerates exactly; pinned in
+//     tests/service_test.cc).
 //   * Same config + same seed => bit-identical ServiceReport (and
 //     ToJson() string), on every platform.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/schedule.h"
 #include "fault/fault.h"
 #include "runtime/multijob.h"
 #include "runtime/runner.h"
@@ -128,8 +127,9 @@ struct ServiceCounters {
   // fabric, never K at once.
   std::uint64_t fabric_relowerings = 0;
   // Runner constructions = PropertyIndex dependency analyses built. Stays
-  // bounded by the distinct (model, cluster, contention-level) set while
+  // bounded by the distinct (model, cluster, fabric size) set while
   // arrivals grow unbounded: the reuse the subsystem is built around.
+  // These four are the service RunnerCache's counters over one Run().
   std::uint64_t property_index_builds = 0;
   std::uint64_t runner_cache_hits = 0;
   std::uint64_t schedules_computed = 0;
@@ -201,7 +201,8 @@ struct ServiceReport {
 // shared-fabric rules (uniform env / ps= / jitter / ooo across all jobs;
 // iterations and seed are per-job), and plays the open system to
 // completion. Run() is deterministic and repeatable — internal caches
-// only make it faster, never different.
+// only make it faster, never different (the cache counters excepted:
+// a second Run() finds what the first built).
 class SchedulerService {
  public:
   explicit SchedulerService(ServiceConfig config);
@@ -211,29 +212,12 @@ class SchedulerService {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  struct CachedRunner {
-    std::unique_ptr<runtime::Runner> runner;
-  };
-  struct CachedSchedule {
-    core::Schedule schedule;
-    bool covers_all_recvs = false;
-  };
-
-  // Runner for (spec, bandwidth scale), built once per distinct key.
-  const runtime::Runner& GetRunner(const runtime::ExperimentSpec& spec,
-                                   double bandwidth_scale,
-                                   ServiceCounters& counters);
-  const CachedSchedule& GetSchedule(const runtime::ExperimentSpec& spec,
-                                    double bandwidth_scale,
-                                    ServiceCounters& counters);
-  double IsolatedIterationTime(const runtime::ExperimentSpec& spec,
-                               ServiceCounters& counters);
+  double IsolatedIterationTime(const runtime::ExperimentSpec& spec);
 
   ServiceConfig config_;
-  // model + cluster + contended-bandwidth scale -> analyzed Runner
-  // (PropertyIndex built once; scale 1 doubles as the isolated baseline).
-  std::unordered_map<std::string, CachedRunner> runners_;
-  std::unordered_map<std::string, CachedSchedule> schedules_;
+  // Runners and schedules per (model, cluster, fabric size); a job alone
+  // on its fabric doubles as the isolated baseline.
+  runtime::RunnerCache cache_;
   std::unordered_map<std::string, double> isolated_;
 };
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -35,6 +36,34 @@ CliResult RunCli(const std::string& args) {
   text << in.rdbuf();
   result.stderr_text = text.str();
   return result;
+}
+
+// Runs the CLI and returns its stdout; fails the test on a non-zero exit.
+std::string CliStdout(const std::string& args) {
+  const std::string out_path = ::testing::TempDir() + "/tictac_cli_out.txt";
+  const std::string cmd = std::string(TICTAC_CLI_PATH) + " " + args + " >" +
+                          out_path + " 2>/dev/null";
+  int status = std::system(cmd.c_str());
+#ifndef _WIN32
+  if (WIFEXITED(status)) status = WEXITSTATUS(status);
+#endif
+  EXPECT_EQ(status, 0) << args;
+  std::ifstream in(out_path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Every `"mean_iteration_s": <number>` value of a JSON report, in order.
+std::vector<std::string> MeanIterationValues(const std::string& json) {
+  const std::string key = "\"mean_iteration_s\": ";
+  std::vector<std::string> values;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    at += key.size();
+    values.push_back(json.substr(at, json.find_first_of(",}", at) - at));
+  }
+  return values;
 }
 
 TEST(CliSmoke, KnownSubcommandSucceeds) {
@@ -154,6 +183,25 @@ TEST(CliSmoke, LowerRunsComposedScenarioThroughOnePipeline) {
   EXPECT_NE(json.find("chunk_transfers"), std::string::npos) << json;
   EXPECT_NE(json.find("merge_jobs"), std::string::npos) << json;
   EXPECT_NE(json.find("\"mean_iteration_s\":"), std::string::npos) << json;
+}
+
+TEST(CliSmoke, LowerMatchesMultiJobWithFlowOffAndOn) {
+  // `lower` (the ir pass pipeline) and `multijob` (BuildSharedFabric)
+  // simulate the same fabric with the same options, flow network
+  // included, so their combined and per-job iteration times agree.
+  for (const std::string env :
+       {"envG:workers=2:ps=1:training",
+        "envG:workers=2:ps=1:training:flow:pods=2:oversub=4"}) {
+    const std::string jobs =
+        "\"{" + env + " model=AlexNet v2 policy=tac iterations=2 seed=5} {" +
+        env + " model=VGG-16 policy=tic iterations=2 seed=5}@0.05\"";
+    const std::vector<std::string> lowered =
+        MeanIterationValues(CliStdout("lower --json --jobs " + jobs));
+    const std::vector<std::string> multijob = MeanIterationValues(
+        CliStdout("multijob --no-isolated --json --jobs " + jobs));
+    ASSERT_EQ(lowered.size(), 3u) << env;
+    EXPECT_EQ(lowered, multijob) << env;
+  }
 }
 
 TEST(CliSmoke, LowerWithoutJobsPrintsUsageAndFails) {

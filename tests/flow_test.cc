@@ -73,20 +73,20 @@ TEST(FlowModel, OffOrFlowlessNetworkIsBitIdenticalToTheStaticSplit) {
           MakeRunner("envG:workers=4:ps=2:training:flow", model, policy);
       runtime::MultiJobRunner legacy =
           MakeRunner("envG:workers=4:ps=2:training", model, policy);
-      ASSERT_NE(with_net.sim_options().network, nullptr);
-      ASSERT_EQ(legacy.sim_options().network, nullptr);
+      ASSERT_NE(with_net.fabric().options.network, nullptr);
+      ASSERT_EQ(legacy.fabric().options.network, nullptr);
 
-      const sim::TaskGraphSim sim = with_net.lowering().combined.BuildSim();
+      const sim::TaskGraphSim sim = with_net.fabric().lowering.combined.BuildSim();
       const sim::TaskGraphSim legacy_sim =
-          legacy.lowering().combined.BuildSim();
+          legacy.fabric().lowering.combined.BuildSim();
       const sim::SimResult reference =
-          legacy_sim.Run(legacy.sim_options(), 42);
+          legacy_sim.Run(legacy.fabric().options, 42);
 
-      sim::SimOptions off_with_net = with_net.sim_options();
+      sim::SimOptions off_with_net = with_net.fabric().options;
       off_with_net.flow_fairness = false;
       ExpectSameResult(sim.Run(off_with_net, 42), reference);
 
-      sim::SimOptions on_null_net = with_net.sim_options();
+      sim::SimOptions on_null_net = with_net.fabric().options;
       on_null_net.network = nullptr;
       ExpectSameResult(sim.Run(on_null_net, 42), reference);
     }
@@ -110,13 +110,13 @@ TEST(FlowModel, MultiJobFlowOffMatchesLegacyByteForByte) {
   };
   const runtime::MultiJobRunner with_net = make(true);
   const runtime::MultiJobRunner legacy = make(false);
-  const sim::TaskGraphSim sim = with_net.lowering().combined.BuildSim();
-  const sim::TaskGraphSim legacy_sim = legacy.lowering().combined.BuildSim();
-  sim::SimOptions off = with_net.sim_options();
+  const sim::TaskGraphSim sim = with_net.fabric().lowering.combined.BuildSim();
+  const sim::TaskGraphSim legacy_sim = legacy.fabric().lowering.combined.BuildSim();
+  sim::SimOptions off = with_net.fabric().options;
   off.flow_fairness = false;
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ExpectSameResult(sim.Run(off, seed),
-                     legacy_sim.Run(legacy.sim_options(), seed));
+                     legacy_sim.Run(legacy.fabric().options, seed));
   }
 }
 

@@ -356,16 +356,16 @@ TEST(Differential, SpecPipelineMatchesMultiJobRunnerBitForBit) {
           .Run(ir::BuildModuleForSpec(spec), options);
   const MultiJobLowering lowering = ir::ToMultiJobLowering(module);
 
-  ExpectMultiJobIdentical(lowering, runner.lowering(), "spec path");
+  ExpectMultiJobIdentical(lowering, runner.fabric().lowering, "spec path");
 
   // And the simulated timeline is bit-identical: same tasks, same seeds,
   // same engine — the SimResults must be EXACTLY equal.
   bool any_scheduled = false;
   for (const auto& job : module.jobs) any_scheduled |= job.scheduled;
-  sim::SimOptions sim_options = spec.jobs.front().spec.BuildCluster().sim;
-  sim_options.enforce_gates = any_scheduled;
+  const sim::SimOptions sim_options = runtime::SharedFabricOptions(
+      lowering, module.jobs.front().config.sim, any_scheduled);
 
-  sim::TaskGraphSim sim_a = runner.lowering().combined.BuildSim();
+  sim::TaskGraphSim sim_a = runner.fabric().lowering.combined.BuildSim();
   sim::TaskGraphSim sim_b = lowering.combined.BuildSim();
   for (int i = 0; i < 3; ++i) {
     const std::uint64_t seed = 7 + static_cast<std::uint64_t>(i);

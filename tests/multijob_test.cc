@@ -97,6 +97,29 @@ TEST(MultiJobSpec, ValidateEnforcesTheSharedFabric) {
   EXPECT_THROW(empty.Validate(), std::invalid_argument);
 }
 
+// Every per-iteration statistic and summary of `got` equals `want`'s,
+// bit for bit.
+void ExpectSameResult(const ExperimentResult& got,
+                      const ExperimentResult& want) {
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (std::size_t i = 0; i < want.iterations.size(); ++i) {
+    EXPECT_EQ(got.iterations[i].makespan, want.iterations[i].makespan);
+    EXPECT_EQ(got.iterations[i].worker_finish,
+              want.iterations[i].worker_finish);
+    EXPECT_EQ(got.iterations[i].straggler_pct,
+              want.iterations[i].straggler_pct);
+    EXPECT_EQ(got.iterations[i].mean_efficiency,
+              want.iterations[i].mean_efficiency);
+    EXPECT_EQ(got.iterations[i].overlap_fraction,
+              want.iterations[i].overlap_fraction);
+    EXPECT_EQ(got.iterations[i].recv_order, want.iterations[i].recv_order);
+  }
+  EXPECT_EQ(got.samples_per_iteration, want.samples_per_iteration);
+  EXPECT_EQ(got.Throughput(), want.Throughput());
+  EXPECT_EQ(got.MeanIterationTime(), want.MeanIterationTime());
+  EXPECT_EQ(got.UniqueRecvOrders(), want.UniqueRecvOrders());
+}
+
 // The acceptance bar of the subsystem: one job on the shared fabric IS
 // the single-job path, bit for bit — same schedule (the bandwidth scale
 // degenerates to exactly 1), same task graph, same seeds, same stats.
@@ -111,35 +134,47 @@ TEST(MultiJob, SingleJobBitIdenticalToSession) {
   const MultiJobResult shared = runner.Run();
 
   ASSERT_EQ(shared.jobs.size(), 1u);
-  for (const ExperimentResult* result :
-       {&shared.jobs[0], &shared.combined}) {
-    ASSERT_EQ(result->iterations.size(), single.iterations.size());
-    for (std::size_t i = 0; i < single.iterations.size(); ++i) {
-      EXPECT_EQ(result->iterations[i].makespan,
-                single.iterations[i].makespan);
-      EXPECT_EQ(result->iterations[i].worker_finish,
-                single.iterations[i].worker_finish);
-      EXPECT_EQ(result->iterations[i].straggler_pct,
-                single.iterations[i].straggler_pct);
-      EXPECT_EQ(result->iterations[i].mean_efficiency,
-                single.iterations[i].mean_efficiency);
-      EXPECT_EQ(result->iterations[i].overlap_fraction,
-                single.iterations[i].overlap_fraction);
-      EXPECT_EQ(result->iterations[i].recv_order,
-                single.iterations[i].recv_order);
-    }
-    EXPECT_EQ(result->samples_per_iteration, single.samples_per_iteration);
-    EXPECT_EQ(result->Throughput(), single.Throughput());
-    EXPECT_EQ(result->MeanIterationTime(), single.MeanIterationTime());
-    EXPECT_EQ(result->UniqueRecvOrders(), single.UniqueRecvOrders());
+  ExpectSameResult(shared.jobs[0], single);
+  ExpectSameResult(shared.combined, single);
+}
+
+// Replicated jobs share one Runner and one schedule through an injected
+// cache, and the fabric built from it is the one a fresh cache builds.
+TEST(MultiJob, InjectedCacheSharesRunnersAcrossReplicas) {
+  MultiJobSpec multi;
+  multi.jobs.assign(64, {Job("AlexNet v2", 1, 1, true, "tac", 2), 0.0});
+  RunnerCache cache;
+  const MultiJobRunner shared(multi, &cache);
+  EXPECT_EQ(cache.size(), 1u);
+  const RunnerCache::Counters counters = cache.counters();
+  EXPECT_EQ(counters.runner_builds, 1u);
+  EXPECT_EQ(counters.schedules_computed, 1u);
+  EXPECT_EQ(counters.schedule_hits, 63u);
+
+  const MultiJobResult got = shared.Run();
+  const MultiJobResult want = MultiJobRunner(multi).Run();
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  ExpectSameResult(got.combined, want.combined);
+  for (std::size_t j = 0; j < want.jobs.size(); ++j) {
+    ExpectSameResult(got.jobs[j], want.jobs[j]);
   }
+
+  // The same spec on fabrics of 2 and of 4 workers sees two contention
+  // levels: two Runners.
+  RunnerCache sizes;
+  for (const std::size_t n : {2u, 4u}) {
+    MultiJobSpec fabric;
+    fabric.jobs.assign(n, multi.jobs.front());
+    const MultiJobRunner runner(fabric, &sizes);
+  }
+  EXPECT_EQ(sizes.size(), 2u);
 }
 
 TEST(MultiJob, SingleJobLoweringMatchesLowerCluster) {
   MultiJobSpec multi;
   multi.jobs.push_back({Job("Inception v1", 2, 1, true, "tic"), 0.0});
   const MultiJobRunner runner(multi);
-  const MultiJobLowering& lowering = runner.lowering();
+  const MultiJobLowering& lowering = runner.fabric().lowering;
 
   ASSERT_EQ(lowering.jobs.size(), 1u);
   const Lowering& local = lowering.jobs[0].lowering;
@@ -184,7 +219,7 @@ TEST(MultiJob, SharedFabricLayoutCollapsesPsResources) {
   multi.jobs.push_back({Job("Inception v1", 2, 2, true, "tic"), 0.0});
   multi.jobs.push_back({Job("Inception v1", 3, 2, true, "tic"), 0.0});
   const MultiJobRunner runner(multi);
-  const MultiJobLowering& lowering = runner.lowering();
+  const MultiJobLowering& lowering = runner.fabric().lowering;
 
   const int T = lowering.total_workers;
   const int S = lowering.num_ps;
@@ -290,9 +325,9 @@ TEST(MultiJob, StartOffsetDelaysTheJob) {
   delayed.jobs.push_back({spec, 0.5});
 
   const MultiJobRunner runner(delayed);
-  const MultiJobLowering::JobSlice& slice = runner.lowering().jobs[0];
+  const MultiJobLowering::JobSlice& slice = runner.fabric().lowering.jobs[0];
   EXPECT_GE(slice.delay_task, 0);
-  sim::TaskGraphSim sim = runner.lowering().combined.BuildSim();
+  sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
   sim::SimOptions options = spec.BuildCluster().sim;
   options.enforce_gates = true;
   const sim::SimResult run = sim.Run(options, spec.seed);

@@ -45,9 +45,16 @@ ServiceConfig TraceConfig(const std::string& path) {
 // The differential acceptance test: one job arriving at t=0 on one
 // fabric IS the single-job Session experiment — per-iteration makespans
 // must match bit for bit (the 1-job shared lowering degenerates exactly:
-// bandwidth scale 1, identity resource remap, seeds spec.seed + i).
-TEST(SchedulerService, SingleJobTraceBitIdenticalToSession) {
-  const runtime::ExperimentSpec job = Job(/*workers=*/3, /*iterations=*/4);
+// bandwidth scale 1, identity resource remap, seeds spec.seed + i), with
+// flow-level fairness off and on.
+class SingleJobTrace : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SingleJobTrace, BitIdenticalToSession) {
+  const runtime::ExperimentSpec job =
+      GetParam() ? runtime::ExperimentSpec::Parse(
+                       "envG:workers=2:ps=1:training:flow:pods=2:oversub=4 "
+                       "model=VGG-16 policy=tac iterations=3")
+                 : Job(/*workers=*/3, /*iterations=*/4);
   const std::string path =
       WriteTrace("tictac_single.csv", {{0.0, job.ToString()}});
   harness::Session session;
@@ -75,6 +82,12 @@ TEST(SchedulerService, SingleJobTraceBitIdenticalToSession) {
   EXPECT_EQ(report.makespan, sum);
   EXPECT_EQ(report.utilization, 1.0);  // one fabric, busy start to finish
 }
+
+INSTANTIATE_TEST_SUITE_P(SchedulerService, SingleJobTrace,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "FlowOn" : "FlowOff";
+                         });
 
 TEST(SchedulerService, SameConfigSameSeedBitIdenticalJson) {
   ServiceConfig config;

@@ -60,6 +60,28 @@ TEST(Session, CachesOneRunnerPerModelClusterPair) {
   EXPECT_EQ(session.cached_runners(), 3u);
 }
 
+TEST(Session, RunMultiJobKeepsContendedRunnersInTheCache) {
+  Session session;
+  const auto spec = runtime::MultiJobSpec::Parse(
+      "2x{envG:workers=2:ps=1 model=AlexNet v2 policy=tac iterations=1}");
+  session.RunMultiJob(spec);
+  // One Runner at fabric size T = 4 shared by both replicas, plus the
+  // isolated reference at T = 2.
+  EXPECT_EQ(session.cached_runners(), 2u);
+  session.RunMultiJob(spec);  // the same mix reuses both
+  EXPECT_EQ(session.cached_runners(), 2u);
+  // A lone job (T == its workers) is the isolated run's entry.
+  session.RunMultiJob(runtime::MultiJobSpec::Parse(
+      "{envG:workers=2:ps=1 model=AlexNet v2 policy=tac iterations=1}"));
+  EXPECT_EQ(session.cached_runners(), 2u);
+  // A new fabric size is a new entry.
+  session.RunMultiJob(
+      runtime::MultiJobSpec::Parse(
+          "3x{envG:workers=2:ps=1 model=AlexNet v2 policy=tac iterations=1}"),
+      /*with_isolated=*/false);
+  EXPECT_EQ(session.cached_runners(), 3u);
+}
+
 TEST(Session, ParallelRunAllBitIdenticalToSerial) {
   runtime::SweepSpec sweep;
   sweep.models = {"Inception v1", "AlexNet v2"};

@@ -11,6 +11,10 @@
 // the all-resource scan dispatcher and must never move unless a change
 // is meant to alter simulated results.
 //
+// The "report/" cells pin whole report strings the same way — the
+// service, cluster-sweep and multi-job JSON the CLI prints — so a
+// refactor of the layers above the engine is held to the same bytes.
+//
 // A mismatch prints the new table line for the cell, so an intentional
 // re-pin is a copy of the failure output into Goldens().
 #include <gtest/gtest.h>
@@ -23,12 +27,16 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault.h"
+#include "harness/session.h"
 #include "models/zoo.h"
 #include "runtime/cluster.h"
+#include "runtime/clustersweep.h"
 #include "runtime/lowering.h"
 #include "runtime/multijob.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
+#include "sched/service.h"
 #include "sim/engine.h"
 
 namespace tictac {
@@ -52,6 +60,16 @@ std::uint64_t Fingerprint(const sim::SimResult& r) {
   mix(r.start_order.size());
   for (const sim::TaskId t : r.start_order) {
     mix(static_cast<std::uint32_t>(t));
+  }
+  return h;
+}
+
+// FNV-1a over the bytes of a report string.
+std::uint64_t Fingerprint(const std::string& report) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : report) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
   }
   return h;
 }
@@ -93,12 +111,16 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/fat-tree-2job/seed1", 0x32ac8c9a8d43b1eeull},
       {"flow/fat-tree-2job/seed7", 0xbdb49277f947c1c9ull},
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
+      {"report/serve-smoke", 0x42ce9696804cbf39ull},
+      {"report/chaos-smoke", 0xf7d0463b8122234aull},
+      {"report/clustersweep/flow-off", 0xcd893ab0c80cb714ull},
+      {"report/clustersweep/flow-on", 0x529096e4295a226bull},
+      {"report/multijob/3-job-offset", 0x3668de5f0bacc687ull},
   };
   return kGoldens;
 }
 
-void ExpectGolden(const std::string& cell, const sim::SimResult& result) {
-  const std::uint64_t got = Fingerprint(result);
+void ExpectGolden(const std::string& cell, std::uint64_t got) {
   char line[128];
   std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxull},", cell.c_str(),
                 static_cast<unsigned long long>(got));
@@ -108,6 +130,14 @@ void ExpectGolden(const std::string& cell, const sim::SimResult& result) {
   } else if (it->second != got) {
     ADD_FAILURE() << "fingerprint moved; new table line:\n    " << line;
   }
+}
+
+void ExpectGolden(const std::string& cell, const sim::SimResult& result) {
+  ExpectGolden(cell, Fingerprint(result));
+}
+
+void ExpectGolden(const std::string& cell, const std::string& report) {
+  ExpectGolden(cell, Fingerprint(report));
 }
 
 // Jitter and out-of-order draws on, so every tie-break and every RNG
@@ -212,11 +242,11 @@ TEST(SimFingerprint, FlowFatTreeMultiJob) {
     spec.jobs.push_back(entry);
   }
   const runtime::MultiJobRunner runner(std::move(spec));
-  ASSERT_NE(runner.sim_options().network, nullptr);
-  const sim::TaskGraphSim sim = runner.lowering().combined.BuildSim();
+  ASSERT_NE(runner.fabric().options.network, nullptr);
+  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ExpectGolden("flow/fat-tree-2job/seed" + std::to_string(seed),
-                 sim.Run(Randomized(runner.sim_options()), seed));
+                 sim.Run(Randomized(runner.fabric().options), seed));
   }
 }
 
@@ -253,6 +283,68 @@ TEST(SimFingerprint, RunParallelMultiComponent) {
   for (const int threads : {1, 4}) {
     ExpectGolden("parallel/3-component", sim.RunParallel(options, 9, threads));
   }
+}
+
+// The scheduler-service config of the CI serve smoke (`tictac_cli serve
+// --arrivals poisson:rate=30 --fabrics 2 --duration 1 --seed 7`, with
+// the CLI's default workload template).
+sched::ServiceConfig ServeSmokeConfig() {
+  sched::ServiceConfig config;
+  config.arrivals = sched::ArrivalSpec::Parse("poisson:rate=30");
+  config.workload.push_back(runtime::ExperimentSpec::Parse(
+      "envG:workers=4:ps=2:training model=Inception v2 policy=tac "
+      "iterations=5"));
+  config.fabrics = 2;
+  config.duration = 1.0;
+  config.seed = 7;
+  return config;
+}
+
+TEST(ReportFingerprint, ServeSmoke) {
+  ExpectGolden("report/serve-smoke",
+               sched::SchedulerService(ServeSmokeConfig()).Run().ToJson());
+}
+
+// The CI chaos smoke: the serve smoke plus a fabric crash and a flapping
+// NIC under failure-aware placement.
+TEST(ReportFingerprint, ChaosSmoke) {
+  sched::ServiceConfig config = ServeSmokeConfig();
+  config.placement = "failure-aware";
+  config.faults = fault::FaultSpec::Parse(
+      "crash:fabric=0:at=0.4;flap:nic=0:period=0.1:at=0:for=0.8:fabric=1");
+  ExpectGolden("report/chaos-smoke",
+               sched::SchedulerService(config).Run().ToJson());
+}
+
+// Two models over two fabrics, with and without flow-level fairness; the
+// report must not depend on the engine's thread count.
+TEST(ReportFingerprint, MixedClusterSweep) {
+  for (const std::string flow : {"", ":flow:pods=2:oversub=2"}) {
+    const std::string cluster = "envG:workers=2:ps=1:training" + flow;
+    const std::vector<runtime::MultiJobEntry> jobs = runtime::ParseJobGroups(
+        "3x{" + cluster + " model=AlexNet v2 policy=tac iterations=2 seed=1} "
+        "2x{" + cluster + " model=Inception v2 policy=tic iterations=2 "
+        "seed=1}",
+        64);
+    for (const int threads : {1, 4}) {
+      const runtime::ClusterSweep sweep(
+          jobs, runtime::ClusterSweepOptions{.fabrics = 2,
+                                             .num_threads = threads});
+      ExpectGolden(std::string("report/clustersweep/flow-") +
+                       (flow.empty() ? "off" : "on"),
+                   sweep.Run().ToJson());
+    }
+  }
+}
+
+TEST(ReportFingerprint, MultiJobWithOffset) {
+  const runtime::MultiJobSpec spec = runtime::MultiJobSpec::Parse(
+      "2x{envG:workers=2:ps=2:training model=Inception v1 policy=tac "
+      "iterations=3 seed=5} {envG:workers=3:ps=2:training model=AlexNet v2 "
+      "policy=tic iterations=3 seed=5}@0.02");
+  harness::Session session;
+  ExpectGolden("report/multijob/3-job-offset",
+               session.RunMultiJob(spec).ToJson());
 }
 
 }  // namespace
