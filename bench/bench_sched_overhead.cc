@@ -15,7 +15,9 @@
 // discrete-event engine on one fixed task graph spread over 8, 64 or 512
 // resources: the events are the same at every width, so per-task time
 // against resource count shows what a dispatch costs beyond the
-// resources an event touches.
+// resources an event touches. BM_SimFlow times one Run of a 64-job
+// flow-level fat-tree fabric (the shape of one cluster-512 fabric), where
+// every flow start and finish re-solves the max-min water-fill.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,6 +32,7 @@
 #include "models/builder.h"
 #include "models/random_dag.h"
 #include "models/zoo.h"
+#include "runtime/multijob.h"
 #include "sim/engine.h"
 #include "util/rng.h"
 
@@ -260,6 +263,23 @@ void BM_SimRun(benchmark::State& state) {
 }
 
 BENCHMARK(BM_SimRun)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+void BM_SimFlow(benchmark::State& state) {
+  const tictac::runtime::MultiJobRunner runner(
+      tictac::runtime::MultiJobSpec::Parse(
+          "64x{envG:workers=2:ps=1:training:flow:pods=2:oversub=2 "
+          "model=VGG-16 policy=tac iterations=1 seed=1}"));
+  const tictac::runtime::SharedFabric& fabric = runner.fabric();
+  const tictac::sim::TaskGraphSim sim = fabric.lowering.combined.BuildSim();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.Run(fabric.options, /*seed=*/1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sim.tasks().size()));
+  state.SetLabel(std::to_string(sim.tasks().size()) + " tasks");
+}
+
+BENCHMARK(BM_SimFlow)->Unit(benchmark::kMillisecond);
 
 // End-to-end sweep wall-clock through the Session executor. A fresh
 // Session per iteration makes every grid pay its dependency-analysis

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
 
 #include "sim/flow.h"
@@ -135,17 +137,14 @@ void TaskGraphSim::Validate() const {
 
 namespace {
 
-// Completion event. Time ties are broken by the smaller TaskId — made
-// explicit here so completion order (and therefore successor release
-// order) is deterministic. `epoch` invalidates projections for
-// varying-rate flows: every max-min recompute that changes a flow's rate
-// bumps the flow's epoch and pushes a fresh projection, so any earlier
-// entry for that flow is stale and skipped on pop. Non-flow tasks always
-// carry epoch 0 and are never stale.
+// Completion event of a fixed-duration task. Time ties are broken by the
+// smaller TaskId — made explicit here so completion order (and therefore
+// successor release order) is deterministic. Flows are not queued: the
+// first flow completion (FlowSolver::next) is ordered against the queue
+// by the same (time, task) rule.
 struct CompletionEvent {
   double time;
   TaskId task;
-  int epoch = 0;
   bool operator>(const CompletionEvent& other) const {
     if (time != other.time) return time > other.time;
     return task > other.task;
@@ -228,6 +227,301 @@ struct ReadySets {
   }
 };
 
+// Max-min fair flow state of one Run (SimOptions::flow_fairness +
+// network, DESIGN.md §11). Every flow start and finish re-solves the
+// progressive-filling water-fill over all active flows. Each flow keeps
+// one completion projection, refreshed exactly when a solve changes its
+// rate, and the solve records the first of them: the event loop orders
+// that one against its queue by the queue's own (time, task) rule, so
+// flows are never queued.
+class FlowSolver {
+ public:
+  FlowSolver(const std::vector<Task>& tasks, const FlowNetwork& net)
+      : tasks_(tasks),
+        net_(net),
+        remaining_(tasks.size(), 0.0),
+        rate_(tasks.size(), 0.0),
+        last_(tasks.size(), 0.0),
+        alloc_(tasks.size(), 0.0),
+        proj_(tasks.size(), 0.0),
+        active_pos_(tasks.size(), 0),
+        pos_frozen_(tasks.size(), 0),
+        pos_links_(tasks.size()),
+        link_begin_(net.links.size(), 0),
+        link_end_(net.links.size(), 0),
+        link_head_(net.links.size(), 0),
+        link_members_(net.links.size(), 0),
+        link_residual_(net.links.size(), 0.0),
+        link_ratio_(net.links.size(), 0.0),
+        link_on_(net.links.size(), 0),
+        link_gen_(net.links.size(), 0) {}
+
+  // True when tasks on resource r share links (and so progress at the
+  // water-filled rate instead of their fixed nominal duration).
+  bool IsFlowResource(int r) const {
+    return static_cast<std::size_t>(r) < net_.resource_links.size() &&
+           !net_.resource_links[static_cast<std::size_t>(r)].empty();
+  }
+
+  // Flow t starts at `now` with `demand` seconds of work at its nominal
+  // (static-split) rate. Joining reshapes every rate, so this re-solves
+  // at once; t's first projection comes from its 0 -> fair-share change.
+  void Start(TaskId t, double demand, double now) {
+    const auto ti = static_cast<std::size_t>(t);
+    remaining_[ti] = demand;
+    rate_[ti] = 0.0;
+    last_[ti] = now;
+    active_pos_[ti] = active_.size();
+    active_.push_back(t);
+    Solve(now);
+  }
+
+  // next() completed at `now`: its bandwidth goes to the other flows.
+  void FinishNext(double now) {
+    const std::size_t i = active_pos_[static_cast<std::size_t>(next_)];
+    active_[i] = active_.back();
+    active_pos_[static_cast<std::size_t>(active_[i])] = i;
+    active_.pop_back();
+    Solve(now);
+  }
+
+  // The in-flight flow that completes first, at next_at(): the
+  // lexicographic minimum of (projection, task); -1 when none is.
+  TaskId next() const { return next_; }
+  double next_at() const { return next_at_; }
+
+ private:
+  // A link's cursor: its next unfrozen member, at member_pos_[idx] == pos.
+  struct Cursor {
+    int pos;
+    int link;
+    std::size_t idx;
+    unsigned gen;
+    bool operator>(const Cursor& other) const {
+      return pos != other.pos ? pos > other.pos : link > other.link;
+    }
+  };
+
+  void Solve(double now);
+  void Freeze(int p, double level);
+
+  // Queues link l's cursor at its first unfrozen member at or after
+  // index i, if any.
+  void PushCursor(int l, std::size_t i) {
+    const auto li = static_cast<std::size_t>(l);
+    while (i < link_end_[li] &&
+           pos_frozen_[static_cast<std::size_t>(member_pos_[i])]) {
+      ++i;
+    }
+    if (i == link_end_[li]) return;
+    cursors_.push_back({member_pos_[i], l, i, link_gen_[li]});
+    std::push_heap(cursors_.begin(), cursors_.end(), std::greater<Cursor>());
+  }
+
+  // Link l is at the fill level: a new cursor from index i.
+  void OpenCursor(int l, std::size_t i) {
+    link_on_[static_cast<std::size_t>(l)] = 1;
+    ++link_gen_[static_cast<std::size_t>(l)];
+    PushCursor(l, i);
+  }
+
+  const std::vector<Task>& tasks_;
+  const FlowNetwork& net_;
+  std::vector<double> remaining_;  // nominal seconds of demand left
+  std::vector<double> rate_;       // progress per second of sim time
+  std::vector<double> last_;       // last time `remaining_` was advanced
+  std::vector<double> alloc_;      // bytes/s from the last water-fill
+  std::vector<double> proj_;       // projected completion time
+  std::vector<std::size_t> active_pos_;  // task -> index in active_
+  std::vector<TaskId> active_;           // in-flight flows
+  TaskId next_ = -1;
+  double next_at_ = std::numeric_limits<double>::infinity();
+
+  // Water-fill scratch. Positions index active_; each touched link's
+  // members are a CSR segment [link_begin_, link_end_) of member_pos_ in
+  // ascending position, with link_head_ past its frozen prefix.
+  std::vector<char> pos_frozen_;
+  std::vector<std::span<const int>> pos_links_;  // the flow's links
+  std::vector<int> member_pos_;
+  std::vector<std::size_t> link_begin_, link_end_, link_head_;
+  std::vector<int> link_members_;      // unfrozen members
+  std::vector<double> link_residual_;  // capacity not yet handed out
+  std::vector<double> link_ratio_;     // residual / members, as last changed
+  std::vector<char> link_on_;          // ratio == level this round
+  std::vector<unsigned> link_gen_;     // invalidates a dropped cursor
+  std::vector<int> touched_, live_, on_;
+  std::vector<Cursor> cursors_;  // min-heap on (pos, link)
+};
+
+// Progressive-filling max-min allocation over the active flows. Advances
+// each active flow's remaining demand to `now` at its old rate first
+// (rates are piecewise constant between solves), then water-fills in
+// rounds: the fill level is the tightest link's residual capacity per
+// unfrozen member, and a scan of the active list in order freezes every
+// flow that, when its turn comes, crosses a link whose ratio equals the
+// level exactly, subtracting its share from each of its links. A round
+// visits only those flows: each link's ratio is cached and refreshed
+// when a freeze changes it, and a link at the level walks a cursor over
+// its members in active order — started past the current position when
+// a freeze brings the link to the level, dropped when a freeze moves it
+// off. That is the same flows, in the same order, against the same state
+// as a full scan, so every share is the same bits. Flows whose rate
+// changed get a fresh completion projection; unchanged flows keep
+// theirs. All iteration is in deterministic (active-list / link-id)
+// order and uses exact float comparisons, so results are reproducible
+// across runs and shards.
+void FlowSolver::Solve(double now) {
+  touched_.clear();
+  for (std::size_t p = 0; p < active_.size(); ++p) {
+    const auto fi = static_cast<std::size_t>(active_[p]);
+    remaining_[fi] -= (now - last_[fi]) * rate_[fi];
+    if (remaining_[fi] < 0.0) remaining_[fi] = 0.0;
+    last_[fi] = now;
+    pos_frozen_[p] = 0;
+    pos_links_[p] =
+        net_.resource_links[static_cast<std::size_t>(tasks_[fi].resource)];
+    for (int l : pos_links_[p]) {
+      const auto li = static_cast<std::size_t>(l);
+      if (link_members_[li]++ == 0) {
+        touched_.push_back(l);
+        link_residual_[li] = net_.links[li].capacity_bps;
+      }
+    }
+  }
+  std::size_t members = 0;
+  for (int l : touched_) {
+    const auto li = static_cast<std::size_t>(l);
+    link_begin_[li] = link_end_[li] = link_head_[li] = members;
+    members += static_cast<std::size_t>(link_members_[li]);
+    link_ratio_[li] = link_residual_[li] / link_members_[li];
+  }
+  member_pos_.resize(members);
+  for (std::size_t p = 0; p < active_.size(); ++p) {
+    for (int l : pos_links_[p]) {
+      member_pos_[link_end_[static_cast<std::size_t>(l)]++] =
+          static_cast<int>(p);
+    }
+  }
+  live_ = touched_;
+
+  std::size_t unfrozen = active_.size();
+  while (unfrozen > 0) {
+    double level = std::numeric_limits<double>::infinity();
+    std::size_t live = 0;
+    on_.clear();
+    for (int l : live_) {
+      const auto li = static_cast<std::size_t>(l);
+      if (link_members_[li] == 0) continue;
+      live_[live++] = l;
+      // Exact comparisons: the argmin links match `level` bit for bit.
+      if (link_ratio_[li] < level) {
+        level = link_ratio_[li];
+        on_.clear();
+      }
+      if (link_ratio_[li] == level) on_.push_back(l);
+    }
+    live_.resize(live);
+    for (int l : on_) {
+      const auto li = static_cast<std::size_t>(l);
+      while (pos_frozen_[static_cast<std::size_t>(
+          member_pos_[link_head_[li]])]) {
+        ++link_head_[li];
+      }
+      OpenCursor(l, link_head_[li]);
+    }
+    bool froze = false;
+    while (!cursors_.empty()) {
+      std::pop_heap(cursors_.begin(), cursors_.end(), std::greater<Cursor>());
+      const Cursor c = cursors_.back();
+      cursors_.pop_back();
+      const auto li = static_cast<std::size_t>(c.link);
+      if (c.gen != link_gen_[li]) continue;
+      if (!pos_frozen_[static_cast<std::size_t>(c.pos)]) {
+        Freeze(c.pos, level);
+        froze = true;
+        --unfrozen;
+      }
+      if (c.gen == link_gen_[li]) PushCursor(c.link, c.idx + 1);
+    }
+    for (int l : on_) link_on_[static_cast<std::size_t>(l)] = 0;
+    // Unreachable for valid networks (the argmin link always has a
+    // member to freeze); guards against float pathologies looping.
+    if (!froze) break;
+  }
+#ifndef NDEBUG
+  // Every flow got a share, and no link hands out more than it has.
+  for (int l : touched_) {
+    const auto li = static_cast<std::size_t>(l);
+    double sum = 0.0;
+    for (std::size_t i = link_begin_[li]; i < link_end_[li]; ++i) {
+      const auto fi = static_cast<std::size_t>(
+          active_[static_cast<std::size_t>(member_pos_[i])]);
+      assert(alloc_[fi] > 0.0);
+      sum += alloc_[fi];
+    }
+    assert(sum <= net_.links[li].capacity_bps * (1.0 + 1e-9));
+  }
+#endif
+  for (int l : touched_) link_members_[static_cast<std::size_t>(l)] = 0;
+
+  next_ = -1;
+  next_at_ = std::numeric_limits<double>::infinity();
+  for (TaskId f : active_) {
+    const auto fi = static_cast<std::size_t>(f);
+    const int r = tasks_[fi].resource;
+    double rate =
+        alloc_[fi] / net_.resource_nominal_bps[static_cast<std::size_t>(r)];
+    // Validate() guarantees positive capacities and nominal rates, so a
+    // non-positive share can only come from accumulated float dust on a
+    // degenerate topology; keep completion times finite regardless.
+    if (!(rate > 0.0)) rate = std::numeric_limits<double>::epsilon();
+    if (rate != rate_[fi]) {
+      rate_[fi] = rate;
+      proj_[fi] = now + remaining_[fi] / rate;
+    }
+    if (proj_[fi] < next_at_ || (proj_[fi] == next_at_ && f < next_)) {
+      next_at_ = proj_[fi];
+      next_ = f;
+    }
+  }
+}
+
+// Freezes the flow at position p at `level` and moves the cursors of the
+// links whose ratio crossed the level.
+void FlowSolver::Freeze(int p, double level) {
+  pos_frozen_[static_cast<std::size_t>(p)] = 1;
+  alloc_[static_cast<std::size_t>(active_[static_cast<std::size_t>(p)])] =
+      level;
+  const std::span<const int> links = pos_links_[static_cast<std::size_t>(p)];
+  for (int l : links) {
+    const auto li = static_cast<std::size_t>(l);
+    link_residual_[li] -= level;
+    if (link_residual_[li] < 0.0) link_residual_[li] = 0.0;
+    --link_members_[li];
+  }
+  for (int l : links) {
+    const auto li = static_cast<std::size_t>(l);
+    bool at_level = false;
+    if (link_members_[li] > 0) {
+      link_ratio_[li] = link_residual_[li] / link_members_[li];
+      at_level = link_ratio_[li] == level;
+    }
+    if (at_level == (link_on_[li] != 0)) continue;
+    if (at_level) {
+      // Its members after position p get their turn this round.
+      on_.push_back(l);
+      const auto first = member_pos_.begin();
+      OpenCursor(l, static_cast<std::size_t>(
+                        std::upper_bound(first + link_head_[li],
+                                         first + link_end_[li], p) -
+                        first));
+    } else {
+      link_on_[li] = 0;
+      ++link_gen_[li];
+    }
+  }
+}
+
 }  // namespace
 
 SimResult TaskGraphSim::Run(const SimOptions& options,
@@ -291,42 +585,16 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   };
 
   // Flow-fairness state (SimOptions::flow_fairness + network, DESIGN.md
-  // §11). Sized only when enabled and the network maps at least one
+  // §11). Built only when enabled and the network maps at least one
   // resource to a shared link; otherwise every flow branch below is
   // skipped and the run is bit-identical to the static-split engine
   // (pinned in tests/flow_test.cc).
-  const FlowNetwork* net = options.network;
-  const bool has_flows =
-      options.flow_fairness && net != nullptr && net->HasFlows();
-  std::vector<double> flow_remaining;  // nominal seconds of demand left
-  std::vector<double> flow_rate;       // progress per second of sim time
-  std::vector<double> flow_last;       // last time `remaining` was advanced
-  std::vector<double> flow_alloc;      // bytes/s from the last water-fill
-  std::vector<int> flow_epoch;         // bumped on every rate change
-  std::vector<char> flow_frozen;       // water-fill scratch
-  std::vector<TaskId> active_flows;    // in-flight flow tasks
-  std::vector<std::size_t> active_pos;  // task -> index in active_flows
-  std::vector<int> link_members;        // water-fill scratch, per link
-  std::vector<double> link_residual;    // water-fill scratch, per link
-  std::vector<int> touched_links;
-  if (has_flows) {
-    net->Validate(num_resources_);
-    flow_remaining.assign(tasks_.size(), 0.0);
-    flow_rate.assign(tasks_.size(), 0.0);
-    flow_last.assign(tasks_.size(), 0.0);
-    flow_alloc.assign(tasks_.size(), 0.0);
-    flow_epoch.assign(tasks_.size(), 0);
-    flow_frozen.assign(tasks_.size(), 0);
-    active_pos.assign(tasks_.size(), 0);
-    link_members.assign(net->links.size(), 0);
-    link_residual.assign(net->links.size(), 0.0);
+  std::optional<FlowSolver> flows;
+  if (options.flow_fairness && options.network != nullptr &&
+      options.network->HasFlows()) {
+    options.network->Validate(num_resources_);
+    flows.emplace(tasks_, *options.network);
   }
-  // True when tasks on resource r share links (and so progress at the
-  // water-filled rate instead of their fixed nominal duration).
-  auto is_flow_resource = [&](int r) {
-    return static_cast<std::size_t>(r) < net->resource_links.size() &&
-           !net->resource_links[static_cast<std::size_t>(r)].empty();
-  };
 
   std::vector<int> gate_counter(static_cast<std::size_t>(num_gate_groups_), 0);
   // Tasks whose predecessors are done but whose gate is still closed,
@@ -401,99 +669,6 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
       completions;
   double now = 0.0;
 
-  // Progressive-filling max-min allocation over the active flows,
-  // invoked on every flow start and finish. Advances each active flow's
-  // remaining demand to `t_now` at its old rate first (rates are
-  // piecewise constant between recomputes), then water-fills: repeatedly
-  // find the tightest link (minimum residual capacity per unfrozen
-  // member), freeze every flow crossing a tightest link at that fair
-  // share, and subtract the frozen bandwidth. Flows whose rate changed
-  // get a new epoch and a fresh completion projection; unchanged flows
-  // keep their queued event. All iteration is in deterministic
-  // (active-list / link-id) order and uses exact float comparisons, so
-  // results are reproducible across runs and shards.
-  auto recompute_rates = [&](double t_now) {
-    for (TaskId f : active_flows) {
-      const auto fi = static_cast<std::size_t>(f);
-      flow_remaining[fi] -= (t_now - flow_last[fi]) * flow_rate[fi];
-      if (flow_remaining[fi] < 0.0) flow_remaining[fi] = 0.0;
-      flow_last[fi] = t_now;
-    }
-    touched_links.clear();
-    for (TaskId f : active_flows) {
-      flow_frozen[static_cast<std::size_t>(f)] = 0;
-      const int r = tasks_[static_cast<std::size_t>(f)].resource;
-      for (int l : net->resource_links[static_cast<std::size_t>(r)]) {
-        const auto li = static_cast<std::size_t>(l);
-        if (link_members[li]++ == 0) {
-          touched_links.push_back(l);
-          link_residual[li] = net->links[li].capacity_bps;
-        }
-      }
-    }
-    std::size_t unfrozen = active_flows.size();
-    while (unfrozen > 0) {
-      double level = std::numeric_limits<double>::infinity();
-      for (int l : touched_links) {
-        const auto li = static_cast<std::size_t>(l);
-        if (link_members[li] > 0) {
-          level = std::min(level, link_residual[li] / link_members[li]);
-        }
-      }
-      bool froze = false;
-      for (TaskId f : active_flows) {
-        const auto fi = static_cast<std::size_t>(f);
-        if (flow_frozen[fi]) continue;
-        const int r = tasks_[fi].resource;
-        const auto& links = net->resource_links[static_cast<std::size_t>(r)];
-        bool at_bottleneck = false;
-        for (int l : links) {
-          const auto li = static_cast<std::size_t>(l);
-          // Exact comparison: `level` is the min over these very
-          // divisions, so the argmin links match it bit for bit.
-          if (link_members[li] > 0 &&
-              link_residual[li] / link_members[li] == level) {
-            at_bottleneck = true;
-            break;
-          }
-        }
-        if (!at_bottleneck) continue;
-        flow_frozen[fi] = 1;
-        flow_alloc[fi] = level;
-        froze = true;
-        --unfrozen;
-        for (int l : links) {
-          const auto li = static_cast<std::size_t>(l);
-          link_residual[li] -= level;
-          if (link_residual[li] < 0.0) link_residual[li] = 0.0;
-          --link_members[li];
-        }
-      }
-      // Unreachable for valid networks (the argmin link always has a
-      // member to freeze); guards against float pathologies looping.
-      if (!froze) break;
-    }
-    for (int l : touched_links) {
-      link_members[static_cast<std::size_t>(l)] = 0;
-      link_residual[static_cast<std::size_t>(l)] = 0.0;
-    }
-    for (TaskId f : active_flows) {
-      const auto fi = static_cast<std::size_t>(f);
-      const int r = tasks_[fi].resource;
-      double rate =
-          flow_alloc[fi] / net->resource_nominal_bps[static_cast<std::size_t>(r)];
-      // Validate() guarantees positive capacities and nominal rates, so a
-      // non-positive share can only come from accumulated float dust on a
-      // degenerate topology; keep completion times finite regardless.
-      if (!(rate > 0.0)) rate = std::numeric_limits<double>::epsilon();
-      if (rate != flow_rate[fi]) {
-        flow_rate[fi] = rate;
-        ++flow_epoch[fi];
-        completions.push({t_now + flow_remaining[fi] / rate, f, flow_epoch[fi]});
-      }
-    }
-  };
-
   // Selection rule: uniformly random among {ready tasks with the minimum
   // priority number} ∪ {ready tasks with no priority}. With probability
   // out_of_order_probability the pick ignores priorities entirely,
@@ -543,19 +718,10 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
       const double d = has_faults
                            ? duration[static_cast<std::size_t>(t)] / speed[ri]
                            : duration[static_cast<std::size_t>(t)];
-      if (has_flows && is_flow_resource(r)) {
+      if (flows && flows->IsFlowResource(r)) {
         // A flow's fault/jitter-adjusted duration is its demand at the
-        // nominal (static-split) rate; the water-fill converts it to
-        // wall time. Joining reshapes every rate, so recompute
-        // immediately — the new flow's first projection comes from its
-        // 0 -> fair-share rate change.
-        const auto ti = static_cast<std::size_t>(t);
-        flow_remaining[ti] = d;
-        flow_rate[ti] = 0.0;
-        flow_last[ti] = now;
-        active_pos[ti] = active_flows.size();
-        active_flows.push_back(t);
-        recompute_rates(now);
+        // nominal rate; the water-fill converts it to wall time.
+        flows->Start(t, d, now);
       } else {
         completions.push({now + d, t});
       }
@@ -569,14 +735,20 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   start_eligible();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   while (true) {
-    const double completion_at =
-        completions.empty() ? kInf : completions.top().time;
+    CompletionEvent next =
+        completions.empty() ? CompletionEvent{kInf, -1} : completions.top();
+    // The first in-flight flow completes next if it precedes the queue's
+    // top in (time, task) order.
+    const bool flow_next =
+        flows && flows->next() >= 0 &&
+        next > CompletionEvent{flows->next_at(), flows->next()};
+    if (flow_next) next = {flows->next_at(), flows->next()};
     const double fault_at =
         has_faults && next_fault < options.faults->size()
             ? (*options.faults)[next_fault].time
             : kInf;
-    if (completion_at == kInf && fault_at == kInf) break;
-    if (fault_at < completion_at) {
+    if (next.time == kInf && fault_at == kInf) break;
+    if (fault_at < next.time) {
       // A perturbation takes effect strictly before anything completes:
       // resources coming back up may start waiting tasks at this instant.
       now = std::max(now, fault_at);
@@ -584,31 +756,17 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
       start_eligible();
       continue;
     }
-    const auto [time, t, epoch] = completions.top();
-    completions.pop();
-    if (has_flows && epoch != 0 &&
-        epoch != flow_epoch[static_cast<std::size_t>(t)]) {
-      // Superseded projection for a flow whose rate changed (or that
-      // already finished) since this event was queued.
-      continue;
-    }
-    now = time;
+    const TaskId t = next.task;
+    now = next.time;
     result.end[static_cast<std::size_t>(t)] = now;
     result.makespan = std::max(result.makespan, now);
     const int freed = tasks_[static_cast<std::size_t>(t)].resource;
     busy[static_cast<std::size_t>(freed)] = false;
     wake_resource(freed);
-    if (has_flows && epoch != 0) {
-      // A flow finished: swap-remove it from the active list, invalidate
-      // any projections still queued for it, and hand its bandwidth to
-      // the remaining flows.
-      const auto ti = static_cast<std::size_t>(t);
-      const std::size_t i = active_pos[ti];
-      active_flows[i] = active_flows.back();
-      active_pos[static_cast<std::size_t>(active_flows[i])] = i;
-      active_flows.pop_back();
-      ++flow_epoch[ti];
-      recompute_rates(now);
+    if (flow_next) {
+      flows->FinishNext(now);
+    } else {
+      completions.pop();
     }
     for (TaskId s : succs_[static_cast<std::size_t>(t)]) {
       if (--missing_preds[static_cast<std::size_t>(s)] == 0) {

@@ -23,8 +23,12 @@
 // Flow fairness (SimOptions::flow_fairness + network): transfers on
 // resources the FlowNetwork maps to shared links progress at
 // progressive-filling max-min rates instead of their static per-channel
-// slice, recomputed incrementally on every flow start and finish with
-// epoch-invalidated completion projections (DESIGN.md §11). The flag off
+// slice, re-solved on every flow start and finish. Each flow keeps one
+// completion projection, refreshed when its rate changes, and the first
+// of them is ordered against the event queue by the queue's own (time,
+// task) rule, so only fixed-duration tasks are queued (DESIGN.md §11).
+// The water-fill walks per-link cursors, visiting only the flows a
+// round freezes, in the same order as a full scan. The flag off
 // — or a network without flows — reproduces the static-split engine bit
 // for bit (pinned in tests/flow_test.cc). Like the fault path, the flow
 // path draws no extra randomness, so schedules stay comparable across

@@ -171,6 +171,36 @@ TEST(FlowModel, DepartureHandsIdleShareToSurvivorMidFlight) {
   EXPECT_DOUBLE_EQ(r.end[1], 2.0);
 }
 
+// Flow completions are not queued with fixed-duration tasks, but they
+// keep the queue's order: at equal times the smaller task id completes
+// first, whether each of the two is a flow or not. Resources 0 and 1
+// are flows alone on their own link (rate exactly 1.0), resource 2 is
+// not a flow resource, and the two successors share resource 3, so
+// whichever completion is handled first starts its successor first.
+TEST(FlowModel, SimultaneousCompletionsGoInTaskIdOrder) {
+  sim::FlowNetwork net;
+  net.links = {{50.0}, {50.0}};
+  net.resource_links = {{0}, {1}};
+  net.resource_nominal_bps = {50.0, 50.0};
+  sim::SimOptions options;
+  options.flow_fairness = true;
+  options.network = &net;
+  for (const auto& [first, second] :
+       {std::pair{0, 2}, std::pair{2, 0}, std::pair{0, 1}}) {
+    const sim::TaskGraphSim sim(
+        {FlowTask(1.0, first), FlowTask(1.0, second), FlowTask(0.5, 3, {0}),
+         FlowTask(0.5, 3, {1})},
+        4);
+    const sim::SimResult r = sim.Run(options, 1);
+    SCOPED_TRACE("resources " + std::to_string(first) + ", " +
+                 std::to_string(second));
+    EXPECT_EQ(r.end[0], 1.0);
+    EXPECT_EQ(r.end[1], 1.0);
+    EXPECT_EQ(r.start[2], 1.0);
+    EXPECT_EQ(r.start[3], 1.5);
+  }
+}
+
 TEST(FlowModel, OversubscribedCoreSlowsCrossPodTransfers) {
   const auto mean_iteration = [](const std::string& cluster) {
     return MakeRunner(cluster, "AlexNet v2", "tac")

@@ -38,6 +38,8 @@
 #include "runtime/spec.h"
 #include "sched/service.h"
 #include "sim/engine.h"
+#include "sim/flow.h"
+#include "util/rng.h"
 
 namespace tictac {
 namespace {
@@ -110,11 +112,18 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"fault/wide-hand-built", 0x5f7f578580162324ull},
       {"flow/fat-tree-2job/seed1", 0x32ac8c9a8d43b1eeull},
       {"flow/fat-tree-2job/seed7", 0xbdb49277f947c1c9ull},
+      {"flow/fault-timeline", 0x85a8c3ff0fdd90cfull},
+      {"flow/pods4-oversub4/seed1", 0x15ea1d52afe2561aull},
+      {"flow/pods4-oversub4/seed7", 0x948ad45f5692fe48ull},
+      {"flow/inference-3job-pods1", 0xe193b547b2f4ebbaull},
+      {"flow/run-parallel-2fabric", 0xb47e889a55c3177bull},
+      {"flow/near-tied-links", 0xa918ecebe798ff83ull},
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
       {"report/serve-smoke", 0x42ce9696804cbf39ull},
       {"report/chaos-smoke", 0xf7d0463b8122234aull},
       {"report/clustersweep/flow-off", 0xcd893ab0c80cb714ull},
       {"report/clustersweep/flow-on", 0x529096e4295a226bull},
+      {"report/clustersweep/vgg16-128-flow", 0x89e2aaad929caf16ull},
       {"report/multijob/3-job-offset", 0x3668de5f0bacc687ull},
   };
   return kGoldens;
@@ -231,38 +240,17 @@ TEST(SimFingerprint, FaultOnAWideMostlyIdleGraph) {
   EXPECT_EQ(resumed, 2.0);
 }
 
-TEST(SimFingerprint, FlowFatTreeMultiJob) {
-  runtime::MultiJobSpec spec;
-  for (const char* job : {"model=AlexNet v2 policy=tac",
-                          "model=Inception v2 policy=tic"}) {
-    runtime::MultiJobEntry entry;
-    entry.spec = runtime::ExperimentSpec::Parse(
-        std::string("envG:workers=4:ps=2:training:flow:pods=2:oversub=2 ") +
-        job + " iterations=2 seed=3");
-    spec.jobs.push_back(entry);
-  }
-  const runtime::MultiJobRunner runner(std::move(spec));
-  ASSERT_NE(runner.fabric().options.network, nullptr);
-  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
-  for (const std::uint64_t seed : {1ull, 7ull}) {
-    ExpectGolden("flow/fat-tree-2job/seed" + std::to_string(seed),
-                 sim.Run(Randomized(runner.fabric().options), seed));
-  }
-}
-
-// Three zoo lowerings side by side — disjoint tasks, resources and gate
-// groups — form a three-component graph for the sharded engine.
-TEST(SimFingerprint, RunParallelMultiComponent) {
-  const runtime::ClusterConfig cluster = runtime::EnvG(2, 1, true);
-  std::vector<sim::Task> merged;
+// Lowerings side by side in one graph: disjoint tasks, resources, gate
+// groups and flow links, so each is its own component for the sharded
+// engine.
+struct MergedGraph {
+  std::vector<sim::Task> tasks;
   int resources = 0;
   int gate_groups = 0;
-  for (const auto& [model, policy] :
-       {std::pair{"AlexNet v2", "tac"}, std::pair{"Inception v2", "tic"},
-        std::pair{"ResNet-50 v2", "baseline"}}) {
-    const runtime::Runner runner(models::FindModel(model), cluster);
-    const runtime::Lowering low = LowerZoo(runner, policy);
-    const auto base = static_cast<sim::TaskId>(merged.size());
+  sim::FlowNetwork net;
+
+  void Append(const runtime::Lowering& low) {
+    const auto base = static_cast<sim::TaskId>(tasks.size());
     int groups = 0;
     for (sim::Task t : low.tasks) {
       for (sim::TaskId& p : t.preds) p += base;
@@ -271,12 +259,194 @@ TEST(SimFingerprint, RunParallelMultiComponent) {
         groups = std::max(groups, t.gate_group + 1);
         t.gate_group += gate_groups;
       }
-      merged.push_back(std::move(t));
+      tasks.push_back(std::move(t));
+    }
+    if (low.flow) {
+      const int link_base = static_cast<int>(net.links.size());
+      net.links.insert(net.links.end(), low.flow->links.begin(),
+                       low.flow->links.end());
+      net.resource_links.resize(static_cast<std::size_t>(resources));
+      net.resource_nominal_bps.resize(static_cast<std::size_t>(resources));
+      for (std::size_t r = 0; r < low.flow->resource_links.size(); ++r) {
+        std::vector<int> links = low.flow->resource_links[r];
+        for (int& l : links) l += link_base;
+        net.resource_links.push_back(std::move(links));
+        net.resource_nominal_bps.push_back(low.flow->resource_nominal_bps[r]);
+      }
     }
     resources += low.num_resources;
     gate_groups += groups;
   }
-  const sim::TaskGraphSim sim(std::move(merged), resources);
+};
+
+// One shared flow fabric: `cluster` with each of `jobs` ("model=…
+// policy=…") appended, at iterations=2 seed=3.
+runtime::MultiJobRunner FlowFabric(const std::string& cluster,
+                                   const std::vector<std::string>& jobs) {
+  runtime::MultiJobSpec spec;
+  for (const std::string& job : jobs) {
+    runtime::MultiJobEntry entry;
+    entry.spec = runtime::ExperimentSpec::Parse(cluster + " " + job +
+                                                " iterations=2 seed=3");
+    spec.jobs.push_back(entry);
+  }
+  runtime::MultiJobRunner runner(std::move(spec));
+  EXPECT_NE(runner.fabric().options.network, nullptr);
+  return runner;
+}
+
+TEST(SimFingerprint, FlowFatTreeMultiJob) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
+                 {"model=AlexNet v2 policy=tac",
+                  "model=Inception v2 policy=tic"});
+  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    ExpectGolden("flow/fat-tree-2job/seed" + std::to_string(seed),
+                 sim.Run(Randomized(runner.fabric().options), seed));
+  }
+}
+
+// Flows under a fault timeline: one channel slows and recovers, another
+// goes down and comes back, and a worker CPU straggles for a while, so
+// flows start at scaled demands and wait out a down link mid-run.
+TEST(SimFingerprint, FlowUnderFaultTimeline) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
+                 {"model=AlexNet v2 policy=tac",
+                  "model=ResNet-50 v2 policy=tic"});
+  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const sim::FlowNetwork& net = *runner.fabric().options.network;
+  std::vector<int> channels;
+  for (std::size_t r = 0; r < net.resource_links.size(); ++r) {
+    if (!net.resource_links[r].empty()) channels.push_back(static_cast<int>(r));
+  }
+  ASSERT_GE(channels.size(), 2u);
+  int worker_cpu = -1;
+  for (const sim::Task& t : low.tasks) {
+    if (t.kind == core::OpKind::kCompute && t.worker >= 0) {
+      worker_cpu = t.resource;
+      break;
+    }
+  }
+  ASSERT_GE(worker_cpu, 0);
+  const sim::TaskGraphSim sim = low.BuildSim();
+  const sim::SimOptions options = Randomized(runner.fabric().options);
+  const double makespan = sim.Run(options, 5).makespan;
+  const int slow = channels.front();
+  const int down = channels[channels.size() / 2];
+  const std::vector<sim::ResourceFault> faults{
+      {0.1 * makespan, slow, 0.5},        {0.2 * makespan, down, 0.0},
+      {0.25 * makespan, worker_cpu, 0.3}, {0.4 * makespan, down, 1.0},
+      {0.5 * makespan, slow, 1.0},        {0.6 * makespan, worker_cpu, 1.0},
+  };
+  sim::SimOptions faulted = options;
+  faulted.faults = &faults;
+  ExpectGolden("flow/fault-timeline", sim.Run(faulted, 5));
+}
+
+// Four pods behind a 4x oversubscribed core: core links bottleneck, so a
+// flow's rate both rises and falls as neighbours come and go.
+TEST(SimFingerprint, FlowOversubscribedCore) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=4:ps=2:training:flow:pods=4:oversub=4",
+                 {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tac",
+                  "model=Inception v2 policy=baseline"});
+  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
+  for (const std::uint64_t seed : {1ull, 7ull}) {
+    ExpectGolden("flow/pods4-oversub4/seed" + std::to_string(seed),
+                 sim.Run(Randomized(runner.fabric().options), seed));
+  }
+}
+
+TEST(SimFingerprint, FlowInferenceFabric) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=2:ps=1:inference:flow:pods=1",
+                 {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tic",
+                  "model=ResNet-50 v2 policy=tac"});
+  ExpectGolden("flow/inference-3job-pods1",
+               runner.fabric().lowering.combined.BuildSim().Run(
+                   Randomized(runner.fabric().options), 11));
+}
+
+// Many small flow networks whose link ratios tie the fill level up to
+// the last bit: every flow crosses one shared link of capacity C and one
+// of a few group links of capacity C·g/K (g of the K flows in the
+// group), a product that rounds either way. Freezes then move links on
+// and off the level within a round, including a link that reaches it
+// after its first members' turns have passed, which the zoo fabrics
+// rarely do.
+TEST(SimFingerprint, FlowNearTiedLinks) {
+  std::string digests;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    util::Rng rng(seed);
+    const int flows = 4 + static_cast<int>(rng.Index(20));
+    const std::size_t groups = 1 + rng.Index(4);
+    const double shared = rng.Uniform(1.0, 100.0);
+    std::vector<std::size_t> group(static_cast<std::size_t>(flows));
+    std::vector<int> group_size(groups, 0);
+    for (std::size_t& g : group) ++group_size[g = rng.Index(groups)];
+    sim::FlowNetwork net;
+    net.links.push_back({shared});
+    for (const int size : group_size) {
+      net.links.push_back({shared * std::max(size, 1) / flows});
+    }
+    std::vector<sim::Task> tasks(static_cast<std::size_t>(flows));
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      net.resource_links.push_back({0, 1 + static_cast<int>(group[k])});
+      net.resource_nominal_bps.push_back(1.0);
+      tasks[k].resource = static_cast<int>(k);
+      tasks[k].duration = 1.0 + static_cast<double>(rng.Index(3));
+    }
+    sim::SimOptions options;
+    options.flow_fairness = true;
+    options.network = &net;
+    digests += std::to_string(Fingerprint(
+                   sim::TaskGraphSim(std::move(tasks), flows).Run(options, 1))) +
+               ",";
+  }
+  ExpectGolden("flow/near-tied-links", Fingerprint(digests));
+}
+
+// Two flow fabrics side by side: the sharded engine runs two flow
+// components.
+TEST(SimFingerprint, FlowRunParallel) {
+  MergedGraph merged;
+  sim::SimOptions options;
+  for (const auto& [cluster, jobs] :
+       {std::pair{std::string("envG:workers=4:ps=2:training:flow:pods=2:"
+                              "oversub=2"),
+                  std::vector<std::string>{"model=AlexNet v2 policy=tac",
+                                           "model=Inception v2 policy=tic"}},
+        std::pair{std::string("envG:workers=2:ps=1:training:flow:pods=1"),
+                  std::vector<std::string>{"model=VGG-16 policy=tac",
+                                           "model=VGG-16 policy=baseline"}}}) {
+    const runtime::MultiJobRunner runner = FlowFabric(cluster, jobs);
+    merged.Append(runner.fabric().lowering.combined);
+    options = Randomized(runner.fabric().options);
+  }
+  options.network = &merged.net;
+  const sim::TaskGraphSim sim(std::move(merged.tasks), merged.resources);
+  const std::vector<int> component = sim.ComponentOf(options);
+  ASSERT_EQ(*std::max_element(component.begin(), component.end()), 1);
+  for (const int threads : {1, 4}) {
+    ExpectGolden("flow/run-parallel-2fabric",
+                 sim.RunParallel(options, 13, threads));
+  }
+}
+
+// Three zoo lowerings side by side form a three-component graph for the
+// sharded engine.
+TEST(SimFingerprint, RunParallelMultiComponent) {
+  const runtime::ClusterConfig cluster = runtime::EnvG(2, 1, true);
+  MergedGraph merged;
+  for (const auto& [model, policy] :
+       {std::pair{"AlexNet v2", "tac"}, std::pair{"Inception v2", "tic"},
+        std::pair{"ResNet-50 v2", "baseline"}}) {
+    const runtime::Runner runner(models::FindModel(model), cluster);
+    merged.Append(LowerZoo(runner, policy));
+  }
+  const sim::TaskGraphSim sim(std::move(merged.tasks), merged.resources);
   const sim::SimOptions options = Randomized(cluster.sim);
   const std::vector<int> component = sim.ComponentOf(options);
   ASSERT_EQ(*std::max_element(component.begin(), component.end()), 2);
@@ -334,6 +504,20 @@ TEST(ReportFingerprint, MixedClusterSweep) {
                        (flow.empty() ? "off" : "on"),
                    sweep.Run().ToJson());
     }
+  }
+}
+
+// The shape of one cluster-512 sweep: 128 VGG-16 jobs on two flow
+// fat-tree fabrics of 64, every downlink crossing its fabric's one PS.
+TEST(ReportFingerprint, VggFlowClusterSweep) {
+  const std::vector<runtime::MultiJobEntry> jobs = runtime::ParseJobGroups(
+      "128x{envG:workers=2:ps=1:training:flow:pods=2:oversub=2 "
+      "model=VGG-16 policy=tac iterations=1 seed=1}",
+      128);
+  for (const int threads : {1, 4}) {
+    const runtime::ClusterSweep sweep(
+        jobs, runtime::ClusterSweepOptions{.num_threads = threads});
+    ExpectGolden("report/clustersweep/vgg16-128-flow", sweep.Run().ToJson());
   }
 }
 
