@@ -83,9 +83,9 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_LowerClusterPipeline)->Unit(benchmark::kMillisecond);
 
-// The dependency-analysis cost the compute_schedules pass (and every
-// Runner construction) pays before any lowering: dominating-set and
-// dependency bitsets over the worker partition.
+// The dependency-analysis cost every schedule computation pays before
+// any lowering: dominating-set and dependency bitsets over the worker
+// partition.
 void BM_PropertyIndexBuild(benchmark::State& state) {
   Workload& w = SharedWorkload();
   for (auto _ : state) {

@@ -21,13 +21,14 @@
 //       policy=tac}". Grammar: [COUNTx]{<experiment spec>}[@offset_s],
 //       whitespace-separated (runtime/multijob.h, DESIGN.md §6).
 //   tictac_cli lower --jobs "<multijob spec>" [--dump] [--json]
-//       Lower a composed scenario — chunking, sharding, schedule
-//       computation, replica expansion, PS lowering, multi-job merging,
-//       arrival offsets — through ONE ir::PassPipeline invocation
-//       (DESIGN.md §10) with per-pass invariant checks, then simulate
-//       and report per-job and combined results. --dump prints each
-//       pass's module summary; a bare experiment spec (no braces) is
-//       accepted as a single job, e.g.
+//       Lower a composed scenario — each job chunked, sharded and
+//       scheduled by its Runner, then replica expansion, PS lowering,
+//       multi-job merging, arrival offsets in ONE ir::PassPipeline
+//       invocation (DESIGN.md §10) with per-pass invariant checks, via
+//       the shared-fabric builder — then simulate and report per-job
+//       and combined results. --dump prints each pass's module summary;
+//       a bare experiment spec (no braces) is accepted as a single job,
+//       e.g.
 //       --jobs "envG:workers=4:ps=2:training:chunk=4096:shard=even
 //       model=VGG-16 policy=tac".
 //   tictac_cli clustersweep --jobs "<job groups>" [--fabrics K]
@@ -95,7 +96,7 @@
 #include "exec/validate.h"
 #include "fault/fault.h"
 #include "harness/session.h"
-#include "ir/lower.h"
+#include "ir/pass.h"
 #include "models/builder.h"
 #include "models/zoo.h"
 #include "runtime/clustersweep.h"
@@ -632,47 +633,35 @@ int CmdLower(const Args& args) {
   if (text.find('{') == std::string::npos) text = '{' + text + '}';
   const auto spec = runtime::MultiJobSpec::Parse(text);
 
-  // The whole composed scenario — chunking, sharding, schedule
-  // computation, replica expansion, PS lowering, job merging, arrival
-  // offsets, iteration pipelining — is ONE PassPipeline invocation over
-  // one ir::Module (DESIGN.md §10).
-  const ir::PassPipeline pipeline =
-      ir::FullLoweringPipeline(spec.jobs.front().spec.cluster.topology);
+  // Every job's Runner chunks, shards and schedules it; the whole fabric
+  // then lowers as ONE PassPipeline invocation over one ir::Module
+  // (DESIGN.md §10), through the builder every multi-job surface uses.
   std::cerr << "lower: " << spec.jobs.size() << " job(s), "
             << spec.TotalWorkers() << " workers on "
-            << spec.jobs.front().spec.cluster.ps
-            << " shared PS; pass pipeline:";
-  for (const auto& name : pipeline.names()) std::cerr << ' ' << name;
-  std::cerr << "\n";
-
+            << spec.jobs.front().spec.cluster.ps << " shared PS\n";
+  std::vector<std::string> passes;
   ir::PipelineOptions options;
   options.check_invariants = true;  // validate the module after every pass
-  if (args.dump) {
-    options.dump = [](const std::string& pass, const ir::Module& module) {
+  options.dump = [&](const std::string& pass, const ir::Module& module) {
+    passes.push_back(pass);
+    if (args.dump) {
       std::cerr << "  [after " << pass << "] " << module.DebugSummary()
                 << "\n";
-    };
-  }
-  const ir::Module module =
-      pipeline.Run(ir::BuildModuleForSpec(spec), options);
-
-  runtime::SharedFabric fabric;
-  fabric.lowering = ir::ToMultiJobLowering(module);
-  bool any_scheduled = false;
-  for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-    any_scheduled |= module.jobs[j].scheduled;
-    fabric.samples_per_iteration.push_back(runtime::SamplesPerIteration(
-        models::FindModel(spec.jobs[j].spec.model), module.jobs[j].config));
-  }
-  fabric.options = runtime::SharedFabricOptions(
-      fabric.lowering, module.jobs.front().config.sim, any_scheduled);
+    }
+  };
+  runtime::RunnerCache cache;
+  const runtime::SharedFabric fabric =
+      runtime::BuildSharedFabric(spec.jobs, cache, options);
+  std::cerr << "lower: pass pipeline:";
+  for (const auto& name : passes) std::cerr << ' ' << name;
+  std::cerr << "\n";
   const runtime::MultiJobResult result = runtime::RunSharedFabric(
       fabric, spec.jobs.front().spec.iterations, spec.jobs.front().spec.seed);
 
   if (args.emit == Args::Emit::kJson) {
     std::cout << "{\n  \"passes\": [";
     bool first = true;
-    for (const auto& name : pipeline.names()) {
+    for (const auto& name : passes) {
       std::cout << (first ? "\"" : ", \"") << name << "\"";
       first = false;
     }

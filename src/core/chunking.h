@@ -20,12 +20,11 @@ struct ChunkingOptions {
   // <= 0 disables chunking (ChunkTransfers becomes the identity copy).
   std::int64_t max_chunk_bytes = 4ll << 20;
 
-  // For callers that mean to chunk (the ir::chunk_transfers pass, spec
-  // chunk= values): rejects non-positive sizes with an actionable
-  // message, in the ClusterConfig::Validate style. ChunkTransfers itself
-  // keeps treating <= 0 as "off" — a valid steady state — so only code
-  // paths where chunking was explicitly requested call this. Throws
-  // std::invalid_argument.
+  // For callers that mean to chunk: rejects non-positive sizes with an
+  // actionable message, in the ClusterConfig::Validate style.
+  // ChunkTransfers itself keeps treating <= 0 as "off" — a valid steady
+  // state — so only code paths where chunking was explicitly requested
+  // call this. Throws std::invalid_argument.
   void Validate() const;
 };
 

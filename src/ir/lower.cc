@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "ir/passes.h"
-#include "models/builder.h"
-#include "models/zoo.h"
 
 namespace tictac::ir {
 namespace {
@@ -100,24 +98,8 @@ runtime::Lowering ExportJobLocal(const Module& module, std::size_t j) {
   return local;
 }
 
-void AppendStandardPasses(PassPipeline& pipeline, runtime::Topology topology,
-                          int iterations) {
-  pipeline.Add(MakeExpandReplicasPass());
-  if (topology == runtime::Topology::kRing) {
-    pipeline.Add(MakeLowerAllreduceRingPass());
-  } else {
-    pipeline.Add(MakeLowerPsFabricPass());
-    pipeline.Add(MakeMergeJobsPass());
-    // No-op (and no network built) unless a job's config enables
-    // sim.flow_fairness, so the static-split presets are untouched.
-    pipeline.Add(MakeLowerFlowNicsPass());
-  }
-  pipeline.Add(MakeApplyArrivalOffsetsPass());
-  pipeline.Add(MakePipelineItersPass(iterations));
-}
-
-}  // namespace
-
+// Imports `graph`'s ops (in op-id order, preds in graph edge order) as
+// kLogical nodes tagged with job index `job`; returns their range.
 JobRange AppendLogicalNodes(Module& module, const core::Graph& graph,
                             int job) {
   JobRange r;
@@ -142,19 +124,8 @@ JobRange AppendLogicalNodes(Module& module, const core::Graph& graph,
   return r;
 }
 
-int AddJob(Module& module, JobInfo info) {
-  if (module.stage != Stage::kLogical) {
-    throw std::invalid_argument("ir: AddJob requires a logical-stage module");
-  }
-  if (!info.graph) {
-    throw std::invalid_argument("ir: AddJob needs info.graph set");
-  }
-  const int j = static_cast<int>(module.jobs.size());
-  module.ranges.push_back(AppendLogicalNodes(module, *info.graph, j));
-  module.jobs.push_back(std::move(info));
-  return j;
-}
-
+// Attaches `schedule` as rank/priority attributes of job `job`'s nodes
+// (gating documented at BuildLogicalModule).
 void ApplyScheduleAttrs(Module& module, std::size_t job,
                         const core::Graph& graph,
                         const core::Schedule& schedule) {
@@ -177,6 +148,21 @@ void ApplyScheduleAttrs(Module& module, std::size_t job,
   }
 }
 
+}  // namespace
+
+int AddJob(Module& module, JobInfo info) {
+  if (module.stage != Stage::kLogical) {
+    throw std::invalid_argument("ir: AddJob requires a logical-stage module");
+  }
+  if (!info.graph) {
+    throw std::invalid_argument("ir: AddJob needs info.graph set");
+  }
+  const int j = static_cast<int>(module.jobs.size());
+  module.ranges.push_back(AppendLogicalNodes(module, *info.graph, j));
+  module.jobs.push_back(std::move(info));
+  return j;
+}
+
 Module BuildLogicalModule(
     const std::vector<runtime::JobLoweringInput>& jobs) {
   Module module;
@@ -195,44 +181,21 @@ Module BuildLogicalModule(
   return module;
 }
 
-Module BuildModuleForSpec(const runtime::MultiJobSpec& spec) {
-  spec.Validate();
-  const int T = spec.TotalWorkers();
-  Module module;
-  for (const runtime::MultiJobEntry& entry : spec.jobs) {
-    const runtime::ClusterConfig config =
-        runtime::SharedFabricConfig(entry.spec, T);
-    const models::ModelInfo& model = models::FindModel(entry.spec.model);
-    models::BuildOptions build;
-    build.training = config.training;
-    build.batch_factor = config.batch_factor;
-
-    JobInfo info;
-    info.config = config;
-    info.start_offset = entry.start_offset;
-    info.policy = entry.spec.policy;
-    info.param_bytes = models::ParamSizes(model);
-    info.graph = std::make_shared<const core::Graph>(
-        models::BuildWorkerGraph(model, build));
-    AddJob(module, std::move(info));
-  }
-  return module;
-}
-
 PassPipeline StandardLoweringPipeline(runtime::Topology topology,
                                       int iterations) {
   PassPipeline pipeline;
-  AppendStandardPasses(pipeline, topology, iterations);
-  return pipeline;
-}
-
-PassPipeline FullLoweringPipeline(runtime::Topology topology,
-                                  int iterations) {
-  PassPipeline pipeline;
-  pipeline.Add(MakeChunkTransfersPass());
-  pipeline.Add(MakeShardParamsPass());
-  pipeline.Add(MakeComputeSchedulesPass());
-  AppendStandardPasses(pipeline, topology, iterations);
+  pipeline.Add(MakeExpandReplicasPass());
+  if (topology == runtime::Topology::kRing) {
+    pipeline.Add(MakeLowerAllreduceRingPass());
+  } else {
+    pipeline.Add(MakeLowerPsFabricPass());
+    pipeline.Add(MakeMergeJobsPass());
+    // No-op (and no network built) unless a job's config enables
+    // sim.flow_fairness, so the static-split presets are untouched.
+    pipeline.Add(MakeLowerFlowNicsPass());
+  }
+  pipeline.Add(MakeApplyArrivalOffsetsPass());
+  pipeline.Add(MakePipelineItersPass(iterations));
   return pipeline;
 }
 

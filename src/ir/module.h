@@ -1,7 +1,7 @@
 // Arena-interned task-graph IR (DESIGN.md §10).
 //
 // Every lowering in the runtime — cluster, pipeline, all-reduce,
-// chunking, multi-job composition — is expressed as a sequence of small
+// multi-job composition — is expressed as a sequence of small
 // graph-rewrite passes over one shared representation, in the style of
 // shady's passes/ + node.c: flat node storage with dense ids, an interned
 // predecessor-list arena, and side-table attributes carrying provenance
@@ -10,9 +10,8 @@
 //
 // A Module moves through stages as passes lower it:
 //
-//   kLogical     one node per worker-graph op, per job (no resources);
-//                the stage chunk_transfers / shard_params /
-//                compute_schedules rewrite
+//   kLogical     one node per worker-graph op, per job (no resources),
+//                schedules attached as rank/priority attributes
 //   kReplicated  ops cloned once per worker (expand_replicas)
 //   kLowered     resources + durations assigned in each job's LOCAL
 //                resource space (lower_ps_fabric); ring lowerings skip
@@ -97,24 +96,17 @@ const char* ToString(Stage stage);
 struct JobInfo {
   runtime::ClusterConfig config;
   double start_offset = 0.0;
-  // PolicyRegistry spec for the compute_schedules pass; empty when the
-  // schedule was imported (or the job is unscheduled baseline).
-  std::string policy;
-  // Parameter sizes, for shard_params. May be empty when ps_of_param was
-  // imported directly.
-  std::vector<std::int64_t> param_bytes;
-  // Parameter -> PS assignment (filled by shard_params or at import).
+  // Parameter -> PS assignment, imported from the Runner.
   std::vector<int> ps_of_param;
   // True when rank attributes cover every recv of the job (the §5.1
   // enforcement precondition — gates are only emitted when set).
   bool scheduled = false;
   // The job's logical worker graph, kept alongside the (equivalent)
   // kLogical nodes. The interned IR normalizes edge-list order away, but
-  // core::ChunkTransfers' rewiring and the builder's edge insertion
-  // order are observable in pred-list ordering downstream, so logical-
-  // stage rewrites (chunk_transfers) both update the nodes and replace
-  // this graph; expand_replicas and compute_schedules read it. Null once
-  // the module leaves kLogical.
+  // the graph's edge insertion order (the builder's, or
+  // core::ChunkTransfers' rewiring) is observable downstream, so
+  // expand_replicas takes its replica emission order from this graph's
+  // TopologicalOrder(). Null once the module leaves kLogical.
   std::shared_ptr<const core::Graph> graph;
 };
 

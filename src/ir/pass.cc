@@ -1,13 +1,9 @@
 #include "ir/pass.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace tictac::ir {
-
-// Defined in passes.cc; installs the built-in lowering passes.
-void RegisterBuiltinPasses(PassRegistry& registry);
 
 PassPipeline& PassPipeline::Add(std::shared_ptr<const Pass> pass) {
   if (!pass) {
@@ -15,10 +11,6 @@ PassPipeline& PassPipeline::Add(std::shared_ptr<const Pass> pass) {
   }
   passes_.push_back(std::move(pass));
   return *this;
-}
-
-PassPipeline& PassPipeline::Add(const std::string& spec) {
-  return Add(PassRegistry::Global().Create(spec));
 }
 
 Module PassPipeline::Run(Module module, const PipelineOptions& options) const {
@@ -43,53 +35,6 @@ std::vector<std::string> PassPipeline::names() const {
   out.reserve(passes_.size());
   for (const auto& pass : passes_) out.push_back(pass->name());
   return out;
-}
-
-PassRegistry& PassRegistry::Global() {
-  static PassRegistry* registry = [] {
-    auto* r = new PassRegistry;
-    RegisterBuiltinPasses(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-void PassRegistry::Register(const std::string& name, Factory factory) {
-  if (!factory) {
-    throw std::invalid_argument("ir: pass factory for '" + name +
-                                "' is null");
-  }
-  if (!factories_.emplace(name, std::move(factory)).second) {
-    throw std::invalid_argument("ir: pass '" + name +
-                                "' is already registered");
-  }
-}
-
-std::shared_ptr<const Pass> PassRegistry::Create(
-    const std::string& spec) const {
-  const std::size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  const std::string arg =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    std::string known;
-    for (const std::string& n : Names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("ir: unknown pass '" + name +
-                                "' (registered: " + known + ")");
-  }
-  return it->second(arg);
-}
-
-std::vector<std::string> PassRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace tictac::ir

@@ -1,12 +1,11 @@
-// Pass / PassPipeline / PassRegistry: the ordered-rewrite machinery over
-// ir::Module (DESIGN.md §10).
+// Pass / PassPipeline: the ordered-rewrite machinery over ir::Module
+// (DESIGN.md §10).
 //
 // A Pass is a named Module -> Module rewrite. A PassPipeline runs an
 // ordered list of them, optionally validating module invariants and
 // invoking a dump hook after each pass — the debugging story for
-// composed scenarios. The registry maps pass specs ("chunk_transfers",
-// "pipeline_iters:4") to factories so pipelines can be assembled from
-// text (CLI --passes, tests).
+// composed scenarios (`tictac_cli lower --dump`). Passes are built by
+// their Make*Pass() factories (ir/passes.h).
 #pragma once
 
 #include <functional>
@@ -21,7 +20,7 @@ namespace tictac::ir {
 class Pass {
  public:
   virtual ~Pass() = default;
-  // Stable name, also the registry key (arguments excluded).
+  // Stable name, as reported to the dump hook ("pipeline_iters:4").
   virtual std::string name() const = 0;
   // Rewrites the module in place (most passes rebuild storage and move
   // the result back in). Throws std::invalid_argument on inputs that
@@ -45,8 +44,6 @@ struct PipelineOptions {
 class PassPipeline {
  public:
   PassPipeline& Add(std::shared_ptr<const Pass> pass);
-  // Resolves `spec` ("name" or "name:arg") through the global registry.
-  PassPipeline& Add(const std::string& spec);
 
   // Runs every pass in order. Returns the module for call chaining.
   Module Run(Module module, const PipelineOptions& options = {}) const;
@@ -56,28 +53,6 @@ class PassPipeline {
 
  private:
   std::vector<std::shared_ptr<const Pass>> passes_;
-};
-
-// Name -> factory registry. Factories take the (possibly empty) ":arg"
-// suffix of the pass spec; built-in passes self-register (RegisterBuiltinPasses
-// in passes.cc) on first Global() use.
-class PassRegistry {
- public:
-  using Factory =
-      std::function<std::shared_ptr<const Pass>(const std::string& arg)>;
-
-  static PassRegistry& Global();
-
-  // Throws std::invalid_argument if `name` is already registered.
-  void Register(const std::string& name, Factory factory);
-  // Creates a pass from "name" or "name:arg". Throws std::invalid_argument
-  // for unknown names, listing what is registered.
-  std::shared_ptr<const Pass> Create(const std::string& spec) const;
-  // Registered names, sorted.
-  std::vector<std::string> Names() const;
-
- private:
-  std::unordered_map<std::string, Factory> factories_;
 };
 
 }  // namespace tictac::ir

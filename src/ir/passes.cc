@@ -6,13 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/chunking.h"
-#include "core/policy_registry.h"
-#include "core/properties.h"
 #include "core/time_oracle.h"
-#include "ir/lower.h"
 #include "models/topology.h"
-#include "runtime/sharding.h"
 #include "sim/flow.h"
 
 namespace tictac::ir {
@@ -26,105 +21,6 @@ void RequireStage(const Module& module, Stage required, const char* pass) {
         " (check the pass order — see ir/passes.h)");
   }
 }
-
-// --- chunk_transfers --------------------------------------------------------
-
-class ChunkTransfersPass final : public Pass {
- public:
-  std::string name() const override { return "chunk_transfers"; }
-
-  void Run(Module& module) const override {
-    RequireStage(module, Stage::kLogical, "chunk_transfers");
-    bool any = false;
-    for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-      const JobInfo& job = module.jobs[j];
-      if (job.config.chunk_bytes == 0) continue;
-      // chunk= was explicitly requested for this job: a non-positive
-      // size is a configuration error, not "off".
-      core::ChunkingOptions{.max_chunk_bytes = job.config.chunk_bytes}
-          .Validate();
-      if (job.scheduled) {
-        throw std::invalid_argument(
-            "ir.chunk_transfers: job " + std::to_string(j) +
-            " is already scheduled — chunking rewrites the recv set the "
-            "schedule ranks, so chunk_transfers must run before "
-            "compute_schedules");
-      }
-      any = true;
-    }
-    if (!any) return;
-
-    Module out;
-    out.stage = Stage::kLogical;
-    out.jobs = module.jobs;
-    for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-      JobInfo& job = out.jobs[j];
-      if (job.config.chunk_bytes > 0) {
-        job.graph = std::make_shared<const core::Graph>(core::ChunkTransfers(
-            *job.graph,
-            {.max_chunk_bytes = job.config.chunk_bytes}));
-      }
-      out.ranges.push_back(
-          AppendLogicalNodes(out, *job.graph, static_cast<int>(j)));
-    }
-    module = std::move(out);
-  }
-};
-
-// --- shard_params -----------------------------------------------------------
-
-class ShardParamsPass final : public Pass {
- public:
-  std::string name() const override { return "shard_params"; }
-
-  void Run(Module& module) const override {
-    RequireStage(module, Stage::kLogical, "shard_params");
-    for (JobInfo& job : module.jobs) {
-      // Jobs without parameter sizes imported their ps_of_param directly.
-      if (job.param_bytes.empty()) continue;
-      job.ps_of_param = runtime::ShardParams(
-          job.param_bytes, job.config.num_ps, job.config.shard);
-    }
-  }
-};
-
-// --- compute_schedules ------------------------------------------------------
-
-class ComputeSchedulesPass final : public Pass {
- public:
-  std::string name() const override { return "compute_schedules"; }
-
-  void Run(Module& module) const override {
-    RequireStage(module, Stage::kLogical, "compute_schedules");
-    for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-      const JobInfo& job = module.jobs[j];
-      if (job.policy.empty()) continue;
-      if (!job.graph) {
-        throw std::invalid_argument(
-            "ir.compute_schedules: job " + std::to_string(j) +
-            " carries no logical graph to analyze");
-      }
-      const core::Graph& graph = *job.graph;
-      const core::PropertyIndex index(graph);
-      const auto policy = core::PolicyRegistry::Global().Create(job.policy);
-      // Same oracle construction as Runner::MakeSchedule: each PS NIC is
-      // time-shared by this job's W pair-channels (the config's platform
-      // already carries any cross-job W_j/T contention scaling).
-      core::PlatformModel effective = job.config.platform;
-      effective.bandwidth_bps /= job.config.num_workers;
-      const core::AnalyticalTimeOracle exact(effective);
-      core::Schedule schedule;
-      if (job.config.tac_oracle_sigma > 0.0 && policy->RequiresOracle()) {
-        const core::NoisyTimeOracle noisy(exact, job.config.tac_oracle_sigma,
-                                          /*seed=*/0x7ac0ff5e);
-        schedule = policy->Compute(index, noisy);
-      } else {
-        schedule = policy->Compute(index, exact);
-      }
-      ApplyScheduleAttrs(module, j, graph, schedule);
-    }
-  }
-};
 
 // --- expand_replicas --------------------------------------------------------
 
@@ -692,17 +588,7 @@ class ApplyArrivalOffsetsPass final : public Pass {
 
 class LowerFlowNicsPass final : public Pass {
  public:
-  // With `from_config` the fat-tree knobs come from the merged module's
-  // job configs (which must agree); otherwise `options` wins.
-  LowerFlowNicsPass() : from_config_(true) {}
-  explicit LowerFlowNicsPass(models::FatTreeOptions options)
-      : from_config_(false), options_(options) {}
-
-  std::string name() const override {
-    if (from_config_) return "lower_flow_nics";
-    return "lower_flow_nics:pods=" + std::to_string(options_.pods) +
-           ",over=" + FormatRatio(options_.oversubscription);
-  }
+  std::string name() const override { return "lower_flow_nics"; }
 
   void Run(Module& module) const override {
     RequireStage(module, Stage::kMerged, "lower_flow_nics");
@@ -711,38 +597,34 @@ class LowerFlowNicsPass final : public Pass {
           "ir.lower_flow_nics: module already holds a flow network (the "
           "pass may run once)");
     }
-    if (from_config_) {
-      // The preset pipelines include this pass unconditionally; jobs that
-      // never turn flow fairness on get no network and the static-split
-      // lowering stays byte-identical.
-      bool enabled = false;
-      for (const JobInfo& job : module.jobs) {
-        enabled |= job.config.sim.flow_fairness;
-      }
-      if (!enabled) return;
+    // The preset pipelines include this pass unconditionally; jobs that
+    // never turn flow fairness on get no network and the static-split
+    // lowering stays byte-identical.
+    bool enabled = false;
+    for (const JobInfo& job : module.jobs) {
+      enabled |= job.config.sim.flow_fairness;
     }
+    if (!enabled) return;
     if (module.ring) {
       throw std::invalid_argument(
           "ir.lower_flow_nics: ring fabrics have no PS channel layout to "
           "attach a flow network to");
     }
     const JobInfo& first = module.jobs.front();
-    models::FatTreeOptions options = options_;
-    if (from_config_) {
-      options.pods = first.config.fabric_pods;
-      options.oversubscription = first.config.fabric_oversubscription;
-      for (const JobInfo& job : module.jobs) {
-        if (job.config.fabric_pods != options.pods ||
-            job.config.fabric_oversubscription != options.oversubscription) {
-          throw std::invalid_argument(
-              "ir.lower_flow_nics: co-located jobs disagree on the fabric "
-              "topology (pods=" +
-              std::to_string(job.config.fabric_pods) + " vs " +
-              std::to_string(options.pods) + ", over=" +
-              FormatRatio(job.config.fabric_oversubscription) + " vs " +
-              FormatRatio(options.oversubscription) +
-              ") — one fabric, one topology");
-        }
+    models::FatTreeOptions options;
+    options.pods = first.config.fabric_pods;
+    options.oversubscription = first.config.fabric_oversubscription;
+    for (const JobInfo& job : module.jobs) {
+      if (job.config.fabric_pods != options.pods ||
+          job.config.fabric_oversubscription != options.oversubscription) {
+        throw std::invalid_argument(
+            "ir.lower_flow_nics: co-located jobs disagree on the fabric "
+            "topology (pods=" +
+            std::to_string(job.config.fabric_pods) + " vs " +
+            std::to_string(options.pods) + ", over=" +
+            FormatRatio(job.config.fabric_oversubscription) + " vs " +
+            FormatRatio(options.oversubscription) +
+            ") — one fabric, one topology");
       }
     }
     const int T = module.total_workers;
@@ -765,9 +647,6 @@ class LowerFlowNicsPass final : public Pass {
     if (!s.empty() && s.back() == '.') s.pop_back();
     return s;
   }
-
-  bool from_config_;
-  models::FatTreeOptions options_;
 };
 
 // --- pipeline_iters ---------------------------------------------------------
@@ -902,40 +781,8 @@ class PipelineItersPass final : public Pass {
   int iterations_;
 };
 
-long long ParsePassArgInt(const std::string& name, const std::string& arg) {
-  if (arg.empty()) {
-    throw std::invalid_argument("ir: pass '" + name +
-                                "' needs an argument, e.g. '" + name + ":4'");
-  }
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(arg, &consumed);
-    if (consumed == arg.size()) return value;
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("ir: pass '" + name +
-                              "' expects an integer argument, got '" + arg +
-                              "'");
-}
-
-void RejectArg(const std::string& name, const std::string& arg) {
-  if (!arg.empty()) {
-    throw std::invalid_argument("ir: pass '" + name +
-                                "' takes no argument, got ':" + arg + "'");
-  }
-}
-
 }  // namespace
 
-std::shared_ptr<const Pass> MakeChunkTransfersPass() {
-  return std::make_shared<const ChunkTransfersPass>();
-}
-std::shared_ptr<const Pass> MakeShardParamsPass() {
-  return std::make_shared<const ShardParamsPass>();
-}
-std::shared_ptr<const Pass> MakeComputeSchedulesPass() {
-  return std::make_shared<const ComputeSchedulesPass>();
-}
 std::shared_ptr<const Pass> MakeExpandReplicasPass() {
   return std::make_shared<const ExpandReplicasPass>();
 }
@@ -956,90 +803,6 @@ std::shared_ptr<const Pass> MakePipelineItersPass(int iterations) {
 }
 std::shared_ptr<const Pass> MakeLowerFlowNicsPass() {
   return std::make_shared<const LowerFlowNicsPass>();
-}
-std::shared_ptr<const Pass> MakeLowerFlowNicsPass(
-    models::FatTreeOptions options) {
-  return std::make_shared<const LowerFlowNicsPass>(options);
-}
-
-// Called once by PassRegistry::Global().
-void RegisterBuiltinPasses(PassRegistry& registry) {
-  registry.Register("chunk_transfers", [](const std::string& arg) {
-    RejectArg("chunk_transfers", arg);
-    return MakeChunkTransfersPass();
-  });
-  registry.Register("shard_params", [](const std::string& arg) {
-    RejectArg("shard_params", arg);
-    return MakeShardParamsPass();
-  });
-  registry.Register("compute_schedules", [](const std::string& arg) {
-    RejectArg("compute_schedules", arg);
-    return MakeComputeSchedulesPass();
-  });
-  registry.Register("expand_replicas", [](const std::string& arg) {
-    RejectArg("expand_replicas", arg);
-    return MakeExpandReplicasPass();
-  });
-  registry.Register("lower_ps_fabric", [](const std::string& arg) {
-    RejectArg("lower_ps_fabric", arg);
-    return MakeLowerPsFabricPass();
-  });
-  registry.Register("lower_allreduce_ring", [](const std::string& arg) {
-    RejectArg("lower_allreduce_ring", arg);
-    return MakeLowerAllreduceRingPass();
-  });
-  registry.Register("merge_jobs", [](const std::string& arg) {
-    RejectArg("merge_jobs", arg);
-    return MakeMergeJobsPass();
-  });
-  registry.Register("apply_arrival_offsets", [](const std::string& arg) {
-    RejectArg("apply_arrival_offsets", arg);
-    return MakeApplyArrivalOffsetsPass();
-  });
-  registry.Register("pipeline_iters", [](const std::string& arg) {
-    const long long k = ParsePassArgInt("pipeline_iters", arg);
-    if (k < 1 || k > std::numeric_limits<int>::max()) {
-      throw std::invalid_argument("iterations must be >= 1");
-    }
-    return MakePipelineItersPass(static_cast<int>(k));
-  });
-  registry.Register("lower_flow_nics", [](const std::string& arg) {
-    if (arg.empty()) return MakeLowerFlowNicsPass();
-    models::FatTreeOptions options;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-      std::size_t comma = arg.find(',', pos);
-      if (comma == std::string::npos) comma = arg.size();
-      const std::string kv = arg.substr(pos, comma - pos);
-      const std::size_t eq = kv.find('=');
-      const auto bad = [&](const std::string& why) {
-        throw std::invalid_argument(
-            "ir: pass 'lower_flow_nics' " + why + " in ':" + arg +
-            "' — expected 'pods=<int>,over=<ratio>' (either key optional)");
-      };
-      if (eq == std::string::npos) bad("has a key without '='");
-      const std::string key = kv.substr(0, eq);
-      const std::string value = kv.substr(eq + 1);
-      if (key != "pods" && key != "over") {
-        bad("got unknown key '" + key + "'");
-      }
-      std::size_t consumed = 0;
-      bool ok = false;
-      try {
-        if (key == "pods") {
-          options.pods = std::stoi(value, &consumed);
-        } else {
-          options.oversubscription = std::stod(value, &consumed);
-        }
-        ok = consumed == value.size();
-      } catch (const std::exception&) {
-      }
-      if (!ok) bad("got malformed value '" + value + "'");
-      pos = comma + 1;
-    }
-    options.Validate();
-    return MakeLowerFlowNicsPass(options);
-  });
 }
 
 }  // namespace tictac::ir

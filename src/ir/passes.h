@@ -1,20 +1,13 @@
 // The built-in lowering passes (DESIGN.md §10). Each is a single-purpose
-// Module rewrite; the legacy entry points are presets over them
-// (ir/lower.h) and arbitrary compositions — chunked + sharded +
-// multi-job + pipelined — are just longer pass orders.
+// Module rewrite; the runtime's lowering entry points are presets over
+// them (ir/lower.h), and multi-job + pipelined compositions are just
+// longer pass orders. Chunking, parameter sharding and schedules are
+// inputs: runtime::Runner computes them before the module is built.
 //
 // Stage contract (passes throw std::invalid_argument on violations):
 //
 //   pass                  requires      produces   what it does
 //   ---------------------------------------------------------------------
-//   chunk_transfers       kLogical      kLogical   split oversized
-//                                                  transfers per job
-//                                                  (core::ChunkTransfers)
-//   shard_params          kLogical      kLogical   parameter -> PS
-//                                                  placement per job
-//   compute_schedules     kLogical      kLogical   run each job's policy,
-//                                                  attach rank/priority
-//                                                  attributes
 //   expand_replicas       kLogical      kReplicated clone ops per worker
 //                                                  (Model Replica)
 //   lower_ps_fabric       kReplicated   kLowered   PS reads, channel
@@ -27,35 +20,25 @@
 //   merge_jobs            kLowered      kMerged    remap job-local
 //                                                  resources onto the
 //                                                  shared fabric
+//   lower_flow_nics       kMerged       kMerged    attach the NIC/fat-tree
+//                                                  capacity graph for
+//                                                  flow-level fairness
 //   apply_arrival_offsets kMerged       kMerged    delay tasks for
 //                                                  staggered job arrivals
 //   pipeline_iters:K      kMerged       kMerged    K pipelined iterations
 //                                                  with cross-iteration
 //                                                  dependencies
-//   lower_flow_nics       kMerged       kMerged    attach the NIC/fat-tree
-//                                                  capacity graph for
-//                                                  flow-level fairness
-//                                                  (":pods=P,over=R"
-//                                                  overrides the configs'
-//                                                  fabric knobs)
 //
-// chunk_transfers / shard_params / compute_schedules must run before
-// expand_replicas (they rewrite or annotate the logical stage and refuse
-// later stages); lower_* consume kReplicated; merge_jobs and everything
-// after consume lowered modules. Every pass is registered in
-// PassRegistry::Global() under its table name.
+// lower_* consume kReplicated; merge_jobs and everything after consume
+// lowered modules.
 #pragma once
 
 #include <memory>
 
 #include "ir/pass.h"
-#include "models/topology.h"
 
 namespace tictac::ir {
 
-std::shared_ptr<const Pass> MakeChunkTransfersPass();
-std::shared_ptr<const Pass> MakeShardParamsPass();
-std::shared_ptr<const Pass> MakeComputeSchedulesPass();
 std::shared_ptr<const Pass> MakeExpandReplicasPass();
 std::shared_ptr<const Pass> MakeLowerPsFabricPass();
 std::shared_ptr<const Pass> MakeLowerAllreduceRingPass();
@@ -65,12 +48,9 @@ std::shared_ptr<const Pass> MakeApplyArrivalOffsetsPass();
 // the legacy LowerPipeline precondition, enforced at pipeline build.
 std::shared_ptr<const Pass> MakePipelineItersPass(int iterations);
 // Attaches Module::flow, the capacity graph for the sim's max-min flow
-// model (DESIGN.md §11). The no-argument form reads the fat-tree knobs
-// from the merged jobs' ClusterConfigs (which must agree); the options
-// form overrides them. PS fabrics only; refuses ring modules and runs
-// once.
+// model (DESIGN.md §11), when a job's config enables flow fairness. The
+// fat-tree knobs come from the merged jobs' ClusterConfigs, which must
+// agree. PS fabrics only; refuses ring modules and runs once.
 std::shared_ptr<const Pass> MakeLowerFlowNicsPass();
-std::shared_ptr<const Pass> MakeLowerFlowNicsPass(
-    models::FatTreeOptions options);
 
 }  // namespace tictac::ir

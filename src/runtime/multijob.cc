@@ -132,35 +132,12 @@ void MultiJobSpec::Validate() const {
     const ExperimentSpec& job = jobs[j].spec;
     const std::string where = "job " + std::to_string(j) + " ('" +
                               job.ToString() + "') ";
-    job.BuildCluster();  // per-job cluster validity, loud field names
-    if (job.cluster.topology != Topology::kPsFabric) {
-      Fail(where + "declares topology=" +
-           std::string(TopologyToken(job.cluster.topology)) +
-           " — the shared fabric is parameter-server only (a ring "
-           "collective has no PS fleet to share; run it single-job)");
-    }
-    if (job.cluster.env != head.cluster.env) {
-      Fail(where + "declares env " + job.cluster.env +
-           " but the fabric is " + head.cluster.env +
-           " — all jobs share one environment");
-    }
-    if (job.cluster.ps != head.cluster.ps) {
-      Fail(where + "declares ps=" + std::to_string(job.cluster.ps) +
-           " but the shared PS fleet has " +
-           std::to_string(head.cluster.ps) +
-           " servers — all jobs must declare the same ps=");
-    }
+    CheckSharesFabric(job, head, "multijob: " + where);
     if (job.iterations != head.iterations || job.seed != head.seed) {
       Fail(where +
            "declares iterations/seed different from job 0 — the combined "
            "fabric is simulated as one unit, so iterations= and seed= must "
            "match across jobs");
-    }
-    if (job.cluster.jitter_sigma != head.cluster.jitter_sigma ||
-        job.cluster.out_of_order != head.cluster.out_of_order) {
-      Fail(where +
-           "overrides jitter=/ooo= differently from job 0 — simulation "
-           "options are global to a run");
     }
     if (!(jobs[j].start_offset >= 0.0) || std::isinf(jobs[j].start_offset)) {
       Fail(where + "has start offset " +
@@ -170,33 +147,46 @@ void MultiJobSpec::Validate() const {
   }
 }
 
+void CheckSharesFabric(const ExperimentSpec& job, const ExperimentSpec& head,
+                       const std::string& where) {
+  const auto fail = [&where](const std::string& reason) {
+    throw std::invalid_argument(where + reason);
+  };
+  job.BuildCluster();  // per-job cluster validity, loud field names
+  if (job.cluster.topology != Topology::kPsFabric) {
+    fail("declares topology=" +
+         std::string(TopologyToken(job.cluster.topology)) +
+         " — the shared fabric is parameter-server only (a ring "
+         "collective has no PS fleet to share; run it single-job)");
+  }
+  if (job.cluster.env != head.cluster.env) {
+    fail("declares env " + job.cluster.env + " but the fabric is " +
+         head.cluster.env + " — all jobs share one environment");
+  }
+  if (job.cluster.ps != head.cluster.ps) {
+    fail("declares ps=" + std::to_string(job.cluster.ps) +
+         " but the shared PS fleet has " + std::to_string(head.cluster.ps) +
+         " servers — all jobs must declare the same ps=");
+  }
+  if (job.cluster.jitter_sigma != head.cluster.jitter_sigma ||
+      job.cluster.out_of_order != head.cluster.out_of_order) {
+    fail("overrides jitter=/ooo= differently from the first job — "
+         "simulation options are global to a fabric");
+  }
+}
+
 int MultiJobSpec::TotalWorkers() const {
   int total = 0;
   for (const MultiJobEntry& job : jobs) total += job.spec.cluster.workers;
   return total;
 }
 
-MultiJobLowering LowerSharedCluster(
-    const std::vector<JobLoweringInput>& jobs) {
-  // The shared-fabric preconditions are checked up front — before any
-  // per-job lowering work — preserving the legacy error precedence; the
-  // merge_jobs pass re-validates them.
+MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
+                                    const ir::PipelineOptions& pipeline) {
+  // merge_jobs reads jobs.front() and checks the rest of the fabric.
   if (jobs.empty()) Fail("LowerSharedCluster needs >= 1 job");
-  const int S = jobs.front().config.num_ps;
-  long long total = 0;
-  for (const JobLoweringInput& job : jobs) {
-    if (job.config.num_ps != S) {
-      Fail("all jobs must share the PS fleet: got num_ps=" +
-           std::to_string(job.config.num_ps) + " vs " + std::to_string(S));
-    }
-    total += job.config.num_workers;
-  }
-  if (total > (1 << 20)) {
-    Fail("total workers across jobs must be <= 1048576, got " +
-         std::to_string(total));
-  }
   ir::Module module = ir::StandardLoweringPipeline(Topology::kPsFabric)
-                          .Run(ir::BuildLogicalModule(jobs));
+                          .Run(ir::BuildLogicalModule(jobs), pipeline);
   return ir::ToMultiJobLowering(module);
 }
 
@@ -225,18 +215,9 @@ sim::SimResult SliceResult(const sim::SimResult& combined,
   return out;
 }
 
-sim::SimOptions SharedFabricOptions(const MultiJobLowering& lowering,
-                                    sim::SimOptions head, bool any_scheduled) {
-  head.enforce_gates = any_scheduled;
-  // Non-null exactly when a config enabled sim.flow_fairness
-  // (lower_flow_nics); the lowering owns it.
-  head.network = lowering.combined.flow.get();
-  head.flow_fairness |= head.network != nullptr;
-  return head;
-}
-
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
-                               RunnerCache& cache) {
+                               RunnerCache& cache,
+                               const ir::PipelineOptions& pipeline) {
   int total_workers = 0;
   for (const MultiJobEntry& entry : entries) {
     total_workers += entry.spec.cluster.workers;
@@ -256,9 +237,13 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
     fabric.samples_per_iteration.push_back(
         SamplesPerIteration(runner.model(), runner.config()));
   }
-  fabric.lowering = LowerSharedCluster(inputs);
-  fabric.options = SharedFabricOptions(
-      fabric.lowering, inputs.front().config.sim, any_scheduled);
+  fabric.lowering = LowerSharedCluster(inputs, pipeline);
+  fabric.options = inputs.front().config.sim;
+  fabric.options.enforce_gates = any_scheduled;
+  // Non-null exactly when a config enabled sim.flow_fairness
+  // (lower_flow_nics); the lowering owns it.
+  fabric.options.network = fabric.lowering.combined.flow.get();
+  fabric.options.flow_fairness |= fabric.options.network != nullptr;
   return fabric;
 }
 

@@ -38,6 +38,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ir/pass.h"
 #include "runtime/lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
@@ -110,6 +111,14 @@ struct MultiJobSpec {
   friend bool operator==(const MultiJobSpec&, const MultiJobSpec&) = default;
 };
 
+// The rules any two jobs on one PS fabric obey: `job` has a valid
+// cluster on the PS topology (a ring collective has no PS fleet to
+// share) and declares `head`'s env, ps= and jitter=/ooo=. Throws
+// std::invalid_argument reading `where` + the reason. MultiJobSpec's
+// Validate and the scheduler service's arrival checks both call it.
+void CheckSharesFabric(const ExperimentSpec& job, const ExperimentSpec& head,
+                       const std::string& where);
+
 // The combined fabric plus the per-job slices needed to cut metrics back
 // out of a combined SimResult.
 struct MultiJobLowering {
@@ -141,14 +150,16 @@ struct MultiJobLowering {
   int num_ps = 0;
 };
 
-// Lowers every job with runtime::LowerCluster and merges the results
+// Lowers every job as runtime::LowerCluster does and merges the results
 // onto the shared fabric: task ids are offset per job, resources remapped
 // into the combined layout (PS CPUs collapse onto the shared S), gate
 // groups renumbered by global worker so enforcement counters never
 // collide across jobs, and a start_offset > 0 becomes a delay task every
 // source task of the job depends on. All jobs must declare the same
 // num_ps. A single zero-offset job reproduces LowerCluster bit for bit.
-MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs);
+// `pipeline` goes to the pass pipeline (invariant checks, dump hook).
+MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
+                                    const ir::PipelineOptions& pipeline = {});
 
 // Cuts the combined SimResult down to one job's slice: start/end are
 // re-indexed to job-local task ids and shifted onto the job's own clock
@@ -179,25 +190,25 @@ struct MultiJobResult {
 // One shared PS fabric, ready to simulate.
 struct SharedFabric {
   MultiJobLowering lowering;
-  sim::SimOptions options;  // every run's options (SharedFabricOptions)
+  // Every run's options: job 0's sim options, with enforce_gates set
+  // when any job's schedule covers all its recvs and the lowering's flow
+  // network attached (flow fairness fabric-wide).
+  sim::SimOptions options;
   // SamplesPerIteration of each job.
   std::vector<double> samples_per_iteration;
 };
 
-// `head` (job 0's sim options) with enforce_gates = `any_scheduled` and
-// the lowering's flow network attached (flow fairness fabric-wide). Used
-// by BuildSharedFabric and by `tictac_cli lower`'s pass-pipeline fabric.
-sim::SimOptions SharedFabricOptions(const MultiJobLowering& lowering,
-                                    sim::SimOptions head, bool any_scheduled);
-
-// The shared-fabric decision, in one place: sums the jobs' workers into
-// T, takes each job's Runner and schedule from `cache` at fabric size T
-// (so the schedules see the contended oracle), lowers the fabric with
-// LowerSharedCluster, and derives the sim options (SharedFabricOptions).
-// The result owns everything it points into; the cache need not outlive
-// it. MultiJobRunner, ClusterSweep and the scheduler service build here.
+// The one lowering front end for a list of co-located jobs: sums their
+// workers into T, takes each job's Runner (chunking, sharding) and
+// schedule from `cache` at fabric size T (so the schedules see the
+// contended oracle), lowers the fabric with LowerSharedCluster
+// (forwarding `pipeline`) and derives the sim options. The result owns
+// everything it points into; the cache need not outlive it.
+// MultiJobRunner, ClusterSweep, the scheduler service and `tictac_cli
+// lower` build here.
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
-                               RunnerCache& cache);
+                               RunnerCache& cache,
+                               const ir::PipelineOptions& pipeline = {});
 
 // Simulates `iterations` iterations of `fabric`, seeded seed + i as the
 // single-job path is, and slices each into per-job results.

@@ -133,35 +133,19 @@ ServiceReport SchedulerService::Run() {
       config_.arrivals, config_.workload, config_.duration, config_.seed);
 
   // Shared-fabric stream validation: any two jobs may be co-located, so
-  // the whole stream must agree on the fabric-global knobs (same rules
-  // as MultiJobSpec::Validate, except iterations/seed stay per-job:
-  // every job's iterations are simulated against its own seed).
+  // every arrival must share arrival 0's fabric (CheckSharesFabric, as in
+  // MultiJobSpec::Validate; iterations/seed stay per-job: every job's
+  // iterations are simulated against its own seed).
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const runtime::ExperimentSpec& spec = arrivals[i].spec;
     const std::string where =
         "arrival " + std::to_string(i) + " ('" + spec.ToString() + "') ";
-    spec.BuildCluster();  // loud per-field cluster validation
+    runtime::CheckSharesFabric(spec, arrivals.front().spec,
+                               "service: " + where);
     core::PolicyRegistry::Global().Create(spec.policy);  // fail fast
     if (spec.iterations < 1) {
       Fail(where + "declares iterations=" + std::to_string(spec.iterations) +
            " — must be >= 1");
-    }
-    const runtime::ExperimentSpec& head = arrivals.front().spec;
-    if (spec.cluster.env != head.cluster.env) {
-      Fail(where + "declares env " + spec.cluster.env +
-           " but the cluster is " + head.cluster.env +
-           " — all jobs share one environment");
-    }
-    if (spec.cluster.ps != head.cluster.ps) {
-      Fail(where + "declares ps=" + std::to_string(spec.cluster.ps) +
-           " but the shared PS fleets have " +
-           std::to_string(head.cluster.ps) +
-           " servers — all jobs must declare the same ps=");
-    }
-    if (spec.cluster.jitter_sigma != head.cluster.jitter_sigma ||
-        spec.cluster.out_of_order != head.cluster.out_of_order) {
-      Fail(where + "overrides jitter=/ooo= differently from arrival 0 — "
-                   "simulation options are global to a fabric");
     }
   }
 

@@ -89,8 +89,7 @@ TEST(Chunking, SchedulableAfterRewrite) {
 
 TEST(Chunking, ValidateRejectsNonPositiveSizesWithActionableMessage) {
   // ChunkTransfers treats <= 0 as "chunking off", but callers that meant
-  // to chunk (the spec's chunk= knob, the ir::chunk_transfers pass) call
-  // Validate() and must get told how to fix the value.
+  // to chunk call Validate() and must get told how to fix the value.
   try {
     ChunkingOptions{.max_chunk_bytes = 0}.Validate();
     FAIL() << "expected std::invalid_argument";

@@ -4,9 +4,7 @@
 // graph BIT FOR BIT — same tasks in the same emission order, same
 // durations/resources/priorities/gates/preds, same worker tables — over
 // the model zoo, the grammar's ablation knobs, and a large sweep of
-// random DAGs. The composed spec path (BuildModuleForSpec +
-// FullLoweringPipeline) is pinned against MultiJobRunner the same way,
-// down to the simulated start/end times.
+// random DAGs.
 #include "ir/lower.h"
 
 #include <gtest/gtest.h>
@@ -332,69 +330,6 @@ TEST_P(RandomDagDifferential, AllPresetsMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagDifferential,
                          ::testing::Range<std::uint64_t>(0, 110));
-
-// ---------------------------------------------------------------------------
-// The composed spec path: one PassPipeline invocation vs MultiJobRunner
-
-TEST(Differential, SpecPipelineMatchesMultiJobRunnerBitForBit) {
-  const auto spec = MultiJobSpec::Parse(
-      "2x{envG:workers=2:ps=2:training:chunk=1048576:shard=even "
-      "model=Inception v1 policy=tac iterations=3 seed=7} "
-      "{envG:workers=2:ps=2:training model=Inception v1 policy=baseline "
-      "iterations=3 seed=7}@0.05");
-
-  // Side A: the legacy runner (per-job Runner construction, schedules,
-  // LowerSharedCluster).
-  const MultiJobRunner runner(spec);
-
-  // Side B: the composed scenario as ONE pipeline invocation over one
-  // ir::Module, invariant checks on.
-  ir::PipelineOptions options;
-  options.check_invariants = true;
-  const ir::Module module =
-      ir::FullLoweringPipeline(Topology::kPsFabric)
-          .Run(ir::BuildModuleForSpec(spec), options);
-  const MultiJobLowering lowering = ir::ToMultiJobLowering(module);
-
-  ExpectMultiJobIdentical(lowering, runner.fabric().lowering, "spec path");
-
-  // And the simulated timeline is bit-identical: same tasks, same seeds,
-  // same engine — the SimResults must be EXACTLY equal.
-  bool any_scheduled = false;
-  for (const auto& job : module.jobs) any_scheduled |= job.scheduled;
-  const sim::SimOptions sim_options = runtime::SharedFabricOptions(
-      lowering, module.jobs.front().config.sim, any_scheduled);
-
-  sim::TaskGraphSim sim_a = runner.fabric().lowering.combined.BuildSim();
-  sim::TaskGraphSim sim_b = lowering.combined.BuildSim();
-  for (int i = 0; i < 3; ++i) {
-    const std::uint64_t seed = 7 + static_cast<std::uint64_t>(i);
-    const sim::SimResult a = sim_a.Run(sim_options, seed);
-    const sim::SimResult b = sim_b.Run(sim_options, seed);
-    EXPECT_EQ(a.start, b.start) << "iteration " << i;
-    EXPECT_EQ(a.end, b.end) << "iteration " << i;
-    EXPECT_EQ(a.makespan, b.makespan) << "iteration " << i;
-  }
-}
-
-TEST(Differential, SingleJobSpecPipelineMatchesRunnerPath) {
-  // The single-job Runner path (MakeSchedule + LowerCluster) against the
-  // spec pipeline collapsed to one job.
-  const auto spec = MultiJobSpec::Parse(
-      "{envG:workers=4:ps=2:training model=ResNet-50 v1 policy=tic "
-      "iterations=2 seed=3}");
-  const Runner runner(models::FindModel("ResNet-50 v1"),
-                      spec.jobs.front().spec.BuildCluster());
-  const core::Schedule schedule = runner.MakeSchedule("tic");
-  const Lowering want = LowerCluster(runner.worker_graph(), schedule,
-                                     runner.ps_of_param(), runner.config());
-
-  const ir::Module module = ir::FullLoweringPipeline(Topology::kPsFabric)
-                                .Run(ir::BuildModuleForSpec(spec));
-  const MultiJobLowering lowering = ir::ToMultiJobLowering(module);
-  ASSERT_EQ(lowering.jobs.size(), 1u);
-  ExpectLoweringIdentical(lowering.jobs[0].lowering, want, "1-job spec");
-}
 
 }  // namespace
 }  // namespace tictac::runtime

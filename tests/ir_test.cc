@@ -1,8 +1,7 @@
 // Unit tests of the arena-interned task IR and the pass machinery
 // (DESIGN.md §10): PredArena interning, Module defaults and invariant
-// validation, the stage contract / pass-order errors, the pass registry
-// (spec parsing, argument handling, unknown-name diagnostics), pipeline
-// options (invariant checks, dump hooks), and the satellite knobs the
+// validation, the stage contract / pass-order errors, pipeline options
+// (invariant checks, dump hooks), and the satellite knobs the
 // pipeline consumes (ChunkingOptions::Validate, shard strategies,
 // topology tokens and their ClusterConfig validation rules).
 #include "ir/module.h"
@@ -17,6 +16,7 @@
 #include "core/tic.h"
 #include "ir/lower.h"
 #include "ir/pass.h"
+#include "ir/passes.h"
 #include "models/builder.h"
 #include "models/zoo.h"
 #include "runtime/sharding.h"
@@ -162,59 +162,6 @@ TEST(Module, DebugSummaryNamesStageAndCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass registry
-
-TEST(PassRegistry, KnowsEveryBuiltinPass) {
-  const auto names = PassRegistry::Global().Names();
-  for (const char* expected :
-       {"apply_arrival_offsets", "chunk_transfers", "compute_schedules",
-        "expand_replicas", "lower_allreduce_ring", "lower_ps_fabric",
-        "merge_jobs", "pipeline_iters", "shard_params"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << "missing pass " << expected;
-  }
-}
-
-TEST(PassRegistry, UnknownNameErrorListsWhatIsRegistered) {
-  try {
-    PassRegistry::Global().Create("frobnicate");
-    FAIL() << "expected unknown-pass diagnostic";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unknown pass 'frobnicate'"), std::string::npos)
-        << what;
-    // The diagnostic lists the registry so typos are self-correcting.
-    EXPECT_NE(what.find("expand_replicas"), std::string::npos) << what;
-  }
-}
-
-TEST(PassRegistry, DuplicateRegistrationIsRejected) {
-  EXPECT_THROW(PassRegistry::Global().Register(
-                   "expand_replicas",
-                   [](const std::string&) -> std::shared_ptr<const Pass> {
-                     return nullptr;
-                   }),
-               std::invalid_argument);
-}
-
-TEST(PassRegistry, ArglessPassesRejectArguments) {
-  EXPECT_THROW(PassRegistry::Global().Create("expand_replicas:3"),
-               std::invalid_argument);
-  EXPECT_NO_THROW(PassRegistry::Global().Create("expand_replicas"));
-}
-
-TEST(PassRegistry, PipelineItersParsesItsArgument) {
-  const auto pass = PassRegistry::Global().Create("pipeline_iters:4");
-  EXPECT_EQ(pass->name(), "pipeline_iters:4");
-  EXPECT_THROW(PassRegistry::Global().Create("pipeline_iters"),
-               std::invalid_argument);  // needs an argument
-  EXPECT_THROW(PassRegistry::Global().Create("pipeline_iters:abc"),
-               std::invalid_argument);  // integer argument
-  EXPECT_THROW(PassRegistry::Global().Create("pipeline_iters:0"),
-               std::invalid_argument);  // iterations must be >= 1
-}
-
-// ---------------------------------------------------------------------------
 // Stage contract / pass ordering
 
 // One real job (smallest zoo model) imported at kLogical.
@@ -235,7 +182,7 @@ Module LogicalModule(bool training = true, int workers = 2, int ps = 1) {
 TEST(PassOrdering, LoweringBeforeExpansionFailsLoudly) {
   Module m = LogicalModule();
   try {
-    PassRegistry::Global().Create("lower_ps_fabric")->Run(m);
+    MakeLowerPsFabricPass()->Run(m);
     FAIL() << "expected a stage diagnostic";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -246,19 +193,10 @@ TEST(PassOrdering, LoweringBeforeExpansionFailsLoudly) {
   }
 }
 
-TEST(PassOrdering, ChunkingAfterExpansionFailsLoudly) {
-  Module m = LogicalModule();
-  PassRegistry::Global().Create("expand_replicas")->Run(m);
-  EXPECT_EQ(m.stage, Stage::kReplicated);
-  EXPECT_THROW(PassRegistry::Global().Create("chunk_transfers")->Run(m),
-               std::invalid_argument);
-}
-
 TEST(PassOrdering, MergeBeforeLoweringFailsLoudly) {
   Module m = LogicalModule();
-  PassRegistry::Global().Create("expand_replicas")->Run(m);
-  EXPECT_THROW(PassRegistry::Global().Create("merge_jobs")->Run(m),
-               std::invalid_argument);
+  MakeExpandReplicasPass()->Run(m);
+  EXPECT_THROW(MakeMergeJobsPass()->Run(m), std::invalid_argument);
 }
 
 TEST(PassOrdering, StandardPresetReachesMerged) {
@@ -286,13 +224,6 @@ TEST(PassPipeline, PresetNamesMatchTheDocumentedOrder) {
                                       "merge_jobs", "lower_flow_nics",
                                       "apply_arrival_offsets",
                                       "pipeline_iters:3"}));
-  const auto full = FullLoweringPipeline(runtime::Topology::kPsFabric);
-  EXPECT_EQ(full.names(),
-            (std::vector<std::string>{
-                "chunk_transfers", "shard_params", "compute_schedules",
-                "expand_replicas", "lower_ps_fabric", "merge_jobs",
-                "lower_flow_nics", "apply_arrival_offsets",
-                "pipeline_iters:1"}));
   EXPECT_THROW(StandardLoweringPipeline(runtime::Topology::kPsFabric, 0),
                std::invalid_argument);
 }
@@ -327,19 +258,6 @@ TEST(PassPipeline, InvariantCheckNamesTheFailingPass) {
     FAIL() << "expected an invariant diagnostic";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("after pass 'corruptor'"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(PassPipeline, ChunkTransfersValidatesTheChunkSize) {
-  Module m = LogicalModule();
-  m.jobs[0].config.chunk_bytes = -5;
-  try {
-    PassRegistry::Global().Create("chunk_transfers")->Run(m);
-    FAIL() << "expected a chunk-size diagnostic";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("max_chunk_bytes must be > 0"),
               std::string::npos)
         << e.what();
   }

@@ -271,6 +271,22 @@ TEST(SchedulerService, RejectsMixedEnvironmentStreams) {
   }
 }
 
+// A ring job has no PS fleet to share: the service must refuse it, as
+// MultiJobSpec::Validate does, rather than run it on a PS fabric.
+TEST(SchedulerService, RejectsRingArrivals) {
+  const std::string path = WriteTrace(
+      "tictac_ring.csv", {{0.0, "envG:workers=2:ps=1:training:topology=ring "
+                                "model=VGG-16 policy=tac iterations=3"}});
+  SchedulerService service(TraceConfig(path));
+  try {
+    service.Run();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("topology=ring"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- placement policies ----------------------------------------------------
 
 TEST(PlacementPolicy, LeastLoadedPicksFewestWorkers) {

@@ -125,6 +125,7 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"report/clustersweep/flow-on", 0x529096e4295a226bull},
       {"report/clustersweep/vgg16-128-flow", 0x89e2aaad929caf16ull},
       {"report/multijob/3-job-offset", 0x3668de5f0bacc687ull},
+      {"report/multijob/chunk-shard-offset", 0xa78340ddff8fa066ull},
   };
   return kGoldens;
 }
@@ -528,6 +529,19 @@ TEST(ReportFingerprint, MultiJobWithOffset) {
       "policy=tic iterations=3 seed=5}@0.02");
   harness::Session session;
   ExpectGolden("report/multijob/3-job-offset",
+               session.RunMultiJob(spec).ToJson());
+}
+
+// Chunked and evenly sharded jobs next to a staggered baseline job: the
+// composed fabric `tictac_cli lower` builds.
+TEST(ReportFingerprint, MultiJobChunkShardOffset) {
+  const runtime::MultiJobSpec spec = runtime::MultiJobSpec::Parse(
+      "2x{envG:workers=2:ps=2:training:chunk=1048576:shard=even "
+      "model=Inception v1 policy=tac iterations=3 seed=7} "
+      "{envG:workers=2:ps=2:training model=Inception v1 policy=baseline "
+      "iterations=3 seed=7}@0.05");
+  harness::Session session;
+  ExpectGolden("report/multijob/chunk-shard-offset",
                session.RunMultiJob(spec).ToJson());
 }
 
