@@ -136,8 +136,8 @@ BENCHMARK_CAPTURE(BM_Tac, inception_v3, "Inception v3");
 BENCHMARK_CAPTURE(BM_Tac, resnet101_v2, "ResNet-101 v2");
 BENCHMARK_CAPTURE(BM_DependencyAnalysis, resnet101_v2, "ResNet-101 v2");
 // 100000 recvs (~300k ops) is the ROADMAP's datacenter-graph scale; it
-// exercises the block-pruned argmin and the widened bitset scans, and
-// allocates ~8 GB of dep/consumer bitsets in setup.
+// exercises the block-pruned argmin and allocates several GB of class
+// and consumer bitsets in setup.
 BENCHMARK(BM_TacSynthetic)
     ->Arg(1000)
     ->Arg(5000)
@@ -153,80 +153,6 @@ BENCHMARK_CAPTURE(BM_RegistryPolicy, tic, "tic");
 BENCHMARK_CAPTURE(BM_RegistryPolicy, tac, "tac");
 BENCHMARK_CAPTURE(BM_RegistryPolicy, reverse_tic, "reverse:tic");
 BENCHMARK_CAPTURE(BM_RegistryPolicy, random, "random:99");
-
-// RecvSet hot-path scans: the widened implementations in
-// core/properties.cc (4-lane popcount blocks, 4-word AND-skip) raced
-// against single-accumulator scalar word loops over mirrored raw words.
-// The mirrors keep the baseline honest — same data, same algorithmic
-// work, only the unrolling/skip structure differs. Arg = bits.
-void FillDeterministic(tictac::core::RecvSet* set,
-                       std::vector<std::uint64_t>* words, std::size_t bits,
-                       std::uint64_t salt) {
-  words->assign((bits + 63) / 64, 0);
-  // splitmix-style word fill at ~50% density, deterministic in salt.
-  std::uint64_t z = salt;
-  for (std::size_t w = 0; w < words->size(); ++w) {
-    z += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t x = z;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    (*words)[w] = x ^ (x >> 31);
-  }
-  // Trim the tail so the RecvSet mirror (which masks by construction
-  // through Set()) matches the raw words exactly.
-  if (bits % 64 != 0) {
-    words->back() &= (1ULL << (bits % 64)) - 1;
-  }
-  *set = tictac::core::RecvSet(bits);
-  for (std::size_t w = 0; w < words->size(); ++w) {
-    for (std::uint64_t word = (*words)[w]; word;) {
-      const int b = __builtin_ctzll(word);
-      set->Set(w * 64 + static_cast<std::size_t>(b));
-      word &= word - 1;
-    }
-  }
-}
-
-void BM_RecvSetScan(benchmark::State& state, bool widened) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  tictac::core::RecvSet a, b;
-  std::vector<std::uint64_t> wa, wb;
-  FillDeterministic(&a, &wa, bits, 0x5eed);
-  FillDeterministic(&b, &wb, bits, 0xf00d);
-  std::size_t checksum = 0;
-  for (auto _ : state) {
-    if (widened) {
-      checksum += a.IntersectCount(b);
-      std::size_t indices = 0;
-      a.ForEachAnd(b, [&](std::size_t i) { indices += i; });
-      checksum += indices;
-    } else {
-      std::size_t count = 0;
-      for (std::size_t w = 0; w < wa.size(); ++w) {
-        count += static_cast<std::size_t>(
-            __builtin_popcountll(wa[w] & wb[w]));
-      }
-      checksum += count;
-      std::size_t indices = 0;
-      for (std::size_t w = 0; w < wa.size(); ++w) {
-        for (std::uint64_t word = wa[w] & wb[w]; word;) {
-          const int bit = __builtin_ctzll(word);
-          indices += w * 64 + static_cast<std::size_t>(bit);
-          word &= word - 1;
-        }
-      }
-      checksum += indices;
-    }
-    benchmark::DoNotOptimize(checksum);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(wa.size()) * 8 * 2);
-}
-
-BENCHMARK_CAPTURE(BM_RecvSetScan, scalar, false)
-    ->Arg(1 << 14)
-    ->Arg(1 << 18);
-BENCHMARK_CAPTURE(BM_RecvSetScan, widened, true)->Arg(1 << 14)->Arg(1 << 18);
 
 // 4096 tasks with unique priorities, up to two preds among the previous
 // 64 tasks (a wide, pipelined DAG), assigned uniformly to the resources.

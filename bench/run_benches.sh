@@ -24,8 +24,7 @@
 # bench_clustersweep's BM_ClusterSweep cases record the 100/1000-job
 # contended sweep through the sharded parallel engine plus the population
 # SLO counters (p99 job iteration, Jain fairness); the summary below
-# echoes all seven, plus the BM_RecvSetScan scalar-vs-widened bitset
-# scans.
+# echoes all seven.
 #
 # Usage: bench/run_benches.sh [build_dir] [out.json] [extra benchmark args]
 #   BENCH_MIN_TIME=0.2 bench/run_benches.sh build-release
@@ -219,20 +218,5 @@ if cluster:
             extras = (f" ({fabrics:.0f} fabrics, p99 job iteration"
                       f" {p99:.3f} s, fairness {fairness:.3f})")
         print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
-scans = [b for b in data.get("benchmarks", [])
-         if b.get("name", "").startswith("BM_RecvSetScan")]
-if scans:
-    print("RecvSet hot-path scans (BM_RecvSetScan, scalar vs widened):")
-    by_arg = {}
-    for b in scans:
-        print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}")
-        name = b["name"]
-        arg = name.rsplit("/", 1)[-1]
-        kind = "widened" if "widened" in name else "scalar"
-        by_arg.setdefault(arg, {})[kind] = b["real_time"]
-    for arg, kinds in by_arg.items():
-        if "scalar" in kinds and "widened" in kinds and kinds["widened"]:
-            print(f"  {arg} bits: widened is"
-                  f" {kinds['scalar'] / kinds['widened']:.2f}x scalar")
 EOF
 fi

@@ -8,7 +8,8 @@
 namespace tictac::core {
 
 IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
-                                             const TimeOracle& oracle) {
+                                             const TimeOracle& oracle)
+    : index_(index) {
   // Precondition: recvs have no recv ancestors, so a recv's own M is its
   // transfer time (constant while outstanding) and completed recvs never
   // contribute to P or M+. Tac() routes graphs violating this to the
@@ -31,37 +32,47 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   dirty_flag_.assign(recvs.size(), 0);
   dirty_.reserve(recvs.size());
 
-  // Sparse mirrors of the dep/consumer bitsets. The bitset scans cost
-  // O(bits/64) words regardless of population; at 100k recvs that is
-  // ~1.6k words per op per completion — the dominant cost of the whole
-  // schedule. The mirrors are built once here (ForEach visits bits in
-  // increasing order, so iterating them reproduces the bitset scan
-  // order exactly) and CompleteRecv touches only real members.
-  dep_count_.resize(g.size());
-  dep_sum_.assign(g.size(), 0);
-  dep_recvs_.resize(g.size());
-  for (std::size_t id = 0; id < g.size(); ++id) {
-    const RecvSet& dep = index.dep(static_cast<OpId>(id));
-    dep_count_[id] = static_cast<int>(dep.Count());
-    dep_recvs_[id].reserve(static_cast<std::size_t>(dep_count_[id]));
-    dep.ForEach([&](std::size_t ri) {
-      dep_sum_[id] += static_cast<std::int64_t>(ri);
-      dep_recvs_[id].push_back(static_cast<std::uint32_t>(ri));
-    });
-  }
-  consumer_ops_.resize(recvs.size());
-  for (std::size_t ri = 0; ri < recvs.size(); ++ri) {
-    const RecvSet& consumers = index.consumers(ri);
-    consumer_ops_[ri].reserve(consumers.Count());
-    consumers.ForEach([&](std::size_t id) {
-      consumer_ops_[ri].push_back(static_cast<std::uint32_t>(id));
-    });
+  // Count, index sum and M once per class, all recvs outstanding. M is
+  // summed in increasing recv order, the full pass's order.
+  const std::size_t num_classes = index.num_classes();
+  class_count_.resize(num_classes);
+  class_sum_.assign(num_classes, 0);
+  class_M_.resize(num_classes);
+  class_deps_begin_.resize(num_classes);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const auto members = index.class_recvs(c);
+    class_count_[c] = static_cast<int>(members.size());
+    class_deps_begin_[c] = class_deps_.size();
+    class_deps_.insert(class_deps_.end(), members.begin(), members.end());
+    double m = 0.0;
+    for (const std::uint32_t r : members) {
+      class_sum_[c] += static_cast<std::int64_t>(r);
+      m += recv_time_[r];
+    }
+    class_M_[c] = m;
   }
 
-  // Initial properties via the reference pass — by construction identical
-  // to what the full recompute reports for the all-outstanding set.
-  props_ = index.UpdateProperties(
-      oracle, std::vector<bool>(recvs.size(), true), &op_M_);
+  // The full pass's G−R scan with every recv in R: P per op in op-id
+  // order over one-dep classes, then M+ as one min-fold per class with
+  // two or more deps (every member is a non-recv op, as recvs are roots).
+  props_.resize(recvs.size());
+  for (std::size_t i = 0; i < recvs.size(); ++i) {
+    props_[i].op = recvs[i];
+    props_[i].M = class_M_[index.dep_class(recvs[i])];
+  }
+  for (std::size_t id = 0; id < g.size(); ++id) {
+    if (index.recv_index(static_cast<OpId>(id)) >= 0) continue;
+    const std::size_t c = index.dep_class(static_cast<OpId>(id));
+    if (class_count_[c] == 1) {
+      props_[static_cast<std::size_t>(class_sum_[c])].P += time_[id];
+    }
+  }
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    if (class_count_[c] < 2) continue;
+    for (const std::uint32_t r : index.class_recvs(c)) {
+      props_[r].Mplus = std::min(props_[r].Mplus, class_M_[c]);
+    }
+  }
 
   const std::size_t blocks =
       (recvs.size() + (std::size_t{1} << kBlockShift) - 1) >> kBlockShift;
@@ -88,14 +99,14 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
   --remaining_;
   dirty_.clear();
 
-  for (const std::uint32_t id : consumer_ops_[ri]) {
-    const int d = --dep_count_[id];
-    dep_sum_[id] -= static_cast<std::int64_t>(ri);
+  for (const std::uint32_t c : index_.multi_dep_classes(ri)) {
+    const int d = --class_count_[c];
+    class_sum_[c] -= static_cast<std::int64_t>(ri);
     if (d == 0) continue;  // its whole P contribution went to `ri` itself
     if (d == 1) {
-      // The op leaves the M+ pool and joins the P pool of its one
-      // surviving recv; both of that recv's properties need a rebuild.
-      const auto q = static_cast<std::size_t>(dep_sum_[id]);
+      // The class leaves the M+ pool and its ops join the P pool of its
+      // one surviving recv; both of that recv's properties need a rebuild.
+      const auto q = static_cast<std::size_t>(class_sum_[c]);
       if (dirty_flag_[q] == 0) {
         dirty_flag_[q] = 1;
         dirty_.push_back(q);
@@ -103,24 +114,23 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
       continue;
     }
     // d >= 2: still an M+ contributor, but its outstanding communication
-    // time shrank. Re-sum M over dep ∩ outstanding — the sparse list is
-    // in increasing recv order, the full pass's order, so the sum is
-    // bit-identical — compacting the list to its survivors as it goes,
-    // so later re-sums never revisit a completed recv. Then fold the new
-    // value into the M+ of every recv the op still depends on: a pure
-    // min() update, exact because contributions only ever decrease.
-    std::vector<std::uint32_t>& deps = dep_recvs_[id];
+    // time shrank. Re-sum M over the row's d survivors — in increasing
+    // recv order, the full pass's order, so the sum is bit-identical —
+    // dropping `ri` from the row as it goes. Then fold the new value
+    // into the M+ of every recv the class still depends on: a pure min()
+    // update, exact because contributions only ever decrease.
+    std::uint32_t* deps = class_deps_.data() + class_deps_begin_[c];
     double m = 0.0;
     std::size_t kept = 0;
-    for (std::size_t k = 0; k < deps.size(); ++k) {
+    for (std::size_t k = 0; k <= static_cast<std::size_t>(d); ++k) {
       const std::uint32_t r = deps[k];
-      if (outstanding_[r] == 0) continue;
+      if (r == ri) continue;
       m += recv_time_[r];
       deps[kept++] = r;
     }
-    deps.resize(kept);
-    op_M_[id] = m;
-    for (const std::uint32_t r : deps) {
+    class_M_[c] = m;
+    for (std::size_t k = 0; k < kept; ++k) {
+      const std::uint32_t r = deps[k];
       if (m < props_[r].Mplus) {
         props_[r].Mplus = m;
         // Lowering a member's M+ moves the block's min to
@@ -146,14 +156,15 @@ void IncrementalProperties::RecomputeRecv(std::size_t q) {
   assert(outstanding_[q] != 0);
   double p = 0.0;
   double mplus = kInfinity;
-  for (const std::uint32_t id : consumer_ops_[q]) {
-    const int d = dep_count_[id];
+  index_.consumers(q).ForEach([&](std::size_t id) {
+    const std::size_t c = index_.dep_class(static_cast<OpId>(id));
+    const int d = class_count_[c];
     if (d == 1) {
       p += time_[id];  // q is its only outstanding dependency
     } else if (d >= 2) {
-      mplus = std::min(mplus, op_M_[id]);
+      mplus = std::min(mplus, class_M_[c]);
     }
-  }
+  });
   props_[q].P = p;
   props_[q].Mplus = mplus;
   MarkBlockDirty(q);

@@ -3,24 +3,28 @@
 //
 // TAC schedules one recv per round; recomputing every property from
 // scratch each round costs O(R·V) per round — O(R²·V) for a full
-// schedule. This state object maintains, per op, the outstanding
+// schedule. This state object keeps, per dependency class
+// (PropertyIndex::dep_class — ops with equal dep sets), the outstanding
 // dependency count and communication time M, and, per outstanding recv,
-// the P / M+ properties, updating only the ops whose dep set contains
-// the completed recv (via PropertyIndex::consumers). Oracle times are
-// cached in a flat vector at construction, so the virtual Time() call is
-// made once per op instead of once per op per round.
+// the P / M+ properties. Completing a recv updates only the classes with
+// two or more deps that contain it (PropertyIndex::multi_dep_classes),
+// once per class rather than once per member op. Oracle times are cached
+// in a flat vector at construction, so the virtual Time() call is made
+// once per op instead of once per op per round.
 //
 // The results are bit-identical to PropertyIndex::UpdateProperties on
 // the same outstanding set:
-//   * M is re-summed over the op's dep set in the same (increasing
+//   * M is summed over the class's dep set in the same (increasing
 //     recv-index) order as the full pass, never maintained by
-//     subtraction, so float rounding matches exactly;
-//   * P is re-summed over consumers(q) in op-id order — the same order
-//     the full pass's G−R scan accumulates it in;
-//   * M+ is a min, which is order-independent: when a contributor's M
-//     shrinks its new value is folded in with min(); when a contributor
-//     leaves (its dep count drops to 1) the one recv it still covers is
-//     recomputed from scratch.
+//     subtraction, so float rounding matches exactly — and every op of a
+//     class has exactly the sum the full pass computes for it;
+//   * P is summed per op in op-id order — over all ops at construction,
+//     over consumers(q) afterwards — the same order the full pass's G−R
+//     scan accumulates it in;
+//   * M+ is a min, which is order-independent: it is folded once per
+//     class; when a class's M shrinks its new value is folded in with
+//     min(); when a class leaves the pool (its dep count drops to 1) the
+//     one recv it still covers is recomputed from scratch.
 // The full recompute stays available as the reference oracle for
 // differential testing (tests/incremental_properties_test.cc).
 #pragma once
@@ -36,7 +40,8 @@ namespace tictac::core {
 class IncrementalProperties {
  public:
   // Caches oracle times and computes the initial properties with every
-  // recv outstanding (one full Algorithm-1 pass). Requires
+  // recv outstanding: M once per class, P per op in op-id order, M+ as
+  // one min-fold per class. `index` must outlive this object. Requires
   // index.recvs_are_roots(); callers (Tac) fall back to the full
   // recompute for graphs where recvs have recv ancestors.
   IncrementalProperties(const PropertyIndex& index, const TimeOracle& oracle);
@@ -50,8 +55,8 @@ class IncrementalProperties {
   std::size_t remaining() const { return remaining_; }
 
   // Marks recv index `ri` (which must be outstanding) as transferred and
-  // updates the properties of the affected ops only: O(Σ surviving deps)
-  // over consumers(ri) instead of a full O(V·R) pass.
+  // updates the affected classes only: O(Σ surviving deps) over ri's
+  // multi-dep classes instead of a full O(V·R) pass.
   void CompleteRecv(std::size_t ri);
 
   // The recv tac.cc's flat left-to-right TacBefore fold over props()
@@ -94,22 +99,24 @@ class IncrementalProperties {
   // Fresh P / M+ for outstanding recv `q` from its consumer set.
   void RecomputeRecv(std::size_t q);
 
+  const PropertyIndex& index_;
   std::vector<double> time_;       // op id -> cached oracle time
   std::vector<double> recv_time_;  // recv index -> cached oracle time
   std::vector<char> outstanding_;  // recv index -> still to transfer
-  std::vector<int> dep_count_;     // op id -> |dep ∩ outstanding|
-  // Sparse mirrors of PropertyIndex's dep/consumer bitsets, in the same
-  // increasing-index order the bitset ForEach visits — O(members) per
-  // scan instead of O(bits/64) words, which is what the per-completion
-  // update actually pays at 100k recvs. CompleteRecv compacts an op's
-  // dep list to its outstanding members whenever it re-sums M, keeping
-  // the order, so each re-sum walks only the previous survivors.
-  std::vector<std::vector<std::uint32_t>> dep_recvs_;     // op -> recv idxs
-  std::vector<std::vector<std::uint32_t>> consumer_ops_;  // recv -> op ids
-  // op id -> Σ of outstanding recv indices in dep; when dep_count_ hits 1
-  // this IS the surviving recv index, found in O(1).
-  std::vector<std::int64_t> dep_sum_;
-  std::vector<double> op_M_;       // op id -> outstanding communication time
+  // Per dependency class. Only classes that start with >= 2 deps are
+  // updated on completion; a one-dep class {q} keeps count 1 while q is
+  // outstanding and is never read after.
+  std::vector<int> class_count_;  // |dep ∩ outstanding|
+  // Σ of outstanding recv indices in dep; when class_count_ hits 1 this
+  // IS the surviving recv index, found in O(1).
+  std::vector<std::int64_t> class_sum_;
+  std::vector<double> class_M_;  // outstanding communication time
+  // The class's outstanding deps, in increasing recv order: a copy of
+  // PropertyIndex::class_recvs whose rows CompleteRecv compacts to their
+  // survivors whenever it re-sums M, so a row of a class with count >= 2
+  // holds exactly its class_count_ outstanding recvs.
+  std::vector<std::uint32_t> class_deps_;
+  std::vector<std::size_t> class_deps_begin_;
   std::vector<RecvProperties> props_;
   std::size_t remaining_ = 0;
 

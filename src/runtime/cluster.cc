@@ -86,14 +86,15 @@ void ClusterConfig::Validate() const {
   }
   // NaN fails every comparison, so these !(x >= ...) forms reject it too
   // — a NaN sigma would otherwise silently disable oracle noise.
-  if (!(tac_oracle_sigma >= 0.0) || std::isinf(tac_oracle_sigma)) {
-    fail("tac_oracle_sigma must be a finite value >= 0, got " +
-         std::to_string(tac_oracle_sigma));
-  }
-  if (!(sim.jitter_sigma >= 0.0) || std::isinf(sim.jitter_sigma)) {
-    fail("sim.jitter_sigma must be a finite value >= 0, got " +
-         std::to_string(sim.jitter_sigma));
-  }
+  const auto check_sigma = [&](const char* field, double sigma) {
+    if (!(sigma >= 0.0 && sigma <= kMaxNoiseSigma)) {
+      fail(std::string(field) + " must be in [0, " +
+           std::to_string(static_cast<int>(kMaxNoiseSigma)) + "], got " +
+           std::to_string(sigma));
+    }
+  };
+  check_sigma("tac_oracle_sigma", tac_oracle_sigma);
+  check_sigma("sim.jitter_sigma", sim.jitter_sigma);
   if (!(sim.out_of_order_probability >= 0.0 &&
         sim.out_of_order_probability <= 1.0)) {
     fail("sim.out_of_order_probability must be in [0, 1], got " +

@@ -55,6 +55,17 @@ const char* EnforcementToken(Enforcement enforcement);
 // accepted tokens.
 Enforcement ParseEnforcement(std::string_view token);
 
+// Upper bound on the lognormal shapes `tac_oracle_sigma` (spec `sigma=`)
+// and `sim.jitter_sigma` (spec `jitter=`). Both draws scale a time by
+// exp(sigma·z) with a bounded standard normal z: |z| <= 8.7 for
+// core::NoisyTimeOracle's Box-Muller over 53-bit uniforms in (0, 1), and
+// |z| <= 12.2 for the simulator's std::lognormal_distribution (the polar
+// method over mt19937_64 draws, whose squared radius is at least
+// 2^-106). At sigma <= 10 the factor lies in [e^-122, e^122]: finite and
+// nonzero, with room for durations and their sums. Larger shapes can
+// overflow to inf or flush to 0, poisoning schedules and simulated times.
+inline constexpr double kMaxNoiseSigma = 10.0;
+
 struct ClusterConfig {
   int num_workers = 1;
   int num_ps = 1;
@@ -95,6 +106,7 @@ struct ClusterConfig {
 
   // Rejects configurations that would silently misbehave downstream:
   // num_workers/num_ps < 1, batch_factor <= 0, chunk_bytes < 0,
+  // tac_oracle_sigma or sim.jitter_sigma outside [0, kMaxNoiseSigma],
   // topology=ring without training or with < 2 workers,
   // worker_speed_factors whose size is neither 0 nor num_workers or whose
   // entries are not positive, fabric_pods < 1, non-positive

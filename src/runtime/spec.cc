@@ -75,6 +75,20 @@ double ParseDouble(const std::string& value, const std::string& key) {
   Fail(key + "= expects a number, got '" + value + "'");
 }
 
+// A lognormal shape (sigma=, jitter=). Shapes past kMaxNoiseSigma are
+// rejected here, naming the spec token that carried them; NaN and
+// negative values fall through to ClusterConfig::Validate.
+double ParseSigma(const std::string& value, const std::string& key,
+                  const std::string& setting) {
+  const double sigma = ParseDouble(value, key);
+  if (sigma > kMaxNoiseSigma) {
+    Fail(key + "= must be at most " + FormatDouble(kMaxNoiseSigma) +
+         " (a lognormal shape; larger values overflow the sampled times), "
+         "got '" + value + "' in '" + setting + "'");
+  }
+  return sigma;
+}
+
 // Bytes with an optional binary suffix: "4194304", "4M", "4MiB", "512K".
 std::int64_t ParseBytes(const std::string& value, const std::string& key) {
   std::size_t digits = 0;
@@ -206,13 +220,13 @@ void ParseClusterToken(const std::string& token, SweepSpec& sweep) {
     } else if (key == "sigma") {
       sweep.tac_oracle_sigmas.clear();
       for (const auto& v : values) {
-        const double s = ParseDouble(v, key);
+        const double s = ParseSigma(v, key, setting);
         if (s < 0.0) Fail("sigma must be >= 0, got " + v);
         sweep.tac_oracle_sigmas.push_back(s);
       }
     } else if (key == "jitter") {
       if (values.size() != 1) Fail("jitter= is not a sweep axis");
-      sweep.jitter_sigma = ParseDouble(values[0], key);
+      sweep.jitter_sigma = ParseSigma(values[0], key, setting);
     } else if (key == "ooo") {
       if (values.size() != 1) Fail("ooo= is not a sweep axis");
       sweep.out_of_order = ParseDouble(values[0], key);

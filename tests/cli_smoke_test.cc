@@ -290,4 +290,23 @@ TEST(CliSmoke, ExecMalformedStragglerIsRejected) {
       << result.stderr_text;
 }
 
+// Noise shapes past kMaxNoiseSigma overflow exp(sigma·z) to inf or 0;
+// uncapped, jitter=1e308 ran and printed a 0.00 ms mean iteration time.
+TEST(CliSmoke, RunRejectsOverflowingJitterNamingTheToken) {
+  const CliResult result = RunCli(
+      "run --spec \"envG:workers=2:ps=1:jitter=1e308 model=VGG-16\"");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stderr_text.find("'jitter=1e308'"), std::string::npos)
+      << result.stderr_text;
+}
+
+TEST(CliSmoke, RunRejectsOverflowingSigmaNamingTheToken) {
+  const CliResult result = RunCli(
+      "run --spec \"envG:workers=2:ps=1:sigma=1e308 model=VGG-16 "
+      "policy=tac\"");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stderr_text.find("'sigma=1e308'"), std::string::npos)
+      << result.stderr_text;
+}
+
 }  // namespace

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/chunking.h"
+#include "models/builder.h"
+#include "models/random_dag.h"
+#include "models/zoo.h"
+
 namespace tictac::core {
 namespace {
 
@@ -40,7 +49,6 @@ TEST(RecvSet, BasicOperations) {
   RecvSet b(130);
   b.Set(64);
   b.Set(100);
-  EXPECT_EQ(a.IntersectCount(b), 1u);
   a.UnionWith(b);
   EXPECT_EQ(a.Count(), 4u);
 
@@ -55,7 +63,6 @@ TEST(RecvSet, EmptySet) {
   EXPECT_EQ(a.size_bits(), 0u);
   RecvSet b(0);
   a.UnionWith(b);  // no words to touch
-  EXPECT_EQ(a.IntersectCount(b), 0u);
   std::size_t visits = 0;
   a.ForEach([&](std::size_t) { ++visits; });
   EXPECT_EQ(visits, 0u);
@@ -84,7 +91,6 @@ TEST(RecvSet, CrossWordBoundaries) {
   b.Set(64);
   b.Set(128);
   b.Set(191);
-  EXPECT_EQ(a.IntersectCount(b), 2u);
   a.UnionWith(b);
   EXPECT_EQ(a.Count(), 6u);
   std::vector<std::size_t> bits;
@@ -93,28 +99,11 @@ TEST(RecvSet, CrossWordBoundaries) {
             (std::vector<std::size_t>{63, 64, 127, 128, 191, 192}));
 }
 
-TEST(RecvSet, ForEachAndVisitsIntersectionInOrder) {
-  RecvSet a(150);
-  RecvSet mask(150);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{63},
-                              std::size_t{64}, std::size_t{100},
-                              std::size_t{149}}) {
-    a.Set(i);
-  }
-  mask.Set(63);
-  mask.Set(100);
-  mask.Set(120);  // in mask only — must not be visited
-  std::vector<std::size_t> bits;
-  a.ForEachAnd(mask, [&](std::size_t i) { bits.push_back(i); });
-  EXPECT_EQ(bits, (std::vector<std::size_t>{63, 100}));
-}
-
 TEST(RecvSet, FullSet) {
   constexpr std::size_t kBits = 130;
   RecvSet a(kBits);
   for (std::size_t i = 0; i < kBits; ++i) a.Set(i);
   EXPECT_EQ(a.Count(), kBits);
-  EXPECT_EQ(a.IntersectCount(a), kBits);
   std::size_t expected = 0;
   bool in_order = true;
   a.ForEach([&](std::size_t i) { in_order = in_order && i == expected++; });
@@ -132,8 +121,6 @@ TEST(RecvSetDeathTest, MismatchedSizesAssert) {
   RecvSet a(64);
   RecvSet b(128);
   EXPECT_DEATH(a.UnionWith(b), "size mismatch");
-  EXPECT_DEATH((void)a.IntersectCount(b), "size mismatch");
-  EXPECT_DEATH(a.ForEachAnd(b, [](std::size_t) {}), "size mismatch");
 }
 #endif
 
@@ -184,6 +171,113 @@ TEST(PropertyIndex, ConsumersIsTransposeOfDepWithoutRecvs) {
   EXPECT_FALSE(c2.Test(static_cast<std::size_t>(f.op1)));
   EXPECT_TRUE(c2.Test(static_cast<std::size_t>(f.op2)));
   EXPECT_EQ(c2.Count(), 1u);
+}
+
+// Dependency classes against an independent oracle: every op's dep set
+// rebuilt naively as a per-op union of its preds' sets, with no
+// interning. UpdateProperties (the reference TAC is tested against) reads
+// the class sets too, so a wrong class would fool both sides of
+// Tac() == TacFullRecompute(); this pins the classes on their own.
+// Returns the number of classes with two or more deps.
+std::size_t ExpectClassesMatchNaiveDeps(const Graph& g,
+                                        const std::string& what) {
+  SCOPED_TRACE(what);
+  const PropertyIndex index(g);
+  const std::size_t R = index.recvs().size();
+  std::vector<std::vector<bool>> naive(g.size(), std::vector<bool>(R));
+  for (const OpId id : g.TopologicalOrder()) {
+    auto& set = naive[static_cast<std::size_t>(id)];
+    for (const OpId pred : g.preds(id)) {
+      const auto& from = naive[static_cast<std::size_t>(pred)];
+      for (std::size_t r = 0; r < R; ++r) set[r] = set[r] || from[r];
+    }
+    if (index.recv_index(id) >= 0) {
+      set[static_cast<std::size_t>(index.recv_index(id))] = true;
+    }
+  }
+
+  std::map<std::vector<bool>, std::size_t> class_of_set;
+  std::map<std::size_t, std::vector<bool>> set_of_class;
+  for (std::size_t id = 0; id < g.size(); ++id) {
+    const auto op = static_cast<OpId>(id);
+    const std::vector<bool>& want = naive[id];
+    std::vector<bool> got(R);
+    index.dep(op).ForEach([&](std::size_t r) { got[r] = true; });
+    EXPECT_EQ(got, want) << "op " << id;
+    // Same class <=> same naive set, in both directions.
+    const std::size_t c = index.dep_class(op);
+    EXPECT_LT(c, index.num_classes());
+    EXPECT_EQ(class_of_set.emplace(want, c).first->second, c) << "op " << id;
+    EXPECT_EQ(set_of_class.emplace(c, want).first->second, want)
+        << "op " << id;
+  }
+  EXPECT_EQ(set_of_class.size(), index.num_classes());
+  // Ids are numbered by first appearance in topological order.
+  std::size_t next_class = 0;
+  for (const OpId id : g.TopologicalOrder()) {
+    const std::size_t c = index.dep_class(id);
+    EXPECT_LE(c, next_class) << "op " << id;
+    if (c == next_class) ++next_class;
+  }
+
+  // The CSR views agree with the class sets.
+  std::size_t multi = 0;
+  std::vector<std::vector<std::uint32_t>> multi_of_recv(R);
+  for (const auto& [c, set] : set_of_class) {
+    std::vector<std::uint32_t> members;
+    for (std::size_t r = 0; r < R; ++r) {
+      if (set[r]) members.push_back(static_cast<std::uint32_t>(r));
+    }
+    const auto row = index.class_recvs(c);
+    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), members)
+        << "class " << c;
+    if (members.size() < 2) continue;
+    ++multi;
+    for (const std::uint32_t r : members) {
+      multi_of_recv[r].push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    const auto row = index.multi_dep_classes(r);
+    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
+              multi_of_recv[r])
+        << "recv " << r;
+  }
+  return multi;
+}
+
+TEST(PropertyIndex, ClassesMatchNaiveDepSetsOnZooModels) {
+  for (const auto& info : models::ModelZoo()) {
+    for (const bool training : {false, true}) {
+      const Graph g = models::BuildWorkerGraph(info, {.training = training});
+      const std::size_t multi = ExpectClassesMatchNaiveDeps(
+          g, info.name + (training ? " training" : " inference"));
+      if (info.name == "Inception v3" && training) {
+        EXPECT_EQ(multi, 123u);
+      }
+    }
+  }
+}
+
+TEST(PropertyIndex, ClassesMatchNaiveDepSetsOnChunkedGraph) {
+  const Graph g = models::BuildWorkerGraph(models::FindModel("VGG-16"),
+                                           {.training = true});
+  const Graph chunked = ChunkTransfers(g, {.max_chunk_bytes = 4 << 20});
+  ASSERT_GT(chunked.RecvOps().size(), g.RecvOps().size());
+  ExpectClassesMatchNaiveDeps(chunked, "VGG-16 chunked");
+}
+
+TEST(PropertyIndex, ClassesMatchNaiveDepSetsOnRandomDags) {
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    models::RandomDagOptions options;
+    options.num_recvs = 3 + static_cast<int>(seed % 29);
+    options.num_computes = 6 + static_cast<int>((seed * 7) % 61);
+    options.num_layers = 1 + static_cast<int>(seed % 5);
+    options.edge_probability = 0.1 + 0.05 * static_cast<double>(seed % 10);
+    options.with_sends = seed % 2 == 0;
+    ExpectClassesMatchNaiveDeps(models::MakeRandomDag(options, seed),
+                                "seed " + std::to_string(seed));
+  }
 }
 
 TEST(UpdateProperties, Fig1aPaperValues) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -185,6 +186,13 @@ TEST(ClusterConfig, ValidateRejectsOutOfRangeFields) {
   config = EnvG(4, 1, true);
   config.sim.jitter_sigma = -0.1;
   ExpectThrowWith([&] { config.Validate(); }, "jitter_sigma");
+  config = EnvG(4, 1, true);
+  config.sim.jitter_sigma = 1e308;  // exp(sigma·z) overflows
+  ExpectThrowWith([&] { config.Validate(); }, "jitter_sigma");
+  config.sim.jitter_sigma = kMaxNoiseSigma;
+  EXPECT_NO_THROW(config.Validate());
+  config.tac_oracle_sigma = std::nextafter(kMaxNoiseSigma, 11.0);
+  ExpectThrowWith([&] { config.Validate(); }, "tac_oracle_sigma");
   config = EnvG(4, 1, true);
   config.batch_factor = std::numeric_limits<double>::infinity();
   ExpectThrowWith([&] { config.Validate(); }, "batch_factor");
