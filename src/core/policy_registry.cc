@@ -1,25 +1,23 @@
 #include "core/policy_registry.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "util/parse.h"
 
 namespace tictac::core {
 namespace {
 
 std::uint64_t ParseSeed(const std::string& arg) {
   if (arg.empty()) return FixedRandomOrderPolicy::kDefaultSeed;
-  // Digits only: std::stoull alone would accept (and wrap) "-1" or skip
-  // leading whitespace, making the effective seed differ from the spec.
-  const bool digits_only =
-      arg.find_first_not_of("0123456789") == std::string::npos;
-  try {
-    if (!digits_only) throw std::invalid_argument(arg);
-    return static_cast<std::uint64_t>(std::stoull(arg));
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> seed = util::ParseUnsigned(arg);
+  if (!seed) {
     throw std::invalid_argument(
         "policy \"random\" expects a non-negative integer seed, got \"" +
         arg + "\"");
   }
+  return *seed;
 }
 
 // Adapts a no-argument policy: rejects a non-empty arg with a clear error

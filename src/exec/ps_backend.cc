@@ -101,6 +101,12 @@ PsBackend::PsBackend(const runtime::Lowering& lowering,
   if (options_.queue_capacity < 0) {
     throw std::invalid_argument("PsBackend: queue_capacity must be >= 0");
   }
+  if (lowering.num_resources > kMaxBackendThreads) {
+    throw std::invalid_argument(
+        "PsBackend: lowering has " + std::to_string(lowering.num_resources) +
+        " resources, more than kMaxBackendThreads = " +
+        std::to_string(kMaxBackendThreads) + " (one thread each)");
+  }
   const int W = lowering.num_workers;
   if (static_cast<int>(options_.straggler_factors.size()) > W) {
     throw std::invalid_argument("PsBackend: straggler factor for worker beyond cluster");

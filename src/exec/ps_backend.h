@@ -120,12 +120,19 @@ struct ExecutionTrace {
   double MeanIterationTime() const;
 };
 
+// Upper bound on PsBackend's OS threads: one per lowered resource, so a
+// cluster of W workers and S PS needs W + 2·W·S + S of them. Past this
+// the backend refuses the lowering instead of exhausting the machine
+// (64 workers × 64 PS would be 8,320 threads). A constant, not an option.
+inline constexpr int kMaxBackendThreads = 256;
+
 class PsBackend {
  public:
   // `lowering` must be a single-iteration LowerCluster result over
   // `worker_graph`; both must outlive the backend. Throws
   // std::invalid_argument on malformed options (factor < 1, scales <= 0,
-  // iterations < 1).
+  // iterations < 1) or a lowering with more than kMaxBackendThreads
+  // resources.
   PsBackend(const runtime::Lowering& lowering, const core::Graph& worker_graph,
             BackendOptions options);
 

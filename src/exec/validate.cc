@@ -163,6 +163,19 @@ std::string ExecReport::ToJson() const {
 }
 
 ExecReport ValidateAgainstSim(const ExecSpec& spec) {
+  // The backend runs one thread per lowered resource; refuse an oversized
+  // cluster before building or lowering anything for it. Bounding w and s
+  // first keeps 2·w·s in range; sizes < 1 are ClusterConfig's to reject.
+  const long long w = spec.num_workers;
+  const long long s = spec.num_ps;
+  if (w > 0 && s > 0 &&
+      (w > kMaxBackendThreads || s > kMaxBackendThreads ||
+       w + 2 * w * s + s > kMaxBackendThreads)) {
+    throw std::invalid_argument(
+        "exec: workers=" + std::to_string(w) + " and ps=" + std::to_string(s) +
+        " need workers + 2*workers*ps + ps backend threads, more than "
+        "kMaxBackendThreads = " + std::to_string(kMaxBackendThreads));
+  }
   const models::ModelInfo& model = models::FindModel(spec.model);
   runtime::ClusterConfig config;
   config.num_workers = spec.num_workers;

@@ -77,7 +77,8 @@ struct ExecReport {
 
 // Runs the full round-trip for every policy in the spec. Throws
 // std::invalid_argument / std::out_of_range on bad spec values (unknown
-// model or policy, straggler factor < 1, worker index out of range).
+// model or policy, straggler factor < 1, worker index out of range, or
+// more backend threads than kMaxBackendThreads).
 ExecReport ValidateAgainstSim(const ExecSpec& spec);
 
 }  // namespace tictac::exec

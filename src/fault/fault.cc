@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
+#include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "runtime/spec.h"
+#include "util/csv.h"
+#include "util/parse.h"
 
 namespace tictac::fault {
 namespace {
@@ -21,189 +24,121 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // millions of windows (same spirit as ArrivalSpec's burst cap).
 constexpr double kMaxFlapCycles = 4096.0;
 
+// Each clause kind with the fields it requires and forbids, as
+// space-separated keys; every kind also requires at=. A crash parses as a
+// fabric crash and becomes a worker crash when it names a worker.
+struct KindRule {
+  std::string_view name;
+  FaultEvent::Kind kind;
+  std::string_view required;
+  std::string_view forbidden;
+};
+
+constexpr KindRule kKindRules[] = {
+    {"straggler", FaultEvent::Kind::kStraggler, "worker factor",
+     "nic scale period"},
+    {"slowlink", FaultEvent::Kind::kSlowLink, "nic scale",
+     "worker factor period"},
+    // Crashes are permanent, so they take no for=.
+    {"crash", FaultEvent::Kind::kCrashFabric, "",
+     "nic factor scale period for"},
+    // An unbounded flap never converges, so it requires for=.
+    {"flap", FaultEvent::Kind::kFlap, "nic period for",
+     "worker factor scale"},
+};
+
 std::string_view KindName(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kStraggler:
-      return "straggler";
-    case FaultEvent::Kind::kSlowLink:
-      return "slowlink";
-    case FaultEvent::Kind::kCrashWorker:
-    case FaultEvent::Kind::kCrashFabric:
-      return "crash";
-    case FaultEvent::Kind::kFlap:
-      return "flap";
+  if (kind == FaultEvent::Kind::kCrashWorker) return "crash";
+  for (const KindRule& rule : kKindRules) {
+    if (rule.kind == kind) return rule.name;
   }
   Fail("unknown fault kind");
 }
 
-double ParseNumberField(std::string_view field, std::string_view key) {
-  const std::string value(field.substr(key.size()));
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    Fail(std::string(key) + " expects a number, got '" + value + "'");
-  }
-}
+// A clause's key=value fields: each lands in one FaultEvent member, and
+// the integer ones are read as integers.
+struct FieldKey {
+  std::string_view key;
+  int FaultEvent::*integer;
+  double FaultEvent::*real;
+};
 
-int ParseIntField(std::string_view field, std::string_view key) {
-  const double value = ParseNumberField(field, key);
-  if (value != std::floor(value)) {
-    Fail(std::string(key) + " expects an integer, got '" +
-         std::string(field.substr(key.size())) + "'");
-  }
-  return static_cast<int>(value);
-}
+constexpr FieldKey kFieldKeys[] = {
+    {"worker", &FaultEvent::worker, nullptr},
+    {"fabric", &FaultEvent::fabric, nullptr},
+    {"nic", &FaultEvent::nic, nullptr},
+    {"factor", nullptr, &FaultEvent::factor},
+    {"scale", nullptr, &FaultEvent::scale},
+    {"at", nullptr, &FaultEvent::at},
+    {"for", nullptr, &FaultEvent::duration},
+    {"period", nullptr, &FaultEvent::period},
+};
 
 // One `kind:key=value:...` clause. `where` prefixes error messages (the
 // clause itself inline, or "trace '...' line N" for trace rows).
 FaultEvent ParseEvent(std::string_view text, const std::string& where) {
-  const std::size_t colon = text.find(':');
-  const std::string_view head = text.substr(0, colon);
-  FaultEvent event;
-  bool saw_worker = false;
-  bool saw_fabric = false;
-  bool saw_nic = false;
-  bool saw_factor = false;
-  bool saw_scale = false;
-  bool saw_at = false;
-  bool saw_for = false;
-  bool saw_period = false;
-  if (head == "straggler") {
-    event.kind = FaultEvent::Kind::kStraggler;
-  } else if (head == "slowlink") {
-    event.kind = FaultEvent::Kind::kSlowLink;
-  } else if (head == "crash") {
-    event.kind = FaultEvent::Kind::kCrashFabric;  // refined below
-  } else if (head == "flap") {
-    event.kind = FaultEvent::Kind::kFlap;
-  } else {
+  const std::vector<std::string_view> fields = util::Split(text, ':');
+  const std::string_view head = fields.front();
+  const KindRule* rule =
+      std::find_if(std::begin(kKindRules), std::end(kKindRules),
+                   [&](const KindRule& r) { return r.name == head; });
+  if (rule == std::end(kKindRules)) {
     Fail(where + "unknown fault kind '" + std::string(head) +
          "' — expected straggler, slowlink, crash, flap, or trace:<file>");
   }
-  std::size_t pos = colon;
-  while (pos != std::string_view::npos && pos < text.size()) {
-    const std::size_t next = text.find(':', pos + 1);
-    const std::string_view field =
-        text.substr(pos + 1, next == std::string_view::npos
-                                 ? std::string_view::npos
-                                 : next - pos - 1);
-    if (field.rfind("worker=", 0) == 0) {
-      event.worker = ParseIntField(field, "worker=");
-      saw_worker = true;
-    } else if (field.rfind("fabric=", 0) == 0) {
-      event.fabric = ParseIntField(field, "fabric=");
-      saw_fabric = true;
-    } else if (field.rfind("nic=", 0) == 0) {
-      event.nic = ParseIntField(field, "nic=");
-      saw_nic = true;
-    } else if (field.rfind("factor=", 0) == 0) {
-      event.factor = ParseNumberField(field, "factor=");
-      saw_factor = true;
-    } else if (field.rfind("scale=", 0) == 0) {
-      event.scale = ParseNumberField(field, "scale=");
-      saw_scale = true;
-    } else if (field.rfind("at=", 0) == 0) {
-      event.at = ParseNumberField(field, "at=");
-      saw_at = true;
-    } else if (field.rfind("for=", 0) == 0) {
-      event.duration = ParseNumberField(field, "for=");
-      saw_for = true;
-    } else if (field.rfind("period=", 0) == 0) {
-      event.period = ParseNumberField(field, "period=");
-      saw_period = true;
-    } else {
+  FaultEvent event;
+  event.kind = rule->kind;
+  std::set<std::string_view> seen;  // the keys the clause sets
+  for (std::size_t i = 1; i < fields.size(); ++i) {
+    const std::string_view field = fields[i];
+    const std::size_t eq = field.find('=');
+    const FieldKey* key = std::find_if(
+        std::begin(kFieldKeys), std::end(kFieldKeys), [&](const FieldKey& f) {
+          return eq != std::string_view::npos && field.substr(0, eq) == f.key;
+        });
+    if (key == std::end(kFieldKeys)) {
       Fail(where + "unknown field '" + std::string(field) + "' in '" +
            std::string(text) + "'");
     }
-    pos = next;
+    const std::string_view name = field.substr(0, eq + 1);  // "worker="
+    const std::string_view value = field.substr(eq + 1);
+    if (key->integer) {
+      event.*key->integer = util::ReadNumber<int>("fault", name, value);
+    } else {
+      event.*key->real = util::ReadNumber<double>("fault", name, value);
+    }
+    seen.insert(key->key);
   }
   // Per-kind required/forbidden fields, named loudly.
-  const std::string clause = where + "'" + std::string(text) + "': ";
-  auto require = [&](bool saw, std::string_view key) {
-    if (!saw) {
-      Fail(clause + std::string(KindName(event.kind)) + " requires " +
-           std::string(key) + "=");
-    }
-  };
-  auto forbid = [&](bool saw, std::string_view key) {
-    if (saw) {
-      Fail(clause + std::string(KindName(event.kind)) + " does not take " +
-           std::string(key) + "=");
-    }
-  };
-  require(saw_at, "at");
-  switch (event.kind) {
-    case FaultEvent::Kind::kStraggler:
-      require(saw_worker, "worker");
-      require(saw_factor, "factor");
-      forbid(saw_nic, "nic");
-      forbid(saw_scale, "scale");
-      forbid(saw_period, "period");
-      break;
-    case FaultEvent::Kind::kSlowLink:
-      require(saw_nic, "nic");
-      require(saw_scale, "scale");
-      forbid(saw_worker, "worker");
-      forbid(saw_factor, "factor");
-      forbid(saw_period, "period");
-      break;
-    case FaultEvent::Kind::kCrashFabric:
-      // crash:worker=... is a worker crash (fabric= then attributes it);
-      // crash:fabric=... alone is a whole-fabric crash.
-      if (saw_worker) {
-        event.kind = FaultEvent::Kind::kCrashWorker;
-      } else if (!saw_fabric) {
-        Fail(clause + "crash requires worker= or fabric=");
+  const std::string clause =
+      where + "'" + std::string(text) + "': " + std::string(rule->name);
+  const auto check = [&](std::string_view keys, bool want, const char* verb) {
+    for (const std::string_view key : util::Split(keys, ' ')) {
+      if (!key.empty() && seen.contains(key) != want) {
+        Fail(clause + verb + std::string(key) + "=");
       }
-      forbid(saw_nic, "nic");
-      forbid(saw_factor, "factor");
-      forbid(saw_scale, "scale");
-      forbid(saw_period, "period");
-      forbid(saw_for, "for");  // crashes are permanent
-      break;
-    case FaultEvent::Kind::kCrashWorker:
-      break;  // unreachable: refined from kCrashFabric above
-    case FaultEvent::Kind::kFlap:
-      require(saw_nic, "nic");
-      require(saw_period, "period");
-      require(saw_for, "for");  // an unbounded flap never converges
-      forbid(saw_worker, "worker");
-      forbid(saw_factor, "factor");
-      forbid(saw_scale, "scale");
-      break;
+    }
+  };
+  check("at", true, " requires ");
+  check(rule->required, true, " requires ");
+  if (event.kind == FaultEvent::Kind::kCrashFabric) {
+    // crash:worker=... is a worker crash (fabric= then attributes it);
+    // crash:fabric=... alone is a whole-fabric crash.
+    if (seen.contains("worker")) {
+      event.kind = FaultEvent::Kind::kCrashWorker;
+    } else if (!seen.contains("fabric")) {
+      Fail(clause + " requires worker= or fabric=");
+    }
   }
+  check(rule->forbidden, false, " does not take ");
   return event;
 }
 
 std::vector<FaultEvent> ReadTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("fault: cannot read trace file '" + path + "'");
-  }
   std::vector<FaultEvent> events;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no == 1 && line.rfind("\xef\xbb\xbf", 0) == 0) {
-      line.erase(0, 3);  // UTF-8 BOM from spreadsheet exports
-    }
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ' ||
-                             line.back() == '\t')) {
-      line.pop_back();
-    }
-    std::size_t start = 0;
-    while (start < line.size() &&
-           (line[start] == ' ' || line[start] == '\t')) {
-      ++start;
-    }
-    if (start == line.size() || line[start] == '#') continue;
+  for (const auto& [line_no, line] : util::ReadTraceLines(path, "fault")) {
     events.push_back(ParseEvent(
-        std::string_view(line).substr(start),
-        "trace '" + path + "' line " + std::to_string(line_no) + ": "));
+        line, "trace '" + path + "' line " + std::to_string(line_no) + ": "));
   }
   return events;
 }
@@ -330,25 +265,14 @@ FaultSpec FaultSpec::Parse(std::string_view text) {
     spec.Validate();
     return spec;
   }
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t end = text.find(';', pos);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view clause = text.substr(pos, end - pos);
-    while (!clause.empty() && (clause.front() == ' ' || clause.front() == '\t')) {
-      clause.remove_prefix(1);
-    }
-    while (!clause.empty() && (clause.back() == ' ' || clause.back() == '\t')) {
-      clause.remove_suffix(1);
-    }
+  for (const std::string_view piece : util::Split(text, ';')) {
+    const std::string_view clause = util::Trim(piece);
     if (clause.empty()) {
       Fail("empty fault clause in '" + std::string(text) +
            "' — clauses are ';'-separated, e.g. "
            "straggler:worker=2:factor=3:at=1:for=2");
     }
     spec.events.push_back(ParseEvent(clause, ""));
-    pos = end + 1;
-    if (end == text.size()) break;
   }
   spec.Validate();
   return spec;

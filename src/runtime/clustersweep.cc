@@ -28,6 +28,9 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
                            ClusterSweepOptions options)
     : options_(options) {
   if (jobs.empty()) Fail("need >= 1 job");
+  if (options_.fabrics < 0) {
+    Fail("fabrics must be >= 0 (0 = fewest the cap allows)");
+  }
   const int n = static_cast<int>(jobs.size());
   const int fabrics = options_.fabrics > 0
                           ? options_.fabrics

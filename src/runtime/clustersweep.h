@@ -62,8 +62,9 @@ struct ClusterSweepResult {
 // across fabrics through one RunnerCache), and merges the per-fabric
 // lowerings into one task graph with disjoint resource, gate-group and
 // flow-link id ranges. Throws std::invalid_argument on an empty job
-// list, a partition that overflows the per-fabric cap, or fabrics whose
-// simulation options disagree (jitter/ooo/gates are global to a run).
+// list, a negative fabric count, a partition that overflows the
+// per-fabric cap, or fabrics whose simulation options disagree
+// (jitter/ooo/gates are global to a run).
 class ClusterSweep {
  public:
   explicit ClusterSweep(std::vector<MultiJobEntry> jobs,

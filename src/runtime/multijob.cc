@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "ir/lower.h"
+#include "util/parse.h"
 
 namespace tictac::runtime {
 namespace {
@@ -37,13 +39,11 @@ std::string MultiJobSpec::ToString() const {
 
 std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
                                           long long max_count) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";  // std::isspace
   std::vector<MultiJobEntry> jobs;
   std::size_t pos = 0;
   const auto skip_ws = [&] {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
+    pos = std::min(text.find_first_not_of(kSpace, pos), text.size());
   };
   skip_ws();
   if (text.substr(pos, 5) == "jobs=") pos += 5;
@@ -53,21 +53,14 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
     // Optional replication count: "2x{...}".
     long long count = 1;
     if (std::isdigit(static_cast<unsigned char>(text[pos]))) {
-      std::size_t digits = pos;
-      while (digits < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[digits]))) {
-        ++digits;
-      }
-      if (digits >= text.size() || text[digits] != 'x') {
+      const std::size_t digits = text.find_first_not_of("0123456789", pos);
+      if (digits == std::string_view::npos || text[digits] != 'x') {
         Fail("expected COUNTx{...} at '" + std::string(text.substr(pos)) +
              "'");
       }
       const std::string digits_text(text.substr(pos, digits - pos));
-      try {
-        count = std::stoll(digits_text);
-      } catch (const std::out_of_range&) {
-        count = -1;  // out of any acceptable range: fail below, loudly
-      }
+      // Past long long is out of any acceptable range: fail below, loudly.
+      count = util::ParseInt<long long>(digits_text).value_or(-1);
       if (count < 1 || count > max_count) {
         Fail("job count must be in [1, " + std::to_string(max_count) +
              "], got " + digits_text);
@@ -87,19 +80,14 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
     entry.spec = ExperimentSpec::Parse(text.substr(pos + 1, close - pos - 1));
     pos = close + 1;
     if (pos < text.size() && text[pos] == '@') {
-      std::size_t end = pos + 1;
-      while (end < text.size() &&
-             !std::isspace(static_cast<unsigned char>(text[end]))) {
-        ++end;
-      }
+      const std::size_t end =
+          std::min(text.find_first_of(kSpace, pos + 1), text.size());
       const std::string value(text.substr(pos + 1, end - pos - 1));
-      try {
-        std::size_t consumed = 0;
-        entry.start_offset = std::stod(value, &consumed);
-        if (consumed != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
+      const std::optional<double> offset = util::ParseDouble(value);
+      if (!offset) {
         Fail("@offset expects a number of seconds, got '" + value + "'");
       }
+      entry.start_offset = *offset;
       pos = end;
     }
     // Totals above max_count are the caller's to reject (MultiJobSpec

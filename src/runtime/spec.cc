@@ -1,10 +1,12 @@
 #include "runtime/spec.h"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.h"
 
 namespace tictac::runtime {
 namespace {
@@ -18,36 +20,24 @@ std::vector<std::string> WhitespaceTokens(std::string_view text) {
 }
 
 std::vector<std::string> Split(const std::string& value, char sep) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = value.find(sep, start);
-    parts.push_back(value.substr(start, pos - start));
-    if (pos == std::string::npos) break;
-    start = pos + 1;
-  }
-  return parts;
+  const std::vector<std::string_view> parts = util::Split(value, sep);
+  return {parts.begin(), parts.end()};
 }
 
 [[noreturn]] void Fail(const std::string& message) {
   throw std::invalid_argument("spec: " + message);
 }
 
-long long ParseIntegral(const std::string& value, const std::string& key) {
-  long long result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    Fail(key + "= expects an integer, got '" + value + "'");
-  }
-  return result;
+template <typename T>
+T ParseNumber(const std::string& value, const std::string& key) {
+  return util::ReadNumber<T>("spec", key + "=", value);
 }
 
 // Whole-string parse into [min, max]; rejects instead of truncating, so
 // workers=4294967297 fails loudly rather than wrapping to 1.
 int ParseBoundedInt(const std::string& value, const std::string& key,
                     long long min, long long max) {
-  const long long result = ParseIntegral(value, key);
+  const long long result = ParseNumber<long long>(value, key);
   if (result < min || result > max) {
     Fail(key + " must be in [" + std::to_string(min) + ", " +
          std::to_string(max) + "], got " + value);
@@ -55,32 +45,12 @@ int ParseBoundedInt(const std::string& value, const std::string& key,
   return static_cast<int>(result);
 }
 
-std::uint64_t ParseSeed(const std::string& value, const std::string& key) {
-  unsigned long long result = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), result);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    Fail(key + "= expects a non-negative integer, got '" + value + "'");
-  }
-  return result;
-}
-
-double ParseDouble(const std::string& value, const std::string& key) {
-  try {
-    std::size_t consumed = 0;
-    const double result = std::stod(value, &consumed);
-    if (consumed == value.size()) return result;
-  } catch (const std::exception&) {
-  }
-  Fail(key + "= expects a number, got '" + value + "'");
-}
-
 // A lognormal shape (sigma=, jitter=). Shapes past kMaxNoiseSigma are
 // rejected here, naming the spec token that carried them; NaN and
 // negative values fall through to ClusterConfig::Validate.
 double ParseSigma(const std::string& value, const std::string& key,
                   const std::string& setting) {
-  const double sigma = ParseDouble(value, key);
+  const double sigma = ParseNumber<double>(value, key);
   if (sigma > kMaxNoiseSigma) {
     Fail(key + "= must be at most " + FormatDouble(kMaxNoiseSigma) +
          " (a lognormal shape; larger values overflow the sampled times), "
@@ -91,12 +61,9 @@ double ParseSigma(const std::string& value, const std::string& key,
 
 // Bytes with an optional binary suffix: "4194304", "4M", "4MiB", "512K".
 std::int64_t ParseBytes(const std::string& value, const std::string& key) {
-  std::size_t digits = 0;
-  while (digits < value.size() &&
-         (std::isdigit(static_cast<unsigned char>(value[digits])) ||
-          (digits == 0 && value[digits] == '-'))) {
-    ++digits;
-  }
+  const std::size_t digits = std::min(
+      value.find_first_not_of("0123456789", value.starts_with('-') ? 1 : 0),
+      value.size());
   std::string suffix = value.substr(digits);
   for (char& c : suffix) c = static_cast<char>(std::tolower(c));
   std::int64_t scale = 1;
@@ -110,7 +77,7 @@ std::int64_t ParseBytes(const std::string& value, const std::string& key) {
     Fail(key + "= has unknown byte suffix '" + suffix + "' in '" + value +
          "' (use K, M or G)");
   }
-  const long long magnitude = ParseIntegral(value.substr(0, digits), key);
+  const auto magnitude = ParseNumber<long long>(value.substr(0, digits), key);
   if (magnitude > std::numeric_limits<std::int64_t>::max() / scale ||
       magnitude < std::numeric_limits<std::int64_t>::min() / scale) {
     Fail(key + "= overflows 64-bit bytes: '" + value + "'");
@@ -167,82 +134,68 @@ void ParseClusterToken(const std::string& token, SweepSpec& sweep) {
     if (values.empty() || values.front().empty()) {
       Fail(key + "= has an empty value in '" + token + "'");
     }
+    // Every comma-separated value of a sweep axis, parsed into `axis`.
+    const auto each = [&](auto& axis, auto parse) {
+      axis.clear();
+      for (const auto& v : values) axis.push_back(parse(v));
+    };
+    // The one value of a setting that is not a sweep axis.
+    const auto scalar = [&]() -> const std::string& {
+      if (values.size() != 1) Fail(key + "= is not a sweep axis");
+      return values[0];
+    };
+    const auto count = [&](const std::string& v) {
+      return ParseBoundedInt(v, key, 1, 1 << 20);
+    };
+    const auto number = [&](const std::string& v) {
+      return ParseNumber<double>(v, key);
+    };
     if (key == "workers") {
-      sweep.workers.clear();
-      for (const auto& v : values) {
-        sweep.workers.push_back(ParseBoundedInt(v, key, 1, 1 << 20));
-      }
+      each(sweep.workers, count);
     } else if (key == "ps") {
-      sweep.ps.clear();
-      for (const auto& v : values) {
-        sweep.ps.push_back(ParseBoundedInt(v, key, 1, 1 << 20));
-      }
+      each(sweep.ps, count);
     } else if (key == "task") {
-      sweep.tasks.clear();
-      for (const auto& v : values) {
-        if (v == "training") {
-          sweep.tasks.push_back(true);
-        } else if (v == "inference") {
-          sweep.tasks.push_back(false);
-        } else {
+      each(sweep.tasks, [](const std::string& v) {
+        if (v != "training" && v != "inference") {
           Fail("task= expects 'inference' or 'training', got '" + v + "'");
         }
-      }
+        return v == "training";
+      });
     } else if (key == "batch") {
-      sweep.batch_factors.clear();
-      for (const auto& v : values) {
-        const double b = ParseDouble(v, key);
+      each(sweep.batch_factors, [&](const std::string& v) {
+        const double b = number(v);
         if (b <= 0.0) Fail("batch must be > 0, got " + v);
-        sweep.batch_factors.push_back(b);
-      }
+        return b;
+      });
     } else if (key == "chunk") {
-      sweep.chunk_bytes.clear();
-      for (const auto& v : values) {
+      each(sweep.chunk_bytes, [&](const std::string& v) {
         const std::int64_t c = ParseBytes(v, key);
         if (c < 0) Fail("chunk must be >= 0, got " + v);
-        sweep.chunk_bytes.push_back(c);
-      }
+        return c;
+      });
     } else if (key == "shard") {
-      sweep.shards.clear();
-      for (const auto& v : values) {
-        sweep.shards.push_back(ParseShardStrategy(v));
-      }
+      each(sweep.shards, ParseShardStrategy);
     } else if (key == "topology") {
-      sweep.topologies.clear();
-      for (const auto& v : values) {
-        sweep.topologies.push_back(ParseTopology(v));
-      }
+      each(sweep.topologies, ParseTopology);
     } else if (key == "enforce") {
-      sweep.enforcements.clear();
-      for (const auto& v : values) {
-        sweep.enforcements.push_back(ParseEnforcement(v));
-      }
+      each(sweep.enforcements, ParseEnforcement);
     } else if (key == "sigma") {
-      sweep.tac_oracle_sigmas.clear();
-      for (const auto& v : values) {
-        const double s = ParseSigma(v, key, setting);
-        if (s < 0.0) Fail("sigma must be >= 0, got " + v);
-        sweep.tac_oracle_sigmas.push_back(s);
-      }
+      each(sweep.tac_oracle_sigmas, [&](const std::string& v) {
+        const double sigma = ParseSigma(v, key, setting);
+        if (sigma < 0.0) Fail("sigma must be >= 0, got " + v);
+        return sigma;
+      });
     } else if (key == "jitter") {
-      if (values.size() != 1) Fail("jitter= is not a sweep axis");
-      sweep.jitter_sigma = ParseSigma(values[0], key, setting);
+      sweep.jitter_sigma = ParseSigma(scalar(), key, setting);
     } else if (key == "ooo") {
-      if (values.size() != 1) Fail("ooo= is not a sweep axis");
-      sweep.out_of_order = ParseDouble(values[0], key);
+      sweep.out_of_order = number(scalar());
     } else if (key == "speeds") {
-      sweep.worker_speed_factors.clear();
-      for (const auto& v : values) {
-        sweep.worker_speed_factors.push_back(ParseDouble(v, key));
-      }
+      each(sweep.worker_speed_factors, number);
     } else if (key == "pods") {
-      if (values.size() != 1) Fail("pods= is not a sweep axis");
-      sweep.pods = ParseBoundedInt(values[0], key, 1, 1 << 20);
+      sweep.pods = count(scalar());
     } else if (key == "oversub") {
-      if (values.size() != 1) Fail("oversub= is not a sweep axis");
-      const double o = ParseDouble(values[0], key);
-      if (o <= 0.0) Fail("oversub must be > 0, got " + values[0]);
-      sweep.oversub = o;
+      sweep.oversub = number(scalar());
+      if (sweep.oversub <= 0.0) Fail("oversub must be > 0, got " + values[0]);
     } else {
       Fail("unknown cluster setting '" + key + "' in '" + token +
            "' (known: workers, ps, training, inference, task, batch, "
@@ -262,7 +215,7 @@ std::string FormatDouble(double value) {
     std::ostringstream out;
     out.precision(precision);
     out << value;
-    if (std::stod(out.str()) == value) return out.str();
+    if (util::ParseDouble(out.str()) == value) return out.str();
   }
   std::ostringstream out;
   out.precision(17);
@@ -530,7 +483,7 @@ SweepSpec SweepSpec::Parse(std::string_view text) {
     } else if (key == "seed") {
       if (saw_seed) Fail("duplicate seed= token");
       saw_seed = true;
-      sweep.seed = ParseSeed(value, key);
+      sweep.seed = ParseNumber<std::uint64_t>(value, key);
     } else {
       Fail("unknown key '" + key +
            "=' (known: model(s), policy/policies, iterations, seed)");
@@ -539,14 +492,12 @@ SweepSpec SweepSpec::Parse(std::string_view text) {
   if (!saw_models || raw_models.empty()) {
     Fail("model= (or models=) is required, e.g. model=Inception v2");
   }
-  for (std::string& name : Split(raw_models, ',')) {
-    // Tolerate "a, b" style lists.
-    const std::size_t begin = name.find_first_not_of(' ');
-    const std::size_t end = name.find_last_not_of(' ');
-    if (begin == std::string::npos) {
+  for (const std::string_view entry : util::Split(raw_models, ',')) {
+    const std::string_view name = util::Trim(entry, " ");  // "a, b" lists
+    if (name.empty()) {
       Fail("models= has an empty entry in '" + raw_models + "'");
     }
-    sweep.models.push_back(name.substr(begin, end - begin + 1));
+    sweep.models.emplace_back(name);
   }
   return sweep;
 }

@@ -1,9 +1,11 @@
 #include "sched/arrival.h"
 
 #include <cmath>
-#include <fstream>
+#include <optional>
 #include <stdexcept>
 
+#include "util/csv.h"
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace tictac::sched {
@@ -16,19 +18,6 @@ namespace {
 // Generous cap: a burst costs one fabric re-lowering per admitted job,
 // so a fat-fingered burst=1e9 would turn a one-line spec into hours.
 constexpr int kMaxBurst = 4096;
-
-// Parses "key=value" fields of a synthetic spec ("rate=40", "burst=8").
-double ParseNumberField(std::string_view field, std::string_view key) {
-  const std::string value(field.substr(key.size()));
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    Fail(std::string(key) + " expects a number, got '" + value + "'");
-  }
-}
 
 }  // namespace
 
@@ -68,28 +57,22 @@ ArrivalSpec ArrivalSpec::Parse(std::string_view text) {
   spec.kind = head == "poisson" ? Kind::kPoisson : Kind::kBursty;
   bool saw_rate = false;
   bool saw_burst = false;
-  std::size_t pos = colon;
-  while (pos != std::string_view::npos && pos < text.size()) {
-    const std::size_t next = text.find(':', pos + 1);
-    const std::string_view field =
-        text.substr(pos + 1, next == std::string_view::npos
-                                 ? std::string_view::npos
-                                 : next - pos - 1);
-    if (field.rfind("rate=", 0) == 0) {
-      spec.rate = ParseNumberField(field, "rate=");
+  const std::vector<std::string_view> fields = util::Split(text, ':');
+  for (std::size_t i = 1; i < fields.size(); ++i) {
+    const std::string_view field = fields[i];
+    const std::size_t eq = field.find('=');
+    const std::string_view key = field.substr(0, eq + 1);  // "rate="
+    const std::string_view value = field.substr(eq + 1);
+    if (key == "rate=") {
+      spec.rate = util::ReadNumber<double>("arrival", key, value);
       saw_rate = true;
-    } else if (field.rfind("burst=", 0) == 0 && spec.kind == Kind::kBursty) {
-      const double value = ParseNumberField(field, "burst=");
-      if (value != std::floor(value)) {
-        Fail("burst= expects an integer, got '" + std::string(field) + "'");
-      }
-      spec.burst = static_cast<int>(value);
+    } else if (key == "burst=" && spec.kind == Kind::kBursty) {
+      spec.burst = util::ReadNumber<int>("arrival", key, value);
       saw_burst = true;
     } else {
       Fail("unknown field '" + std::string(field) + "' in '" +
            std::string(text) + "'");
     }
-    pos = next;
   }
   if (!saw_rate) {
     Fail(std::string(head) + " requires rate=, e.g. " + std::string(head) +
@@ -120,32 +103,9 @@ namespace {
 
 std::vector<ArrivalEvent> ReadTrace(const std::string& path,
                                     double duration) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("arrival: cannot read trace file '" + path +
-                             "'");
-  }
   std::vector<ArrivalEvent> events;
-  std::string line;
-  std::size_t line_no = 0;
   double prev_time = 0.0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Editor/export tolerance, mirroring the fault trace reader
-    // (src/fault/fault.cc): a UTF-8 BOM on line 1, CRLF endings,
-    // trailing blanks, indented comments, and whitespace-only lines.
-    if (line_no == 1 && line.rfind("\xef\xbb\xbf", 0) == 0) line.erase(0, 3);
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
-      line.pop_back();
-    }
-    std::size_t first = 0;
-    while (first < line.size() &&
-           (line[first] == ' ' || line[first] == '\t')) {
-      ++first;
-    }
-    if (first > 0) line.erase(0, first);
-    if (line.empty() || line[0] == '#') continue;
+  for (const auto& [line_no, line] : util::ReadTraceLines(path, "arrival")) {
     const std::string where =
         "trace '" + path + "' line " + std::to_string(line_no);
     const std::size_t comma = line.find(',');
@@ -154,14 +114,12 @@ std::vector<ArrivalEvent> ReadTrace(const std::string& path,
     }
     ArrivalEvent event;
     const std::string time_text = line.substr(0, comma);
-    try {
-      std::size_t consumed = 0;
-      event.time = std::stod(time_text, &consumed);
-      if (consumed != time_text.size()) throw std::invalid_argument(time_text);
-    } catch (const std::exception&) {
+    const std::optional<double> time = util::ParseDouble(time_text);
+    if (!time) {
       Fail(where + ": arrival time must be a number, got '" + time_text +
            "'");
     }
+    event.time = *time;
     if (!std::isfinite(event.time) || event.time < 0.0) {
       Fail(where + ": arrival time must be finite and >= 0, got " +
            time_text);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/parse.h"
+
 namespace tictac::util {
 
 std::string CsvEscape(const std::string& field) {
@@ -37,6 +39,27 @@ void CsvWriter::EmitRow(const std::vector<std::string>& row) {
     out_ << CsvEscape(row[i]);
   }
   out_ << '\n';
+}
+
+std::vector<std::pair<std::size_t, std::string>> ReadTraceLines(
+    const std::string& path, const std::string& who) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error(who + ": cannot read trace file '" + path + "'");
+  }
+  std::vector<std::pair<std::size_t, std::string>> lines;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    std::string_view text = line;
+    if (line_no == 1 && text.starts_with("\xef\xbb\xbf")) {
+      text.remove_prefix(3);  // UTF-8 BOM from spreadsheet exports
+    }
+    text = Trim(text, " \t\r");
+    if (!text.empty() && text.front() != '#') {
+      lines.emplace_back(line_no, std::string(text));
+    }
+  }
+  return lines;
 }
 
 }  // namespace tictac::util

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/spec.h"
@@ -109,6 +110,27 @@ TEST(ArrivalSpec, BurstyWithoutBurstIsNamed) {
     EXPECT_NE(std::string(e.what()).find("bursty requires burst="),
               std::string::npos)
         << e.what();
+  }
+}
+
+// burst= is read as an integer and rate= as a whole number, so a value
+// that is out of range, float-typed or signed is named exactly as typed
+// (burst=1e300 used to be cast to int, which is undefined behaviour).
+TEST(ArrivalSpec, MalformedNumbersAreQuotedAsTyped) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"bursty:rate=4:burst=1e300", "'1e300'"},
+      {"bursty:rate=4:burst=8.0", "'8.0'"},
+      {"bursty:rate=4:burst=+8", "'+8'"},
+      {"poisson:rate=+2", "'+2'"},
+  };
+  for (const auto& [spec, token] : cases) {
+    try {
+      ArrivalSpec::Parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
@@ -288,6 +289,36 @@ TEST(CliSmoke, ExecMalformedStragglerIsRejected) {
   EXPECT_NE(result.stderr_text.find("--straggler expects worker=factor"),
             std::string::npos)
       << result.stderr_text;
+}
+
+// Every command rejects a flag it does not read, and every number is read
+// whole; each line exits non-zero naming the flag in its own error line
+// (not only in the usage text that follows it).
+TEST(CliSmoke, RejectedInputsNameTheFlag) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"compare \"AlexNet v2\" --policy tac", "compare: --policy"},
+      {"export-dot VGG-16 --workers 9", "export-dot: --workers"},
+      {"models --training", "models: --training"},
+      {"policies --env envC", "policies: --env"},
+      {"exec --training", "exec: --training"},
+      {"exec --iterations 3", "exec: --iterations"},
+      {"sweep --sweep x --list-policies", "unknown flag: --list-policies"},
+      {"serve --arrivals poisson:rate=5 --seed -1", "serve: --seed"},
+      {"serve --arrivals poisson:rate=5 --seed +5", "serve: --seed"},
+      {"simulate VGG-16 --workers \" 2\"", "simulate: --workers"},
+      {"simulate VGG-16 --workers abc", "simulate: --workers"},
+      {"clustersweep --jobs \"{envG:workers=2:ps=1:training model=AlexNet v2 "
+       "policy=tic iterations=1 seed=1}\" --fabrics -1",
+       "fabrics must be >= 0"},
+      // 64 + 2·64·64 + 64 = 8,320 backend threads: refused up front.
+      {"exec --workers 64 --ps 64 --deterministic", "kMaxBackendThreads"},
+  };
+  for (const auto& [args, named] : cases) {
+    const CliResult result = RunCli(args);
+    EXPECT_NE(result.exit_code, 0) << args;
+    EXPECT_NE(result.stderr_text.find(named), std::string::npos)
+        << args << "\n" << result.stderr_text;
+  }
 }
 
 // Noise shapes past kMaxNoiseSigma overflow exp(sigma·z) to inf or 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -104,6 +105,16 @@ TEST(PsBackend, RejectsBadOptions) {
   bad = f.Options(1);
   bad.straggler_factors = {1.0, 1.0, 1.0};  // three factors, two workers
   EXPECT_THROW(PsBackend(f.lowering, f.runner->worker_graph(), bad),
+               std::invalid_argument);
+}
+
+// One thread per lowered resource: 8 workers and 16 PS lower to
+// 8 + 2·8·16 + 16 = 280 resources, past kMaxBackendThreads, so the
+// constructor refuses before Run() could start a thread.
+TEST(PsBackend, RejectsLoweringsPastTheThreadCap) {
+  Fixture f("AlexNet v2", "tic", 8, 16);
+  ASSERT_GT(f.lowering.num_resources, kMaxBackendThreads);
+  EXPECT_THROW(PsBackend(f.lowering, f.runner->worker_graph(), f.Options(1)),
                std::invalid_argument);
 }
 
@@ -275,6 +286,22 @@ TEST(ValidateAgainstSim, DeterministicReportIsByteIdentical) {
   const std::string b = ValidateAgainstSim(spec).ToJson();
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"prediction_error_pct\""), std::string::npos);
+}
+
+TEST(ValidateAgainstSim, RejectsClustersPastTheThreadCapBeforeLowering) {
+  ExecSpec spec;
+  spec.model = "AlexNet v2";
+  spec.num_workers = 64;
+  spec.num_ps = 64;  // 64 + 2·64·64 + 64 = 8,320 threads
+  try {
+    ValidateAgainstSim(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("workers=64"), std::string::npos) << what;
+    EXPECT_NE(what.find("ps=64"), std::string::npos) << what;
+    EXPECT_NE(what.find("256"), std::string::npos) << what;
+  }
 }
 
 TEST(ValidateAgainstSim, TracksStragglerPerturbation) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/zoo.h"
@@ -77,6 +78,28 @@ TEST(FaultSpec, RejectsMalformedClauses) {
     EXPECT_NE(std::string(e.what()).find("does not take for="),
               std::string::npos)
         << e.what();
+  }
+}
+
+// Numbers are read whole and integer fields as integers, so a value that
+// is out of range, float-typed or signed is named exactly as typed
+// (worker=1e300 used to be cast to int, which is undefined behaviour).
+TEST(FaultSpec, MalformedNumbersAreQuotedAsTyped) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"crash:worker=1e300:at=1", "'1e300'"},
+      {"crash:worker=inf:at=1", "'inf'"},
+      {"crash:worker=4294967296:at=1", "'4294967296'"},
+      {"straggler:worker=2.0:factor=2:at=1", "'2.0'"},
+      {"straggler:worker=1:factor=+2:at=1", "'+2'"},
+  };
+  for (const auto& [spec, token] : cases) {
+    try {
+      FaultSpec::Parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+          << e.what();
+    }
   }
 }
 

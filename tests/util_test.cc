@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/csv.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -287,6 +290,58 @@ TEST(Csv, WritesRowsToFile) {
   EXPECT_EQ(line, "x,y");
   std::getline(in, line);
   EXPECT_EQ(line, "1,2");
+}
+
+TEST(Parse, ReadsWholeTokensOnly) {
+  EXPECT_EQ(ParseInt("42"), 42);
+  EXPECT_EQ(ParseInt("-3"), -3);
+  EXPECT_EQ(ParseUnsigned("7"), 7u);
+  EXPECT_EQ(ParseDouble("2.5"), 2.5);
+  EXPECT_EQ(ParseDouble("1e-3"), 1e-3);
+  for (const char* bad : {"", "4x", "4 ", "abc", "0x10", "1e"}) {
+    EXPECT_FALSE(ParseInt(bad)) << bad;
+    EXPECT_FALSE(ParseUnsigned(bad)) << bad;
+    EXPECT_FALSE(ParseDouble(bad)) << bad;
+  }
+}
+
+TEST(Parse, RejectsSignPrefixAndWhitespace) {
+  for (const char* bad : {"+5", " 5", "\t5", "-"}) {
+    EXPECT_FALSE(ParseInt(bad)) << bad;
+    EXPECT_FALSE(ParseUnsigned(bad)) << bad;
+    EXPECT_FALSE(ParseDouble(bad)) << bad;
+  }
+  EXPECT_FALSE(ParseUnsigned("-1"));  // never wrapped to 2^64 - 1
+  EXPECT_EQ(ParseDouble("-0.5"), -0.5);
+}
+
+TEST(Parse, IntegersAreNeverReadThroughADouble) {
+  EXPECT_FALSE(ParseInt("2.0"));
+  EXPECT_FALSE(ParseInt("1e3"));
+  EXPECT_FALSE(ParseUnsigned("8.0"));
+}
+
+TEST(Parse, RejectsOverflowInsteadOfWrapping) {
+  EXPECT_EQ(ParseInt("2147483647"), std::numeric_limits<int>::max());
+  EXPECT_FALSE(ParseInt("2147483648"));
+  EXPECT_FALSE(ParseInt("4294967296"));
+  EXPECT_EQ(ParseInt<long long>("4294967296"), 4294967296ll);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616"));
+  EXPECT_FALSE(ParseDouble("1e400"));
+  EXPECT_EQ(ParseDouble("1e300"), 1e300);
+}
+
+// inf and nan parse as doubles; each caller's range check decides.
+TEST(Parse, InfAndNanReachTheCallersRangeChecks) {
+  EXPECT_EQ(ParseDouble("inf"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ParseDouble("-inf"), -std::numeric_limits<double>::infinity());
+  const std::optional<double> nan = ParseDouble("nan");
+  ASSERT_TRUE(nan);
+  EXPECT_TRUE(std::isnan(*nan));
+  EXPECT_FALSE(ParseInt("inf"));
+  EXPECT_FALSE(ParseUnsigned("nan"));
 }
 
 }  // namespace
