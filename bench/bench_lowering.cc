@@ -1,14 +1,12 @@
 // Lowering-path cost (DESIGN.md §10): the pass-based pipeline over the
-// arena-interned ir::Module against the frozen pre-IR implementation
+// flat ir::Module against the frozen pre-IR implementation
 // (runtime/reference_lowering.h), plus the PropertyIndex build the
-// scheduling passes pay. The arena counters — interned pred-list pool
-// size vs the naive per-node layout, dedup hit rate — ride along into
-// BENCH_sched.json via bench/run_benches.sh, so layout regressions (an
-// accidental de-interning, a pass that stops sharing lists) show up in
-// the archived perf trajectory next to their runtime cost.
+// scheduling passes pay. The module's size — nodes and CSR pred-list
+// entries — rides along into BENCH_sched.json via bench/run_benches.sh,
+// so a layout change shows up in the archived perf trajectory next to
+// its runtime cost.
 #include <benchmark/benchmark.h>
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -58,9 +56,8 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
         w.runner.worker_graph(), w.schedule, w.runner.ps_of_param(),
         w.runner.config()));
   }
-  // The interning footprint of the same lowering, as counters: how many
-  // pred-list entries the arena stores vs what a per-node layout would,
-  // and how often Intern() was answered from existing storage.
+  // The footprint of the same lowering, as counters: nodes and the pred
+  // entries the CSR pool holds.
   std::vector<tictac::runtime::JobLoweringInput> jobs;
   jobs.push_back({w.runner.worker_graph(), w.schedule,
                   w.runner.ps_of_param(), w.runner.config()});
@@ -68,18 +65,10 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
       tictac::ir::StandardLoweringPipeline(
           tictac::runtime::Topology::kPsFabric)
           .Run(tictac::ir::BuildLogicalModule(jobs));
-  std::size_t naive_entries = 0;
-  for (tictac::ir::NodeId n = 0;
-       n < static_cast<tictac::ir::NodeId>(module.size()); ++n) {
-    naive_entries += module.preds(n).size();
-  }
   state.counters["nodes"] = static_cast<double>(module.size());
   state.counters["arena_pool_entries"] =
       static_cast<double>(module.arena().pool_entries());
-  state.counters["naive_pred_entries"] = static_cast<double>(naive_entries);
-  state.counters["arena_dedup_hits"] =
-      static_cast<double>(module.arena().dedup_hits());
-  state.SetLabel("ir::PassPipeline over the interned arena");
+  state.SetLabel("ir::PassPipeline over the flat module");
 }
 BENCHMARK(BM_LowerClusterPipeline)->Unit(benchmark::kMillisecond);
 

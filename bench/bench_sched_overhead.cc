@@ -201,8 +201,8 @@ void BM_SimFlow(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.Run(fabric.options, /*seed=*/1));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sim.tasks().size()));
-  state.SetLabel(std::to_string(sim.tasks().size()) + " tasks");
+                          static_cast<std::int64_t>(sim.num_tasks()));
+  state.SetLabel(std::to_string(sim.num_tasks()) + " tasks");
 }
 
 BENCHMARK(BM_SimFlow)->Unit(benchmark::kMillisecond);

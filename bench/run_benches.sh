@@ -18,9 +18,9 @@
 # sim-to-real round-trip cost plus prediction-fidelity counters
 # (measured vs predicted iteration time, calibrated and uncalibrated
 # error) per policy, and bench_lowering's BM_Lower* cases record the
-# pass-pipeline lowering cost over the arena-interned IR against the
-# frozen pre-IR implementation plus the arena interning counters
-# (pool entries vs naive pred storage, dedup hits), and
+# pass-pipeline lowering cost over the flat IR against the frozen
+# pre-IR implementation plus the module's size (nodes, CSR pred
+# entries), and
 # bench_clustersweep's BM_ClusterSweep cases record the 100/1000-job
 # contended sweep through the sharded parallel engine plus the population
 # SLO counters (p99 job iteration, Jain fairness); the summary below
@@ -197,13 +197,11 @@ lowering = [b for b in data.get("benchmarks", [])
 if lowering:
     print("lowering pipeline vs frozen reference (bench_lowering):")
     for b in lowering:
+        nodes = b.get("nodes")
         pool = b.get("arena_pool_entries")
-        naive = b.get("naive_pred_entries")
-        hits = b.get("arena_dedup_hits")
         extras = ""
-        if pool is not None and naive:
-            extras = (f" (arena {pool:.0f} of {naive:.0f} naive pred"
-                      f" entries, {hits:.0f} dedup hits)")
+        if nodes is not None and pool is not None:
+            extras = f" ({nodes:.0f} nodes, {pool:.0f} pred entries)"
         print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
 cluster = [b for b in data.get("benchmarks", [])
            if b.get("name", "").startswith("BM_ClusterSweep")]

@@ -598,6 +598,7 @@ struct Flag {
   std::string_view commands;  // ", "-separated: the commands that read it
   Field field;
   double min = -std::numeric_limits<double>::infinity();  // numbers only
+  double max = std::numeric_limits<double>::infinity();
 };
 
 const Flag kFlags[] = {
@@ -611,8 +612,9 @@ const Flag kFlags[] = {
     {"--ps", "N", "exec, simulate, compare", &Args::ps},
     {"--training", "", "schedule, simulate, compare, export-graph, export-dot",
      &Args::training},
-    {"--iterations", "N", "simulate, compare", &Args::iterations},
-    {"--iters", "N", "exec", &Args::iterations},
+    {"--iterations", "N", "simulate, compare", &Args::iterations, 1,
+     runtime::kMaxIterations},
+    {"--iters", "N", "exec", &Args::iterations, 1, runtime::kMaxIterations},
     {"--env", "<env>", "simulate, compare", &Args::env},
     {"--parallel", "N", "sweep", &Args::parallelism, 1},
     {"--no-isolated", "", "multijob", &Args::no_isolated},
@@ -707,6 +709,11 @@ bool Store(const Flag& flag, std::string_view value, std::string_view command,
           if (*number < flag.min) {
             std::cerr << command << ": " << flag.name << " must be >= "
                       << flag.min << "\n";
+            return false;
+          }
+          if (*number > flag.max) {
+            std::cerr << command << ": " << flag.name << " must be <= "
+                      << static_cast<std::int64_t>(flag.max) << "\n";
             return false;
           }
           dst = *number;

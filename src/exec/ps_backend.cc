@@ -16,6 +16,7 @@
 #include "exec/transport.h"
 #include "learn/data.h"
 #include "learn/matrix.h"
+#include "runtime/spec.h"
 #include "sim/engine.h"
 #include "util/rng.h"
 
@@ -84,8 +85,12 @@ PsBackend::PsBackend(const runtime::Lowering& lowering,
                      const core::Graph& worker_graph, BackendOptions options)
     : lowering_(&lowering), graph_(&worker_graph),
       options_(std::move(options)) {
-  if (options_.iterations < 1) {
-    throw std::invalid_argument("PsBackend: iterations must be >= 1");
+  if (options_.iterations < 1 ||
+      options_.iterations > runtime::kMaxIterations) {
+    throw std::invalid_argument("PsBackend: iterations must be in [1, " +
+                                std::to_string(runtime::kMaxIterations) +
+                                "], got " +
+                                std::to_string(options_.iterations));
   }
   if (options_.work_scale <= 0.0 || options_.wire_scale <= 0.0) {
     throw std::invalid_argument("PsBackend: payload scales must be > 0");

@@ -295,8 +295,10 @@ const runtime::Runner& Session::runner(const runtime::ExperimentSpec& spec) {
 }
 
 runtime::ExperimentResult Session::Run(const runtime::ExperimentSpec& spec) {
-  if (spec.iterations < 1) {
-    throw std::invalid_argument("Session: iterations must be >= 1, got " +
+  if (spec.iterations < 1 || spec.iterations > runtime::kMaxIterations) {
+    throw std::invalid_argument("Session: iterations must be in [1, " +
+                                std::to_string(runtime::kMaxIterations) +
+                                "], got " +
                                 std::to_string(spec.iterations) + " in '" +
                                 spec.ToString() + "'");
   }

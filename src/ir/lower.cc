@@ -166,6 +166,13 @@ int AddJob(Module& module, JobInfo info) {
 Module BuildLogicalModule(
     const std::vector<runtime::JobLoweringInput>& jobs) {
   Module module;
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
+  for (const runtime::JobLoweringInput& job : jobs) {
+    nodes += job.graph.size();
+    edges += job.graph.num_edges();
+  }
+  module.Reserve(nodes, edges);
   for (const runtime::JobLoweringInput& job : jobs) {
     JobInfo info;
     info.config = job.config;

@@ -14,16 +14,6 @@ namespace {
   throw std::invalid_argument("ir: " + what);
 }
 
-std::uint64_t HashList(std::span<const NodeId> list) {
-  // FNV-1a over the raw ids; collisions are resolved by content compare.
-  std::uint64_t h = 1469598103934665603ull;
-  for (NodeId n : list) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(n));
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 const char* KindName(core::OpKind kind) {
   switch (kind) {
     case core::OpKind::kCompute:
@@ -58,33 +48,34 @@ const char* ToString(Stage stage) {
   return "?";
 }
 
-PredArena::PredArena() {
-  // Reserve id 0 for the empty list so default nodes need no index probe.
-  spans_.push_back(Span{0, 0});
-  index_[HashList({})].push_back(kEmptyList);
+PredArena::ListId PredArena::Intern(std::span<const NodeId> list) {
+  if (list.empty()) return kEmptyList;
+  pool_.insert(pool_.end(), list.begin(), list.end());
+  offsets_.push_back(pool_.size());
+  return static_cast<ListId>(offsets_.size() - 2);
 }
 
-PredArena::ListId PredArena::Intern(std::span<const NodeId> list) {
-  const std::uint64_t h = HashList(list);
-  auto it = index_.find(h);
-  if (it != index_.end()) {
-    for (ListId candidate : it->second) {
-      std::span<const NodeId> existing = this->list(candidate);
-      if (existing.size() == list.size() &&
-          std::equal(existing.begin(), existing.end(), list.begin())) {
-        ++dedup_hits_;
-        return candidate;
-      }
-    }
-  }
-  Span s;
-  s.offset = static_cast<std::uint32_t>(pool_.size());
-  s.size = static_cast<std::uint32_t>(list.size());
-  pool_.insert(pool_.end(), list.begin(), list.end());
-  const ListId id = static_cast<ListId>(spans_.size());
-  spans_.push_back(s);
-  index_[h].push_back(id);
-  return id;
+void Module::Reserve(std::size_t nodes, std::size_t pred_entries) {
+  const std::size_t n = size() + nodes;
+  duration_.reserve(n);
+  resource_.reserve(n);
+  priority_.reserve(n);
+  gate_group_.reserve(n);
+  gate_rank_.reserve(n);
+  pred_list_.reserve(n);
+  kind_.reserve(n);
+  op_.reserve(n);
+  worker_.reserve(n);
+  job_.reserve(n);
+  iteration_.reserve(n);
+  param_.reserve(n);
+  bytes_.reserve(n);
+  cost_.reserve(n);
+  rank_.reserve(n);
+  sched_priority_.reserve(n);
+  delay_.reserve(n);
+  name_.reserve(n);
+  arena_.Reserve(nodes, pred_entries);
 }
 
 NodeId Module::AddNode() {
@@ -238,8 +229,7 @@ std::string Module::DebugSummary() const {
     sep = " ";
   }
   out << "], arena={lists=" << arena_.num_lists()
-      << ", entries=" << arena_.pool_entries()
-      << ", dedup_hits=" << arena_.dedup_hits() << "}}";
+      << ", entries=" << arena_.pool_entries() << "}}";
   return out.str();
 }
 

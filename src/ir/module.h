@@ -1,12 +1,12 @@
-// Arena-interned task-graph IR (DESIGN.md §10).
+// Flat task-graph IR (DESIGN.md §10).
 //
 // Every lowering in the runtime — cluster, pipeline, all-reduce,
 // multi-job composition — is expressed as a sequence of small
 // graph-rewrite passes over one shared representation, in the style of
-// shady's passes/ + node.c: flat node storage with dense ids, an interned
-// predecessor-list arena, and side-table attributes carrying provenance
-// (job / worker / iteration / param) that the hot simulation path never
-// touches.
+// shady's passes/ + node.c: flat node storage with dense ids, one CSR
+// pool of predecessor lists, and side-table attributes carrying
+// provenance (job / worker / iteration / param) that the hot simulation
+// path never touches.
 //
 // A Module moves through stages as passes lower it:
 //
@@ -22,18 +22,20 @@
 //
 // Node ids are dense and stage-local: passes rebuild storage rather than
 // mutate in place, so a NodeId is only meaningful against the module
-// revision that produced it. Predecessor lists live in a content-interned
-// arena — structurally identical lists (every transfer of an all-reduce
-// round, every replica of a fan-in) share one span of the pool, which is
-// both the memory win and what makes the flat storage cache-friendly to
-// scan.
+// revision that produced it. Node layout: one column per field (the hot
+// task fields, then the provenance side tables), and a pred-list id per
+// node into the PredArena — a CSR pool, appended to in node order, so a
+// pass that reserves its columns from its known output size lowers
+// without reallocating. Lists are not shared: pred lists hold absolute
+// NodeIds, so replicas never repeat one, and a hash index that found the
+// few that do repeat cost more than the entries it saved.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/graph.h"
@@ -48,42 +50,56 @@ inline constexpr NodeId kNoNode = -1;
 // Rank attribute of an unscheduled node (no normalized recv rank).
 inline constexpr int kNoRank = -1;
 
-// Content-interned predecessor-list arena: a CSR pool of NodeIds plus a
-// dedupe index, so identical lists are stored once and a node holds only
-// a ListId. The empty list is always id 0.
+// Lowering budgets. Passes check them before they reserve their columns,
+// so an oversized cluster is rejected naming the knob instead of failing
+// inside an allocation.
+//
+// kMaxLoweredTasks bounds the nodes (the sum over jobs of workers x
+// worker-graph ops, times pipelined iterations, plus the ring
+// collective's transfers). A PS-fabric run, whose pred lists are short,
+// peaks at ~250 bytes of host memory per lowered task (`tictac_cli run`
+// on ResNet-101 v2 training, 50 and 100 workers): ~4 GB at the budget.
+//
+// kMaxLoweredPredEntries bounds the pred-list entries. It is the binding
+// limit for the ring collective, where every transfer lists its whole
+// previous round, so the entries grow as transfers x workers: a ring run
+// costs ~13 bytes per entry (`tictac_cli run` on AlexNet v2 training
+// with topology=ring, 64 and 96 workers), ~3.5 GB at the budget.
+inline constexpr std::int64_t kMaxLoweredTasks = std::int64_t{1} << 24;
+inline constexpr std::int64_t kMaxLoweredPredEntries = std::int64_t{1} << 28;
+
+// Predecessor lists as one CSR pool of NodeIds: list i is
+// pool[offsets[i], offsets[i + 1]), and a node holds only its ListId.
+// Intern appends; ids are dense in append order, and the empty list is
+// always id 0 (default nodes point at it without an append).
 class PredArena {
  public:
   using ListId = std::int32_t;
   static constexpr ListId kEmptyList = 0;
 
-  PredArena();
-
-  // Returns the id of an existing identical list, or appends the list to
-  // the pool and returns its fresh id.
+  // Appends `list` to the pool and returns its fresh id; an empty list
+  // returns kEmptyList.
   ListId Intern(std::span<const NodeId> list);
 
   std::span<const NodeId> list(ListId id) const {
-    const Span& s = spans_[static_cast<std::size_t>(id)];
-    return {pool_.data() + s.offset, s.size};
+    const auto i = static_cast<std::size_t>(id);
+    return {pool_.data() + offsets_[i], pool_.data() + offsets_[i + 1]};
   }
 
-  // Distinct lists stored (including the empty list).
-  std::size_t num_lists() const { return spans_.size(); }
-  // Total NodeIds in the pool (what a non-interned layout would multiply).
+  // Room for `lists` more lists holding `entries` more NodeIds.
+  void Reserve(std::size_t lists, std::size_t entries) {
+    offsets_.reserve(offsets_.size() + lists);
+    pool_.reserve(pool_.size() + entries);
+  }
+
+  // Lists stored (including the empty list).
+  std::size_t num_lists() const { return offsets_.size() - 1; }
+  // Total NodeIds in the pool.
   std::size_t pool_entries() const { return pool_.size(); }
-  // Intern() calls answered by an existing list instead of new storage.
-  std::size_t dedup_hits() const { return dedup_hits_; }
 
  private:
-  struct Span {
-    std::uint32_t offset = 0;
-    std::uint32_t size = 0;
-  };
   std::vector<NodeId> pool_;
-  std::vector<Span> spans_;
-  // Content hash -> candidate list ids (collisions resolved by compare).
-  std::unordered_map<std::uint64_t, std::vector<ListId>> index_;
-  std::size_t dedup_hits_ = 0;
+  std::vector<std::size_t> offsets_{0, 0};  // the empty list is id 0
 };
 
 enum class Stage { kLogical, kReplicated, kLowered, kMerged };
@@ -102,9 +118,9 @@ struct JobInfo {
   // enforcement precondition — gates are only emitted when set).
   bool scheduled = false;
   // The job's logical worker graph, kept alongside the (equivalent)
-  // kLogical nodes. The interned IR normalizes edge-list order away, but
-  // the graph's edge insertion order (the builder's, or
-  // core::ChunkTransfers' rewiring) is observable downstream, so
+  // kLogical nodes. The module keeps each node's pred list but not the
+  // graph's edge insertion order (the builder's, or
+  // core::ChunkTransfers' rewiring), which is observable downstream, so
   // expand_replicas takes its replica emission order from this graph's
   // TopologicalOrder(). Null once the module leaves kLogical.
   std::shared_ptr<const core::Graph> graph;
@@ -128,6 +144,9 @@ class Module {
   // preds, provenance unset) and returns its id.
   NodeId AddNode();
   std::size_t size() const { return duration_.size(); }
+  // Room for `nodes` more nodes whose pred lists hold `pred_entries`
+  // more NodeIds in all.
+  void Reserve(std::size_t nodes, std::size_t pred_entries);
 
   // --- hot task fields (what the simulator consumes) ----------------------
 
@@ -213,7 +232,7 @@ class Module {
   // group. Throws std::invalid_argument naming the violated invariant.
   void Validate() const;
 
-  // One-line counts (nodes per kind, jobs, stage, arena dedup stats).
+  // One-line counts (nodes per kind, jobs, stage, arena lists/entries).
   std::string DebugSummary() const;
   // Per-node listing of the first `max_nodes` nodes, for dump hooks.
   std::string DebugDump(std::size_t max_nodes = 64) const;

@@ -1,6 +1,7 @@
 #include "ir/passes.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +23,32 @@ void RequireStage(const Module& module, Stage required, const char* pass) {
   }
 }
 
+// Rejects a lowering whose `count` `what` (lowered tasks or pred
+// entries) pass `limit`, the ir:: constant `limit_name`; `knob` and
+// `detail` say which spec setting drove it there.
+void CheckBudget(std::int64_t count, std::int64_t limit, const char* what,
+                 const char* limit_name, const std::string& knob,
+                 const std::string& detail) {
+  if (count > limit) {
+    throw std::invalid_argument(
+        "lowering: " + knob + " " + detail + " = " + std::to_string(count) +
+        " " + what + ", over the budget of " + std::to_string(limit) + " (" +
+        limit_name + "); lower " + knob.substr(0, knob.find('=') + 1));
+  }
+}
+
+void CheckTaskBudget(std::int64_t tasks, const std::string& knob,
+                     const std::string& detail) {
+  CheckBudget(tasks, kMaxLoweredTasks, "lowered tasks",
+              "ir::kMaxLoweredTasks", knob, detail);
+}
+
+void CheckPredBudget(std::int64_t entries, const std::string& knob,
+                     const std::string& detail) {
+  CheckBudget(entries, kMaxLoweredPredEntries, "pred entries",
+              "ir::kMaxLoweredPredEntries", knob, detail);
+}
+
 // --- expand_replicas --------------------------------------------------------
 
 class ExpandReplicasPass final : public Pass {
@@ -33,6 +60,28 @@ class ExpandReplicasPass final : public Pass {
     Module out;
     out.stage = Stage::kReplicated;
     out.jobs = module.jobs;
+
+    // Every job's W replicas of its V logical nodes and their preds.
+    std::int64_t nodes = 0;
+    std::size_t entries = 0;
+    for (std::size_t j = 0; j < module.jobs.size(); ++j) {
+      const std::int64_t W = module.jobs[j].config.num_workers;
+      const JobRange& r = module.ranges[j];
+      const std::int64_t V = r.last - r.first;
+      nodes += W * V;
+      CheckTaskBudget(
+          nodes, "workers=" + std::to_string(W),
+          "x " + std::to_string(V) + " worker-graph ops" +
+              (module.jobs.size() > 1
+                   ? " in job " + std::to_string(j) + " of " +
+                         std::to_string(module.jobs.size()) +
+                         " (counting the jobs before it)"
+                   : ""));
+      for (NodeId n = r.first; n < r.last; ++n) {
+        entries += static_cast<std::size_t>(W) * module.preds(n).size();
+      }
+    }
+    out.Reserve(static_cast<std::size_t>(nodes), entries);
 
     std::vector<NodeId> buf;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -109,6 +158,13 @@ class LowerPsFabricPass final : public Pass {
     Module out;
     out.stage = Stage::kLowered;
     out.jobs = module.jobs;
+    // Per job: P reads, the W·V replicas (a recv gains its read edge) and
+    // at most P aggregate/update pairs (an aggregate's fan-in is one
+    // entry per send).
+    std::size_t params = 0;
+    for (const JobInfo& job : module.jobs) params += job.ps_of_param.size();
+    out.Reserve(module.size() + 3 * params,
+                module.arena().pool_entries() + module.size() + params);
 
     std::vector<NodeId> buf;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -408,8 +464,27 @@ class LowerAllreduceRingPass final : public Pass {
     // Ring phases per parameter: 2(W-1) rounds, W chunk-transfers per
     // round (one per link, concurrently), each chunk bytes/W. A round
     // starts only when the previous round completes (bucket-synchronous
-    // collective) — every transfer of a round shares one interned pred
-    // list, the arena's best case.
+    // collective): every transfer of a round lists the whole previous
+    // round (or the W gradient hand-offs) as its preds.
+    std::int64_t rings = 0;
+    for (const auto& ready : grad_ready) rings += ready.empty() ? 0 : 1;
+    const std::int64_t transfers = rings * 2 * (W - 1) * W;
+    CheckTaskBudget(
+        static_cast<std::int64_t>(module.size()) + transfers,
+        "workers=" + std::to_string(W),
+        "x " + std::to_string(V) + " worker-graph ops + " +
+            std::to_string(transfers) + " ring transfers");
+    // Checked second: transfers * W only fits in 64 bits once the
+    // transfer count is inside its budget.
+    CheckPredBudget(
+        static_cast<std::int64_t>(module.arena().pool_entries()) +
+            transfers * W,
+        "workers=" + std::to_string(W),
+        "x " + std::to_string(transfers) + " ring transfers + " +
+            std::to_string(module.arena().pool_entries()) +
+            " worker-graph pred entries");
+    module.Reserve(static_cast<std::size_t>(transfers),
+                   static_cast<std::size_t>(transfers * W));
     for (int p = 0; p < P; ++p) {
       const auto& ready = grad_ready[static_cast<std::size_t>(p)];
       if (ready.empty()) continue;
@@ -535,6 +610,10 @@ class ApplyArrivalOffsetsPass final : public Pass {
     out.total_workers = module.total_workers;
     out.flow = module.flow;  // delay resources are appended past the
                              // fabric block, so the capacity graph holds
+    // One delay node per job at most; a delayed job's sources gain it as
+    // their one pred.
+    out.Reserve(module.size() + module.jobs.size(),
+                module.arena().pool_entries() + module.size());
 
     std::vector<NodeId> buf;
     int delay_resources = 0;
@@ -676,6 +755,20 @@ class PipelineItersPass final : public Pass {
 
     const auto n0 = static_cast<NodeId>(module.size());
     const int Wt = module.total_workers;
+    CheckTaskBudget(static_cast<std::int64_t>(iterations_) * n0,
+                    "iterations=" + std::to_string(iterations_),
+                    "x " + std::to_string(n0) + " tasks per iteration");
+    CheckPredBudget(
+        static_cast<std::int64_t>(iterations_) *
+            static_cast<std::int64_t>(module.arena().pool_entries()),
+        "iterations=" + std::to_string(iterations_),
+        "x " + std::to_string(module.arena().pool_entries()) +
+            " pred entries per iteration");
+    // Each later iteration copies every node but the delays, and a recv
+    // gains its stitch edge.
+    module.Reserve(static_cast<std::size_t>(iterations_ - 1) * module.size(),
+                   static_cast<std::size_t>(iterations_ - 1) *
+                       (module.arena().pool_entries() + module.size()));
 
     // Iteration-0 stitches: per-(job, param) PS update and per-worker
     // final forward compute — the hooks consecutive iterations chain on.

@@ -156,7 +156,10 @@ ClusterSweepResult ClusterSweep::Run() const {
 
 ClusterSweepResult ClusterSweep::Run(int iterations,
                                      std::uint64_t seed) const {
-  if (iterations < 1) Fail("iterations must be >= 1");
+  if (iterations < 1 || iterations > kMaxIterations) {
+    Fail("iterations must be in [1, " + std::to_string(kMaxIterations) +
+         "], got " + std::to_string(iterations));
+  }
   const sim::TaskGraphSim sim(merged_tasks_, merged_resources_);
 
   ClusterSweepResult result;

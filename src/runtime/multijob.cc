@@ -254,8 +254,10 @@ MultiJobResult MultiJobRunner::Run(int iterations,
 
 MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
                                std::uint64_t seed) {
-  if (iterations < 1) {
-    throw std::invalid_argument("MultiJobRunner: iterations must be >= 1");
+  if (iterations < 1 || iterations > kMaxIterations) {
+    throw std::invalid_argument("MultiJobRunner: iterations must be in [1, " +
+                                std::to_string(kMaxIterations) + "], got " +
+                                std::to_string(iterations));
   }
   const MultiJobLowering& lowering = fabric.lowering;
   sim::TaskGraphSim sim = lowering.combined.BuildSim();

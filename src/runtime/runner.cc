@@ -1,8 +1,12 @@
 #include "runtime/runner.h"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/chunking.h"
 #include "core/metrics.h"
@@ -14,33 +18,37 @@
 namespace tictac::runtime {
 namespace {
 
-// Merges a set of [start, end) intervals into disjoint spans.
-std::vector<std::pair<double, double>> MergeIntervals(
-    std::vector<std::pair<double, double>> intervals) {
-  std::sort(intervals.begin(), intervals.end());
-  std::vector<std::pair<double, double>> merged;
+using Interval = std::pair<double, double>;
+
+// Merges [start, end) intervals, given in non-decreasing start order,
+// into disjoint spans, in place; returns the span count. The spans
+// depend only on that order, not on how equal starts are ordered: a tie
+// always joins the span its twin opened.
+std::size_t MergeSortedIntervals(std::span<Interval> intervals) {
+  std::size_t merged = 0;
   for (const auto& [start, end] : intervals) {
-    if (!merged.empty() && start <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, end);
+    if (merged > 0 && start <= intervals[merged - 1].second) {
+      intervals[merged - 1].second =
+          std::max(intervals[merged - 1].second, end);
     } else {
-      merged.emplace_back(start, end);
+      intervals[merged++] = {start, end};
     }
   }
   return merged;
 }
 
-double CoveredLength(const std::vector<std::pair<double, double>>& spans) {
+double CoveredLength(std::span<const Interval> spans) {
   double total = 0.0;
   for (const auto& [start, end] : spans) total += end - start;
   return total;
 }
 
 // Fraction of the shorter activity (comm vs comp busy time) that ran
-// concurrently with the other.
-double OverlapFraction(std::vector<std::pair<double, double>> comm,
-                       std::vector<std::pair<double, double>> comp) {
-  const auto a = MergeIntervals(std::move(comm));
-  const auto b = MergeIntervals(std::move(comp));
+// concurrently with the other. Both lists must be in non-decreasing
+// start order; they are merged in place.
+double OverlapFraction(std::span<Interval> comm, std::span<Interval> comp) {
+  const std::span<const Interval> a = comm.first(MergeSortedIntervals(comm));
+  const std::span<const Interval> b = comp.first(MergeSortedIntervals(comp));
   const double shorter = std::min(CoveredLength(a), CoveredLength(b));
   if (shorter <= 0.0) return 0.0;
   double intersection = 0.0;
@@ -59,6 +67,84 @@ double OverlapFraction(std::vector<std::pair<double, double>> comm,
   return intersection / shorter;
 }
 
+// Every worker's communication and computation intervals in one table:
+// list 2w holds worker w's comm intervals and list 2w + 1 its comp
+// intervals, list k at intervals[begin[k], begin[k + 1]), each in
+// non-decreasing start order.
+struct WorkerIntervals {
+  std::vector<Interval> intervals;
+  std::vector<std::size_t> begin;
+
+  std::span<Interval> list(std::size_t k) {
+    return {intervals.data() + begin[k], intervals.data() + begin[k + 1]};
+  }
+};
+
+// Fills `out` by walking run.start_order, which the engine emits in
+// start-time order, so no list needs a sort. Returns false — leaving the
+// caller to sort — unless start_order is non-decreasing in start and
+// visits every worker task exactly once (a wall-clock backend may emit
+// starts out of order; a run may leave tasks unstarted).
+bool IntervalsInStartOrder(const Lowering& lowering, const sim::SimResult& run,
+                           WorkerIntervals& out) {
+  const auto W = static_cast<std::size_t>(lowering.num_workers);
+  // list_of[t]: the list task t goes to; -1 for a task outside every
+  // worker, -2 once placed.
+  std::vector<int> list_of(lowering.tasks.size(), -1);
+  out.begin.assign(2 * W + 1, 0);
+  for (std::size_t w = 0; w < W; ++w) {
+    for (const sim::TaskId t : lowering.worker_tasks[w]) {
+      const auto ti = static_cast<std::size_t>(t);
+      if (list_of[ti] != -1) return false;  // a task in two partitions
+      const std::size_t k =
+          2 * w + (core::IsCommunication(lowering.tasks[ti].kind) ? 0 : 1);
+      list_of[ti] = static_cast<int>(k);
+      ++out.begin[k + 1];
+    }
+  }
+  for (std::size_t k = 1; k < out.begin.size(); ++k) {
+    out.begin[k] += out.begin[k - 1];
+  }
+  out.intervals.resize(out.begin.back());
+  std::vector<std::size_t> fill(out.begin.begin(), out.begin.end() - 1);
+  std::size_t placed = 0;
+  double previous = -std::numeric_limits<double>::infinity();
+  for (const sim::TaskId t : run.start_order) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (ti >= list_of.size() || list_of[ti] == -2) return false;
+    const double start = run.start[ti];
+    if (!(previous <= start)) return false;  // out of order, or NaN
+    previous = start;
+    if (list_of[ti] < 0) continue;
+    out.intervals[fill[static_cast<std::size_t>(list_of[ti])]++] = {
+        start, run.end[ti]};
+    list_of[ti] = -2;
+    ++placed;
+  }
+  return placed == out.intervals.size();
+}
+
+// The same table from worker_tasks, each list sorted by (start, end).
+void SortedIntervals(const Lowering& lowering, const sim::SimResult& run,
+                     WorkerIntervals& out) {
+  out.intervals.clear();
+  out.begin.assign(1, 0);
+  for (const auto& tasks : lowering.worker_tasks) {
+    for (const bool comm : {true, false}) {
+      for (const sim::TaskId t : tasks) {
+        const auto ti = static_cast<std::size_t>(t);
+        if (core::IsCommunication(lowering.tasks[ti].kind) == comm) {
+          out.intervals.emplace_back(run.start[ti], run.end[ti]);
+        }
+      }
+      std::sort(out.intervals.begin() +
+                    static_cast<std::ptrdiff_t>(out.begin.back()),
+                out.intervals.end());
+      out.begin.push_back(out.intervals.size());
+    }
+  }
+}
+
 }  // namespace
 
 IterationStats ComputeIterationStats(const Lowering& lowering,
@@ -66,32 +152,55 @@ IterationStats ComputeIterationStats(const Lowering& lowering,
   IterationStats stats;
   stats.makespan = run.makespan;
 
+  WorkerIntervals intervals;
+  if (!IntervalsInStartOrder(lowering, run, intervals)) {
+    SortedIntervals(lowering, run, intervals);
+  }
+
   // Per-worker partition makespan, scheduling efficiency (Eq. 3) from
   // this iteration's *measured* op times (as §3.2 does), and the
-  // communication/computation overlap fraction.
+  // communication/computation overlap fraction. Per-resource busy time
+  // sums in a dense array; `used` lists the resources the worker
+  // touched, in first-touch order, so a reset costs one store each.
+  std::vector<double> per_resource(
+      static_cast<std::size_t>(std::max(lowering.num_resources, 0)), 0.0);
+  std::vector<char> touched(per_resource.size(), 0);
+  std::vector<std::size_t> used;
   double efficiency_sum = 0.0;
   double overlap_sum = 0.0;
+  stats.worker_finish.reserve(static_cast<std::size_t>(lowering.num_workers));
   for (int w = 0; w < lowering.num_workers; ++w) {
     double finish = 0.0;
     double upper = 0.0;
-    std::map<int, double> per_resource;
-    std::vector<std::pair<double, double>> comm;
-    std::vector<std::pair<double, double>> comp;
     for (sim::TaskId t : lowering.worker_tasks[static_cast<std::size_t>(w)]) {
       const auto ti = static_cast<std::size_t>(t);
       finish = std::max(finish, run.end[ti]);
       const double measured = run.end[ti] - run.start[ti];
       upper += measured;
-      per_resource[lowering.tasks[ti].resource] += measured;
-      (core::IsCommunication(lowering.tasks[ti].kind) ? comm : comp)
-          .emplace_back(run.start[ti], run.end[ti]);
+      const auto r = static_cast<std::size_t>(lowering.tasks[ti].resource);
+      if (r >= per_resource.size()) {
+        per_resource.resize(r + 1, 0.0);
+        touched.resize(r + 1, 0);
+      }
+      if (!touched[r]) {
+        touched[r] = 1;
+        used.push_back(r);
+      }
+      per_resource[r] += measured;
     }
     double lower = 0.0;
-    for (const auto& [r, total] : per_resource) lower = std::max(lower, total);
+    for (const std::size_t r : used) {
+      lower = std::max(lower, per_resource[r]);
+      per_resource[r] = 0.0;
+      touched[r] = 0;
+    }
+    used.clear();
     stats.worker_finish.push_back(finish);
     core::MakespanBounds bounds{upper, lower};
     efficiency_sum += core::Efficiency(bounds, finish);
-    overlap_sum += OverlapFraction(comm, comp);
+    const auto wi = static_cast<std::size_t>(w);
+    overlap_sum += OverlapFraction(intervals.list(2 * wi),
+                                   intervals.list(2 * wi + 1));
   }
   stats.mean_efficiency =
       efficiency_sum / static_cast<double>(lowering.num_workers);
@@ -228,6 +337,11 @@ ExperimentResult Runner::Run(const std::string& policy, int iterations,
 
 ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
                              int iterations, std::uint64_t seed) const {
+  if (iterations < 1 || iterations > kMaxIterations) {
+    throw std::invalid_argument("Runner: iterations must be in [1, " +
+                                std::to_string(kMaxIterations) + "], got " +
+                                std::to_string(iterations));
+  }
   Lowering lowering;
   sim::SimOptions options = config_.sim;
   if (config_.topology == Topology::kRing) {

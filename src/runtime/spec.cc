@@ -478,8 +478,7 @@ SweepSpec SweepSpec::Parse(std::string_view text) {
     } else if (key == "iterations") {
       if (saw_iterations) Fail("duplicate iterations= token");
       saw_iterations = true;
-      sweep.iterations = ParseBoundedInt(
-          value, key, 1, std::numeric_limits<int>::max());
+      sweep.iterations = ParseBoundedInt(value, key, 1, kMaxIterations);
     } else if (key == "seed") {
       if (saw_seed) Fail("duplicate seed= token");
       saw_seed = true;

@@ -75,6 +75,11 @@ struct ClusterSpec {
   friend bool operator==(const ClusterSpec&, const ClusterSpec&) = default;
 };
 
+// The most simulated iterations one run may ask for. Every grammar that
+// reads iterations= (and every entry point that runs them) rejects more,
+// naming the knob, before it sizes per-iteration results.
+inline constexpr int kMaxIterations = 1'000'000;
+
 // One fully-specified run.
 struct ExperimentSpec {
   std::string model;  // zoo name, e.g. "Inception v2"

@@ -12,49 +12,97 @@
 
 namespace tictac::sim {
 
-TaskGraphSim::TaskGraphSim(std::vector<Task> tasks, int num_resources)
-    : tasks_(std::move(tasks)), num_resources_(num_resources) {
-  succs_.resize(tasks_.size());
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    for (TaskId p : tasks_[t].preds) {
-      succs_[static_cast<std::size_t>(p)].push_back(static_cast<TaskId>(t));
+TaskGraphSim::TaskGraphSim(const std::vector<Task>& tasks, int num_resources)
+    : num_resources_(num_resources) {
+  const std::size_t n = tasks.size();
+  std::size_t edges = 0;
+  for (const Task& task : tasks) edges += task.preds.size();
+  duration_.reserve(n);
+  resource_.reserve(n);
+  priority_.reserve(n);
+  gate_group_.reserve(n);
+  gate_rank_.reserve(n);
+  pred_begin_.reserve(n + 1);
+  pred_ids_.reserve(edges);
+  for (const Task& task : tasks) {
+    duration_.push_back(task.duration);
+    resource_.push_back(task.resource);
+    priority_.push_back(task.priority);
+    gate_group_.push_back(task.gate_group);
+    gate_rank_.push_back(task.gate_rank);
+    pred_ids_.insert(pred_ids_.end(), task.preds.begin(), task.preds.end());
+    pred_begin_.push_back(pred_ids_.size());
+  }
+  Index();
+}
+
+void TaskGraphSim::Index() {
+  const std::size_t n = duration_.size();
+  const auto R = static_cast<std::size_t>(num_resources_);
+  const auto in_range = [&](std::size_t t) {
+    return resource_[t] >= 0 && resource_[t] < num_resources_;
+  };
+
+  // Succs as CSR, each list in ascending task id (the order a completion
+  // releases them in). Out-of-range preds (rejected by Validate) get no
+  // succ entry.
+  succ_begin_.assign(n + 1, 0);
+  for (const TaskId p : pred_ids_) {
+    if (p >= 0 && static_cast<std::size_t>(p) < n) {
+      ++succ_begin_[static_cast<std::size_t>(p) + 1];
     }
-    num_gate_groups_ = std::max(num_gate_groups_, tasks_[t].gate_group + 1);
+  }
+  for (std::size_t t = 0; t < n; ++t) succ_begin_[t + 1] += succ_begin_[t];
+  succ_ids_.resize(succ_begin_[n]);
+  {
+    std::vector<std::size_t> fill(succ_begin_.begin(), succ_begin_.end() - 1);
+    for (std::size_t t = 0; t < n; ++t) {
+      for (const TaskId p : preds(t)) {
+        if (p >= 0 && static_cast<std::size_t>(p) < n) {
+          succ_ids_[fill[static_cast<std::size_t>(p)]++] =
+              static_cast<TaskId>(t);
+        }
+      }
+    }
+  }
+  num_gate_groups_ = 0;
+  for (const int g : gate_group_) {
+    num_gate_groups_ = std::max(num_gate_groups_, g + 1);
   }
 
   // Rank-compress finite priorities *per resource* so ready-bucket
   // storage is bounded by the task count: a resource's min-pick only
   // compares priorities of tasks on that same resource, so ranks need
   // only be consistent within a resource, and each resource gets exactly
-  // as many bucket rows as it has distinct priorities.
-  std::vector<std::vector<int>> distinct(
-      static_cast<std::size_t>(num_resources_));
-  for (const Task& task : tasks_) {
-    if (task.priority != kNoPriority &&
-        task.resource >= 0 && task.resource < num_resources_) {
-      distinct[static_cast<std::size_t>(task.resource)].push_back(
-          task.priority);
+  // as many bucket rows as it has distinct priorities. Sorting (resource,
+  // priority) pairs once gives every resource's distinct list in one
+  // array, resource r's at [bucket_offset_[r], bucket_offset_[r + 1]).
+  std::vector<std::pair<int, int>> keyed;
+  for (std::size_t t = 0; t < n; ++t) {
+    if (priority_[t] != kNoPriority && in_range(t)) {
+      keyed.emplace_back(resource_[t], priority_[t]);
     }
   }
-  bucket_offset_.resize(static_cast<std::size_t>(num_resources_));
-  bucket_count_ = 0;
-  for (int r = 0; r < num_resources_; ++r) {
-    auto& d = distinct[static_cast<std::size_t>(r)];
-    std::sort(d.begin(), d.end());
-    d.erase(std::unique(d.begin(), d.end()), d.end());
-    bucket_offset_[static_cast<std::size_t>(r)] = bucket_count_;
-    bucket_count_ += d.size();
+  std::sort(keyed.begin(), keyed.end());
+  keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
+  bucket_offset_.assign(R + 1, 0);
+  for (const auto& [r, priority] : keyed) {
+    ++bucket_offset_[static_cast<std::size_t>(r) + 1];
   }
-  priority_rank_.assign(tasks_.size(), kNoRank);
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    const Task& task = tasks_[t];
-    if (task.priority == kNoPriority ||
-        task.resource < 0 || task.resource >= num_resources_) {
-      continue;
-    }
-    const auto& d = distinct[static_cast<std::size_t>(task.resource)];
+  for (std::size_t r = 0; r < R; ++r) {
+    bucket_offset_[r + 1] += bucket_offset_[r];
+  }
+  priority_rank_.assign(n, kNoRank);
+  for (std::size_t t = 0; t < n; ++t) {
+    if (priority_[t] == kNoPriority || !in_range(t)) continue;
+    const auto r = static_cast<std::size_t>(resource_[t]);
+    const auto first =
+        keyed.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[r]);
+    const auto last =
+        keyed.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[r + 1]);
     priority_rank_[t] = static_cast<int>(
-        std::lower_bound(d.begin(), d.end(), task.priority) - d.begin());
+        std::lower_bound(first, last, std::pair{resource_[t], priority_[t]}) -
+        first);
   }
 
   // Per-group gate slot layout, sized by the group's *task count*: ranks
@@ -65,10 +113,8 @@ TaskGraphSim::TaskGraphSim(std::vector<Task> tasks, int num_resources)
   // of getting a slot. This also bounds slot memory by the task count
   // regardless of what rank values unvalidated inputs carry.
   gate_group_size_.assign(static_cast<std::size_t>(num_gate_groups_), 0);
-  for (const Task& task : tasks_) {
-    if (task.gate_group >= 0) {
-      ++gate_group_size_[static_cast<std::size_t>(task.gate_group)];
-    }
+  for (const int g : gate_group_) {
+    if (g >= 0) ++gate_group_size_[static_cast<std::size_t>(g)];
   }
   gate_offset_.resize(static_cast<std::size_t>(num_gate_groups_));
   gate_slot_count_ = 0;
@@ -80,28 +126,28 @@ TaskGraphSim::TaskGraphSim(std::vector<Task> tasks, int num_resources)
 }
 
 void TaskGraphSim::Validate() const {
-  const auto n = static_cast<TaskId>(tasks_.size());
+  const auto n = static_cast<TaskId>(num_tasks());
   std::vector<std::vector<int>> gate_ranks(
       static_cast<std::size_t>(num_gate_groups_));
   for (TaskId t = 0; t < n; ++t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
-    if (task.resource < 0 || task.resource >= num_resources_) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (resource_[ti] < 0 || resource_[ti] >= num_resources_) {
       throw std::invalid_argument("task resource out of range");
     }
-    if (task.duration < 0.0) {
+    if (duration_[ti] < 0.0) {
       throw std::invalid_argument("negative task duration");
     }
-    for (TaskId p : task.preds) {
+    for (TaskId p : preds(ti)) {
       if (p < 0 || p >= n || p == t) {
         throw std::invalid_argument("task predecessor out of range");
       }
     }
-    if ((task.gate_group >= 0) != (task.gate_rank >= 0)) {
+    if ((gate_group_[ti] >= 0) != (gate_rank_[ti] >= 0)) {
       throw std::invalid_argument("gate group/rank must be set together");
     }
-    if (task.gate_group >= 0) {
-      gate_ranks[static_cast<std::size_t>(task.gate_group)].push_back(
-          task.gate_rank);
+    if (gate_group_[ti] >= 0) {
+      gate_ranks[static_cast<std::size_t>(gate_group_[ti])].push_back(
+          gate_rank_[ti]);
     }
   }
   for (auto& ranks : gate_ranks) {
@@ -113,12 +159,12 @@ void TaskGraphSim::Validate() const {
     }
   }
   // Acyclicity via Kahn.
-  std::vector<int> indegree(tasks_.size(), 0);
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    indegree[t] = static_cast<int>(tasks_[t].preds.size());
+  std::vector<std::size_t> indegree(num_tasks());
+  for (std::size_t t = 0; t < num_tasks(); ++t) {
+    indegree[t] = pred_begin_[t + 1] - pred_begin_[t];
   }
   std::queue<TaskId> q;
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+  for (std::size_t t = 0; t < num_tasks(); ++t) {
     if (indegree[t] == 0) q.push(static_cast<TaskId>(t));
   }
   std::size_t seen = 0;
@@ -126,11 +172,11 @@ void TaskGraphSim::Validate() const {
     const TaskId t = q.front();
     q.pop();
     ++seen;
-    for (TaskId s : succs_[static_cast<std::size_t>(t)]) {
+    for (TaskId s : succs(static_cast<std::size_t>(t))) {
       if (--indegree[static_cast<std::size_t>(s)] == 0) q.push(s);
     }
   }
-  if (seen != tasks_.size()) {
+  if (seen != num_tasks()) {
     throw std::invalid_argument("task graph has a cycle");
   }
 }
@@ -157,8 +203,8 @@ struct CompletionEvent {
 // remove are O(1) and steady-state operation allocates nothing.
 struct ReadySets {
   ReadySets(int num_resources, const std::vector<std::size_t>& bucket_offset,
-            std::size_t bucket_count, std::size_t num_tasks)
-      : buckets(bucket_count),
+            std::size_t num_tasks)
+      : buckets(bucket_offset.back()),
         nopri(static_cast<std::size_t>(num_resources)),
         flat(static_cast<std::size_t>(num_resources)),
         active(static_cast<std::size_t>(num_resources)),
@@ -236,17 +282,17 @@ struct ReadySets {
 // flows are never queued.
 class FlowSolver {
  public:
-  FlowSolver(const std::vector<Task>& tasks, const FlowNetwork& net)
-      : tasks_(tasks),
+  FlowSolver(const std::vector<int>& resource, const FlowNetwork& net)
+      : resource_(resource),
         net_(net),
-        remaining_(tasks.size(), 0.0),
-        rate_(tasks.size(), 0.0),
-        last_(tasks.size(), 0.0),
-        alloc_(tasks.size(), 0.0),
-        proj_(tasks.size(), 0.0),
-        active_pos_(tasks.size(), 0),
-        pos_frozen_(tasks.size(), 0),
-        pos_links_(tasks.size()),
+        remaining_(resource.size(), 0.0),
+        rate_(resource.size(), 0.0),
+        last_(resource.size(), 0.0),
+        alloc_(resource.size(), 0.0),
+        proj_(resource.size(), 0.0),
+        active_pos_(resource.size(), 0),
+        pos_frozen_(resource.size(), 0),
+        pos_links_(resource.size()),
         link_begin_(net.links.size(), 0),
         link_end_(net.links.size(), 0),
         link_head_(net.links.size(), 0),
@@ -325,7 +371,7 @@ class FlowSolver {
     PushCursor(l, i);
   }
 
-  const std::vector<Task>& tasks_;
+  const std::vector<int>& resource_;  // per task
   const FlowNetwork& net_;
   std::vector<double> remaining_;  // nominal seconds of demand left
   std::vector<double> rate_;       // progress per second of sim time
@@ -379,7 +425,7 @@ void FlowSolver::Solve(double now) {
     last_[fi] = now;
     pos_frozen_[p] = 0;
     pos_links_[p] =
-        net_.resource_links[static_cast<std::size_t>(tasks_[fi].resource)];
+        net_.resource_links[static_cast<std::size_t>(resource_[fi])];
     for (int l : pos_links_[p]) {
       const auto li = static_cast<std::size_t>(l);
       if (link_members_[li]++ == 0) {
@@ -468,7 +514,7 @@ void FlowSolver::Solve(double now) {
   next_at_ = std::numeric_limits<double>::infinity();
   for (TaskId f : active_) {
     const auto fi = static_cast<std::size_t>(f);
-    const int r = tasks_[fi].resource;
+    const int r = resource_[fi];
     double rate =
         alloc_[fi] / net_.resource_nominal_bps[static_cast<std::size_t>(r)];
     // Validate() guarantees positive capacities and nominal rates, so a
@@ -527,19 +573,16 @@ void FlowSolver::Freeze(int p, double level) {
 SimResult TaskGraphSim::Run(const SimOptions& options,
                             std::uint64_t seed) const {
   util::Rng rng(seed);
-  const auto n = static_cast<TaskId>(tasks_.size());
+  const auto n = static_cast<TaskId>(num_tasks());
 
   // Per-task state.
-  std::vector<int> missing_preds(tasks_.size());
-  std::vector<double> duration(tasks_.size());
-  for (TaskId t = 0; t < n; ++t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
-    missing_preds[static_cast<std::size_t>(t)] =
-        static_cast<int>(task.preds.size());
-    duration[static_cast<std::size_t>(t)] =
-        options.jitter_sigma > 0.0
-            ? task.duration * rng.Lognormal(1.0, options.jitter_sigma)
-            : task.duration;
+  std::vector<int> missing_preds(num_tasks());
+  std::vector<double> duration(num_tasks());
+  for (std::size_t t = 0; t < num_tasks(); ++t) {
+    missing_preds[t] = static_cast<int>(pred_begin_[t + 1] - pred_begin_[t]);
+    duration[t] = options.jitter_sigma > 0.0
+                      ? duration_[t] * rng.Lognormal(1.0, options.jitter_sigma)
+                      : duration_[t];
   }
 
   // Fault-injection state (SimOptions::faults). Sized only when a
@@ -593,7 +636,7 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   if (options.flow_fairness && options.network != nullptr &&
       options.network->HasFlows()) {
     options.network->Validate(num_resources_);
-    flows.emplace(tasks_, *options.network);
+    flows.emplace(resource_, *options.network);
   }
 
   std::vector<int> gate_counter(static_cast<std::size_t>(num_gate_groups_), 0);
@@ -602,18 +645,17 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<TaskId> gate_slot(gate_slot_count_, -1);
 
   auto gate_open = [&](TaskId t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
-    if (!options.enforce_gates || task.gate_group < 0) return true;
-    return gate_counter[static_cast<std::size_t>(task.gate_group)] ==
-           task.gate_rank;
+    const int group = gate_group_[static_cast<std::size_t>(t)];
+    if (!options.enforce_gates || group < 0) return true;
+    return gate_counter[static_cast<std::size_t>(group)] ==
+           gate_rank_[static_cast<std::size_t>(t)];
   };
 
-  ReadySets ready(num_resources_, bucket_offset_, bucket_count_,
-                  tasks_.size());
-  std::vector<bool> busy(static_cast<std::size_t>(num_resources_), false);
+  ReadySets ready(num_resources_, bucket_offset_, num_tasks());
+  std::vector<char> busy(static_cast<std::size_t>(num_resources_), 0);
 
   auto push_ready = [&](TaskId t) {
-    const int r = tasks_[static_cast<std::size_t>(t)].resource;
+    const int r = resource_[static_cast<std::size_t>(t)];
     ready.Push(r, priority_rank_[static_cast<std::size_t>(t)], t);
     wake_resource(r);
   };
@@ -624,25 +666,25 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   // not at wire time, so channels drain their queues independently and
   // never idle waiting for another channel's wire transfer.
   auto deps_done_enqueue = [&](TaskId t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
+    const int gate_group = gate_group_[static_cast<std::size_t>(t)];
+    const int gate_rank = gate_rank_[static_cast<std::size_t>(t)];
     if (!gate_open(t)) {
       // A negative or >= group-size rank (invalid input Validate() would
       // reject) has no slot; such a gate can never open — the counter
       // advances at most once per task in the group — so dropping it
       // here reproduces the old behavior: the task simply never starts.
-      if (task.gate_rank >= 0 &&
-          task.gate_rank <
-              gate_group_size_[static_cast<std::size_t>(task.gate_group)]) {
-        gate_slot[gate_offset_[static_cast<std::size_t>(task.gate_group)] +
-                  static_cast<std::size_t>(task.gate_rank)] = t;
+      if (gate_rank >= 0 &&
+          gate_rank < gate_group_size_[static_cast<std::size_t>(gate_group)]) {
+        gate_slot[gate_offset_[static_cast<std::size_t>(gate_group)] +
+                  static_cast<std::size_t>(gate_rank)] = t;
       }
       return;
     }
     push_ready(t);
-    if (!options.enforce_gates || task.gate_group < 0) return;
+    if (!options.enforce_gates || gate_group < 0) return;
     // Advance the counter and cascade-release successor ranks whose
     // dependencies are already met: one slot lookup per released task.
-    const auto group = static_cast<std::size_t>(task.gate_group);
+    const auto group = static_cast<std::size_t>(gate_group);
     const std::size_t base = gate_offset_[group];
     int& counter = gate_counter[group];
     ++counter;
@@ -656,9 +698,9 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   };
 
   SimResult result;
-  result.start.assign(tasks_.size(), 0.0);
-  result.end.assign(tasks_.size(), 0.0);
-  result.start_order.reserve(tasks_.size());
+  result.start.assign(num_tasks(), 0.0);
+  result.end.assign(num_tasks(), 0.0);
+  result.start_order.reserve(num_tasks());
 
   for (TaskId t = 0; t < n; ++t) {
     if (missing_preds[static_cast<std::size_t>(t)] == 0) deps_done_enqueue(t);
@@ -709,7 +751,7 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
         continue;
       }
       const TaskId t = select_task(r);
-      busy[ri] = true;
+      busy[ri] = 1;
       result.start[static_cast<std::size_t>(t)] = now;
       result.start_order.push_back(t);
       // A task runs at its resource's speed at start time; division
@@ -760,15 +802,15 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     now = next.time;
     result.end[static_cast<std::size_t>(t)] = now;
     result.makespan = std::max(result.makespan, now);
-    const int freed = tasks_[static_cast<std::size_t>(t)].resource;
-    busy[static_cast<std::size_t>(freed)] = false;
+    const int freed = resource_[static_cast<std::size_t>(t)];
+    busy[static_cast<std::size_t>(freed)] = 0;
     wake_resource(freed);
     if (flow_next) {
       flows->FinishNext(now);
     } else {
       completions.pop();
     }
-    for (TaskId s : succs_[static_cast<std::size_t>(t)]) {
+    for (const TaskId s : succs(static_cast<std::size_t>(t))) {
       if (--missing_preds[static_cast<std::size_t>(s)] == 0) {
         deps_done_enqueue(s);
       }

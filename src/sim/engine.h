@@ -34,6 +34,13 @@
 // path draws no extra randomness, so schedules stay comparable across
 // the two contention models under one seed.
 //
+// Graph storage (built once per TaskGraphSim, from the tasks by const
+// reference — the caller keeps its Task vector, nothing is deep-copied):
+//   * per-task columns (duration, resource, priority, gate group/rank);
+//   * preds and succs as CSR — one offset array and one id array each,
+//     so a completion walks a contiguous successor span and a Run seeds
+//     its missing-pred counters from offset differences.
+//
 // Hot-path data structures (sized once per Run, no per-event allocation):
 //   * ready tasks live in per-resource priority buckets (priorities are
 //     rank-compressed per resource in the constructor, so total bucket
@@ -48,6 +55,8 @@
 //     scan over every resource.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "sim/task.h"
@@ -57,8 +66,9 @@ namespace tictac::sim {
 
 class TaskGraphSim {
  public:
-  // `num_resources` must cover every task's resource index.
-  TaskGraphSim(std::vector<Task> tasks, int num_resources);
+  // `num_resources` must cover every task's resource index. Reads
+  // `tasks` into the engine's own columns; the vector is not retained.
+  TaskGraphSim(const std::vector<Task>& tasks, int num_resources);
 
   // Validates the graph once: in-range resources/preds, acyclicity,
   // dense gate ranks per group. Throws std::invalid_argument on failure.
@@ -83,13 +93,40 @@ class TaskGraphSim {
   // id. Exposed for tests and for shard-count reporting.
   std::vector<int> ComponentOf(const SimOptions& options) const;
 
-  const std::vector<Task>& tasks() const { return tasks_; }
+  std::size_t num_tasks() const { return duration_.size(); }
   int num_resources() const { return num_resources_; }
 
  private:
-  std::vector<Task> tasks_;
-  std::vector<std::vector<TaskId>> succs_;
-  int num_resources_;
+  struct Shard;  // sim/parallel.cc
+  TaskGraphSim() = default;  // filled column by column (RunParallel)
+
+  // Derives everything else from the columns and CSR preds: the succ
+  // CSR, gate groups, per-resource priority ranks and the gate-slot
+  // layout.
+  void Index();
+
+  std::span<const TaskId> preds(std::size_t t) const {
+    return {pred_ids_.data() + pred_begin_[t],
+            pred_ids_.data() + pred_begin_[t + 1]};
+  }
+  std::span<const TaskId> succs(std::size_t t) const {
+    return {succ_ids_.data() + succ_begin_[t],
+            succ_ids_.data() + succ_begin_[t + 1]};
+  }
+
+  // Per-task columns.
+  std::vector<double> duration_;
+  std::vector<int> resource_;
+  std::vector<int> priority_;
+  std::vector<int> gate_group_;
+  std::vector<int> gate_rank_;
+  // CSR adjacency: task t's preds are pred_ids_[pred_begin_[t],
+  // pred_begin_[t + 1]), its succs likewise (in ascending task id).
+  std::vector<std::size_t> pred_begin_{0};
+  std::vector<TaskId> pred_ids_;
+  std::vector<std::size_t> succ_begin_{0};
+  std::vector<TaskId> succ_ids_;
+  int num_resources_ = 0;
   int num_gate_groups_ = 0;
 
   // Dense rank of each task's priority among the distinct finite
@@ -97,11 +134,11 @@ class TaskGraphSim {
   // Rank order == priority order within a resource — the only scope a
   // min-pick ever compares across — so selection semantics are unchanged
   // while total bucket storage stays bounded by the task count.
-  // Resource r's bucket rows live at [bucket_offset_[r], ...).
+  // Resource r's bucket rows live at [bucket_offset_[r],
+  // bucket_offset_[r + 1]); the last entry is the bucket count.
   static constexpr int kNoRank = -1;
   std::vector<int> priority_rank_;
   std::vector<std::size_t> bucket_offset_;
-  std::size_t bucket_count_ = 0;
 
   // Flattened per-group gate-rank slots: group g's slots live at
   // [gate_offset_[g], gate_offset_[g] + gate_group_size_[g]).

@@ -73,13 +73,15 @@ class Dsu {
   std::vector<int> size_;
 };
 
-// One component's self-contained simulation: tasks with local ids (in
-// increasing global-id order), densely remapped resources/gates/links,
-// and the slice of the fault timeline and flow network it owns.
-struct Shard {
-  std::vector<Task> tasks;
+}  // namespace
+
+// One component's self-contained simulation: its tasks with local ids
+// (in increasing global-id order) and densely remapped
+// resources/gates/links, built column by column into `sim`, and the
+// slice of the fault timeline and flow network it owns.
+struct TaskGraphSim::Shard {
+  TaskGraphSim sim;
   std::vector<TaskId> global;  // local task id -> global task id
-  int num_resources = 0;
   int num_gates = 0;
   std::vector<ResourceFault> faults;
   FlowNetwork net;
@@ -87,11 +89,9 @@ struct Shard {
   SimResult result;
 };
 
-}  // namespace
-
 std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
-  const auto n = static_cast<int>(tasks_.size());
-  Dsu dsu(tasks_.size());
+  const auto n = static_cast<int>(num_tasks());
+  Dsu dsu(num_tasks());
   std::vector<int> resource_rep(static_cast<std::size_t>(num_resources_), -1);
   std::vector<int> gate_rep(static_cast<std::size_t>(num_gate_groups_), -1);
   const FlowNetwork* net =
@@ -106,27 +106,26 @@ std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
     }
   };
   for (int t = 0; t < n; ++t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
-    for (TaskId p : task.preds) dsu.Unite(t, p);
-    if (task.resource >= 0 && task.resource < num_resources_) {
-      unite_rep(resource_rep, static_cast<std::size_t>(task.resource), t);
+    const auto ti = static_cast<std::size_t>(t);
+    for (TaskId p : preds(ti)) dsu.Unite(t, p);
+    const int resource = resource_[ti];
+    if (resource >= 0 && resource < num_resources_) {
+      unite_rep(resource_rep, static_cast<std::size_t>(resource), t);
       if (net != nullptr &&
-          static_cast<std::size_t>(task.resource) <
-              net->resource_links.size()) {
-        for (int l :
-             net->resource_links[static_cast<std::size_t>(task.resource)]) {
+          static_cast<std::size_t>(resource) < net->resource_links.size()) {
+        for (int l : net->resource_links[static_cast<std::size_t>(resource)]) {
           unite_rep(link_rep, static_cast<std::size_t>(l), t);
         }
       }
     }
-    if (task.gate_group >= 0 && task.gate_group < num_gate_groups_) {
-      unite_rep(gate_rep, static_cast<std::size_t>(task.gate_group), t);
+    if (gate_group_[ti] >= 0 && gate_group_[ti] < num_gate_groups_) {
+      unite_rep(gate_rep, static_cast<std::size_t>(gate_group_[ti]), t);
     }
   }
   // Dense component ids in first-task order: the component holding task 0
   // is component 0, and so on.
-  std::vector<int> component(tasks_.size(), -1);
-  std::vector<int> root_id(tasks_.size(), -1);
+  std::vector<int> component(num_tasks(), -1);
+  std::vector<int> root_id(num_tasks(), -1);
   int next = 0;
   for (int t = 0; t < n; ++t) {
     const int root = dsu.Find(t);
@@ -143,7 +142,7 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
                                     std::uint64_t seed,
                                     int num_threads) const {
   const std::vector<int> component = ComponentOf(options);
-  const auto n = static_cast<int>(tasks_.size());
+  const auto n = static_cast<int>(num_tasks());
   int num_components = 0;
   for (int c : component) num_components = std::max(num_components, c + 1);
   if (num_components <= 1) return Run(options, seed);
@@ -154,7 +153,7 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   // Local task ids, in increasing global-id order within each shard (so
   // predecessor ids — always smaller in-shard or not, either way already
   // assigned — remap with one pass).
-  std::vector<TaskId> local_id(tasks_.size(), 0);
+  std::vector<TaskId> local_id(num_tasks(), 0);
   for (int t = 0; t < n; ++t) {
     Shard& s = shards[static_cast<std::size_t>(component[
         static_cast<std::size_t>(t)])];
@@ -168,25 +167,29 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   std::vector<int> gate_local(static_cast<std::size_t>(num_gate_groups_), -1);
   std::vector<int> res_comp(static_cast<std::size_t>(num_resources_), -1);
   for (int t = 0; t < n; ++t) {
-    const Task& task = tasks_[static_cast<std::size_t>(t)];
-    const int c = component[static_cast<std::size_t>(t)];
+    const auto ti = static_cast<std::size_t>(t);
+    const int c = component[ti];
     Shard& s = shards[static_cast<std::size_t>(c)];
-    const auto r = static_cast<std::size_t>(task.resource);
+    TaskGraphSim& local = s.sim;
+    const auto r = static_cast<std::size_t>(resource_[ti]);
     if (res_local[r] < 0) {
-      res_local[r] = s.num_resources++;
+      res_local[r] = local.num_resources_++;
       res_comp[r] = c;
     }
-    if (task.gate_group >= 0 &&
-        gate_local[static_cast<std::size_t>(task.gate_group)] < 0) {
-      gate_local[static_cast<std::size_t>(task.gate_group)] = s.num_gates++;
+    const int group = gate_group_[ti];
+    if (group >= 0 && gate_local[static_cast<std::size_t>(group)] < 0) {
+      gate_local[static_cast<std::size_t>(group)] = s.num_gates++;
     }
-    Task copy = task;
-    copy.resource = res_local[r];
-    if (copy.gate_group >= 0) {
-      copy.gate_group = gate_local[static_cast<std::size_t>(copy.gate_group)];
+    local.duration_.push_back(duration_[ti]);
+    local.resource_.push_back(res_local[r]);
+    local.priority_.push_back(priority_[ti]);
+    local.gate_group_.push_back(
+        group >= 0 ? gate_local[static_cast<std::size_t>(group)] : group);
+    local.gate_rank_.push_back(gate_rank_[ti]);
+    for (const TaskId p : preds(ti)) {
+      local.pred_ids_.push_back(local_id[static_cast<std::size_t>(p)]);
     }
-    for (TaskId& p : copy.preds) p = local_id[static_cast<std::size_t>(p)];
-    s.tasks.push_back(std::move(copy));
+    local.pred_begin_.push_back(local.pred_ids_.size());
   }
   // Fault timelines filter per shard, order (and therefore sortedness)
   // preserved. Faults on resources no task uses can never affect a run —
@@ -214,9 +217,9 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
       }
       Shard& s = shards[static_cast<std::size_t>(res_comp[ri])];
       s.net.resource_links.resize(
-          static_cast<std::size_t>(s.num_resources));
+          static_cast<std::size_t>(s.sim.num_resources_));
       s.net.resource_nominal_bps.resize(
-          static_cast<std::size_t>(s.num_resources), 0.0);
+          static_cast<std::size_t>(s.sim.num_resources_), 0.0);
       auto& local_links =
           s.net.resource_links[static_cast<std::size_t>(res_local[ri])];
       for (int l : net.resource_links[ri]) {
@@ -248,8 +251,8 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
     for (int c; (c = next_shard.fetch_add(1)) < num_components;) {
       try {
         Shard& s = shards[static_cast<std::size_t>(c)];
-        TaskGraphSim sim(s.tasks, s.num_resources);
-        s.result = sim.Run(s.options,
+        s.sim.Index();
+        s.result = s.sim.Run(s.options,
                            util::Rng::StreamSeed(
                                seed, static_cast<std::uint64_t>(c)));
       } catch (...) {
@@ -276,9 +279,9 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   // start order interleaves the (already time-sorted) shard orders by
   // (start time, global task id).
   SimResult out;
-  out.start.assign(tasks_.size(), 0.0);
-  out.end.assign(tasks_.size(), 0.0);
-  out.start_order.reserve(tasks_.size());
+  out.start.assign(num_tasks(), 0.0);
+  out.end.assign(num_tasks(), 0.0);
+  out.start_order.reserve(num_tasks());
   for (const Shard& s : shards) {
     out.makespan = std::max(out.makespan, s.result.makespan);
     for (std::size_t i = 0; i < s.global.size(); ++i) {

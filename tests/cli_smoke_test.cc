@@ -321,6 +321,33 @@ TEST(CliSmoke, RejectedInputsNameTheFlag) {
   }
 }
 
+// Sizes that used to end in a bare `error: std::bad_alloc` naming no
+// token: each exits non-zero naming the knob that asked for too much.
+TEST(CliSmoke, HostileSizesNameTheirKnob) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"run --spec \"envG:workers=2:ps=1 model=AlexNet v2 policy=tac "
+       "iterations=2000000000\"",
+       "iterations must be in [1, 1000000], got 2000000000"},
+      {"run --spec \"envG:workers=1048576:ps=1 model=AlexNet v2 policy=tac "
+       "iterations=1\"",
+       "lowering: workers=1048576 x "},
+      {"run --spec \"envG:workers=512:ps=1:training:topology=ring "
+       "model=AlexNet v2 policy=tac iterations=1\"",
+       "(ir::kMaxLoweredPredEntries); lower workers="},
+      {"simulate \"AlexNet v2\" --iterations 2000000000",
+       "simulate: --iterations must be <= 1000000"},
+      {"exec --iters 2000000000", "exec: --iters must be <= 1000000"},
+  };
+  for (const auto& [args, named] : cases) {
+    const CliResult result = RunCli(args);
+    EXPECT_NE(result.exit_code, 0) << args;
+    EXPECT_NE(result.stderr_text.find(named), std::string::npos)
+        << args << "\n" << result.stderr_text;
+    EXPECT_EQ(result.stderr_text.find("bad_alloc"), std::string::npos)
+        << args << "\n" << result.stderr_text;
+  }
+}
+
 // Noise shapes past kMaxNoiseSigma overflow exp(sigma·z) to inf or 0;
 // uncapped, jitter=1e308 ran and printed a 0.00 ms mean iteration time.
 TEST(CliSmoke, RunRejectsOverflowingJitterNamingTheToken) {

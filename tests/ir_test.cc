@@ -1,5 +1,5 @@
-// Unit tests of the arena-interned task IR and the pass machinery
-// (DESIGN.md §10): PredArena interning, Module defaults and invariant
+// Unit tests of the flat task IR and the pass machinery (DESIGN.md
+// §10): PredArena's CSR appends, Module defaults and invariant
 // validation, the stage contract / pass-order errors, pipeline options
 // (invariant checks, dump hooks), and the satellite knobs the
 // pipeline consumes (ChunkingOptions::Validate, shard strategies,
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ TEST(PredArena, EmptyListIsAlwaysIdZero) {
   EXPECT_EQ(arena.pool_entries(), 0u);
 }
 
-TEST(PredArena, InternsStructurallyIdenticalListsOnce) {
+TEST(PredArena, AppendsListsWithDenseIdsInAppendOrder) {
   PredArena arena;
   const std::vector<NodeId> a{3, 1, 2};
   const std::vector<NodeId> b{3, 1, 2};
@@ -46,14 +47,23 @@ TEST(PredArena, InternsStructurallyIdenticalListsOnce) {
   const auto ida = arena.Intern(a);
   const auto idb = arena.Intern(b);
   const auto idc = arena.Intern(c);
-  EXPECT_EQ(ida, idb);
-  EXPECT_NE(ida, idc);
-  EXPECT_EQ(arena.num_lists(), 3u);       // empty, {3,1,2}, {3,1}
-  EXPECT_EQ(arena.pool_entries(), 5u);    // 3 + 2 interned NodeIds
-  EXPECT_EQ(arena.dedup_hits(), 1u);      // b resolved to a's storage
-  EXPECT_EQ(arena.list(ida).size(), 3u);
-  EXPECT_EQ(arena.list(ida)[0], 3);
-  EXPECT_EQ(arena.list(idc).size(), 2u);
+  // Ids are dense in append order; equal content is stored again.
+  EXPECT_EQ(ida, 1);
+  EXPECT_EQ(idb, 2);
+  EXPECT_EQ(idc, 3);
+  // The empty list stays id 0 and appends nothing.
+  EXPECT_EQ(arena.Intern({}), PredArena::kEmptyList);
+  EXPECT_EQ(arena.num_lists(), 4u);     // empty, a, b, c
+  EXPECT_EQ(arena.pool_entries(), 8u);  // 3 + 3 + 2 NodeIds
+  // list(id) round-trips every appended list.
+  const auto same = [](std::span<const NodeId> got,
+                       const std::vector<NodeId>& want) {
+    return std::vector<NodeId>(got.begin(), got.end()) == want;
+  };
+  EXPECT_TRUE(same(arena.list(ida), a));
+  EXPECT_TRUE(same(arena.list(idb), b));
+  EXPECT_TRUE(same(arena.list(idc), c));
+  EXPECT_TRUE(arena.list(PredArena::kEmptyList).empty());
 }
 
 TEST(PredArena, OrderIsContentNotSet) {
@@ -263,17 +273,27 @@ TEST(PassPipeline, InvariantCheckNamesTheFailingPass) {
   }
 }
 
-TEST(PassPipeline, ArenaInterningPaysOffOnRealModules) {
+TEST(PassPipeline, ArenaHoldsEachNodesPredsOnceInNodeOrder) {
   const Module m = StandardLoweringPipeline(runtime::Topology::kPsFabric)
                        .Run(LogicalModule(true, 4, 2));
-  // Replicated fan-ins and §5.1 structures share pred lists: the interned
-  // pool must be strictly smaller than the naive per-node layout.
-  EXPECT_GT(m.arena().dedup_hits(), 0u);
-  std::size_t naive = 0;
+  // Each pass appends every node's list once, in node order: the pool is
+  // exactly the per-node pred lists laid end to end, one list per node
+  // with preds, and the exported tasks carry the same lists.
+  std::size_t entries = 0;
+  std::size_t lists = 1;  // the empty list
   for (NodeId n = 0; n < static_cast<NodeId>(m.size()); ++n) {
-    naive += m.preds(n).size();
+    entries += m.preds(n).size();
+    lists += m.preds(n).empty() ? 0 : 1;
   }
-  EXPECT_LT(m.arena().pool_entries(), naive);
+  EXPECT_EQ(m.arena().pool_entries(), entries);
+  EXPECT_EQ(m.arena().num_lists(), lists);
+  const runtime::Lowering lowering = ToLowering(m);
+  ASSERT_EQ(lowering.tasks.size(), m.size());
+  for (NodeId n = 0; n < static_cast<NodeId>(m.size()); ++n) {
+    const std::span<const NodeId> preds = m.preds(n);
+    EXPECT_EQ(lowering.tasks[static_cast<std::size_t>(n)].preds,
+              std::vector<sim::TaskId>(preds.begin(), preds.end()));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace tictac::sim {
 namespace {
@@ -416,6 +421,126 @@ TEST(SimFaults, MidRunSlowdownHitsOnlyLaterStarts) {
   EXPECT_DOUBLE_EQ(r.end[0], 2.0);
   EXPECT_DOUBLE_EQ(r.start[1], 2.0);
   EXPECT_DOUBLE_EQ(r.end[1], 6.0);
+}
+
+
+// Ready-storage edge cases. The ready sets hold one bucket per
+// (resource, priority rank), a lazy min-heap of non-empty ranks per
+// resource and a flat per-resource list; these cells pin the dispatch on
+// the cases a ready-set layout has to get right — a resource with more
+// ranks than one 64-bit word, a lower rank refilled after a higher one
+// started, unprioritized tasks competing with ranked ones, and the
+// out-of-order uniform pick — by a 64-bit fingerprint of every start/end
+// bit pattern and the start order, so any later layout must keep the
+// draws to the same sequence.
+
+// FNV-1a over the makespan, then each vector's length and elements
+// (doubles by bit pattern), as in tests/sim_fingerprint_test.cc.
+std::uint64_t ResultFingerprint(const SimResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(std::bit_cast<std::uint64_t>(r.makespan));
+  mix(r.start.size());
+  for (const double s : r.start) mix(std::bit_cast<std::uint64_t>(s));
+  mix(r.end.size());
+  for (const double e : r.end) mix(std::bit_cast<std::uint64_t>(e));
+  mix(r.start_order.size());
+  for (const TaskId t : r.start_order) mix(static_cast<std::uint32_t>(t));
+  return h;
+}
+
+// A seeded random DAG: `n` tasks over `resources` resources, each with up
+// to three earlier preds, a duration in [0.5, 1.5) and, with probability
+// 1 - nopri, one of `priorities` priority values (spread over a sparse,
+// partly negative range so rank compression has work to do).
+std::vector<Task> RandomReadyGraph(std::uint64_t seed, int n, int resources,
+                                   int priorities, double nopri) {
+  util::Rng rng(seed);
+  std::vector<Task> tasks;
+  for (int i = 0; i < n; ++i) {
+    Task t = MakeTask(rng.Uniform(0.5, 1.5),
+                      static_cast<int>(rng.Index(
+                          static_cast<std::size_t>(resources))));
+    if (!rng.Chance(nopri)) {
+      t.priority =
+          3 * static_cast<int>(rng.Index(static_cast<std::size_t>(priorities))) -
+          40;
+    }
+    const int fan_in = i == 0 ? 0 : static_cast<int>(rng.Index(4));
+    for (int k = 0; k < fan_in; ++k) {
+      const auto p = static_cast<TaskId>(rng.Index(static_cast<std::size_t>(i)));
+      if (std::find(t.preds.begin(), t.preds.end(), p) == t.preds.end()) {
+        t.preds.push_back(p);
+      }
+    }
+    tasks.push_back(std::move(t));
+  }
+  return tasks;
+}
+
+TEST(ReadyStorage, MoreThan64RanksKeepTheirDispatch) {
+  // 150 distinct priorities on one resource — more ranks than one 64-bit
+  // word holds, where a rank bitset would have to carry across words —
+  // with sources at many ranks ready at once.
+  const TaskGraphSim sim(RandomReadyGraph(11, 400, 1, 150, 0.0), 1);
+  SimOptions options;
+  options.jitter_sigma = 0.1;
+  EXPECT_EQ(ResultFingerprint(sim.Run(options, 3)), 0x9d27a6e76290e472ull);
+  EXPECT_EQ(ResultFingerprint(sim.Run(options, 4)), 0x6cfa431c70ed0552ull);
+}
+
+TEST(ReadyStorage, LowerRankRefilledAfterAHigherOneStarted) {
+  // Resource 0 starts priority 30 (its only ready task); its priority-20
+  // and priority-10 tasks become ready while it runs, and the lower one
+  // wins the next pick although a higher one started first. Priority 10
+  // then empties when task 3 starts and refills (task 4) while 20 still
+  // waits, so 4 jumps the queue as well.
+  std::vector<Task> tasks{MakeTask(3.0, 0),          // 0: priority 30
+                          MakeTask(1.0, 1),          // 1: releases 2, 3, 5
+                          MakeTask(1.0, 0, {1}),     // 2: priority 20
+                          MakeTask(1.0, 0, {1}),     // 3: priority 10
+                          MakeTask(1.0, 0, {5}),     // 4: priority 10
+                          MakeTask(2.5, 1, {1})};    // 5: releases 4 at 3.5
+  tasks[0].priority = 30;
+  tasks[2].priority = 20;
+  tasks[3].priority = 10;
+  tasks[4].priority = 10;
+  const TaskGraphSim sim(std::move(tasks), 2);
+  const SimResult r = sim.Run({}, 1);
+  EXPECT_EQ(r.start_order, (std::vector<TaskId>{0, 1, 5, 3, 4, 2}));
+  EXPECT_DOUBLE_EQ(r.makespan, 6.0);
+  // The same refill pattern at scale: ranks empty and refill as preds on
+  // the other resources complete.
+  const TaskGraphSim wide(RandomReadyGraph(23, 300, 3, 90, 0.0), 3);
+  EXPECT_EQ(ResultFingerprint(wide.Run({}, 5)), 0x42ddbab568727ee0ull);
+}
+
+TEST(ReadyStorage, UnprioritizedTasksMixedWithRankedOnes) {
+  // A third of the tasks carry no priority: every pick draws over the
+  // lowest ready rank plus all unprioritized tasks, and a resource with
+  // only unprioritized tasks ready draws among those.
+  const TaskGraphSim sim(RandomReadyGraph(37, 300, 2, 100, 0.33), 2);
+  EXPECT_EQ(ResultFingerprint(sim.Run({}, 2)), 0x7d5aeb01649dd145ull);
+  SimOptions options;
+  options.jitter_sigma = 0.2;
+  EXPECT_EQ(ResultFingerprint(sim.Run(options, 9)), 0x6044defbe75b7a92ull);
+}
+
+TEST(ReadyStorage, OutOfOrderPickDrawsOverEveryReadyTask) {
+  // With out_of_order_probability > 0 some picks draw uniformly over the
+  // resource's whole ready list, whose order is the swap-removal order
+  // of every earlier pick.
+  const TaskGraphSim sim(RandomReadyGraph(41, 300, 2, 120, 0.2), 2);
+  SimOptions options;
+  options.out_of_order_probability = 0.3;
+  EXPECT_EQ(ResultFingerprint(sim.Run(options, 6)), 0x471097dfc6a43246ull);
+  options.out_of_order_probability = 1.0;
+  EXPECT_EQ(ResultFingerprint(sim.Run(options, 6)), 0xf527b2a2a377ae58ull);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // ExperimentSpec / SweepSpec grammar: parse ↔ ToString round trips,
-// sweep expansion counts and ordering, and ClusterConfig validation.
+// sweep expansion counts and ordering, ClusterConfig validation, and the
+// size caps hostile specs run into.
 #include "runtime/spec.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,10 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+
+#include "models/zoo.h"
+#include "runtime/multijob.h"
+#include "runtime/runner.h"
 
 namespace tictac::runtime {
 namespace {
@@ -146,6 +151,60 @@ TEST(ExperimentSpec, ActionableParseErrors) {
             "envG:workers=4:ps=1:chunk=8589934592G model=VGG-16");
       },
       "overflow");
+}
+
+// Hostile sizes get a precise error naming the knob before anything is
+// sized from them: iterations= past kMaxIterations at parse time, and a
+// cluster whose lowering would pass ir::kMaxLoweredTasks (workers= x
+// worker-graph ops) or, for a ring, ir::kMaxLoweredPredEntries (ring
+// transfers x workers) before the lowering reserves its columns. All
+// used to end in a bare std::bad_alloc.
+TEST(ExperimentSpec, HostileSizesNameTheirKnob) {
+  ExpectThrowWith(
+      [] {
+        ExperimentSpec::Parse("envG:workers=2:ps=1 model=AlexNet v2 "
+                              "iterations=2000000000");
+      },
+      "iterations must be in [1, 1000000], got 2000000000");
+  ExpectThrowWith(
+      [] {
+        SweepSpec::Parse("envG:workers=2:ps=1 models=AlexNet v2 "
+                         "iterations=1000001");
+      },
+      "iterations");
+  ExpectThrowWith(
+      [] {
+        MultiJobSpec::Parse("{envG:workers=2:ps=1 model=AlexNet v2 "
+                            "iterations=2000000000}");
+      },
+      "iterations");
+  EXPECT_EQ(ExperimentSpec::Parse("envG:workers=2:ps=1 model=AlexNet v2 "
+                                  "iterations=1000000")
+                .iterations,
+            kMaxIterations);
+  EXPECT_THROW(Runner(models::FindModel("AlexNet v2"), EnvG(2, 1, false))
+                   .Run("tic", kMaxIterations + 1, 1),
+               std::invalid_argument);
+
+  // workers=1048576 is inside the grammar's range; its lowering is not.
+  const ExperimentSpec wide = ExperimentSpec::Parse(
+      "envG:workers=1048576:ps=1 model=AlexNet v2 policy=tac iterations=1");
+  const Runner runner(models::FindModel(wide.model), wide.BuildCluster());
+  ExpectThrowWith([&] { runner.Run(wide.policy, 1, 1); },
+                  "lowering: workers=1048576 x ");
+  ExpectThrowWith([&] { runner.Run(wide.policy, 1, 1); },
+                  "ir::kMaxLoweredTasks");
+
+  // A 512-worker ring: 16 parameter rings x 1022 rounds x 512 transfers
+  // fit the task budget, but each transfer lists 512 preds.
+  const ExperimentSpec ring = ExperimentSpec::Parse(
+      "envG:workers=512:ps=1:training:topology=ring model=AlexNet v2 "
+      "policy=tac iterations=1");
+  const Runner ring_runner(models::FindModel(ring.model), ring.BuildCluster());
+  ExpectThrowWith([&] { ring_runner.Run(ring.policy, 1, 1); },
+                  "lowering: workers=512 x 8372224 ring transfers + ");
+  ExpectThrowWith([&] { ring_runner.Run(ring.policy, 1, 1); },
+                  "(ir::kMaxLoweredPredEntries); lower workers=");
 }
 
 TEST(ExperimentSpec, SeedsBeyondInt64RoundTrip) {
