@@ -28,7 +28,7 @@
 //       "envG:workers=4:ps=2:training:chunk=4096:shard=even model=VGG-16
 //       policy=tac".
 //   clustersweep — Datacenter-scale contended sweep (DESIGN.md §11): partition
-//       N jobs (same group grammar as multijob, but counts up to 4096) over K
+//       N jobs (same group grammar as multijob, but up to 4096 in all) over K
 //       shared PS fabrics — K = 0 or absent picks the fewest the 64-job
 //       per-fabric cap allows — merge them into one task graph and simulate it
 //       on the sharded event engine, e.g. --jobs
@@ -373,8 +373,8 @@ int CmdClusterSweep(const Args& args) {
                  "\"1000x{<experiment spec>}\")\n";
     return 2;
   }
-  // Same group grammar as multijob, but replication counts up to 4096 —
-  // the sweep partitions them over fabrics instead of packing one.
+  // Same group grammar as multijob, but up to 4096 jobs in all — the
+  // sweep partitions them over fabrics instead of packing one.
   std::vector<runtime::MultiJobEntry> jobs =
       runtime::ParseJobGroups(text, /*max_count=*/4096);
   runtime::ClusterSweepOptions options;

@@ -20,84 +20,6 @@ void RequireMerged(const Module& module, const char* exporter) {
   }
 }
 
-// Reconstructs one job's own single-job Lowering — local task ids, local
-// resource space, no arrival gate — from its slice of the merged module.
-// The inverse of merge_jobs' remap + apply_arrival_offsets' delay edge.
-runtime::Lowering ExportJobLocal(const Module& module, std::size_t j) {
-  const JobInfo& job = module.jobs[j];
-  const JobRange& r = module.ranges[j];
-  const int W = job.config.num_workers;
-  const int S = job.config.num_ps;
-  const int T = module.total_workers;
-  const int base_w = r.first_worker;
-
-  runtime::Lowering local;
-  local.num_workers = W;
-  local.num_resources = W + 2 * W * S + S;
-  local.worker_tasks.resize(static_cast<std::size_t>(W));
-  local.worker_recv_tasks.resize(static_cast<std::size_t>(W));
-  local.transfer_param.resize(static_cast<std::size_t>(W));
-
-  const auto unmap_resource = [&](int res) {
-    if (res < T) return res - base_w;  // worker computation
-    if (res < T + T * S) {             // downlink channel
-      const int g = (res - T) / S;
-      const int s = (res - T) % S;
-      return W + (g - base_w) * S + s;
-    }
-    if (res < T + 2 * T * S) {  // uplink channel
-      const int g = (res - T - T * S) / S;
-      const int s = (res - T - T * S) % S;
-      return W + W * S + (g - base_w) * S + s;
-    }
-    return W + 2 * W * S + (res - T - 2 * T * S);  // PS CPU
-  };
-
-  for (NodeId n = r.first; n < r.last; ++n) {
-    sim::Task task;
-    task.duration = module.duration(n);
-    task.resource = unmap_resource(module.resource(n));
-    task.priority = module.priority(n);
-    task.gate_group = module.gate_group(n) >= 0
-                          ? module.gate_group(n) - base_w
-                          : module.gate_group(n);
-    task.gate_rank = module.gate_rank(n);
-    for (const NodeId p : module.preds(n)) {
-      if (p == r.delay) continue;  // the arrival gate is combined-only
-      task.preds.push_back(p - r.first);
-    }
-    task.op = module.op(n);
-    task.kind = module.kind(n);
-    task.worker =
-        module.worker(n) >= 0 ? module.worker(n) - base_w : module.worker(n);
-    const int w = task.worker;
-    const sim::TaskId id = n - r.first;
-    if (w >= 0) {
-      local.worker_tasks[static_cast<std::size_t>(w)].push_back(id);
-      if (task.kind == core::OpKind::kRecv) {
-        local.worker_recv_tasks[static_cast<std::size_t>(w)].push_back(id);
-        local.transfer_param[static_cast<std::size_t>(w)].push_back(
-            module.param(n));
-      }
-    }
-    local.tasks.push_back(std::move(task));
-  }
-
-  local.update_task.assign(job.ps_of_param.size(), -1);
-  local.worker_sink.assign(static_cast<std::size_t>(W), -1);
-  for (NodeId n = r.first; n < r.last; ++n) {
-    if (module.kind(n) == core::OpKind::kUpdate) {
-      local.update_task[static_cast<std::size_t>(module.param(n))] =
-          n - r.first;
-    }
-    if (module.kind(n) == core::OpKind::kCompute && module.worker(n) >= 0) {
-      local.worker_sink[static_cast<std::size_t>(module.worker(n) - base_w)] =
-          n - r.first;  // last in emission order
-    }
-  }
-  return local;
-}
-
 // Imports `graph`'s ops (in op-id order, preds in graph edge order) as
 // kLogical nodes tagged with job index `job`; returns their range.
 JobRange AppendLogicalNodes(Module& module, const core::Graph& graph,
@@ -296,15 +218,14 @@ runtime::MultiJobLowering ToMultiJobLowering(const Module& module) {
   out.combined.update_task.clear();
   out.combined.worker_sink.clear();
   for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-    runtime::MultiJobLowering::JobSlice slice;
     const JobRange& r = module.ranges[j];
-    slice.first_task = r.first;
-    slice.last_task = r.last;
-    slice.first_worker = r.first_worker;
-    slice.delay_task = r.delay == kNoNode ? -1 : r.delay;
-    slice.start_offset = module.jobs[j].start_offset;
-    slice.lowering = ExportJobLocal(module, j);
-    out.jobs.push_back(std::move(slice));
+    out.jobs.push_back(runtime::MultiJobLowering::JobSlice{
+        .first_task = r.first,
+        .last_task = r.last,
+        .first_worker = r.first_worker,
+        .num_workers = module.jobs[j].config.num_workers,
+        .delay_task = r.delay == kNoNode ? -1 : r.delay,
+        .start_offset = module.jobs[j].start_offset});
   }
   return out;
 }

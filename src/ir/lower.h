@@ -1,7 +1,9 @@
 // The bridge between the runtime's lowering entry points and the IR
 // pass pipeline (DESIGN.md §10): the builder importing scheduled worker
 // graphs into a kLogical Module, the preset pass orders, and exporters
-// producing the sim-facing Lowering structures.
+// producing the sim-facing Lowering structures. Every exporter copies
+// each task once: a multi-job module becomes one combined Lowering whose
+// jobs are range views (MultiJobLowering::JobSlice), not copies.
 //
 // The runtime entry points (runtime::LowerCluster / LowerPipeline /
 // LowerAllReduce / LowerSharedCluster) are thin wrappers over
@@ -57,8 +59,8 @@ runtime::Lowering ToLowering(const Module& module);
 runtime::PipelineLowering ToPipelineLowering(const Module& module);
 
 // kMerged multi-job module (iterations == 1) -> the combined fabric plus
-// per-job slices, each slice's lowering reconstructed in the job's LOCAL
-// task ids and resource space (runtime/multijob.h).
+// each job's slice: its task and worker ranges in the combined graph,
+// its delay task and its arrival offset (runtime/multijob.h).
 runtime::MultiJobLowering ToMultiJobLowering(const Module& module);
 
 }  // namespace tictac::ir

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/flow.h"
 
@@ -56,8 +58,18 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
   // co-located jobs, never across fabrics). Fabrics of the same size
   // share Runners and schedules through one cache, so replicated jobs
   // are analyzed once per sweep.
+  //
+  // Each fabric's lowering is moved into merged_ as soon as it is built:
+  // disjoint task, resource, worker, gate-group and flow-link id ranges,
+  // so the merged graph decomposes back into one independent component
+  // per fabric (sim::TaskGraphSim::ComponentOf) and the sharded engine
+  // runs the K event loops in parallel.
   RunnerCache cache;
-  fabrics_.reserve(static_cast<std::size_t>(fabrics));
+  num_fabrics_ = fabrics;
+  iterations_ = jobs.front().spec.iterations;
+  seed_ = jobs.front().spec.seed;
+  std::shared_ptr<sim::FlowNetwork> merged_flow;
+  int gate_base = 0;
   std::size_t next = 0;
   for (int f = 0; f < fabrics; ++f) {
     const int size = base + (f < extra ? 1 : 0);
@@ -65,93 +77,91 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
     spec.jobs.assign(jobs.begin() + static_cast<std::ptrdiff_t>(next),
                      jobs.begin() + static_cast<std::ptrdiff_t>(next) + size);
     next += static_cast<std::size_t>(size);
-    fabrics_.push_back(
-        std::make_unique<MultiJobRunner>(std::move(spec), &cache));
-  }
+    spec.Validate();
+    SharedFabric fabric = BuildSharedFabric(spec.jobs, cache);
 
-  // Simulation options are global to the merged run: every fabric must
-  // agree on the knobs a single SimOptions carries. Gate enforcement
-  // ORs across fabrics exactly as MultiJobRunner ORs it across
-  // co-located jobs.
-  const sim::SimOptions& head = fabrics_.front()->fabric().options;
-  merged_options_ = head;
-  for (std::size_t f = 1; f < fabrics_.size(); ++f) {
-    const sim::SimOptions& other = fabrics_[f]->fabric().options;
-    if (other.jitter_sigma != head.jitter_sigma ||
-        other.out_of_order_probability != head.out_of_order_probability) {
-      Fail("fabric " + std::to_string(f) +
-           " overrides jitter=/ooo= differently from fabric 0 — simulation "
-           "options are global to a run");
+    // Simulation options are global to the merged run: every fabric must
+    // agree on the knobs a single SimOptions carries. Gate enforcement
+    // ORs across fabrics exactly as BuildSharedFabric ORs it across
+    // co-located jobs.
+    if (f == 0) {
+      merged_options_ = fabric.options;
+    } else {
+      if (fabric.options.jitter_sigma != merged_options_.jitter_sigma ||
+          fabric.options.out_of_order_probability !=
+              merged_options_.out_of_order_probability) {
+        Fail("fabric " + std::to_string(f) +
+             " overrides jitter=/ooo= differently from fabric 0 — "
+             "simulation options are global to a run");
+      }
+      merged_options_.enforce_gates |= fabric.options.enforce_gates;
+      merged_options_.flow_fairness |= fabric.options.flow_fairness;
     }
-    merged_options_.enforce_gates |= other.enforce_gates;
-    merged_options_.flow_fairness |= other.flow_fairness;
-  }
 
-  // Merge the per-fabric lowerings: disjoint task, resource, gate-group
-  // and flow-link id ranges, so the merged graph decomposes back into
-  // one independent component per fabric (sim::TaskGraphSim::ComponentOf)
-  // and the sharded engine runs the K event loops in parallel.
-  fabric_slices_.reserve(fabrics_.size());
-  // A fabric turns flow fairness on exactly when it has a flow network.
-  if (merged_options_.flow_fairness) {
-    merged_flow_ = std::make_shared<sim::FlowNetwork>();
-  }
-  int gate_base = 0;
-  for (const auto& fabric : fabrics_) {
-    const Lowering& lowering = fabric->fabric().lowering.combined;
-    const auto task_base = static_cast<sim::TaskId>(merged_tasks_.size());
-    const int resource_base = merged_resources_;
+    Lowering& lowering = fabric.lowering.combined;
+    const auto task_base = static_cast<sim::TaskId>(merged_.tasks.size());
+    const int resource_base = merged_.num_resources;
+    const int worker_base = merged_.num_workers;
     int max_gate = -1;
-    for (const sim::Task& task : lowering.tasks) {
-      sim::Task merged = task;
-      merged.resource += resource_base;
-      for (sim::TaskId& pred : merged.preds) pred += task_base;
-      if (merged.gate_group >= 0) {
-        max_gate = std::max(max_gate, merged.gate_group);
-        merged.gate_group += gate_base;
+    for (sim::Task& task : lowering.tasks) {
+      task.resource += resource_base;
+      for (sim::TaskId& pred : task.preds) pred += task_base;
+      if (task.gate_group >= 0) {
+        max_gate = std::max(max_gate, task.gate_group);
+        task.gate_group += gate_base;
       }
-      merged_tasks_.push_back(std::move(merged));
+      if (task.worker >= 0) task.worker += worker_base;
+      merged_.tasks.push_back(std::move(task));
     }
-    if (merged_flow_ && lowering.flow) {
+    for (std::size_t w = 0; w < lowering.worker_tasks.size(); ++w) {
+      for (sim::TaskId& t : lowering.worker_tasks[w]) t += task_base;
+      for (sim::TaskId& t : lowering.worker_recv_tasks[w]) t += task_base;
+      merged_.worker_tasks.push_back(std::move(lowering.worker_tasks[w]));
+      merged_.worker_recv_tasks.push_back(
+          std::move(lowering.worker_recv_tasks[w]));
+      merged_.transfer_param.push_back(std::move(lowering.transfer_param[w]));
+    }
+    // A fabric turns flow fairness on exactly when it has a flow network.
+    if (lowering.flow) {
+      if (!merged_flow) merged_flow = std::make_shared<sim::FlowNetwork>();
       const sim::FlowNetwork& flow = *lowering.flow;
-      const int link_base = static_cast<int>(merged_flow_->links.size());
-      merged_flow_->links.insert(merged_flow_->links.end(),
-                                 flow.links.begin(), flow.links.end());
-      merged_flow_->resource_links.resize(
-          static_cast<std::size_t>(resource_base) + flow.resource_links.size());
-      merged_flow_->resource_nominal_bps.resize(
-          merged_flow_->resource_links.size(), 0.0);
-      for (std::size_t r = 0; r < flow.resource_links.size(); ++r) {
-        if (flow.resource_links[r].empty()) continue;
-        auto& links =
-            merged_flow_->resource_links[static_cast<std::size_t>(resource_base) + r];
-        links = flow.resource_links[r];
-        for (int& link : links) link += link_base;
-        merged_flow_->resource_nominal_bps
-            [static_cast<std::size_t>(resource_base) + r] =
-            flow.resource_nominal_bps[r];
+      const int link_base = static_cast<int>(merged_flow->links.size());
+      merged_flow->links.insert(merged_flow->links.end(), flow.links.begin(),
+                                flow.links.end());
+      // Both resource tables restart at resource_base (padding the
+      // resources of flow-free fabrics before it with no links).
+      const auto r_base = static_cast<std::size_t>(resource_base);
+      merged_flow->resource_links.resize(r_base);
+      merged_flow->resource_nominal_bps.resize(r_base, 0.0);
+      for (const std::vector<int>& links : flow.resource_links) {
+        for (int& link : merged_flow->resource_links.emplace_back(links)) {
+          link += link_base;
+        }
       }
+      merged_flow->resource_nominal_bps.insert(
+          merged_flow->resource_nominal_bps.end(),
+          flow.resource_nominal_bps.begin(), flow.resource_nominal_bps.end());
     }
-    merged_resources_ += lowering.num_resources;
+    merged_.num_resources += lowering.num_resources;
+    merged_.num_workers += lowering.num_workers;
     gate_base += max_gate + 1;
-    MultiJobLowering::JobSlice& slice = fabric_slices_.emplace_back();
-    slice.first_task = task_base;
-    slice.last_task = static_cast<sim::TaskId>(merged_tasks_.size());
+    for (MultiJobLowering::JobSlice job : fabric.lowering.jobs) {
+      job.first_task += task_base;
+      job.last_task += task_base;
+      job.first_worker += worker_base;
+      if (job.delay_task >= 0) job.delay_task += task_base;
+      jobs_.push_back(job);
+    }
+    samples_per_iteration_.insert(samples_per_iteration_.end(),
+                                  fabric.samples_per_iteration.begin(),
+                                  fabric.samples_per_iteration.end());
   }
-  merged_options_.network = merged_flow_.get();
-}
-
-int ClusterSweep::num_jobs() const {
-  int total = 0;
-  for (const auto& fabric : fabrics_) {
-    total += static_cast<int>(fabric->spec().jobs.size());
-  }
-  return total;
+  merged_.flow = merged_flow;
+  merged_options_.network = merged_flow.get();
 }
 
 ClusterSweepResult ClusterSweep::Run() const {
-  const ExperimentSpec& head = fabrics_.front()->spec().jobs.front().spec;
-  return Run(head.iterations, head.seed);
+  return Run(iterations_, seed_);
 }
 
 ClusterSweepResult ClusterSweep::Run(int iterations,
@@ -160,7 +170,7 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
     Fail("iterations must be in [1, " + std::to_string(kMaxIterations) +
          "], got " + std::to_string(iterations));
   }
-  const sim::TaskGraphSim sim(merged_tasks_, merged_resources_);
+  const sim::TaskGraphSim sim = merged_.BuildSim();
 
   ClusterSweepResult result;
   result.jobs = num_jobs();
@@ -174,14 +184,10 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
   }
 
   // Per-job accumulators, global job order (fabric-major).
-  std::vector<ExperimentResult> per_job;
-  per_job.reserve(static_cast<std::size_t>(result.jobs));
-  for (const auto& fabric : fabrics_) {
-    for (const double samples : fabric->fabric().samples_per_iteration) {
-      ExperimentResult& job = per_job.emplace_back();
-      job.samples_per_iteration = samples;
-      job.iterations.reserve(static_cast<std::size_t>(iterations));
-    }
+  std::vector<ExperimentResult> per_job(jobs_.size());
+  for (std::size_t g = 0; g < jobs_.size(); ++g) {
+    per_job[g].samples_per_iteration = samples_per_iteration_[g];
+    per_job[g].iterations.reserve(static_cast<std::size_t>(iterations));
   }
 
   double makespan_sum = 0.0;
@@ -190,18 +196,10 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
         merged_options_, seed + static_cast<std::uint64_t>(i),
         options_.num_threads);
     makespan_sum += run.makespan;
-    std::size_t g = 0;
-    for (std::size_t f = 0; f < fabrics_.size(); ++f) {
-      // Cut the fabric's task range back out so the per-fabric slices
-      // (fabric-local task ids) apply unchanged.
-      const sim::SimResult fabric_run = SliceResult(run, fabric_slices_[f]);
-      const MultiJobLowering& lowering = fabrics_[f]->fabric().lowering;
-      for (const MultiJobLowering::JobSlice& slice : lowering.jobs) {
-        const sim::SimResult sliced = SliceResult(fabric_run, slice);
-        per_job[g].iterations.push_back(
-            ComputeIterationStats(slice.lowering, sliced));
-        ++g;
-      }
+    std::vector<IterationStats> stats =
+        ComputeIterationStats(merged_, run, jobs_);
+    for (std::size_t g = 0; g < jobs_.size(); ++g) {
+      per_job[g].iterations.push_back(std::move(stats[g]));
     }
   }
   result.mean_makespan_s = makespan_sum / static_cast<double>(iterations);
@@ -230,6 +228,7 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
           ? (throughput_sum * throughput_sum) /
                 (static_cast<double>(per_job.size()) * throughput_sq_sum)
           : 0.0;
+  result.job_results = std::move(per_job);
   return result;
 }
 

@@ -8,13 +8,13 @@
 //
 // This is the scale regime the per-fabric MultiJobRunner (capped at 64
 // jobs) cannot reach: a 1000-job sweep becomes ceil(1000/64) = 16
-// fabrics, lowered once and simulated as a single graph. Per-job metrics
-// come out of the same SliceResult/ComputeIterationStats machinery as
-// the single-fabric path.
+// fabrics, lowered once and simulated as a single graph that holds one
+// copy of each task. Every job is a JobSlice of that graph, and per-job
+// metrics come out of the same ComputeIterationStats call as the
+// single-fabric path.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,18 +52,22 @@ struct ClusterSweepResult {
   double fairness = 0.0;
   // Per-job mean iteration time, in global job order.
   std::vector<double> job_mean_iteration_s;
+  // Every job's per-iteration statistics, in global job order (ToJson
+  // prints only their mean iteration times above).
+  std::vector<ExperimentResult> job_results;
 
   std::string ToJson() const;
 };
 
 // Builds and runs the partitioned sweep. Construction partitions the
-// jobs, constructs one MultiJobRunner per fabric (schedules computed
-// against each fabric's contended oracle, Runners and schedules shared
-// across fabrics through one RunnerCache), and merges the per-fabric
-// lowerings into one task graph with disjoint resource, gate-group and
-// flow-link id ranges. Throws std::invalid_argument on an empty job
-// list, a negative fabric count, a partition that overflows the
-// per-fabric cap, or fabrics whose simulation options disagree
+// jobs, validates each fabric's MultiJobSpec and builds it with
+// BuildSharedFabric (schedules computed against each fabric's contended
+// oracle, Runners and schedules shared across fabrics through one
+// RunnerCache), then moves its tasks into one merged Lowering with
+// disjoint task, resource, worker, gate-group and flow-link id ranges
+// before the next fabric is built. Throws std::invalid_argument on an
+// empty job list, a negative fabric count, a partition that overflows
+// the per-fabric cap, or fabrics whose simulation options disagree
 // (jitter/ooo/gates are global to a run).
 class ClusterSweep {
  public:
@@ -78,19 +82,22 @@ class ClusterSweep {
   ClusterSweepResult Run() const;
   ClusterSweepResult Run(int iterations, std::uint64_t seed) const;
 
-  int num_jobs() const;
-  int num_fabrics() const { return static_cast<int>(fabrics_.size()); }
+  int num_jobs() const { return static_cast<int>(jobs_.size()); }
+  int num_fabrics() const { return num_fabrics_; }
 
  private:
   ClusterSweepOptions options_;
-  std::vector<std::unique_ptr<MultiJobRunner>> fabrics_;
-  // The merged graph; fabric_slices_[f] is fabric f's task range.
-  std::vector<sim::Task> merged_tasks_;
-  std::vector<MultiJobLowering::JobSlice> fabric_slices_;
-  int merged_resources_ = 0;
-  // Merged capacity graph (null when no fabric enables flow fairness);
-  // merged_options_.network points at it.
-  std::shared_ptr<sim::FlowNetwork> merged_flow_;
+  int num_fabrics_ = 0;
+  // jobs[0]'s iterations= and seed=, what Run() simulates.
+  int iterations_ = 0;
+  std::uint64_t seed_ = 0;
+  // Every fabric's tasks in one graph; its flow network (null when no
+  // fabric enables flow fairness) is what merged_options_.network points
+  // at. jobs_[g] is job g's view of it, in global job order
+  // (fabric-major).
+  Lowering merged_;
+  std::vector<MultiJobLowering::JobSlice> jobs_;
+  std::vector<double> samples_per_iteration_;  // per job
   sim::SimOptions merged_options_;
 };
 

@@ -50,6 +50,7 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
   while (true) {
     skip_ws();
     if (pos >= text.size()) break;
+    const std::size_t group = pos;
     // Optional replication count: "2x{...}".
     long long count = 1;
     if (std::isdigit(static_cast<unsigned char>(text[pos]))) {
@@ -90,10 +91,15 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
       entry.start_offset = *offset;
       pos = end;
     }
-    // Totals above max_count are the caller's to reject (MultiJobSpec
-    // caps per-fabric in Validate; the cluster sweep caps at parse time)
-    // so the per-fabric error message stays the legacy one.
-    for (long long c = 0; c < count; ++c) jobs.push_back(entry);
+    // The cap holds for the running total, checked before appending, so
+    // no list of groups grows past max_count jobs in memory.
+    const auto total = static_cast<long long>(jobs.size()) + count;
+    if (total > max_count) {
+      Fail("at most " + std::to_string(max_count) + " jobs in all, got " +
+           std::to_string(total) + " at '" +
+           std::string(text.substr(group, pos - group)) + "'");
+    }
+    jobs.insert(jobs.end(), static_cast<std::size_t>(count), entry);
   }
   if (jobs.empty()) {
     Fail("no jobs found — expected at least one [COUNTx]{<experiment spec>} "
@@ -178,31 +184,6 @@ MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
   return ir::ToMultiJobLowering(module);
 }
 
-sim::SimResult SliceResult(const sim::SimResult& combined,
-                           const MultiJobLowering::JobSlice& job) {
-  const auto first = static_cast<std::size_t>(job.first_task);
-  const auto last = static_cast<std::size_t>(job.last_task);
-  sim::SimResult out;
-  out.start.assign(combined.start.begin() + static_cast<std::ptrdiff_t>(first),
-                   combined.start.begin() + static_cast<std::ptrdiff_t>(last));
-  out.end.assign(combined.end.begin() + static_cast<std::ptrdiff_t>(first),
-                 combined.end.begin() + static_cast<std::ptrdiff_t>(last));
-  if (job.start_offset != 0.0) {
-    // The job's own clock starts at its arrival: waiting for the offset
-    // is not execution time (and must not read as contention slowdown
-    // or negative Eq.-3 efficiency downstream).
-    for (double& start : out.start) start -= job.start_offset;
-    for (double& end : out.end) end -= job.start_offset;
-  }
-  for (const double end : out.end) out.makespan = std::max(out.makespan, end);
-  for (const sim::TaskId t : combined.start_order) {
-    if (t >= job.first_task && t < job.last_task) {
-      out.start_order.push_back(t - job.first_task);
-    }
-  }
-  return out;
-}
-
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                RunnerCache& cache,
                                const ir::PipelineOptions& pipeline) {
@@ -278,10 +259,10 @@ MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
         sim.Run(fabric.options, seed + static_cast<std::uint64_t>(i));
     result.combined.iterations.push_back(
         ComputeIterationStats(lowering.combined, run));
-    for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
-      const sim::SimResult sliced = SliceResult(run, lowering.jobs[j]);
-      result.jobs[j].iterations.push_back(
-          ComputeIterationStats(lowering.jobs[j].lowering, sliced));
+    std::vector<IterationStats> per_job =
+        ComputeIterationStats(lowering.combined, run, lowering.jobs);
+    for (std::size_t j = 0; j < per_job.size(); ++j) {
+      result.jobs[j].iterations.push_back(std::move(per_job[j]));
     }
   }
   return result;

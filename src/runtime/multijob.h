@@ -28,12 +28,14 @@
 //
 // The combined task graph runs through the existing sim::TaskGraphSim
 // unchanged — tasks, resources, priorities and per-(job, worker) gate
-// groups are all it ever sees. SliceResult() cuts the combined SimResult
-// back into per-job SimResults so runtime::ComputeIterationStats yields
-// per-job makespans/efficiency/overlap with the exact single-job code.
+// groups are all it ever sees. Each job is a JobSlice: a view of its
+// task and worker ranges in that one graph, from which
+// runtime::ComputeIterationStats reads per-job makespans, efficiency and
+// overlap straight out of the combined SimResult.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,7 +66,8 @@ struct MultiJobEntry {
 };
 
 // Parses the "[COUNTx]{<experiment spec>}[@offset_s]" group grammar into
-// a flat job list, with replication counts capped at `max_count`.
+// a flat job list of at most `max_count` jobs in all (each COUNT, and
+// the running total, checked before any entry is appended).
 // MultiJobSpec::Parse is this with the 64-job fabric cap plus
 // Validate(); the cluster sweep (runtime/clustersweep.h) parses with a
 // larger cap and partitions the result over several fabrics. Throws
@@ -119,29 +122,24 @@ struct MultiJobSpec {
 void CheckSharesFabric(const ExperimentSpec& job, const ExperimentSpec& head,
                        const std::string& where);
 
-// The combined fabric plus the per-job slices needed to cut metrics back
-// out of a combined SimResult.
+// The combined fabric plus each job's view of it.
 struct MultiJobLowering {
   // Whole-fabric task graph: num_workers = T, worker tables indexed by
   // global worker id. update_task/worker_sink are left empty (parameter
-  // indices are per-job; use the slices' lowerings).
+  // indices are per-job).
   Lowering combined;
 
+  // One job's view of `combined`: its tasks [first_task, last_task) and
+  // its workers [first_worker, first_worker + num_workers), measured on
+  // the job's own clock, which starts start_offset seconds into the run.
   struct JobSlice {
-    // The job's own LowerCluster output, untouched (job-local task ids
-    // and resources): feed it ComputeIterationStats together with
-    // SliceResult's job-local SimResult.
-    Lowering lowering;
-    // The job's contiguous task range in the combined graph:
-    // combined id = first_task + local id, range [first_task, last_task).
     sim::TaskId first_task = 0;
     sim::TaskId last_task = 0;
-    // Global id of the job's first worker (base_w).
     int first_worker = 0;
-    // Combined id of the arrival-delay task, -1 when start_offset == 0.
+    int num_workers = 0;
+    // The arrival-delay task gating the job's sources, -1 when
+    // start_offset == 0. It lies outside [first_task, last_task).
     sim::TaskId delay_task = -1;
-    // The job's arrival offset, repeated here so SliceResult can shift
-    // the slice onto the job's own clock.
     double start_offset = 0.0;
   };
   std::vector<JobSlice> jobs;
@@ -161,22 +159,21 @@ struct MultiJobLowering {
 MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
                                     const ir::PipelineOptions& pipeline = {});
 
-// Cuts the combined SimResult down to one job's slice: start/end are
-// re-indexed to job-local task ids and shifted onto the job's own clock
-// (its nominal arrival, start_offset, becomes t = 0, so waiting to
-// arrive is not billed as contention slowdown or Eq.-3 inefficiency);
-// makespan is the slice's own max shifted end — the job's completion
-// time since arrival, the quantity per-job throughput and interference
-// are measured against. start_order keeps the job's tasks, re-indexed.
-// (Under jitter the delay task's simulated duration may differ slightly
-// from the nominal offset, so shifted starts can be marginally
-// negative; metrics only consume differences and maxima.)
-sim::SimResult SliceResult(const sim::SimResult& combined,
-                           const MultiJobLowering::JobSlice& job);
+// ComputeIterationStats for each job slice of a multi-job lowering, read
+// from the combined run on the job's own clock: every start and end is
+// shifted back by start_offset, so waiting to arrive is not billed as
+// execution time or Eq.-3 inefficiency, and makespan is the max shifted
+// end over [first_task, last_task). (Under jitter the delay task may run
+// off the nominal offset, so a shifted start can be marginally negative;
+// the metrics only use differences and maxima.)
+std::vector<IterationStats> ComputeIterationStats(
+    const Lowering& lowering, const sim::SimResult& run,
+    std::span<const MultiJobLowering::JobSlice> slices);
 
-// Combined + per-job views of one multi-job experiment. jobs[j] is
-// sliced from the same simulated executions the combined result
-// summarizes, so for every iteration i:
+// Combined + per-job views of one multi-job experiment. jobs[j] is read
+// from the same simulated executions the combined result summarizes, on
+// the job's own clock (ComputeIterationStats over the slices), so for
+// every iteration i:
 //   combined.iterations[i].makespan ==
 //       max_j (jobs[j].iterations[i].makespan + start_offset_j)
 // (each task belongs to exactly one job; delay tasks never finish
@@ -211,7 +208,7 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                const ir::PipelineOptions& pipeline = {});
 
 // Simulates `iterations` iterations of `fabric`, seeded seed + i as the
-// single-job path is, and slices each into per-job results.
+// single-job path is, with per-job statistics from the job slices.
 MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
                                std::uint64_t seed);
 

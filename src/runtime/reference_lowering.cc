@@ -468,7 +468,6 @@ MultiJobLowering LowerSharedCluster(
     }
     slice.last_task = static_cast<sim::TaskId>(combined.tasks.size());
     slice.start_offset = job.start_offset;
-    slice.lowering = std::move(local);
     out.jobs.push_back(std::move(slice));
     base_w += W;
   }

@@ -13,12 +13,14 @@
 #include "core/policy_registry.h"
 #include "models/zoo.h"
 #include "runtime/allreduce.h"
+#include "runtime/multijob.h"
 #include "runtime/sharding.h"
 
 namespace tictac::runtime {
 namespace {
 
 using Interval = std::pair<double, double>;
+using JobSlice = MultiJobLowering::JobSlice;
 
 // Merges [start, end) intervals, given in non-decreasing start order,
 // into disjoint spans, in place; returns the span count. The spans
@@ -67,10 +69,11 @@ double OverlapFraction(std::span<Interval> comm, std::span<Interval> comp) {
   return intersection / shorter;
 }
 
-// Every worker's communication and computation intervals in one table:
-// list 2w holds worker w's comm intervals and list 2w + 1 its comp
+// The slices' workers' communication and computation intervals in one
+// table: list 2w holds worker w's comm intervals and list 2w + 1 its comp
 // intervals, list k at intervals[begin[k], begin[k + 1]), each in
-// non-decreasing start order.
+// non-decreasing start order. An interval is its task's (start, end)
+// shifted onto its job's clock.
 struct WorkerIntervals {
   std::vector<Interval> intervals;
   std::vector<std::size_t> begin;
@@ -80,82 +83,83 @@ struct WorkerIntervals {
   }
 };
 
-// Fills `out` by walking run.start_order, which the engine emits in
-// start-time order, so no list needs a sort. Returns false — leaving the
-// caller to sort — unless start_order is non-decreasing in start and
-// visits every worker task exactly once (a wall-clock backend may emit
-// starts out of order; a run may leave tasks unstarted).
-bool IntervalsInStartOrder(const Lowering& lowering, const sim::SimResult& run,
-                           WorkerIntervals& out) {
-  const auto W = static_cast<std::size_t>(lowering.num_workers);
-  // list_of[t]: the list task t goes to; -1 for a task outside every
-  // worker, -2 once placed.
+// Fills `out` for every worker of `slices`. It walks run.start_order,
+// which the engine emits in start-time order, so no list needs a sort;
+// unless that walk is non-decreasing in start and visits every listed
+// task exactly once (a wall-clock backend may emit starts out of order;
+// a run may leave tasks unstarted), it fills each list from worker_tasks
+// and sorts it by (start, end) instead. The spans OverlapFraction merges
+// are the same either way.
+void FillIntervals(const Lowering& lowering, const sim::SimResult& run,
+                   std::span<const JobSlice> slices, WorkerIntervals& out) {
+  const auto lists = 2 * static_cast<std::size_t>(lowering.num_workers);
+  // list_of[t]: the list task t goes to; -1 for a task in no list, -2
+  // once placed.
   std::vector<int> list_of(lowering.tasks.size(), -1);
-  out.begin.assign(2 * W + 1, 0);
-  for (std::size_t w = 0; w < W; ++w) {
-    for (const sim::TaskId t : lowering.worker_tasks[w]) {
-      const auto ti = static_cast<std::size_t>(t);
-      if (list_of[ti] != -1) return false;  // a task in two partitions
-      const std::size_t k =
-          2 * w + (core::IsCommunication(lowering.tasks[ti].kind) ? 0 : 1);
-      list_of[ti] = static_cast<int>(k);
-      ++out.begin[k + 1];
-    }
-  }
-  for (std::size_t k = 1; k < out.begin.size(); ++k) {
-    out.begin[k] += out.begin[k - 1];
-  }
-  out.intervals.resize(out.begin.back());
-  std::vector<std::size_t> fill(out.begin.begin(), out.begin.end() - 1);
-  std::size_t placed = 0;
-  double previous = -std::numeric_limits<double>::infinity();
-  for (const sim::TaskId t : run.start_order) {
-    const auto ti = static_cast<std::size_t>(t);
-    if (ti >= list_of.size() || list_of[ti] == -2) return false;
-    const double start = run.start[ti];
-    if (!(previous <= start)) return false;  // out of order, or NaN
-    previous = start;
-    if (list_of[ti] < 0) continue;
-    out.intervals[fill[static_cast<std::size_t>(list_of[ti])]++] = {
-        start, run.end[ti]};
-    list_of[ti] = -2;
-    ++placed;
-  }
-  return placed == out.intervals.size();
-}
-
-// The same table from worker_tasks, each list sorted by (start, end).
-void SortedIntervals(const Lowering& lowering, const sim::SimResult& run,
-                     WorkerIntervals& out) {
-  out.intervals.clear();
-  out.begin.assign(1, 0);
-  for (const auto& tasks : lowering.worker_tasks) {
-    for (const bool comm : {true, false}) {
-      for (const sim::TaskId t : tasks) {
+  std::vector<double> shift(lists, 0.0);
+  out.begin.assign(lists + 1, 0);
+  bool walkable = true;
+  for (const JobSlice& slice : slices) {
+    for (int w = slice.first_worker;
+         w < slice.first_worker + slice.num_workers; ++w) {
+      const auto wi = static_cast<std::size_t>(w);
+      shift[2 * wi] = shift[2 * wi + 1] = slice.start_offset;
+      for (const sim::TaskId t : lowering.worker_tasks[wi]) {
         const auto ti = static_cast<std::size_t>(t);
-        if (core::IsCommunication(lowering.tasks[ti].kind) == comm) {
-          out.intervals.emplace_back(run.start[ti], run.end[ti]);
-        }
+        walkable &= list_of[ti] == -1;  // a task in two partitions
+        const std::size_t k =
+            2 * wi + (core::IsCommunication(lowering.tasks[ti].kind) ? 0 : 1);
+        list_of[ti] = static_cast<int>(k);
+        ++out.begin[k + 1];
       }
-      std::sort(out.intervals.begin() +
-                    static_cast<std::ptrdiff_t>(out.begin.back()),
-                out.intervals.end());
-      out.begin.push_back(out.intervals.size());
     }
+  }
+  for (std::size_t k = 1; k <= lists; ++k) out.begin[k] += out.begin[k - 1];
+  out.intervals.resize(out.begin.back());
+  const auto walk = [&] {
+    std::vector<std::size_t> fill(out.begin.begin(), out.begin.end() - 1);
+    std::size_t placed = 0;
+    double previous = -std::numeric_limits<double>::infinity();
+    for (const sim::TaskId t : run.start_order) {
+      const auto ti = static_cast<std::size_t>(t);
+      if (ti >= list_of.size() || list_of[ti] == -2) return false;
+      const double start = run.start[ti];
+      if (!(previous <= start)) return false;  // out of order, or NaN
+      previous = start;
+      if (list_of[ti] < 0) continue;
+      const auto k = static_cast<std::size_t>(list_of[ti]);
+      out.intervals[fill[k]++] = {start - shift[k], run.end[ti] - shift[k]};
+      list_of[ti] = -2;
+      ++placed;
+    }
+    return placed == out.intervals.size();
+  };
+  if (walkable && walk()) return;
+
+  for (std::size_t k = 0; k < lists; ++k) {
+    // Empty, or its worker is in no slice.
+    if (out.begin[k] == out.begin[k + 1]) continue;
+    const bool comm = k % 2 == 0;
+    std::size_t next = out.begin[k];
+    for (const sim::TaskId t : lowering.worker_tasks[k / 2]) {
+      const auto ti = static_cast<std::size_t>(t);
+      if (core::IsCommunication(lowering.tasks[ti].kind) == comm) {
+        out.intervals[next++] = {run.start[ti] - shift[k],
+                                 run.end[ti] - shift[k]};
+      }
+    }
+    const std::span<Interval> list = out.list(k);
+    std::sort(list.begin(), list.end());
   }
 }
 
 }  // namespace
 
-IterationStats ComputeIterationStats(const Lowering& lowering,
-                                     const sim::SimResult& run) {
-  IterationStats stats;
-  stats.makespan = run.makespan;
-
+std::vector<IterationStats> ComputeIterationStats(
+    const Lowering& lowering, const sim::SimResult& run,
+    std::span<const JobSlice> slices) {
   WorkerIntervals intervals;
-  if (!IntervalsInStartOrder(lowering, run, intervals)) {
-    SortedIntervals(lowering, run, intervals);
-  }
+  FillIntervals(lowering, run, slices, intervals);
 
   // Per-worker partition makespan, scheduling efficiency (Eq. 3) from
   // this iteration's *measured* op times (as §3.2 does), and the
@@ -166,66 +170,88 @@ IterationStats ComputeIterationStats(const Lowering& lowering,
       static_cast<std::size_t>(std::max(lowering.num_resources, 0)), 0.0);
   std::vector<char> touched(per_resource.size(), 0);
   std::vector<std::size_t> used;
-  double efficiency_sum = 0.0;
-  double overlap_sum = 0.0;
-  stats.worker_finish.reserve(static_cast<std::size_t>(lowering.num_workers));
-  for (int w = 0; w < lowering.num_workers; ++w) {
-    double finish = 0.0;
-    double upper = 0.0;
-    for (sim::TaskId t : lowering.worker_tasks[static_cast<std::size_t>(w)]) {
-      const auto ti = static_cast<std::size_t>(t);
-      finish = std::max(finish, run.end[ti]);
-      const double measured = run.end[ti] - run.start[ti];
-      upper += measured;
-      const auto r = static_cast<std::size_t>(lowering.tasks[ti].resource);
-      if (r >= per_resource.size()) {
-        per_resource.resize(r + 1, 0.0);
-        touched.resize(r + 1, 0);
-      }
-      if (!touched[r]) {
-        touched[r] = 1;
-        used.push_back(r);
-      }
-      per_resource[r] += measured;
+  std::vector<IterationStats> out;
+  out.reserve(slices.size());
+  for (const JobSlice& slice : slices) {
+    const double o = slice.start_offset;
+    IterationStats& stats = out.emplace_back();
+    for (sim::TaskId t = slice.first_task; t < slice.last_task; ++t) {
+      stats.makespan =
+          std::max(stats.makespan, run.end[static_cast<std::size_t>(t)] - o);
     }
-    double lower = 0.0;
-    for (const std::size_t r : used) {
-      lower = std::max(lower, per_resource[r]);
-      per_resource[r] = 0.0;
-      touched[r] = 0;
+    double efficiency_sum = 0.0;
+    double overlap_sum = 0.0;
+    stats.worker_finish.reserve(static_cast<std::size_t>(slice.num_workers));
+    for (int w = slice.first_worker;
+         w < slice.first_worker + slice.num_workers; ++w) {
+      double finish = 0.0;
+      double upper = 0.0;
+      for (sim::TaskId t : lowering.worker_tasks[static_cast<std::size_t>(w)]) {
+        const auto ti = static_cast<std::size_t>(t);
+        finish = std::max(finish, run.end[ti] - o);
+        const double measured = (run.end[ti] - o) - (run.start[ti] - o);
+        upper += measured;
+        const auto r = static_cast<std::size_t>(lowering.tasks[ti].resource);
+        if (r >= per_resource.size()) {
+          per_resource.resize(r + 1, 0.0);
+          touched.resize(r + 1, 0);
+        }
+        if (!touched[r]) {
+          touched[r] = 1;
+          used.push_back(r);
+        }
+        per_resource[r] += measured;
+      }
+      double lower = 0.0;
+      for (const std::size_t r : used) {
+        lower = std::max(lower, per_resource[r]);
+        per_resource[r] = 0.0;
+        touched[r] = 0;
+      }
+      used.clear();
+      stats.worker_finish.push_back(finish);
+      core::MakespanBounds bounds{upper, lower};
+      efficiency_sum += core::Efficiency(bounds, finish);
+      const auto wi = static_cast<std::size_t>(w);
+      overlap_sum += OverlapFraction(intervals.list(2 * wi),
+                                     intervals.list(2 * wi + 1));
     }
-    used.clear();
-    stats.worker_finish.push_back(finish);
-    core::MakespanBounds bounds{upper, lower};
-    efficiency_sum += core::Efficiency(bounds, finish);
-    const auto wi = static_cast<std::size_t>(w);
-    overlap_sum += OverlapFraction(intervals.list(2 * wi),
-                                   intervals.list(2 * wi + 1));
-  }
-  stats.mean_efficiency =
-      efficiency_sum / static_cast<double>(lowering.num_workers);
-  stats.overlap_fraction =
-      overlap_sum / static_cast<double>(lowering.num_workers);
+    stats.mean_efficiency =
+        efficiency_sum / static_cast<double>(slice.num_workers);
+    stats.overlap_fraction =
+        overlap_sum / static_cast<double>(slice.num_workers);
 
-  const double t_max =
-      *std::max_element(stats.worker_finish.begin(), stats.worker_finish.end());
-  const double t_min =
-      *std::min_element(stats.worker_finish.begin(), stats.worker_finish.end());
-  stats.straggler_pct = t_max > 0.0 ? 100.0 * (t_max - t_min) / t_max : 0.0;
+    const double t_max = *std::max_element(stats.worker_finish.begin(),
+                                           stats.worker_finish.end());
+    const double t_min = *std::min_element(stats.worker_finish.begin(),
+                                           stats.worker_finish.end());
+    stats.straggler_pct = t_max > 0.0 ? 100.0 * (t_max - t_min) / t_max : 0.0;
 
-  // Worker 0 parameter arrival order (§2.2's observation).
-  {
-    const auto& recvs = lowering.worker_recv_tasks[0];
-    const auto& params = lowering.transfer_param[0];
+    // The job's first worker's parameter arrival order (§2.2's
+    // observation).
+    const auto w0 = static_cast<std::size_t>(slice.first_worker);
+    const auto& recvs = lowering.worker_recv_tasks[w0];
+    const auto& params = lowering.transfer_param[w0];
     std::vector<std::size_t> idx(recvs.size());
     std::iota(idx.begin(), idx.end(), 0);
     std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      return run.end[static_cast<std::size_t>(recvs[a])] <
-             run.end[static_cast<std::size_t>(recvs[b])];
+      return run.end[static_cast<std::size_t>(recvs[a])] - o <
+             run.end[static_cast<std::size_t>(recvs[b])] - o;
     });
     stats.recv_order.reserve(idx.size());
     for (std::size_t j : idx) stats.recv_order.push_back(params[j]);
   }
+  return out;
+}
+
+IterationStats ComputeIterationStats(const Lowering& lowering,
+                                     const sim::SimResult& run) {
+  // The whole lowering as one slice; its empty task range leaves the
+  // makespan to run.makespan.
+  const JobSlice whole{.num_workers = lowering.num_workers};
+  IterationStats stats =
+      std::move(ComputeIterationStats(lowering, run, {&whole, 1}).front());
+  stats.makespan = run.makespan;
   return stats;
 }
 

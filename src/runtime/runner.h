@@ -38,9 +38,8 @@ struct IterationStats {
 // partition makespans, Eq.-3 scheduling efficiency from the iteration's
 // measured op times, communication/computation overlap, straggler share,
 // and worker-0's parameter arrival order. `run` must be the SimResult of
-// lowering's own task graph (the multi-job runner slices its combined
-// result into per-job SimResults first, runtime/multijob.h).
-// stats.makespan is run.makespan.
+// lowering's own task graph (runtime/multijob.h reads each job of a
+// shared fabric out of the combined run). stats.makespan is run.makespan.
 IterationStats ComputeIterationStats(const Lowering& lowering,
                                      const sim::SimResult& run);
 

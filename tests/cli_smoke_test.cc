@@ -337,6 +337,15 @@ TEST(CliSmoke, HostileSizesNameTheirKnob) {
       {"simulate \"AlexNet v2\" --iterations 2000000000",
        "simulate: --iterations must be <= 1000000"},
       {"exec --iters 2000000000", "exec: --iters must be <= 1000000"},
+      // The job caps bound the total over all groups, not each group.
+      {"clustersweep --jobs \"4096x{envG:workers=2:ps=1 model=AlexNet v2 "
+       "iterations=1 seed=1} 4096x{envG:workers=2:ps=1 model=AlexNet v2 "
+       "iterations=1 seed=1}\"",
+       "at most 4096 jobs in all, got 8192"},
+      {"multijob --jobs \"64x{envG:workers=2:ps=1 model=AlexNet v2 "
+       "iterations=1 seed=1} {envG:workers=2:ps=1 model=AlexNet v2 "
+       "iterations=1 seed=1}\"",
+       "at most 64 jobs in all, got 65"},
   };
   for (const auto& [args, named] : cases) {
     const CliResult result = RunCli(args);

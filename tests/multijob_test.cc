@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/session.h"
+#include "models/zoo.h"
 #include "util/stats.h"
 
 namespace tictac::runtime {
@@ -69,6 +71,31 @@ TEST(MultiJobSpec, ParseRejectsMalformedInput) {
       MultiJobSpec::Parse(
           "{envG:workers=2:ps=1 model=VGG-16 iterations=3 seed=5}@later"),
       std::invalid_argument);
+}
+
+// max_count caps the running total before anything is appended, so a
+// list of groups can neither pass the cap nor grow without bound.
+TEST(MultiJobSpec, ParseJobGroupsCapsTheTotal) {
+  const std::string job =
+      "{envG:workers=2:ps=1 model=VGG-16 iterations=3 seed=5}";
+  EXPECT_EQ(ParseJobGroups("4096x" + job, 4096).size(), 4096u);
+  const auto message = [](const std::string& text, long long max_count) {
+    try {
+      ParseJobGroups(text, max_count);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(message("4096x" + job + " 4096x" + job + " 4096x" + job, 4096)
+                .find("at most 4096 jobs in all, got 8192 at '4096x{"),
+            std::string::npos);
+  std::string singles;
+  for (int i = 0; i < 65; ++i) singles += job + " ";
+  EXPECT_NE(message(singles, 64).find("at most 64 jobs in all, got 65"),
+            std::string::npos);
+  EXPECT_THROW(MultiJobSpec::Parse(singles), std::invalid_argument);
+  EXPECT_EQ(MultiJobSpec::Parse("63x" + job + " " + job).jobs.size(), 64u);
 }
 
 TEST(MultiJobSpec, ValidateEnforcesTheSharedFabric) {
@@ -177,7 +204,11 @@ TEST(MultiJob, SingleJobLoweringMatchesLowerCluster) {
   const MultiJobLowering& lowering = runner.fabric().lowering;
 
   ASSERT_EQ(lowering.jobs.size(), 1u);
-  const Lowering& local = lowering.jobs[0].lowering;
+  const Runner single(models::FindModel("Inception v1"),
+                      multi.jobs[0].spec.BuildCluster());
+  const Lowering local =
+      LowerCluster(single.worker_graph(), single.MakeSchedule("tic"),
+                   single.ps_of_param(), single.config());
   EXPECT_EQ(lowering.combined.num_resources, local.num_resources);
   EXPECT_EQ(lowering.combined.tasks.size(), local.tasks.size());
   EXPECT_EQ(lowering.jobs[0].first_task, 0);

@@ -66,6 +66,39 @@ std::uint64_t Fingerprint(const sim::SimResult& r) {
   return h;
 }
 
+// FNV-1a over every field of every job's IterationStats, iteration by
+// iteration (doubles by bit pattern): makespan, worker_finish,
+// efficiency, overlap, straggler share and worker 0's recv order.
+std::uint64_t Fingerprint(const std::vector<runtime::ExperimentResult>& jobs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_double = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  mix(jobs.size());
+  for (const runtime::ExperimentResult& job : jobs) {
+    mix(job.iterations.size());
+    for (const runtime::IterationStats& it : job.iterations) {
+      mix_double(it.makespan);
+      mix(it.worker_finish.size());
+      for (const double finish : it.worker_finish) mix_double(finish);
+      mix_double(it.mean_efficiency);
+      mix_double(it.overlap_fraction);
+      mix_double(it.straggler_pct);
+      mix(it.recv_order.size());
+      for (const int param : it.recv_order) {
+        mix(static_cast<std::uint32_t>(param));
+      }
+    }
+  }
+  return h;
+}
+
 // FNV-1a over the bytes of a report string.
 std::uint64_t Fingerprint(const std::string& report) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -126,6 +159,9 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"report/clustersweep/vgg16-128-flow", 0x89e2aaad929caf16ull},
       {"report/multijob/3-job-offset", 0x3668de5f0bacc687ull},
       {"report/multijob/chunk-shard-offset", 0xa78340ddff8fa066ull},
+      {"stats/per-job/multijob-flow-off", 0x176fc454991753faull},
+      {"stats/per-job/multijob-flow-on", 0x326813cd058de650ull},
+      {"stats/per-job/clustersweep-flow", 0xee80faffb13f5933ull},
   };
   return kGoldens;
 }
@@ -543,6 +579,47 @@ TEST(ReportFingerprint, MultiJobChunkShardOffset) {
   harness::Session session;
   ExpectGolden("report/multijob/chunk-shard-offset",
                session.RunMultiJob(spec).ToJson());
+}
+
+// Per-job statistics of staggered jobs on one fabric, under heavy
+// jitter and out-of-order picks: every job is measured on its own clock
+// (arrival = t = 0). The combined stats (whole-fabric call) come first.
+TEST(StatsFingerprint, MultiJobPerJob) {
+  for (const std::string flow : {"", ":flow:pods=2:oversub=2"}) {
+    const std::string cluster =
+        "envG:workers=2:ps=2:training:jitter=0.3:ooo=0.05" + flow;
+    const runtime::MultiJobRunner runner(runtime::MultiJobSpec::Parse(
+        "{" + cluster + " model=Inception v1 policy=tac iterations=3 "
+        "seed=5} {" + cluster + " model=AlexNet v2 policy=tic iterations=3 "
+        "seed=5}@0.0123 {" + cluster + " model=Inception v2 "
+        "policy=baseline iterations=3 seed=5}@0.3333"));
+    const runtime::MultiJobResult result = runner.Run();
+    std::vector<runtime::ExperimentResult> all{result.combined};
+    all.insert(all.end(), result.jobs.begin(), result.jobs.end());
+    ExpectGolden(std::string("stats/per-job/multijob-flow-") +
+                     (flow.empty() ? "off" : "on"),
+                 Fingerprint(all));
+  }
+}
+
+// The same per-job statistics out of a two-fabric merged sweep, at one
+// and four engine threads.
+TEST(StatsFingerprint, ClusterSweepPerJob) {
+  const std::string cluster =
+      "envG:workers=2:ps=1:training:jitter=0.3:ooo=0.05:flow:pods=2:"
+      "oversub=2";
+  const std::vector<runtime::MultiJobEntry> jobs = runtime::ParseJobGroups(
+      "3x{" + cluster + " model=AlexNet v2 policy=tac iterations=2 seed=1} "
+      "2x{" + cluster + " model=Inception v2 policy=tic iterations=2 "
+      "seed=1}@0.0123",
+      64);
+  for (const int threads : {1, 4}) {
+    const runtime::ClusterSweep sweep(
+        jobs, runtime::ClusterSweepOptions{.fabrics = 2,
+                                           .num_threads = threads});
+    ExpectGolden("stats/per-job/clustersweep-flow",
+                 Fingerprint(sweep.Run().job_results));
+  }
 }
 
 }  // namespace
