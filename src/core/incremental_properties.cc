@@ -2,18 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "core/tac.h"
 
 namespace tictac::core {
+
+bool IncrementalProperties::Supports(const PropertyIndex& index,
+                                     const TimeOracle& oracle) {
+  if (!index.recvs_are_roots()) return false;
+  return std::all_of(index.recvs().begin(), index.recvs().end(),
+                     [&](OpId r) {
+                       const double t = oracle.Time(index.graph(), r);
+                       return std::isfinite(t) && t >= 0.0;
+                     });
+}
 
 IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
                                              const TimeOracle& oracle)
     : index_(index) {
   // Precondition: recvs have no recv ancestors, so a recv's own M is its
   // transfer time (constant while outstanding) and completed recvs never
-  // contribute to P or M+. Tac() routes graphs violating this to the
-  // full-recompute reference instead of constructing this state.
+  // contribute to P or M+. Tac() and Tic() route graphs violating this to
+  // the full-recompute reference instead of constructing this state.
   assert(index.recvs_are_roots());
   const Graph& g = index.graph();
   const auto& recvs = index.recvs();
@@ -50,11 +61,15 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
       m += recv_time_[r];
     }
     class_M_[c] = m;
+    if (members.size() == recvs.size() && members.size() >= 2) {
+      full_class_ = c;
+    }
   }
 
   // The full pass's G−R scan with every recv in R: P per op in op-id
   // order over one-dep classes, then M+ as one min-fold per class with
-  // two or more deps (every member is a non-recv op, as recvs are roots).
+  // two or more deps (every member is a non-recv op, as recvs are roots)
+  // except the full class, whose M is the floor.
   props_.resize(recvs.size());
   for (std::size_t i = 0; i < recvs.size(); ++i) {
     props_[i].op = recvs[i];
@@ -68,7 +83,7 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
     }
   }
   for (std::size_t c = 0; c < num_classes; ++c) {
-    if (class_count_[c] < 2) continue;
+    if (class_count_[c] < 2 || c == full_class_) continue;
     for (const std::uint32_t r : index.class_recvs(c)) {
       props_[r].Mplus = std::min(props_[r].Mplus, class_M_[c]);
     }
@@ -83,12 +98,15 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   blk_min_u_.resize(blocks);
   blk_max_m_.resize(blocks);
   blk_any_m_eq_p_.resize(blocks);
+}
 
-  m_sorted_.reserve(recvs.size());
-  for (std::size_t i = 0; i < recvs.size(); ++i) {
-    m_sorted_.emplace_back(recv_time_[i], static_cast<std::uint32_t>(i));
+std::vector<RecvProperties> IncrementalProperties::props() const {
+  std::vector<RecvProperties> out = props_;
+  const double floor = MplusFloor();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (outstanding_[i] != 0) out[i].Mplus = std::min(out[i].Mplus, floor);
   }
-  std::sort(m_sorted_.begin(), m_sorted_.end());
+  return out;
 }
 
 void IncrementalProperties::CompleteRecv(std::size_t ri) {
@@ -116,9 +134,10 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
     // d >= 2: still an M+ contributor, but its outstanding communication
     // time shrank. Re-sum M over the row's d survivors — in increasing
     // recv order, the full pass's order, so the sum is bit-identical —
-    // dropping `ri` from the row as it goes. Then fold the new value
-    // into the M+ of every recv the class still depends on: a pure min()
-    // update, exact because contributions only ever decrease.
+    // dropping `ri` from the row as it goes. Then, unless this is the
+    // full class (read as the floor), fold the new value into the M+ of
+    // every recv the class still depends on: a pure min() update, exact
+    // because contributions only ever decrease.
     std::uint32_t* deps = class_deps_.data() + class_deps_begin_[c];
     double m = 0.0;
     std::size_t kept = 0;
@@ -129,6 +148,7 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
       deps[kept++] = r;
     }
     class_M_[c] = m;
+    if (c == full_class_) continue;
     for (std::size_t k = 0; k < kept; ++k) {
       const std::uint32_t r = deps[k];
       if (m < props_[r].Mplus) {
@@ -154,17 +174,28 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
 
 void IncrementalProperties::RecomputeRecv(std::size_t q) {
   assert(outstanding_[q] != 0);
-  double p = 0.0;
+  // P sums the ops whose only outstanding dependency is q, in op-id
+  // order: the non-recv ops of q's own one-dep class and of its multi-dep
+  // classes down to count 1, gathered and sorted. M+ is the min M of the
+  // classes still at two or more, the full class excepted.
+  const OpId self = index_.recvs()[q];
+  gathered_.clear();
+  for (const OpId id : index_.class_ops(index_.dep_class(self))) {
+    if (id != self) gathered_.push_back(id);
+  }
   double mplus = kInfinity;
-  index_.consumers(q).ForEach([&](std::size_t id) {
-    const std::size_t c = index_.dep_class(static_cast<OpId>(id));
+  for (const std::uint32_t c : index_.multi_dep_classes(q)) {
     const int d = class_count_[c];
     if (d == 1) {
-      p += time_[id];  // q is its only outstanding dependency
-    } else if (d >= 2) {
+      const auto ops = index_.class_ops(c);
+      gathered_.insert(gathered_.end(), ops.begin(), ops.end());
+    } else if (d >= 2 && c != full_class_) {
       mplus = std::min(mplus, class_M_[c]);
     }
-  });
+  }
+  std::sort(gathered_.begin(), gathered_.end());
+  double p = 0.0;
+  for (const OpId id : gathered_) p += time_[static_cast<std::size_t>(id)];
   props_[q].P = p;
   props_[q].Mplus = mplus;
   MarkBlockDirty(q);
@@ -212,8 +243,19 @@ struct MKeyLess {
 }  // namespace
 
 int IncrementalProperties::BestRecv() {
+  if (m_sorted_.empty()) {
+    m_sorted_.reserve(recv_time_.size());
+    for (std::size_t i = 0; i < recv_time_.size(); ++i) {
+      m_sorted_.emplace_back(recv_time_[i], static_cast<std::uint32_t>(i));
+    }
+    std::sort(m_sorted_.begin(), m_sorted_.end());
+  }
+  // Every outstanding recv's M+ is read through the floor, so the block
+  // aggregate's minimum is too: min(blk_min_mplus_, floor).
+  const double floor = MplusFloor();
   const std::size_t n = props_.size();
   int best = -1;
+  RecvProperties b;  // props_[best] as read, floor applied
   // Cached equal-M range for the current best's M (recomputed whenever
   // the best — and hence b.M — changes mid-fold).
   double eq_key = kInfinity;
@@ -227,14 +269,13 @@ int IncrementalProperties::BestRecv() {
     if (best >= 0) {
       // Skip when no member can beat the best via any TacBefore path
       // (the exact case split in the BestRecv declaration comment).
-      const RecvProperties& b = props_[static_cast<std::size_t>(best)];
       const bool no_m_path = blk_min_u_[blk] >= b.M;
       const bool no_p_path = b.P >= b.M || blk_max_p_[blk] <= b.P;
       if (no_m_path && no_p_path) {
         // Strict paths are closed; a tie needs exact lhs == rhs with a
         // strictly smaller M+ — check the four equality combos.
         bool tie = false;
-        if (blk_min_mplus_[blk] < b.Mplus) {
+        if (std::min(blk_min_mplus_[blk], floor) < b.Mplus) {
           tie = b.P == b.M ||
                 (b.P <= b.M && blk_max_p_[blk] >= b.P &&
                  blk_max_m_[blk] >= b.P) ||
@@ -262,9 +303,11 @@ int IncrementalProperties::BestRecv() {
     }
     for (std::size_t i = lo; i < hi; ++i) {
       if (outstanding_[i] == 0) continue;
-      if (best < 0 ||
-          TacBefore(props_[i], props_[static_cast<std::size_t>(best)])) {
+      RecvProperties candidate = props_[i];
+      candidate.Mplus = std::min(candidate.Mplus, floor);
+      if (best < 0 || TacBefore(candidate, b)) {
         best = static_cast<int>(i);
+        b = candidate;
       }
     }
   }

@@ -19,16 +19,28 @@
 //     subtraction, so float rounding matches exactly — and every op of a
 //     class has exactly the sum the full pass computes for it;
 //   * P is summed per op in op-id order — over all ops at construction,
-//     over consumers(q) afterwards — the same order the full pass's G−R
-//     scan accumulates it in;
+//     over the gathered ops of the recv's count-1 classes afterwards —
+//     the same order the full pass's G−R scan accumulates it in;
 //   * M+ is a min, which is order-independent: it is folded once per
 //     class; when a class's M shrinks its new value is folded in with
 //     min(); when a class leaves the pool (its dep count drops to 1) the
 //     one recv it still covers is recomputed from scratch.
+// The min-folds are exact because a class's M never increases: with
+// non-negative recv times, dropping a term from a left-to-right float
+// sum never raises it (rounding is monotone), so the running min of a
+// class's values is its current value. Supports() checks that premise.
+//
+// The full class — the one whose dep set is every recv, such as a
+// random DAG's common sink — contains every outstanding recv, so it is
+// never folded: its current M is a floor applied when M+ is read
+// (props(), BestRecv()), while it still has two or more deps. That
+// removes an O(R) fold from every completion; the class's O(R) M re-sum
+// stays (DESIGN.md §11).
 // The full recompute stays available as the reference oracle for
 // differential testing (tests/incremental_properties_test.cc).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -39,17 +51,25 @@ namespace tictac::core {
 
 class IncrementalProperties {
  public:
+  // True when the incremental updates are exact for this index and
+  // oracle: recvs are roots (a recv's M is then constant while
+  // outstanding and completed recvs never join the G−R scan) and every
+  // recv time is finite and non-negative (so class M never increases).
+  // Tac() falls back to the full recompute otherwise.
+  static bool Supports(const PropertyIndex& index, const TimeOracle& oracle);
+
   // Caches oracle times and computes the initial properties with every
   // recv outstanding: M once per class, P per op in op-id order, M+ as
   // one min-fold per class. `index` must outlive this object. Requires
-  // index.recvs_are_roots(); callers (Tac) fall back to the full
-  // recompute for graphs where recvs have recv ancestors.
+  // index.recvs_are_roots(); the initial properties are exact for any
+  // times, the updates only when Supports() holds.
   IncrementalProperties(const PropertyIndex& index, const TimeOracle& oracle);
 
-  // Current properties per recv, in index.recvs() order; entries for
-  // completed recvs are reset to the default (op == kInvalidOp), exactly
-  // like the full recompute's output.
-  const std::vector<RecvProperties>& props() const { return props_; }
+  // Current properties per recv, in index.recvs() order, with the full
+  // class's floor applied to M+; entries for completed recvs are the
+  // default (op == kInvalidOp), exactly like the full recompute's output.
+  // O(R): a copy, for callers that read every recv once.
+  std::vector<RecvProperties> props() const;
 
   bool outstanding(std::size_t ri) const { return outstanding_[ri] != 0; }
   std::size_t remaining() const { return remaining_; }
@@ -87,7 +107,8 @@ class IncrementalProperties {
   //     almost nothing.) Any tie still needs min-M+ < b.Mplus to
   //     matter, and the final op-id tie-break never flips a verdict:
   //     candidates always carry a larger recv index than the running
-  //     best.
+  //     best. Every M+ above, the block minimum included, is read
+  //     through the full class's floor.
   // Skipped blocks provably contribute no fold update, and surviving
   // blocks are scanned with the exact scalar fold — the result is
   // bit-identical to the full scan at every step, which is what keeps
@@ -96,8 +117,18 @@ class IncrementalProperties {
   int BestRecv();
 
  private:
-  // Fresh P / M+ for outstanding recv `q` from its consumer set.
+  // Fresh P / M+ for outstanding recv `q` from the classes holding it.
   void RecomputeRecv(std::size_t q);
+
+  // The full class's current M while it has two or more outstanding
+  // deps, else +inf. An outstanding recv's M+ reads as
+  // min(props_[r].Mplus, MplusFloor()).
+  double MplusFloor() const {
+    return full_class_ < class_count_.size() &&
+                   class_count_[full_class_] >= 2
+               ? class_M_[full_class_]
+               : kInfinity;
+  }
 
   const PropertyIndex& index_;
   std::vector<double> time_;       // op id -> cached oracle time
@@ -117,12 +148,18 @@ class IncrementalProperties {
   // holds exactly its class_count_ outstanding recvs.
   std::vector<std::uint32_t> class_deps_;
   std::vector<std::size_t> class_deps_begin_;
+  // The class whose dep set is every recv, or SIZE_MAX when there is
+  // none (or only one recv). Its M is never folded into props_[r].Mplus.
+  std::size_t full_class_ = SIZE_MAX;
+  // Per recv; Mplus excludes the full class's floor.
   std::vector<RecvProperties> props_;
   std::size_t remaining_ = 0;
 
-  // Scratch for CompleteRecv (reused across calls; no per-call allocation).
+  // Scratch (reused across calls; no per-call allocation): CompleteRecv's
+  // recvs to rebuild, RecomputeRecv's gathered count-1 ops.
   std::vector<std::size_t> dirty_;
   std::vector<char> dirty_flag_;
+  std::vector<OpId> gathered_;
 
   // BestRecv's block-pruning state (see the method comment).
   static constexpr std::size_t kBlockShift = 8;  // 256 recvs per block
@@ -137,11 +174,12 @@ class IncrementalProperties {
   std::vector<double> blk_min_u_;       // min of (M if M < P else +inf)
   std::vector<double> blk_max_m_;
   std::vector<char> blk_any_m_eq_p_;    // any outstanding member with M == P
-  // (M, recv idx) sorted pairs over all recvs; recv M is static, so the
-  // recvs whose M is exactly equal to the running best's — the only way
-  // the M_i == b.M tie combo can fire — are found by equal_range
-  // instead of per-block brackets (a bracket over 256 broad-spectrum M
-  // values almost always contains b.M; exact equality almost never).
+  // (M, recv idx) sorted pairs over all recvs, built by the first
+  // BestRecv (Tic never needs them); recv M is static, so the recvs whose
+  // M is exactly equal to the running best's — the only way the
+  // M_i == b.M tie combo can fire — are found by equal_range instead of
+  // per-block brackets (a bracket over 256 broad-spectrum M values
+  // almost always contains b.M; exact equality almost never).
   std::vector<std::pair<double, std::uint32_t>> m_sorted_;
 };
 

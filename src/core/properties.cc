@@ -2,38 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <unordered_map>
 
 namespace tictac::core {
 
-// Count accumulates four independent lane counters over 4-word blocks:
-// the per-word popcounts no longer chain through a single accumulator,
-// so the compiler can pipeline or vectorize them.
+namespace {
 
-std::size_t RecvSet::Count() const {
-  const std::size_t nw = words_.size();
-  std::size_t n0 = 0, n1 = 0, n2 = 0, n3 = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= nw; w += 4) {
-    n0 += static_cast<std::size_t>(__builtin_popcountll(words_[w + 0]));
-    n1 += static_cast<std::size_t>(__builtin_popcountll(words_[w + 1]));
-    n2 += static_cast<std::size_t>(__builtin_popcountll(words_[w + 2]));
-    n3 += static_cast<std::size_t>(__builtin_popcountll(words_[w + 3]));
-  }
-  for (; w < nw; ++w) {
-    n0 += static_cast<std::size_t>(__builtin_popcountll(words_[w]));
-  }
-  return n0 + n1 + n2 + n3;
-}
-
-std::uint64_t RecvSet::Hash() const {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ bits_;
-  for (const std::uint64_t w : words_) {
-    h = (h ^ w) * 0xbf58476d1ce4e5b9ULL;
+// Hash of a sorted recv-index list, for interning equal dep sets.
+std::uint64_t HashRecvList(std::span<const std::uint32_t> list) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ list.size();
+  for (const std::uint32_t r : list) {
+    h = (h ^ r) * 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 31;
   }
   return h;
 }
+
+}  // namespace
 
 PropertyIndex::PropertyIndex(const Graph& graph) : graph_(&graph) {
   recvs_ = graph.RecvOps();
@@ -44,57 +30,98 @@ PropertyIndex::PropertyIndex(const Graph& graph) : graph_(&graph) {
   // op.dep: union of predecessors' deps, plus the op itself if it is a
   // recv. One pass in topological order suffices (nesfab's build_deps).
   // A non-recv op whose preds all share one class has that class's set
-  // and inherits it; any other op ORs its preds' class sets into
-  // `scratch` and interns the result: the words' hash picks a chain of
-  // earlier classes, compared word by word. New classes are numbered in
-  // sweep order.
+  // and inherits it. Any other op marks its largest pred set and
+  // collects, in `extra`, the recvs the other preds (and the op itself,
+  // if a recv) add. No extras means the union is that pred's set, so
+  // the op joins its class; otherwise the sorted extras are merged into
+  // it and the list is interned: its hash picks a chain of earlier
+  // classes, compared entry by entry. New classes are numbered in sweep
+  // order.
   const std::vector<OpId> order = graph.TopologicalOrder();
   assert(order.size() == graph.size() && "graph must be acyclic");
   class_of_.resize(graph.size());
-  RecvSet scratch(recvs_.size());
+  class_recvs_begin_.assign(1, 0);
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> mark(recvs_.size(), 0);  // recv -> last stamp
+  std::uint32_t stamp = 0;
+  std::vector<std::uint32_t> extra, merged;
   std::unordered_map<std::uint64_t, std::uint32_t> chain_head;
   std::vector<std::uint32_t> chain_next;  // class -> older class, same hash
-  constexpr std::uint32_t kNone = ~std::uint32_t{0};
   for (const OpId id : order) {
     const auto& preds = graph.preds(id);
     const int ri = recv_index_[static_cast<std::size_t>(id)];
-    if (ri < 0 && !preds.empty()) {
-      const std::uint32_t first = class_of_[static_cast<std::size_t>(preds[0])];
-      if (std::all_of(preds.begin() + 1, preds.end(), [&](OpId pred) {
-            return class_of_[static_cast<std::size_t>(pred)] == first;
-          })) {
-        class_of_[static_cast<std::size_t>(id)] = first;
-        continue;
+    std::uint32_t big = kNone;
+    for (const OpId pred : preds) {
+      const std::uint32_t c = class_of_[static_cast<std::size_t>(pred)];
+      if (big == kNone || class_recvs(c).size() > class_recvs(big).size()) {
+        big = c;
       }
     }
-    scratch.ClearAll();
-    for (const OpId pred : preds) {
-      scratch.UnionWith(class_sets_[class_of_[static_cast<std::size_t>(pred)]]);
+    if (ri < 0 && big != kNone &&
+        std::all_of(preds.begin(), preds.end(), [&](OpId pred) {
+          return class_of_[static_cast<std::size_t>(pred)] == big;
+        })) {
+      class_of_[static_cast<std::size_t>(id)] = big;
+      continue;
     }
-    if (ri >= 0) scratch.Set(static_cast<std::size_t>(ri));
-    const auto head = chain_head.try_emplace(scratch.Hash(), kNone).first;
+    ++stamp;
+    extra.clear();
+    if (big != kNone) {
+      for (const std::uint32_t r : class_recvs(big)) mark[r] = stamp;
+    }
+    for (const OpId pred : preds) {
+      const std::uint32_t c = class_of_[static_cast<std::size_t>(pred)];
+      if (c == big) continue;
+      for (const std::uint32_t r : class_recvs(c)) {
+        if (mark[r] == stamp) continue;
+        mark[r] = stamp;
+        extra.push_back(r);
+      }
+    }
+    // An acyclic graph never has a recv in its own ancestors' sets.
+    if (ri >= 0) extra.push_back(static_cast<std::uint32_t>(ri));
+    if (extra.empty() && big != kNone) {
+      class_of_[static_cast<std::size_t>(id)] = big;
+      continue;
+    }
+    std::sort(extra.begin(), extra.end());
+    merged.clear();
+    if (big != kNone) {
+      const auto base = class_recvs(big);
+      std::merge(base.begin(), base.end(), extra.begin(), extra.end(),
+                 std::back_inserter(merged));
+    } else {
+      merged.swap(extra);
+    }
+    const auto head = chain_head.try_emplace(HashRecvList(merged), kNone).first;
     std::uint32_t c = head->second;
-    while (c != kNone && class_sets_[c] != scratch) c = chain_next[c];
+    while (c != kNone && !std::ranges::equal(class_recvs(c), merged)) {
+      c = chain_next[c];
+    }
     if (c == kNone) {
-      c = static_cast<std::uint32_t>(class_sets_.size());
-      class_sets_.push_back(scratch);
+      c = static_cast<std::uint32_t>(num_classes());
+      class_recvs_.insert(class_recvs_.end(), merged.begin(), merged.end());
+      class_recvs_begin_.push_back(class_recvs_.size());
       chain_next.push_back(head->second);
       head->second = c;
     }
     class_of_[static_cast<std::size_t>(id)] = c;
   }
 
-  // Per class, its recv indices in increasing order.
-  const std::size_t num_classes = class_sets_.size();
-  class_recvs_begin_.assign(num_classes + 1, 0);
+  // CSR fills: count per row, prefix-sum, then fill in key order.
+  const std::size_t num_classes = this->num_classes();
+  class_ops_begin_.assign(num_classes + 1, 0);
+  for (const std::uint32_t c : class_of_) ++class_ops_begin_[c + 1];
   for (std::size_t c = 0; c < num_classes; ++c) {
-    class_sets_[c].ForEach([&](std::size_t r) {
-      class_recvs_.push_back(static_cast<std::uint32_t>(r));
-    });
-    class_recvs_begin_[c + 1] = class_recvs_.size();
+    class_ops_begin_[c + 1] += class_ops_begin_[c];
   }
-  // Per recv, the classes with >= 2 deps that contain it, by class id:
-  // count, prefix-sum, then fill in class order.
+  class_ops_.resize(graph.size());
+  std::vector<std::size_t> fill(class_ops_begin_.begin(),
+                                class_ops_begin_.end() - 1);
+  for (std::size_t id = 0; id < graph.size(); ++id) {
+    class_ops_[fill[class_of_[id]]++] = static_cast<OpId>(id);
+  }
+  // Per recv, the classes with >= 2 deps that contain it, by class id.
   multi_dep_begin_.assign(recvs_.size() + 1, 0);
   for (std::size_t c = 0; c < num_classes; ++c) {
     if (class_recvs(c).size() < 2) continue;
@@ -104,8 +131,7 @@ PropertyIndex::PropertyIndex(const Graph& graph) : graph_(&graph) {
     multi_dep_begin_[r + 1] += multi_dep_begin_[r];
   }
   multi_dep_classes_.resize(multi_dep_begin_.back());
-  std::vector<std::size_t> fill(multi_dep_begin_.begin(),
-                                multi_dep_begin_.end() - 1);
+  fill.assign(multi_dep_begin_.begin(), multi_dep_begin_.end() - 1);
   for (std::size_t c = 0; c < num_classes; ++c) {
     if (class_recvs(c).size() < 2) continue;
     for (const std::uint32_t r : class_recvs(c)) {
@@ -113,17 +139,8 @@ PropertyIndex::PropertyIndex(const Graph& graph) : graph_(&graph) {
     }
   }
 
-  // Transpose: for each recv, the non-recv ops that (transitively) depend
-  // on it. Stored as bitsets over op ids — O(R·V/64) memory, and iterating
-  // consumers(ri) is a word scan instead of a full-graph sweep.
-  consumers_.assign(recvs_.size(), RecvSet(graph.size()));
-  for (std::size_t id = 0; id < graph.size(); ++id) {
-    const auto members = class_recvs(class_of_[id]);
-    if (recv_index_[id] >= 0) {
-      recvs_are_roots_ = recvs_are_roots_ && members.size() == 1;
-      continue;
-    }
-    for (const std::uint32_t r : members) consumers_[r].Set(id);
+  for (const OpId r : recvs_) {
+    recvs_are_roots_ = recvs_are_roots_ && dep(r).size() == 1;
   }
 }
 
@@ -143,9 +160,9 @@ std::vector<RecvProperties> PropertyIndex::UpdateProperties(
   std::vector<double> M(g.size(), 0.0);
   for (std::size_t id = 0; id < g.size(); ++id) {
     double m = 0.0;
-    dep(static_cast<OpId>(id)).ForEach([&](std::size_t ri) {
+    for (const std::uint32_t ri : dep(static_cast<OpId>(id))) {
       if (outstanding[ri]) m += recv_time[ri];
-    });
+    }
     M[id] = m;
   }
 
@@ -169,20 +186,20 @@ std::vector<RecvProperties> PropertyIndex::UpdateProperties(
     // D = op.dep ∩ R
     std::size_t d_count = 0;
     std::size_t only = 0;
-    dep(static_cast<OpId>(id)).ForEach([&](std::size_t r) {
+    for (const std::uint32_t r : dep(static_cast<OpId>(id))) {
       if (outstanding[r]) {
         ++d_count;
         only = r;
       }
-    });
+    }
     if (d_count == 1) {
       props[only].P += oracle.Time(g, op.id);
     } else if (d_count > 1) {
-      dep(static_cast<OpId>(id)).ForEach([&](std::size_t r) {
+      for (const std::uint32_t r : dep(static_cast<OpId>(id))) {
         if (outstanding[r] && M[id] < props[r].Mplus) {
           props[r].Mplus = M[id];
         }
-      });
+      }
     }
   }
 

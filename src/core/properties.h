@@ -15,12 +15,12 @@
 // Ops with equal dep sets form one dependency class. Everything above
 // except P depends on an op only through its dep set, and real models
 // have few distinct sets (Inception v3 training: 3,475 multi-dep ops in
-// 123 classes), so PropertyIndex stores one dep bitset per class and
-// IncrementalProperties updates count, M and M+ once per class.
+// 123 classes), so PropertyIndex stores each class's set once, as a
+// sorted list of recv indices, and IncrementalProperties updates count,
+// M and M+ once per class. Storage is proportional to the sets' entries
+// and the op count, never to recvs × ops or classes × recvs.
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -32,66 +32,6 @@
 namespace tictac::core {
 
 inline constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
-// Fixed-width bitset over dense indices. Dep sets (bits = recv indices)
-// and the inverted consumer index (bits = op ids) are dense, so packed
-// words beat hash sets by a wide margin.
-class RecvSet {
- public:
-  RecvSet() = default;
-  explicit RecvSet(std::size_t bits) : bits_(bits), words_((bits + 63) / 64) {}
-
-  void Set(std::size_t i) { words_[i >> 6] |= (1ULL << (i & 63)); }
-  void Clear(std::size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-  bool Test(std::size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ULL;
-  }
-  // Requires size_bits() == other.size_bits(). Kept inline: this is the
-  // inner loop of the dependency analysis (one call per edge).
-  void UnionWith(const RecvSet& other) {
-    assert(bits_ == other.bits_ && "RecvSet size mismatch");
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      words_[w] |= other.words_[w];
-    }
-  }
-  std::size_t Count() const;
-  std::size_t size_bits() const { return bits_; }
-  void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
-  // Hash of the words, for interning equal sets.
-  std::uint64_t Hash() const;
-  bool operator==(const RecvSet& other) const = default;
-
-  // Calls fn(bit_index) for every set bit, in increasing index order.
-  // Scans 4-word blocks and skips a whole block when its OR is zero —
-  // the common case late in a TAC run, when most recvs have completed —
-  // falling back to per-word bit extraction only for blocks with
-  // survivors. The visit order is exactly the naive per-word order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    const std::size_t nw = words_.size();
-    std::size_t w = 0;
-    for (; w + 4 <= nw; w += 4) {
-      if ((words_[w] | words_[w + 1] | words_[w + 2] | words_[w + 3]) == 0) {
-        continue;
-      }
-      for (std::size_t k = w; k < w + 4; ++k) EmitWord(words_[k], k, fn);
-    }
-    for (; w < nw; ++w) EmitWord(words_[w], w, fn);
-  }
-
- private:
-  template <typename Fn>
-  static void EmitWord(std::uint64_t word, std::size_t w, Fn& fn) {
-    while (word) {
-      const int b = __builtin_ctzll(word);
-      fn(w * 64 + static_cast<std::size_t>(b));
-      word &= word - 1;
-    }
-  }
-
-  std::size_t bits_ = 0;
-  std::vector<std::uint64_t> words_;
-};
 
 // Per-recv scheduling properties after an UpdateProperties pass.
 struct RecvProperties {
@@ -122,10 +62,13 @@ class PropertyIndex {
   std::size_t dep_class(OpId op) const {
     return class_of_[static_cast<std::size_t>(op)];
   }
-  std::size_t num_classes() const { return class_sets_.size(); }
+  std::size_t num_classes() const { return class_recvs_begin_.size() - 1; }
 
-  // The dep set of `op` (its class's set), as indices into recvs().
-  const RecvSet& dep(OpId op) const { return class_sets_[dep_class(op)]; }
+  // The dep set of `op` (its class's set), as increasing indices into
+  // recvs().
+  std::span<const std::uint32_t> dep(OpId op) const {
+    return class_recvs(dep_class(op));
+  }
 
   // The members of class `c`'s dep set, in increasing recv index order.
   std::span<const std::uint32_t> class_recvs(std::size_t c) const {
@@ -140,12 +83,16 @@ class PropertyIndex {
             multi_dep_classes_.data() + multi_dep_begin_[ri + 1]};
   }
 
-  // Inverted index: the non-recv ops (as a bitset over op ids) whose dep
-  // set contains recv index `ri`. Recv ops are excluded — a completed
-  // recv never contributes to P or M+, and an outstanding one is skipped
-  // by Algorithm 1's G−R scan. This is what lets IncrementalProperties
-  // touch only the affected ops when one recv completes.
-  const RecvSet& consumers(std::size_t ri) const { return consumers_[ri]; }
+  // The ops of class `c`, recvs included, in increasing op id order.
+  // Every op is in exactly one class, so the rows hold V entries in all.
+  // The ops whose dep set contains recv index `ri` are the rows of the
+  // classes holding `ri`: its own one-dep class and multi_dep_classes(ri)
+  // when recvs are roots. This is what lets IncrementalProperties touch
+  // only the affected ops when one recv completes.
+  std::span<const OpId> class_ops(std::size_t c) const {
+    return {class_ops_.data() + class_ops_begin_[c],
+            class_ops_.data() + class_ops_begin_[c + 1]};
+  }
 
   // True when every recv's dep set is exactly {itself} — i.e. no recv has
   // a recv ancestor. All graph producers in this repo build recvs as
@@ -172,11 +119,12 @@ class PropertyIndex {
   std::vector<OpId> recvs_;
   std::vector<int> recv_index_;          // op id -> recv index or -1
   std::vector<std::uint32_t> class_of_;  // op id -> dependency class
-  std::vector<RecvSet> class_sets_;      // class -> recv-index set
-  // CSR: class -> its recv indices; recv -> its classes with >= 2 deps.
-  std::vector<std::size_t> class_recvs_begin_, multi_dep_begin_;
+  // CSR: class -> its recv indices; class -> its ops; recv -> its
+  // classes with >= 2 deps.
+  std::vector<std::size_t> class_recvs_begin_, class_ops_begin_,
+      multi_dep_begin_;
   std::vector<std::uint32_t> class_recvs_, multi_dep_classes_;
-  std::vector<RecvSet> consumers_;  // recv index -> op-id set (transpose)
+  std::vector<OpId> class_ops_;
   bool recvs_are_roots_ = true;
 };
 

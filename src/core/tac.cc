@@ -47,9 +47,12 @@ int BestOutstanding(const std::vector<RecvProperties>& props,
 
 Schedule Tac(const PropertyIndex& index, const TimeOracle& oracle) {
   // The incremental state assumes recvs are communication roots (every
-  // producer in this repo builds them that way); for exotic graphs with
-  // recv→recv ancestry, stay correct via the reference path.
-  if (!index.recvs_are_roots()) return TacFullRecompute(index, oracle);
+  // producer in this repo builds them that way) and recv times that are
+  // finite and non-negative; for exotic graphs with recv→recv ancestry or
+  // oracles outside that range, stay correct via the reference path.
+  if (!IncrementalProperties::Supports(index, oracle)) {
+    return TacFullRecompute(index, oracle);
+  }
 
   const Graph& graph = index.graph();
   const auto& recvs = index.recvs();

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "core/incremental_properties.h"
+
 namespace tictac::core {
 
 Schedule Tic(const Graph& graph) { return Tic(PropertyIndex(graph)); }
@@ -12,10 +14,14 @@ Schedule Tic(const PropertyIndex& index) {
   const Graph& graph = index.graph();
   const auto& recvs = index.recvs();
 
-  GeneralTimeOracle oracle;
-  std::vector<bool> outstanding(recvs.size(), true);
+  // Every recv outstanding: the incremental state's initial properties
+  // are the full pass's, in O(V + Σ|class|) instead of O(Σ|dep(op)|).
+  const GeneralTimeOracle oracle;
   const std::vector<RecvProperties> props =
-      index.UpdateProperties(oracle, outstanding);
+      index.recvs_are_roots()
+          ? IncrementalProperties(index, oracle).props()
+          : index.UpdateProperties(oracle,
+                                   std::vector<bool>(recvs.size(), true));
 
   // Rank-compress M+ so priority numbers are small consecutive integers;
   // infinite M+ lands after every finite value.

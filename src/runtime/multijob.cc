@@ -16,6 +16,12 @@ namespace {
   throw std::invalid_argument("multijob: " + message);
 }
 
+// The group grammar is shared by multijob, clustersweep and the service,
+// so its errors carry a prefix naming none of them.
+[[noreturn]] void FailJobs(const std::string& message) {
+  throw std::invalid_argument("jobs: " + message);
+}
+
 }  // namespace
 
 std::string MultiJobSpec::ToString() const {
@@ -56,26 +62,26 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
     if (std::isdigit(static_cast<unsigned char>(text[pos]))) {
       const std::size_t digits = text.find_first_not_of("0123456789", pos);
       if (digits == std::string_view::npos || text[digits] != 'x') {
-        Fail("expected COUNTx{...} at '" + std::string(text.substr(pos)) +
-             "'");
+        FailJobs("expected COUNTx{...} at '" +
+                 std::string(text.substr(pos)) + "'");
       }
       const std::string digits_text(text.substr(pos, digits - pos));
       // Past long long is out of any acceptable range: fail below, loudly.
       count = util::ParseInt<long long>(digits_text).value_or(-1);
       if (count < 1 || count > max_count) {
-        Fail("job count must be in [1, " + std::to_string(max_count) +
-             "], got " + digits_text);
+        FailJobs("job count must be in [1, " + std::to_string(max_count) +
+                 "], got " + digits_text);
       }
       pos = digits + 1;
     }
     if (pos >= text.size() || text[pos] != '{') {
-      Fail("expected '{' opening a job spec at '" +
-           std::string(text.substr(pos)) + "'");
+      FailJobs("expected '{' opening a job spec at '" +
+               std::string(text.substr(pos)) + "'");
     }
     const std::size_t close = text.find('}', pos + 1);
     if (close == std::string_view::npos) {
-      Fail("unterminated job spec (missing '}') in '" + std::string(text) +
-           "'");
+      FailJobs("unterminated job spec (missing '}') in '" +
+               std::string(text) + "'");
     }
     MultiJobEntry entry;
     entry.spec = ExperimentSpec::Parse(text.substr(pos + 1, close - pos - 1));
@@ -86,7 +92,7 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
       const std::string value(text.substr(pos + 1, end - pos - 1));
       const std::optional<double> offset = util::ParseDouble(value);
       if (!offset) {
-        Fail("@offset expects a number of seconds, got '" + value + "'");
+        FailJobs("@offset expects a number of seconds, got '" + value + "'");
       }
       entry.start_offset = *offset;
       pos = end;
@@ -95,15 +101,16 @@ std::vector<MultiJobEntry> ParseJobGroups(std::string_view text,
     // no list of groups grows past max_count jobs in memory.
     const auto total = static_cast<long long>(jobs.size()) + count;
     if (total > max_count) {
-      Fail("at most " + std::to_string(max_count) + " jobs in all, got " +
-           std::to_string(total) + " at '" +
-           std::string(text.substr(group, pos - group)) + "'");
+      FailJobs("at most " + std::to_string(max_count) + " jobs in all, got " +
+               std::to_string(total) + " at '" +
+               std::string(text.substr(group, pos - group)) + "'");
     }
     jobs.insert(jobs.end(), static_cast<std::size_t>(count), entry);
   }
   if (jobs.empty()) {
-    Fail("no jobs found — expected at least one [COUNTx]{<experiment spec>} "
-         "group");
+    FailJobs(
+        "no jobs found — expected at least one [COUNTx]{<experiment spec>} "
+        "group");
   }
   return jobs;
 }

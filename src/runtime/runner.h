@@ -85,9 +85,9 @@ class Runner {
 
   // The cached PropertyIndex points into graph_; a copied or moved Runner
   // would leave it dangling. Caching it also amortizes the dependency
-  // analysis (and its recv→consumers inverted index, which TAC's
-  // incremental property maintenance walks) across every policy this
-  // Runner evaluates.
+  // analysis (and its class → ops rows, which TAC's incremental
+  // property maintenance walks) across every policy this Runner
+  // evaluates.
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
 

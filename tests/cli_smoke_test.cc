@@ -357,6 +357,21 @@ TEST(CliSmoke, HostileSizesNameTheirKnob) {
   }
 }
 
+// The group grammar is shared, so a clustersweep error must not speak of
+// multijob: `error: multijob: at most 4096 jobs…` named the wrong command.
+TEST(CliSmoke, ClusterSweepJobCapErrorDoesNotNameMultijob) {
+  const CliResult result = RunCli(
+      "clustersweep --jobs \"4096x{envG:workers=2:ps=1 model=AlexNet v2 "
+      "iterations=1 seed=1} {envG:workers=2:ps=1 model=AlexNet v2 "
+      "iterations=1 seed=1}\"");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stderr_text.find("jobs: at most 4096 jobs in all, got 4097"),
+            std::string::npos)
+      << result.stderr_text;
+  EXPECT_EQ(result.stderr_text.find("multijob:"), std::string::npos)
+      << result.stderr_text;
+}
+
 // Noise shapes past kMaxNoiseSigma overflow exp(sigma·z) to inf or 0;
 // uncapped, jitter=1e308 ran and printed a 0.00 ms mean iteration time.
 TEST(CliSmoke, RunRejectsOverflowingJitterNamingTheToken) {

@@ -133,6 +133,117 @@ TEST(IncrementalProperties, MatchesFullRecomputeStepByStepUnderNoisyOracle) {
   }
 }
 
+// Two disjoint random DAGs side by side: two common sinks and no class
+// whose dep set is every recv, so no M+ is ever read through the floor.
+Graph TwoSinkDag(const RandomDagOptions& options, std::uint64_t seed) {
+  Graph g;
+  for (const std::uint64_t part_seed : {seed, seed + 1000}) {
+    const Graph part = MakeRandomDag(options, part_seed);
+    const auto base = static_cast<OpId>(g.size());
+    for (const Op& op : part.ops()) g.AddOp(op);
+    for (const Op& op : part.ops()) {
+      for (const OpId succ : part.succs(op.id)) {
+        g.AddEdge(base + op.id, base + succ);
+      }
+    }
+  }
+  return g;
+}
+
+TEST(IncrementalProperties, MatchesFullRecomputeStepByStepWithTwoSinks) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    RandomDagOptions options;
+    options.num_recvs = 3 + static_cast<int>(seed % 11);
+    options.num_computes = 6 + static_cast<int>((seed * 7) % 19);
+    options.num_layers = 1 + static_cast<int>(seed % 4);
+    options.with_sends = seed % 2 == 0;
+    const Graph g = TwoSinkDag(options, seed);
+    const PropertyIndex index(g);
+    for (std::size_t c = 0; c < index.num_classes(); ++c) {
+      ASSERT_LT(index.class_recvs(c).size(), index.recvs().size());
+    }
+    ExpectMatchesFullRecomputeStepByStep(
+        g, AnalyticalTimeOracle{PlatformModel{}}, seed);
+  }
+}
+
+// The floor decides an exact M+ tie: X needs {b, c}, the sink Y needs
+// {a, b, c}, and a takes no time, so Y.M == X.M. Every P is 0, so Eq. 6
+// ties everywhere; a's M+ is Y.M only through the floor, b's and c's are
+// X.M == Y.M, and the op-id tie-break must then pick a first. Reading
+// a's M+ without the floor (+inf) would pick b.
+TEST(IncrementalProperties, FullClassFloorDecidesExactMplusTie) {
+  Graph g;
+  const OpId a = g.AddRecv("a", 0);
+  const OpId b = g.AddRecv("b", 0);
+  const OpId c = g.AddRecv("c", 0);
+  const OpId x = g.AddCompute("X", 1.0);
+  const OpId y = g.AddCompute("Y", 1.0);
+  g.AddEdge(b, x);
+  g.AddEdge(c, x);
+  g.AddEdge(x, y);
+  g.AddEdge(a, y);
+  const MapTimeOracle oracle({{a, 0.0}, {b, 1.0}, {c, 2.0}});
+  ExpectMatchesFullRecomputeStepByStep(g, oracle, 0);
+  EXPECT_EQ(Tac(g, oracle).priority(a), 0);
+}
+
+// `base`'s times, except that every third recv (by op id) takes `value`.
+class RecvOverrideOracle final : public TimeOracle {
+ public:
+  RecvOverrideOracle(const TimeOracle& base, double value)
+      : base_(base), value_(value) {}
+  double Time(const Graph& graph, OpId op) const override {
+    if (graph.op(op).kind == OpKind::kRecv && op % 3 == 0) return value_;
+    return base_.Time(graph, op);
+  }
+
+ private:
+  const TimeOracle& base_;
+  double value_;
+};
+
+// Zero-time recvs leave a class's M unchanged when they complete and
+// make exact M ties, the edge of the floor's monotonicity argument.
+TEST(IncrementalProperties, MatchesFullRecomputeStepByStepWithZeroTimeRecvs) {
+  const AnalyticalTimeOracle base{PlatformModel{}};
+  const RecvOverrideOracle oracle(base, 0.0);
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    RandomDagOptions options;
+    options.num_recvs = 3 + static_cast<int>(seed % 13);
+    options.num_computes = 6 + static_cast<int>((seed * 7) % 25);
+    options.num_layers = 1 + static_cast<int>(seed % 5);
+    options.with_sends = seed % 2 == 0;
+    const Graph g = MakeRandomDag(options, seed);
+    ASSERT_TRUE(IncrementalProperties::Supports(PropertyIndex(g), oracle));
+    ExpectMatchesFullRecomputeStepByStep(g, oracle, seed);
+  }
+  ExpectMatchesFullRecomputeStepByStep(
+      models::BuildWorkerGraph(models::FindModel("AlexNet v2"),
+                               {.training = true}),
+      oracle, 0);
+}
+
+// A negative or non-finite recv time breaks the premise that a class's M
+// never increases, so Tac() must take the full recompute.
+TEST(IncrementalProperties, NegativeOrNonFiniteRecvTimesFallBackToReference) {
+  const AnalyticalTimeOracle base{PlatformModel{}};
+  for (const double value : {-1e-3, kInfinity}) {
+    const RecvOverrideOracle oracle(base, value);
+    for (std::uint64_t seed = 300; seed < 320; ++seed) {
+      RandomDagOptions options;
+      options.num_recvs = 4 + static_cast<int>(seed % 13);
+      options.num_computes = 8 + static_cast<int>(seed % 23);
+      options.num_layers = 2 + static_cast<int>(seed % 4);
+      const Graph g = MakeRandomDag(options, seed);
+      const PropertyIndex index(g);
+      EXPECT_FALSE(IncrementalProperties::Supports(index, oracle));
+      ExpectSameSchedules(g, Tac(index, oracle),
+                          TacFullRecompute(index, oracle));
+    }
+  }
+}
+
 TEST(IncrementalProperties, TacSchedulesBitIdenticalOnRandomDags) {
   for (std::uint64_t seed = 100; seed < 150; ++seed) {
     RandomDagOptions options;
@@ -178,6 +289,8 @@ TEST(IncrementalProperties, RecvWithRecvAncestorFallsBackToReference) {
   g.AddEdge(r1, c1);
   const PropertyIndex index(g);
   EXPECT_FALSE(index.recvs_are_roots());
+  EXPECT_FALSE(IncrementalProperties::Supports(
+      index, AnalyticalTimeOracle{PlatformModel{}}));
   const AnalyticalTimeOracle oracle{PlatformModel{}};
   ExpectSameSchedules(g, Tac(index, oracle), TacFullRecompute(index, oracle));
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,106 +37,19 @@ struct Fig1a {
   MapTimeOracle oracle{{}};
 };
 
-TEST(RecvSet, BasicOperations) {
-  RecvSet a(130);
-  a.Set(0);
-  a.Set(64);
-  a.Set(129);
-  EXPECT_TRUE(a.Test(0));
-  EXPECT_TRUE(a.Test(64));
-  EXPECT_TRUE(a.Test(129));
-  EXPECT_FALSE(a.Test(1));
-  EXPECT_EQ(a.Count(), 3u);
-
-  RecvSet b(130);
-  b.Set(64);
-  b.Set(100);
-  a.UnionWith(b);
-  EXPECT_EQ(a.Count(), 4u);
-
-  std::vector<std::size_t> bits;
-  a.ForEach([&](std::size_t i) { bits.push_back(i); });
-  EXPECT_EQ(bits, (std::vector<std::size_t>{0, 64, 100, 129}));
-}
-
-TEST(RecvSet, EmptySet) {
-  RecvSet a(0);
-  EXPECT_EQ(a.Count(), 0u);
-  EXPECT_EQ(a.size_bits(), 0u);
-  RecvSet b(0);
-  a.UnionWith(b);  // no words to touch
-  std::size_t visits = 0;
-  a.ForEach([&](std::size_t) { ++visits; });
-  EXPECT_EQ(visits, 0u);
-
-  // Sized but all-clear: still empty under every query.
-  RecvSet c(97);
-  EXPECT_EQ(c.Count(), 0u);
-  c.ForEach([&](std::size_t) { ++visits; });
-  EXPECT_EQ(visits, 0u);
-}
-
-TEST(RecvSet, CrossWordBoundaries) {
-  RecvSet a(193);  // spans four words, last one partial
-  for (const std::size_t i : {std::size_t{63}, std::size_t{64},
-                              std::size_t{127}, std::size_t{128},
-                              std::size_t{192}}) {
-    a.Set(i);
-  }
-  EXPECT_EQ(a.Count(), 5u);
-  EXPECT_TRUE(a.Test(63));
-  EXPECT_TRUE(a.Test(64));
-  EXPECT_FALSE(a.Test(65));
-  EXPECT_TRUE(a.Test(192));
-
-  RecvSet b(193);
-  b.Set(64);
-  b.Set(128);
-  b.Set(191);
-  a.UnionWith(b);
-  EXPECT_EQ(a.Count(), 6u);
-  std::vector<std::size_t> bits;
-  a.ForEach([&](std::size_t i) { bits.push_back(i); });
-  EXPECT_EQ(bits,
-            (std::vector<std::size_t>{63, 64, 127, 128, 191, 192}));
-}
-
-TEST(RecvSet, FullSet) {
-  constexpr std::size_t kBits = 130;
-  RecvSet a(kBits);
-  for (std::size_t i = 0; i < kBits; ++i) a.Set(i);
-  EXPECT_EQ(a.Count(), kBits);
-  std::size_t expected = 0;
-  bool in_order = true;
-  a.ForEach([&](std::size_t i) { in_order = in_order && i == expected++; });
-  EXPECT_TRUE(in_order);
-  EXPECT_EQ(expected, kBits);
-
-  RecvSet b(kBits);
-  b.Set(0);
-  b.UnionWith(a);
-  EXPECT_EQ(b.Count(), kBits);
-}
-
-#ifndef NDEBUG
-TEST(RecvSetDeathTest, MismatchedSizesAssert) {
-  RecvSet a(64);
-  RecvSet b(128);
-  EXPECT_DEATH(a.UnionWith(b), "size mismatch");
-}
-#endif
-
 TEST(PropertyIndex, CommunicationDependenciesFig1a) {
   Fig1a f;
   PropertyIndex index(f.g);
   ASSERT_EQ(index.recvs().size(), 2u);
   // op1.dep = {recv1}; op2.dep = {recv1, recv2} (transitive through op1).
-  EXPECT_EQ(index.dep(f.op1).Count(), 1u);
-  EXPECT_TRUE(index.dep(f.op1).Test(0));
-  EXPECT_EQ(index.dep(f.op2).Count(), 2u);
+  using Deps = std::vector<std::uint32_t>;
+  const auto dep = [&](OpId op) {
+    return Deps(index.dep(op).begin(), index.dep(op).end());
+  };
+  EXPECT_EQ(dep(f.op1), Deps{0});
+  EXPECT_EQ(dep(f.op2), (Deps{0, 1}));
   // A recv depends on itself.
-  EXPECT_TRUE(index.dep(f.recv1).Test(0));
-  EXPECT_EQ(index.dep(f.recv1).Count(), 1u);
+  EXPECT_EQ(dep(f.recv1), Deps{0});
 }
 
 TEST(PropertyIndex, TransitiveDependenciesOnChain) {
@@ -152,33 +67,35 @@ TEST(PropertyIndex, TransitiveDependenciesOnChain) {
   g.AddEdge(c1, c2);
   g.AddEdge(r2, c2);
   PropertyIndex index(g);
-  EXPECT_EQ(index.dep(c0).Count(), 1u);
-  EXPECT_EQ(index.dep(c1).Count(), 2u);
-  EXPECT_EQ(index.dep(c2).Count(), 3u);
+  EXPECT_EQ(index.dep(c0).size(), 1u);
+  EXPECT_EQ(index.dep(c1).size(), 2u);
+  EXPECT_EQ(index.dep(c2).size(), 3u);
 }
 
-TEST(PropertyIndex, ConsumersIsTransposeOfDepWithoutRecvs) {
+TEST(PropertyIndex, ClassOpsOfFig1a) {
   Fig1a f;
   PropertyIndex index(f.g);
-  // recv1 is (transitively) consumed by op1 and op2; recv2 only by op2.
-  // Recv ops themselves never appear in a consumer set.
-  const RecvSet& c1 = index.consumers(0);
-  EXPECT_TRUE(c1.Test(static_cast<std::size_t>(f.op1)));
-  EXPECT_TRUE(c1.Test(static_cast<std::size_t>(f.op2)));
-  EXPECT_FALSE(c1.Test(static_cast<std::size_t>(f.recv1)));
-  EXPECT_EQ(c1.Count(), 2u);
-  const RecvSet& c2 = index.consumers(1);
-  EXPECT_FALSE(c2.Test(static_cast<std::size_t>(f.op1)));
-  EXPECT_TRUE(c2.Test(static_cast<std::size_t>(f.op2)));
-  EXPECT_EQ(c2.Count(), 1u);
+  // Classes {recv1} = {recv1, op1}, {recv2} = {recv2}, {recv1, recv2} =
+  // {op2}; each row in op id order.
+  using Ops = std::vector<OpId>;
+  const auto ops_of = [&](OpId op) {
+    const auto row = index.class_ops(index.dep_class(op));
+    return Ops(row.begin(), row.end());
+  };
+  EXPECT_EQ(ops_of(f.recv1), (Ops{f.recv1, f.op1}));
+  EXPECT_EQ(ops_of(f.recv2), Ops{f.recv2});
+  EXPECT_EQ(ops_of(f.op2), Ops{f.op2});
+  EXPECT_EQ(index.num_classes(), 3u);
 }
 
 // Dependency classes against an independent oracle: every op's dep set
 // rebuilt naively as a per-op union of its preds' sets, with no
 // interning. UpdateProperties (the reference TAC is tested against) reads
 // the class sets too, so a wrong class would fool both sides of
-// Tac() == TacFullRecompute(); this pins the classes on their own.
-// Returns the number of classes with two or more deps.
+// Tac() == TacFullRecompute(); this pins the classes on their own, and
+// the class -> ops rows IncrementalProperties walks against the naive
+// per-op consumer transpose. Returns the number of classes with two or
+// more deps.
 std::size_t ExpectClassesMatchNaiveDeps(const Graph& g,
                                         const std::string& what) {
   SCOPED_TRACE(what);
@@ -202,7 +119,7 @@ std::size_t ExpectClassesMatchNaiveDeps(const Graph& g,
     const auto op = static_cast<OpId>(id);
     const std::vector<bool>& want = naive[id];
     std::vector<bool> got(R);
-    index.dep(op).ForEach([&](std::size_t r) { got[r] = true; });
+    for (const std::uint32_t r : index.dep(op)) got[r] = true;
     EXPECT_EQ(got, want) << "op " << id;
     // Same class <=> same naive set, in both directions.
     const std::size_t c = index.dep_class(op);
@@ -242,6 +159,34 @@ std::size_t ExpectClassesMatchNaiveDeps(const Graph& g,
     EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
               multi_of_recv[r])
         << "recv " << r;
+  }
+
+  // The class -> ops CSR: each op once, in the row of its class, rows in
+  // op id order; and the rows of the classes holding recv r, merged, are
+  // the naive per-op consumer transpose of r.
+  std::vector<std::vector<OpId>> naive_consumers(R);
+  for (std::size_t id = 0; id < g.size(); ++id) {
+    for (std::size_t r = 0; r < R; ++r) {
+      if (naive[id][r]) naive_consumers[r].push_back(static_cast<OpId>(id));
+    }
+  }
+  std::vector<std::vector<OpId>> consumers(R);
+  std::size_t total_ops = 0;
+  for (std::size_t c = 0; c < index.num_classes(); ++c) {
+    const auto row = index.class_ops(c);
+    total_ops += row.size();
+    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "class " << c;
+    for (const OpId id : row) {
+      EXPECT_EQ(index.dep_class(id), c) << "op " << id;
+      for (const std::uint32_t r : index.class_recvs(c)) {
+        consumers[r].push_back(id);
+      }
+    }
+  }
+  EXPECT_EQ(total_ops, g.size());
+  for (std::size_t r = 0; r < R; ++r) {
+    std::sort(consumers[r].begin(), consumers[r].end());
+    EXPECT_EQ(consumers[r], naive_consumers[r]) << "recv " << r;
   }
   return multi;
 }

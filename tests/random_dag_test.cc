@@ -44,7 +44,7 @@ TEST_P(RandomDagSweep, StructuralInvariants) {
     if (op.kind == OpKind::kCompute && op.name == "sink") sink = op.id;
   }
   ASSERT_NE(sink, core::kInvalidOp);
-  EXPECT_EQ(index.dep(sink).Count(), recvs.size());
+  EXPECT_EQ(index.dep(sink).size(), recvs.size());
 }
 
 TEST_P(RandomDagSweep, SchedulersProduceValidTotalOrders) {
