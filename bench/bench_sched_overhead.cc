@@ -136,9 +136,11 @@ BENCHMARK_CAPTURE(BM_Tac, inception_v3, "Inception v3");
 BENCHMARK_CAPTURE(BM_Tac, resnet101_v2, "ResNet-101 v2");
 BENCHMARK_CAPTURE(BM_DependencyAnalysis, resnet101_v2, "ResNet-101 v2");
 // 100000 recvs (~300k ops) is the ROADMAP's datacenter-graph scale; it
-// exercises the block-pruned argmin and the common sink's re-sum. One
-// Tac() took 6.0-6.4 s with the whole process peaking at 90 MiB RSS
-// (4-vCPU VM, Release); CI runs it under a 2 GiB address-space limit.
+// exercises the block-pruned argmin and the common sink's lazily
+// resolved floor. One Tac() took 1.2-1.4 s (4-vCPU VM, Release; 6.2-6.7 s
+// when the sink's M was re-summed on every completion), and the whole
+// process peaks at about 90 MiB RSS; CI runs it under a 2 GiB
+// address-space limit.
 BENCHMARK(BM_TacSynthetic)
     ->Arg(1000)
     ->Arg(5000)

@@ -1,19 +1,9 @@
 #include "core/chunking.h"
 
-#include <stdexcept>
-#include <string>
+#include <limits>
 #include <vector>
 
 namespace tictac::core {
-
-void ChunkingOptions::Validate() const {
-  if (max_chunk_bytes <= 0) {
-    throw std::invalid_argument(
-        "ChunkingOptions: max_chunk_bytes must be > 0 to chunk, got " +
-        std::to_string(max_chunk_bytes) +
-        " (use chunk_bytes = 0 / omit chunk= to disable chunking)");
-  }
-}
 namespace {
 
 // Splits `bytes` into near-equal chunks no larger than `max`.
@@ -29,6 +19,23 @@ std::vector<std::int64_t> SplitBytes(std::int64_t bytes, std::int64_t max) {
 }
 
 }  // namespace
+
+std::int64_t ChunkedOpCount(const Graph& graph,
+                            const ChunkingOptions& options) {
+  constexpr std::int64_t kSaturated = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t max = options.max_chunk_bytes;
+  std::int64_t count = 0;
+  for (const Op& op : graph.ops()) {
+    // An oversized transfer becomes its chunks plus one concat or split.
+    const std::int64_t ops =
+        max > 0 && IsCommunication(op.kind) && op.bytes > max
+            ? (op.bytes - 1) / max + 2
+            : 1;
+    if (ops > kSaturated - count) return kSaturated;
+    count += ops;
+  }
+  return count;
+}
 
 Graph ChunkTransfers(const Graph& graph, const ChunkingOptions& options) {
   const std::int64_t max = options.max_chunk_bytes;

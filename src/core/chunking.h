@@ -19,14 +19,13 @@ struct ChunkingOptions {
   // Transfers larger than this are split into ceil(bytes / max) chunks.
   // <= 0 disables chunking (ChunkTransfers becomes the identity copy).
   std::int64_t max_chunk_bytes = 4ll << 20;
-
-  // For callers that mean to chunk: rejects non-positive sizes with an
-  // actionable message, in the ClusterConfig::Validate style.
-  // ChunkTransfers itself keeps treating <= 0 as "off" — a valid steady
-  // state — so only code paths where chunking was explicitly requested
-  // call this. Throws std::invalid_argument.
-  void Validate() const;
 };
+
+// The number of ops ChunkTransfers(graph, options) returns, counted in
+// O(V) without building it (saturating at INT64_MAX), so a caller can
+// check a size budget before a tiny chunk size multiplies the graph.
+std::int64_t ChunkedOpCount(const Graph& graph,
+                            const ChunkingOptions& options);
 
 // Returns a graph where every oversized recv is replaced by chunk recvs
 // feeding a zero-cost concat compute, and every oversized send by a

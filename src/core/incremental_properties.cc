@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "core/tac.h"
 
@@ -63,6 +64,7 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
     class_M_[c] = m;
     if (members.size() == recvs.size() && members.size() >= 2) {
       full_class_ = c;
+      full_row_len_ = members.size();
     }
   }
 
@@ -100,13 +102,87 @@ IncrementalProperties::IncrementalProperties(const PropertyIndex& index,
   blk_any_m_eq_p_.resize(blocks);
 }
 
-std::vector<RecvProperties> IncrementalProperties::props() const {
+std::vector<RecvProperties> IncrementalProperties::props() {
+  double floor = kInfinity;
+  if (FloorActive()) {
+    if (floor_stale_) ResolveFloor();
+    floor = class_M_[full_class_];
+  }
   std::vector<RecvProperties> out = props_;
-  const double floor = MplusFloor();
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (outstanding_[i] != 0) out[i].Mplus = std::min(out[i].Mplus, floor);
   }
   return out;
+}
+
+double IncrementalProperties::FloorLowerBound() const {
+  // With E the last exact value (n terms), R the removed total and F the
+  // current floor, F >= (E - R) - 3γₙ(E + R) in exact arithmetic;
+  // 4(n + 2)u(E + R) also covers the rounding of this expression, and
+  // denorm_min the product's underflow (DESIGN.md §4).
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+  const double e = class_M_[full_class_];
+  const double r = floor_removed_;
+  const double slack =
+      4.0 * static_cast<double>(full_row_len_ + 2) * kUnitRoundoff * (e + r) +
+      std::numeric_limits<double>::denorm_min();
+  return (e - r) - slack;
+}
+
+void IncrementalProperties::ResolveFloor() {
+#ifndef NDEBUG
+  const double lb = FloorLowerBound();
+#endif
+  std::uint32_t* deps = class_deps_.data() + class_deps_begin_[full_class_];
+  double m = 0.0;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < full_row_len_; ++k) {
+    const std::uint32_t r = deps[k];
+    if (outstanding_[r] == 0) continue;
+    m += recv_time_[r];
+    deps[kept++] = r;
+  }
+  assert(kept == static_cast<std::size_t>(class_count_[full_class_]));
+  full_row_len_ = kept;
+  class_M_[full_class_] = m;
+  floor_removed_ = 0.0;
+  floor_stale_ = false;
+  ++floor_resolves_;
+#ifndef NDEBUG
+  // The bound the lazy verdicts relied on, and the lemma that lets a
+  // finite stored M+ stand for min(stored, floor).
+  assert(!(lb > m));
+  for (std::size_t i = 0; i < props_.size(); ++i) {
+    assert(outstanding_[i] == 0 || props_[i].Mplus == kInfinity ||
+           props_[i].Mplus <= m);
+  }
+#endif
+}
+
+bool IncrementalProperties::BelowFloor(double x) {
+  if (!FloorActive()) return x < kInfinity;
+  if (floor_stale_) {
+    if (x < FloorLowerBound()) return true;
+    ResolveFloor();
+  }
+  return x < class_M_[full_class_];
+}
+
+bool IncrementalProperties::Before(const RecvProperties& a,
+                                   const RecvProperties& b) {
+  // TacBefore with M+ read as min(stored, F). A finite stored s is <= F,
+  // so reads differ from storage only at +inf; a finite s against F
+  // differs iff s < F, and the op-id tie-break settles s == F.
+  const double lhs = std::min(b.P, a.M);
+  const double rhs = std::min(a.P, b.M);
+  if (lhs != rhs) return lhs < rhs;
+  const bool op_first = a.op < b.op;
+  if (a.Mplus == b.Mplus) return op_first;
+  if (a.Mplus != kInfinity && b.Mplus != kInfinity) {
+    return a.Mplus < b.Mplus;
+  }
+  if (b.Mplus == kInfinity) return op_first || BelowFloor(a.Mplus);
+  return op_first && !BelowFloor(b.Mplus);
 }
 
 void IncrementalProperties::CompleteRecv(std::size_t ri) {
@@ -121,6 +197,13 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
     const int d = --class_count_[c];
     class_sum_[c] -= static_cast<std::int64_t>(ri);
     if (d == 0) continue;  // its whole P contribution went to `ri` itself
+    if (d >= 2 && c == full_class_) {
+      // The floor goes stale: its M is re-summed only when a read cannot
+      // be settled by its lower bound (BelowFloor()).
+      floor_stale_ = true;
+      floor_removed_ += recv_time_[ri];
+      continue;
+    }
     if (d == 1) {
       // The class leaves the M+ pool and its ops join the P pool of its
       // one surviving recv; both of that recv's properties need a rebuild.
@@ -134,10 +217,9 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
     // d >= 2: still an M+ contributor, but its outstanding communication
     // time shrank. Re-sum M over the row's d survivors — in increasing
     // recv order, the full pass's order, so the sum is bit-identical —
-    // dropping `ri` from the row as it goes. Then, unless this is the
-    // full class (read as the floor), fold the new value into the M+ of
-    // every recv the class still depends on: a pure min() update, exact
-    // because contributions only ever decrease.
+    // dropping `ri` from the row as it goes. Then fold the new value
+    // into the M+ of every recv the class still depends on: a pure min()
+    // update, exact because contributions only ever decrease.
     std::uint32_t* deps = class_deps_.data() + class_deps_begin_[c];
     double m = 0.0;
     std::size_t kept = 0;
@@ -148,7 +230,6 @@ void IncrementalProperties::CompleteRecv(std::size_t ri) {
       deps[kept++] = r;
     }
     class_M_[c] = m;
-    if (c == full_class_) continue;
     for (std::size_t k = 0; k < kept; ++k) {
       const std::uint32_t r = deps[k];
       if (m < props_[r].Mplus) {
@@ -250,12 +331,9 @@ int IncrementalProperties::BestRecv() {
     }
     std::sort(m_sorted_.begin(), m_sorted_.end());
   }
-  // Every outstanding recv's M+ is read through the floor, so the block
-  // aggregate's minimum is too: min(blk_min_mplus_, floor).
-  const double floor = MplusFloor();
   const std::size_t n = props_.size();
   int best = -1;
-  RecvProperties b;  // props_[best] as read, floor applied
+  RecvProperties b;  // props_[best], M+ as stored (+inf reads the floor)
   // Cached equal-M range for the current best's M (recomputed whenever
   // the best — and hence b.M — changes mid-fold).
   double eq_key = kInfinity;
@@ -273,9 +351,13 @@ int IncrementalProperties::BestRecv() {
       const bool no_p_path = b.P >= b.M || blk_max_p_[blk] <= b.P;
       if (no_m_path && no_p_path) {
         // Strict paths are closed; a tie needs exact lhs == rhs with a
-        // strictly smaller M+ — check the four equality combos.
-        bool tie = false;
-        if (std::min(blk_min_mplus_[blk], floor) < b.Mplus) {
+        // strictly smaller M+ — check the four equality combos. Read
+        // through the floor F, the block's M+ is below b's iff
+        // blk_min < b.Mplus when b's is finite (a finite b.Mplus <= F),
+        // and iff blk_min < F when b's reads F; that last, floor-reading
+        // question is asked only after an equality combo fires.
+        bool tie = blk_min_mplus_[blk] < b.Mplus;
+        if (tie) {
           tie = b.P == b.M ||
                 (b.P <= b.M && blk_max_p_[blk] >= b.P &&
                  blk_max_m_[blk] >= b.P) ||
@@ -298,16 +380,15 @@ int IncrementalProperties::BestRecv() {
             }
           }
         }
+        if (tie && b.Mplus == kInfinity) tie = BelowFloor(blk_min_mplus_[blk]);
         if (!tie) continue;
       }
     }
     for (std::size_t i = lo; i < hi; ++i) {
       if (outstanding_[i] == 0) continue;
-      RecvProperties candidate = props_[i];
-      candidate.Mplus = std::min(candidate.Mplus, floor);
-      if (best < 0 || TacBefore(candidate, b)) {
+      if (best < 0 || Before(props_[i], b)) {
         best = static_cast<int>(i);
-        b = candidate;
+        b = props_[i];
       }
     }
   }

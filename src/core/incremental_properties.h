@@ -33,9 +33,17 @@
 // The full class — the one whose dep set is every recv, such as a
 // random DAG's common sink — contains every outstanding recv, so it is
 // never folded: its current M is a floor applied when M+ is read
-// (props(), BestRecv()), while it still has two or more deps. That
-// removes an O(R) fold from every completion; the class's O(R) M re-sum
-// stays (DESIGN.md §11).
+// (props(), BestRecv()), while it still has two or more deps. Its M is
+// also resolved lazily. Every finite stored M+ is the M of a class
+// whose outstanding deps are a subset of the full class's survivors,
+// hence ≤ the floor F, so min(stored, F) is the stored value unless
+// that is +inf; the floor's value decides a verdict only when a finite
+// M+ s meets a +inf one on an exact Eq. 6 tie, and then only through
+// `s < F`. A completion therefore just adds the recv's time to a
+// running removed total; `s < F` is decided against a rigorous lower
+// bound LB ≤ F (the last exact value minus the removed total, less a
+// γₙ rounding slack), and the exact ordered re-sum, which compacts the
+// class's row, runs only when s ≥ LB (DESIGN.md §4).
 // The full recompute stays available as the reference oracle for
 // differential testing (tests/incremental_properties_test.cc).
 #pragma once
@@ -66,18 +74,24 @@ class IncrementalProperties {
   IncrementalProperties(const PropertyIndex& index, const TimeOracle& oracle);
 
   // Current properties per recv, in index.recvs() order, with the full
-  // class's floor applied to M+; entries for completed recvs are the
-  // default (op == kInvalidOp), exactly like the full recompute's output.
-  // O(R): a copy, for callers that read every recv once.
-  std::vector<RecvProperties> props() const;
+  // class's floor applied to M+ (resolved exactly first if stale);
+  // entries for completed recvs are the default (op == kInvalidOp),
+  // exactly like the full recompute's output. O(R): a copy, for callers
+  // that read every recv once.
+  std::vector<RecvProperties> props();
 
   bool outstanding(std::size_t ri) const { return outstanding_[ri] != 0; }
   std::size_t remaining() const { return remaining_; }
 
   // Marks recv index `ri` (which must be outstanding) as transferred and
   // updates the affected classes only: O(Σ surviving deps) over ri's
-  // multi-dep classes instead of a full O(V·R) pass.
+  // multi-dep classes other than the full one, instead of a full O(V·R)
+  // pass. The full class's M goes stale until a read resolves it.
   void CompleteRecv(std::size_t ri);
+
+  // Exact re-sums of the full class's M made since construction, by
+  // BestRecv() verdicts that LB could not settle and by props().
+  std::size_t floor_resolves() const { return floor_resolves_; }
 
   // The recv tac.cc's flat left-to-right TacBefore fold over props()
   // would pick, or -1 with nothing outstanding. Computed with per-block
@@ -108,7 +122,9 @@ class IncrementalProperties {
   //     matter, and the final op-id tie-break never flips a verdict:
   //     candidates always carry a larger recv index than the running
   //     best. Every M+ above, the block minimum included, is read
-  //     through the full class's floor.
+  //     through the full class's floor: exactly, because a finite
+  //     stored M+ is ≤ the floor, so only a +inf one reads it, and then
+  //     only a `s < F` question against a finite s (BelowFloor()).
   // Skipped blocks provably contribute no fold update, and surviving
   // blocks are scanned with the exact scalar fold — the result is
   // bit-identical to the full scan at every step, which is what keeps
@@ -120,15 +136,25 @@ class IncrementalProperties {
   // Fresh P / M+ for outstanding recv `q` from the classes holding it.
   void RecomputeRecv(std::size_t q);
 
-  // The full class's current M while it has two or more outstanding
-  // deps, else +inf. An outstanding recv's M+ reads as
-  // min(props_[r].Mplus, MplusFloor()).
-  double MplusFloor() const {
-    return full_class_ < class_count_.size() &&
-                   class_count_[full_class_] >= 2
-               ? class_M_[full_class_]
-               : kInfinity;
+  // Whether the full class's floor is in force: the class exists and
+  // still has two or more outstanding deps. Otherwise it reads +inf.
+  bool FloorActive() const {
+    return full_class_ != SIZE_MAX && class_count_[full_class_] >= 2;
   }
+  // Exact `x < F` for the floor F (+inf when inactive): true outright
+  // when x < FloorLowerBound(), else decided after ResolveFloor().
+  bool BelowFloor(double x);
+  // A rigorous lower bound on the current floor while it is stale: the
+  // last exact value minus floor_removed_, less a rounding slack
+  // (DESIGN.md §4). Overflowed sums give NaN or -inf, which settle
+  // nothing and so force a resolve.
+  double FloorLowerBound() const;
+  // Re-sums the full class's M over its survivors in increasing recv
+  // order — the full pass's order, so the bits match — compacting its
+  // row in place. Makes class_M_[full_class_] exact.
+  void ResolveFloor();
+  // TacBefore on M+ values as stored: +inf reads the floor.
+  bool Before(const RecvProperties& a, const RecvProperties& b);
 
   const PropertyIndex& index_;
   std::vector<double> time_;       // op id -> cached oracle time
@@ -145,12 +171,22 @@ class IncrementalProperties {
   // The class's outstanding deps, in increasing recv order: a copy of
   // PropertyIndex::class_recvs whose rows CompleteRecv compacts to their
   // survivors whenever it re-sums M, so a row of a class with count >= 2
-  // holds exactly its class_count_ outstanding recvs.
+  // holds exactly its class_count_ outstanding recvs — except the full
+  // class's, which ResolveFloor() compacts and which may hold completed
+  // recvs in between (its first full_row_len_ entries).
   std::vector<std::uint32_t> class_deps_;
   std::vector<std::size_t> class_deps_begin_;
   // The class whose dep set is every recv, or SIZE_MAX when there is
   // none (or only one recv). Its M is never folded into props_[r].Mplus.
   std::size_t full_class_ = SIZE_MAX;
+  // Lazy floor: class_M_[full_class_] is exact unless floor_stale_; then
+  // it still holds the last exact value, the sum over the full class's
+  // row of full_row_len_ recvs, and floor_removed_ sums (in completion
+  // order) the times of the recvs completed since.
+  std::size_t full_row_len_ = 0;
+  bool floor_stale_ = false;
+  double floor_removed_ = 0.0;
+  std::size_t floor_resolves_ = 0;
   // Per recv; Mplus excludes the full class's floor.
   std::vector<RecvProperties> props_;
   std::size_t remaining_ = 0;

@@ -5,12 +5,15 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/chunking.h"
 #include "core/metrics.h"
 #include "core/policy_registry.h"
+#include "ir/module.h"
 #include "models/zoo.h"
 #include "runtime/allreduce.h"
 #include "runtime/multijob.h"
@@ -327,8 +330,23 @@ Runner::Runner(const models::ModelInfo& model, ClusterConfig config)
   build.batch_factor = config_.batch_factor;
   graph_ = models::BuildWorkerGraph(model_, build);
   if (config_.chunk_bytes > 0) {
-    graph_ = core::ChunkTransfers(graph_,
-                                  {.max_chunk_bytes = config_.chunk_bytes});
+    // Lowering replicates every op of the chunked worker graph once per
+    // worker, so a chunk size that splits it past the task budget is
+    // rejected before the rewrite allocates (chunk=1 on VGG-16 training
+    // is ~1.1e9 ops).
+    const core::ChunkingOptions chunking{.max_chunk_bytes =
+                                             config_.chunk_bytes};
+    const std::int64_t ops = core::ChunkedOpCount(graph_, chunking);
+    if (ops > ir::kMaxLoweredTasks / config_.num_workers) {
+      throw std::invalid_argument(
+          "lowering: chunk=" + std::to_string(config_.chunk_bytes) +
+          " splits " + model_.name + "'s worker graph into " +
+          std::to_string(ops) + " ops, x workers=" +
+          std::to_string(config_.num_workers) + " over the budget of " +
+          std::to_string(ir::kMaxLoweredTasks) +
+          " lowered tasks (ir::kMaxLoweredTasks); raise chunk=");
+    }
+    graph_ = core::ChunkTransfers(graph_, chunking);
   }
   // Built after chunking, which rewrites the graph's recv set.
   index_ = std::make_unique<const core::PropertyIndex>(graph_);

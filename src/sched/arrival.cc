@@ -134,7 +134,12 @@ std::vector<ArrivalEvent> ReadTrace(const std::string& path,
     } catch (const std::invalid_argument& e) {
       Fail(where + ": " + e.what());
     }
-    if (event.time < duration) events.push_back(std::move(event));
+    if (event.time >= duration) continue;
+    if (events.size() == kMaxArrivals) {
+      Fail(where + ": more than " + std::to_string(kMaxArrivals) +
+           " arrivals before --duration (kMaxArrivals)");
+    }
+    events.push_back(std::move(event));
   }
   return events;
 }
@@ -157,15 +162,29 @@ std::vector<ArrivalEvent> GenerateArrivals(
     Fail("synthetic arrivals need a non-empty workload pool of experiment "
          "specs");
   }
-  std::vector<ArrivalEvent> events;
-  util::Rng rng(seed);
   const int per_event = spec.kind == ArrivalSpec::Kind::kBursty ? spec.burst
                                                                 : 1;
+  const auto too_many = [&](const std::string& count) {
+    Fail("at most " + std::to_string(kMaxArrivals) +
+         " arrivals (kMaxArrivals), but " + spec.ToString() +
+         " over --duration " + runtime::FormatDouble(duration) + " gives " +
+         count + "; lower rate=" + (per_event > 1 ? ", burst=" : "") +
+         " or --duration");
+  };
+  const double expected = spec.rate * duration * per_event;
+  if (!(expected <= static_cast<double>(kMaxArrivals))) {
+    too_many("~" + runtime::FormatDouble(expected));
+  }
+  std::vector<ArrivalEvent> events;
+  util::Rng rng(seed);
   std::size_t job_index = 0;
   // The first event arrives after one full gap — an empty cluster at
   // t = 0 (standard open-system convention).
   for (double t = rng.Exponential(spec.rate); t < duration;
        t += rng.Exponential(spec.rate)) {
+    if (events.size() + static_cast<std::size_t>(per_event) > kMaxArrivals) {
+      too_many("more than that");  // short gaps outran the mean
+    }
     for (int b = 0; b < per_event; ++b) {
       events.push_back(
           ArrivalEvent{t, workload[job_index % workload.size()]});

@@ -21,6 +21,7 @@
 // fields, so the line splits at the FIRST comma only; no CSV quoting).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -66,6 +67,12 @@ struct ArrivalEvent {
   friend bool operator==(const ArrivalEvent&, const ArrivalEvent&) = default;
 };
 
+// The most jobs one stream may hold. Every arrival is a job the service
+// places, lowers and simulates, so a stream past this is a typo (say
+// rate=1e308), not a workload; uncapped, such a stream was materialized
+// until memory ran out.
+inline constexpr std::size_t kMaxArrivals = 100'000;
+
 // Materializes the arrival stream over [0, duration).
 //
 // Synthetic processes (poisson/bursty) draw gaps from Rng(seed) and
@@ -80,6 +87,11 @@ struct ArrivalEvent {
 // (the service stops admitting at `duration`). Throws std::runtime_error
 // if the file cannot be read and std::invalid_argument (with the line
 // number) for malformed rows.
+//
+// A stream of more than kMaxArrivals jobs throws std::invalid_argument
+// naming rate= and --duration (or the trace row past the cap): checked
+// against rate × duration × burst before any draw, and counted as the
+// stream grows, since exponential gaps can fall short of their mean.
 std::vector<ArrivalEvent> GenerateArrivals(
     const ArrivalSpec& spec,
     const std::vector<runtime::ExperimentSpec>& workload, double duration,

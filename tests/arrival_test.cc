@@ -228,6 +228,37 @@ TEST(GenerateArrivals, EmptyWorkloadIsRejectedForSyntheticStreams) {
       std::invalid_argument);
 }
 
+// A stream past kMaxArrivals is rejected naming its knobs, before any
+// draw when rate x duration x burst says so (rate=1e308 used to be
+// materialized until memory ran out), and as it grows when the draws
+// outrun their mean: 24 bursts of 4096 expect 98,304 jobs, and seed 4
+// draws 25 or more.
+TEST(GenerateArrivals, StreamsPastTheArrivalCapNameTheirKnobs) {
+  const std::vector<runtime::ExperimentSpec> workload = {Job()};
+  try {
+    GenerateArrivals(ArrivalSpec::Parse("poisson:rate=1e308"), workload, 1.0,
+                     1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at most 100000 arrivals"), std::string::npos) << what;
+    EXPECT_NE(what.find("lower rate= or --duration"), std::string::npos)
+        << what;
+  }
+  const ArrivalSpec bursty = ArrivalSpec::Parse("bursty:rate=24:burst=4096");
+  EXPECT_EQ(GenerateArrivals(bursty, workload, 1.0, 3).size(), 90112u);
+  try {
+    GenerateArrivals(bursty, workload, 1.0, 4);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("gives more than that; lower rate=, burst= or "
+                        "--duration"),
+              std::string::npos)
+        << what;
+  }
+}
+
 // ---- trace replay ----------------------------------------------------------
 
 TEST(GenerateArrivals, ReplaysTraceCsv) {
@@ -250,6 +281,28 @@ TEST(GenerateArrivals, ReplaysTraceCsv) {
   EXPECT_EQ(events[1].time, 0.25);
   EXPECT_EQ(events[1].spec, Job(8));
   EXPECT_EQ(events[2].time, 0.25);
+}
+
+// Trace rows count against the same cap; rows past --duration do not.
+TEST(GenerateArrivals, TraceRowsPastTheArrivalCapAreRejected) {
+  const std::string path = ::testing::TempDir() + "/tictac_long_trace.csv";
+  const std::string row = "0," + Job().ToString() + "\n";
+  {
+    std::ofstream out(path);
+    for (std::size_t i = 0; i < kMaxArrivals; ++i) out << row;
+    out << "2," << Job().ToString() << "\n";
+  }
+  const ArrivalSpec spec = ArrivalSpec::Parse("trace:" + path);
+  EXPECT_EQ(GenerateArrivals(spec, {}, 1.0, 1).size(), kMaxArrivals);
+  try {
+    GenerateArrivals(spec, {}, 3.0, 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 100001: more than 100000 "
+                                         "arrivals"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(GenerateArrivals, TraceErrorsCarryLineNumbers) {

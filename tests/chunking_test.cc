@@ -87,22 +87,21 @@ TEST(Chunking, SchedulableAfterRewrite) {
   EXPECT_TRUE(schedule.CoversAllRecvs(chunked));
 }
 
-TEST(Chunking, ValidateRejectsNonPositiveSizesWithActionableMessage) {
-  // ChunkTransfers treats <= 0 as "chunking off", but callers that meant
-  // to chunk call Validate() and must get told how to fix the value.
-  try {
-    ChunkingOptions{.max_chunk_bytes = 0}.Validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("max_chunk_bytes must be > 0"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("got 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("disable chunking"), std::string::npos) << what;
+// The count a size budget is checked against before the rewrite must be
+// the rewrite's own op count, including at the "off" sizes.
+TEST(Chunking, ChunkedOpCountMatchesTheRewrite) {
+  const Graph g = models::BuildWorkerGraph(models::FindModel("VGG-16"),
+                                           {.training = true});
+  for (const std::int64_t max :
+       {std::int64_t{-1}, std::int64_t{0}, std::int64_t{1} << 20,
+        std::int64_t{4} << 20, std::int64_t{1} << 40}) {
+    const ChunkingOptions options{.max_chunk_bytes = max};
+    EXPECT_EQ(ChunkedOpCount(g, options),
+              static_cast<std::int64_t>(ChunkTransfers(g, options).size()))
+        << max;
   }
-  EXPECT_THROW(ChunkingOptions{.max_chunk_bytes = -1}.Validate(),
-               std::invalid_argument);
-  EXPECT_NO_THROW(ChunkingOptions{.max_chunk_bytes = 1}.Validate());
+  EXPECT_EQ(ChunkedOpCount(g, {.max_chunk_bytes = 0}),
+            static_cast<std::int64_t>(g.size()));
 }
 
 TEST(Chunking, ChunkSizesNearEqual) {

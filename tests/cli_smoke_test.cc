@@ -346,6 +346,13 @@ TEST(CliSmoke, HostileSizesNameTheirKnob) {
        "iterations=1 seed=1} {envG:workers=2:ps=1 model=AlexNet v2 "
        "iterations=1 seed=1}\"",
        "at most 64 jobs in all, got 65"},
+      // Both used to grow until std::bad_alloc: the arrival stream was
+      // materialized uncapped, and 1-byte chunks rewrote VGG-16 into
+      // ~1.1e9 ops before any lowering budget was checked.
+      {"serve --arrivals poisson:rate=1e308 --duration 1",
+       "lower rate= or --duration"},
+      {"run --spec \"envG:workers=2:ps=1:training:chunk=1 model=VGG-16\"",
+       "lowering: chunk=1 splits VGG-16's worker graph"},
   };
   for (const auto& [args, named] : cases) {
     const CliResult result = RunCli(args);

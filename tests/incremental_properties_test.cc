@@ -44,12 +44,14 @@ void ExpectSameSchedules(const Graph& g, const Schedule& a,
   }
 }
 
-// Every step of a TAC run: the incremental state must match a
-// from-scratch UpdateProperties on the same outstanding set, and its
-// block-pruned BestRecv must pick what the flat fold over those full
-// properties picks. The trajectory is TacFullRecompute's own loop, so
-// the final check — Tac() ranks the recvs in trajectory order — is
-// Tac() == TacFullRecompute() without running the reference twice.
+// Every step of a TAC run: the incremental state's block-pruned BestRecv
+// must pick what the flat fold over from-scratch UpdateProperties on the
+// same outstanding set picks, and its properties must match those. The
+// pick comes first, so it reads the full class's floor as CompleteRecv
+// left it (stale); props() then resolves it. The trajectory is
+// TacFullRecompute's own loop, so the final check — Tac() ranks the
+// recvs in trajectory order — is Tac() == TacFullRecompute() without
+// running the reference twice.
 void ExpectMatchesFullRecomputeStepByStep(const Graph& g,
                                           const TimeOracle& oracle,
                                           std::uint64_t seed) {
@@ -59,8 +61,6 @@ void ExpectMatchesFullRecomputeStepByStep(const Graph& g,
   std::vector<std::size_t> order;
   for (std::size_t step = 0; step < index.recvs().size(); ++step) {
     const auto full = index.UpdateProperties(oracle, outstanding);
-    ExpectSameProps(full, state.props(), seed, step);
-
     int best = -1;
     for (std::size_t i = 0; i < outstanding.size(); ++i) {
       if (!outstanding[i]) continue;
@@ -71,6 +71,7 @@ void ExpectMatchesFullRecomputeStepByStep(const Graph& g,
     }
     ASSERT_GE(best, 0);
     ASSERT_EQ(state.BestRecv(), best) << "seed " << seed << " step " << step;
+    ExpectSameProps(full, state.props(), seed, step);
     outstanding[static_cast<std::size_t>(best)] = false;
     state.CompleteRecv(static_cast<std::size_t>(best));
     order.push_back(static_cast<std::size_t>(best));
@@ -84,6 +85,15 @@ void ExpectMatchesFullRecomputeStepByStep(const Graph& g,
   }
 }
 
+// Whether some class's dep set is every recv (a common sink's): the
+// class whose M is the lazily resolved M+ floor.
+bool HasFullClass(const PropertyIndex& index) {
+  for (std::size_t c = 0; c < index.num_classes(); ++c) {
+    if (index.class_recvs(c).size() == index.recvs().size()) return true;
+  }
+  return false;
+}
+
 TEST(IncrementalProperties, MatchesFullRecomputeStepByStepOnRandomDags) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     RandomDagOptions options;
@@ -92,9 +102,51 @@ TEST(IncrementalProperties, MatchesFullRecomputeStepByStepOnRandomDags) {
     options.num_layers = 1 + static_cast<int>(seed % 5);
     options.edge_probability = 0.1 + 0.05 * static_cast<double>(seed % 10);
     options.with_sends = seed % 2 == 0;  // sends depend on *every* recv
-    ExpectMatchesFullRecomputeStepByStep(MakeRandomDag(options, seed),
-                                         AnalyticalTimeOracle{PlatformModel{}},
-                                         seed);
+    const Graph g = MakeRandomDag(options, seed);
+    ASSERT_TRUE(HasFullClass(PropertyIndex(g))) << "seed " << seed;
+    ExpectMatchesFullRecomputeStepByStep(
+        g, AnalyticalTimeOracle{PlatformModel{}}, seed);
+  }
+}
+
+// TAC's own loop (BestRecv, CompleteRecv), never calling props(), so the
+// floor is resolved only where a verdict needs it; returns the number of
+// exact resolves and checks the order against Tac().
+std::size_t FloorResolvesOverTacRun(const Graph& g, const TimeOracle& oracle) {
+  const PropertyIndex index(g);
+  IncrementalProperties state(index, oracle);
+  const Schedule tac = Tac(index, oracle);
+  for (int rank = 0; state.remaining() > 0; ++rank) {
+    const int best = state.BestRecv();
+    EXPECT_EQ(tac.priority(index.recvs()[static_cast<std::size_t>(best)]),
+              rank);
+    state.CompleteRecv(static_cast<std::size_t>(best));
+  }
+  return state.floor_resolves();
+}
+
+// The resolve count is deterministic, so it is pinned: a change in when
+// the lower bound settles a floor verdict shows up here even when the
+// schedule does not move. Neither this random DAG nor the zoo graphs
+// ever need the floor's exact value.
+TEST(IncrementalProperties, FloorResolvesOnlyWhenAVerdictNeedsIt) {
+  RandomDagOptions options;
+  options.num_recvs = 2000;
+  options.num_computes = 4000;
+  options.num_layers = 8;
+  options.edge_probability = 0.05;
+  EXPECT_EQ(FloorResolvesOverTacRun(MakeRandomDag(options, 1),
+                                    AnalyticalTimeOracle{PlatformModel{}}),
+            0u);
+  const AnalyticalTimeOracle oracle{PlatformModel{}};
+  for (const char* model :
+       {"AlexNet v2", "Inception v3", "ResNet-101 v2", "VGG-16"}) {
+    EXPECT_EQ(FloorResolvesOverTacRun(
+                  models::BuildWorkerGraph(models::FindModel(model),
+                                           {.training = true}),
+                  oracle),
+              0u)
+        << model;
   }
 }
 
@@ -186,6 +238,57 @@ TEST(IncrementalProperties, FullClassFloorDecidesExactMplusTie) {
   const MapTimeOracle oracle({{a, 0.0}, {b, 1.0}, {c, 2.0}});
   ExpectMatchesFullRecomputeStepByStep(g, oracle, 0);
   EXPECT_EQ(Tac(g, oracle).priority(a), 0);
+}
+
+// Recvs r0 < r1 < … < r4 < z by op id. X needs r1..r4, so their stored
+// M+ is X.M = 4; r0's only multi-dep class is the full one (the sink Y
+// needs every recv), so its M+ reads the floor F = M(r0..r4) once z is
+// gone. z has a private consumer (P > 0), so it goes first and leaves
+// the floor stale; then every P is 0, Eq. 6 ties everywhere, and r0 —
+// the running best from the start of the fold — keeps its place against
+// r1 only if 4 < F is false, i.e. F == 4 exactly. With t0 = 1e-30 the term is absorbed
+// and F == 4, so the op-id tie-break keeps r0. With t0 = 2^-50 it is
+// not, F == 4 + 2^-50, and r1 goes second (as do r2, r3 in the next
+// rounds, each an s == F − 2^-50 question). Each time s lies above the
+// floor's lower bound, so only the exact resolve decides; the last exact
+// value (5 + t0, z included) would wrongly put 4 below the floor.
+TEST(IncrementalProperties, FloorResolvesAbsorbedTermTieExactly) {
+  struct Case {
+    double t0;
+    bool absorbed;
+    std::size_t resolves;
+  };
+  for (const Case& tc : {Case{1e-30, true, 1}, Case{0x1p-50, false, 3}}) {
+    const double t0 = tc.t0;
+    SCOPED_TRACE(t0);
+    Graph g;
+    const OpId r0 = g.AddRecv("r0", 0);
+    std::vector<OpId> r;
+    for (int i = 1; i <= 4; ++i) {
+      r.push_back(g.AddRecv("r" + std::to_string(i), 0));
+    }
+    const OpId z = g.AddRecv("z", 0);
+    const OpId x = g.AddCompute("X", 1.0);
+    const OpId zc = g.AddCompute("Z", 1.0);
+    const OpId y = g.AddCompute("Y", 1.0);
+    for (const OpId ri : r) g.AddEdge(ri, x);
+    g.AddEdge(z, zc);
+    g.AddEdge(x, y);
+    g.AddEdge(zc, y);
+    g.AddEdge(r0, y);
+    const MapTimeOracle oracle({{r0, t0},
+                                {r[0], 1.0},
+                                {r[1], 1.0},
+                                {r[2], 1.0},
+                                {r[3], 1.0},
+                                {z, 1.0},
+                                {zc, 1.0}});
+    ExpectMatchesFullRecomputeStepByStep(g, oracle, 0);
+    const Schedule tac = Tac(g, oracle);
+    EXPECT_EQ(tac.priority(z), 0);
+    EXPECT_EQ(tac.priority(tc.absorbed ? r0 : r[0]), 1);
+    EXPECT_EQ(FloorResolvesOverTacRun(g, oracle), tc.resolves);
+  }
 }
 
 // `base`'s times, except that every third recv (by op id) takes `value`.

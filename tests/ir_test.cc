@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chunking.h"
@@ -20,6 +21,7 @@
 #include "ir/passes.h"
 #include "models/builder.h"
 #include "models/zoo.h"
+#include "runtime/runner.h"
 #include "runtime/sharding.h"
 
 namespace tictac::ir {
@@ -299,20 +301,32 @@ TEST(PassPipeline, ArenaHoldsEachNodesPredsOnceInNodeOrder) {
 // ---------------------------------------------------------------------------
 // Satellite knobs consumed by the pipeline
 
-TEST(ChunkingOptions, ValidateRejectsNonPositiveSizes) {
-  EXPECT_NO_THROW(core::ChunkingOptions{.max_chunk_bytes = 1}.Validate());
-  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{-4096}}) {
+// A chunk size that splits the worker graph past the lowering's task
+// budget, once replicated per worker, is rejected naming chunk= before
+// ChunkTransfers allocates: chunk=1 on VGG-16 training would be ~1.1e9
+// ops, and chunk=128 ~8.6e6 ops, twice over with two workers.
+TEST(ChunkingBudget, TinyChunksAreRejectedBeforeTheRewrite) {
+  runtime::ClusterConfig config;
+  config.training = true;
+  for (const auto& [chunk, workers] : {std::pair{1, 1}, std::pair{128, 2}}) {
+    config.chunk_bytes = chunk;
+    config.num_workers = workers;
+    const std::string named = "chunk=" + std::to_string(chunk) +
+                              " splits VGG-16's worker graph into ";
     try {
-      core::ChunkingOptions{.max_chunk_bytes = bad}.Validate();
-      FAIL() << "expected rejection of max_chunk_bytes=" << bad;
+      runtime::Runner(models::FindModel("VGG-16"), config);
+      FAIL() << "expected rejection of chunk_bytes=" << chunk;
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("max_chunk_bytes must be > 0"), std::string::npos)
+      EXPECT_NE(what.find(named), std::string::npos) << what;
+      EXPECT_NE(what.find("x workers=" + std::to_string(workers)),
+                std::string::npos)
           << what;
-      // Actionable: says how to disable chunking instead.
-      EXPECT_NE(what.find("chunk_bytes = 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("ir::kMaxLoweredTasks"), std::string::npos) << what;
     }
   }
+  config.chunk_bytes = 4 << 20;
+  EXPECT_NO_THROW(runtime::Runner(models::FindModel("VGG-16"), config));
 }
 
 TEST(ShardStrategy, TokensRoundTrip) {
