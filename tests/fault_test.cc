@@ -22,6 +22,7 @@
 #include "runtime/runner.h"
 #include "sched/placement.h"
 #include "sched/service.h"
+#include "service_invariants.h"
 #include "sim/engine.h"
 
 namespace tictac::fault {
@@ -220,10 +221,10 @@ ServiceConfig ChaosConfig() {
 // arrival sequence.
 TEST(ServiceFaults, FaultsNeverPerturbTheArrivalSequence) {
   ServiceConfig config = ChaosConfig();
-  const ServiceReport base = SchedulerService(config).Run();
+  const ServiceReport base = RunChecked(config);
   config.faults = fault::FaultSpec::Parse(
       "crash:fabric=0:at=0.2;flap:nic=0:period=0.05:at=0:for=0.4:fabric=1");
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   ASSERT_EQ(report.counters.arrivals, base.counters.arrivals);
   ASSERT_EQ(report.jobs.size(), base.jobs.size());
   for (std::size_t i = 0; i < base.jobs.size(); ++i) {
@@ -238,10 +239,10 @@ TEST(ServiceFaults, FaultsNeverPerturbTheArrivalSequence) {
 // for bit.
 TEST(ServiceFaults, NoOpFaultTimelineMatchesFaultFreeRun) {
   ServiceConfig config = ChaosConfig();
-  const ServiceReport base = SchedulerService(config).Run();
+  const ServiceReport base = RunChecked(config);
   config.faults = fault::FaultSpec::Parse(
       "straggler:worker=0:factor=1:at=0;slowlink:nic=0:scale=1:at=0:fabric=1");
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   EXPECT_EQ(report.makespan, base.makespan);
   EXPECT_EQ(report.counters.completed, base.counters.completed);
   EXPECT_EQ(report.counters.sim_runs, base.counters.sim_runs);
@@ -261,7 +262,7 @@ TEST(ServiceFaults, NoOpFaultTimelineMatchesFaultFreeRun) {
 // The fault block only appears in reports when faults are configured, so
 // fault-free output stays byte-identical to the pre-fault service.
 TEST(ServiceFaults, FaultFreeReportOmitsTheFaultBlock) {
-  const ServiceReport base = SchedulerService(ChaosConfig()).Run();
+  const ServiceReport base = RunChecked(ChaosConfig());
   EXPECT_EQ(base.ToJson().find("\"faults\""), std::string::npos);
   EXPECT_EQ(base.JobTraceJson().find("\"retries\""), std::string::npos);
 }
@@ -273,7 +274,7 @@ TEST(ServiceFaults, FaultFreeReportOmitsTheFaultBlock) {
 TEST(ServiceFaults, FabricCrashEvictsRetriesAndReplaysBitIdentically) {
   ServiceConfig config = ChaosConfig();
   config.faults = fault::FaultSpec::Parse("crash:fabric=0:at=0.2");
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   EXPECT_EQ(report.counters.fabric_crashes, 1u);
   EXPECT_GT(report.counters.retries, 0u);
   EXPECT_GT(report.counters.replacements, 0u);
@@ -292,7 +293,7 @@ TEST(ServiceFaults, FabricCrashEvictsRetriesAndReplaysBitIdentically) {
   EXPECT_TRUE(any_retried);
   EXPECT_NE(report.ToJson().find("\"faults\""), std::string::npos);
   // Same config + same seed => byte-identical chaos replay.
-  const ServiceReport replay = SchedulerService(config).Run();
+  const ServiceReport replay = RunChecked(config);
   EXPECT_EQ(replay.ToJson(), report.ToJson());
   EXPECT_EQ(replay.JobTraceJson(), report.JobTraceJson());
 }
@@ -300,10 +301,10 @@ TEST(ServiceFaults, FabricCrashEvictsRetriesAndReplaysBitIdentically) {
 // A straggler on one fabric slows only the jobs placed there.
 TEST(ServiceFaults, StragglerSlowsOnlyTheStruckFabric) {
   ServiceConfig config = ChaosConfig();
-  const ServiceReport base = SchedulerService(config).Run();
+  const ServiceReport base = RunChecked(config);
   config.faults =
       fault::FaultSpec::Parse("straggler:worker=0:factor=8:at=0:fabric=0");
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   ASSERT_EQ(report.jobs.size(), base.jobs.size());
   bool any_slower = false;
   for (std::size_t i = 0; i < base.jobs.size(); ++i) {

@@ -9,6 +9,7 @@
 
 #include "harness/session.h"
 #include "sched/placement.h"
+#include "service_invariants.h"
 
 namespace tictac::sched {
 namespace {
@@ -60,8 +61,7 @@ TEST_P(SingleJobTrace, BitIdenticalToSession) {
   harness::Session session;
   const runtime::ExperimentResult reference = session.Run(job);
 
-  SchedulerService service(TraceConfig(path));
-  const ServiceReport report = service.Run();
+  const ServiceReport report = RunChecked(TraceConfig(path));
   ASSERT_EQ(report.jobs.size(), 1u);
   const JobRecord& record = report.jobs[0];
   ASSERT_EQ(record.iteration_times.size(),
@@ -96,12 +96,12 @@ TEST(SchedulerService, SameConfigSameSeedBitIdenticalJson) {
   config.fabrics = 2;
   config.duration = 1.0;
   config.seed = 11;
-  const ServiceReport a = SchedulerService(config).Run();
-  const ServiceReport b = SchedulerService(config).Run();
+  const ServiceReport a = RunChecked(config);
+  const ServiceReport b = RunChecked(config);
   EXPECT_EQ(a.ToJson(), b.ToJson());
   EXPECT_EQ(a.JobTraceJson(), b.JobTraceJson());
   config.seed = 12;
-  EXPECT_NE(SchedulerService(config).Run().ToJson(), a.ToJson());
+  EXPECT_NE(RunChecked(config).ToJson(), a.ToJson());
 }
 
 TEST(SchedulerService, CoLocationSlowsJobsDown) {
@@ -112,7 +112,7 @@ TEST(SchedulerService, CoLocationSlowsJobsDown) {
       "tictac_burst.csv",
       {{0.0, spec}, {0.0, spec}, {0.0, spec}, {0.0, spec}});
   const ServiceReport report =
-      SchedulerService(TraceConfig(path)).Run();
+      RunChecked(TraceConfig(path));
   ASSERT_EQ(report.jobs.size(), 4u);
   EXPECT_EQ(report.counters.completed, 4u);
   for (const JobRecord& record : report.jobs) {
@@ -134,8 +134,8 @@ TEST(SchedulerService, TwoFabricsIsolateTheLoad) {
   ServiceConfig one = TraceConfig(WriteTrace("tictac_one.csv", rows));
   ServiceConfig two = TraceConfig(WriteTrace("tictac_two.csv", rows));
   two.fabrics = 2;
-  const ServiceReport crowded = SchedulerService(one).Run();
-  const ServiceReport spread = SchedulerService(two).Run();
+  const ServiceReport crowded = RunChecked(one);
+  const ServiceReport spread = RunChecked(two);
   EXPECT_LT(spread.mean_slowdown, crowded.mean_slowdown);
   // least-loaded alternates over the empty fabrics: 2 jobs on each.
   EXPECT_EQ(spread.jobs[0].fabric, 0);
@@ -153,7 +153,7 @@ TEST(SchedulerService, QueueingAndRejectionAccounting) {
       {{0.0, spec}, {0.0, spec}, {0.0, spec}, {0.0, spec}}));
   config.max_jobs_per_fabric = 1;
   config.admission_queue_capacity = 1;
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   EXPECT_EQ(report.counters.arrivals, 4u);
   EXPECT_EQ(report.counters.admitted, 2u);
   EXPECT_EQ(report.counters.queued, 1u);
@@ -186,7 +186,7 @@ TEST(SchedulerService, PropertyIndexBuildsStayBoundedAsArrivalsGrow) {
   config.duration = 1.0;
   config.max_jobs_per_fabric = 4;
   config.seed = 5;
-  const ServiceReport report = SchedulerService(config).Run();
+  const ServiceReport report = RunChecked(config);
   EXPECT_GT(report.counters.arrivals, 15u);
   // One identical template with <= 4 co-residents: the only bandwidth
   // scales are 1, 1/2, 1/3, 1/4 (scale 1 doubles as the isolated
@@ -204,7 +204,7 @@ TEST(SchedulerService, JsonShapeIsPinned) {
   const std::string path = WriteTrace("tictac_shape.csv",
                                       {{0.0, Job(2, 2).ToString()}});
   const ServiceReport report =
-      SchedulerService(TraceConfig(path)).Run();
+      RunChecked(TraceConfig(path));
   const std::string json = report.ToJson();
   for (const char* key :
        {"\"arrivals\": ", "\"placement\": \"least-loaded\"",
@@ -233,8 +233,9 @@ TEST(SchedulerService, RunServiceDelegates) {
   harness::Session session;
   const ServiceReport via_session =
       session.RunService(TraceConfig(path));
+  ExpectServiceInvariants(via_session);
   const ServiceReport direct =
-      SchedulerService(TraceConfig(path)).Run();
+      RunChecked(TraceConfig(path));
   EXPECT_EQ(via_session.ToJson(), direct.ToJson());
 }
 

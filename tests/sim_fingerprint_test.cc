@@ -23,6 +23,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,6 +41,8 @@
 #include "sim/engine.h"
 #include "sim/flow.h"
 #include "util/rng.h"
+
+#include "service_invariants.h"
 
 namespace tictac {
 namespace {
@@ -154,6 +157,16 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
       {"report/serve-smoke", 0x42ce9696804cbf39ull},
       {"report/chaos-smoke", 0xf7d0463b8122234aull},
+      {"report/serve-smoke-jobs", 0xc9f8032a8e9e9be9ull},
+      {"report/chaos-smoke-jobs", 0xc8366cb4a2451595ull},
+      {"report/serve-worker-crash", 0x37283cd3d04d6a86ull},
+      {"report/serve-worker-crash-air", 0xb7242dd11231a000ull},
+      {"report/serve-overlapping-windows", 0xb65b04b2d1f8d9c6ull},
+      {"report/serve-retry-exhausted", 0xe73acdee3e0fea32ull},
+      {"report/serve-all-fabrics-down", 0xd35bd7188958d324ull},
+      {"report/serve-queue-reject", 0x986ae198170ea516ull},
+      {"report/serve-bursty", 0x480118d0a0278b30ull},
+      {"report/serve-crash-arrival-tie", 0xac9b637450f0fdd9ull},
       {"report/clustersweep/flow-off", 0xcd893ab0c80cb714ull},
       {"report/clustersweep/flow-on", 0x529096e4295a226bull},
       {"report/clustersweep/vgg16-128-flow", 0x89e2aaad929caf16ull},
@@ -508,8 +521,9 @@ sched::ServiceConfig ServeSmokeConfig() {
 }
 
 TEST(ReportFingerprint, ServeSmoke) {
-  ExpectGolden("report/serve-smoke",
-               sched::SchedulerService(ServeSmokeConfig()).Run().ToJson());
+  const sched::ServiceReport report = sched::RunChecked(ServeSmokeConfig());
+  ExpectGolden("report/serve-smoke", report.ToJson());
+  ExpectGolden("report/serve-smoke-jobs", report.JobTraceJson());
 }
 
 // The CI chaos smoke: the serve smoke plus a fabric crash and a flapping
@@ -519,8 +533,130 @@ TEST(ReportFingerprint, ChaosSmoke) {
   config.placement = "failure-aware";
   config.faults = fault::FaultSpec::Parse(
       "crash:fabric=0:at=0.4;flap:nic=0:period=0.1:at=0:for=0.8:fabric=1");
-  ExpectGolden("report/chaos-smoke",
-               sched::SchedulerService(config).Run().ToJson());
+  const sched::ServiceReport report = sched::RunChecked(config);
+  ExpectGolden("report/chaos-smoke", report.ToJson());
+  ExpectGolden("report/chaos-smoke-jobs", report.JobTraceJson());
+}
+
+// A small two-fabric service for the loop-branch cells below: AlexNet v2
+// jobs of three iterations arriving at 20/s for half a second.
+sched::ServiceConfig SmallServeConfig() {
+  sched::ServiceConfig config;
+  config.arrivals = sched::ArrivalSpec::Parse("poisson:rate=20");
+  config.workload.push_back(runtime::ExperimentSpec::Parse(
+      "envG:workers=2:ps=2:training model=AlexNet v2 policy=tac "
+      "iterations=3"));
+  config.fabrics = 2;
+  config.duration = 0.5;
+  config.seed = 3;
+  return config;
+}
+
+// Runs `config` and pins its summary and per-job records as one cell.
+sched::ServiceReport ExpectServeGolden(const std::string& cell,
+                                       const sched::ServiceConfig& config) {
+  const sched::ServiceReport report = sched::RunChecked(config);
+  ExpectGolden(cell, report.ToJson() + report.JobTraceJson());
+  return report;
+}
+
+// Each cell below drives one branch of the service loop that the smokes
+// above miss; the counter checks say which.
+TEST(ReportFingerprint, ServeWorkerCrashEvicts) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.faults = fault::FaultSpec::Parse("crash:worker=1:at=0.1");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-worker-crash", config);
+  EXPECT_EQ(report.counters.worker_crashes, 1u);
+  EXPECT_EQ(report.counters.retries, 1u);
+}
+
+TEST(ReportFingerprint, ServeWorkerCrashStrikesAir) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.faults = fault::FaultSpec::Parse("crash:worker=63:at=0.1");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-worker-crash-air", config);
+  EXPECT_EQ(report.counters.worker_crashes, 1u);
+  EXPECT_EQ(report.counters.retries, 0u);
+}
+
+// Stragglers and a slowlink overlapping a flap on the same NIC: the
+// speed of a target is the product of its active windows. A window on a
+// NIC past ps= strikes air.
+TEST(ReportFingerprint, ServeOverlappingWindows) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.faults = fault::FaultSpec::Parse(
+      "straggler:worker=0:factor=2:at=0:for=0.3;"
+      "straggler:worker=0:factor=3:at=0.1;"
+      "slowlink:nic=1:scale=0.5:at=0.05:for=0.4;"
+      "flap:nic=1:period=0.1:at=0.1:for=0.3;"
+      "slowlink:nic=7:scale=0.5:at=0;"
+      "straggler:worker=1:factor=4:at=0.05:for=0.2:fabric=1");
+  ExpectServeGolden("report/serve-overlapping-windows", config);
+}
+
+TEST(ReportFingerprint, ServeRetryBudgetExhausted) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.retry_budget = 0;
+  config.faults = fault::FaultSpec::Parse("crash:fabric=0:at=0.1");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-retry-exhausted", config);
+  EXPECT_EQ(report.counters.retries, 0u);
+  EXPECT_GT(report.counters.failed_jobs, 0u);
+}
+
+// Every fabric dies: evicted jobs find no live fabric, and queued ones
+// strand in the admission queue; both count as failed.
+TEST(ReportFingerprint, ServeAllFabricsDown) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.max_jobs_per_fabric = 1;
+  config.faults =
+      fault::FaultSpec::Parse("crash:fabric=0:at=0.1;crash:fabric=1:at=0.2");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-all-fabrics-down", config);
+  EXPECT_EQ(report.counters.fabric_crashes, 2u);
+  EXPECT_GT(report.counters.failed_jobs, report.counters.lost_iterations);
+}
+
+TEST(ReportFingerprint, ServeQueueCapacityZeroRejects) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.max_jobs_per_fabric = 1;
+  config.admission_queue_capacity = 0;
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-queue-reject", config);
+  EXPECT_GT(report.counters.rejected, 0u);
+  EXPECT_EQ(report.counters.queued, 0u);
+}
+
+// A crash and an arrival at the same instant: the crash goes first, so
+// the arrival never lands on the dying fabric.
+TEST(ReportFingerprint, ServeCrashBeforeArrivalAtATie) {
+  const std::string spec =
+      "envG:workers=2:ps=2:training model=AlexNet v2 policy=tac "
+      "iterations=3";
+  const std::string path = ::testing::TempDir() + "/tictac_tie.csv";
+  std::ofstream(path) << "0," << spec << "\n0," << spec << "\n0.05,"
+                      << spec << "\n";
+  sched::ServiceConfig config;
+  config.arrivals = sched::ArrivalSpec::Parse("trace:" + path);
+  config.fabrics = 2;
+  config.faults = fault::FaultSpec::Parse("crash:fabric=0:at=0.05");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-crash-arrival-tie", config);
+  ASSERT_EQ(report.jobs.size(), 3u);
+  EXPECT_EQ(report.jobs[0].retries, 1);
+  EXPECT_EQ(report.jobs[2].retries, 0);
+  EXPECT_EQ(report.jobs[2].admit_time, 0.05);
+}
+
+// Bursts of same-instant arrivals are admitted as one batch.
+TEST(ReportFingerprint, ServeBurstyBatch) {
+  sched::ServiceConfig config = SmallServeConfig();
+  config.arrivals = sched::ArrivalSpec::Parse("bursty:rate=6:burst=3");
+  const sched::ServiceReport report =
+      ExpectServeGolden("report/serve-bursty", config);
+  ASSERT_GE(report.jobs.size(), 3u);
+  EXPECT_EQ(report.jobs[0].arrival_time, report.jobs[2].arrival_time);
 }
 
 // Two models over two fabrics, with and without flow-level fairness; the
