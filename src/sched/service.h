@@ -1,21 +1,19 @@
-// Cluster-scheduler service (DESIGN.md §7): the open-system front end
+// Cluster-scheduler service (DESIGN.md §7–§8): the open-system front end
 // over the multi-job shared-cluster simulator.
 //
 // The service runs a long-lived discrete-event loop at job-iteration
-// granularity over K shared PS fabrics:
-//
-//   arrival process (sched/arrival.h)
-//     -> admission (bounded FIFO queue, queueing-delay accounting)
-//       -> placement (sched/placement.h: which fabric)
-//         -> incremental re-lowering (ONLY the affected fabric is
-//            re-lowered on an arrival or drain, by
-//            runtime::BuildSharedFabric; schedules and PropertyIndex
-//            dependency analyses come from the service's
-//            runtime::RunnerCache, so they are built once per distinct
-//            (model, cluster, fabric size), never per event)
-//           -> SLO metrics over time (p50/p99 per-job slowdown vs the
-//              cached isolated baseline, windowed Jain fairness,
-//              utilization, queueing delay)
+// granularity over K shared PS fabrics. service.cc's ServiceLoop has one
+// method per step: Admit (an arrival burst: place, queue in the bounded
+// FIFO, or reject), Place (sched/placement.h), Relower (ONLY the
+// affected fabric, by runtime::BuildSharedFabric; schedules and
+// PropertyIndex analyses come from the service's runtime::RunnerCache,
+// built once per distinct (model, cluster, fabric size), never per
+// event), SimulateIteration, Complete, Drain, and for faults Crash, Evict
+// and Recover. The fault spec compiles once per run into a speed step
+// function per (fabric, target). Run() then summarizes the records into
+// the SLO report (p50/p99 slowdown vs the cached isolated baseline,
+// windowed Jain fairness, utilization, queueing delay) by a pure
+// function.
 //
 // Modeling choices (documented, deterministic):
 //   * Re-scheduling happens at iteration boundaries: a job's in-flight
@@ -208,8 +206,6 @@ class SchedulerService {
   explicit SchedulerService(ServiceConfig config);
 
   ServiceReport Run();
-
-  const ServiceConfig& config() const { return config_; }
 
  private:
   double IsolatedIterationTime(const runtime::ExperimentSpec& spec);

@@ -351,6 +351,10 @@ TEST(CliSmoke, HostileSizesNameTheirKnob) {
       // ~1.1e9 ops before any lowering budget was checked.
       {"serve --arrivals poisson:rate=1e308 --duration 1",
        "lower rate= or --duration"},
+      // A horizon of 1e308 s used to let jobs iterate until memory ran
+      // out; the arrival cap now rejects it before the loop starts.
+      {"serve --arrivals poisson:rate=40 --duration 1e308 --max-jobs 3",
+       "over --duration 1e+308 gives ~inf; lower rate= or --duration"},
       {"run --spec \"envG:workers=2:ps=1:training:chunk=1 model=VGG-16\"",
        "lowering: chunk=1 splits VGG-16's worker graph"},
   };
