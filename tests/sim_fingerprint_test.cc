@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -154,6 +155,10 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/inference-3job-pods1", 0xe193b547b2f4ebbaull},
       {"flow/run-parallel-2fabric", 0xb47e889a55c3177bull},
       {"flow/near-tied-links", 0xa918ecebe798ff83ull},
+      {"flow/capacity-ladder", 0xd610fe974f1ee12dull},
+      {"flow/freeze-rounds-onto-bound", 0xc6e04eecffafc2d3ull},
+      {"flow/uplink-downlink-apart/seed2", 0xd194e27b13563f98ull},
+      {"flow/uplink-downlink-apart/seed9", 0x6ae890b267e0dc28ull},
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
       {"report/serve-smoke", 0x42ce9696804cbf39ull},
       {"report/chaos-smoke", 0xf7d0463b8122234aull},
@@ -456,6 +461,138 @@ TEST(SimFingerprint, FlowNearTiedLinks) {
                ",";
   }
   ExpectGolden("flow/near-tied-links", Fingerprint(digests));
+}
+
+// Hand-built networks whose link levels sit a power of two apart: link
+// k carries capacity C·2^j·n_k/N for its n_k flows, so its ratio ties
+// C·2^j/N up to the last bit, and ratios one step up the ladder land on
+// twice a lower level, rounding either way. Flows cross one to three
+// links and start and finish at staggered times behind predecessor
+// chains, so one solve climbs several factors of two, and a freeze can
+// bring a link from just above twice a level down to it.
+TEST(SimFingerprint, FlowCapacityLadder) {
+  std::string digests;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    util::Rng rng(seed);
+    const int flows = 6 + static_cast<int>(rng.Index(26));
+    const std::size_t links = 2 + rng.Index(7);
+    const double base = rng.Uniform(1.0, 100.0);
+    std::vector<std::vector<int>> route(static_cast<std::size_t>(flows));
+    std::vector<int> members(links, 0);
+    for (std::vector<int>& r : route) {
+      const std::size_t hops = 1 + rng.Index(3);
+      for (std::size_t h = 0; h < hops; ++h) {
+        r.push_back(static_cast<int>(rng.Index(links)));
+      }
+      std::sort(r.begin(), r.end());
+      r.erase(std::unique(r.begin(), r.end()), r.end());
+      for (const int l : r) ++members[static_cast<std::size_t>(l)];
+    }
+    sim::FlowNetwork net;
+    for (const int n : members) {
+      const double step = static_cast<double>(1 << rng.Index(5));
+      net.links.push_back({base * step * std::max(n, 1) / flows});
+    }
+    std::vector<sim::Task> tasks(static_cast<std::size_t>(flows));
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      net.resource_links.push_back(route[k]);
+      net.resource_nominal_bps.push_back(1.0 + static_cast<double>(rng.Index(2)));
+      tasks[k].resource = static_cast<int>(k);
+      tasks[k].duration = 1.0 + static_cast<double>(rng.Index(4));
+      if (k >= 2 && rng.Chance(0.4)) {
+        tasks[k].preds = {static_cast<sim::TaskId>(rng.Index(k))};
+      }
+    }
+    sim::SimOptions options;
+    options.flow_fairness = true;
+    options.network = &net;
+    digests += std::to_string(Fingerprint(
+                   sim::TaskGraphSim(std::move(tasks), flows).Run(options, 1))) +
+               ",";
+  }
+  ExpectGolden("flow/capacity-ladder", Fingerprint(digests));
+}
+
+// A freeze that rounds a link's ratio down onto twice an earlier level.
+// Link A (one flow, capacity B/2) is the first level; link S (flow f1,
+// capacity L just below B) the second; link V (flow fv, capacity B) sits
+// at B; link T carries f1, fv and m - 2 more flows, with capacity R just
+// above m·B, so its ratio starts one ulp or so above B. Parameters are
+// searched so that freezing f1 at L rounds T's ratio to exactly B: T and
+// V then tie the next level, and a search that missed T would freeze fv
+// at V's share instead of at T's.
+TEST(SimFingerprint, FlowFreezeRoundsOntoTwiceTheLevel) {
+  std::string digests;
+  util::Rng rng(17);
+  int cases = 0;
+  for (int attempt = 0; attempt < 200000 && cases < 24; ++attempt) {
+    const double B = 2 * rng.Uniform(0.5, 50.0);
+    const int m = 3 + static_cast<int>(rng.Index(298));
+    double R = m * B;
+    for (std::size_t k = rng.Index(10); k > 0; --k) {
+      R = std::nextafter(R, 1e300);
+    }
+    double L = B;
+    for (std::size_t j = 1 + rng.Index(static_cast<std::size_t>(3 * m)); j > 0;
+         --j) {
+      L = std::nextafter(L, 0.0);
+    }
+    if (!(R / m > B) || (R - L) / (m - 1) != B) continue;
+    ++cases;
+    sim::FlowNetwork net;
+    net.links = {{B / 2}, {L}, {B}, {R}};  // A, S, V, T
+    std::vector<sim::Task> tasks(static_cast<std::size_t>(m + 1));
+    net.resource_links.push_back({0});     // f0
+    net.resource_links.push_back({1, 3});  // f1
+    for (int g = 2; g < m; ++g) net.resource_links.push_back({3});
+    net.resource_links.push_back({2, 3});  // fv
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      net.resource_nominal_bps.push_back(1.0);
+      tasks[k].resource = static_cast<int>(k);
+      tasks[k].duration = 1.0 + static_cast<double>(k % 3);
+    }
+    sim::SimOptions options;
+    options.flow_fairness = true;
+    options.network = &net;
+    digests += std::to_string(Fingerprint(
+                   sim::TaskGraphSim(std::move(tasks), m + 1).Run(options, 1))) +
+               ",";
+  }
+  ASSERT_EQ(cases, 24);
+  ExpectGolden("flow/freeze-rounds-onto-bound", Fingerprint(digests));
+}
+
+// A training fabric whose uplink-only links (worker egress, PS ingress)
+// carry five times the line rate: pushes and pulls run together, and
+// their bottleneck levels sit more than a factor of two apart.
+TEST(SimFingerprint, FlowUplinkDownlinkLevelsApart) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
+                 {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tic",
+                  "model=Inception v2 policy=baseline"});
+  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  sim::FlowNetwork net = *runner.fabric().options.network;
+  // Channels run downlinks first, then uplinks (runtime/lowering.h).
+  std::vector<std::size_t> channels;
+  for (std::size_t r = 0; r < net.resource_links.size(); ++r) {
+    if (!net.resource_links[r].empty()) channels.push_back(r);
+  }
+  std::vector<char> downlink_link(net.links.size(), 0);
+  for (std::size_t c = 0; c < channels.size() / 2; ++c) {
+    for (const int l : net.resource_links[channels[c]]) {
+      downlink_link[static_cast<std::size_t>(l)] = 1;
+    }
+  }
+  for (std::size_t l = 0; l < net.links.size(); ++l) {
+    if (!downlink_link[l]) net.links[l].capacity_bps *= 5.0;
+  }
+  sim::SimOptions options = Randomized(runner.fabric().options);
+  options.network = &net;
+  const sim::TaskGraphSim sim = low.BuildSim();
+  for (const std::uint64_t seed : {2ull, 9ull}) {
+    ExpectGolden("flow/uplink-downlink-apart/seed" + std::to_string(seed),
+                 sim.Run(options, seed));
+  }
 }
 
 // Two flow fabrics side by side: the sharded engine runs two flow
