@@ -47,7 +47,10 @@ double JainFairness(const std::vector<double>& shares) {
     sum_sq += shares[i] * shares[i];
   }
   if (sum_sq == 0.0) return 1.0;  // empty or all-zero: nothing to divide
-  return sum * sum / (static_cast<double>(shares.size()) * sum_sq);
+  // At most 1 in exact arithmetic; the rounded quotient can land one ulp
+  // above it on near-equal shares (five shares of 0.7 do).
+  return std::min(
+      1.0, sum * sum / (static_cast<double>(shares.size()) * sum_sq));
 }
 
 InterferenceStats ComputeInterference(const std::vector<double>& shared,

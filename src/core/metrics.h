@@ -37,9 +37,10 @@ double Speedup(const MakespanBounds& bounds);
 
 // Jain's fairness index over per-job resource shares:
 //   J = (Σ x)² / (n · Σ x²)
-// 1 = perfectly fair, 1/n = one job takes everything. Shares must be
-// >= 0 (throws std::invalid_argument otherwise); an empty or all-zero
-// sample carries no contention information and returns 1.
+// 1 = perfectly fair, 1/n = one job takes everything; never above 1,
+// even where the rounded quotient would be. Shares must be >= 0 (throws
+// std::invalid_argument otherwise); an empty or all-zero sample carries
+// no contention information and returns 1.
 double JainFairness(const std::vector<double>& shares);
 
 // Per-job slowdown of a shared-cluster run against the same jobs run in

@@ -201,15 +201,23 @@ FaultTimeline CompileFaults(const fault::FaultSpec& spec, int fabrics) {
 // speed at `now` and at every later step, skipping repeats of the last
 // speed (which starts at 1). The engine samples speed at task start
 // (sim/task.h). Targets past the fabric's current lowering strike air,
-// exactly what a dead worker slot or an unequipped PS does.
+// exactly what a dead worker slot or an unequipped PS does. Each
+// target's block is already in time order, so merging it into the
+// sorted prefix (a stable merge) orders the whole list as a stable sort
+// by time would.
 void EmitIterationFaults(const std::vector<TargetTimeline>& targets,
                          double now, int total_workers, int servers,
                          std::vector<sim::ResourceFault>& out) {
+  const auto by_time = [](const sim::ResourceFault& a,
+                          const sim::ResourceFault& b) {
+    return a.time < b.time;
+  };
   out.clear();
   for (const TargetTimeline& target : targets) {
     if (target.index >= (target.on_worker ? total_workers : servers)) {
       continue;
     }
+    const std::size_t block = out.size();
     double last_speed = 1.0;
     const auto emit = [&](double at, double speed) {
       if (speed == last_speed) return;
@@ -232,12 +240,10 @@ void EmitIterationFaults(const std::vector<TargetTimeline>& targets,
                                  std::pair{now, kInf});
     emit(now, step == target.steps.begin() ? 1.0 : std::prev(step)->second);
     for (; step != target.steps.end(); ++step) emit(step->first, step->second);
+    std::inplace_merge(out.begin(),
+                       out.begin() + static_cast<std::ptrdiff_t>(block),
+                       out.end(), by_time);
   }
-  std::stable_sort(
-      out.begin(), out.end(),
-      [](const sim::ResourceFault& a, const sim::ResourceFault& b) {
-        return a.time < b.time;
-      });
 }
 
 // ---- the event loop (DESIGN.md §7) -----------------------------------------

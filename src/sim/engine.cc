@@ -279,27 +279,23 @@ struct ReadySets {
 // one completion projection, refreshed exactly when a solve changes its
 // rate, and the solve records the first of them: the event loop orders
 // that one against its queue by the queue's own (time, task) rule, so
-// flows are never queued.
+// flows are never queued. Flow state lives in slots: a flow's position
+// in the active list, swap-removed when it finishes.
 class FlowSolver {
  public:
   FlowSolver(const std::vector<int>& resource, const FlowNetwork& net)
       : resource_(resource),
         net_(net),
-        remaining_(resource.size(), 0.0),
-        rate_(resource.size(), 0.0),
-        last_(resource.size(), 0.0),
-        alloc_(resource.size(), 0.0),
-        proj_(resource.size(), 0.0),
-        active_pos_(resource.size(), 0),
-        pos_frozen_(resource.size(), 0),
-        pos_links_(resource.size()),
         link_begin_(net.links.size(), 0),
         link_end_(net.links.size(), 0),
         link_head_(net.links.size(), 0),
+        link_count_(net.links.size(), 0),
+        link_listed_(net.links.size(), 0),
         link_members_(net.links.size(), 0),
         link_residual_(net.links.size(), 0.0),
         link_ratio_(net.links.size(), 0.0),
         link_on_(net.links.size(), 0),
+        link_in_band_(net.links.size(), 0),
         link_gen_(net.links.size(), 0) {}
 
   // True when tasks on resource r share links (and so progress at the
@@ -313,21 +309,27 @@ class FlowSolver {
   // (static-split) rate. Joining reshapes every rate, so this re-solves
   // at once; t's first projection comes from its 0 -> fair-share change.
   void Start(TaskId t, double demand, double now) {
-    const auto ti = static_cast<std::size_t>(t);
-    remaining_[ti] = demand;
-    rate_[ti] = 0.0;
-    last_[ti] = now;
-    active_pos_[ti] = active_.size();
-    active_.push_back(t);
+    const auto r =
+        static_cast<std::size_t>(resource_[static_cast<std::size_t>(t)]);
+    flows_.push_back({t, demand, 0.0, 0.0, 0.0, net_.resource_nominal_bps[r],
+                      net_.resource_links[r]});
+    for (int l : net_.resource_links[r]) {
+      const auto li = static_cast<std::size_t>(l);
+      if (link_count_[li]++ == 0 && !link_listed_[li]) {
+        link_listed_[li] = 1;
+        touched_.push_back(l);
+      }
+    }
     Solve(now);
   }
 
   // next() completed at `now`: its bandwidth goes to the other flows.
   void FinishNext(double now) {
-    const std::size_t i = active_pos_[static_cast<std::size_t>(next_)];
-    active_[i] = active_.back();
-    active_pos_[static_cast<std::size_t>(active_[i])] = i;
-    active_.pop_back();
+    for (int l : flows_[next_slot_].links) {
+      --link_count_[static_cast<std::size_t>(l)];
+    }
+    flows_[next_slot_] = flows_.back();
+    flows_.pop_back();
     Solve(now);
   }
 
@@ -337,6 +339,17 @@ class FlowSolver {
   double next_at() const { return next_at_; }
 
  private:
+  // One in-flight flow, at its slot in flows_.
+  struct Flow {
+    TaskId task;
+    double remaining;  // nominal seconds of demand left
+    double rate;       // progress per second of sim time
+    double alloc;      // bytes/s from the last water-fill
+    double proj;       // projected completion time
+    double nominal;    // the resource's static per-channel bytes/s
+    std::span<const int> links;
+  };
+
   // A link's cursor: its next unfrozen member, at member_pos_[idx] == pos.
   struct Cursor {
     int pos;
@@ -349,7 +362,17 @@ class FlowSolver {
   };
 
   void Solve(double now);
+  double FindLevel();
+  double RefillBand();
   void Freeze(int p, double level);
+
+  // Link l's ratio is at most the band's bound: it joins the band unless
+  // it is already in.
+  void Enter(int l) {
+    if (link_in_band_[static_cast<std::size_t>(l)]) return;
+    link_in_band_[static_cast<std::size_t>(l)] = 1;
+    band_.push_back(l);
+  }
 
   // Queues link l's cursor at its first unfrozen member at or after
   // index i, if any.
@@ -373,29 +396,34 @@ class FlowSolver {
 
   const std::vector<int>& resource_;  // per task
   const FlowNetwork& net_;
-  std::vector<double> remaining_;  // nominal seconds of demand left
-  std::vector<double> rate_;       // progress per second of sim time
-  std::vector<double> last_;       // last time `remaining_` was advanced
-  std::vector<double> alloc_;      // bytes/s from the last water-fill
-  std::vector<double> proj_;       // projected completion time
-  std::vector<std::size_t> active_pos_;  // task -> index in active_
-  std::vector<TaskId> active_;           // in-flight flows
+  std::vector<Flow> flows_;  // in-flight flows, by slot
+  double last_ = 0.0;        // when every flow's `remaining` was advanced
   TaskId next_ = -1;
+  std::size_t next_slot_ = 0;
   double next_at_ = std::numeric_limits<double>::infinity();
 
-  // Water-fill scratch. Positions index active_; each touched link's
+  // Water-fill scratch. Positions are slots; each touched link's
   // members are a CSR segment [link_begin_, link_end_) of member_pos_ in
   // ascending position, with link_head_ past its frozen prefix.
   std::vector<char> pos_frozen_;
-  std::vector<std::span<const int>> pos_links_;  // the flow's links
   std::vector<int> member_pos_;
   std::vector<std::size_t> link_begin_, link_end_, link_head_;
+  // Active flows per link, kept at Start and FinishNext; touched_ lists
+  // every link with a flow, plus ones emptied since the last solve.
+  std::vector<int> link_count_;
+  std::vector<char> link_listed_;      // in touched_
   std::vector<int> link_members_;      // unfrozen members
   std::vector<double> link_residual_;  // capacity not yet handed out
   std::vector<double> link_ratio_;     // residual / members, as last changed
   std::vector<char> link_on_;          // ratio == level this round
+  std::vector<char> link_in_band_;     // listed in band_
   std::vector<unsigned> link_gen_;     // invalidates a dropped cursor
   std::vector<int> touched_, live_, on_;
+  // The near band: every live link whose ratio is at most band_bound_
+  // (twice the level found at the last refill), plus members that have
+  // since died or risen past it, dropped when a round next scans them.
+  std::vector<int> band_;
+  double band_bound_ = 0.0;
   std::vector<Cursor> cursors_;  // min-heap on (pos, link)
 };
 
@@ -410,63 +438,51 @@ class FlowSolver {
 // when a freeze changes it, and a link at the level walks a cursor over
 // its members in active order — started past the current position when
 // a freeze brings the link to the level, dropped when a freeze moves it
-// off. That is the same flows, in the same order, against the same state
-// as a full scan, so every share is the same bits. Flows whose rate
-// changed get a fresh completion projection; unchanged flows keep
-// theirs. All iteration is in deterministic (active-list / link-id)
+// off. The level itself comes from the near band (FindLevel), not a scan
+// of every link. That is the same flows, in the same order, against the
+// same state as a full scan, so every share is the same bits. Flows
+// whose rate changed get a fresh completion projection; unchanged flows
+// keep theirs. All iteration is in deterministic (active-list / link-id)
 // order and uses exact float comparisons, so results are reproducible
 // across runs and shards.
 void FlowSolver::Solve(double now) {
-  touched_.clear();
-  for (std::size_t p = 0; p < active_.size(); ++p) {
-    const auto fi = static_cast<std::size_t>(active_[p]);
-    remaining_[fi] -= (now - last_[fi]) * rate_[fi];
-    if (remaining_[fi] < 0.0) remaining_[fi] = 0.0;
-    last_[fi] = now;
-    pos_frozen_[p] = 0;
-    pos_links_[p] =
-        net_.resource_links[static_cast<std::size_t>(resource_[fi])];
-    for (int l : pos_links_[p]) {
-      const auto li = static_cast<std::size_t>(l);
-      if (link_members_[li]++ == 0) {
-        touched_.push_back(l);
-        link_residual_[li] = net_.links[li].capacity_bps;
-      }
-    }
+  const std::size_t n = flows_.size();
+  pos_frozen_.assign(n, 0);
+  for (Flow& f : flows_) {
+    // Every solve advances every flow, so all were last advanced at
+    // last_; a flow started since has rate 0 and does not move.
+    f.remaining -= (now - last_) * f.rate;
+    if (f.remaining < 0.0) f.remaining = 0.0;
   }
+  last_ = now;
   std::size_t members = 0;
+  std::size_t listed = 0;
   for (int l : touched_) {
     const auto li = static_cast<std::size_t>(l);
+    if (link_count_[li] == 0) {
+      link_listed_[li] = 0;
+      continue;
+    }
+    touched_[listed++] = l;
+    link_members_[li] = link_count_[li];
+    link_residual_[li] = net_.links[li].capacity_bps;
     link_begin_[li] = link_end_[li] = link_head_[li] = members;
     members += static_cast<std::size_t>(link_members_[li]);
     link_ratio_[li] = link_residual_[li] / link_members_[li];
   }
+  touched_.resize(listed);
   member_pos_.resize(members);
-  for (std::size_t p = 0; p < active_.size(); ++p) {
-    for (int l : pos_links_[p]) {
+  for (std::size_t p = 0; p < n; ++p) {
+    for (int l : flows_[p].links) {
       member_pos_[link_end_[static_cast<std::size_t>(l)]++] =
           static_cast<int>(p);
     }
   }
   live_ = touched_;
 
-  std::size_t unfrozen = active_.size();
+  std::size_t unfrozen = n;
   while (unfrozen > 0) {
-    double level = std::numeric_limits<double>::infinity();
-    std::size_t live = 0;
-    on_.clear();
-    for (int l : live_) {
-      const auto li = static_cast<std::size_t>(l);
-      if (link_members_[li] == 0) continue;
-      live_[live++] = l;
-      // Exact comparisons: the argmin links match `level` bit for bit.
-      if (link_ratio_[li] < level) {
-        level = link_ratio_[li];
-        on_.clear();
-      }
-      if (link_ratio_[li] == level) on_.push_back(l);
-    }
-    live_.resize(live);
+    const double level = FindLevel();
     for (int l : on_) {
       const auto li = static_cast<std::size_t>(l);
       while (pos_frozen_[static_cast<std::size_t>(
@@ -494,51 +510,121 @@ void FlowSolver::Solve(double now) {
     // member to freeze); guards against float pathologies looping.
     if (!froze) break;
   }
+  for (int l : band_) link_in_band_[static_cast<std::size_t>(l)] = 0;
+  band_.clear();
 #ifndef NDEBUG
   // Every flow got a share, and no link hands out more than it has.
   for (int l : touched_) {
     const auto li = static_cast<std::size_t>(l);
     double sum = 0.0;
     for (std::size_t i = link_begin_[li]; i < link_end_[li]; ++i) {
-      const auto fi = static_cast<std::size_t>(
-          active_[static_cast<std::size_t>(member_pos_[i])]);
-      assert(alloc_[fi] > 0.0);
-      sum += alloc_[fi];
+      const double alloc =
+          flows_[static_cast<std::size_t>(member_pos_[i])].alloc;
+      assert(alloc > 0.0);
+      sum += alloc;
     }
     assert(sum <= net_.links[li].capacity_bps * (1.0 + 1e-9));
   }
 #endif
-  for (int l : touched_) link_members_[static_cast<std::size_t>(l)] = 0;
 
   next_ = -1;
   next_at_ = std::numeric_limits<double>::infinity();
-  for (TaskId f : active_) {
-    const auto fi = static_cast<std::size_t>(f);
-    const int r = resource_[fi];
-    double rate =
-        alloc_[fi] / net_.resource_nominal_bps[static_cast<std::size_t>(r)];
+  for (std::size_t p = 0; p < n; ++p) {
+    Flow& f = flows_[p];
+    double rate = f.alloc / f.nominal;
     // Validate() guarantees positive capacities and nominal rates, so a
     // non-positive share can only come from accumulated float dust on a
     // degenerate topology; keep completion times finite regardless.
     if (!(rate > 0.0)) rate = std::numeric_limits<double>::epsilon();
-    if (rate != rate_[fi]) {
-      rate_[fi] = rate;
-      proj_[fi] = now + remaining_[fi] / rate;
+    if (rate != f.rate) {
+      f.rate = rate;
+      f.proj = now + f.remaining / rate;
     }
-    if (proj_[fi] < next_at_ || (proj_[fi] == next_at_ && f < next_)) {
-      next_at_ = proj_[fi];
-      next_ = f;
+    if (f.proj < next_at_ || (f.proj == next_at_ && f.task < next_)) {
+      next_at_ = f.proj;
+      next_ = f.task;
+      next_slot_ = p;
     }
   }
+}
+
+// This round's fill level, with on_ set to the links at it. Scans only
+// the band, dropping members that died or rose past its bound; an empty
+// band is refilled from every live link. Exact: every live link whose
+// ratio is at most the bound is in the band (the refill puts it there,
+// and ratios change only in Freeze, which adds it), so a non-empty band
+// holds the minimum and every link tied with it. The order of on_ is
+// not observable: cursors pop by (position, link), which is unique.
+double FlowSolver::FindLevel() {
+  double level = std::numeric_limits<double>::infinity();
+  on_.clear();
+  std::size_t kept = 0;
+  for (int l : band_) {
+    const auto li = static_cast<std::size_t>(l);
+    if (link_members_[li] == 0 || link_ratio_[li] > band_bound_) {
+      link_in_band_[li] = 0;
+      continue;
+    }
+    band_[kept++] = l;
+    // Exact comparisons: the argmin links match `level` bit for bit.
+    if (link_ratio_[li] < level) {
+      level = link_ratio_[li];
+      on_.clear();
+    }
+    if (link_ratio_[li] == level) on_.push_back(l);
+  }
+  band_.resize(kept);
+  if (band_.empty()) level = RefillBand();
+#ifndef NDEBUG
+  // The band's level and tied set are a full scan's.
+  double full = std::numeric_limits<double>::infinity();
+  for (int l : live_) {
+    const auto li = static_cast<std::size_t>(l);
+    if (link_members_[li] > 0) full = std::min(full, link_ratio_[li]);
+  }
+  assert(full == level);
+  std::size_t tied = 0;
+  for (int l : live_) {
+    const auto li = static_cast<std::size_t>(l);
+    if (link_members_[li] > 0 && link_ratio_[li] == full) {
+      assert(link_in_band_[li]);
+      ++tied;
+    }
+  }
+  assert(tied == on_.size());
+#endif
+  return level;
+}
+
+// Drops dead links from live_, puts every live link whose ratio is at
+// most twice the minimum into the band and the links at the minimum
+// into on_, and returns the minimum.
+double FlowSolver::RefillBand() {
+  double level = std::numeric_limits<double>::infinity();
+  std::size_t live = 0;
+  for (int l : live_) {
+    const auto li = static_cast<std::size_t>(l);
+    if (link_members_[li] == 0) continue;
+    live_[live++] = l;
+    level = std::min(level, link_ratio_[li]);
+  }
+  live_.resize(live);
+  band_bound_ = 2 * level;
+  for (int l : live_) {
+    const double ratio = link_ratio_[static_cast<std::size_t>(l)];
+    if (ratio <= band_bound_) Enter(l);
+    if (ratio == level) on_.push_back(l);
+  }
+  return level;
 }
 
 // Freezes the flow at position p at `level` and moves the cursors of the
 // links whose ratio crossed the level.
 void FlowSolver::Freeze(int p, double level) {
   pos_frozen_[static_cast<std::size_t>(p)] = 1;
-  alloc_[static_cast<std::size_t>(active_[static_cast<std::size_t>(p)])] =
-      level;
-  const std::span<const int> links = pos_links_[static_cast<std::size_t>(p)];
+  Flow& f = flows_[static_cast<std::size_t>(p)];
+  f.alloc = level;
+  const std::span<const int> links = f.links;
   for (int l : links) {
     const auto li = static_cast<std::size_t>(l);
     link_residual_[li] -= level;
@@ -551,6 +637,7 @@ void FlowSolver::Freeze(int p, double level) {
     if (link_members_[li] > 0) {
       link_ratio_[li] = link_residual_[li] / link_members_[li];
       at_level = link_ratio_[li] == level;
+      if (link_ratio_[li] <= band_bound_) Enter(l);
     }
     if (at_level == (link_on_[li] != 0)) continue;
     if (at_level) {

@@ -94,6 +94,13 @@ TEST(Metrics, JainFairnessEndpoints) {
   EXPECT_THROW(JainFairness({1.0, -0.5}), std::invalid_argument);
 }
 
+// (Σx)² / (n·Σx²) rounds to 1.0000000000000002 on five shares of 0.7;
+// the index is clamped to its bound of 1.
+TEST(Metrics, JainFairnessNeverExceedsOne) {
+  EXPECT_EQ(JainFairness({0.7, 0.7, 0.7, 0.7, 0.7}), 1.0);
+  EXPECT_EQ(JainFairness({0.6, 0.6, 0.6}), 0.9999999999999998);
+}
+
 TEST(Metrics, JainFairnessIsScaleInvariant) {
   const std::vector<double> shares{0.7, 1.1, 0.9};
   std::vector<double> scaled;

@@ -169,7 +169,7 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"report/serve-overlapping-windows", 0xb65b04b2d1f8d9c6ull},
       {"report/serve-retry-exhausted", 0xe73acdee3e0fea32ull},
       {"report/serve-all-fabrics-down", 0xd35bd7188958d324ull},
-      {"report/serve-queue-reject", 0x986ae198170ea516ull},
+      {"report/serve-queue-reject", 0x2d397c555f3e57c2ull},
       {"report/serve-bursty", 0x480118d0a0278b30ull},
       {"report/serve-crash-arrival-tie", 0xac9b637450f0fdd9ull},
       {"report/clustersweep/flow-off", 0xcd893ab0c80cb714ull},
@@ -496,7 +496,8 @@ TEST(SimFingerprint, FlowCapacityLadder) {
     std::vector<sim::Task> tasks(static_cast<std::size_t>(flows));
     for (std::size_t k = 0; k < tasks.size(); ++k) {
       net.resource_links.push_back(route[k]);
-      net.resource_nominal_bps.push_back(1.0 + static_cast<double>(rng.Index(2)));
+      net.resource_nominal_bps.push_back(1.0 +
+                                         static_cast<double>(rng.Index(2)));
       tasks[k].resource = static_cast<int>(k);
       tasks[k].duration = 1.0 + static_cast<double>(rng.Index(4));
       if (k >= 2 && rng.Chance(0.4)) {
@@ -506,9 +507,8 @@ TEST(SimFingerprint, FlowCapacityLadder) {
     sim::SimOptions options;
     options.flow_fairness = true;
     options.network = &net;
-    digests += std::to_string(Fingerprint(
-                   sim::TaskGraphSim(std::move(tasks), flows).Run(options, 1))) +
-               ",";
+    const sim::TaskGraphSim sim(std::move(tasks), flows);
+    digests += std::to_string(Fingerprint(sim.Run(options, 1))) + ",";
   }
   ExpectGolden("flow/capacity-ladder", Fingerprint(digests));
 }
@@ -554,9 +554,8 @@ TEST(SimFingerprint, FlowFreezeRoundsOntoTwiceTheLevel) {
     sim::SimOptions options;
     options.flow_fairness = true;
     options.network = &net;
-    digests += std::to_string(Fingerprint(
-                   sim::TaskGraphSim(std::move(tasks), m + 1).Run(options, 1))) +
-               ",";
+    const sim::TaskGraphSim sim(std::move(tasks), m + 1);
+    digests += std::to_string(Fingerprint(sim.Run(options, 1))) + ",";
   }
   ASSERT_EQ(cases, 24);
   ExpectGolden("flow/freeze-rounds-onto-bound", Fingerprint(digests));
