@@ -1,10 +1,10 @@
 // Lowering-path cost (DESIGN.md §10): the pass-based pipeline over the
 // flat ir::Module against the frozen pre-IR implementation
-// (runtime/reference_lowering.h), plus the PropertyIndex build the
-// scheduling passes pay. The module's size — nodes and CSR pred-list
-// entries — rides along into BENCH_sched.json via bench/run_benches.sh,
-// so a layout change shows up in the archived perf trajectory next to
-// its runtime cost.
+// (runtime/reference_lowering.h), plus the engine build every lowered
+// graph pays and the PropertyIndex build the scheduling passes pay. The
+// module's size — nodes and CSR pred-list entries — rides along into
+// BENCH_sched.json via bench/run_benches.sh, so a layout change shows up
+// in the archived perf trajectory next to its runtime cost.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -71,6 +71,21 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
   state.SetLabel("ir::PassPipeline over the flat module");
 }
 BENCHMARK(BM_LowerClusterPipeline)->Unit(benchmark::kMillisecond);
+
+// The engine build the simulator pays per lowered graph: the same
+// lowering, read into a TaskGraphSim (columns, succ CSR, priority ranks,
+// gate slots).
+void BM_BuildSim(benchmark::State& state) {
+  Workload& w = SharedWorkload();
+  const tictac::runtime::Lowering lowering = tictac::runtime::LowerCluster(
+      w.runner.worker_graph(), w.schedule, w.runner.ps_of_param(),
+      w.runner.config());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lowering.BuildSim());
+  }
+  state.counters["tasks"] = static_cast<double>(lowering.tasks.size());
+}
+BENCHMARK(BM_BuildSim)->Unit(benchmark::kMillisecond);
 
 // The dependency-analysis cost every schedule computation pays before
 // any lowering: dominating-set and dependency bitsets over the worker

@@ -193,6 +193,7 @@ if execs:
         print(f"  {b['name']}: {b['real_time']:.1f} {b['time_unit']}{extras}")
 lowering = [b for b in data.get("benchmarks", [])
             if b.get("name", "").startswith(("BM_Lower", "BM_Shared",
+                                             "BM_BuildSim",
                                              "BM_PropertyIndex"))]
 if lowering:
     print("lowering pipeline vs frozen reference (bench_lowering):")

@@ -11,6 +11,10 @@
 // the all-resource scan dispatcher and must never move unless a change
 // is meant to alter simulated results.
 //
+// The "lowering/" cells pin the exported task graphs themselves — every
+// field of every task plus the worker tables and job slices — so a
+// change of the graph's storage is held to the same graphs.
+//
 // The "report/" cells pin whole report strings the same way — the
 // service, cluster-sweep and multi-job JSON the CLI prints — so a
 // refactor of the layers above the engine is held to the same bytes.
@@ -29,9 +33,13 @@
 #include <string>
 #include <vector>
 
+#include "core/tic.h"
 #include "fault/fault.h"
 #include "harness/session.h"
+#include "models/builder.h"
+#include "models/random_dag.h"
 #include "models/zoo.h"
+#include "runtime/allreduce.h"
 #include "runtime/cluster.h"
 #include "runtime/clustersweep.h"
 #include "runtime/lowering.h"
@@ -113,6 +121,86 @@ std::uint64_t Fingerprint(const std::string& report) {
   return h;
 }
 
+// FNV-1a over everything a lowering exports, in task order: each task's
+// duration bits, resource, priority, gate group and rank, pred count and
+// ids, op, kind and worker; then the resource and worker counts, the
+// worker tables and the update/sink hooks. Pipelines add the per-task
+// iteration tags, multi-job fabrics their job slices.
+class LoweringHash {
+ public:
+  void Mix(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (word >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void MixInt(int v) { Mix(static_cast<std::uint32_t>(v)); }
+  void MixInts(const std::vector<int>& v) {
+    Mix(v.size());
+    for (const int x : v) MixInt(x);
+  }
+  void MixTables(const std::vector<std::vector<int>>& table) {
+    Mix(table.size());
+    for (const std::vector<int>& row : table) MixInts(row);
+  }
+
+  void Add(const runtime::Lowering& low) {
+    Mix(low.tasks.size());
+    for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+      const sim::Task& task = low.tasks[t];
+      const std::vector<sim::TaskId>& preds = task.preds;
+      Mix(std::bit_cast<std::uint64_t>(task.duration));
+      MixInt(task.resource);
+      MixInt(task.priority);
+      MixInt(task.gate_group);
+      MixInt(task.gate_rank);
+      Mix(preds.size());
+      for (const sim::TaskId p : preds) MixInt(p);
+      MixInt(task.op);
+      MixInt(static_cast<int>(task.kind));
+      MixInt(task.worker);
+    }
+    MixInt(low.num_resources);
+    MixInt(low.num_workers);
+    MixTables(low.worker_tasks);
+    MixTables(low.worker_recv_tasks);
+    MixTables(low.transfer_param);
+    MixInts(low.update_task);
+    MixInts(low.worker_sink);
+  }
+  void Add(const runtime::PipelineLowering& pipeline) {
+    Add(pipeline.lowering);
+    MixInts(pipeline.task_iteration);
+    MixInt(pipeline.iterations);
+  }
+  void Add(const runtime::MultiJobLowering& fabric) {
+    Add(fabric.combined);
+    MixInt(fabric.total_workers);
+    MixInt(fabric.num_ps);
+    Mix(fabric.jobs.size());
+    for (const runtime::MultiJobLowering::JobSlice& slice : fabric.jobs) {
+      MixInt(slice.first_task);
+      MixInt(slice.last_task);
+      MixInt(slice.first_worker);
+      MixInt(slice.num_workers);
+      MixInt(slice.delay_task);
+      Mix(std::bit_cast<std::uint64_t>(slice.start_offset));
+    }
+  }
+
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+template <typename... Lowerings>
+std::uint64_t LoweringFingerprint(const Lowerings&... lowerings) {
+  LoweringHash hash;
+  (hash.Add(lowerings), ...);
+  return hash.value();
+}
+
 const std::map<std::string, std::uint64_t>& Goldens() {
   static const std::map<std::string, std::uint64_t> kGoldens = {
       {"zoo/AlexNet v2/baseline", 0x61e59d41762290dbull},
@@ -160,6 +248,37 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/uplink-downlink-apart/seed2", 0xd194e27b13563f98ull},
       {"flow/uplink-downlink-apart/seed9", 0x6ae890b267e0dc28ull},
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
+      {"lowering/zoo/AlexNet v2/infer", 0xab4724c124b8031dull},
+      {"lowering/zoo/AlexNet v2/train", 0xd64521d490cb83fdull},
+      {"lowering/zoo/Inception v1/infer", 0x51e9b1cd6822ac74ull},
+      {"lowering/zoo/Inception v1/train", 0x3479ef2a4542afbaull},
+      {"lowering/zoo/Inception v2/infer", 0xab398cc7a2e00e08ull},
+      {"lowering/zoo/Inception v2/train", 0xaf6947011a707880ull},
+      {"lowering/zoo/Inception v3/infer", 0x502c21732b83a26dull},
+      {"lowering/zoo/Inception v3/train", 0xa617e93ca8ba775aull},
+      {"lowering/zoo/ResNet-50 v1/infer", 0x4e7a2418cb52be72ull},
+      {"lowering/zoo/ResNet-50 v1/train", 0x2125d46efbc3dc81ull},
+      {"lowering/zoo/ResNet-101 v1/infer", 0x3c0996170495ef31ull},
+      {"lowering/zoo/ResNet-101 v1/train", 0x404b2f4db01378b3ull},
+      {"lowering/zoo/ResNet-50 v2/infer", 0x1fe87872346b10c5ull},
+      {"lowering/zoo/ResNet-50 v2/train", 0xd23d9acc2fb1f458ull},
+      {"lowering/zoo/ResNet-101 v2/infer", 0xc034686e7c6a787dull},
+      {"lowering/zoo/ResNet-101 v2/train", 0x6f0d0d1df552cba8ull},
+      {"lowering/zoo/VGG-16/infer", 0x1afdc1fbce7f0a17ull},
+      {"lowering/zoo/VGG-16/train", 0x704460a4cfc5376bull},
+      {"lowering/zoo/VGG-19/infer", 0xef8f01fb77c97a53ull},
+      {"lowering/zoo/VGG-19/train", 0x6b43f45fdab7bbefull},
+      {"lowering/enforcement/priority-only", 0x53812da54ba4e762ull},
+      {"lowering/enforcement/hand-off gate", 0xa548e99f3796c3aeull},
+      {"lowering/enforcement/DAG chaining", 0xa447718c898ca393ull},
+      {"lowering/dagchain/zoo", 0x4b08ec793ef6367eull},
+      {"lowering/chunked-sharded", 0x64040427af811b8aull},
+      {"lowering/pipeline/k=3/infer", 0x10d92c0c4c266ad7ull},
+      {"lowering/pipeline/k=3/train", 0x5ab2ccb90fe17858ull},
+      {"lowering/ring/W=5", 0xdcf9c2386ca1bc14ull},
+      {"lowering/shared/3-job-offset", 0xdd09a5c5a519774cull},
+      {"lowering/flow-fabric", 0xddeb71f28b50d791ull},
+      {"lowering/random-dags", 0x581488d60fe0747cull},
       {"report/serve-smoke", 0x42ce9696804cbf39ull},
       {"report/chaos-smoke", 0xf7d0463b8122234aull},
       {"report/serve-smoke-jobs", 0xc9f8032a8e9e9be9ull},
@@ -639,6 +758,153 @@ TEST(SimFingerprint, RunParallelMultiComponent) {
   for (const int threads : {1, 4}) {
     ExpectGolden("parallel/3-component", sim.RunParallel(options, 9, threads));
   }
+}
+
+// --- lowering/ cells: the exported task graphs ----------------------------
+
+TEST(LoweringFingerprint, ZooTimesModesTimesPolicies) {
+  for (const models::ModelInfo& info : models::ModelZoo()) {
+    for (const bool training : {false, true}) {
+      const runtime::Runner runner(info, runtime::EnvG(2, 2, training));
+      ExpectGolden("lowering/zoo/" + info.name +
+                       (training ? "/train" : "/infer"),
+                   LoweringFingerprint(LowerZoo(runner, "baseline"),
+                                       LowerZoo(runner, "tic"),
+                                       LowerZoo(runner, "tac")));
+    }
+  }
+}
+
+TEST(LoweringFingerprint, EnforcementVariants) {
+  for (const runtime::Enforcement enforcement :
+       {runtime::Enforcement::kPriorityOnly,
+        runtime::Enforcement::kHandoffGate,
+        runtime::Enforcement::kDagChain}) {
+    runtime::ClusterConfig config = runtime::EnvG(2, 2, true);
+    config.enforcement = enforcement;
+    const runtime::Runner runner(models::FindModel("Inception v1"), config);
+    ExpectGolden(std::string("lowering/enforcement/") +
+                     runtime::ToString(enforcement),
+                 LoweringFingerprint(LowerZoo(runner, "tic")));
+  }
+  // The DAG chain over every zoo model: each worker's recvs chained in
+  // rank order.
+  LoweringHash hash;
+  for (const models::ModelInfo& info : models::ModelZoo()) {
+    runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
+    config.enforcement = runtime::Enforcement::kDagChain;
+    const runtime::Runner runner(info, config);
+    hash.Add(LowerZoo(runner, "tac"));
+  }
+  ExpectGolden("lowering/dagchain/zoo", hash.value());
+}
+
+TEST(LoweringFingerprint, ChunkedSharded) {
+  LoweringHash hash;
+  for (const char* model : {"Inception v2", "VGG-16"}) {
+    runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
+    config.chunk_bytes = 1 << 20;
+    config.shard = runtime::ShardStrategy::kEven;
+    const runtime::Runner runner(models::FindModel(model), config);
+    hash.Add(LowerZoo(runner, "tic"));
+  }
+  ExpectGolden("lowering/chunked-sharded", hash.value());
+}
+
+TEST(LoweringFingerprint, PipelineThreeIterations) {
+  for (const bool training : {false, true}) {
+    const runtime::Runner runner(models::FindModel("Inception v1"),
+                                 runtime::EnvG(2, 2, training));
+    ExpectGolden(
+        std::string("lowering/pipeline/k=3/") + (training ? "train" : "infer"),
+        LoweringFingerprint(runtime::LowerPipeline(
+            runner.worker_graph(), runner.MakeSchedule("tic"),
+            runner.ps_of_param(), runner.config(), 3)));
+  }
+}
+
+TEST(LoweringFingerprint, RingFiveWorkers) {
+  runtime::ClusterConfig config = runtime::EnvG(5, 1, true);
+  config.topology = runtime::Topology::kRing;
+  LoweringHash hash;
+  for (const models::ModelInfo& info : models::ModelZoo()) {
+    hash.Add(runtime::LowerAllReduce(
+        models::BuildWorkerGraph(info, {.training = true}), config));
+  }
+  ExpectGolden("lowering/ring/W=5", hash.value());
+}
+
+TEST(LoweringFingerprint, SharedFabricThreeJobsWithOffset) {
+  const runtime::Runner a(models::FindModel("Inception v1"),
+                          runtime::EnvG(2, 2, true));
+  const runtime::Runner b(models::FindModel("VGG-16"),
+                          runtime::EnvG(3, 2, true));
+  const runtime::Runner c(models::FindModel("Inception v2"),
+                          runtime::EnvG(2, 2, false));
+  const core::Schedule sa = a.MakeSchedule("tac");
+  const core::Schedule sb = b.MakeSchedule("baseline");
+  const core::Schedule sc = c.MakeSchedule("tic");
+  std::vector<runtime::JobLoweringInput> inputs;
+  inputs.push_back({a.worker_graph(), sa, a.ps_of_param(), a.config(), 0.0});
+  inputs.push_back({b.worker_graph(), sb, b.ps_of_param(), b.config(), 0.05});
+  inputs.push_back({c.worker_graph(), sc, c.ps_of_param(), c.config(), 0.0});
+  ExpectGolden("lowering/shared/3-job-offset",
+               LoweringFingerprint(runtime::LowerSharedCluster(inputs)));
+}
+
+// A flow fabric's graph plus the capacity graph lower_flow_nics attaches.
+TEST(LoweringFingerprint, FlowFabric) {
+  const runtime::MultiJobRunner runner =
+      FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
+                 {"model=AlexNet v2 policy=tac",
+                  "model=Inception v2 policy=tic"});
+  LoweringHash hash;
+  hash.Add(runner.fabric().lowering);
+  const sim::FlowNetwork& net = *runner.fabric().lowering.combined.flow;
+  hash.Mix(net.links.size());
+  for (const sim::FlowLink& link : net.links) {
+    hash.Mix(std::bit_cast<std::uint64_t>(link.capacity_bps));
+  }
+  hash.MixTables(net.resource_links);
+  for (const double bps : net.resource_nominal_bps) {
+    hash.Mix(std::bit_cast<std::uint64_t>(bps));
+  }
+  ExpectGolden("lowering/flow-fabric", hash.value());
+}
+
+// ir_differential_test's 110 random DAGs through every preset.
+TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
+  LoweringHash hash;
+  for (std::uint64_t seed = 0; seed < 110; ++seed) {
+    models::RandomDagOptions options;
+    options.num_recvs = 3 + static_cast<int>(seed % 6);
+    options.num_computes = 5 + static_cast<int>(seed % 11);
+    options.num_layers = 2 + static_cast<int>(seed % 4);
+    options.with_sends = (seed % 3) != 0;
+    const core::Graph graph = models::MakeRandomDag(options, seed);
+    runtime::ClusterConfig config = runtime::EnvG(
+        1 + static_cast<int>(seed % 4), 1 + static_cast<int>(seed % 3),
+        options.with_sends);
+    if (seed % 4 == 1) config.enforcement = runtime::Enforcement::kPriorityOnly;
+    if (seed % 4 == 2) config.enforcement = runtime::Enforcement::kDagChain;
+    std::vector<int> ps_of_param(static_cast<std::size_t>(options.num_recvs));
+    for (std::size_t p = 0; p < ps_of_param.size(); ++p) {
+      ps_of_param[p] = static_cast<int>(p) % config.num_ps;
+    }
+    const core::Schedule schedule =
+        (seed % 2) ? core::Tic(graph) : core::Schedule{};
+    hash.Add(runtime::LowerCluster(graph, schedule, ps_of_param, config));
+    hash.Add(runtime::LowerPipeline(graph, schedule, ps_of_param, config,
+                                    1 + static_cast<int>(seed % 3)));
+    if (config.training && config.num_workers >= 2) {
+      hash.Add(runtime::LowerAllReduce(graph, config));
+    }
+    std::vector<runtime::JobLoweringInput> inputs;
+    inputs.push_back({graph, schedule, ps_of_param, config});
+    inputs.push_back({graph, schedule, ps_of_param, config, 0.01});
+    hash.Add(runtime::LowerSharedCluster(inputs));
+  }
+  ExpectGolden("lowering/random-dags", hash.value());
 }
 
 // The scheduler-service config of the CI serve smoke (`tictac_cli serve
