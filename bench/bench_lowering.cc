@@ -56,8 +56,8 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
         w.runner.worker_graph(), w.schedule, w.runner.ps_of_param(),
         w.runner.config()));
   }
-  // The footprint of the same lowering, as counters: nodes and the pred
-  // entries the CSR pool holds.
+  // The footprint of the same lowering, as counters: nodes and the
+  // entries of their CSR preds.
   std::vector<tictac::runtime::JobLoweringInput> jobs;
   jobs.push_back({w.runner.worker_graph(), w.schedule,
                   w.runner.ps_of_param(), w.runner.config()});
@@ -66,15 +66,15 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
           tictac::runtime::Topology::kPsFabric)
           .Run(tictac::ir::BuildLogicalModule(jobs));
   state.counters["nodes"] = static_cast<double>(module.size());
-  state.counters["arena_pool_entries"] =
-      static_cast<double>(module.arena().pool_entries());
+  state.counters["pred_entries"] =
+      static_cast<double>(module.graph().pred_ids.size());
   state.SetLabel("ir::PassPipeline over the flat module");
 }
 BENCHMARK(BM_LowerClusterPipeline)->Unit(benchmark::kMillisecond);
 
 // The engine build the simulator pays per lowered graph: the same
-// lowering, read into a TaskGraphSim (columns, succ CSR, priority ranks,
-// gate slots).
+// lowering's task graph, copied into a TaskGraphSim (plus the succ CSR,
+// priority ranks and gate slots it derives).
 void BM_BuildSim(benchmark::State& state) {
   Workload& w = SharedWorkload();
   const tictac::runtime::Lowering lowering = tictac::runtime::LowerCluster(

@@ -181,7 +181,8 @@ std::vector<tictac::sim::Task> SimWorkload(int num_resources) {
 
 void BM_SimRun(benchmark::State& state) {
   const int resources = static_cast<int>(state.range(0));
-  const tictac::sim::TaskGraphSim sim(SimWorkload(resources), resources);
+  const tictac::sim::TaskGraphSim sim(
+      tictac::sim::TaskGraph(SimWorkload(resources)), resources);
   const tictac::sim::SimOptions options;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.Run(options, /*seed=*/1));

@@ -199,7 +199,7 @@ if lowering:
     print("lowering pipeline vs frozen reference (bench_lowering):")
     for b in lowering:
         nodes = b.get("nodes")
-        pool = b.get("arena_pool_entries")
+        pool = b.get("pred_entries")
         extras = ""
         if nodes is not None and pool is not None:
             extras = f" ({nodes:.0f} nodes, {pool:.0f} pred entries)"

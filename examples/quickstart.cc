@@ -54,7 +54,7 @@ int main() {
     tasks[3].duration = 1.0;                     // op2 <- op1, recv2
     tasks[3].resource = 0;
     tasks[3].preds = {2, 1};
-    sim::TaskGraphSim sim(std::move(tasks), 2);
+    const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
     return sim.Run({}, /*seed=*/1).makespan;
   };
   const double good = simulate(true);

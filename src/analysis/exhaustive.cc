@@ -51,7 +51,7 @@ double EvaluateOrder(const Graph& graph, const TimeOracle& oracle,
       task.preds.push_back(pred);
     }
   }
-  sim::TaskGraphSim sim(std::move(tasks), 3);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 3);
   sim::SimOptions options;
   options.enforce_gates = true;
   return sim.Run(options, /*seed=*/0).makespan;

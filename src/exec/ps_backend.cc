@@ -133,12 +133,13 @@ PsBackend::PsBackend(const runtime::Lowering& lowering,
 
 ExecutionTrace PsBackend::Run() {
   const runtime::Lowering& L = *lowering_;
+  const sim::TaskGraph& tasks = L.tasks;
   const core::Graph& G = *graph_;
   const BackendOptions& opt = options_;
   const int W = L.num_workers;
   const int R = L.num_resources;
   const int S = (R - W) / (2 * W + 1);
-  const std::size_t N = L.tasks.size();
+  const std::size_t N = tasks.size();
   const int P = static_cast<int>(L.update_task.size());
 
   const auto downlink = [&](int w, int s) { return W + w * S + s; };
@@ -157,18 +158,17 @@ ExecutionTrace PsBackend::Run() {
   for (int p = 0; p < P; ++p) {
     // Read tasks are lowered first, one per parameter, on their shard's CPU.
     const auto t = static_cast<std::size_t>(p);
-    ps_of_param[t] = L.tasks[t].resource - (W + 2 * W * S);
+    ps_of_param[t] = tasks.resource[t] - (W + 2 * W * S);
     param_of[t] = p;
     shard_of[t] = ps_of_param[t];
   }
   bool has_sends = false;
   bool has_updates = false;
   for (std::size_t t = static_cast<std::size_t>(P); t < N; ++t) {
-    const sim::Task& task = L.tasks[t];
-    if (core::IsCommunication(task.kind)) {
-      param_of[t] = G.op(task.op).param;
+    if (core::IsCommunication(tasks.kind[t])) {
+      param_of[t] = G.op(tasks.op[t]).param;
       shard_of[t] = ps_of_param[static_cast<std::size_t>(param_of[t])];
-      has_sends |= task.kind == core::OpKind::kSend;
+      has_sends |= tasks.kind[t] == core::OpKind::kSend;
     }
   }
   for (int p = 0; p < P; ++p) {
@@ -177,7 +177,7 @@ ExecutionTrace PsBackend::Run() {
     has_updates = true;
     param_of[static_cast<std::size_t>(upd)] = p;
     shard_of[static_cast<std::size_t>(upd)] = ps_of_param[static_cast<std::size_t>(p)];
-    const sim::TaskId agg = L.tasks[static_cast<std::size_t>(upd)].preds.front();
+    const sim::TaskId agg = tasks.preds(static_cast<std::size_t>(upd)).front();
     param_of[static_cast<std::size_t>(agg)] = p;
     shard_of[static_cast<std::size_t>(agg)] = ps_of_param[static_cast<std::size_t>(p)];
   }
@@ -187,13 +187,12 @@ ExecutionTrace PsBackend::Run() {
   std::vector<int> total_on(static_cast<std::size_t>(R), 0);
   int num_groups = 0;
   for (std::size_t t = 0; t < N; ++t) {
-    const sim::Task& task = L.tasks[t];
-    pred_count[t] = static_cast<int>(task.preds.size());
-    for (sim::TaskId pred : task.preds) {
+    pred_count[t] = static_cast<int>(tasks.preds(t).size());
+    for (sim::TaskId pred : tasks.preds(t)) {
       succs[static_cast<std::size_t>(pred)].push_back(t);
     }
-    ++total_on[static_cast<std::size_t>(task.resource)];
-    if (task.gate_group >= 0) num_groups = std::max(num_groups, task.gate_group + 1);
+    ++total_on[static_cast<std::size_t>(tasks.resource[t])];
+    num_groups = std::max(num_groups, tasks.gate_group[t] + 1);
   }
 
   // Deterministic clock: fix each resource's execution order from one
@@ -203,8 +202,8 @@ ExecutionTrace PsBackend::Run() {
   if (opt.deterministic_clock) {
     const sim::SimResult ref = L.BuildSim().Run(sim::SimOptions{}, opt.seed);
     for (sim::TaskId t : ref.start_order) {
-      replay[static_cast<std::size_t>(L.tasks[static_cast<std::size_t>(t)].resource)]
-          .push_back(static_cast<std::size_t>(t));
+      const auto ti = static_cast<std::size_t>(t);
+      replay[static_cast<std::size_t>(tasks.resource[ti])].push_back(ti);
     }
   }
 
@@ -247,11 +246,10 @@ ExecutionTrace PsBackend::Run() {
   // "really" runs at — a pure function of (task, iteration, seed), so
   // timestamps are interleaving-free.
   const auto virtual_duration = [&](std::size_t t, int iter) {
-    const sim::Task& task = L.tasks[t];
-    double d = task.duration;
-    if (task.kind == core::OpKind::kCompute) {
-      d = d / opt.hidden_compute_factor * straggler_factor(task.worker);
-    } else if (core::IsCommunication(task.kind)) {
+    double d = tasks.duration[t];
+    if (tasks.kind[t] == core::OpKind::kCompute) {
+      d = d / opt.hidden_compute_factor * straggler_factor(tasks.worker[t]);
+    } else if (core::IsCommunication(tasks.kind[t])) {
       const double wire = std::max(0.0, d - opt.assumed.latency_s);
       d = opt.hidden_latency_factor * opt.assumed.latency_s +
           wire / opt.hidden_bandwidth_factor;
@@ -297,15 +295,15 @@ ExecutionTrace PsBackend::Run() {
       if (remaining[t] == 0) {
         ready[t] = 1;
         if (!opt.deterministic_clock) {
-          ready_q[static_cast<std::size_t>(L.tasks[t].resource)].push_back(t);
+          ready_q[static_cast<std::size_t>(tasks.resource[t])].push_back(t);
         }
       }
     }
 
-    const auto gate_open = [&](const sim::Task& task) {
-      return task.gate_group < 0 ||
-             gate_counter[static_cast<std::size_t>(task.gate_group)] ==
-                 task.gate_rank;
+    const auto gate_open = [&](std::size_t t) {
+      return tasks.gate_group[t] < 0 ||
+             gate_counter[static_cast<std::size_t>(tasks.gate_group[t])] ==
+                 tasks.gate_rank[t];
     };
 
     // Next task this resource may start, or kInvalidTask. Deterministic
@@ -317,7 +315,7 @@ ExecutionTrace PsBackend::Run() {
       if (opt.deterministic_clock) {
         if (next_idx[ri] < replay[ri].size()) {
           const std::size_t t = replay[ri][next_idx[ri]];
-          if (ready[t] && gate_open(L.tasks[t])) {
+          if (ready[t] && gate_open(t)) {
             ++next_idx[ri];
             return t;
           }
@@ -328,11 +326,10 @@ ExecutionTrace PsBackend::Run() {
       std::size_t best_pos = 0;
       for (std::size_t i = 0; i < ready_q[ri].size(); ++i) {
         const std::size_t t = ready_q[ri][i];
-        const sim::Task& task = L.tasks[t];
-        if (!gate_open(task)) continue;
+        if (!gate_open(t)) continue;
         if (best == kInvalidTask ||
-            task.priority < L.tasks[best].priority ||
-            (task.priority == L.tasks[best].priority && t < best)) {
+            tasks.priority[t] < tasks.priority[best] ||
+            (tasks.priority[t] == tasks.priority[best] && t < best)) {
           best = t;
           best_pos = i;
         }
@@ -364,9 +361,8 @@ ExecutionTrace PsBackend::Run() {
     // The data plane: real tensors through the transport. Runs outside
     // the scheduling lock. Returns payload bytes copied.
     const auto run_payload = [&](std::size_t t) -> std::uint64_t {
-      const sim::Task& task = L.tasks[t];
       std::uint64_t copied = 0;
-      switch (task.kind) {
+      switch (tasks.kind[t]) {
         case core::OpKind::kRead: {
           const int p = param_of[t];
           const int s = shard_of[t];
@@ -388,14 +384,14 @@ ExecutionTrace PsBackend::Run() {
         }
         case core::OpKind::kRecv: {
           const int p = param_of[t];
-          Message m = transport.Recv(task.resource, p);
+          Message m = transport.Recv(tasks.resource[t], p);
           if (!opt.deterministic_clock) {
             copied += ChurnWire(static_cast<std::uint64_t>(
                 static_cast<double>(m.wire_bytes) * opt.wire_scale));
           }
           if (!m.tensor.empty() && p < cargo_params) {
             copied += m.tensor.size() * sizeof(double);
-            worker_models[static_cast<std::size_t>(task.worker)]
+            worker_models[static_cast<std::size_t>(tasks.worker[t])]
                 .mutable_param(static_cast<std::size_t>(p))
                 .data() = std::move(m.tensor);
           }
@@ -403,19 +399,19 @@ ExecutionTrace PsBackend::Run() {
         }
         case core::OpKind::kCompute: {
           if (!opt.deterministic_clock) {
-            SpinFor(task.duration * opt.work_scale *
-                    straggler_factor(task.worker));
+            SpinFor(tasks.duration[t] * opt.work_scale *
+                    straggler_factor(tasks.worker[t]));
           }
           break;
         }
         case core::OpKind::kSend: {
           const int p = param_of[t];
-          const int w = task.worker;
+          const int w = tasks.worker[t];
           if (trains) ensure_gradients(w);
           Message m;
           m.tag = p;
           m.sender = w;
-          m.wire_bytes = static_cast<std::uint64_t>(G.op(task.op).bytes);
+          m.wire_bytes = static_cast<std::uint64_t>(G.op(tasks.op[t]).bytes);
           if (trains && p < cargo_params) {
             m.tensor =
                 cargo[static_cast<std::size_t>(w)]->grads[static_cast<std::size_t>(p)]
@@ -426,7 +422,7 @@ ExecutionTrace PsBackend::Run() {
             copied += ChurnWire(static_cast<std::uint64_t>(
                 static_cast<double>(m.wire_bytes) * opt.wire_scale));
           }
-          transport.Send(task.resource, std::move(m));
+          transport.Send(tasks.resource[t], std::move(m));
           break;
         }
         case core::OpKind::kAggregate: {
@@ -472,23 +468,22 @@ ExecutionTrace PsBackend::Run() {
           cv.wait(lk);
           continue;
         }
-        const sim::Task& task = L.tasks[t];
         ready[t] = 0;
         res.start_order.push_back(static_cast<sim::TaskId>(t));
-        if (task.gate_group >= 0) {
-          if (iter == 0 && task.kind == core::OpKind::kRecv) {
-            trace.handoff_order[static_cast<std::size_t>(task.worker)].push_back(
-                param_of[t]);
+        if (tasks.gate_group[t] >= 0) {
+          if (iter == 0 && tasks.kind[t] == core::OpKind::kRecv) {
+            trace.handoff_order[static_cast<std::size_t>(tasks.worker[t])]
+                .push_back(param_of[t]);
           }
-          ++gate_counter[static_cast<std::size_t>(task.gate_group)];
+          ++gate_counter[static_cast<std::size_t>(tasks.gate_group[t])];
         }
         if (opt.deterministic_clock) {
           double vstart = vfree[ri];
-          for (sim::TaskId pred : task.preds) {
+          for (sim::TaskId pred : tasks.preds(t)) {
             vstart = std::max(vstart, res.end[static_cast<std::size_t>(pred)]);
           }
-          if (task.gate_group >= 0) {
-            const auto g = static_cast<std::size_t>(task.gate_group);
+          if (tasks.gate_group[t] >= 0) {
+            const auto g = static_cast<std::size_t>(tasks.gate_group[t]);
             vstart = std::max(vstart, group_vlast[g]);
             group_vlast[g] = vstart;
           }
@@ -509,7 +504,7 @@ ExecutionTrace PsBackend::Run() {
           if (--remaining[succ] == 0) {
             ready[succ] = 1;
             if (!opt.deterministic_clock) {
-              ready_q[static_cast<std::size_t>(L.tasks[succ].resource)].push_back(
+              ready_q[static_cast<std::size_t>(tasks.resource[succ])].push_back(
                   succ);
             }
           }

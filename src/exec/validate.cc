@@ -48,9 +48,10 @@ std::vector<int> ExpectedHandoffOrder(const runtime::Lowering& lowering) {
   const auto& recvs = lowering.worker_recv_tasks[0];
   const auto& params = lowering.transfer_param[0];
   for (std::size_t i = 0; i < recvs.size(); ++i) {
-    const sim::Task& task =
-        lowering.tasks[static_cast<std::size_t>(recvs[i])];
-    if (task.gate_group >= 0) by_rank.emplace_back(task.gate_rank, params[i]);
+    const auto t = static_cast<std::size_t>(recvs[i]);
+    if (lowering.tasks.gate_group[t] >= 0) {
+      by_rank.emplace_back(lowering.tasks.gate_rank[t], params[i]);
+    }
   }
   std::sort(by_rank.begin(), by_rank.end());
   std::vector<int> expected;

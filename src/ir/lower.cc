@@ -120,7 +120,7 @@ PassPipeline StandardLoweringPipeline(runtime::Topology topology,
     pipeline.Add(MakeLowerPsFabricPass());
     pipeline.Add(MakeMergeJobsPass());
     // No-op (and no network built) unless a job's config enables
-    // sim.flow_fairness, so the static-split presets are untouched.
+    // flow_fairness, so the static-split presets are untouched.
     pipeline.Add(MakeLowerFlowNicsPass());
   }
   pipeline.Add(MakeApplyArrivalOffsetsPass());
@@ -128,7 +128,7 @@ PassPipeline StandardLoweringPipeline(runtime::Topology topology,
   return pipeline;
 }
 
-runtime::Lowering ToLowering(const Module& module) {
+runtime::Lowering ToLowering(Module module) {
   RequireMerged(module, "ToLowering");
   const int T = module.total_workers;
   runtime::Lowering out;
@@ -140,31 +140,18 @@ runtime::Lowering ToLowering(const Module& module) {
   out.transfer_param.resize(static_cast<std::size_t>(T));
 
   const auto n_all = static_cast<NodeId>(module.size());
-  out.tasks.reserve(module.size());
   for (NodeId n = 0; n < n_all; ++n) {
-    sim::Task task;
-    task.duration = module.duration(n);
-    task.resource = module.resource(n);
-    task.priority = module.priority(n);
-    task.gate_group = module.gate_group(n);
-    task.gate_rank = module.gate_rank(n);
-    task.preds.assign(module.preds(n).begin(), module.preds(n).end());
-    task.op = module.op(n);
-    task.kind = module.kind(n);
-    task.worker = module.worker(n);
-    if (task.worker >= 0) {
-      const auto w = static_cast<std::size_t>(task.worker);
-      out.worker_tasks[w].push_back(n);
-      if (task.kind == core::OpKind::kRecv) {
-        out.worker_recv_tasks[w].push_back(n);
-        // transfer_param is an iteration-0 table (pipelined lowerings
-        // keep the first iteration's copy, runtime/lowering.h).
-        if (module.iteration(n) == 0) {
-          out.transfer_param[w].push_back(module.param(n));
-        }
+    if (module.worker(n) < 0) continue;
+    const auto w = static_cast<std::size_t>(module.worker(n));
+    out.worker_tasks[w].push_back(n);
+    if (module.kind(n) == core::OpKind::kRecv) {
+      out.worker_recv_tasks[w].push_back(n);
+      // transfer_param is an iteration-0 table (pipelined lowerings keep
+      // the first iteration's copy, runtime/lowering.h).
+      if (module.iteration(n) == 0) {
+        out.transfer_param[w].push_back(module.param(n));
       }
     }
-    out.tasks.push_back(std::move(task));
   }
 
   // update_task/worker_sink are single-job PS tables (parameter indices
@@ -182,21 +169,22 @@ runtime::Lowering ToLowering(const Module& module) {
       }
     }
   }
+  out.tasks = module.TakeGraph();
   return out;
 }
 
-runtime::PipelineLowering ToPipelineLowering(const Module& module) {
+runtime::PipelineLowering ToPipelineLowering(Module module) {
   runtime::PipelineLowering out;
-  out.lowering = ToLowering(module);
   out.iterations = module.iterations;
   out.task_iteration.reserve(module.size());
   for (NodeId n = 0; n < static_cast<NodeId>(module.size()); ++n) {
     out.task_iteration.push_back(module.iteration(n));
   }
+  out.lowering = ToLowering(std::move(module));
   return out;
 }
 
-runtime::MultiJobLowering ToMultiJobLowering(const Module& module) {
+runtime::MultiJobLowering ToMultiJobLowering(Module module) {
   RequireMerged(module, "ToMultiJobLowering");
   if (module.ring) {
     throw std::invalid_argument(
@@ -211,12 +199,6 @@ runtime::MultiJobLowering ToMultiJobLowering(const Module& module) {
   runtime::MultiJobLowering out;
   out.total_workers = module.total_workers;
   out.num_ps = module.jobs.front().config.num_ps;
-  out.combined = ToLowering(module);
-  // Parameter indices are per-job: the combined fabric has no meaningful
-  // update/sink tables (matches the legacy LowerSharedCluster even for a
-  // single job).
-  out.combined.update_task.clear();
-  out.combined.worker_sink.clear();
   for (std::size_t j = 0; j < module.jobs.size(); ++j) {
     const JobRange& r = module.ranges[j];
     out.jobs.push_back(runtime::MultiJobLowering::JobSlice{
@@ -227,6 +209,12 @@ runtime::MultiJobLowering ToMultiJobLowering(const Module& module) {
         .delay_task = r.delay == kNoNode ? -1 : r.delay,
         .start_offset = module.jobs[j].start_offset});
   }
+  out.combined = ToLowering(std::move(module));
+  // Parameter indices are per-job: the combined fabric has no meaningful
+  // update/sink tables (matches the legacy LowerSharedCluster even for a
+  // single job).
+  out.combined.update_task.clear();
+  out.combined.worker_sink.clear();
   return out;
 }
 

@@ -1,9 +1,11 @@
 // The bridge between the runtime's lowering entry points and the IR
 // pass pipeline (DESIGN.md §10): the builder importing scheduled worker
 // graphs into a kLogical Module, the preset pass orders, and exporters
-// producing the sim-facing Lowering structures. Every exporter copies
-// each task once: a multi-job module becomes one combined Lowering whose
-// jobs are range views (MultiJobLowering::JobSlice), not copies.
+// producing the sim-facing Lowering structures. The exporters take the
+// module by value (callers std::move it) and move its sim::TaskGraph
+// into Lowering::tasks, so no task is copied on the way out; a
+// multi-job module becomes one combined Lowering whose jobs are range
+// views (MultiJobLowering::JobSlice).
 //
 // The runtime entry points (runtime::LowerCluster / LowerPipeline /
 // LowerAllReduce / LowerSharedCluster) are thin wrappers over
@@ -53,14 +55,14 @@ PassPipeline StandardLoweringPipeline(runtime::Topology topology,
 // Single-job PS modules also fill update_task/worker_sink (from
 // iteration 0, the pipelined stitching hooks); ring and multi-job
 // modules leave them empty, as the legacy lowerings do.
-runtime::Lowering ToLowering(const Module& module);
+runtime::Lowering ToLowering(Module module);
 
 // ToLowering plus per-task iteration tags and the iteration count.
-runtime::PipelineLowering ToPipelineLowering(const Module& module);
+runtime::PipelineLowering ToPipelineLowering(Module module);
 
 // kMerged multi-job module (iterations == 1) -> the combined fabric plus
 // each job's slice: its task and worker ranges in the combined graph,
 // its delay task and its arrival offset (runtime/multijob.h).
-runtime::MultiJobLowering ToMultiJobLowering(const Module& module);
+runtime::MultiJobLowering ToMultiJobLowering(Module module);
 
 }  // namespace tictac::ir

@@ -48,24 +48,18 @@ const char* ToString(Stage stage) {
   return "?";
 }
 
-PredArena::ListId PredArena::Intern(std::span<const NodeId> list) {
-  if (list.empty()) return kEmptyList;
-  pool_.insert(pool_.end(), list.begin(), list.end());
-  offsets_.push_back(pool_.size());
-  return static_cast<ListId>(offsets_.size() - 2);
-}
-
 void Module::Reserve(std::size_t nodes, std::size_t pred_entries) {
   const std::size_t n = size() + nodes;
-  duration_.reserve(n);
-  resource_.reserve(n);
-  priority_.reserve(n);
-  gate_group_.reserve(n);
-  gate_rank_.reserve(n);
-  pred_list_.reserve(n);
-  kind_.reserve(n);
-  op_.reserve(n);
-  worker_.reserve(n);
+  graph_.duration.reserve(n);
+  graph_.resource.reserve(n);
+  graph_.priority.reserve(n);
+  graph_.gate_group.reserve(n);
+  graph_.gate_rank.reserve(n);
+  graph_.op.reserve(n);
+  graph_.kind.reserve(n);
+  graph_.worker.reserve(n);
+  graph_.pred_begin.reserve(n + 1);
+  graph_.pred_ids.reserve(graph_.pred_ids.size() + pred_entries);
   job_.reserve(n);
   iteration_.reserve(n);
   param_.reserve(n);
@@ -75,20 +69,19 @@ void Module::Reserve(std::size_t nodes, std::size_t pred_entries) {
   sched_priority_.reserve(n);
   delay_.reserve(n);
   name_.reserve(n);
-  arena_.Reserve(nodes, pred_entries);
 }
 
 NodeId Module::AddNode() {
   const NodeId id = static_cast<NodeId>(size());
-  duration_.push_back(0.0);
-  resource_.push_back(-1);
-  priority_.push_back(sim::kNoPriority);
-  gate_group_.push_back(-1);
-  gate_rank_.push_back(-1);
-  pred_list_.push_back(PredArena::kEmptyList);
-  kind_.push_back(core::OpKind::kCompute);
-  op_.push_back(core::kInvalidOp);
-  worker_.push_back(-1);
+  graph_.duration.push_back(0.0);
+  graph_.resource.push_back(-1);
+  graph_.priority.push_back(sim::kNoPriority);
+  graph_.gate_group.push_back(-1);
+  graph_.gate_rank.push_back(-1);
+  graph_.op.push_back(core::kInvalidOp);
+  graph_.kind.push_back(core::OpKind::kCompute);
+  graph_.worker.push_back(-1);
+  graph_.pred_begin.push_back(graph_.pred_ids.size());
   job_.push_back(-1);
   iteration_.push_back(0);
   param_.push_back(-1);
@@ -99,6 +92,35 @@ NodeId Module::AddNode() {
   delay_.push_back(0);
   name_.emplace_back();
   return id;
+}
+
+void Module::CopyNode(NodeId n, const Module& from, NodeId src) {
+  duration(n) = from.duration(src);
+  resource(n) = from.resource(src);
+  priority(n) = from.priority(src);
+  gate_group(n) = from.gate_group(src);
+  gate_rank(n) = from.gate_rank(src);
+  op(n) = from.op(src);
+  kind(n) = from.kind(src);
+  worker(n) = from.worker(src);
+  job(n) = from.job(src);
+  iteration(n) = from.iteration(src);
+  param(n) = from.param(src);
+  bytes(n) = from.bytes(src);
+  cost(n) = from.cost(src);
+  rank(n) = from.rank(src);
+  sched_priority(n) = from.sched_priority(src);
+}
+
+void Module::SetPreds(NodeId n, std::span<const NodeId> preds) {
+  if (size() == 0 || n != static_cast<NodeId>(size() - 1) ||
+      graph_.pred_begin.back() != graph_.pred_begin[size() - 1]) {
+    Fail("SetPreds(" + std::to_string(n) + ") must give the newest node (" +
+         std::to_string(static_cast<NodeId>(size()) - 1) +
+         ") its preds, once");
+  }
+  graph_.pred_ids.insert(graph_.pred_ids.end(), preds.begin(), preds.end());
+  graph_.pred_begin.back() = graph_.pred_ids.size();
 }
 
 void Module::Validate() const {
@@ -144,21 +166,20 @@ void Module::Validate() const {
   }
   const bool lowered = stage == Stage::kLowered || stage == Stage::kMerged;
   for (NodeId t = 0; t < n; ++t) {
-    if (!(duration_[idx(t)] >= 0.0) ||
-        duration_[idx(t)] != duration_[idx(t)]) {
+    if (!(duration(t) >= 0.0) || duration(t) != duration(t)) {
       Fail("node " + std::to_string(t) + " has a negative or NaN duration");
     }
     if (lowered) {
-      if (resource_[idx(t)] < 0) {
+      if (resource(t) < 0) {
         Fail("node " + std::to_string(t) + " has no resource at stage " +
              std::string(ToString(stage)));
       }
-      if (stage == Stage::kMerged && resource_[idx(t)] >= num_resources) {
+      if (stage == Stage::kMerged && resource(t) >= num_resources) {
         Fail("node " + std::to_string(t) + " resource " +
-             std::to_string(resource_[idx(t)]) + " is outside [0, " +
+             std::to_string(resource(t)) + " is outside [0, " +
              std::to_string(num_resources) + ")");
       }
-    } else if (resource_[idx(t)] != -1) {
+    } else if (resource(t) != -1) {
       Fail("node " + std::to_string(t) + " has a resource at stage " +
            std::string(ToString(stage)) + " (passes assign resources when "
            "lowering)");
@@ -172,7 +193,7 @@ void Module::Validate() const {
         Fail("node " + std::to_string(t) + " depends on itself");
       }
     }
-    if ((gate_group_[idx(t)] >= 0) != (gate_rank_[idx(t)] >= 0)) {
+    if ((gate_group(t) >= 0) != (gate_rank(t) >= 0)) {
       Fail("node " + std::to_string(t) +
            " sets only one of gate_group/gate_rank");
     }
@@ -212,7 +233,7 @@ void Module::Validate() const {
 std::string Module::DebugSummary() const {
   std::size_t per_kind[6] = {};
   for (std::size_t i = 0; i < size(); ++i) {
-    per_kind[static_cast<std::size_t>(kind_[i])]++;
+    per_kind[static_cast<std::size_t>(graph_.kind[i])]++;
   }
   std::ostringstream out;
   out << "ir::Module{stage=" << ToString(stage) << ", nodes=" << size()
@@ -228,8 +249,7 @@ std::string Module::DebugSummary() const {
     out << sep << KindName(static_cast<core::OpKind>(k)) << ":" << per_kind[k];
     sep = " ";
   }
-  out << "], arena={lists=" << arena_.num_lists()
-      << ", entries=" << arena_.pool_entries() << "}}";
+  out << "], pred_entries=" << graph_.pred_ids.size() << "}";
   return out.str();
 }
 

@@ -3,10 +3,9 @@
 // Every lowering in the runtime — cluster, pipeline, all-reduce,
 // multi-job composition — is expressed as a sequence of small
 // graph-rewrite passes over one shared representation, in the style of
-// shady's passes/ + node.c: flat node storage with dense ids, one CSR
-// pool of predecessor lists, and side-table attributes carrying
-// provenance (job / worker / iteration / param) that the hot simulation
-// path never touches.
+// shady's passes/ + node.c: the simulator's own task-graph columns
+// (sim::TaskGraph: dense ids, CSR preds) plus side-table attributes
+// (job / iteration / param / ...) that the simulation never touches.
 //
 // A Module moves through stages as passes lower it:
 //
@@ -22,13 +21,14 @@
 //
 // Node ids are dense and stage-local: passes rebuild storage rather than
 // mutate in place, so a NodeId is only meaningful against the module
-// revision that produced it. Node layout: one column per field (the hot
-// task fields, then the provenance side tables), and a pred-list id per
-// node into the PredArena — a CSR pool, appended to in node order, so a
-// pass that reserves its columns from its known output size lowers
-// without reallocating. Lists are not shared: pred lists hold absolute
-// NodeIds, so replicas never repeat one, and a hash index that found the
-// few that do repeat cost more than the entries it saved.
+// revision that produced it. Node layout: the task fields live in one
+// sim::TaskGraph — the columns and CSR preds the engine runs, which the
+// exporters move into the Lowering — and the IR-only attributes (job,
+// iteration, param, bytes, cost, rank, schedule priority, delay flag,
+// name) in side-table columns beside it. Preds are appended in node
+// order: SetPreds gives the newest node its list, once, so a pass that
+// reserves its columns from its known output size lowers without
+// reallocating.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +36,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/graph.h"
@@ -57,8 +58,8 @@ inline constexpr int kNoRank = -1;
 // kMaxLoweredTasks bounds the nodes (the sum over jobs of workers x
 // worker-graph ops, times pipelined iterations, plus the ring
 // collective's transfers). A PS-fabric run, whose pred lists are short,
-// peaks at ~250 bytes of host memory per lowered task (`tictac_cli run`
-// on ResNet-101 v2 training, 50 and 100 workers): ~4 GB at the budget.
+// peaks at ~230 bytes of host memory per lowered task (`tictac_cli run`
+// on ResNet-101 v2 training, 50 and 100 workers): ~3.9 GB at the budget.
 //
 // kMaxLoweredPredEntries bounds the pred-list entries. It is the binding
 // limit for the ring collective, where every transfer lists its whole
@@ -67,40 +68,6 @@ inline constexpr int kNoRank = -1;
 // with topology=ring, 64 and 96 workers), ~3.5 GB at the budget.
 inline constexpr std::int64_t kMaxLoweredTasks = std::int64_t{1} << 24;
 inline constexpr std::int64_t kMaxLoweredPredEntries = std::int64_t{1} << 28;
-
-// Predecessor lists as one CSR pool of NodeIds: list i is
-// pool[offsets[i], offsets[i + 1]), and a node holds only its ListId.
-// Intern appends; ids are dense in append order, and the empty list is
-// always id 0 (default nodes point at it without an append).
-class PredArena {
- public:
-  using ListId = std::int32_t;
-  static constexpr ListId kEmptyList = 0;
-
-  // Appends `list` to the pool and returns its fresh id; an empty list
-  // returns kEmptyList.
-  ListId Intern(std::span<const NodeId> list);
-
-  std::span<const NodeId> list(ListId id) const {
-    const auto i = static_cast<std::size_t>(id);
-    return {pool_.data() + offsets_[i], pool_.data() + offsets_[i + 1]};
-  }
-
-  // Room for `lists` more lists holding `entries` more NodeIds.
-  void Reserve(std::size_t lists, std::size_t entries) {
-    offsets_.reserve(offsets_.size() + lists);
-    pool_.reserve(pool_.size() + entries);
-  }
-
-  // Lists stored (including the empty list).
-  std::size_t num_lists() const { return offsets_.size() - 1; }
-  // Total NodeIds in the pool.
-  std::size_t pool_entries() const { return pool_.size(); }
-
- private:
-  std::vector<NodeId> pool_;
-  std::vector<std::size_t> offsets_{0, 0};  // the empty list is id 0
-};
 
 enum class Stage { kLogical, kReplicated, kLowered, kMerged };
 const char* ToString(Stage stage);
@@ -143,39 +110,47 @@ class Module {
   // Appends a default node (duration 0, no resource, no priority, empty
   // preds, provenance unset) and returns its id.
   NodeId AddNode();
-  std::size_t size() const { return duration_.size(); }
+  std::size_t size() const { return graph_.size(); }
   // Room for `nodes` more nodes whose pred lists hold `pred_entries`
   // more NodeIds in all.
   void Reserve(std::size_t nodes, std::size_t pred_entries);
 
   // --- hot task fields (what the simulator consumes) ----------------------
 
-  double& duration(NodeId n) { return duration_[idx(n)]; }
-  double duration(NodeId n) const { return duration_[idx(n)]; }
-  int& resource(NodeId n) { return resource_[idx(n)]; }
-  int resource(NodeId n) const { return resource_[idx(n)]; }
-  int& priority(NodeId n) { return priority_[idx(n)]; }
-  int priority(NodeId n) const { return priority_[idx(n)]; }
-  int& gate_group(NodeId n) { return gate_group_[idx(n)]; }
-  int gate_group(NodeId n) const { return gate_group_[idx(n)]; }
-  int& gate_rank(NodeId n) { return gate_rank_[idx(n)]; }
-  int gate_rank(NodeId n) const { return gate_rank_[idx(n)]; }
+  double& duration(NodeId n) { return graph_.duration[idx(n)]; }
+  double duration(NodeId n) const { return graph_.duration[idx(n)]; }
+  int& resource(NodeId n) { return graph_.resource[idx(n)]; }
+  int resource(NodeId n) const { return graph_.resource[idx(n)]; }
+  int& priority(NodeId n) { return graph_.priority[idx(n)]; }
+  int priority(NodeId n) const { return graph_.priority[idx(n)]; }
+  int& gate_group(NodeId n) { return graph_.gate_group[idx(n)]; }
+  int gate_group(NodeId n) const { return graph_.gate_group[idx(n)]; }
+  int& gate_rank(NodeId n) { return graph_.gate_rank[idx(n)]; }
+  int gate_rank(NodeId n) const { return graph_.gate_rank[idx(n)]; }
 
-  void SetPreds(NodeId n, std::span<const NodeId> preds) {
-    pred_list_[idx(n)] = arena_.Intern(preds);
-  }
+  // Copies every field of node `src` of `from` (which may be this
+  // module) onto node `n`, except its preds, delay flag and name.
+  void CopyNode(NodeId n, const Module& from, NodeId src);
+
+  // Gives the newest node `n` its preds. Lists are appended in node
+  // order, so each node gets its list once, before the next node is
+  // added; anything else throws std::invalid_argument.
+  void SetPreds(NodeId n, std::span<const NodeId> preds);
   std::span<const NodeId> preds(NodeId n) const {
-    return arena_.list(pred_list_[idx(n)]);
+    return graph_.preds(idx(n));
   }
 
-  // --- side-table attributes (provenance; never read by the engine) -------
+  // --- provenance (exported with the task graph; never read by the engine)
 
-  core::OpKind& kind(NodeId n) { return kind_[idx(n)]; }
-  core::OpKind kind(NodeId n) const { return kind_[idx(n)]; }
-  core::OpId& op(NodeId n) { return op_[idx(n)]; }
-  core::OpId op(NodeId n) const { return op_[idx(n)]; }
-  int& worker(NodeId n) { return worker_[idx(n)]; }
-  int worker(NodeId n) const { return worker_[idx(n)]; }
+  core::OpKind& kind(NodeId n) { return graph_.kind[idx(n)]; }
+  core::OpKind kind(NodeId n) const { return graph_.kind[idx(n)]; }
+  core::OpId& op(NodeId n) { return graph_.op[idx(n)]; }
+  core::OpId op(NodeId n) const { return graph_.op[idx(n)]; }
+  int& worker(NodeId n) { return graph_.worker[idx(n)]; }
+  int worker(NodeId n) const { return graph_.worker[idx(n)]; }
+
+  // --- side-table attributes (IR only; not exported) ----------------------
+
   int& job(NodeId n) { return job_[idx(n)]; }
   int job(NodeId n) const { return job_[idx(n)]; }
   int& iteration(NodeId n) { return iteration_[idx(n)]; }
@@ -214,13 +189,17 @@ class Module {
   // LowerAllReduce leaves them empty).
   bool ring = false;
   // Set by lower_flow_nics (valid at kMerged): the shared-fabric capacity
-  // graph for SimOptions::flow_fairness — channel resources mapped to the
+  // graph for SimOptions::network — channel resources mapped to the
   // NIC / fat-tree core links they traverse (models/topology.h). Null =
   // static bandwidth/T split only. Shared, not copied, by the Lowering
   // exporters; passes that rebuild the module must carry it over.
   std::shared_ptr<const sim::FlowNetwork> flow;
 
-  const PredArena& arena() const { return arena_; }
+  // The task graph the node fields live in. An exporter, holding the
+  // module by value, moves it out with TakeGraph, after which only the
+  // side tables may be read.
+  const sim::TaskGraph& graph() const { return graph_; }
+  sim::TaskGraph TakeGraph() { return std::move(graph_); }
 
   // --- invariants ---------------------------------------------------------
 
@@ -232,7 +211,7 @@ class Module {
   // group. Throws std::invalid_argument naming the violated invariant.
   void Validate() const;
 
-  // One-line counts (nodes per kind, jobs, stage, arena lists/entries).
+  // One-line counts (nodes per kind, jobs, stage, pred entries).
   std::string DebugSummary() const;
   // Per-node listing of the first `max_nodes` nodes, for dump hooks.
   std::string DebugDump(std::size_t max_nodes = 64) const;
@@ -240,16 +219,8 @@ class Module {
  private:
   std::size_t idx(NodeId n) const { return static_cast<std::size_t>(n); }
 
-  std::vector<double> duration_;
-  std::vector<int> resource_;
-  std::vector<int> priority_;
-  std::vector<int> gate_group_;
-  std::vector<int> gate_rank_;
-  std::vector<PredArena::ListId> pred_list_;
+  sim::TaskGraph graph_;
 
-  std::vector<core::OpKind> kind_;
-  std::vector<core::OpId> op_;
-  std::vector<int> worker_;
   std::vector<int> job_;
   std::vector<int> iteration_;
   std::vector<int> param_;
@@ -259,8 +230,6 @@ class Module {
   std::vector<int> sched_priority_;
   std::vector<std::uint8_t> delay_;
   std::vector<std::string> name_;
-
-  PredArena arena_;
 };
 
 }  // namespace tictac::ir

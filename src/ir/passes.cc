@@ -121,15 +121,8 @@ class ExpandReplicasPass final : public Pass {
                   "worker partition may only hold compute/recv/send ops");
           }
           const NodeId n = out.AddNode();
-          out.kind(n) = module.kind(src);
-          out.op(n) = op_id;
-          out.param(n) = module.param(src);
-          out.bytes(n) = module.bytes(src);
-          out.cost(n) = module.cost(src);
-          out.rank(n) = module.rank(src);
-          out.sched_priority(n) = module.sched_priority(src);
+          out.CopyNode(n, module, src);
           out.worker(n) = w;
-          out.job(n) = static_cast<int>(j);
           buf.clear();
           for (const NodeId p : module.preds(src)) {
             buf.push_back(worker_base +
@@ -164,7 +157,7 @@ class LowerPsFabricPass final : public Pass {
     std::size_t params = 0;
     for (const JobInfo& job : module.jobs) params += job.ps_of_param.size();
     out.Reserve(module.size() + 3 * params,
-                module.arena().pool_entries() + module.size() + params);
+                module.graph().pred_ids.size() + module.size() + params);
 
     std::vector<NodeId> buf;
     for (std::size_t j = 0; j < module.jobs.size(); ++j) {
@@ -222,19 +215,30 @@ class LowerPsFabricPass final : public Pass {
       // (worker, op id) -> lowered node, for the aggregation fan-in.
       std::vector<NodeId> op_node(static_cast<std::size_t>(W) * V, kNoNode);
 
+      // DAG-chaining enforcement (§5.1's rejected variant): each transfer
+      // also depends on the completion of its predecessor in the
+      // normalized order, appended last to its preds. The replicas repeat
+      // worker 0's block, so one rank -> block offset table names every
+      // worker's chain.
+      std::vector<NodeId> chain_offset;
+      if (scheduled && enforcement == runtime::Enforcement::kDagChain) {
+        chain_offset.assign(V, kNoNode);
+        for (std::size_t offset = 0; offset < V; ++offset) {
+          const NodeId src = r.first + static_cast<NodeId>(offset);
+          const int rank = module.rank(src);
+          if (module.kind(src) == core::OpKind::kRecv && rank >= 0 &&
+              static_cast<std::size_t>(rank) < V) {
+            chain_offset[static_cast<std::size_t>(rank)] =
+                static_cast<NodeId>(offset);
+          }
+        }
+      }
+
       for (NodeId src = r.first; src < r.last; ++src) {
         const int w = module.worker(src);
         const core::OpKind kind = module.kind(src);
         const NodeId n = out.AddNode();
-        out.kind(n) = kind;
-        out.op(n) = module.op(src);
-        out.param(n) = module.param(src);
-        out.bytes(n) = module.bytes(src);
-        out.cost(n) = module.cost(src);
-        out.rank(n) = module.rank(src);
-        out.sched_priority(n) = module.sched_priority(src);
-        out.worker(n) = w;
-        out.job(n) = static_cast<int>(j);
+        out.CopyNode(n, module, src);
         buf.clear();
         switch (kind) {
           case core::OpKind::kRecv: {
@@ -259,7 +263,6 @@ class LowerPsFabricPass final : public Pass {
                 out.gate_group(n) = w;
                 out.gate_rank(n) = rank;
               }
-              // kDagChain: dependency edges added in a post-pass below.
             }
             break;
           }
@@ -296,37 +299,17 @@ class LowerPsFabricPass final : public Pass {
                 "worker partition may only hold compute/recv/send ops");
         }
         for (const NodeId p : module.preds(src)) buf.push_back(p + delta);
+        if (kind == core::OpKind::kRecv && !chain_offset.empty() &&
+            module.rank(src) >= 1) {
+          const NodeId block_first =
+              r.first + static_cast<NodeId>(static_cast<std::size_t>(w) * V);
+          buf.push_back(block_first + delta +
+                        chain_offset[static_cast<std::size_t>(
+                            module.rank(src) - 1)]);
+        }
         out.SetPreds(n, buf);
         op_node[static_cast<std::size_t>(w) * V +
                 static_cast<std::size_t>(module.op(src))] = n;
-      }
-
-      // DAG-chaining enforcement: each transfer depends on the completion
-      // of its predecessor in the normalized order (§5.1's rejected
-      // variant).
-      if (scheduled && enforcement == runtime::Enforcement::kDagChain) {
-        std::vector<std::vector<NodeId>> recvs_of_worker(
-            static_cast<std::size_t>(W));
-        for (NodeId n = first + P; n < static_cast<NodeId>(out.size());
-             ++n) {
-          if (out.kind(n) == core::OpKind::kRecv) {
-            recvs_of_worker[static_cast<std::size_t>(out.worker(n))]
-                .push_back(n);
-          }
-        }
-        for (int w = 0; w < W; ++w) {
-          const auto& recvs = recvs_of_worker[static_cast<std::size_t>(w)];
-          std::vector<NodeId> by_rank(recvs.size());
-          for (const NodeId n : recvs) {
-            by_rank[static_cast<std::size_t>(out.priority(n))] = n;
-          }
-          for (std::size_t rank = 1; rank < by_rank.size(); ++rank) {
-            const NodeId n = by_rank[rank];
-            buf.assign(out.preds(n).begin(), out.preds(n).end());
-            buf.push_back(by_rank[rank - 1]);
-            out.SetPreds(n, buf);
-          }
-        }
       }
 
       // PS-side aggregation + update per parameter (training only):
@@ -477,11 +460,11 @@ class LowerAllreduceRingPass final : public Pass {
     // Checked second: transfers * W only fits in 64 bits once the
     // transfer count is inside its budget.
     CheckPredBudget(
-        static_cast<std::int64_t>(module.arena().pool_entries()) +
+        static_cast<std::int64_t>(module.graph().pred_ids.size()) +
             transfers * W,
         "workers=" + std::to_string(W),
         "x " + std::to_string(transfers) + " ring transfers + " +
-            std::to_string(module.arena().pool_entries()) +
+            std::to_string(module.graph().pred_ids.size()) +
             " worker-graph pred entries");
     module.Reserve(static_cast<std::size_t>(transfers),
                    static_cast<std::size_t>(transfers * W));
@@ -613,7 +596,7 @@ class ApplyArrivalOffsetsPass final : public Pass {
     // One delay node per job at most; a delayed job's sources gain it as
     // their one pred.
     out.Reserve(module.size() + module.jobs.size(),
-                module.arena().pool_entries() + module.size());
+                module.graph().pred_ids.size() + module.size());
 
     std::vector<NodeId> buf;
     int delay_resources = 0;
@@ -636,20 +619,7 @@ class ApplyArrivalOffsetsPass final : public Pass {
       const NodeId delta = moved.first - r.first;
       for (NodeId src = r.first; src < r.last; ++src) {
         const NodeId n = out.AddNode();
-        out.duration(n) = module.duration(src);
-        out.resource(n) = module.resource(src);
-        out.priority(n) = module.priority(src);
-        out.gate_group(n) = module.gate_group(src);
-        out.gate_rank(n) = module.gate_rank(src);
-        out.kind(n) = module.kind(src);
-        out.op(n) = module.op(src);
-        out.worker(n) = module.worker(src);
-        out.job(n) = module.job(src);
-        out.param(n) = module.param(src);
-        out.bytes(n) = module.bytes(src);
-        out.cost(n) = module.cost(src);
-        out.rank(n) = module.rank(src);
-        out.sched_priority(n) = module.sched_priority(src);
+        out.CopyNode(n, module, src);
         buf.clear();
         for (const NodeId p : module.preds(src)) buf.push_back(p + delta);
         if (buf.empty() && moved.delay != kNoNode) buf.push_back(moved.delay);
@@ -681,7 +651,7 @@ class LowerFlowNicsPass final : public Pass {
     // lowering stays byte-identical.
     bool enabled = false;
     for (const JobInfo& job : module.jobs) {
-      enabled |= job.config.sim.flow_fairness;
+      enabled |= job.config.flow_fairness;
     }
     if (!enabled) return;
     if (module.ring) {
@@ -760,15 +730,15 @@ class PipelineItersPass final : public Pass {
                     "x " + std::to_string(n0) + " tasks per iteration");
     CheckPredBudget(
         static_cast<std::int64_t>(iterations_) *
-            static_cast<std::int64_t>(module.arena().pool_entries()),
+            static_cast<std::int64_t>(module.graph().pred_ids.size()),
         "iterations=" + std::to_string(iterations_),
-        "x " + std::to_string(module.arena().pool_entries()) +
+        "x " + std::to_string(module.graph().pred_ids.size()) +
             " pred entries per iteration");
     // Each later iteration copies every node but the delays, and a recv
     // gains its stitch edge.
     module.Reserve(static_cast<std::size_t>(iterations_ - 1) * module.size(),
                    static_cast<std::size_t>(iterations_ - 1) *
-                       (module.arena().pool_entries() + module.size()));
+                       (module.graph().pred_ids.size() + module.size()));
 
     // Iteration-0 stitches: per-(job, param) PS update and per-worker
     // final forward compute — the hooks consecutive iterations chain on.
@@ -799,7 +769,6 @@ class PipelineItersPass final : public Pass {
     }
 
     std::vector<NodeId> buf;
-    std::vector<NodeId> src_preds;
     for (int k = 1; k < iterations_; ++k) {
       // Ids first (chain edges may point forward in emission order).
       NodeId next = static_cast<NodeId>(module.size());
@@ -809,50 +778,23 @@ class PipelineItersPass final : public Pass {
       }
       for (NodeId t = 0; t < n0; ++t) {
         if (module.is_delay(t)) continue;
-        // Copy the span out before AddNode: the arena pool may
-        // reallocate under the new node's own SetPreds.
-        src_preds.assign(module.preds(t).begin(), module.preds(t).end());
-        const double duration = module.duration(t);
-        const int resource = module.resource(t);
-        const int priority = module.priority(t);
-        const int gate_group = module.gate_group(t);
-        const int gate_rank = module.gate_rank(t);
-        const core::OpKind kind = module.kind(t);
-        const core::OpId op = module.op(t);
-        const int worker = module.worker(t);
-        const int job = module.job(t);
-        const int param = module.param(t);
-        const std::int64_t bytes = module.bytes(t);
-        const double cost = module.cost(t);
-        const int rank = module.rank(t);
-        const int sched_priority = module.sched_priority(t);
-
         const NodeId n = module.AddNode();
-        module.duration(n) = duration;
-        module.resource(n) = resource;
-        module.priority(n) = priority;
+        module.CopyNode(n, module, t);
+        module.iteration(n) = k;
         // Enforcement counters reset each iteration (§5.1): distinct
         // gate group per (worker, iteration).
-        module.gate_group(n) = gate_group >= 0 ? gate_group + k * Wt
-                                               : gate_group;
-        module.gate_rank(n) = gate_rank;
-        module.kind(n) = kind;
-        module.op(n) = op;
-        module.worker(n) = worker;
-        module.job(n) = job;
-        module.iteration(n) = k;
-        module.param(n) = param;
-        module.bytes(n) = bytes;
-        module.cost(n) = cost;
-        module.rank(n) = rank;
-        module.sched_priority(n) = sched_priority;
+        if (module.gate_group(n) >= 0) module.gate_group(n) += k * Wt;
 
+        // buf, not a span of t's preds, goes to SetPreds: the append may
+        // reallocate the CSR.
         buf.clear();
-        for (const NodeId p : src_preds) {
+        for (const NodeId p : module.preds(t)) {
           buf.push_back(ids_cur[static_cast<std::size_t>(p)]);
         }
-        if (kind == core::OpKind::kRecv && worker >= 0) {
-          const auto& upd = update_of[static_cast<std::size_t>(job)];
+        const int worker = module.worker(t);
+        if (module.kind(t) == core::OpKind::kRecv && worker >= 0) {
+          const int param = module.param(t);
+          const auto& upd = update_of[static_cast<std::size_t>(module.job(t))];
           const NodeId stitched =
               static_cast<std::size_t>(param) < upd.size() &&
                       upd[static_cast<std::size_t>(param)] != kNoNode

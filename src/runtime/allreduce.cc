@@ -25,9 +25,8 @@ Lowering LowerAllReduce(const core::Graph& worker_graph,
   const std::vector<int> no_params;
   const std::vector<JobLoweringInput> jobs{
       {worker_graph, no_schedule, no_params, config}};
-  ir::Module module = ir::StandardLoweringPipeline(Topology::kRing)
-                          .Run(ir::BuildLogicalModule(jobs));
-  return ir::ToLowering(module);
+  return ir::ToLowering(ir::StandardLoweringPipeline(Topology::kRing)
+                            .Run(ir::BuildLogicalModule(jobs)));
 }
 
 }  // namespace tictac::runtime

@@ -128,8 +128,8 @@ void ClusterConfig::Validate() const {
          "bisection bandwidth), got " +
          std::to_string(fabric_oversubscription));
   }
-  if (sim.flow_fairness && topology == Topology::kRing) {
-    fail("sim.flow_fairness models the PS fabric's shared links; ring "
+  if (flow_fairness && topology == Topology::kRing) {
+    fail("flow_fairness models the PS fabric's shared links; ring "
          "all-reduce has no flow network — use topology=ps or turn "
          "flow fairness off");
   }

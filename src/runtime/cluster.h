@@ -97,10 +97,12 @@ struct ClusterConfig {
   Topology topology = Topology::kPsFabric;
   // Parameter -> PS placement strategy (runtime/sharding.h).
   ShardStrategy shard = ShardStrategy::kBytes;
-  // Fat-tree shape of the PS fabric for the flow-level contention model
-  // (models/topology.h; consumed by the lower_flow_nics pass when
-  // sim.flow_fairness is on): leaf pod count and core oversubscription
-  // ratio. Defaults describe a single non-blocking switch.
+  // Flow-level max-min fair contention (DESIGN.md §11): the
+  // lower_flow_nics pass attaches a capacity graph of this fat-tree shape
+  // (models/topology.h) — leaf pod count and core oversubscription ratio;
+  // the defaults describe a single non-blocking switch — and runs set
+  // SimOptions::network to it. Off = the static bandwidth/T split.
+  bool flow_fairness = false;
   int fabric_pods = 1;
   double fabric_oversubscription = 1.0;
 
@@ -110,7 +112,7 @@ struct ClusterConfig {
   // topology=ring without training or with < 2 workers,
   // worker_speed_factors whose size is neither 0 nor num_workers or whose
   // entries are not positive, fabric_pods < 1, non-positive
-  // fabric_oversubscription, and sim.flow_fairness on a ring topology
+  // fabric_oversubscription, and flow_fairness on a ring topology
   // (the flow model covers the PS fabric only; pods vs host count is
   // checked at lowering time against the merged fabric). Throws
   // std::invalid_argument naming the offending field and value. Runner

@@ -95,24 +95,17 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
              "simulation options are global to a run");
       }
       merged_options_.enforce_gates |= fabric.options.enforce_gates;
-      merged_options_.flow_fairness |= fabric.options.flow_fairness;
     }
 
     Lowering& lowering = fabric.lowering.combined;
     const auto task_base = static_cast<sim::TaskId>(merged_.tasks.size());
     const int resource_base = merged_.num_resources;
     const int worker_base = merged_.num_workers;
-    int max_gate = -1;
-    for (sim::Task& task : lowering.tasks) {
-      task.resource += resource_base;
-      for (sim::TaskId& pred : task.preds) pred += task_base;
-      if (task.gate_group >= 0) {
-        max_gate = std::max(max_gate, task.gate_group);
-        task.gate_group += gate_base;
-      }
-      if (task.worker >= 0) task.worker += worker_base;
-      merged_.tasks.push_back(std::move(task));
-    }
+    merged_.tasks.Append(lowering.tasks, resource_base, gate_base,
+                         worker_base);
+    const std::vector<int>& groups = lowering.tasks.gate_group;
+    const int max_gate =
+        groups.empty() ? -1 : *std::max_element(groups.begin(), groups.end());
     for (std::size_t w = 0; w < lowering.worker_tasks.size(); ++w) {
       for (sim::TaskId& t : lowering.worker_tasks[w]) t += task_base;
       for (sim::TaskId& t : lowering.worker_recv_tasks[w]) t += task_base;

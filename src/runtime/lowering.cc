@@ -18,10 +18,8 @@ Lowering LowerCluster(const core::Graph& worker_graph,
                       const ClusterConfig& config) {
   const std::vector<JobLoweringInput> jobs{
       {worker_graph, schedule, ps_of_param, config}};
-  ir::Module module =
-      ir::StandardLoweringPipeline(Topology::kPsFabric)
-          .Run(ir::BuildLogicalModule(jobs));
-  return ir::ToLowering(module);
+  return ir::ToLowering(ir::StandardLoweringPipeline(Topology::kPsFabric)
+                            .Run(ir::BuildLogicalModule(jobs)));
 }
 
 PipelineLowering LowerPipeline(const core::Graph& worker_graph,
@@ -33,8 +31,7 @@ PipelineLowering LowerPipeline(const core::Graph& worker_graph,
   // Validates iterations >= 1 before any lowering work.
   ir::PassPipeline pipeline =
       ir::StandardLoweringPipeline(Topology::kPsFabric, iterations);
-  ir::Module module = pipeline.Run(ir::BuildLogicalModule(jobs));
-  return ir::ToPipelineLowering(module);
+  return ir::ToPipelineLowering(pipeline.Run(ir::BuildLogicalModule(jobs)));
 }
 
 PipelineTiming ComputePipelineTiming(const PipelineLowering& pipeline,

@@ -26,19 +26,21 @@
 
 namespace tictac::runtime {
 
-// Mapping from simulator tasks back to model semantics, for statistics.
+// The lowered task graph plus the tables mapping its tasks back to model
+// semantics, for statistics.
 struct Lowering {
+  // An engine over a copy of `tasks`.
   sim::TaskGraphSim BuildSim() const {
     return sim::TaskGraphSim(tasks, num_resources);
   }
 
-  std::vector<sim::Task> tasks;
+  sim::TaskGraph tasks;
   int num_resources = 0;
   int num_workers = 0;
 
   // Capacity graph for flow-level max-min fairness, attached by the
-  // lower_flow_nics pass when the config enables sim.flow_fairness (null
-  // = static bandwidth/T split only). Runners point
+  // lower_flow_nics pass when the config enables flow_fairness (null =
+  // static bandwidth/T split only). Runners point
   // SimOptions::network at it for the sim's lifetime.
   std::shared_ptr<const sim::FlowNetwork> flow;
 

@@ -186,9 +186,9 @@ MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
                                     const ir::PipelineOptions& pipeline) {
   // merge_jobs reads jobs.front() and checks the rest of the fabric.
   if (jobs.empty()) Fail("LowerSharedCluster needs >= 1 job");
-  ir::Module module = ir::StandardLoweringPipeline(Topology::kPsFabric)
-                          .Run(ir::BuildLogicalModule(jobs), pipeline);
-  return ir::ToMultiJobLowering(module);
+  return ir::ToMultiJobLowering(
+      ir::StandardLoweringPipeline(Topology::kPsFabric)
+          .Run(ir::BuildLogicalModule(jobs), pipeline));
 }
 
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
@@ -216,10 +216,9 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
   fabric.lowering = LowerSharedCluster(inputs, pipeline);
   fabric.options = inputs.front().config.sim;
   fabric.options.enforce_gates = any_scheduled;
-  // Non-null exactly when a config enabled sim.flow_fairness
+  // Non-null exactly when a config enabled flow_fairness
   // (lower_flow_nics); the lowering owns it.
   fabric.options.network = fabric.lowering.combined.flow.get();
-  fabric.options.flow_fairness |= fabric.options.network != nullptr;
   return fabric;
 }
 

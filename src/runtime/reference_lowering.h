@@ -7,8 +7,12 @@
 // in src/ir/ passes — these bodies exist precisely so a drift there is
 // caught bit for bit.
 //
-// Precedent: core/tac.h's TacFullRecompute, frozen in PR 2 for the same
-// reason.
+// Precedent: core/tac.h's TacFullRecompute, frozen for the same reason.
+//
+// The bodies build the row layout they were written against (one
+// sim::Task per task, each owning its preds), so the result types they
+// fill are frozen here too: the live runtime::Lowering holds a columnar
+// sim::TaskGraph instead.
 #pragma once
 
 #include <vector>
@@ -18,8 +22,37 @@
 #include "runtime/cluster.h"
 #include "runtime/lowering.h"
 #include "runtime/multijob.h"
+#include "sim/task.h"
 
 namespace tictac::runtime::reference {
+
+// runtime::Lowering with row tasks.
+struct Lowering {
+  std::vector<sim::Task> tasks;
+  int num_resources = 0;
+  int num_workers = 0;
+  std::vector<std::vector<sim::TaskId>> worker_tasks;
+  std::vector<std::vector<sim::TaskId>> worker_recv_tasks;
+  std::vector<std::vector<int>> transfer_param;
+  std::vector<sim::TaskId> update_task;
+  std::vector<sim::TaskId> worker_sink;
+};
+
+// runtime::PipelineLowering over the row Lowering.
+struct PipelineLowering {
+  Lowering lowering;
+  std::vector<int> task_iteration;
+  int iterations = 0;
+};
+
+// runtime::MultiJobLowering over the row Lowering.
+struct MultiJobLowering {
+  using JobSlice = runtime::MultiJobLowering::JobSlice;
+  Lowering combined;
+  std::vector<JobSlice> jobs;
+  int total_workers = 0;
+  int num_ps = 0;
+};
 
 // The pre-IR runtime::LowerCluster, verbatim.
 Lowering LowerCluster(const core::Graph& worker_graph,

@@ -111,7 +111,7 @@ void FillIntervals(const Lowering& lowering, const sim::SimResult& run,
         const auto ti = static_cast<std::size_t>(t);
         walkable &= list_of[ti] == -1;  // a task in two partitions
         const std::size_t k =
-            2 * wi + (core::IsCommunication(lowering.tasks[ti].kind) ? 0 : 1);
+            2 * wi + (core::IsCommunication(lowering.tasks.kind[ti]) ? 0 : 1);
         list_of[ti] = static_cast<int>(k);
         ++out.begin[k + 1];
       }
@@ -146,7 +146,7 @@ void FillIntervals(const Lowering& lowering, const sim::SimResult& run,
     std::size_t next = out.begin[k];
     for (const sim::TaskId t : lowering.worker_tasks[k / 2]) {
       const auto ti = static_cast<std::size_t>(t);
-      if (core::IsCommunication(lowering.tasks[ti].kind) == comm) {
+      if (core::IsCommunication(lowering.tasks.kind[ti]) == comm) {
         out.intervals[next++] = {run.start[ti] - shift[k],
                                  run.end[ti] - shift[k]};
       }
@@ -194,7 +194,7 @@ std::vector<IterationStats> ComputeIterationStats(
         finish = std::max(finish, run.end[ti] - o);
         const double measured = (run.end[ti] - o) - (run.start[ti] - o);
         upper += measured;
-        const auto r = static_cast<std::size_t>(lowering.tasks[ti].resource);
+        const auto r = static_cast<std::size_t>(lowering.tasks.resource[ti]);
         if (r >= per_resource.size()) {
           per_resource.resize(r + 1, 0.0);
           touched.resize(r + 1, 0);
@@ -400,7 +400,7 @@ ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
                             schedule.CoversAllRecvs(graph_);
   }
   // lowering.flow is non-null exactly when the config enabled
-  // sim.flow_fairness (lower_flow_nics); it outlives the runs below.
+  // flow_fairness (lower_flow_nics); it outlives the runs below.
   options.network = lowering.flow.get();
   sim::TaskGraphSim sim = lowering.BuildSim();
 

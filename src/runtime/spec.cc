@@ -242,7 +242,7 @@ ClusterConfig ClusterSpec::Build() const {
   if (jitter_sigma) config.sim.jitter_sigma = *jitter_sigma;
   if (out_of_order) config.sim.out_of_order_probability = *out_of_order;
   config.worker_speed_factors = worker_speed_factors;
-  config.sim.flow_fairness = flow;
+  config.flow_fairness = flow;
   config.fabric_pods = pods;
   config.fabric_oversubscription = oversub;
   config.Validate();

@@ -56,7 +56,7 @@ struct ClusterSpec {
   // Per-worker speed multipliers; empty = homogeneous. Never a sweep
   // axis (its commas separate per-worker values, not grid points).
   std::vector<double> worker_speed_factors;
-  // Flow-level max-min fairness (":flow" enables sim.flow_fairness) and
+  // Flow-level max-min fairness (":flow" enables flow_fairness) and
   // the fat-tree shape lower_flow_nics builds when it is on: pods= core
   // pods, oversub= core oversubscription ratio. Scalar knobs, not sweep
   // axes.

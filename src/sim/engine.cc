@@ -7,47 +7,28 @@
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/flow.h"
 
 namespace tictac::sim {
 
-TaskGraphSim::TaskGraphSim(const std::vector<Task>& tasks, int num_resources)
-    : num_resources_(num_resources) {
-  const std::size_t n = tasks.size();
-  std::size_t edges = 0;
-  for (const Task& task : tasks) edges += task.preds.size();
-  duration_.reserve(n);
-  resource_.reserve(n);
-  priority_.reserve(n);
-  gate_group_.reserve(n);
-  gate_rank_.reserve(n);
-  pred_begin_.reserve(n + 1);
-  pred_ids_.reserve(edges);
-  for (const Task& task : tasks) {
-    duration_.push_back(task.duration);
-    resource_.push_back(task.resource);
-    priority_.push_back(task.priority);
-    gate_group_.push_back(task.gate_group);
-    gate_rank_.push_back(task.gate_rank);
-    pred_ids_.insert(pred_ids_.end(), task.preds.begin(), task.preds.end());
-    pred_begin_.push_back(pred_ids_.size());
-  }
-  Index();
-}
-
-void TaskGraphSim::Index() {
-  const std::size_t n = duration_.size();
+TaskGraphSim::TaskGraphSim(TaskGraph graph, int num_resources)
+    : graph_(std::move(graph)), num_resources_(num_resources) {
+  // Everything else derives from the columns and CSR preds: the succ
+  // CSR, gate groups, per-resource priority ranks and the gate-slot
+  // layout.
+  const std::size_t n = graph_.size();
   const auto R = static_cast<std::size_t>(num_resources_);
   const auto in_range = [&](std::size_t t) {
-    return resource_[t] >= 0 && resource_[t] < num_resources_;
+    return graph_.resource[t] >= 0 && graph_.resource[t] < num_resources_;
   };
 
   // Succs as CSR, each list in ascending task id (the order a completion
   // releases them in). Out-of-range preds (rejected by Validate) get no
   // succ entry.
   succ_begin_.assign(n + 1, 0);
-  for (const TaskId p : pred_ids_) {
+  for (const TaskId p : graph_.pred_ids) {
     if (p >= 0 && static_cast<std::size_t>(p) < n) {
       ++succ_begin_[static_cast<std::size_t>(p) + 1];
     }
@@ -57,7 +38,7 @@ void TaskGraphSim::Index() {
   {
     std::vector<std::size_t> fill(succ_begin_.begin(), succ_begin_.end() - 1);
     for (std::size_t t = 0; t < n; ++t) {
-      for (const TaskId p : preds(t)) {
+      for (const TaskId p : graph_.preds(t)) {
         if (p >= 0 && static_cast<std::size_t>(p) < n) {
           succ_ids_[fill[static_cast<std::size_t>(p)]++] =
               static_cast<TaskId>(t);
@@ -66,7 +47,7 @@ void TaskGraphSim::Index() {
     }
   }
   num_gate_groups_ = 0;
-  for (const int g : gate_group_) {
+  for (const int g : graph_.gate_group) {
     num_gate_groups_ = std::max(num_gate_groups_, g + 1);
   }
 
@@ -79,8 +60,8 @@ void TaskGraphSim::Index() {
   // array, resource r's at [bucket_offset_[r], bucket_offset_[r + 1]).
   std::vector<std::pair<int, int>> keyed;
   for (std::size_t t = 0; t < n; ++t) {
-    if (priority_[t] != kNoPriority && in_range(t)) {
-      keyed.emplace_back(resource_[t], priority_[t]);
+    if (graph_.priority[t] != kNoPriority && in_range(t)) {
+      keyed.emplace_back(graph_.resource[t], graph_.priority[t]);
     }
   }
   std::sort(keyed.begin(), keyed.end());
@@ -94,15 +75,15 @@ void TaskGraphSim::Index() {
   }
   priority_rank_.assign(n, kNoRank);
   for (std::size_t t = 0; t < n; ++t) {
-    if (priority_[t] == kNoPriority || !in_range(t)) continue;
-    const auto r = static_cast<std::size_t>(resource_[t]);
+    if (graph_.priority[t] == kNoPriority || !in_range(t)) continue;
+    const auto r = static_cast<std::size_t>(graph_.resource[t]);
     const auto first =
         keyed.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[r]);
     const auto last =
         keyed.begin() + static_cast<std::ptrdiff_t>(bucket_offset_[r + 1]);
-    priority_rank_[t] = static_cast<int>(
-        std::lower_bound(first, last, std::pair{resource_[t], priority_[t]}) -
-        first);
+    const std::pair key{graph_.resource[t], graph_.priority[t]};
+    priority_rank_[t] =
+        static_cast<int>(std::lower_bound(first, last, key) - first);
   }
 
   // Per-group gate slot layout, sized by the group's *task count*: ranks
@@ -113,7 +94,7 @@ void TaskGraphSim::Index() {
   // of getting a slot. This also bounds slot memory by the task count
   // regardless of what rank values unvalidated inputs carry.
   gate_group_size_.assign(static_cast<std::size_t>(num_gate_groups_), 0);
-  for (const int g : gate_group_) {
+  for (const int g : graph_.gate_group) {
     if (g >= 0) ++gate_group_size_[static_cast<std::size_t>(g)];
   }
   gate_offset_.resize(static_cast<std::size_t>(num_gate_groups_));
@@ -131,23 +112,23 @@ void TaskGraphSim::Validate() const {
       static_cast<std::size_t>(num_gate_groups_));
   for (TaskId t = 0; t < n; ++t) {
     const auto ti = static_cast<std::size_t>(t);
-    if (resource_[ti] < 0 || resource_[ti] >= num_resources_) {
+    if (graph_.resource[ti] < 0 || graph_.resource[ti] >= num_resources_) {
       throw std::invalid_argument("task resource out of range");
     }
-    if (duration_[ti] < 0.0) {
+    if (graph_.duration[ti] < 0.0) {
       throw std::invalid_argument("negative task duration");
     }
-    for (TaskId p : preds(ti)) {
+    for (TaskId p : graph_.preds(ti)) {
       if (p < 0 || p >= n || p == t) {
         throw std::invalid_argument("task predecessor out of range");
       }
     }
-    if ((gate_group_[ti] >= 0) != (gate_rank_[ti] >= 0)) {
+    if ((graph_.gate_group[ti] >= 0) != (graph_.gate_rank[ti] >= 0)) {
       throw std::invalid_argument("gate group/rank must be set together");
     }
-    if (gate_group_[ti] >= 0) {
-      gate_ranks[static_cast<std::size_t>(gate_group_[ti])].push_back(
-          gate_rank_[ti]);
+    if (graph_.gate_group[ti] >= 0) {
+      gate_ranks[static_cast<std::size_t>(graph_.gate_group[ti])].push_back(
+          graph_.gate_rank[ti]);
     }
   }
   for (auto& ranks : gate_ranks) {
@@ -161,7 +142,7 @@ void TaskGraphSim::Validate() const {
   // Acyclicity via Kahn.
   std::vector<std::size_t> indegree(num_tasks());
   for (std::size_t t = 0; t < num_tasks(); ++t) {
-    indegree[t] = pred_begin_[t + 1] - pred_begin_[t];
+    indegree[t] = graph_.pred_begin[t + 1] - graph_.pred_begin[t];
   }
   std::queue<TaskId> q;
   for (std::size_t t = 0; t < num_tasks(); ++t) {
@@ -273,9 +254,9 @@ struct ReadySets {
   }
 };
 
-// Max-min fair flow state of one Run (SimOptions::flow_fairness +
-// network, DESIGN.md §11). Every flow start and finish re-solves the
-// progressive-filling water-fill over all active flows. Each flow keeps
+// Max-min fair flow state of one Run (SimOptions::network, DESIGN.md
+// §11). Every flow start and finish re-solves the progressive-filling
+// water-fill over all active flows. Each flow keeps
 // one completion projection, refreshed exactly when a solve changes its
 // rate, and the solve records the first of them: the event loop orders
 // that one against its queue by the queue's own (time, task) rule, so
@@ -666,10 +647,11 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<int> missing_preds(num_tasks());
   std::vector<double> duration(num_tasks());
   for (std::size_t t = 0; t < num_tasks(); ++t) {
-    missing_preds[t] = static_cast<int>(pred_begin_[t + 1] - pred_begin_[t]);
-    duration[t] = options.jitter_sigma > 0.0
-                      ? duration_[t] * rng.Lognormal(1.0, options.jitter_sigma)
-                      : duration_[t];
+    missing_preds[t] = static_cast<int>(graph_.preds(t).size());
+    duration[t] =
+        options.jitter_sigma > 0.0
+            ? graph_.duration[t] * rng.Lognormal(1.0, options.jitter_sigma)
+            : graph_.duration[t];
   }
 
   // Fault-injection state (SimOptions::faults). Sized only when a
@@ -714,16 +696,15 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     }
   };
 
-  // Flow-fairness state (SimOptions::flow_fairness + network, DESIGN.md
-  // §11). Built only when enabled and the network maps at least one
+  // Flow-fairness state (SimOptions::network, DESIGN.md §11). Built
+  // only when a network is set and maps at least one
   // resource to a shared link; otherwise every flow branch below is
   // skipped and the run is bit-identical to the static-split engine
   // (pinned in tests/flow_test.cc).
   std::optional<FlowSolver> flows;
-  if (options.flow_fairness && options.network != nullptr &&
-      options.network->HasFlows()) {
+  if (options.network != nullptr && options.network->HasFlows()) {
     options.network->Validate(num_resources_);
-    flows.emplace(resource_, *options.network);
+    flows.emplace(graph_.resource, *options.network);
   }
 
   std::vector<int> gate_counter(static_cast<std::size_t>(num_gate_groups_), 0);
@@ -732,17 +713,17 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   std::vector<TaskId> gate_slot(gate_slot_count_, -1);
 
   auto gate_open = [&](TaskId t) {
-    const int group = gate_group_[static_cast<std::size_t>(t)];
+    const int group = graph_.gate_group[static_cast<std::size_t>(t)];
     if (!options.enforce_gates || group < 0) return true;
     return gate_counter[static_cast<std::size_t>(group)] ==
-           gate_rank_[static_cast<std::size_t>(t)];
+           graph_.gate_rank[static_cast<std::size_t>(t)];
   };
 
   ReadySets ready(num_resources_, bucket_offset_, num_tasks());
   std::vector<char> busy(static_cast<std::size_t>(num_resources_), 0);
 
   auto push_ready = [&](TaskId t) {
-    const int r = resource_[static_cast<std::size_t>(t)];
+    const int r = graph_.resource[static_cast<std::size_t>(t)];
     ready.Push(r, priority_rank_[static_cast<std::size_t>(t)], t);
     wake_resource(r);
   };
@@ -753,8 +734,8 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
   // not at wire time, so channels drain their queues independently and
   // never idle waiting for another channel's wire transfer.
   auto deps_done_enqueue = [&](TaskId t) {
-    const int gate_group = gate_group_[static_cast<std::size_t>(t)];
-    const int gate_rank = gate_rank_[static_cast<std::size_t>(t)];
+    const int gate_group = graph_.gate_group[static_cast<std::size_t>(t)];
+    const int gate_rank = graph_.gate_rank[static_cast<std::size_t>(t)];
     if (!gate_open(t)) {
       // A negative or >= group-size rank (invalid input Validate() would
       // reject) has no slot; such a gate can never open — the counter
@@ -889,7 +870,7 @@ SimResult TaskGraphSim::Run(const SimOptions& options,
     now = next.time;
     result.end[static_cast<std::size_t>(t)] = now;
     result.makespan = std::max(result.makespan, now);
-    const int freed = resource_[static_cast<std::size_t>(t)];
+    const int freed = graph_.resource[static_cast<std::size_t>(t)];
     busy[static_cast<std::size_t>(freed)] = 0;
     wake_resource(freed);
     if (flow_next) {

@@ -20,7 +20,7 @@
 // timeline reproduces the unperturbed engine bit for bit (pinned in
 // tests/sim_test.cc and tests/fault_test.cc).
 //
-// Flow fairness (SimOptions::flow_fairness + network): transfers on
+// Flow fairness (SimOptions::network): transfers on
 // resources the FlowNetwork maps to shared links progress at
 // progressive-filling max-min rates instead of their static per-channel
 // slice, re-solved on every flow start and finish. Each flow keeps one
@@ -28,18 +28,16 @@
 // of them is ordered against the event queue by the queue's own (time,
 // task) rule, so only fixed-duration tasks are queued (DESIGN.md §11).
 // The water-fill walks per-link cursors, visiting only the flows a
-// round freezes, in the same order as a full scan. The flag off
-// — or a network without flows — reproduces the static-split engine bit
-// for bit (pinned in tests/flow_test.cc). Like the fault path, the flow
+// round freezes, in the same order as a full scan. No network — or a
+// network without flows — reproduces the static-split engine bit for
+// bit (pinned in tests/flow_test.cc). Like the fault path, the flow
 // path draws no extra randomness, so schedules stay comparable across
 // the two contention models under one seed.
 //
-// Graph storage (built once per TaskGraphSim, from the tasks by const
-// reference — the caller keeps its Task vector, nothing is deep-copied):
-//   * per-task columns (duration, resource, priority, gate group/rank);
-//   * preds and succs as CSR — one offset array and one id array each,
-//     so a completion walks a contiguous successor span and a Run seeds
-//     its missing-pred counters from offset differences.
+// Graph storage: the engine keeps the TaskGraph it is built from (the
+// per-task columns and CSR preds, sim/task.h) and derives the succs as a
+// second CSR, so a completion walks a contiguous successor span and a
+// Run seeds its missing-pred counters from offset differences.
 //
 // Hot-path data structures (sized once per Run, no per-event allocation):
 //   * ready tasks live in per-resource priority buckets (priorities are
@@ -66,9 +64,9 @@ namespace tictac::sim {
 
 class TaskGraphSim {
  public:
-  // `num_resources` must cover every task's resource index. Reads
-  // `tasks` into the engine's own columns; the vector is not retained.
-  TaskGraphSim(const std::vector<Task>& tasks, int num_resources);
+  // `num_resources` must cover every task's resource index. The engine
+  // keeps `graph` as its own storage.
+  TaskGraphSim(TaskGraph graph, int num_resources);
 
   // Validates the graph once: in-range resources/preds, acyclicity,
   // dense gate ranks per group. Throws std::invalid_argument on failure.
@@ -93,37 +91,18 @@ class TaskGraphSim {
   // id. Exposed for tests and for shard-count reporting.
   std::vector<int> ComponentOf(const SimOptions& options) const;
 
-  std::size_t num_tasks() const { return duration_.size(); }
+  std::size_t num_tasks() const { return graph_.size(); }
   int num_resources() const { return num_resources_; }
 
  private:
-  struct Shard;  // sim/parallel.cc
-  TaskGraphSim() = default;  // filled column by column (RunParallel)
-
-  // Derives everything else from the columns and CSR preds: the succ
-  // CSR, gate groups, per-resource priority ranks and the gate-slot
-  // layout.
-  void Index();
-
-  std::span<const TaskId> preds(std::size_t t) const {
-    return {pred_ids_.data() + pred_begin_[t],
-            pred_ids_.data() + pred_begin_[t + 1]};
-  }
   std::span<const TaskId> succs(std::size_t t) const {
     return {succ_ids_.data() + succ_begin_[t],
             succ_ids_.data() + succ_begin_[t + 1]};
   }
 
-  // Per-task columns.
-  std::vector<double> duration_;
-  std::vector<int> resource_;
-  std::vector<int> priority_;
-  std::vector<int> gate_group_;
-  std::vector<int> gate_rank_;
-  // CSR adjacency: task t's preds are pred_ids_[pred_begin_[t],
-  // pred_begin_[t + 1]), its succs likewise (in ascending task id).
-  std::vector<std::size_t> pred_begin_{0};
-  std::vector<TaskId> pred_ids_;
+  TaskGraph graph_;
+  // Succs as CSR: task t's are succ_ids_[succ_begin_[t],
+  // succ_begin_[t + 1]), in ascending task id.
   std::vector<std::size_t> succ_begin_{0};
   std::vector<TaskId> succ_ids_;
   int num_resources_ = 0;

@@ -9,8 +9,8 @@
 // links (PS NICs, worker NICs, oversubscribed fat-tree core links) each
 // channel's transfers traverse and what each link can carry — so the
 // engine can hand idle channels' bandwidth to the active transfers via
-// progressive-filling max-min allocation (sim/engine.cc, gated behind
-// SimOptions::flow_fairness).
+// progressive-filling max-min allocation (sim/engine.cc, on whenever
+// SimOptions::network is set).
 //
 // Rates are expressed against each channel's *nominal* rate — the static
 // per-channel bandwidth its task durations were computed with — so a

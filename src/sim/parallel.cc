@@ -5,7 +5,7 @@
 // links, so their event loops never interact and can advance on separate
 // threads. This file partitions the graph into such components (union
 // over dependency edges, shared resources, shared gate groups, and — when
-// flow fairness is on — shared flow links), runs each component's legacy
+// a flow network is set — shared flow links), runs each component's legacy
 // serial loop with its own split random stream, and merges the results
 // deterministically.
 //
@@ -73,14 +73,14 @@ class Dsu {
   std::vector<int> size_;
 };
 
-}  // namespace
-
 // One component's self-contained simulation: its tasks with local ids
 // (in increasing global-id order) and densely remapped
-// resources/gates/links, built column by column into `sim`, and the
-// slice of the fault timeline and flow network it owns.
-struct TaskGraphSim::Shard {
-  TaskGraphSim sim;
+// resources/gates/links, and the slice of the fault timeline and flow
+// network it owns. The engine is built from `graph` on the thread that
+// runs the shard.
+struct Shard {
+  TaskGraph graph;
+  int num_resources = 0;
   std::vector<TaskId> global;  // local task id -> global task id
   int num_gates = 0;
   std::vector<ResourceFault> faults;
@@ -89,13 +89,14 @@ struct TaskGraphSim::Shard {
   SimResult result;
 };
 
+}  // namespace
+
 std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
   const auto n = static_cast<int>(num_tasks());
   Dsu dsu(num_tasks());
   std::vector<int> resource_rep(static_cast<std::size_t>(num_resources_), -1);
   std::vector<int> gate_rep(static_cast<std::size_t>(num_gate_groups_), -1);
-  const FlowNetwork* net =
-      options.flow_fairness ? options.network : nullptr;
+  const FlowNetwork* net = options.network;
   std::vector<int> link_rep;
   if (net != nullptr) link_rep.assign(net->links.size(), -1);
   auto unite_rep = [&](std::vector<int>& rep, std::size_t key, int t) {
@@ -107,8 +108,8 @@ std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
   };
   for (int t = 0; t < n; ++t) {
     const auto ti = static_cast<std::size_t>(t);
-    for (TaskId p : preds(ti)) dsu.Unite(t, p);
-    const int resource = resource_[ti];
+    for (TaskId p : graph_.preds(ti)) dsu.Unite(t, p);
+    const int resource = graph_.resource[ti];
     if (resource >= 0 && resource < num_resources_) {
       unite_rep(resource_rep, static_cast<std::size_t>(resource), t);
       if (net != nullptr &&
@@ -118,8 +119,9 @@ std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
         }
       }
     }
-    if (gate_group_[ti] >= 0 && gate_group_[ti] < num_gate_groups_) {
-      unite_rep(gate_rep, static_cast<std::size_t>(gate_group_[ti]), t);
+    const int group = graph_.gate_group[ti];
+    if (group >= 0 && group < num_gate_groups_) {
+      unite_rep(gate_rep, static_cast<std::size_t>(group), t);
     }
   }
   // Dense component ids in first-task order: the component holding task 0
@@ -147,7 +149,7 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   for (int c : component) num_components = std::max(num_components, c + 1);
   if (num_components <= 1) return Run(options, seed);
 
-  const bool use_flows = options.flow_fairness && options.network != nullptr;
+  const bool use_flows = options.network != nullptr;
   std::vector<Shard> shards(static_cast<std::size_t>(num_components));
 
   // Local task ids, in increasing global-id order within each shard (so
@@ -170,26 +172,29 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
     const auto ti = static_cast<std::size_t>(t);
     const int c = component[ti];
     Shard& s = shards[static_cast<std::size_t>(c)];
-    TaskGraphSim& local = s.sim;
-    const auto r = static_cast<std::size_t>(resource_[ti]);
+    TaskGraph& local = s.graph;
+    const auto r = static_cast<std::size_t>(graph_.resource[ti]);
     if (res_local[r] < 0) {
-      res_local[r] = local.num_resources_++;
+      res_local[r] = s.num_resources++;
       res_comp[r] = c;
     }
-    const int group = gate_group_[ti];
+    const int group = graph_.gate_group[ti];
     if (group >= 0 && gate_local[static_cast<std::size_t>(group)] < 0) {
       gate_local[static_cast<std::size_t>(group)] = s.num_gates++;
     }
-    local.duration_.push_back(duration_[ti]);
-    local.resource_.push_back(res_local[r]);
-    local.priority_.push_back(priority_[ti]);
-    local.gate_group_.push_back(
+    local.duration.push_back(graph_.duration[ti]);
+    local.resource.push_back(res_local[r]);
+    local.priority.push_back(graph_.priority[ti]);
+    local.gate_group.push_back(
         group >= 0 ? gate_local[static_cast<std::size_t>(group)] : group);
-    local.gate_rank_.push_back(gate_rank_[ti]);
-    for (const TaskId p : preds(ti)) {
-      local.pred_ids_.push_back(local_id[static_cast<std::size_t>(p)]);
+    local.gate_rank.push_back(graph_.gate_rank[ti]);
+    local.op.push_back(graph_.op[ti]);
+    local.kind.push_back(graph_.kind[ti]);
+    local.worker.push_back(graph_.worker[ti]);
+    for (const TaskId p : graph_.preds(ti)) {
+      local.pred_ids.push_back(local_id[static_cast<std::size_t>(p)]);
     }
-    local.pred_begin_.push_back(local.pred_ids_.size());
+    local.pred_begin.push_back(local.pred_ids.size());
   }
   // Fault timelines filter per shard, order (and therefore sortedness)
   // preserved. Faults on resources no task uses can never affect a run —
@@ -216,10 +221,9 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
         continue;
       }
       Shard& s = shards[static_cast<std::size_t>(res_comp[ri])];
-      s.net.resource_links.resize(
-          static_cast<std::size_t>(s.sim.num_resources_));
+      s.net.resource_links.resize(static_cast<std::size_t>(s.num_resources));
       s.net.resource_nominal_bps.resize(
-          static_cast<std::size_t>(s.sim.num_resources_), 0.0);
+          static_cast<std::size_t>(s.num_resources), 0.0);
       auto& local_links =
           s.net.resource_links[static_cast<std::size_t>(res_local[ri])];
       for (int l : net.resource_links[ri]) {
@@ -238,7 +242,6 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
     s.options = options;
     s.options.faults = s.faults.empty() ? nullptr : &s.faults;
     s.options.network = use_flows && s.net.HasFlows() ? &s.net : nullptr;
-    if (s.options.network == nullptr) s.options.flow_fairness = false;
   }
 
   // Run shards over a work-stealing counter. Every shard's outcome is a
@@ -251,8 +254,8 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
     for (int c; (c = next_shard.fetch_add(1)) < num_components;) {
       try {
         Shard& s = shards[static_cast<std::size_t>(c)];
-        s.sim.Index();
-        s.result = s.sim.Run(s.options,
+        const TaskGraphSim sim(std::move(s.graph), s.num_resources);
+        s.result = sim.Run(s.options,
                            util::Rng::StreamSeed(
                                seed, static_cast<std::uint64_t>(c)));
       } catch (...) {

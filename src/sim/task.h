@@ -5,10 +5,16 @@
 // resource for its duration, starts only after its predecessors complete,
 // and — for network transfers under TicTac enforcement — only after its
 // per-worker hand-off gate opens (§5.1).
+//
+// The graph has one layout, TaskGraph: the IR builds it (ir::Module),
+// the Lowering exports it and the engine runs it. Task is a row of it,
+// for graphs written by hand and for the reference oracles.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/op.h"
@@ -49,6 +55,83 @@ struct Task {
   int worker = -1;  // worker this task belongs to; -1 for PS-side tasks
 };
 
+// A task graph in columns: task t's fields (see Task) are the t-th
+// entries of the columns, and its preds are
+// pred_ids[pred_begin[t], pred_begin[t + 1]), appended in task order.
+struct TaskGraph {
+  TaskGraph() = default;
+  // Reads hand-built rows into the columns.
+  explicit TaskGraph(std::span<const Task> rows);
+
+  std::size_t size() const { return duration.size(); }
+  std::span<const TaskId> preds(std::size_t t) const {
+    return {pred_ids.data() + pred_begin[t],
+            pred_ids.data() + pred_begin[t + 1]};
+  }
+
+  // Appends `other`'s tasks after these, its pred ids shifted by size(),
+  // its resources by `resource_base`, its gate groups by `gate_base` and
+  // its workers by `worker_base`: a graph placed beside this one, sharing
+  // nothing with it when the bases clear this graph's own ids.
+  void Append(const TaskGraph& other, int resource_base, int gate_base,
+              int worker_base);
+
+  // The engine's columns.
+  std::vector<double> duration;
+  std::vector<int> resource;
+  std::vector<int> priority;
+  std::vector<int> gate_group;
+  std::vector<int> gate_rank;
+  // Provenance, for statistics; the engine never reads these.
+  std::vector<core::OpId> op;
+  std::vector<core::OpKind> kind;
+  std::vector<int> worker;
+  // Preds as CSR.
+  std::vector<std::size_t> pred_begin{0};
+  std::vector<TaskId> pred_ids;
+};
+
+inline TaskGraph::TaskGraph(std::span<const Task> rows) {
+  for (const Task& row : rows) {
+    duration.push_back(row.duration);
+    resource.push_back(row.resource);
+    priority.push_back(row.priority);
+    gate_group.push_back(row.gate_group);
+    gate_rank.push_back(row.gate_rank);
+    op.push_back(row.op);
+    kind.push_back(row.kind);
+    worker.push_back(row.worker);
+    pred_ids.insert(pred_ids.end(), row.preds.begin(), row.preds.end());
+    pred_begin.push_back(pred_ids.size());
+  }
+}
+
+inline void TaskGraph::Append(const TaskGraph& other, int resource_base,
+                              int gate_base, int worker_base) {
+  // Appends `from` to `to` with every id >= 0 shifted by `base`; a
+  // negative id means "none" and is kept.
+  const auto shifted = [](std::vector<int>& to, const std::vector<int>& from,
+                          int base) {
+    for (const int id : from) to.push_back(id >= 0 ? id + base : id);
+  };
+  const std::size_t entry_base = pred_ids.size();
+  for (std::size_t t = 1; t < other.pred_begin.size(); ++t) {
+    pred_begin.push_back(entry_base + other.pred_begin[t]);
+  }
+  shifted(pred_ids, other.pred_ids, static_cast<TaskId>(size()));
+  duration.insert(duration.end(), other.duration.begin(),
+                  other.duration.end());
+  shifted(resource, other.resource, resource_base);
+  priority.insert(priority.end(), other.priority.begin(),
+                  other.priority.end());
+  shifted(gate_group, other.gate_group, gate_base);
+  gate_rank.insert(gate_rank.end(), other.gate_rank.begin(),
+                   other.gate_rank.end());
+  op.insert(op.end(), other.op.begin(), other.op.end());
+  kind.insert(kind.end(), other.kind.begin(), other.kind.end());
+  shifted(worker, other.worker, worker_base);
+}
+
 // One step of a piecewise-constant resource-speed timeline (fault
 // injection): at `time`, `resource` switches to serving at `speed` times
 // its nominal rate. speed <= 0 means DOWN — the resource starts no new
@@ -76,14 +159,13 @@ struct SimOptions {
   // the unperturbed engine, bit for bit (the fault path draws no extra
   // randomness and is skipped entirely). The pointee must outlive Run().
   const std::vector<ResourceFault>* faults = nullptr;
-  // Flow-level max-min fair bandwidth sharing (DESIGN.md §11). Off (the
-  // default) or a null/flow-less network reproduces the static
-  // bandwidth/T split bit for bit — the flow path is skipped entirely.
-  // On, transfers on resources `network` maps to shared links progress at
-  // progressive-filling max-min rates, recomputed on every flow start and
-  // finish, instead of their fixed nominal rate. The pointee must outlive
-  // Run().
-  bool flow_fairness = false;
+  // Flow-level max-min fair bandwidth sharing (DESIGN.md §11), on exactly
+  // when a network is set. Null (the default) or a flow-less network
+  // reproduces the static bandwidth/T split bit for bit — the flow path
+  // is skipped entirely. Otherwise transfers on resources `network` maps
+  // to shared links progress at progressive-filling max-min rates,
+  // recomputed on every flow start and finish, instead of their fixed
+  // nominal rate. The pointee must outlive Run().
   const FlowNetwork* network = nullptr;
 };
 

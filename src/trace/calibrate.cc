@@ -25,13 +25,13 @@ Calibration CalibratePlatform(const runtime::Lowering& lowering,
 
   for (sim::TaskId t : lowering.worker_tasks[0]) {
     const auto ti = static_cast<std::size_t>(t);
-    const sim::Task& task = lowering.tasks[ti];
+    const core::OpKind kind = lowering.tasks.kind[ti];
     const double duration = result.end[ti] - result.start[ti];
-    const core::Op& op = worker_graph.op(task.op);
-    if (core::IsCommunication(task.kind)) {
+    const core::Op& op = worker_graph.op(lowering.tasks.op[ti]);
+    if (core::IsCommunication(kind)) {
       bytes.push_back(static_cast<double>(op.bytes));
       transfer_time.push_back(duration);
-    } else if (task.kind == core::OpKind::kCompute && op.cost > 0.0 &&
+    } else if (kind == core::OpKind::kCompute && op.cost > 0.0 &&
                duration > 0.0) {
       compute_cost.push_back(op.cost);
       compute_time.push_back(duration);

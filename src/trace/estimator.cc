@@ -17,7 +17,7 @@ core::MapTimeOracle EstimateWorkerOracle(const runtime::Lowering& lowering,
         sim.Run(options, seed + static_cast<std::uint64_t>(r));
     for (sim::TaskId t : lowering.worker_tasks[0]) {
       const auto ti = static_cast<std::size_t>(t);
-      const core::OpId op = lowering.tasks[ti].op;
+      const core::OpId op = lowering.tasks.op[ti];
       const double measured = result.end[ti] - result.start[ti];
       auto [it, inserted] = best.try_emplace(op, measured);
       if (!inserted) it->second = std::min(it->second, measured);

@@ -13,21 +13,21 @@ std::vector<Span> CollectSpans(const runtime::Lowering& lowering,
                                const core::Graph& worker_graph) {
   std::vector<Span> spans;
   spans.reserve(lowering.tasks.size());
-  for (std::size_t t = 0; t < lowering.tasks.size(); ++t) {
-    const sim::Task& task = lowering.tasks[t];
+  const sim::TaskGraph& tasks = lowering.tasks;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
     Span span;
-    span.resource = task.resource;
-    span.worker = task.worker;
-    span.kind = task.kind;
+    span.resource = tasks.resource[t];
+    span.worker = tasks.worker[t];
+    span.kind = tasks.kind[t];
     span.start = result.start[t];
     span.end = result.end[t];
-    if (task.op != core::kInvalidOp) {
-      span.name = worker_graph.op(task.op).name;
-      if (task.worker >= 0) {
-        span.name = "w" + std::to_string(task.worker) + "/" + span.name;
+    if (tasks.op[t] != core::kInvalidOp) {
+      span.name = worker_graph.op(tasks.op[t]).name;
+      if (span.worker >= 0) {
+        span.name = "w" + std::to_string(span.worker) + "/" + span.name;
       }
     } else {
-      span.name = std::string("ps/") + core::ToString(task.kind);
+      span.name = std::string("ps/") + core::ToString(span.kind);
     }
     spans.push_back(std::move(span));
   }

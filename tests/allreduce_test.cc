@@ -41,10 +41,11 @@ TEST(AllReduce, ValidatesAndRuns) {
 TEST(AllReduce, LocalWeightReadsAreFree) {
   Fixture f;
   const Lowering low = LowerAllReduce(f.graph, f.config);
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind == core::OpKind::kRecv) {
-      EXPECT_EQ(t.duration, 0.0);
-      EXPECT_EQ(t.resource, t.worker);  // on the worker, not a channel
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    if (low.tasks.kind[t] == core::OpKind::kRecv) {
+      EXPECT_EQ(low.tasks.duration[t], 0.0);
+      // On the worker, not a channel.
+      EXPECT_EQ(low.tasks.resource[t], low.tasks.worker[t]);
     }
   }
 }
@@ -60,7 +61,7 @@ TEST(AllReduce, ComputeNeverWaitsOnNetworkAtIterationStart) {
   double first_compute_start = 1e100;
   for (sim::TaskId t : low.worker_tasks[0]) {
     const auto ti = static_cast<std::size_t>(t);
-    if (low.tasks[ti].kind == core::OpKind::kCompute) {
+    if (low.tasks.kind[ti] == core::OpKind::kCompute) {
       first_compute_start = std::min(first_compute_start, result.start[ti]);
     }
   }
@@ -82,15 +83,16 @@ TEST(AllReduce, MoreWorkersShrinkPerLinkChunks) {
   Fixture f8(8);
   const Lowering low4 = LowerAllReduce(f4.graph, f4.config);
   const Lowering low8 = LowerAllReduce(f8.graph, f8.config);
-  double max_chunk4 = 0.0;
-  double max_chunk8 = 0.0;
-  for (const sim::Task& t : low4.tasks) {
-    if (t.op == core::kInvalidOp) max_chunk4 = std::max(max_chunk4, t.duration);
-  }
-  for (const sim::Task& t : low8.tasks) {
-    if (t.op == core::kInvalidOp) max_chunk8 = std::max(max_chunk8, t.duration);
-  }
-  EXPECT_LT(max_chunk8, max_chunk4);
+  const auto max_chunk = [](const sim::TaskGraph& tasks) {
+    double longest = 0.0;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      if (tasks.op[t] == core::kInvalidOp) {
+        longest = std::max(longest, tasks.duration[t]);
+      }
+    }
+    return longest;
+  };
+  EXPECT_LT(max_chunk(low8.tasks), max_chunk(low4.tasks));
 }
 
 }  // namespace

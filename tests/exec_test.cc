@@ -154,10 +154,10 @@ TEST(PsBackend, EnforcedHandoffOrderMatchesScheduleOrder) {
     const auto& recvs = f.lowering.worker_recv_tasks[static_cast<std::size_t>(w)];
     const auto& params = f.lowering.transfer_param[static_cast<std::size_t>(w)];
     for (std::size_t i = 0; i < recvs.size(); ++i) {
-      const sim::Task& task =
-          f.lowering.tasks[static_cast<std::size_t>(recvs[i])];
-      ASSERT_GE(task.gate_group, 0) << "tic schedule must gate every recv";
-      by_rank.emplace_back(task.gate_rank, params[i]);
+      const auto t = static_cast<std::size_t>(recvs[i]);
+      ASSERT_GE(f.lowering.tasks.gate_group[t], 0)
+          << "tic schedule must gate every recv";
+      by_rank.emplace_back(f.lowering.tasks.gate_rank[t], params[i]);
     }
     std::sort(by_rank.begin(), by_rank.end());
     std::vector<int> expected;

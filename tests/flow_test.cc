@@ -1,6 +1,6 @@
 // Flow-level max-min fairness differentials (DESIGN.md §11).
 //
-// The anchor: flow fairness OFF — or a null/flow-less network — must be
+// The anchor: no flow network — a null or flow-less one — must be
 // byte-for-byte identical to the static bandwidth/T split engine, across
 // the model zoo, the scheduling policies, and the multi-job shared
 // fabric. On top of that, the flow model's semantics are pinned on
@@ -39,6 +39,11 @@ sim::Task FlowTask(double duration, int resource,
   return t;
 }
 
+sim::TaskGraphSim FlowSim(const std::vector<sim::Task>& tasks,
+                          int num_resources) {
+  return sim::TaskGraphSim(sim::TaskGraph(tasks), num_resources);
+}
+
 runtime::MultiJobRunner MakeRunner(const std::string& cluster,
                                    const std::string& model,
                                    const std::string& policy) {
@@ -61,14 +66,14 @@ sim::FlowNetwork TwoChannelLink() {
   return net;
 }
 
-TEST(FlowModel, OffOrFlowlessNetworkIsBitIdenticalToTheStaticSplit) {
+TEST(FlowModel, NullNetworkIsBitIdenticalToTheStaticSplit) {
   for (const char* model : {"AlexNet v2", "Inception v2"}) {
     for (const char* policy : {"baseline", "tic", "tac"}) {
       SCOPED_TRACE(std::string(model) + " / " + policy);
       // Same jobs, lowered twice: once with the flow network attached
       // (":flow") and once without. The tasks are identical — the pass
-      // only attaches capacities — so running the flow lowering with
-      // fairness off must reproduce the legacy lowering exactly.
+      // only attaches capacities — so running the flow lowering without
+      // its network must reproduce the legacy lowering exactly.
       runtime::MultiJobRunner with_net =
           MakeRunner("envG:workers=4:ps=2:training:flow", model, policy);
       runtime::MultiJobRunner legacy =
@@ -81,10 +86,6 @@ TEST(FlowModel, OffOrFlowlessNetworkIsBitIdenticalToTheStaticSplit) {
           legacy.fabric().lowering.combined.BuildSim();
       const sim::SimResult reference =
           legacy_sim.Run(legacy.fabric().options, 42);
-
-      sim::SimOptions off_with_net = with_net.fabric().options;
-      off_with_net.flow_fairness = false;
-      ExpectSameResult(sim.Run(off_with_net, 42), reference);
 
       sim::SimOptions on_null_net = with_net.fabric().options;
       on_null_net.network = nullptr;
@@ -113,7 +114,7 @@ TEST(FlowModel, MultiJobFlowOffMatchesLegacyByteForByte) {
   const sim::TaskGraphSim sim = with_net.fabric().lowering.combined.BuildSim();
   const sim::TaskGraphSim legacy_sim = legacy.fabric().lowering.combined.BuildSim();
   sim::SimOptions off = with_net.fabric().options;
-  off.flow_fairness = false;
+  off.network = nullptr;
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ExpectSameResult(sim.Run(off, seed),
                      legacy_sim.Run(legacy.fabric().options, seed));
@@ -122,9 +123,8 @@ TEST(FlowModel, MultiJobFlowOffMatchesLegacyByteForByte) {
 
 TEST(FlowModel, SingleActiveFlowTakesTheWholeLink) {
   const sim::FlowNetwork net = TwoChannelLink();
-  sim::TaskGraphSim sim({FlowTask(1.0, 0)}, 2);
+  const sim::TaskGraphSim sim = FlowSim({FlowTask(1.0, 0)}, 2);
   sim::SimOptions options;
-  options.flow_fairness = true;
   options.network = &net;
   const sim::SimResult r = sim.Run(options, 1);
   // Alone on the 100 B/s link, the 50 B/s-nominal channel runs at rate
@@ -136,9 +136,8 @@ TEST(FlowModel, SingleActiveFlowTakesTheWholeLink) {
 TEST(FlowModel, FullyLoadedLinkReproducesTheStaticSplit) {
   const sim::FlowNetwork net = TwoChannelLink();
   const std::vector<sim::Task> tasks{FlowTask(1.0, 0), FlowTask(2.0, 1)};
-  sim::TaskGraphSim sim(tasks, 2);
+  sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
   sim::SimOptions on;
-  on.flow_fairness = true;
   on.network = &net;
   // Both channels active from t = 0: each gets its 50 B/s nominal share
   // while the other runs... but the 1 s flow finishes first and frees
@@ -151,7 +150,8 @@ TEST(FlowModel, FullyLoadedLinkReproducesTheStaticSplit) {
 
   // With both flows pinned for their whole lifetime (equal durations),
   // flow on is byte-for-byte the static split.
-  sim::TaskGraphSim pinned({FlowTask(1.0, 0), FlowTask(1.0, 1)}, 2);
+  const sim::TaskGraphSim pinned =
+      FlowSim({FlowTask(1.0, 0), FlowTask(1.0, 1)}, 2);
   sim::SimOptions off;
   ExpectSameResult(pinned.Run(on, 5), pinned.Run(off, 5));
 }
@@ -160,9 +160,9 @@ TEST(FlowModel, DepartureHandsIdleShareToSurvivorMidFlight) {
   const sim::FlowNetwork net = TwoChannelLink();
   // Task 1 depends on nothing but lives longer; after task 0 departs at
   // t = 1 the survivor's rate doubles mid-transfer.
-  sim::TaskGraphSim sim({FlowTask(1.0, 0), FlowTask(3.0, 1)}, 2);
+  const sim::TaskGraphSim sim =
+      FlowSim({FlowTask(1.0, 0), FlowTask(3.0, 1)}, 2);
   sim::SimOptions options;
-  options.flow_fairness = true;
   options.network = &net;
   const sim::SimResult r = sim.Run(options, 1);
   EXPECT_DOUBLE_EQ(r.end[0], 1.0);
@@ -183,11 +183,10 @@ TEST(FlowModel, SimultaneousCompletionsGoInTaskIdOrder) {
   net.resource_links = {{0}, {1}};
   net.resource_nominal_bps = {50.0, 50.0};
   sim::SimOptions options;
-  options.flow_fairness = true;
   options.network = &net;
   for (const auto& [first, second] :
        {std::pair{0, 2}, std::pair{2, 0}, std::pair{0, 1}}) {
-    const sim::TaskGraphSim sim(
+    const sim::TaskGraphSim sim = FlowSim(
         {FlowTask(1.0, first), FlowTask(1.0, second), FlowTask(0.5, 3, {0}),
          FlowTask(0.5, 3, {1})},
         4);

@@ -29,27 +29,30 @@
 namespace tictac::runtime {
 namespace {
 
-void ExpectTasksIdentical(const std::vector<sim::Task>& got,
+void ExpectTasksIdentical(const sim::TaskGraph& got,
                           const std::vector<sim::Task>& want,
                           const std::string& context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (std::size_t t = 0; t < got.size(); ++t) {
-    const sim::Task& a = got[t];
     const sim::Task& b = want[t];
     const std::string at = context + ", task " + std::to_string(t);
-    EXPECT_EQ(a.duration, b.duration) << at;  // bitwise: no tolerance
-    EXPECT_EQ(a.resource, b.resource) << at;
-    EXPECT_EQ(a.priority, b.priority) << at;
-    EXPECT_EQ(a.gate_group, b.gate_group) << at;
-    EXPECT_EQ(a.gate_rank, b.gate_rank) << at;
-    EXPECT_EQ(a.preds, b.preds) << at;
-    EXPECT_EQ(a.op, b.op) << at;
-    EXPECT_EQ(a.kind, b.kind) << at;
-    EXPECT_EQ(a.worker, b.worker) << at;
+    EXPECT_EQ(got.duration[t], b.duration) << at;  // bitwise: no tolerance
+    EXPECT_EQ(got.resource[t], b.resource) << at;
+    EXPECT_EQ(got.priority[t], b.priority) << at;
+    EXPECT_EQ(got.gate_group[t], b.gate_group) << at;
+    EXPECT_EQ(got.gate_rank[t], b.gate_rank) << at;
+    EXPECT_EQ(std::vector<sim::TaskId>(got.preds(t).begin(),
+                                       got.preds(t).end()),
+              b.preds)
+        << at;
+    EXPECT_EQ(got.op[t], b.op) << at;
+    EXPECT_EQ(got.kind[t], b.kind) << at;
+    EXPECT_EQ(got.worker[t], b.worker) << at;
   }
 }
 
-void ExpectLoweringIdentical(const Lowering& got, const Lowering& want,
+void ExpectLoweringIdentical(const Lowering& got,
+                             const reference::Lowering& want,
                              const std::string& context) {
   ExpectTasksIdentical(got.tasks, want.tasks, context);
   EXPECT_EQ(got.num_resources, want.num_resources) << context;
@@ -62,7 +65,7 @@ void ExpectLoweringIdentical(const Lowering& got, const Lowering& want,
 }
 
 void ExpectMultiJobIdentical(const MultiJobLowering& got,
-                             const MultiJobLowering& want,
+                             const reference::MultiJobLowering& want,
                              const std::string& context) {
   ExpectLoweringIdentical(got.combined, want.combined, context + " combined");
   EXPECT_EQ(got.total_workers, want.total_workers) << context;
@@ -145,7 +148,7 @@ TEST(Differential, PipelineLoweringMatchesReference) {
       const PipelineLowering got =
           LowerPipeline(runner.worker_graph(), schedule,
                         runner.ps_of_param(), runner.config(), iterations);
-      const PipelineLowering want = reference::LowerPipeline(
+      const reference::PipelineLowering want = reference::LowerPipeline(
           runner.worker_graph(), schedule, runner.ps_of_param(),
           runner.config(), iterations);
       const std::string context = std::string(training ? "train" : "infer") +
@@ -303,7 +306,7 @@ TEST_P(RandomDagDifferential, AllPresetsMatchReference) {
   const int iterations = 1 + static_cast<int>(seed % 3);
   const PipelineLowering got_pipeline =
       LowerPipeline(graph, schedule, ps_of_param, config, iterations);
-  const PipelineLowering want_pipeline = reference::LowerPipeline(
+  const reference::PipelineLowering want_pipeline = reference::LowerPipeline(
       graph, schedule, ps_of_param, config, iterations);
   ExpectLoweringIdentical(got_pipeline.lowering, want_pipeline.lowering,
                           context + "/pipeline");

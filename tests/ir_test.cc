@@ -1,5 +1,5 @@
 // Unit tests of the flat task IR and the pass machinery (DESIGN.md
-// §10): PredArena's CSR appends, Module defaults and invariant
+// §10): Module defaults, in-order pred appends and invariant
 // validation, the stage contract / pass-order errors, pipeline options
 // (invariant checks, dump hooks), and the satellite knobs the
 // pipeline consumes (ChunkingOptions::Validate, shard strategies,
@@ -31,51 +31,6 @@ using runtime::ClusterConfig;
 using runtime::EnvG;
 
 // ---------------------------------------------------------------------------
-// PredArena
-
-TEST(PredArena, EmptyListIsAlwaysIdZero) {
-  PredArena arena;
-  EXPECT_EQ(arena.Intern({}), PredArena::kEmptyList);
-  EXPECT_TRUE(arena.list(PredArena::kEmptyList).empty());
-  EXPECT_EQ(arena.num_lists(), 1u);  // the empty list itself
-  EXPECT_EQ(arena.pool_entries(), 0u);
-}
-
-TEST(PredArena, AppendsListsWithDenseIdsInAppendOrder) {
-  PredArena arena;
-  const std::vector<NodeId> a{3, 1, 2};
-  const std::vector<NodeId> b{3, 1, 2};
-  const std::vector<NodeId> c{3, 1};
-  const auto ida = arena.Intern(a);
-  const auto idb = arena.Intern(b);
-  const auto idc = arena.Intern(c);
-  // Ids are dense in append order; equal content is stored again.
-  EXPECT_EQ(ida, 1);
-  EXPECT_EQ(idb, 2);
-  EXPECT_EQ(idc, 3);
-  // The empty list stays id 0 and appends nothing.
-  EXPECT_EQ(arena.Intern({}), PredArena::kEmptyList);
-  EXPECT_EQ(arena.num_lists(), 4u);     // empty, a, b, c
-  EXPECT_EQ(arena.pool_entries(), 8u);  // 3 + 3 + 2 NodeIds
-  // list(id) round-trips every appended list.
-  const auto same = [](std::span<const NodeId> got,
-                       const std::vector<NodeId>& want) {
-    return std::vector<NodeId>(got.begin(), got.end()) == want;
-  };
-  EXPECT_TRUE(same(arena.list(ida), a));
-  EXPECT_TRUE(same(arena.list(idb), b));
-  EXPECT_TRUE(same(arena.list(idc), c));
-  EXPECT_TRUE(arena.list(PredArena::kEmptyList).empty());
-}
-
-TEST(PredArena, OrderIsContentNotSet) {
-  PredArena arena;
-  const std::vector<NodeId> a{1, 2};
-  const std::vector<NodeId> b{2, 1};
-  EXPECT_NE(arena.Intern(a), arena.Intern(b));  // pred order is observable
-}
-
-// ---------------------------------------------------------------------------
 // Module
 
 TEST(Module, AddNodeDefaultsMatchSimTaskDefaults) {
@@ -98,17 +53,38 @@ TEST(Module, AddNodeDefaultsMatchSimTaskDefaults) {
   EXPECT_FALSE(m.is_delay(n));
 }
 
-// A minimal well-formed single-job logical module: two nodes, one edge.
-Module TinyModule() {
+// A single-job logical module of two nodes with the given pred lists;
+// by default well-formed, with one edge 0 -> 1.
+Module TinyModule(std::vector<NodeId> preds0 = {},
+                  std::vector<NodeId> preds1 = {0}) {
   Module m;
-  const NodeId a = m.AddNode();
-  const NodeId b = m.AddNode();
-  const NodeId preds[] = {a};
-  m.SetPreds(b, preds);
+  m.SetPreds(m.AddNode(), preds0);
+  m.SetPreds(m.AddNode(), preds1);
   m.jobs.emplace_back();
   m.jobs.back().config = EnvG(1, 1, true);
   m.ranges.push_back(JobRange{0, 2, kNoNode, 0});
   return m;
+}
+
+// Preds are appended in node order: only the newest node takes a list,
+// and only once, so the CSR is each node's list laid end to end.
+TEST(Module, SetPredsAppendsTheNewestNodesListOnce) {
+  Module m;
+  const NodeId a = m.AddNode();
+  const NodeId b = m.AddNode();
+  const NodeId to_a[] = {a};
+  EXPECT_THROW(m.SetPreds(a, to_a), std::invalid_argument);  // not newest
+  const NodeId list[] = {a, 7, a};  // order and repeats are kept
+  m.SetPreds(b, list);
+  EXPECT_THROW(m.SetPreds(b, to_a), std::invalid_argument);  // set twice
+  const NodeId c = m.AddNode();
+  m.SetPreds(c, {});  // an empty list is a no-op append
+  EXPECT_TRUE(m.preds(a).empty());
+  EXPECT_EQ(std::vector<NodeId>(m.preds(b).begin(), m.preds(b).end()),
+            (std::vector<NodeId>{a, 7, a}));
+  EXPECT_TRUE(m.preds(c).empty());
+  EXPECT_EQ(m.graph().pred_begin, (std::vector<std::size_t>{0, 0, 3, 3}));
+  EXPECT_EQ(m.graph().pred_ids, (std::vector<NodeId>{a, 7, a}));
 }
 
 TEST(Module, ValidateAcceptsWellFormedModule) {
@@ -116,23 +92,15 @@ TEST(Module, ValidateAcceptsWellFormedModule) {
 }
 
 TEST(Module, ValidateRejectsOutOfRangePreds) {
-  Module m = TinyModule();
-  const NodeId bogus[] = {42};
-  m.SetPreds(1, bogus);
-  EXPECT_THROW(m.Validate(), std::invalid_argument);
+  EXPECT_THROW(TinyModule({}, {42}).Validate(), std::invalid_argument);
 }
 
 TEST(Module, ValidateRejectsSelfDependency) {
-  Module m = TinyModule();
-  const NodeId self[] = {1};
-  m.SetPreds(1, self);
-  EXPECT_THROW(m.Validate(), std::invalid_argument);
+  EXPECT_THROW(TinyModule({}, {1}).Validate(), std::invalid_argument);
 }
 
 TEST(Module, ValidateRejectsCycles) {
-  Module m = TinyModule();
-  const NodeId back[] = {1};  // a <- b while b <- a
-  m.SetPreds(0, back);
+  Module m = TinyModule({1}, {0});  // a <- b while b <- a
   try {
     m.Validate();
     FAIL() << "expected a cycle diagnostic";
@@ -275,27 +243,29 @@ TEST(PassPipeline, InvariantCheckNamesTheFailingPass) {
   }
 }
 
-TEST(PassPipeline, ArenaHoldsEachNodesPredsOnceInNodeOrder) {
+TEST(PassPipeline, ExportMovesTheModulesTaskGraph) {
   const Module m = StandardLoweringPipeline(runtime::Topology::kPsFabric)
                        .Run(LogicalModule(true, 4, 2));
-  // Each pass appends every node's list once, in node order: the pool is
-  // exactly the per-node pred lists laid end to end, one list per node
-  // with preds, and the exported tasks carry the same lists.
+  // Each pass appends every node's list once, in node order, so the CSR
+  // holds exactly the per-node pred lists laid end to end; the exported
+  // Lowering holds that same graph.
   std::size_t entries = 0;
-  std::size_t lists = 1;  // the empty list
   for (NodeId n = 0; n < static_cast<NodeId>(m.size()); ++n) {
     entries += m.preds(n).size();
-    lists += m.preds(n).empty() ? 0 : 1;
   }
-  EXPECT_EQ(m.arena().pool_entries(), entries);
-  EXPECT_EQ(m.arena().num_lists(), lists);
+  EXPECT_EQ(m.graph().pred_ids.size(), entries);
+  const sim::TaskGraph& graph = m.graph();
   const runtime::Lowering lowering = ToLowering(m);
-  ASSERT_EQ(lowering.tasks.size(), m.size());
-  for (NodeId n = 0; n < static_cast<NodeId>(m.size()); ++n) {
-    const std::span<const NodeId> preds = m.preds(n);
-    EXPECT_EQ(lowering.tasks[static_cast<std::size_t>(n)].preds,
-              std::vector<sim::TaskId>(preds.begin(), preds.end()));
-  }
+  EXPECT_EQ(lowering.tasks.duration, graph.duration);
+  EXPECT_EQ(lowering.tasks.resource, graph.resource);
+  EXPECT_EQ(lowering.tasks.priority, graph.priority);
+  EXPECT_EQ(lowering.tasks.gate_group, graph.gate_group);
+  EXPECT_EQ(lowering.tasks.gate_rank, graph.gate_rank);
+  EXPECT_EQ(lowering.tasks.op, graph.op);
+  EXPECT_EQ(lowering.tasks.kind, graph.kind);
+  EXPECT_EQ(lowering.tasks.worker, graph.worker);
+  EXPECT_EQ(lowering.tasks.pred_begin, graph.pred_begin);
+  EXPECT_EQ(lowering.tasks.pred_ids, graph.pred_ids);
 }
 
 // ---------------------------------------------------------------------------

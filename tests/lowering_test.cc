@@ -51,9 +51,9 @@ TEST(Lowering, InferenceHasNoAggregateOrUpdate) {
   Fixture f("Inception v1", /*training=*/false);
   const Lowering low =
       LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
-  for (const sim::Task& t : low.tasks) {
-    EXPECT_NE(t.kind, core::OpKind::kAggregate);
-    EXPECT_NE(t.kind, core::OpKind::kUpdate);
+  for (const core::OpKind kind : low.tasks.kind) {
+    EXPECT_NE(kind, core::OpKind::kAggregate);
+    EXPECT_NE(kind, core::OpKind::kUpdate);
   }
   const std::size_t expected = static_cast<std::size_t>(f.info.num_params) +
                                f.graph.size() * 4u;
@@ -64,9 +64,9 @@ TEST(Lowering, BaselineHasNoGatesOrPriorities) {
   Fixture f;
   const Lowering low =
       LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
-  for (const sim::Task& t : low.tasks) {
-    EXPECT_EQ(t.gate_group, -1);
-    EXPECT_EQ(t.priority, sim::kNoPriority);
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    EXPECT_EQ(low.tasks.gate_group[t], -1);
+    EXPECT_EQ(low.tasks.priority[t], sim::kNoPriority);
   }
 }
 
@@ -77,10 +77,10 @@ TEST(Lowering, ScheduledRecvsCarryGatesAndPriorities) {
   for (int w = 0; w < 4; ++w) {
     std::vector<int> ranks;
     for (sim::TaskId t : low.worker_recv_tasks[static_cast<std::size_t>(w)]) {
-      const sim::Task& task = low.tasks[static_cast<std::size_t>(t)];
-      EXPECT_EQ(task.gate_group, w);
-      EXPECT_NE(task.priority, sim::kNoPriority);
-      ranks.push_back(task.gate_rank);
+      const auto ti = static_cast<std::size_t>(t);
+      EXPECT_EQ(low.tasks.gate_group[ti], w);
+      EXPECT_NE(low.tasks.priority[ti], sim::kNoPriority);
+      ranks.push_back(low.tasks.gate_rank[ti]);
     }
     std::sort(ranks.begin(), ranks.end());
     for (std::size_t i = 0; i < ranks.size(); ++i) {
@@ -88,9 +88,9 @@ TEST(Lowering, ScheduledRecvsCarryGatesAndPriorities) {
     }
   }
   // Non-recv tasks are never gated.
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind != core::OpKind::kRecv) {
-      EXPECT_EQ(t.gate_group, -1);
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    if (low.tasks.kind[t] != core::OpKind::kRecv) {
+      EXPECT_EQ(low.tasks.gate_group[t], -1);
     }
   }
 }
@@ -101,20 +101,23 @@ TEST(Lowering, TransfersLandOnCorrectChannels) {
       LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
   const int W = 4;
   const int S = 2;
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind == core::OpKind::kRecv) {
-      const int param = f.graph.op(t.op).param;
-      const int expected = W + t.worker * S + f.ps_of[static_cast<std::size_t>(param)];
-      EXPECT_EQ(t.resource, expected);
-    } else if (t.kind == core::OpKind::kSend) {
-      const int param = f.graph.op(t.op).param;
+  const sim::TaskGraph& tasks = low.tasks;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const int worker = tasks.worker[t];
+    if (tasks.kind[t] == core::OpKind::kRecv) {
+      const int param = f.graph.op(tasks.op[t]).param;
       const int expected =
-          W + W * S + t.worker * S + f.ps_of[static_cast<std::size_t>(param)];
-      EXPECT_EQ(t.resource, expected);
-    } else if (t.kind == core::OpKind::kCompute) {
-      EXPECT_EQ(t.resource, t.worker);
+          W + worker * S + f.ps_of[static_cast<std::size_t>(param)];
+      EXPECT_EQ(tasks.resource[t], expected);
+    } else if (tasks.kind[t] == core::OpKind::kSend) {
+      const int param = f.graph.op(tasks.op[t]).param;
+      const int expected =
+          W + W * S + worker * S + f.ps_of[static_cast<std::size_t>(param)];
+      EXPECT_EQ(tasks.resource[t], expected);
+    } else if (tasks.kind[t] == core::OpKind::kCompute) {
+      EXPECT_EQ(tasks.resource[t], worker);
     } else {
-      EXPECT_GE(t.resource, W + 2 * W * S);  // PS cpu
+      EXPECT_GE(tasks.resource[t], W + 2 * W * S);  // PS cpu
     }
   }
 }
@@ -124,12 +127,12 @@ TEST(Lowering, TransferDurationsUseSharedNicBandwidth) {
   const Lowering low =
       LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
   const auto& hw = f.config.platform;
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind != core::OpKind::kRecv) continue;
-    const auto bytes = f.graph.op(t.op).bytes;
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    if (low.tasks.kind[t] != core::OpKind::kRecv) continue;
+    const auto bytes = f.graph.op(low.tasks.op[t]).bytes;
     const double expected =
         hw.latency_s + static_cast<double>(bytes) * 4 / hw.bandwidth_bps;
-    EXPECT_NEAR(t.duration, expected, 1e-12);
+    EXPECT_NEAR(low.tasks.duration[t], expected, 1e-12);
   }
 }
 
@@ -149,10 +152,10 @@ TEST(Lowering, AggregateWaitsForAllWorkers) {
   const Lowering low =
       LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
   int aggregates = 0;
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind == core::OpKind::kAggregate) {
+  for (std::size_t t = 0; t < low.tasks.size(); ++t) {
+    if (low.tasks.kind[t] == core::OpKind::kAggregate) {
       ++aggregates;
-      EXPECT_EQ(t.preds.size(), 3u);  // one gradient push per worker
+      EXPECT_EQ(low.tasks.preds(t).size(), 3u);  // one push per worker
     }
   }
   EXPECT_EQ(aggregates, f.info.num_params);

@@ -213,13 +213,12 @@ TEST(MultiJob, SingleJobLoweringMatchesLowerCluster) {
   EXPECT_EQ(lowering.combined.tasks.size(), local.tasks.size());
   EXPECT_EQ(lowering.jobs[0].first_task, 0);
   EXPECT_EQ(lowering.jobs[0].delay_task, -1);
-  for (std::size_t t = 0; t < local.tasks.size(); ++t) {
-    EXPECT_EQ(lowering.combined.tasks[t].resource, local.tasks[t].resource);
-    EXPECT_EQ(lowering.combined.tasks[t].duration, local.tasks[t].duration);
-    EXPECT_EQ(lowering.combined.tasks[t].preds, local.tasks[t].preds);
-    EXPECT_EQ(lowering.combined.tasks[t].gate_group,
-              local.tasks[t].gate_group);
-  }
+  const sim::TaskGraph& combined = lowering.combined.tasks;
+  EXPECT_EQ(combined.resource, local.tasks.resource);
+  EXPECT_EQ(combined.duration, local.tasks.duration);
+  EXPECT_EQ(combined.pred_begin, local.tasks.pred_begin);
+  EXPECT_EQ(combined.pred_ids, local.tasks.pred_ids);
+  EXPECT_EQ(combined.gate_group, local.tasks.gate_group);
 }
 
 // Each task belongs to exactly one job, so the combined makespan is the
@@ -262,12 +261,12 @@ TEST(MultiJob, SharedFabricLayoutCollapsesPsResources) {
   const int ps_base = T + 2 * T * S;
   for (const MultiJobLowering::JobSlice& slice : lowering.jobs) {
     bool saw_ps_task = false;
+    const sim::TaskGraph& tasks = lowering.combined.tasks;
     for (sim::TaskId t = slice.first_task; t < slice.last_task; ++t) {
-      const sim::Task& task = lowering.combined.tasks[
-          static_cast<std::size_t>(t)];
-      if (task.worker < 0) {
-        EXPECT_GE(task.resource, ps_base);
-        EXPECT_LT(task.resource, ps_base + S);
+      const auto ti = static_cast<std::size_t>(t);
+      if (tasks.worker[ti] < 0) {
+        EXPECT_GE(tasks.resource[ti], ps_base);
+        EXPECT_LT(tasks.resource[ti], ps_base + S);
         saw_ps_task = true;
       }
     }

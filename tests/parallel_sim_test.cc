@@ -8,7 +8,9 @@
 // 1, where single-component graphs delegate to Run() outright. The
 // manual-shard tests re-derive a component's subgraph by hand (local ids
 // in global order, dense resource remap, remapped fault timeline) and
-// check the merged result against running that subgraph alone.
+// check the merged result against running that subgraph alone. Every
+// run must also hold the result invariants (sim_invariants.h).
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -22,6 +24,8 @@
 #include "sim/flow.h"
 #include "sim/task.h"
 #include "util/rng.h"
+
+#include "sim_invariants.h"
 
 namespace tictac {
 namespace {
@@ -61,28 +65,26 @@ TEST(ComponentOf, UnionsPredsResourcesAndGateGroups) {
   tasks.push_back(g0);
   tasks.push_back(g1);
 
-  const sim::TaskGraphSim sim(tasks, 5);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 5);
   const std::vector<int> expected{0, 0, 1, 1, 2, 2};
   EXPECT_EQ(sim.ComponentOf(sim::SimOptions{}), expected);
 }
 
-TEST(ComponentOf, SharedFlowLinksMergeComponentsOnlyWhenFlowIsOn) {
+TEST(ComponentOf, SharedFlowLinksMergeComponentsOnlyUnderANetwork) {
   // Two tasks on distinct resources that traverse the same link: two
-  // components with flow off (the link is inert), one with it on (their
-  // rates are coupled through the shared capacity).
+  // components without the network (no link to share), one with it
+  // (their rates are coupled through the shared capacity).
   const std::vector<sim::Task> tasks{MakeTask(1.0, 0), MakeTask(1.0, 1)};
   sim::FlowNetwork net;
   net.links = {{100.0}};
   net.resource_links = {{0}, {0}};
   net.resource_nominal_bps = {50.0, 50.0};
 
-  const sim::TaskGraphSim sim(tasks, 2);
-  sim::SimOptions off;
-  off.network = &net;  // attached but fairness off: still inert
-  EXPECT_EQ(sim.ComponentOf(off), (std::vector<int>{0, 1}));
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
+  EXPECT_EQ(sim.ComponentOf(sim::SimOptions{}), (std::vector<int>{0, 1}));
 
-  sim::SimOptions on = off;
-  on.flow_fairness = true;
+  sim::SimOptions on;
+  on.network = &net;
   EXPECT_EQ(sim.ComponentOf(on), (std::vector<int>{0, 0}));
 }
 
@@ -94,14 +96,15 @@ TEST(RunParallel, SingleComponentDelegatesToTheSerialEngine) {
   tasks.push_back(MakeTask(2.0, 1, {0}));
   tasks.push_back(MakeTask(3.0, 0, {0}));
   tasks.push_back(MakeTask(1.0, 1, {1, 2}));
-  const sim::TaskGraphSim sim(tasks, 2);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
   sim::SimOptions options;
   options.jitter_sigma = 0.3;
   options.out_of_order_probability = 0.2;
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectSameResult(sim.RunParallel(options, 11, threads),
-                     sim.Run(options, 11));
+    const sim::SimResult r = sim.RunParallel(options, 11, threads);
+    sim::ExpectSimInvariants(sim::TaskGraph(tasks), r);
+    ExpectSameResult(r, sim.Run(options, 11));
   }
 }
 
@@ -123,13 +126,13 @@ TEST(RunParallel, ThreadCountCannotChangeTheResult) {
       tasks.push_back(t);
     }
   }
-  const sim::TaskGraphSim sim(tasks, 6);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 6);
   sim::SimOptions options;
   options.enforce_gates = true;
   options.jitter_sigma = 0.2;
   options.out_of_order_probability = 0.3;
   const sim::SimResult one = sim.RunParallel(options, 17, 1);
-  EXPECT_EQ(one.start_order.size(), tasks.size());
+  sim::ExpectSimInvariants(sim::TaskGraph(tasks), one);
   for (const int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectSameResult(sim.RunParallel(options, 17, threads), one);
@@ -145,11 +148,12 @@ TEST(RunParallel, ShardRunsMatchManualComponentRuns) {
   tasks.push_back(MakeTask(2.0, 1));
   tasks.push_back(MakeTask(0.5, 0, {0}));
   tasks.push_back(MakeTask(0.25, 1, {1}));
-  const sim::TaskGraphSim sim(tasks, 2);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
   sim::SimOptions options;
   options.jitter_sigma = 0.4;
 
   const sim::SimResult merged = sim.RunParallel(options, 9, 2);
+  sim::ExpectSimInvariants(sim::TaskGraph(tasks), merged);
 
   // Component c's subgraph: local ids in increasing global order, the
   // component's resources remapped dense in first-use order, stream seed
@@ -165,7 +169,7 @@ TEST(RunParallel, ShardRunsMatchManualComponentRuns) {
       for (sim::TaskId& pred : t.preds) pred = pred == c ? 0 : 1;
       local.push_back(t);
     }
-    const sim::TaskGraphSim shard(local, 1);
+    const sim::TaskGraphSim shard(sim::TaskGraph(local), 1);
     const sim::SimResult alone =
         shard.Run(options, util::Rng::StreamSeed(9, static_cast<std::uint64_t>(c)));
     for (std::size_t i = 0; i < members.size(); ++i) {
@@ -189,11 +193,12 @@ TEST(RunParallel, FaultTimelinesApplyPerShardIdentically) {
       {0.5, 0, 0.25},  // resource 0 slows to quarter speed at t=0.5
       {0.5, 1, 2.0},   // resource 1 doubles at t=0.5
   };
-  const sim::TaskGraphSim sim(tasks, 2);
+  const sim::TaskGraphSim sim(sim::TaskGraph(tasks), 2);
   sim::SimOptions options;
   options.faults = &faults;
 
   const sim::SimResult one = sim.RunParallel(options, 3, 1);
+  sim::ExpectSimInvariants(sim::TaskGraph(tasks), one);
   ExpectSameResult(sim.RunParallel(options, 3, 4), one);
   // Task 1 starts at t=1 under speed 0.25: duration 4, end 5. Task 3
   // starts at t=1 under speed 2: end 1.5.
@@ -206,11 +211,97 @@ TEST(RunParallel, FaultTimelinesApplyPerShardIdentically) {
   const std::vector<sim::ResourceFault> local_faults{{0.5, 0, 2.0}};
   sim::SimOptions local_options;
   local_options.faults = &local_faults;
-  const sim::TaskGraphSim shard(local, 1);
+  const sim::TaskGraphSim shard(sim::TaskGraph(local), 1);
   const sim::SimResult alone =
       shard.Run(local_options, util::Rng::StreamSeed(3, 1));
   EXPECT_EQ(one.start[2], alone.start[0]);
   EXPECT_EQ(one.end[3], alone.end[1]);
+}
+
+// Lowered fabrics side by side: each one's tasks, resources, gate groups
+// and flow links rebased past those before it, so each is its own
+// component.
+struct SideBySide {
+  sim::TaskGraph tasks;
+  int resources = 0;
+  int gate_groups = 0;
+  sim::FlowNetwork net;
+
+  void Append(const runtime::Lowering& low) {
+    int groups = 0;
+    for (const int g : low.tasks.gate_group) groups = std::max(groups, g + 1);
+    tasks.Append(low.tasks, resources, gate_groups, 0);
+    const int link_base = static_cast<int>(net.links.size());
+    net.links.insert(net.links.end(), low.flow->links.begin(),
+                     low.flow->links.end());
+    net.resource_links.resize(static_cast<std::size_t>(resources));
+    net.resource_nominal_bps.resize(static_cast<std::size_t>(resources));
+    for (std::size_t r = 0; r < low.flow->resource_links.size(); ++r) {
+      std::vector<int>& links =
+          net.resource_links.emplace_back(low.flow->resource_links[r]);
+      for (int& l : links) l += link_base;
+      net.resource_nominal_bps.push_back(low.flow->resource_nominal_bps[r]);
+    }
+    resources += low.num_resources;
+    gate_groups += groups;
+  }
+};
+
+runtime::Lowering FlowFabric(const std::string& job) {
+  return runtime::MultiJobRunner(
+             runtime::MultiJobSpec::Parse(
+                 "{envG:workers=2:ps=1:training:flow " + job +
+                 " iterations=1 seed=1}"))
+      .fabric()
+      .lowering.combined;
+}
+
+// Metamorphic: a disjoint component appended after a graph that already
+// has two leaves every original task's start and end bit-identical, at
+// any thread count, with flow links or without. Components keep their
+// ids (numbered by smallest task id), so each keeps its random stream.
+// Appending *before* the graph renumbers the components, and going from
+// one component to two switches RunParallel from Run()'s stream to the
+// per-component StreamSeed: both change the draws until each component's
+// stream derives from its own content (ROADMAP item 6).
+TEST(RunParallel, AppendingADisjointComponentLeavesTheOthersBitIdentical) {
+  SideBySide base;
+  base.Append(FlowFabric("model=AlexNet v2 policy=tac"));
+  base.Append(FlowFabric("model=Inception v2 policy=tic"));
+  SideBySide extended = base;
+  extended.Append(FlowFabric("model=ResNet-50 v2 policy=baseline"));
+  const sim::TaskGraphSim base_sim(base.tasks, base.resources);
+  const sim::TaskGraphSim extended_sim(extended.tasks, extended.resources);
+
+  sim::SimOptions options;
+  options.enforce_gates = true;
+  options.jitter_sigma = 0.2;
+  options.out_of_order_probability = 0.1;
+  for (const bool flow : {false, true}) {
+    sim::SimOptions base_options = options;
+    sim::SimOptions extended_options = options;
+    if (flow) {
+      base_options.network = &base.net;
+      extended_options.network = &extended.net;
+    }
+    const std::vector<int> components = extended_sim.ComponentOf(
+        extended_options);
+    ASSERT_EQ(*std::max_element(components.begin(), components.end()), 2);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(flow ? "flow" : "static") +
+                   ", threads=" + std::to_string(threads));
+      const sim::SimResult before =
+          base_sim.RunParallel(base_options, 21, threads);
+      const sim::SimResult after =
+          extended_sim.RunParallel(extended_options, 21, threads);
+      sim::ExpectSimInvariants(base.tasks, before);
+      sim::ExpectSimInvariants(extended.tasks, after);
+      for (std::size_t t = 0; t < base.tasks.size(); ++t) {
+        ASSERT_EQ(before.start[t], after.start[t]) << "task " << t;
+        ASSERT_EQ(before.end[t], after.end[t]) << "task " << t;
+      }
+    }
+  }
 }
 
 TEST(ClusterSweep, SingleFabricMatchesTheMultiJobRunner) {

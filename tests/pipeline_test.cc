@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/tic.h"
 #include "models/builder.h"
 #include "models/zoo.h"
@@ -108,12 +111,9 @@ TEST(Pipeline, GateGroupsAreDistinctPerIteration) {
   Fixture f;
   const core::Schedule tic = core::Tic(f.graph);
   const auto pipe = LowerPipeline(f.graph, tic, f.ps_of, f.config, 3);
-  int max_group = -1;
-  for (const sim::Task& t : pipe.lowering.tasks) {
-    max_group = std::max(max_group, t.gate_group);
-  }
+  const std::vector<int>& groups = pipe.lowering.tasks.gate_group;
   // 3 iterations x 2 workers -> groups 0..5.
-  EXPECT_EQ(max_group, 5);
+  EXPECT_EQ(*std::max_element(groups.begin(), groups.end()), 5);
 }
 
 TEST(Pipeline, RejectsZeroIterations) {

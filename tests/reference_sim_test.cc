@@ -72,7 +72,7 @@ TEST_P(DifferentialSweep, EngineMatchesReferenceExactly) {
   const std::vector<Task> tasks = RandomTaskGraph(
       seed, num_tasks, used_resources, num_resources / used_resources);
 
-  TaskGraphSim engine(tasks, num_resources);
+  TaskGraphSim engine(TaskGraph(tasks), num_resources);
   engine.Validate();
   SimOptions options;  // no jitter, no reordering
   const SimResult a = engine.Run(options, /*seed=*/1);

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,7 @@
 #include "util/rng.h"
 
 #include "service_invariants.h"
+#include "sim_invariants.h"
 
 namespace tictac {
 namespace {
@@ -147,18 +149,18 @@ class LoweringHash {
   void Add(const runtime::Lowering& low) {
     Mix(low.tasks.size());
     for (std::size_t t = 0; t < low.tasks.size(); ++t) {
-      const sim::Task& task = low.tasks[t];
-      const std::vector<sim::TaskId>& preds = task.preds;
-      Mix(std::bit_cast<std::uint64_t>(task.duration));
-      MixInt(task.resource);
-      MixInt(task.priority);
-      MixInt(task.gate_group);
-      MixInt(task.gate_rank);
+      const sim::TaskGraph& task = low.tasks;
+      const std::span<const sim::TaskId> preds = task.preds(t);
+      Mix(std::bit_cast<std::uint64_t>(task.duration[t]));
+      MixInt(task.resource[t]);
+      MixInt(task.priority[t]);
+      MixInt(task.gate_group[t]);
+      MixInt(task.gate_rank[t]);
       Mix(preds.size());
       for (const sim::TaskId p : preds) MixInt(p);
-      MixInt(task.op);
-      MixInt(static_cast<int>(task.kind));
-      MixInt(task.worker);
+      MixInt(task.op[t]);
+      MixInt(static_cast<int>(task.kind[t]));
+      MixInt(task.worker[t]);
     }
     MixInt(low.num_resources);
     MixInt(low.num_workers);
@@ -323,6 +325,14 @@ void ExpectGolden(const std::string& cell, const std::string& report) {
   ExpectGolden(cell, Fingerprint(report));
 }
 
+// Pins a run that completes every task of `graph`: its invariants, then
+// its bits.
+void ExpectGoldenRun(const std::string& cell, const sim::TaskGraph& graph,
+                     const sim::SimResult& result) {
+  sim::ExpectSimInvariants(graph, result);
+  ExpectGolden(cell, result);
+}
+
 // Jitter and out-of-order draws on, so every tie-break and every RNG
 // draw position feeds the fingerprint.
 sim::SimOptions Randomized(sim::SimOptions options) {
@@ -342,9 +352,9 @@ TEST(SimFingerprint, ZooTimesPolicies) {
   for (const models::ModelInfo& info : models::ModelZoo()) {
     const runtime::Runner runner(info, runtime::EnvG(4, 2, true));
     for (const char* policy : {"baseline", "tic", "tac"}) {
-      const sim::TaskGraphSim sim = LowerZoo(runner, policy).BuildSim();
-      ExpectGolden("zoo/" + info.name + "/" + policy,
-                   sim.Run(Randomized(runner.config().sim), 42));
+      const runtime::Lowering low = LowerZoo(runner, policy);
+      ExpectGoldenRun("zoo/" + info.name + "/" + policy, low.tasks,
+                      low.BuildSim().Run(Randomized(runner.config().sim), 42));
     }
   }
 }
@@ -360,9 +370,7 @@ TEST(SimFingerprint, FaultTimelineRestartsAQueueOnResume) {
   const double makespan = sim.Run(options, 42).makespan;
 
   std::vector<int> load(static_cast<std::size_t>(low.num_resources), 0);
-  for (const sim::Task& t : low.tasks) {
-    ++load[static_cast<std::size_t>(t.resource)];
-  }
+  for (const int r : low.tasks.resource) ++load[static_cast<std::size_t>(r)];
   const int busiest = static_cast<int>(
       std::max_element(load.begin(), load.end()) - load.begin());
   const int other = (busiest + 1) % low.num_resources;
@@ -375,11 +383,11 @@ TEST(SimFingerprint, FaultTimelineRestartsAQueueOnResume) {
   sim::SimOptions faulted = options;
   faulted.faults = &faults;
   const sim::SimResult r = sim.Run(faulted, 42);
-  ExpectGolden("fault/AlexNet v2/tac", r);
+  ExpectGoldenRun("fault/AlexNet v2/tac", low.tasks, r);
 
   bool resumed = false;
   for (std::size_t t = 0; t < low.tasks.size(); ++t) {
-    resumed |= low.tasks[t].resource == busiest && r.start[t] == up_at;
+    resumed |= low.tasks.resource[t] == busiest && r.start[t] == up_at;
   }
   EXPECT_TRUE(resumed) << "no task started on resource " << busiest
                        << " when it came back up";
@@ -401,8 +409,9 @@ TEST(SimFingerprint, FaultOnAWideMostlyIdleGraph) {
   const std::vector<sim::ResourceFault> faults{{0.5, 5, 0.0}, {2.0, 5, 2.0}};
   sim::SimOptions options;
   options.faults = &faults;
-  const sim::SimResult r = sim::TaskGraphSim(tasks, 64).Run(options, 3);
-  ExpectGolden("fault/wide-hand-built", r);
+  const sim::TaskGraph graph(tasks);
+  const sim::SimResult r = sim::TaskGraphSim(graph, 64).Run(options, 3);
+  ExpectGoldenRun("fault/wide-hand-built", graph, r);
   // Resources start in ascending id order: resource 5's pick comes first.
   const auto first = static_cast<std::size_t>(r.start_order.at(0));
   ASSERT_EQ(tasks[first].resource, 5);
@@ -418,23 +427,15 @@ TEST(SimFingerprint, FaultOnAWideMostlyIdleGraph) {
 // groups and flow links, so each is its own component for the sharded
 // engine.
 struct MergedGraph {
-  std::vector<sim::Task> tasks;
+  sim::TaskGraph tasks;
   int resources = 0;
   int gate_groups = 0;
   sim::FlowNetwork net;
 
   void Append(const runtime::Lowering& low) {
-    const auto base = static_cast<sim::TaskId>(tasks.size());
+    tasks.Append(low.tasks, resources, gate_groups, 0);
     int groups = 0;
-    for (sim::Task t : low.tasks) {
-      for (sim::TaskId& p : t.preds) p += base;
-      t.resource += resources;
-      if (t.gate_group >= 0) {
-        groups = std::max(groups, t.gate_group + 1);
-        t.gate_group += gate_groups;
-      }
-      tasks.push_back(std::move(t));
-    }
+    for (const int g : low.tasks.gate_group) groups = std::max(groups, g + 1);
     if (low.flow) {
       const int link_base = static_cast<int>(net.links.size());
       net.links.insert(net.links.end(), low.flow->links.begin(),
@@ -474,10 +475,12 @@ TEST(SimFingerprint, FlowFatTreeMultiJob) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
                  {"model=AlexNet v2 policy=tac",
                   "model=Inception v2 policy=tic"});
-  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
+  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const sim::TaskGraphSim sim = low.BuildSim();
   for (const std::uint64_t seed : {1ull, 7ull}) {
-    ExpectGolden("flow/fat-tree-2job/seed" + std::to_string(seed),
-                 sim.Run(Randomized(runner.fabric().options), seed));
+    ExpectGoldenRun("flow/fat-tree-2job/seed" + std::to_string(seed),
+                    low.tasks,
+                    sim.Run(Randomized(runner.fabric().options), seed));
   }
 }
 
@@ -497,10 +500,10 @@ TEST(SimFingerprint, FlowUnderFaultTimeline) {
   }
   ASSERT_GE(channels.size(), 2u);
   int worker_cpu = -1;
-  for (const sim::Task& t : low.tasks) {
-    if (t.kind == core::OpKind::kCompute && t.worker >= 0) {
-      worker_cpu = t.resource;
-      break;
+  for (std::size_t t = 0; t < low.tasks.size() && worker_cpu < 0; ++t) {
+    if (low.tasks.kind[t] == core::OpKind::kCompute &&
+        low.tasks.worker[t] >= 0) {
+      worker_cpu = low.tasks.resource[t];
     }
   }
   ASSERT_GE(worker_cpu, 0);
@@ -516,7 +519,7 @@ TEST(SimFingerprint, FlowUnderFaultTimeline) {
   };
   sim::SimOptions faulted = options;
   faulted.faults = &faults;
-  ExpectGolden("flow/fault-timeline", sim.Run(faulted, 5));
+  ExpectGoldenRun("flow/fault-timeline", low.tasks, sim.Run(faulted, 5));
 }
 
 // Four pods behind a 4x oversubscribed core: core links bottleneck, so a
@@ -526,10 +529,12 @@ TEST(SimFingerprint, FlowOversubscribedCore) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=4:oversub=4",
                  {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tac",
                   "model=Inception v2 policy=baseline"});
-  const sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
+  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const sim::TaskGraphSim sim = low.BuildSim();
   for (const std::uint64_t seed : {1ull, 7ull}) {
-    ExpectGolden("flow/pods4-oversub4/seed" + std::to_string(seed),
-                 sim.Run(Randomized(runner.fabric().options), seed));
+    ExpectGoldenRun("flow/pods4-oversub4/seed" + std::to_string(seed),
+                    low.tasks,
+                    sim.Run(Randomized(runner.fabric().options), seed));
   }
 }
 
@@ -538,9 +543,10 @@ TEST(SimFingerprint, FlowInferenceFabric) {
       FlowFabric("envG:workers=2:ps=1:inference:flow:pods=1",
                  {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tic",
                   "model=ResNet-50 v2 policy=tac"});
-  ExpectGolden("flow/inference-3job-pods1",
-               runner.fabric().lowering.combined.BuildSim().Run(
-                   Randomized(runner.fabric().options), 11));
+  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  ExpectGoldenRun(
+      "flow/inference-3job-pods1", low.tasks,
+      low.BuildSim().Run(Randomized(runner.fabric().options), 11));
 }
 
 // Many small flow networks whose link ratios tie the fill level up to
@@ -573,11 +579,11 @@ TEST(SimFingerprint, FlowNearTiedLinks) {
       tasks[k].duration = 1.0 + static_cast<double>(rng.Index(3));
     }
     sim::SimOptions options;
-    options.flow_fairness = true;
     options.network = &net;
-    digests += std::to_string(Fingerprint(
-                   sim::TaskGraphSim(std::move(tasks), flows).Run(options, 1))) +
-               ",";
+    const sim::TaskGraph graph(tasks);
+    const sim::SimResult r = sim::TaskGraphSim(graph, flows).Run(options, 1);
+    sim::ExpectSimInvariants(graph, r);
+    digests += std::to_string(Fingerprint(r)) + ",";
   }
   ExpectGolden("flow/near-tied-links", Fingerprint(digests));
 }
@@ -624,10 +630,11 @@ TEST(SimFingerprint, FlowCapacityLadder) {
       }
     }
     sim::SimOptions options;
-    options.flow_fairness = true;
     options.network = &net;
-    const sim::TaskGraphSim sim(std::move(tasks), flows);
-    digests += std::to_string(Fingerprint(sim.Run(options, 1))) + ",";
+    const sim::TaskGraph graph(tasks);
+    const sim::SimResult r = sim::TaskGraphSim(graph, flows).Run(options, 1);
+    sim::ExpectSimInvariants(graph, r);
+    digests += std::to_string(Fingerprint(r)) + ",";
   }
   ExpectGolden("flow/capacity-ladder", Fingerprint(digests));
 }
@@ -671,10 +678,11 @@ TEST(SimFingerprint, FlowFreezeRoundsOntoTwiceTheLevel) {
       tasks[k].duration = 1.0 + static_cast<double>(k % 3);
     }
     sim::SimOptions options;
-    options.flow_fairness = true;
     options.network = &net;
-    const sim::TaskGraphSim sim(std::move(tasks), m + 1);
-    digests += std::to_string(Fingerprint(sim.Run(options, 1))) + ",";
+    const sim::TaskGraph graph(tasks);
+    const sim::SimResult r = sim::TaskGraphSim(graph, m + 1).Run(options, 1);
+    sim::ExpectSimInvariants(graph, r);
+    digests += std::to_string(Fingerprint(r)) + ",";
   }
   ASSERT_EQ(cases, 24);
   ExpectGolden("flow/freeze-rounds-onto-bound", Fingerprint(digests));
@@ -708,8 +716,8 @@ TEST(SimFingerprint, FlowUplinkDownlinkLevelsApart) {
   options.network = &net;
   const sim::TaskGraphSim sim = low.BuildSim();
   for (const std::uint64_t seed : {2ull, 9ull}) {
-    ExpectGolden("flow/uplink-downlink-apart/seed" + std::to_string(seed),
-                 sim.Run(options, seed));
+    ExpectGoldenRun("flow/uplink-downlink-apart/seed" + std::to_string(seed),
+                    low.tasks, sim.Run(options, seed));
   }
 }
 
@@ -731,12 +739,12 @@ TEST(SimFingerprint, FlowRunParallel) {
     options = Randomized(runner.fabric().options);
   }
   options.network = &merged.net;
-  const sim::TaskGraphSim sim(std::move(merged.tasks), merged.resources);
+  const sim::TaskGraphSim sim(merged.tasks, merged.resources);
   const std::vector<int> component = sim.ComponentOf(options);
   ASSERT_EQ(*std::max_element(component.begin(), component.end()), 1);
   for (const int threads : {1, 4}) {
-    ExpectGolden("flow/run-parallel-2fabric",
-                 sim.RunParallel(options, 13, threads));
+    ExpectGoldenRun("flow/run-parallel-2fabric", merged.tasks,
+                    sim.RunParallel(options, 13, threads));
   }
 }
 
@@ -751,12 +759,13 @@ TEST(SimFingerprint, RunParallelMultiComponent) {
     const runtime::Runner runner(models::FindModel(model), cluster);
     merged.Append(LowerZoo(runner, policy));
   }
-  const sim::TaskGraphSim sim(std::move(merged.tasks), merged.resources);
+  const sim::TaskGraphSim sim(merged.tasks, merged.resources);
   const sim::SimOptions options = Randomized(cluster.sim);
   const std::vector<int> component = sim.ComponentOf(options);
   ASSERT_EQ(*std::max_element(component.begin(), component.end()), 2);
   for (const int threads : {1, 4}) {
-    ExpectGolden("parallel/3-component", sim.RunParallel(options, 9, threads));
+    ExpectGoldenRun("parallel/3-component", merged.tasks,
+                    sim.RunParallel(options, 9, threads));
   }
 }
 

@@ -24,7 +24,7 @@ Task MakeTask(double duration, int resource,
 TEST(Engine, SingleResourceSerializes) {
   std::vector<Task> tasks{MakeTask(1.0, 0), MakeTask(2.0, 0),
                           MakeTask(3.0, 0)};
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   sim.Validate();
   const SimResult r = sim.Run({}, 1);
   EXPECT_DOUBLE_EQ(r.makespan, 6.0);
@@ -32,7 +32,7 @@ TEST(Engine, SingleResourceSerializes) {
 
 TEST(Engine, IndependentResourcesRunInParallel) {
   std::vector<Task> tasks{MakeTask(5.0, 0), MakeTask(3.0, 1)};
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   const SimResult r = sim.Run({}, 1);
   EXPECT_DOUBLE_EQ(r.makespan, 5.0);
   EXPECT_DOUBLE_EQ(r.start[1], 0.0);
@@ -41,7 +41,7 @@ TEST(Engine, IndependentResourcesRunInParallel) {
 TEST(Engine, DependencyChainSerializesAcrossResources) {
   std::vector<Task> tasks{MakeTask(1.0, 0), MakeTask(2.0, 1, {0}),
                           MakeTask(3.0, 0, {1})};
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   const SimResult r = sim.Run({}, 1);
   EXPECT_DOUBLE_EQ(r.makespan, 6.0);
   EXPECT_DOUBLE_EQ(r.start[1], 1.0);
@@ -62,7 +62,7 @@ TEST(Engine, Fig1GoodOrderBeatsBadOrder) {
     tasks.push_back(recv2);                    // 1
     tasks.push_back(MakeTask(1.0, 0, {0}));    // 2: op1 <- recv1
     tasks.push_back(MakeTask(1.0, 0, {2, 1})); // 3: op2 <- op1, recv2
-    TaskGraphSim sim(std::move(tasks), 2);
+    TaskGraphSim sim(TaskGraph(tasks), 2);
     const SimResult r = sim.Run({}, 7);
     EXPECT_DOUBLE_EQ(r.makespan, good ? 3.0 : 4.0);
   }
@@ -75,7 +75,7 @@ TEST(Engine, PrioritySelectsLowestNumber) {
     t.priority = 3 - i;  // task 3 has priority 0
     tasks.push_back(t);
   }
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   const SimResult r = sim.Run({}, 5);
   EXPECT_EQ(r.start_order, (std::vector<TaskId>{3, 2, 1, 0}));
 }
@@ -90,7 +90,7 @@ TEST(Engine, SparseAndNegativePrioritiesOrderCorrectly) {
     t.priority = p;
     tasks.push_back(t);
   }
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   const SimResult r = sim.Run({}, 11);
   EXPECT_EQ(r.start_order, (std::vector<TaskId>{1, 2, 3, 0}));
 }
@@ -108,7 +108,7 @@ TEST(Engine, LongGateCascadeReleasesAllRanks) {
     t.priority = kRanks - 1 - i;
     tasks.push_back(t);
   }
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   sim.Validate();
   SimOptions opts;
   opts.enforce_gates = true;
@@ -132,7 +132,7 @@ TEST(Engine, UnprioritizedTasksCompeteWithLowest) {
     Task b = MakeTask(1.0, 0);  // no priority
     tasks.push_back(a);
     tasks.push_back(b);
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     const SimResult r = sim.Run({}, seed);
     if (r.start_order.front() == 1) ++unprioritized_first;
   }
@@ -146,7 +146,7 @@ TEST(Engine, BaselineOrderVariesAcrossSeeds) {
     for (int i = 0; i < 8; ++i) tasks.push_back(MakeTask(1.0, 0));
     return tasks;
   };
-  TaskGraphSim sim(make(), 1);
+  TaskGraphSim sim(TaskGraph(make()), 1);
   const auto a = sim.Run({}, 1).start_order;
   const auto b = sim.Run({}, 2).start_order;
   EXPECT_NE(a, b);
@@ -157,7 +157,7 @@ TEST(Engine, DeterministicForSameSeed) {
   for (int i = 0; i < 16; ++i) {
     tasks.push_back(MakeTask(0.5 + 0.1 * i, i % 3));
   }
-  TaskGraphSim sim(std::move(tasks), 3);
+  TaskGraphSim sim(TaskGraph(tasks), 3);
   SimOptions opts;
   opts.jitter_sigma = 0.1;
   const SimResult a = sim.Run(opts, 99);
@@ -177,7 +177,7 @@ TEST(Engine, GatesEnforceHandoffOrderOnOneChannel) {
     t.priority = 2 - i;
     tasks.push_back(t);
   }
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   SimOptions opts;
   opts.enforce_gates = true;
   const SimResult r = sim.Run(opts, 3);
@@ -197,7 +197,7 @@ TEST(Engine, GateHandoffDoesNotBlockOtherChannels) {
   small.gate_rank = 1;
   tasks.push_back(big);
   tasks.push_back(small);
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   SimOptions opts;
   opts.enforce_gates = true;
   const SimResult r = sim.Run(opts, 3);
@@ -218,7 +218,7 @@ TEST(Engine, GateWaitsForPredecessorRankActivation) {
   second.gate_rank = 1;
   tasks.push_back(first);   // 1
   tasks.push_back(second);  // 2
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   SimOptions opts;
   opts.enforce_gates = true;
   const SimResult r = sim.Run(opts, 3);
@@ -236,7 +236,7 @@ TEST(Engine, GatesIgnoredWhenDisabled) {
   b.gate_rank = 0;
   tasks.push_back(a);
   tasks.push_back(b);
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   SimOptions opts;
   opts.enforce_gates = false;
   const SimResult r = sim.Run(opts, 3);
@@ -254,7 +254,7 @@ TEST(Engine, OutOfOrderInjectionScramblesPriorities) {
       t.priority = i;
       tasks.push_back(t);
     }
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     const SimResult r = sim.Run(opts, seed);
     std::vector<TaskId> in_order(6);
     for (int i = 0; i < 6; ++i) in_order[static_cast<std::size_t>(i)] = i;
@@ -265,7 +265,7 @@ TEST(Engine, OutOfOrderInjectionScramblesPriorities) {
 
 TEST(Engine, JitterPerturbsDurationsDeterministically) {
   std::vector<Task> tasks{MakeTask(1.0, 0)};
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   SimOptions opts;
   opts.jitter_sigma = 0.2;
   const double a = sim.Run(opts, 1).makespan;
@@ -292,7 +292,7 @@ TEST(Engine, MakespanNeverExceedsSerialTotal) {
       total += t.duration;
       tasks.push_back(t);
     }
-    TaskGraphSim sim(std::move(tasks), 4);
+    TaskGraphSim sim(TaskGraph(tasks), 4);
     sim.Validate();
     const SimResult r = sim.Run({}, static_cast<std::uint64_t>(trial));
     EXPECT_LE(r.makespan, total + 1e-9);
@@ -303,7 +303,7 @@ TEST(Engine, MakespanNeverExceedsSerialTotal) {
 TEST(Engine, AllTasksCompleteWithEndAfterStart) {
   std::vector<Task> tasks{MakeTask(1.0, 0), MakeTask(2.0, 1, {0}),
                           MakeTask(0.5, 0, {1})};
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   const SimResult r = sim.Run({}, 1);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GT(r.end[i], r.start[i]);
@@ -313,17 +313,17 @@ TEST(Engine, AllTasksCompleteWithEndAfterStart) {
 TEST(Validate, RejectsBadGraphs) {
   {
     std::vector<Task> tasks{MakeTask(1.0, 5)};
-    TaskGraphSim sim(std::move(tasks), 2);
+    TaskGraphSim sim(TaskGraph(tasks), 2);
     EXPECT_THROW(sim.Validate(), std::invalid_argument);
   }
   {
     std::vector<Task> tasks{MakeTask(-1.0, 0)};
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     EXPECT_THROW(sim.Validate(), std::invalid_argument);
   }
   {
     std::vector<Task> tasks{MakeTask(1.0, 0, {0})};  // self-loop
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     EXPECT_THROW(sim.Validate(), std::invalid_argument);
   }
   {
@@ -332,7 +332,7 @@ TEST(Validate, RejectsBadGraphs) {
     a.gate_group = 0;
     a.gate_rank = 1;
     std::vector<Task> tasks{a};
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     EXPECT_THROW(sim.Validate(), std::invalid_argument);
   }
   {
@@ -340,7 +340,7 @@ TEST(Validate, RejectsBadGraphs) {
     Task a = MakeTask(1.0, 0);
     a.gate_rank = 0;
     std::vector<Task> tasks{a};
-    TaskGraphSim sim(std::move(tasks), 1);
+    TaskGraphSim sim(TaskGraph(tasks), 1);
     EXPECT_THROW(sim.Validate(), std::invalid_argument);
   }
 }
@@ -353,7 +353,7 @@ TEST(Validate, AcceptsWellFormedGraph) {
   b.gate_group = 0;
   b.gate_rank = 1;
   std::vector<Task> tasks{a, b};
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   EXPECT_NO_THROW(sim.Validate());
 }
 
@@ -364,7 +364,7 @@ TEST(Validate, AcceptsWellFormedGraph) {
 TEST(SimFaults, NullAndEmptyTimelinesMatchBitForBit) {
   std::vector<Task> tasks{MakeTask(2.0, 0), MakeTask(1.0, 1, {0}),
                           MakeTask(3.0, 0, {0})};
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   SimOptions options;
   const SimResult base = sim.Run(options, 7);
   const std::vector<ResourceFault> empty;
@@ -381,7 +381,7 @@ TEST(SimFaults, SpeedIsSampledAtTaskStart) {
   // 0 and takes 4 — the in-flight duration is NOT re-scaled when speed
   // recovers at 3. The successor starts at 4 back at full speed.
   std::vector<Task> tasks{MakeTask(2.0, 0), MakeTask(2.0, 0, {0})};
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   const std::vector<ResourceFault> faults{{0.0, 0, 0.5}, {3.0, 0, 1.0}};
   SimOptions options;
   options.faults = &faults;
@@ -396,7 +396,7 @@ TEST(SimFaults, DownResourceDelaysStartsOthersUnaffected) {
   // Resource 0 is down over [0, 2): its task waits for the recovery
   // event; resource 1 is untouched and runs at t = 0.
   std::vector<Task> tasks{MakeTask(1.0, 0), MakeTask(1.0, 1)};
-  TaskGraphSim sim(std::move(tasks), 2);
+  TaskGraphSim sim(TaskGraph(tasks), 2);
   const std::vector<ResourceFault> faults{{0.0, 0, 0.0}, {2.0, 0, 1.0}};
   SimOptions options;
   options.faults = &faults;
@@ -413,7 +413,7 @@ TEST(SimFaults, MidRunSlowdownHitsOnlyLaterStarts) {
   // it finishes on time at 2; the successor starts at 2 under 4x
   // slowdown (speed 0.25) and takes 4.
   std::vector<Task> tasks{MakeTask(2.0, 0), MakeTask(1.0, 0, {0})};
-  TaskGraphSim sim(std::move(tasks), 1);
+  TaskGraphSim sim(TaskGraph(tasks), 1);
   const std::vector<ResourceFault> faults{{1.5, 0, 0.25}};
   SimOptions options;
   options.faults = &faults;
@@ -487,7 +487,7 @@ TEST(ReadyStorage, MoreThan64RanksKeepTheirDispatch) {
   // 150 distinct priorities on one resource — more ranks than one 64-bit
   // word holds, where a rank bitset would have to carry across words —
   // with sources at many ranks ready at once.
-  const TaskGraphSim sim(RandomReadyGraph(11, 400, 1, 150, 0.0), 1);
+  const TaskGraphSim sim(TaskGraph(RandomReadyGraph(11, 400, 1, 150, 0.0)), 1);
   SimOptions options;
   options.jitter_sigma = 0.1;
   EXPECT_EQ(ResultFingerprint(sim.Run(options, 3)), 0x9d27a6e76290e472ull);
@@ -510,13 +510,13 @@ TEST(ReadyStorage, LowerRankRefilledAfterAHigherOneStarted) {
   tasks[2].priority = 20;
   tasks[3].priority = 10;
   tasks[4].priority = 10;
-  const TaskGraphSim sim(std::move(tasks), 2);
+  const TaskGraphSim sim(TaskGraph(tasks), 2);
   const SimResult r = sim.Run({}, 1);
   EXPECT_EQ(r.start_order, (std::vector<TaskId>{0, 1, 5, 3, 4, 2}));
   EXPECT_DOUBLE_EQ(r.makespan, 6.0);
   // The same refill pattern at scale: ranks empty and refill as preds on
   // the other resources complete.
-  const TaskGraphSim wide(RandomReadyGraph(23, 300, 3, 90, 0.0), 3);
+  const TaskGraphSim wide(TaskGraph(RandomReadyGraph(23, 300, 3, 90, 0.0)), 3);
   EXPECT_EQ(ResultFingerprint(wide.Run({}, 5)), 0x42ddbab568727ee0ull);
 }
 
@@ -524,7 +524,7 @@ TEST(ReadyStorage, UnprioritizedTasksMixedWithRankedOnes) {
   // A third of the tasks carry no priority: every pick draws over the
   // lowest ready rank plus all unprioritized tasks, and a resource with
   // only unprioritized tasks ready draws among those.
-  const TaskGraphSim sim(RandomReadyGraph(37, 300, 2, 100, 0.33), 2);
+  const TaskGraphSim sim(TaskGraph(RandomReadyGraph(37, 300, 2, 100, 0.33)), 2);
   EXPECT_EQ(ResultFingerprint(sim.Run({}, 2)), 0x7d5aeb01649dd145ull);
   SimOptions options;
   options.jitter_sigma = 0.2;
@@ -535,7 +535,7 @@ TEST(ReadyStorage, OutOfOrderPickDrawsOverEveryReadyTask) {
   // With out_of_order_probability > 0 some picks draw uniformly over the
   // resource's whole ready list, whose order is the swap-removal order
   // of every earlier pick.
-  const TaskGraphSim sim(RandomReadyGraph(41, 300, 2, 120, 0.2), 2);
+  const TaskGraphSim sim(TaskGraph(RandomReadyGraph(41, 300, 2, 120, 0.2)), 2);
   SimOptions options;
   options.out_of_order_probability = 0.3;
   EXPECT_EQ(ResultFingerprint(sim.Run(options, 6)), 0x471097dfc6a43246ull);

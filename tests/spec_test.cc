@@ -489,7 +489,7 @@ TEST(ExperimentSpec, FlowKnobsParseBuildAndRoundTrip) {
   EXPECT_DOUBLE_EQ(spec.cluster.oversub, 2.5);
 
   const ClusterConfig config = spec.BuildCluster();
-  EXPECT_TRUE(config.sim.flow_fairness);
+  EXPECT_TRUE(config.flow_fairness);
   EXPECT_EQ(config.fabric_pods, 4);
   EXPECT_DOUBLE_EQ(config.fabric_oversubscription, 2.5);
 
@@ -501,7 +501,7 @@ TEST(ExperimentSpec, FlowKnobsParseBuildAndRoundTrip) {
   const auto plain = ExperimentSpec::Parse(
       "envG:workers=8:ps=4:training model=VGG-16 policy=tac");
   EXPECT_FALSE(plain.cluster.flow);
-  EXPECT_FALSE(plain.BuildCluster().sim.flow_fairness);
+  EXPECT_FALSE(plain.BuildCluster().flow_fairness);
   EXPECT_EQ(plain.ToString().find(":flow"), std::string::npos);
   EXPECT_EQ(plain.ToString().find(":pods="), std::string::npos);
   EXPECT_EQ(plain.ToString().find(":oversub="), std::string::npos);

@@ -266,7 +266,7 @@ TEST(Estimator, MinOfRunsLowerBoundsEachRun) {
         sim.Run(options, 3 + static_cast<std::uint64_t>(run));
     for (sim::TaskId t : f.lowering.worker_tasks[0]) {
       const auto ti = static_cast<std::size_t>(t);
-      const core::OpId op = f.lowering.tasks[ti].op;
+      const core::OpId op = f.lowering.tasks.op[ti];
       EXPECT_LE(oracle.Time(f.graph, op),
                 result.end[ti] - result.start[ti] + 1e-12);
     }
@@ -281,8 +281,8 @@ TEST(Estimator, ExactWithoutJitter) {
       EstimateWorkerOracle(f.lowering, options, 2, 5);
   for (sim::TaskId t : f.lowering.worker_tasks[0]) {
     const auto ti = static_cast<std::size_t>(t);
-    EXPECT_NEAR(oracle.Time(f.graph, f.lowering.tasks[ti].op),
-                f.lowering.tasks[ti].duration, 1e-12);
+    EXPECT_NEAR(oracle.Time(f.graph, f.lowering.tasks.op[ti]),
+                f.lowering.tasks.duration[ti], 1e-12);
   }
 }
 
