@@ -45,6 +45,7 @@
 #include "runtime/clustersweep.h"
 #include "runtime/lowering.h"
 #include "runtime/multijob.h"
+#include "runtime/reference_lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
 #include "sched/service.h"
@@ -275,9 +276,17 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"lowering/enforcement/DAG chaining", 0xa447718c898ca393ull},
       {"lowering/dagchain/zoo", 0x4b08ec793ef6367eull},
       {"lowering/chunked-sharded", 0x64040427af811b8aull},
+      {"lowering/pipeline/k=1/infer", 0x81924530243b5b12ull},
+      {"lowering/pipeline/k=1/train", 0x735644623188d2c1ull},
+      {"lowering/pipeline/k=2/infer", 0xe94335581fb6a015ull},
+      {"lowering/pipeline/k=2/train", 0x2beea299efc92151ull},
       {"lowering/pipeline/k=3/infer", 0x10d92c0c4c266ad7ull},
       {"lowering/pipeline/k=3/train", 0x5ab2ccb90fe17858ull},
+      {"lowering/pipeline/k=4/infer", 0xed75374ca9726609ull},
+      {"lowering/pipeline/k=4/train", 0x1d757b47fdc58d3eull},
+      {"lowering/ring/W=2", 0xf23f6d4309f753cfull},
       {"lowering/ring/W=5", 0xdcf9c2386ca1bc14ull},
+      {"lowering/shared/1-job", 0x8929c8efd1003cc7ull},
       {"lowering/shared/3-job-offset", 0xdd09a5c5a519774cull},
       {"lowering/flow-fabric", 0xddeb71f28b50d791ull},
       {"lowering/random-dags", 0x581488d60fe0747cull},
@@ -820,27 +829,33 @@ TEST(LoweringFingerprint, ChunkedSharded) {
   ExpectGolden("lowering/chunked-sharded", hash.value());
 }
 
-TEST(LoweringFingerprint, PipelineThreeIterations) {
+TEST(LoweringFingerprint, PipelineIterations) {
   for (const bool training : {false, true}) {
     const runtime::Runner runner(models::FindModel("Inception v1"),
                                  runtime::EnvG(2, 2, training));
-    ExpectGolden(
-        std::string("lowering/pipeline/k=3/") + (training ? "train" : "infer"),
-        LoweringFingerprint(runtime::LowerPipeline(
-            runner.worker_graph(), runner.MakeSchedule("tic"),
-            runner.ps_of_param(), runner.config(), 3)));
+    const core::Schedule schedule = runner.MakeSchedule("tic");
+    for (const int iterations : {1, 2, 3, 4}) {
+      ExpectGolden(std::string("lowering/pipeline/k=") +
+                       std::to_string(iterations) +
+                       (training ? "/train" : "/infer"),
+                   LoweringFingerprint(runtime::LowerPipeline(
+                       runner.worker_graph(), schedule, runner.ps_of_param(),
+                       runner.config(), iterations)));
+    }
   }
 }
 
-TEST(LoweringFingerprint, RingFiveWorkers) {
-  runtime::ClusterConfig config = runtime::EnvG(5, 1, true);
-  config.topology = runtime::Topology::kRing;
-  LoweringHash hash;
-  for (const models::ModelInfo& info : models::ModelZoo()) {
-    hash.Add(runtime::LowerAllReduce(
-        models::BuildWorkerGraph(info, {.training = true}), config));
+TEST(LoweringFingerprint, RingAcrossZoo) {
+  for (const int workers : {2, 5}) {
+    runtime::ClusterConfig config = runtime::EnvG(workers, 1, true);
+    config.topology = runtime::Topology::kRing;
+    LoweringHash hash;
+    for (const models::ModelInfo& info : models::ModelZoo()) {
+      hash.Add(runtime::LowerAllReduce(
+          models::BuildWorkerGraph(info, {.training = true}), config));
+    }
+    ExpectGolden("lowering/ring/W=" + std::to_string(workers), hash.value());
   }
-  ExpectGolden("lowering/ring/W=5", hash.value());
 }
 
 TEST(LoweringFingerprint, SharedFabricThreeJobsWithOffset) {
@@ -858,6 +873,10 @@ TEST(LoweringFingerprint, SharedFabricThreeJobsWithOffset) {
   inputs.push_back({b.worker_graph(), sb, b.ps_of_param(), b.config(), 0.05});
   inputs.push_back({c.worker_graph(), sc, c.ps_of_param(), c.config(), 0.0});
   ExpectGolden("lowering/shared/3-job-offset",
+               LoweringFingerprint(runtime::LowerSharedCluster(inputs)));
+  // A lone zero-offset job: the fabric degenerates to its own cluster.
+  while (inputs.size() > 1) inputs.pop_back();
+  ExpectGolden("lowering/shared/1-job",
                LoweringFingerprint(runtime::LowerSharedCluster(inputs)));
 }
 
@@ -914,6 +933,187 @@ TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
     hash.Add(runtime::LowerSharedCluster(inputs));
   }
   ExpectGolden("lowering/random-dags", hash.value());
+}
+
+// Cross-check: each lowering/ cell recomputed through the frozen
+// pre-IR lowering (runtime/reference_lowering.h) hashes to the same
+// golden. lowering/flow-fabric is the one cell it cannot build: the
+// reference predates lower_flow_nics and attaches no capacity graph.
+runtime::Lowering FromReference(const runtime::reference::Lowering& ref) {
+  runtime::Lowering low;
+  low.tasks = sim::TaskGraph(std::span<const sim::Task>(ref.tasks));
+  low.num_resources = ref.num_resources;
+  low.num_workers = ref.num_workers;
+  low.worker_tasks = ref.worker_tasks;
+  low.worker_recv_tasks = ref.worker_recv_tasks;
+  low.transfer_param = ref.transfer_param;
+  low.update_task = ref.update_task;
+  low.worker_sink = ref.worker_sink;
+  return low;
+}
+
+runtime::PipelineLowering FromReference(
+    const runtime::reference::PipelineLowering& ref) {
+  return {FromReference(ref.lowering), ref.task_iteration, ref.iterations};
+}
+
+runtime::MultiJobLowering FromReference(
+    const runtime::reference::MultiJobLowering& ref) {
+  runtime::MultiJobLowering fabric;
+  fabric.combined = FromReference(ref.combined);
+  fabric.jobs = ref.jobs;
+  fabric.total_workers = ref.total_workers;
+  fabric.num_ps = ref.num_ps;
+  // The reference predates JobSlice::num_workers; a job's workers run to
+  // the next job's first worker.
+  for (std::size_t j = 0; j < fabric.jobs.size(); ++j) {
+    const int next = j + 1 < fabric.jobs.size()
+                         ? fabric.jobs[j + 1].first_worker
+                         : fabric.total_workers;
+    fabric.jobs[j].num_workers = next - fabric.jobs[j].first_worker;
+  }
+  return fabric;
+}
+
+TEST(LoweringFingerprint, ReferenceReproducesEveryGolden) {
+  namespace ref = runtime::reference;
+  std::map<std::string, std::uint64_t> got;
+  const auto lower = [](const runtime::Runner& runner, const char* policy) {
+    return FromReference(ref::LowerCluster(
+        runner.worker_graph(), runner.MakeSchedule(policy),
+        runner.ps_of_param(), runner.config()));
+  };
+  for (const models::ModelInfo& info : models::ModelZoo()) {
+    for (const bool training : {false, true}) {
+      const runtime::Runner runner(info, runtime::EnvG(2, 2, training));
+      got["lowering/zoo/" + info.name + (training ? "/train" : "/infer")] =
+          LoweringFingerprint(lower(runner, "baseline"), lower(runner, "tic"),
+                              lower(runner, "tac"));
+    }
+  }
+  for (const runtime::Enforcement enforcement :
+       {runtime::Enforcement::kPriorityOnly,
+        runtime::Enforcement::kHandoffGate,
+        runtime::Enforcement::kDagChain}) {
+    runtime::ClusterConfig config = runtime::EnvG(2, 2, true);
+    config.enforcement = enforcement;
+    const runtime::Runner runner(models::FindModel("Inception v1"), config);
+    got[std::string("lowering/enforcement/") +
+        runtime::ToString(enforcement)] =
+        LoweringFingerprint(lower(runner, "tic"));
+  }
+  {
+    LoweringHash hash;
+    for (const models::ModelInfo& info : models::ModelZoo()) {
+      runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
+      config.enforcement = runtime::Enforcement::kDagChain;
+      hash.Add(lower(runtime::Runner(info, config), "tac"));
+    }
+    got["lowering/dagchain/zoo"] = hash.value();
+  }
+  {
+    LoweringHash hash;
+    for (const char* model : {"Inception v2", "VGG-16"}) {
+      runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
+      config.chunk_bytes = 1 << 20;
+      config.shard = runtime::ShardStrategy::kEven;
+      hash.Add(lower(runtime::Runner(models::FindModel(model), config), "tic"));
+    }
+    got["lowering/chunked-sharded"] = hash.value();
+  }
+  for (const bool training : {false, true}) {
+    const runtime::Runner runner(models::FindModel("Inception v1"),
+                                 runtime::EnvG(2, 2, training));
+    const core::Schedule schedule = runner.MakeSchedule("tic");
+    for (const int iterations : {1, 2, 3, 4}) {
+      got[std::string("lowering/pipeline/k=") + std::to_string(iterations) +
+          (training ? "/train" : "/infer")] =
+          LoweringFingerprint(FromReference(ref::LowerPipeline(
+              runner.worker_graph(), schedule, runner.ps_of_param(),
+              runner.config(), iterations)));
+    }
+  }
+  for (const int workers : {2, 5}) {
+    runtime::ClusterConfig config = runtime::EnvG(workers, 1, true);
+    config.topology = runtime::Topology::kRing;
+    LoweringHash hash;
+    for (const models::ModelInfo& info : models::ModelZoo()) {
+      hash.Add(FromReference(ref::LowerAllReduce(
+          models::BuildWorkerGraph(info, {.training = true}), config)));
+    }
+    got["lowering/ring/W=" + std::to_string(workers)] = hash.value();
+  }
+  {
+    const runtime::Runner a(models::FindModel("Inception v1"),
+                            runtime::EnvG(2, 2, true));
+    const runtime::Runner b(models::FindModel("VGG-16"),
+                            runtime::EnvG(3, 2, true));
+    const runtime::Runner c(models::FindModel("Inception v2"),
+                            runtime::EnvG(2, 2, false));
+    const core::Schedule sa = a.MakeSchedule("tac");
+    const core::Schedule sb = b.MakeSchedule("baseline");
+    const core::Schedule sc = c.MakeSchedule("tic");
+    std::vector<runtime::JobLoweringInput> inputs;
+    inputs.push_back({a.worker_graph(), sa, a.ps_of_param(), a.config(), 0.0});
+    inputs.push_back(
+        {b.worker_graph(), sb, b.ps_of_param(), b.config(), 0.05});
+    inputs.push_back({c.worker_graph(), sc, c.ps_of_param(), c.config(), 0.0});
+    got["lowering/shared/3-job-offset"] =
+        LoweringFingerprint(FromReference(ref::LowerSharedCluster(inputs)));
+    while (inputs.size() > 1) inputs.pop_back();
+    got["lowering/shared/1-job"] =
+        LoweringFingerprint(FromReference(ref::LowerSharedCluster(inputs)));
+  }
+  {
+    LoweringHash hash;
+    for (std::uint64_t seed = 0; seed < 110; ++seed) {
+      models::RandomDagOptions options;
+      options.num_recvs = 3 + static_cast<int>(seed % 6);
+      options.num_computes = 5 + static_cast<int>(seed % 11);
+      options.num_layers = 2 + static_cast<int>(seed % 4);
+      options.with_sends = (seed % 3) != 0;
+      const core::Graph graph = models::MakeRandomDag(options, seed);
+      runtime::ClusterConfig config = runtime::EnvG(
+          1 + static_cast<int>(seed % 4), 1 + static_cast<int>(seed % 3),
+          options.with_sends);
+      if (seed % 4 == 1) {
+        config.enforcement = runtime::Enforcement::kPriorityOnly;
+      }
+      if (seed % 4 == 2) config.enforcement = runtime::Enforcement::kDagChain;
+      std::vector<int> ps_of_param(static_cast<std::size_t>(options.num_recvs));
+      for (std::size_t p = 0; p < ps_of_param.size(); ++p) {
+        ps_of_param[p] = static_cast<int>(p) % config.num_ps;
+      }
+      const core::Schedule schedule =
+          (seed % 2) ? core::Tic(graph) : core::Schedule{};
+      hash.Add(FromReference(
+          ref::LowerCluster(graph, schedule, ps_of_param, config)));
+      hash.Add(FromReference(ref::LowerPipeline(
+          graph, schedule, ps_of_param, config,
+          1 + static_cast<int>(seed % 3))));
+      if (config.training && config.num_workers >= 2) {
+        hash.Add(FromReference(ref::LowerAllReduce(graph, config)));
+      }
+      std::vector<runtime::JobLoweringInput> inputs;
+      inputs.push_back({graph, schedule, ps_of_param, config});
+      inputs.push_back({graph, schedule, ps_of_param, config, 0.01});
+      hash.Add(FromReference(ref::LowerSharedCluster(inputs)));
+    }
+    got["lowering/random-dags"] = hash.value();
+  }
+
+  int checked = 0;
+  for (const auto& [cell, golden] : Goldens()) {
+    if (!cell.starts_with("lowering/") || cell == "lowering/flow-fabric") {
+      continue;
+    }
+    ++checked;
+    const auto it = got.find(cell);
+    ASSERT_NE(it, got.end()) << cell << " not recomputed";
+    EXPECT_EQ(it->second, golden) << cell;
+  }
+  EXPECT_EQ(checked, static_cast<int>(got.size()));
+  std::printf("reference reproduces %d lowering/ goldens\n", checked);
 }
 
 // The scheduler-service config of the CI serve smoke (`tictac_cli serve
