@@ -7,7 +7,7 @@
 #include "harness/session.h"
 #include "models/builder.h"
 #include "models/zoo.h"
-#include "runtime/allreduce.h"
+#include "runtime/lowering.h"
 #include "util/table.h"
 
 using namespace tictac;
@@ -15,11 +15,11 @@ using namespace tictac;
 namespace {
 
 double AllReduceThroughput(const models::ModelInfo& info,
-                           const runtime::ClusterConfig& config,
-                           std::uint64_t seed) {
+                           runtime::ClusterConfig config, std::uint64_t seed) {
   const core::Graph graph =
       models::BuildWorkerGraph(info, {.training = true});
-  const auto lowering = runtime::LowerAllReduce(graph, config);
+  config.topology = runtime::Topology::kRing;
+  const auto lowering = runtime::LowerCluster(graph, {}, {}, config);
   sim::TaskGraphSim sim = lowering.BuildSim();
   double total = 0.0;
   constexpr int kIters = 10;

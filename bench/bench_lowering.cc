@@ -1,7 +1,8 @@
 // Lowering-path cost (DESIGN.md §10): the pass-based pipeline over the
-// flat ir::Module against the frozen pre-IR implementation
-// (runtime/reference_lowering.h), plus the engine build every lowered
-// graph pays and the PropertyIndex build the scheduling passes pay. The
+// flat ir::Module for one job and for a shared fabric, plus the engine
+// build every lowered graph pays and the PropertyIndex build the
+// scheduling passes pay. DESIGN.md §10 keeps the last timings of the
+// deleted pre-IR lowering as the yardstick for these rows. The
 // module's size — nodes and CSR pred-list entries — rides along into
 // BENCH_sched.json via bench/run_benches.sh, so a layout change shows up
 // in the archived perf trajectory next to its runtime cost.
@@ -14,7 +15,6 @@
 #include "ir/lower.h"
 #include "models/zoo.h"
 #include "runtime/lowering.h"
-#include "runtime/reference_lowering.h"
 #include "runtime/runner.h"
 
 namespace {
@@ -37,17 +37,6 @@ Workload& SharedWorkload() {
   static Workload workload;
   return workload;
 }
-
-void BM_LowerClusterReference(benchmark::State& state) {
-  Workload& w = SharedWorkload();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tictac::runtime::reference::LowerCluster(
-        w.runner.worker_graph(), w.schedule, w.runner.ps_of_param(),
-        w.runner.config()));
-  }
-  state.SetLabel("frozen pre-IR layout");
-}
-BENCHMARK(BM_LowerClusterReference)->Unit(benchmark::kMillisecond);
 
 void BM_LowerClusterPipeline(benchmark::State& state) {
   Workload& w = SharedWorkload();
@@ -101,25 +90,9 @@ void BM_PropertyIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PropertyIndexBuild)->Unit(benchmark::kMillisecond);
 
-// The multi-job composition, both layouts: three jobs merged onto one
-// shared fabric — the pass order expand_replicas, lower_ps_fabric,
-// merge_jobs, apply_arrival_offsets against the frozen per-job +
-// hand-merge implementation.
-void BM_SharedClusterReference(benchmark::State& state) {
-  Workload& w = SharedWorkload();
-  std::vector<tictac::runtime::JobLoweringInput> jobs;
-  for (int j = 0; j < 3; ++j) {
-    jobs.push_back({w.runner.worker_graph(), w.schedule,
-                    w.runner.ps_of_param(), w.runner.config(),
-                    j == 2 ? 0.05 : 0.0});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tictac::runtime::reference::LowerSharedCluster(jobs));
-  }
-}
-BENCHMARK(BM_SharedClusterReference)->Unit(benchmark::kMillisecond);
-
+// The multi-job composition: three jobs merged onto one shared fabric
+// through the pass order expand_replicas, lower_ps_fabric, merge_jobs,
+// apply_arrival_offsets.
 void BM_SharedClusterPipeline(benchmark::State& state) {
   Workload& w = SharedWorkload();
   std::vector<tictac::runtime::JobLoweringInput> jobs;

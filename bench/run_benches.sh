@@ -18,9 +18,9 @@
 # sim-to-real round-trip cost plus prediction-fidelity counters
 # (measured vs predicted iteration time, calibrated and uncalibrated
 # error) per policy, and bench_lowering's BM_Lower* cases record the
-# pass-pipeline lowering cost over the flat IR against the frozen
-# pre-IR implementation plus the module's size (nodes, CSR pred
-# entries), and
+# pass-pipeline lowering cost over the flat IR (DESIGN.md §10 keeps the
+# deleted pre-IR lowering's last timings as its yardstick) plus the
+# module's size (nodes, CSR pred entries), and
 # bench_clustersweep's BM_ClusterSweep cases record the 100/1000-job
 # contended sweep through the sharded parallel engine plus the population
 # SLO counters (p99 job iteration, Jain fairness); the summary below
@@ -196,7 +196,7 @@ lowering = [b for b in data.get("benchmarks", [])
                                              "BM_BuildSim",
                                              "BM_PropertyIndex"))]
 if lowering:
-    print("lowering pipeline vs frozen reference (bench_lowering):")
+    print("lowering pipeline, engine build and PropertyIndex (bench_lowering):")
     for b in lowering:
         nodes = b.get("nodes")
         pool = b.get("pred_entries")

@@ -7,11 +7,11 @@
 // multi-job module becomes one combined Lowering whose jobs are range
 // views (MultiJobLowering::JobSlice).
 //
-// The runtime entry points (runtime::LowerCluster / LowerPipeline /
-// LowerAllReduce / LowerSharedCluster) are thin wrappers over
-// BuildLogicalModule + StandardLoweringPipeline + an exporter, pinned
-// bit-identical to the frozen pre-IR implementations
-// (runtime/reference_lowering.h) by tests/ir_differential_test.cc.
+// The runtime entry points (runtime::LowerCluster, over either topology,
+// LowerPipeline and LowerSharedCluster) are thin wrappers over
+// BuildLogicalModule + StandardLoweringPipeline + an exporter; the
+// lowering/ cells of tests/sim_fingerprint_test.cc pin every field they
+// export.
 // Chunking, sharding and schedules come from runtime::Runner before the
 // pipeline runs; composed multi-job scenarios (`tictac_cli lower`
 // included) lower through runtime::BuildSharedFabric.

@@ -185,8 +185,7 @@ class Module {
   // Number of pipelined iterations represented (1 until pipeline_iters).
   int iterations = 1;
   // Set by lower_allreduce_ring: the fabric is a ring collective, so the
-  // exported Lowering has no PS-side update/sink tables (the legacy
-  // LowerAllReduce leaves them empty).
+  // exported Lowering has no PS-side update/sink tables.
   bool ring = false;
   // Set by lower_flow_nics (valid at kMerged): the shared-fabric capacity
   // graph for SimOptions::network — channel resources mapped to the

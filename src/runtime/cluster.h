@@ -13,8 +13,8 @@
 namespace tictac::runtime {
 
 // Aggregation topology of the cluster: the paper's parameter-server
-// fabric (runtime/lowering.h) or the Horovod-style ring all-reduce
-// comparison substrate (runtime/allreduce.h).
+// fabric or the Horovod-style ring all-reduce comparison substrate, both
+// lowered by runtime::LowerCluster (runtime/lowering.h).
 enum class Topology {
   kPsFabric,
   kRing,

@@ -9,16 +9,21 @@
 namespace tictac::runtime {
 
 // The single-job entry points are presets over the IR pass pipeline
-// (ir/lower.h); tests/ir_differential_test.cc pins them bit-identical to
-// the frozen pre-IR implementations (runtime/reference_lowering.h).
+// (ir/lower.h).
 
 Lowering LowerCluster(const core::Graph& worker_graph,
                       const core::Schedule& schedule,
                       const std::vector<int>& ps_of_param,
                       const ClusterConfig& config) {
+  // The ring takes no schedule and no placement: its rounds fix the
+  // transfer order, so rank/priority attributes never apply.
+  const bool ring = config.topology == Topology::kRing;
+  const core::Schedule no_schedule;
+  const std::vector<int> no_params;
   const std::vector<JobLoweringInput> jobs{
-      {worker_graph, schedule, ps_of_param, config}};
-  return ir::ToLowering(ir::StandardLoweringPipeline(Topology::kPsFabric)
+      {worker_graph, ring ? no_schedule : schedule,
+       ring ? no_params : ps_of_param, config}};
+  return ir::ToLowering(ir::StandardLoweringPipeline(config.topology)
                             .Run(ir::BuildLogicalModule(jobs)));
 }
 

@@ -1,9 +1,9 @@
-// Lowers a Model-Replica cluster (identical worker partitions + sharded
-// parameter servers) into the simulator's flat task graph.
+// Lowers a Model-Replica cluster (identical worker partitions) into the
+// simulator's flat task graph, over either aggregation topology.
 //
-// Resource layout (Figure 2's distributed execution), with gRPC's "one
-// channel per worker-PS pair; only one transfer active per channel"
-// semantics (§5.1):
+// Parameter-server fabric (Figure 2's distributed execution), with
+// gRPC's "one channel per worker-PS pair; only one transfer active per
+// channel" semantics (§5.1). Resource layout:
 //   [0, W)                      worker computation resources (GPU/CPU)
 //   [W, W + W*S)                downlink channels (PS s -> worker w):
 //                                 index W + w*S + s
@@ -14,6 +14,18 @@
 // A PS NIC is time-shared by its W channels, so each pair-channel gets
 // bandwidth/W — this is how PS communication load grows with worker count
 // (§6.1) while per-worker transfer order remains the worker's own affair.
+//
+// Ring all-reduce — the decentralized aggregation pattern (Horovod-style)
+// that the paper names as out of scope (§2) and future work (§7), built
+// as a comparison substrate so the PS+TicTac results can be put in
+// context. No parameter servers: weights live on the workers, so the
+// forward pass never waits on the network, and recv ops become zero-cost
+// local weight reads. After each parameter's gradient is ready on every
+// worker, it is all-reduced around a ring of W unidirectional links in
+// 2(W-1) phases, each moving 1/W of the parameter's bytes per link
+// concurrently. Resource layout:
+//   [0, W)      worker computation resources
+//   [W, 2W)     ring links (worker i -> worker (i+1) mod W)
 #pragma once
 
 #include <memory>
@@ -78,10 +90,15 @@ struct JobLoweringInput {
 // schedule (no priorities) for the baseline. `ps_of_param` maps parameter
 // index -> PS. Durations come from config.platform.
 //
-// Implemented as the ir::PassPipeline preset [expand_replicas,
-// lower_ps_fabric] (ir/lower.h), pinned bit-identical to the frozen
-// pre-IR implementation (runtime/reference_lowering.h) by
-// tests/ir_differential_test.cc.
+// A ring config (config.topology == kRing) ignores `schedule` and
+// `ps_of_param`: the collective fixes the transfer order by its rounds,
+// so no rank, priority or gate applies. It needs a training graph (sends
+// present) and >= 2 workers, and throws std::invalid_argument otherwise.
+// Its Lowering leaves update_task/worker_sink empty.
+//
+// Implemented as ir::StandardLoweringPipeline(config.topology)
+// (ir/lower.h); the lowering/ cells of tests/sim_fingerprint_test.cc pin
+// every exported field.
 Lowering LowerCluster(const core::Graph& worker_graph,
                       const core::Schedule& schedule,
                       const std::vector<int>& ps_of_param,

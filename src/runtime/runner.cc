@@ -15,7 +15,6 @@
 #include "core/policy_registry.h"
 #include "ir/module.h"
 #include "models/zoo.h"
-#include "runtime/allreduce.h"
 #include "runtime/multijob.h"
 #include "runtime/sharding.h"
 
@@ -346,6 +345,14 @@ Runner::Runner(const models::ModelInfo& model, ClusterConfig config)
           std::to_string(ir::kMaxLoweredTasks) +
           " lowered tasks (ir::kMaxLoweredTasks); raise chunk=");
     }
+    if (ops > kMaxChunkedWorkerOps) {
+      throw std::invalid_argument(
+          "lowering: chunk=" + std::to_string(config_.chunk_bytes) +
+          " splits " + model_.name + "'s worker graph into " +
+          std::to_string(ops) + " ops, over the scheduling budget of " +
+          std::to_string(kMaxChunkedWorkerOps) +
+          " ops (runtime::kMaxChunkedWorkerOps); raise chunk=");
+    }
     graph_ = core::ChunkTransfers(graph_, chunking);
   }
   // Built after chunking, which rewrites the graph's recv set.
@@ -386,19 +393,16 @@ ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
                                 std::to_string(kMaxIterations) + "], got " +
                                 std::to_string(iterations));
   }
-  Lowering lowering;
+  // The ring collective fixes the transfer order itself: no schedule to
+  // compute, so no §5.1 hand-off gates to enforce.
+  const core::Schedule schedule = config_.topology == Topology::kRing
+                                      ? core::Schedule{}
+                                      : MakeSchedule(policy);
+  const Lowering lowering =
+      LowerCluster(graph_, schedule, ps_of_param_, config_);
   sim::SimOptions options = config_.sim;
-  if (config_.topology == Topology::kRing) {
-    // The ring collective fixes the transfer order itself: no schedule
-    // to compute, no §5.1 hand-off gates to enforce.
-    lowering = LowerAllReduce(graph_, config_);
-    options.enforce_gates = false;
-  } else {
-    const core::Schedule schedule = MakeSchedule(policy);
-    lowering = LowerCluster(graph_, schedule, ps_of_param_, config_);
-    options.enforce_gates = schedule.size() == graph_.size() &&
-                            schedule.CoversAllRecvs(graph_);
-  }
+  options.enforce_gates = schedule.size() == graph_.size() &&
+                          schedule.CoversAllRecvs(graph_);
   // lowering.flow is non-null exactly when the config enabled
   // flow_fairness (lower_flow_nics); it outlives the runs below.
   options.network = lowering.flow.get();

@@ -73,6 +73,12 @@ double SamplesPerIteration(const models::ModelInfo& model,
 ClusterConfig SharedFabricConfig(const ExperimentSpec& spec,
                                  int total_workers);
 
+// The most ops a Runner's chunked worker graph may have. PropertyIndex
+// and TAC analyse that graph whole, so their cost, not memory, bounds
+// chunk=: VGG-16 training at chunk=1024 (1.08M ops) took 6.6 s and at
+// chunk=256 (4.3M ops) 95 s, against ir::kMaxLoweredTasks' 16.8M.
+inline constexpr std::int64_t kMaxChunkedWorkerOps = std::int64_t{1} << 20;
+
 class Runner {
  public:
   // Validates `config` (ClusterConfig::Validate) before building the

@@ -357,6 +357,11 @@ TEST(CliSmoke, HostileSizesNameTheirKnob) {
        "over --duration 1e+308 gives ~inf; lower rate= or --duration"},
       {"run --spec \"envG:workers=2:ps=1:training:chunk=1 model=VGG-16\"",
        "lowering: chunk=1 splits VGG-16's worker graph"},
+      // Under the lowered-task cap, but PropertyIndex and TAC over 15.8M
+      // ops used to grind for minutes.
+      {"run --spec \"envG:workers=1:ps=1:training:chunk=70 model=VGG-16\"",
+       "lowering: chunk=70 splits VGG-16's worker graph into 15813014 ops, "
+       "over the scheduling budget"},
   };
   for (const auto& [args, named] : cases) {
     const CliResult result = RunCli(args);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/tic.h"
 #include "models/builder.h"
 #include "models/zoo.h"
+#include "runtime/runner.h"
 #include "runtime/sharding.h"
 
 namespace tictac::runtime {
@@ -171,6 +174,13 @@ TEST(Lowering, RejectsBadInputs) {
   EXPECT_THROW(
       LowerCluster(f.graph, core::Schedule(), short_map, f.config),
       std::invalid_argument);
+}
+
+TEST(Lowering, PipelineValidatesIterationsBeforeLowering) {
+  const Runner runner(models::FindModel("Inception v1"), EnvG(2, 1, true));
+  EXPECT_THROW(LowerPipeline(runner.worker_graph(), core::Schedule{},
+                             runner.ps_of_param(), runner.config(), 0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -404,5 +404,31 @@ TEST(MultiJob, MixedEnforcementJobsCoexist) {
   }
 }
 
+TEST(MultiJob, SharedClusterKeepsLegacyErrorPrecedence) {
+  try {
+    LowerSharedCluster({});
+    FAIL() << "expected the empty-jobs diagnostic";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "multijob: LowerSharedCluster needs >= 1 job");
+  }
+  const Runner a(models::FindModel("Inception v1"), EnvG(2, 1, true));
+  const Runner b(models::FindModel("Inception v1"), EnvG(2, 2, true));
+  const core::Schedule none;
+  std::vector<JobLoweringInput> inputs;
+  inputs.push_back(
+      JobLoweringInput{a.worker_graph(), none, a.ps_of_param(), a.config()});
+  inputs.push_back(
+      JobLoweringInput{b.worker_graph(), none, b.ps_of_param(), b.config()});
+  try {
+    LowerSharedCluster(inputs);
+    FAIL() << "expected the ps-mismatch diagnostic";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "all jobs must share the PS fleet: got num_ps=2 vs 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace tictac::runtime

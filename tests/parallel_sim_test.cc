@@ -11,6 +11,7 @@
 // check the merged result against running that subgraph alone. Every
 // run must also hold the result invariants (sim_invariants.h).
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -299,6 +300,53 @@ TEST(RunParallel, AppendingADisjointComponentLeavesTheOthersBitIdentical) {
       for (std::size_t t = 0; t < base.tasks.size(); ++t) {
         ASSERT_EQ(before.start[t], after.start[t]) << "task " << t;
         ASSERT_EQ(before.end[t], after.end[t]) << "task " << t;
+      }
+    }
+  }
+}
+
+// Metamorphic: multiplying every task duration by 2^k multiplies every
+// start, end and the makespan by exactly 2^k and leaves start_order as it
+// is, serial or sharded, at any thread count. A power-of-two factor
+// commutes with every rounding the engine does (a jitter draw's product,
+// a sum of times, a comparison), and the random draws do not depend on
+// the times, so the scaled run is the same run on a finer or coarser
+// clock. With flow links the capacities stay put: each flow's demand
+// (duration x nominal rate) scales by 2^k, its water-filled rate does
+// not, so its remaining bytes and finish times scale by 2^k too.
+TEST(RunParallel, ScalingEveryDurationByAPowerOfTwoScalesEveryTime) {
+  SideBySide fabric;
+  fabric.Append(FlowFabric("model=AlexNet v2 policy=tac"));
+  fabric.Append(FlowFabric("model=Inception v2 policy=tic"));
+  fabric.Append(FlowFabric("model=ResNet-50 v2 policy=baseline"));
+  const sim::TaskGraphSim base_sim(fabric.tasks, fabric.resources);
+
+  sim::SimOptions options;
+  options.enforce_gates = true;
+  options.jitter_sigma = 0.1;
+  options.out_of_order_probability = 0.05;
+  for (const int k : {-3, 5}) {
+    sim::TaskGraph scaled = fabric.tasks;
+    for (double& d : scaled.duration) d = std::ldexp(d, k);
+    const sim::TaskGraphSim scaled_sim(scaled, fabric.resources);
+    for (const bool flow : {false, true}) {
+      options.network = flow ? &fabric.net : nullptr;
+      for (const int threads : {0, 1, 4}) {  // 0: the serial Run
+        SCOPED_TRACE("k=" + std::to_string(k) + (flow ? ", flow" : "") +
+                     ", threads=" + std::to_string(threads));
+        const auto run = [&](const sim::TaskGraphSim& sim) {
+          return threads == 0 ? sim.Run(options, 5)
+                              : sim.RunParallel(options, 5, threads);
+        };
+        const sim::SimResult base = run(base_sim);
+        const sim::SimResult got = run(scaled_sim);
+        sim::ExpectSimInvariants(scaled, got);
+        EXPECT_EQ(got.makespan, std::ldexp(base.makespan, k));
+        EXPECT_EQ(got.start_order, base.start_order);
+        for (std::size_t t = 0; t < scaled.size(); ++t) {
+          ASSERT_EQ(got.start[t], std::ldexp(base.start[t], k)) << t;
+          ASSERT_EQ(got.end[t], std::ldexp(base.end[t], k)) << t;
+        }
       }
     }
   }

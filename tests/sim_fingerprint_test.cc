@@ -40,12 +40,10 @@
 #include "models/builder.h"
 #include "models/random_dag.h"
 #include "models/zoo.h"
-#include "runtime/allreduce.h"
 #include "runtime/cluster.h"
 #include "runtime/clustersweep.h"
 #include "runtime/lowering.h"
 #include "runtime/multijob.h"
-#include "runtime/reference_lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
 #include "sched/service.h"
@@ -851,8 +849,9 @@ TEST(LoweringFingerprint, RingAcrossZoo) {
     config.topology = runtime::Topology::kRing;
     LoweringHash hash;
     for (const models::ModelInfo& info : models::ModelZoo()) {
-      hash.Add(runtime::LowerAllReduce(
-          models::BuildWorkerGraph(info, {.training = true}), config));
+      hash.Add(runtime::LowerCluster(
+          models::BuildWorkerGraph(info, {.training = true}), {}, {},
+          config));
     }
     ExpectGolden("lowering/ring/W=" + std::to_string(workers), hash.value());
   }
@@ -900,7 +899,7 @@ TEST(LoweringFingerprint, FlowFabric) {
   ExpectGolden("lowering/flow-fabric", hash.value());
 }
 
-// ir_differential_test's 110 random DAGs through every preset.
+// 110 random DAGs through every preset.
 TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
   LoweringHash hash;
   for (std::uint64_t seed = 0; seed < 110; ++seed) {
@@ -925,7 +924,9 @@ TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
     hash.Add(runtime::LowerPipeline(graph, schedule, ps_of_param, config,
                                     1 + static_cast<int>(seed % 3)));
     if (config.training && config.num_workers >= 2) {
-      hash.Add(runtime::LowerAllReduce(graph, config));
+      runtime::ClusterConfig ring = config;
+      ring.topology = runtime::Topology::kRing;
+      hash.Add(runtime::LowerCluster(graph, {}, {}, ring));
     }
     std::vector<runtime::JobLoweringInput> inputs;
     inputs.push_back({graph, schedule, ps_of_param, config});
@@ -933,187 +934,6 @@ TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
     hash.Add(runtime::LowerSharedCluster(inputs));
   }
   ExpectGolden("lowering/random-dags", hash.value());
-}
-
-// Cross-check: each lowering/ cell recomputed through the frozen
-// pre-IR lowering (runtime/reference_lowering.h) hashes to the same
-// golden. lowering/flow-fabric is the one cell it cannot build: the
-// reference predates lower_flow_nics and attaches no capacity graph.
-runtime::Lowering FromReference(const runtime::reference::Lowering& ref) {
-  runtime::Lowering low;
-  low.tasks = sim::TaskGraph(std::span<const sim::Task>(ref.tasks));
-  low.num_resources = ref.num_resources;
-  low.num_workers = ref.num_workers;
-  low.worker_tasks = ref.worker_tasks;
-  low.worker_recv_tasks = ref.worker_recv_tasks;
-  low.transfer_param = ref.transfer_param;
-  low.update_task = ref.update_task;
-  low.worker_sink = ref.worker_sink;
-  return low;
-}
-
-runtime::PipelineLowering FromReference(
-    const runtime::reference::PipelineLowering& ref) {
-  return {FromReference(ref.lowering), ref.task_iteration, ref.iterations};
-}
-
-runtime::MultiJobLowering FromReference(
-    const runtime::reference::MultiJobLowering& ref) {
-  runtime::MultiJobLowering fabric;
-  fabric.combined = FromReference(ref.combined);
-  fabric.jobs = ref.jobs;
-  fabric.total_workers = ref.total_workers;
-  fabric.num_ps = ref.num_ps;
-  // The reference predates JobSlice::num_workers; a job's workers run to
-  // the next job's first worker.
-  for (std::size_t j = 0; j < fabric.jobs.size(); ++j) {
-    const int next = j + 1 < fabric.jobs.size()
-                         ? fabric.jobs[j + 1].first_worker
-                         : fabric.total_workers;
-    fabric.jobs[j].num_workers = next - fabric.jobs[j].first_worker;
-  }
-  return fabric;
-}
-
-TEST(LoweringFingerprint, ReferenceReproducesEveryGolden) {
-  namespace ref = runtime::reference;
-  std::map<std::string, std::uint64_t> got;
-  const auto lower = [](const runtime::Runner& runner, const char* policy) {
-    return FromReference(ref::LowerCluster(
-        runner.worker_graph(), runner.MakeSchedule(policy),
-        runner.ps_of_param(), runner.config()));
-  };
-  for (const models::ModelInfo& info : models::ModelZoo()) {
-    for (const bool training : {false, true}) {
-      const runtime::Runner runner(info, runtime::EnvG(2, 2, training));
-      got["lowering/zoo/" + info.name + (training ? "/train" : "/infer")] =
-          LoweringFingerprint(lower(runner, "baseline"), lower(runner, "tic"),
-                              lower(runner, "tac"));
-    }
-  }
-  for (const runtime::Enforcement enforcement :
-       {runtime::Enforcement::kPriorityOnly,
-        runtime::Enforcement::kHandoffGate,
-        runtime::Enforcement::kDagChain}) {
-    runtime::ClusterConfig config = runtime::EnvG(2, 2, true);
-    config.enforcement = enforcement;
-    const runtime::Runner runner(models::FindModel("Inception v1"), config);
-    got[std::string("lowering/enforcement/") +
-        runtime::ToString(enforcement)] =
-        LoweringFingerprint(lower(runner, "tic"));
-  }
-  {
-    LoweringHash hash;
-    for (const models::ModelInfo& info : models::ModelZoo()) {
-      runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
-      config.enforcement = runtime::Enforcement::kDagChain;
-      hash.Add(lower(runtime::Runner(info, config), "tac"));
-    }
-    got["lowering/dagchain/zoo"] = hash.value();
-  }
-  {
-    LoweringHash hash;
-    for (const char* model : {"Inception v2", "VGG-16"}) {
-      runtime::ClusterConfig config = runtime::EnvG(3, 2, true);
-      config.chunk_bytes = 1 << 20;
-      config.shard = runtime::ShardStrategy::kEven;
-      hash.Add(lower(runtime::Runner(models::FindModel(model), config), "tic"));
-    }
-    got["lowering/chunked-sharded"] = hash.value();
-  }
-  for (const bool training : {false, true}) {
-    const runtime::Runner runner(models::FindModel("Inception v1"),
-                                 runtime::EnvG(2, 2, training));
-    const core::Schedule schedule = runner.MakeSchedule("tic");
-    for (const int iterations : {1, 2, 3, 4}) {
-      got[std::string("lowering/pipeline/k=") + std::to_string(iterations) +
-          (training ? "/train" : "/infer")] =
-          LoweringFingerprint(FromReference(ref::LowerPipeline(
-              runner.worker_graph(), schedule, runner.ps_of_param(),
-              runner.config(), iterations)));
-    }
-  }
-  for (const int workers : {2, 5}) {
-    runtime::ClusterConfig config = runtime::EnvG(workers, 1, true);
-    config.topology = runtime::Topology::kRing;
-    LoweringHash hash;
-    for (const models::ModelInfo& info : models::ModelZoo()) {
-      hash.Add(FromReference(ref::LowerAllReduce(
-          models::BuildWorkerGraph(info, {.training = true}), config)));
-    }
-    got["lowering/ring/W=" + std::to_string(workers)] = hash.value();
-  }
-  {
-    const runtime::Runner a(models::FindModel("Inception v1"),
-                            runtime::EnvG(2, 2, true));
-    const runtime::Runner b(models::FindModel("VGG-16"),
-                            runtime::EnvG(3, 2, true));
-    const runtime::Runner c(models::FindModel("Inception v2"),
-                            runtime::EnvG(2, 2, false));
-    const core::Schedule sa = a.MakeSchedule("tac");
-    const core::Schedule sb = b.MakeSchedule("baseline");
-    const core::Schedule sc = c.MakeSchedule("tic");
-    std::vector<runtime::JobLoweringInput> inputs;
-    inputs.push_back({a.worker_graph(), sa, a.ps_of_param(), a.config(), 0.0});
-    inputs.push_back(
-        {b.worker_graph(), sb, b.ps_of_param(), b.config(), 0.05});
-    inputs.push_back({c.worker_graph(), sc, c.ps_of_param(), c.config(), 0.0});
-    got["lowering/shared/3-job-offset"] =
-        LoweringFingerprint(FromReference(ref::LowerSharedCluster(inputs)));
-    while (inputs.size() > 1) inputs.pop_back();
-    got["lowering/shared/1-job"] =
-        LoweringFingerprint(FromReference(ref::LowerSharedCluster(inputs)));
-  }
-  {
-    LoweringHash hash;
-    for (std::uint64_t seed = 0; seed < 110; ++seed) {
-      models::RandomDagOptions options;
-      options.num_recvs = 3 + static_cast<int>(seed % 6);
-      options.num_computes = 5 + static_cast<int>(seed % 11);
-      options.num_layers = 2 + static_cast<int>(seed % 4);
-      options.with_sends = (seed % 3) != 0;
-      const core::Graph graph = models::MakeRandomDag(options, seed);
-      runtime::ClusterConfig config = runtime::EnvG(
-          1 + static_cast<int>(seed % 4), 1 + static_cast<int>(seed % 3),
-          options.with_sends);
-      if (seed % 4 == 1) {
-        config.enforcement = runtime::Enforcement::kPriorityOnly;
-      }
-      if (seed % 4 == 2) config.enforcement = runtime::Enforcement::kDagChain;
-      std::vector<int> ps_of_param(static_cast<std::size_t>(options.num_recvs));
-      for (std::size_t p = 0; p < ps_of_param.size(); ++p) {
-        ps_of_param[p] = static_cast<int>(p) % config.num_ps;
-      }
-      const core::Schedule schedule =
-          (seed % 2) ? core::Tic(graph) : core::Schedule{};
-      hash.Add(FromReference(
-          ref::LowerCluster(graph, schedule, ps_of_param, config)));
-      hash.Add(FromReference(ref::LowerPipeline(
-          graph, schedule, ps_of_param, config,
-          1 + static_cast<int>(seed % 3))));
-      if (config.training && config.num_workers >= 2) {
-        hash.Add(FromReference(ref::LowerAllReduce(graph, config)));
-      }
-      std::vector<runtime::JobLoweringInput> inputs;
-      inputs.push_back({graph, schedule, ps_of_param, config});
-      inputs.push_back({graph, schedule, ps_of_param, config, 0.01});
-      hash.Add(FromReference(ref::LowerSharedCluster(inputs)));
-    }
-    got["lowering/random-dags"] = hash.value();
-  }
-
-  int checked = 0;
-  for (const auto& [cell, golden] : Goldens()) {
-    if (!cell.starts_with("lowering/") || cell == "lowering/flow-fabric") {
-      continue;
-    }
-    ++checked;
-    const auto it = got.find(cell);
-    ASSERT_NE(it, got.end()) << cell << " not recomputed";
-    EXPECT_EQ(it->second, golden) << cell;
-  }
-  EXPECT_EQ(checked, static_cast<int>(got.size()));
-  std::printf("reference reproduces %d lowering/ goldens\n", checked);
 }
 
 // The scheduler-service config of the CI serve smoke (`tictac_cli serve
