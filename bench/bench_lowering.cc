@@ -102,7 +102,7 @@ void BM_SharedClusterPipeline(benchmark::State& state) {
                     j == 2 ? 0.05 : 0.0});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tictac::runtime::LowerSharedCluster(jobs));
+    benchmark::DoNotOptimize(tictac::runtime::Lower(jobs));
   }
 }
 BENCHMARK(BM_SharedClusterPipeline)->Unit(benchmark::kMillisecond);

@@ -33,10 +33,10 @@ void BM_MultiJobContended(benchmark::State& state, const char* policy) {
   state.counters["fairness"] = report.interference.fairness;
   state.counters["combined_iter_ms"] =
       report.result.combined.MeanIterationTime() * 1e3;
-  const tictac::runtime::MultiJobLowering& lowering = runner.fabric().lowering;
+  const tictac::runtime::Lowering& lowering = runner.fabric().lowering;
   state.SetLabel(std::to_string(spec.jobs.size()) + " jobs, " +
-                 std::to_string(lowering.total_workers) + " workers, " +
-                 std::to_string(lowering.combined.tasks.size()) + " tasks");
+                 std::to_string(lowering.num_workers) + " workers, " +
+                 std::to_string(lowering.tasks.size()) + " tasks");
 }
 
 BENCHMARK_CAPTURE(BM_MultiJobContended, baseline, "baseline")
@@ -64,7 +64,7 @@ void BM_MultiJobMixed(benchmark::State& state, const char* policy) {
   state.counters["mean_slowdown"] = report.interference.mean_slowdown;
   state.counters["fairness"] = report.interference.fairness;
   state.SetLabel("training + offset inference, " +
-                 std::to_string(runner.fabric().lowering.combined.tasks.size()) +
+                 std::to_string(runner.fabric().lowering.tasks.size()) +
                  " tasks");
 }
 

@@ -54,9 +54,9 @@ int main() {
       core::Schedule schedule =
           v.scheduled ? core::Tic(graph) : core::Schedule();
       if (v.push_order) schedule = core::OrderSends(graph, schedule);
-      const auto pipe = runtime::LowerPipeline(graph, schedule, ps_of,
-                                               config, kIterations);
-      sim::TaskGraphSim sim = pipe.lowering.BuildSim();
+      const runtime::Lowering pipe =
+          runtime::Lower({{graph, schedule, ps_of, config}}, kIterations);
+      sim::TaskGraphSim sim = pipe.BuildSim();
       sim::SimOptions options = config.sim;
       options.enforce_gates = v.scheduled;
       const auto timing =

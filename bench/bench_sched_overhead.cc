@@ -200,7 +200,7 @@ void BM_SimFlow(benchmark::State& state) {
           "64x{envG:workers=2:ps=1:training:flow:pods=2:oversub=2 "
           "model=VGG-16 policy=tac iterations=1 seed=1}"));
   const tictac::runtime::SharedFabric& fabric = runner.fabric();
-  const tictac::sim::TaskGraphSim sim = fabric.lowering.combined.BuildSim();
+  const tictac::sim::TaskGraphSim sim = fabric.lowering.BuildSim();
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.Run(fabric.options, /*seed=*/1));
   }

@@ -106,6 +106,16 @@ PsBackend::PsBackend(const runtime::Lowering& lowering,
   if (options_.queue_capacity < 0) {
     throw std::invalid_argument("PsBackend: queue_capacity must be >= 0");
   }
+  // The replay reads one job's parameter tables (update_task) over one
+  // iteration's graph; a multi-job fabric has no such tables, though its
+  // resources fit the layout check below.
+  if (lowering.jobs.size() != 1 || lowering.iterations != 1) {
+    throw std::invalid_argument(
+        "PsBackend: the backend runs one job's single-iteration lowering "
+        "(jobs.size() == 1, iterations == 1), got " +
+        std::to_string(lowering.jobs.size()) + " jobs and " +
+        std::to_string(lowering.iterations) + " iterations");
+  }
   if (lowering.num_resources > kMaxBackendThreads) {
     throw std::invalid_argument(
         "PsBackend: lowering has " + std::to_string(lowering.num_resources) +

@@ -128,10 +128,11 @@ inline constexpr int kMaxBackendThreads = 256;
 
 class PsBackend {
  public:
-  // `lowering` must be a single-iteration LowerCluster result over
-  // `worker_graph`; both must outlive the backend. Throws
-  // std::invalid_argument on malformed options (factor < 1, scales <= 0,
-  // iterations < 1) or a lowering with more than kMaxBackendThreads
+  // `lowering` must be a single-iteration, single-job PS lowering over
+  // `worker_graph` (LowerCluster's, or a 1-job fabric's); both must
+  // outlive the backend. Throws std::invalid_argument on malformed
+  // options (factor < 1, scales <= 0, iterations < 1), a lowering of
+  // several jobs or iterations, or one with more than kMaxBackendThreads
   // resources.
   PsBackend(const runtime::Lowering& lowering, const core::Graph& worker_graph,
             BackendOptions options);

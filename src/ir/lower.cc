@@ -11,15 +11,6 @@
 namespace tictac::ir {
 namespace {
 
-void RequireMerged(const Module& module, const char* exporter) {
-  if (module.stage != Stage::kMerged) {
-    throw std::invalid_argument(std::string("ir: ") + exporter +
-                                " consumes a merged module, got " +
-                                ToString(module.stage) +
-                                " (run the lowering pipeline first)");
-  }
-}
-
 // Imports `graph`'s ops (in op-id order, preds in graph edge order) as
 // kLogical nodes tagged with job index `job`; returns their range.
 JobRange AppendLogicalNodes(Module& module, const core::Graph& graph,
@@ -129,17 +120,48 @@ PassPipeline StandardLoweringPipeline(runtime::Topology topology,
 }
 
 runtime::Lowering ToLowering(Module module) {
-  RequireMerged(module, "ToLowering");
+  if (module.stage != Stage::kMerged) {
+    throw std::invalid_argument(
+        std::string("ir: ToLowering consumes a merged module, got ") +
+        ToString(module.stage) + " (run the lowering pipeline first)");
+  }
   const int T = module.total_workers;
+  const auto n_all = static_cast<NodeId>(module.size());
   runtime::Lowering out;
   out.num_workers = T;
   out.num_resources = module.num_resources;
+  out.num_ps = module.ring ? 0 : module.jobs.front().config.num_ps;
   out.flow = module.flow;
+  for (std::size_t j = 0; j < module.jobs.size(); ++j) {
+    const JobRange& r = module.ranges[j];
+    out.jobs.push_back(runtime::JobSlice{
+        .first_task = r.first,
+        .last_task = r.last,
+        .first_worker = r.first_worker,
+        .num_workers = module.jobs[j].config.num_workers,
+        .delay_task = r.delay == kNoNode ? -1 : r.delay,
+        .start_offset = module.jobs[j].start_offset});
+  }
+  out.iterations = module.iterations;
+  if (module.iterations > 1) {
+    // Later iterations' copies are appended past iteration 0's ranges,
+    // so only a lone job's slice can span them.
+    if (module.jobs.size() > 1) {
+      throw std::invalid_argument(
+          "ir: ToLowering of a multi-job fabric consumes single-iteration "
+          "modules (the multi-job runner re-simulates the one-iteration "
+          "graph), got iterations=" + std::to_string(module.iterations));
+    }
+    out.jobs.back().last_task = n_all;
+    out.task_iteration.reserve(module.size());
+    for (NodeId n = 0; n < n_all; ++n) {
+      out.task_iteration.push_back(module.iteration(n));
+    }
+  }
   out.worker_tasks.resize(static_cast<std::size_t>(T));
   out.worker_recv_tasks.resize(static_cast<std::size_t>(T));
   out.transfer_param.resize(static_cast<std::size_t>(T));
 
-  const auto n_all = static_cast<NodeId>(module.size());
   for (NodeId n = 0; n < n_all; ++n) {
     if (module.worker(n) < 0) continue;
     const auto w = static_cast<std::size_t>(module.worker(n));
@@ -170,51 +192,6 @@ runtime::Lowering ToLowering(Module module) {
     }
   }
   out.tasks = module.TakeGraph();
-  return out;
-}
-
-runtime::PipelineLowering ToPipelineLowering(Module module) {
-  runtime::PipelineLowering out;
-  out.iterations = module.iterations;
-  out.task_iteration.reserve(module.size());
-  for (NodeId n = 0; n < static_cast<NodeId>(module.size()); ++n) {
-    out.task_iteration.push_back(module.iteration(n));
-  }
-  out.lowering = ToLowering(std::move(module));
-  return out;
-}
-
-runtime::MultiJobLowering ToMultiJobLowering(Module module) {
-  RequireMerged(module, "ToMultiJobLowering");
-  if (module.ring) {
-    throw std::invalid_argument(
-        "ir: ToMultiJobLowering needs a PS-fabric module; ring collectives "
-        "have no shared fabric to slice");
-  }
-  if (module.iterations != 1) {
-    throw std::invalid_argument(
-        "ir: ToMultiJobLowering consumes single-iteration modules (the "
-        "multi-job runner re-simulates the one-iteration graph)");
-  }
-  runtime::MultiJobLowering out;
-  out.total_workers = module.total_workers;
-  out.num_ps = module.jobs.front().config.num_ps;
-  for (std::size_t j = 0; j < module.jobs.size(); ++j) {
-    const JobRange& r = module.ranges[j];
-    out.jobs.push_back(runtime::MultiJobLowering::JobSlice{
-        .first_task = r.first,
-        .last_task = r.last,
-        .first_worker = r.first_worker,
-        .num_workers = module.jobs[j].config.num_workers,
-        .delay_task = r.delay == kNoNode ? -1 : r.delay,
-        .start_offset = module.jobs[j].start_offset});
-  }
-  out.combined = ToLowering(std::move(module));
-  // Parameter indices are per-job: the combined fabric has no meaningful
-  // update/sink tables (matches the legacy LowerSharedCluster even for a
-  // single job).
-  out.combined.update_task.clear();
-  out.combined.worker_sink.clear();
   return out;
 }
 

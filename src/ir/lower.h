@@ -1,20 +1,17 @@
-// The bridge between the runtime's lowering entry points and the IR
-// pass pipeline (DESIGN.md §10): the builder importing scheduled worker
-// graphs into a kLogical Module, the preset pass orders, and exporters
-// producing the sim-facing Lowering structures. The exporters take the
-// module by value (callers std::move it) and move its sim::TaskGraph
-// into Lowering::tasks, so no task is copied on the way out; a
-// multi-job module becomes one combined Lowering whose jobs are range
-// views (MultiJobLowering::JobSlice).
+// The bridge between runtime::Lower and the IR pass pipeline (DESIGN.md
+// §10): the builder importing scheduled worker graphs into a kLogical
+// Module, the preset pass orders, and the one exporter producing the
+// sim-facing runtime::Lowering. The exporter takes the module by value
+// (callers std::move it) and moves its sim::TaskGraph into
+// Lowering::tasks, so no task is copied on the way out; each job becomes
+// a range view of the one graph (runtime::JobSlice).
 //
-// The runtime entry points (runtime::LowerCluster, over either topology,
-// LowerPipeline and LowerSharedCluster) are thin wrappers over
-// BuildLogicalModule + StandardLoweringPipeline + an exporter; the
-// lowering/ cells of tests/sim_fingerprint_test.cc pin every field they
-// export.
+// runtime::Lower is BuildLogicalModule + StandardLoweringPipeline +
+// ToLowering, and every runtime entry point (LowerCluster,
+// BuildSharedFabric, `tictac_cli lower`) goes through it; the lowering/
+// cells of tests/sim_fingerprint_test.cc pin every field it exports.
 // Chunking, sharding and schedules come from runtime::Runner before the
-// pipeline runs; composed multi-job scenarios (`tictac_cli lower`
-// included) lower through runtime::BuildSharedFabric.
+// pipeline runs.
 #pragma once
 
 #include <vector>
@@ -23,7 +20,6 @@
 #include "ir/pass.h"
 #include "runtime/cluster.h"
 #include "runtime/lowering.h"
-#include "runtime/multijob.h"
 
 namespace tictac::ir {
 
@@ -51,18 +47,12 @@ Module BuildLogicalModule(const std::vector<runtime::JobLoweringInput>& jobs);
 PassPipeline StandardLoweringPipeline(runtime::Topology topology,
                                       int iterations = 1);
 
-// kMerged module -> the simulator-facing task list + worker tables.
-// Single-job PS modules also fill update_task/worker_sink (from
-// iteration 0, the pipelined stitching hooks); ring and multi-job
-// modules leave them empty, as the legacy lowerings do.
+// kMerged module -> the simulator-facing task list, worker tables and
+// job slices, plus the per-task iteration tags when the module holds
+// several iterations. Modules of one PS job also fill
+// update_task/worker_sink (from iteration 0, the pipelined stitching
+// hooks); ring and multi-job modules leave them empty. A pipelined
+// module must hold one job, whose slice spans every iteration.
 runtime::Lowering ToLowering(Module module);
-
-// ToLowering plus per-task iteration tags and the iteration count.
-runtime::PipelineLowering ToPipelineLowering(Module module);
-
-// kMerged multi-job module (iterations == 1) -> the combined fabric plus
-// each job's slice: its task and worker ranges in the combined graph,
-// its delay task and its arrival offset (runtime/multijob.h).
-runtime::MultiJobLowering ToMultiJobLowering(Module module);
 
 }  // namespace tictac::ir

@@ -44,8 +44,8 @@ std::shared_ptr<const Pass> MakeLowerPsFabricPass();
 std::shared_ptr<const Pass> MakeLowerAllreduceRingPass();
 std::shared_ptr<const Pass> MakeMergeJobsPass();
 std::shared_ptr<const Pass> MakeApplyArrivalOffsetsPass();
-// Throws std::invalid_argument("iterations must be >= 1") for k < 1 —
-// the legacy LowerPipeline precondition, enforced at pipeline build.
+// Throws std::invalid_argument("iterations must be >= 1") for k < 1, at
+// pipeline build, so runtime::Lower refuses it before any lowering work.
 std::shared_ptr<const Pass> MakePipelineItersPass(int iterations);
 // Attaches Module::flow, the capacity graph for the sim's max-min flow
 // model (DESIGN.md §11), when a job's config enables flow fairness. The

@@ -97,7 +97,7 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
       merged_options_.enforce_gates |= fabric.options.enforce_gates;
     }
 
-    Lowering& lowering = fabric.lowering.combined;
+    Lowering& lowering = fabric.lowering;
     const auto task_base = static_cast<sim::TaskId>(merged_.tasks.size());
     const int resource_base = merged_.num_resources;
     const int worker_base = merged_.num_workers;
@@ -138,12 +138,12 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
     merged_.num_resources += lowering.num_resources;
     merged_.num_workers += lowering.num_workers;
     gate_base += max_gate + 1;
-    for (MultiJobLowering::JobSlice job : fabric.lowering.jobs) {
+    for (JobSlice job : lowering.jobs) {
       job.first_task += task_base;
       job.last_task += task_base;
       job.first_worker += worker_base;
       if (job.delay_task >= 0) job.delay_task += task_base;
-      jobs_.push_back(job);
+      merged_.jobs.push_back(job);
     }
     samples_per_iteration_.insert(samples_per_iteration_.end(),
                                   fabric.samples_per_iteration.begin(),
@@ -159,10 +159,6 @@ ClusterSweepResult ClusterSweep::Run() const {
 
 ClusterSweepResult ClusterSweep::Run(int iterations,
                                      std::uint64_t seed) const {
-  if (iterations < 1 || iterations > kMaxIterations) {
-    Fail("iterations must be in [1, " + std::to_string(kMaxIterations) +
-         "], got " + std::to_string(iterations));
-  }
   const sim::TaskGraphSim sim = merged_.BuildSim();
 
   ClusterSweepResult result;
@@ -176,24 +172,17 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
     result.components = max_component + 1;
   }
 
-  // Per-job accumulators, global job order (fabric-major).
-  std::vector<ExperimentResult> per_job(jobs_.size());
-  for (std::size_t g = 0; g < jobs_.size(); ++g) {
+  // Per-job results, global job order (fabric-major).
+  MultiJobResult runs =
+      RunIterations(merged_, merged_options_, iterations, seed,
+                    /*whole=*/false, options_.num_threads, &sim);
+  std::vector<ExperimentResult>& per_job = runs.jobs;
+  for (std::size_t g = 0; g < per_job.size(); ++g) {
     per_job[g].samples_per_iteration = samples_per_iteration_[g];
-    per_job[g].iterations.reserve(static_cast<std::size_t>(iterations));
   }
-
   double makespan_sum = 0.0;
-  for (int i = 0; i < iterations; ++i) {
-    const sim::SimResult run = sim.RunParallel(
-        merged_options_, seed + static_cast<std::uint64_t>(i),
-        options_.num_threads);
+  for (const IterationStats& run : runs.combined.iterations) {
     makespan_sum += run.makespan;
-    std::vector<IterationStats> stats =
-        ComputeIterationStats(merged_, run, jobs_);
-    for (std::size_t g = 0; g < jobs_.size(); ++g) {
-      per_job[g].iterations.push_back(std::move(stats[g]));
-    }
   }
   result.mean_makespan_s = makespan_sum / static_cast<double>(iterations);
 

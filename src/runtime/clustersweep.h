@@ -9,9 +9,9 @@
 // This is the scale regime the per-fabric MultiJobRunner (capped at 64
 // jobs) cannot reach: a 1000-job sweep becomes ceil(1000/64) = 16
 // fabrics, lowered once and simulated as a single graph that holds one
-// copy of each task. Every job is a JobSlice of that graph, and per-job
-// metrics come out of the same ComputeIterationStats call as the
-// single-fabric path.
+// copy of each task. That graph is one runtime::Lowering whose job
+// slices are every fabric's jobs, and it runs through the same
+// RunIterations loop as the single-fabric path, sharded.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +82,7 @@ class ClusterSweep {
   ClusterSweepResult Run() const;
   ClusterSweepResult Run(int iterations, std::uint64_t seed) const;
 
-  int num_jobs() const { return static_cast<int>(jobs_.size()); }
+  int num_jobs() const { return static_cast<int>(merged_.jobs.size()); }
   int num_fabrics() const { return num_fabrics_; }
 
  private:
@@ -93,10 +93,9 @@ class ClusterSweep {
   std::uint64_t seed_ = 0;
   // Every fabric's tasks in one graph; its flow network (null when no
   // fabric enables flow fairness) is what merged_options_.network points
-  // at. jobs_[g] is job g's view of it, in global job order
+  // at. merged_.jobs[g] is job g's view of it, in global job order
   // (fabric-major).
   Lowering merged_;
-  std::vector<MultiJobLowering::JobSlice> jobs_;
   std::vector<double> samples_per_iteration_;  // per job
   sim::SimOptions merged_options_;
 };

@@ -33,13 +33,29 @@
 
 #include "core/graph.h"
 #include "core/schedule.h"
+#include "ir/pass.h"
 #include "runtime/cluster.h"
 #include "sim/engine.h"
 
 namespace tictac::runtime {
 
+// One job's view of a lowering: its tasks [first_task, last_task) and its
+// workers [first_worker, first_worker + num_workers), measured on the
+// job's own clock, which starts start_offset seconds into the run.
+struct JobSlice {
+  sim::TaskId first_task = 0;
+  sim::TaskId last_task = 0;
+  int first_worker = 0;
+  int num_workers = 0;
+  // The arrival-delay task gating the job's sources, -1 when
+  // start_offset == 0. It lies outside [first_task, last_task).
+  sim::TaskId delay_task = -1;
+  double start_offset = 0.0;
+};
+
 // The lowered task graph plus the tables mapping its tasks back to model
-// semantics, for statistics.
+// semantics, for statistics. Every lowering — one job or a shared fabric
+// of several, one iteration or a pipeline of them — has this one shape.
 struct Lowering {
   // An engine over a copy of `tasks`.
   sim::TaskGraphSim BuildSim() const {
@@ -48,7 +64,10 @@ struct Lowering {
 
   sim::TaskGraph tasks;
   int num_resources = 0;
+  // All jobs' workers (the T of runtime/multijob.h's layout).
   int num_workers = 0;
+  // Parameter servers of the PS fleet; 0 on the ring.
+  int num_ps = 0;
 
   // Capacity graph for flow-level max-min fairness, attached by the
   // lower_flow_nics pass when the config enables flow_fairness (null =
@@ -56,23 +75,40 @@ struct Lowering {
   // SimOptions::network at it for the sim's lifetime.
   std::shared_ptr<const sim::FlowNetwork> flow;
 
+  // Each job's slice, in job order; always at least one. A pipelined
+  // lowering has one job, whose slice spans every iteration.
+  std::vector<JobSlice> jobs;
+
+  // Pipelined execution of consecutive iterations (Lower with
+  // iterations > 1). Dataflow runtimes do not erect a global barrier
+  // between steps: a parameter can be pulled for iteration k+1 the moment
+  // its PS update from iteration k lands (training) — so transfers of the
+  // next step overlap the tail of the current one. In inference (serving
+  // loop) iteration k+1 starts once the worker's forward pass k
+  // completes. task_iteration[t] is task t's iteration, empty when
+  // iterations == 1.
+  std::vector<int> task_iteration;
+  int iterations = 1;
+
   // Task ids of each worker's ops (the worker partition), used for the
   // per-worker makespan and the U/L bounds of Section 3.2.
   std::vector<std::vector<sim::TaskId>> worker_tasks;
   // Task ids of each worker's parameter transfers, aligned with
-  // `transfer_param[w]` giving the parameter index of each.
+  // `transfer_param[w]` giving the parameter index of each (an
+  // iteration-0 table).
   std::vector<std::vector<sim::TaskId>> worker_recv_tasks;
   std::vector<std::vector<int>> transfer_param;
   // PS-side update task per parameter (-1 when absent, e.g. inference);
   // and each worker's final forward compute — the hooks the pipelined
-  // lowering stitches consecutive iterations with.
+  // lowering stitches consecutive iterations with, both of iteration 0.
+  // Filled when the lowering holds exactly one PS job (parameter indices
+  // are per-job); empty on the ring and on multi-job fabrics.
   std::vector<sim::TaskId> update_task;
   std::vector<sim::TaskId> worker_sink;
 };
 
-// One job's already-scheduled inputs to a lowering (single-job entry
-// points use exactly one; the shared-fabric lowering takes a vector). The
-// config's platform must already carry any contended bandwidth scaling
+// One job's already-scheduled inputs to a lowering. The config's
+// platform must already carry any contended bandwidth scaling
 // (runtime::SharedFabricConfig); runtime::BuildSharedFabric assembles
 // these inputs from RunnerCache entries that do.
 struct JobLoweringInput {
@@ -83,43 +119,38 @@ struct JobLoweringInput {
   double start_offset = 0.0;
 };
 
-// Builds the iteration task graph.
+// The one lowering entry point: ir::BuildLogicalModule(jobs), then
+// ir::StandardLoweringPipeline(jobs.front().config.topology, iterations)
+// (forwarding `pipeline`: invariant checks, dump hook), then
+// ir::ToLowering. The lowering/ cells of tests/sim_fingerprint_test.cc
+// pin every field it exports.
 //
-// `worker_graph` is the per-worker partition (identical on every worker,
-// Model-Replica). `schedule` supplies recv priorities; pass an empty
-// schedule (no priorities) for the baseline. `ps_of_param` maps parameter
+// Each job's `graph` is its per-worker partition (identical on every
+// worker, Model-Replica). `schedule` supplies recv priorities; an empty
+// schedule (no priorities) is the baseline. `ps_of_param` maps parameter
 // index -> PS. Durations come from config.platform.
 //
-// A ring config (config.topology == kRing) ignores `schedule` and
+// Several jobs share one PS fabric in runtime/multijob.h's layout (all
+// must declare the same num_ps); a start_offset > 0 becomes a delay task
+// every source task of the job depends on. A single zero-offset job is
+// exactly its own cluster.
+//
+// A ring job (config.topology == kRing) ignores `schedule` and
 // `ps_of_param`: the collective fixes the transfer order by its rounds,
 // so no rank, priority or gate applies. It needs a training graph (sends
-// present) and >= 2 workers, and throws std::invalid_argument otherwise.
-// Its Lowering leaves update_task/worker_sink empty.
+// present) and >= 2 workers.
 //
-// Implemented as ir::StandardLoweringPipeline(config.topology)
-// (ir/lower.h); the lowering/ cells of tests/sim_fingerprint_test.cc pin
-// every exported field.
+// Throws std::invalid_argument on an empty job list, iterations < 1, a
+// ring job on a fabric of several jobs, several jobs with iterations > 1,
+// a ring job with iterations > 1, or a lowering pass's refusal.
+Lowering Lower(const std::vector<JobLoweringInput>& jobs, int iterations = 1,
+               const ir::PipelineOptions& pipeline = {});
+
+// Lower over one job, kept as the single-job entry point.
 Lowering LowerCluster(const core::Graph& worker_graph,
                       const core::Schedule& schedule,
                       const std::vector<int>& ps_of_param,
                       const ClusterConfig& config);
-
-// Pipelined execution of consecutive iterations. Dataflow runtimes do not
-// erect a global barrier between steps: a parameter can be pulled for
-// iteration k+1 the moment its PS update from iteration k lands (training)
-// — so transfers of the next step overlap the tail of the current one. In
-// inference (serving loop) iteration k+1 starts once the worker's forward
-// pass k completes.
-struct PipelineLowering {
-  Lowering lowering;
-  std::vector<int> task_iteration;  // per task: which iteration it belongs to
-  int iterations = 0;
-};
-
-PipelineLowering LowerPipeline(const core::Graph& worker_graph,
-                               const core::Schedule& schedule,
-                               const std::vector<int>& ps_of_param,
-                               const ClusterConfig& config, int iterations);
 
 // Per-iteration completion times (max end over the iteration's tasks) and
 // the steady-state per-iteration time, estimated over iterations [1, n).
@@ -129,7 +160,7 @@ struct PipelineTiming {
   double steady_state = 0.0;
 };
 
-PipelineTiming ComputePipelineTiming(const PipelineLowering& pipeline,
+PipelineTiming ComputePipelineTiming(const Lowering& pipeline,
                                      const sim::SimResult& result);
 
 }  // namespace tictac::runtime

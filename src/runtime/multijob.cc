@@ -6,7 +6,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "ir/lower.h"
 #include "util/parse.h"
 
 namespace tictac::runtime {
@@ -182,15 +181,6 @@ int MultiJobSpec::TotalWorkers() const {
   return total;
 }
 
-MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
-                                    const ir::PipelineOptions& pipeline) {
-  // merge_jobs reads jobs.front() and checks the rest of the fabric.
-  if (jobs.empty()) Fail("LowerSharedCluster needs >= 1 job");
-  return ir::ToMultiJobLowering(
-      ir::StandardLoweringPipeline(Topology::kPsFabric)
-          .Run(ir::BuildLogicalModule(jobs), pipeline));
-}
-
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                RunnerCache& cache,
                                const ir::PipelineOptions& pipeline) {
@@ -213,12 +203,12 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
     fabric.samples_per_iteration.push_back(
         SamplesPerIteration(runner.model(), runner.config()));
   }
-  fabric.lowering = LowerSharedCluster(inputs, pipeline);
+  fabric.lowering = Lower(inputs, /*iterations=*/1, pipeline);
   fabric.options = inputs.front().config.sim;
   fabric.options.enforce_gates = any_scheduled;
   // Non-null exactly when a config enabled flow_fairness
   // (lower_flow_nics); the lowering owns it.
-  fabric.options.network = fabric.lowering.combined.flow.get();
+  fabric.options.network = fabric.lowering.flow.get();
   return fabric;
 }
 
@@ -241,36 +231,14 @@ MultiJobResult MultiJobRunner::Run(int iterations,
 
 MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
                                std::uint64_t seed) {
-  if (iterations < 1 || iterations > kMaxIterations) {
-    throw std::invalid_argument("MultiJobRunner: iterations must be in [1, " +
-                                std::to_string(kMaxIterations) + "], got " +
-                                std::to_string(iterations));
-  }
-  const MultiJobLowering& lowering = fabric.lowering;
-  sim::TaskGraphSim sim = lowering.combined.BuildSim();
-
-  MultiJobResult result;
-  result.jobs.resize(lowering.jobs.size());
+  MultiJobResult result = RunIterations(fabric.lowering, fabric.options,
+                                        iterations, seed, /*whole=*/true);
   double combined_samples = 0.0;
-  for (std::size_t j = 0; j < lowering.jobs.size(); ++j) {
+  for (std::size_t j = 0; j < result.jobs.size(); ++j) {
     result.jobs[j].samples_per_iteration = fabric.samples_per_iteration[j];
-    result.jobs[j].iterations.reserve(static_cast<std::size_t>(iterations));
     combined_samples += fabric.samples_per_iteration[j];
   }
   result.combined.samples_per_iteration = combined_samples;
-  result.combined.iterations.reserve(static_cast<std::size_t>(iterations));
-
-  for (int i = 0; i < iterations; ++i) {
-    const sim::SimResult run =
-        sim.Run(fabric.options, seed + static_cast<std::uint64_t>(i));
-    result.combined.iterations.push_back(
-        ComputeIterationStats(lowering.combined, run));
-    std::vector<IterationStats> per_job =
-        ComputeIterationStats(lowering.combined, run, lowering.jobs);
-    for (std::size_t j = 0; j < per_job.size(); ++j) {
-      result.jobs[j].iterations.push_back(std::move(per_job[j]));
-    }
-  }
   return result;
 }
 

@@ -26,16 +26,16 @@
 // bandwidth scaled by W_j/T — runtime::SharedFabricConfig — and
 // Runner::MakeSchedule divides by W_j; the product is bandwidth/T).
 //
-// The combined task graph runs through the existing sim::TaskGraphSim
+// runtime::Lower builds the fabric as one runtime::Lowering, and the
+// combined task graph runs through the existing sim::TaskGraphSim
 // unchanged — tasks, resources, priorities and per-(job, worker) gate
 // groups are all it ever sees. Each job is a JobSlice: a view of its
 // task and worker ranges in that one graph, from which
-// runtime::ComputeIterationStats reads per-job makespans, efficiency and
-// overlap straight out of the combined SimResult.
+// runtime::RunIterations reads per-job makespans, efficiency and overlap
+// straight out of the combined SimResult.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -122,71 +122,10 @@ struct MultiJobSpec {
 void CheckSharesFabric(const ExperimentSpec& job, const ExperimentSpec& head,
                        const std::string& where);
 
-// The combined fabric plus each job's view of it.
-struct MultiJobLowering {
-  // Whole-fabric task graph: num_workers = T, worker tables indexed by
-  // global worker id. update_task/worker_sink are left empty (parameter
-  // indices are per-job).
-  Lowering combined;
-
-  // One job's view of `combined`: its tasks [first_task, last_task) and
-  // its workers [first_worker, first_worker + num_workers), measured on
-  // the job's own clock, which starts start_offset seconds into the run.
-  struct JobSlice {
-    sim::TaskId first_task = 0;
-    sim::TaskId last_task = 0;
-    int first_worker = 0;
-    int num_workers = 0;
-    // The arrival-delay task gating the job's sources, -1 when
-    // start_offset == 0. It lies outside [first_task, last_task).
-    sim::TaskId delay_task = -1;
-    double start_offset = 0.0;
-  };
-  std::vector<JobSlice> jobs;
-
-  int total_workers = 0;
-  int num_ps = 0;
-};
-
-// Lowers every job as runtime::LowerCluster does and merges the results
-// onto the shared fabric: task ids are offset per job, resources remapped
-// into the combined layout (PS CPUs collapse onto the shared S), gate
-// groups renumbered by global worker so enforcement counters never
-// collide across jobs, and a start_offset > 0 becomes a delay task every
-// source task of the job depends on. All jobs must declare the same
-// num_ps. A single zero-offset job reproduces LowerCluster bit for bit.
-// `pipeline` goes to the pass pipeline (invariant checks, dump hook).
-MultiJobLowering LowerSharedCluster(const std::vector<JobLoweringInput>& jobs,
-                                    const ir::PipelineOptions& pipeline = {});
-
-// ComputeIterationStats for each job slice of a multi-job lowering, read
-// from the combined run on the job's own clock: every start and end is
-// shifted back by start_offset, so waiting to arrive is not billed as
-// execution time or Eq.-3 inefficiency, and makespan is the max shifted
-// end over [first_task, last_task). (Under jitter the delay task may run
-// off the nominal offset, so a shifted start can be marginally negative;
-// the metrics only use differences and maxima.)
-std::vector<IterationStats> ComputeIterationStats(
-    const Lowering& lowering, const sim::SimResult& run,
-    std::span<const MultiJobLowering::JobSlice> slices);
-
-// Combined + per-job views of one multi-job experiment. jobs[j] is read
-// from the same simulated executions the combined result summarizes, on
-// the job's own clock (ComputeIterationStats over the slices), so for
-// every iteration i:
-//   combined.iterations[i].makespan ==
-//       max_j (jobs[j].iterations[i].makespan + start_offset_j)
-// (each task belongs to exactly one job; delay tasks never finish
-// last). With all offsets zero — the common case — the combined
-// makespan is exactly the max over per-job makespans.
-struct MultiJobResult {
-  ExperimentResult combined;
-  std::vector<ExperimentResult> jobs;
-};
-
 // One shared PS fabric, ready to simulate.
 struct SharedFabric {
-  MultiJobLowering lowering;
+  // The fabric's Lower result: one slice per job, in entry order.
+  Lowering lowering;
   // Every run's options: job 0's sim options, with enforce_gates set
   // when any job's schedule covers all its recvs and the lowering's flow
   // network attached (flow fairness fabric-wide).
@@ -198,8 +137,8 @@ struct SharedFabric {
 // The one lowering front end for a list of co-located jobs: sums their
 // workers into T, takes each job's Runner (chunking, sharding) and
 // schedule from `cache` at fabric size T (so the schedules see the
-// contended oracle), lowers the fabric with LowerSharedCluster
-// (forwarding `pipeline`) and derives the sim options. The result owns
+// contended oracle), lowers the fabric with Lower (forwarding
+// `pipeline`) and derives the sim options. The result owns
 // everything it points into; the cache need not outlive it.
 // MultiJobRunner, ClusterSweep, the scheduler service and `tictac_cli
 // lower` build here.
@@ -207,8 +146,9 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                RunnerCache& cache,
                                const ir::PipelineOptions& pipeline = {});
 
-// Simulates `iterations` iterations of `fabric`, seeded seed + i as the
-// single-job path is, with per-job statistics from the job slices.
+// Simulates `iterations` iterations of `fabric` through RunIterations,
+// seeded seed + i as the single-job path is: per-job statistics from the
+// job slices, and the whole fabric's as `combined`.
 MultiJobResult RunSharedFabric(const SharedFabric& fabric, int iterations,
                                std::uint64_t seed);
 

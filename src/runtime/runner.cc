@@ -15,14 +15,12 @@
 #include "core/policy_registry.h"
 #include "ir/module.h"
 #include "models/zoo.h"
-#include "runtime/multijob.h"
 #include "runtime/sharding.h"
 
 namespace tictac::runtime {
 namespace {
 
 using Interval = std::pair<double, double>;
-using JobSlice = MultiJobLowering::JobSlice;
 
 // Merges [start, end) intervals, given in non-decreasing start order,
 // into disjoint spans, in place; returns the span count. The spans
@@ -257,6 +255,44 @@ IterationStats ComputeIterationStats(const Lowering& lowering,
   return stats;
 }
 
+MultiJobResult RunIterations(const Lowering& lowering,
+                             const sim::SimOptions& options, int iterations,
+                             std::uint64_t seed, bool whole,
+                             std::optional<int> shard_threads,
+                             const sim::TaskGraphSim* engine) {
+  if (iterations < 1 || iterations > kMaxIterations) {
+    throw std::invalid_argument("runtime: iterations must be in [1, " +
+                                std::to_string(kMaxIterations) + "], got " +
+                                std::to_string(iterations));
+  }
+  std::optional<sim::TaskGraphSim> own;
+  if (engine == nullptr) engine = &own.emplace(lowering.BuildSim());
+  MultiJobResult result;
+  result.jobs.resize(lowering.jobs.size());
+  for (ExperimentResult& job : result.jobs) {
+    job.iterations.reserve(static_cast<std::size_t>(iterations));
+  }
+  result.combined.iterations.reserve(static_cast<std::size_t>(iterations));
+  for (int i = 0; i < iterations; ++i) {
+    const std::uint64_t run_seed = seed + static_cast<std::uint64_t>(i);
+    const sim::SimResult run =
+        shard_threads ? engine->RunParallel(options, run_seed, *shard_threads)
+                      : engine->Run(options, run_seed);
+    // The whole lowering is not one of the slices: FillIntervals keys its
+    // clock shift per worker, and a task in two slices loses the walk.
+    result.combined.iterations
+        .emplace_back(whole ? ComputeIterationStats(lowering, run)
+                            : IterationStats{})
+        .makespan = run.makespan;
+    std::vector<IterationStats> per_job =
+        ComputeIterationStats(lowering, run, lowering.jobs);
+    for (std::size_t j = 0; j < per_job.size(); ++j) {
+      result.jobs[j].iterations.push_back(std::move(per_job[j]));
+    }
+  }
+  return result;
+}
+
 double ExperimentResult::MeanIterationTime() const {
   if (iterations.empty()) return 0.0;
   double sum = 0.0;
@@ -388,11 +424,6 @@ ExperimentResult Runner::Run(const std::string& policy, int iterations,
 
 ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
                              int iterations, std::uint64_t seed) const {
-  if (iterations < 1 || iterations > kMaxIterations) {
-    throw std::invalid_argument("Runner: iterations must be in [1, " +
-                                std::to_string(kMaxIterations) + "], got " +
-                                std::to_string(iterations));
-  }
   // The ring collective fixes the transfer order itself: no schedule to
   // compute, so no §5.1 hand-off gates to enforce.
   const core::Schedule schedule = config_.topology == Topology::kRing
@@ -406,17 +437,9 @@ ExperimentResult Runner::Run(const core::SchedulingPolicy& policy,
   // lowering.flow is non-null exactly when the config enabled
   // flow_fairness (lower_flow_nics); it outlives the runs below.
   options.network = lowering.flow.get();
-  sim::TaskGraphSim sim = lowering.BuildSim();
-
-  ExperimentResult result;
+  ExperimentResult result = std::move(
+      RunIterations(lowering, options, iterations, seed).jobs.front());
   result.samples_per_iteration = SamplesPerIteration(model_, config_);
-  result.iterations.reserve(static_cast<std::size_t>(iterations));
-
-  for (int i = 0; i < iterations; ++i) {
-    const sim::SimResult run =
-        sim.Run(options, seed + static_cast<std::uint64_t>(i));
-    result.iterations.push_back(ComputeIterationStats(lowering, run));
-  }
   return result;
 }
 

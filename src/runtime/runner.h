@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,14 +36,26 @@ struct IterationStats {
   double overlap_fraction = 0.0;
 };
 
-// Statistics of one simulated iteration of `lowering`: per-worker
-// partition makespans, Eq.-3 scheduling efficiency from the iteration's
-// measured op times, communication/computation overlap, straggler share,
-// and worker-0's parameter arrival order. `run` must be the SimResult of
-// lowering's own task graph (runtime/multijob.h reads each job of a
-// shared fabric out of the combined run). stats.makespan is run.makespan.
+// Statistics of one simulated iteration of `lowering`, as a whole:
+// per-worker partition makespans, Eq.-3 scheduling efficiency from the
+// iteration's measured op times, communication/computation overlap,
+// straggler share, and worker-0's parameter arrival order. `run` must be
+// the SimResult of lowering's own task graph. stats.makespan is
+// run.makespan.
 IterationStats ComputeIterationStats(const Lowering& lowering,
                                      const sim::SimResult& run);
+
+// The same statistics for each of `slices` (job views of `lowering`),
+// read from the one run on each job's own clock: every start and end is
+// shifted back by start_offset, so waiting to arrive is not billed as
+// execution time or Eq.-3 inefficiency, and makespan is the max shifted
+// end over [first_task, last_task). (Under jitter the delay task may run
+// off the nominal offset, so a shifted start can be marginally negative;
+// the metrics only use differences and maxima.) Slices must not share
+// workers: the clock shift is kept per worker.
+std::vector<IterationStats> ComputeIterationStats(
+    const Lowering& lowering, const sim::SimResult& run,
+    std::span<const JobSlice> slices);
 
 struct ExperimentResult {
   std::vector<IterationStats> iterations;
@@ -58,6 +72,35 @@ struct ExperimentResult {
   // Distinct worker-0 parameter arrival orders across iterations (§2.2).
   int UniqueRecvOrders() const;
 };
+
+// Combined + per-job views of one multi-job experiment. jobs[j] is read
+// from the same simulated executions the combined result summarizes, on
+// the job's own clock (ComputeIterationStats over the slices), so for
+// every iteration i:
+//   combined.iterations[i].makespan ==
+//       max_j (jobs[j].iterations[i].makespan + start_offset_j)
+// (each task belongs to exactly one job; delay tasks never finish
+// last). With all offsets zero — the common case — the combined
+// makespan is exactly the max over per-job makespans.
+struct MultiJobResult {
+  ExperimentResult combined;
+  std::vector<ExperimentResult> jobs;
+};
+
+// The one iteration loop, behind Runner::Run, RunSharedFabric and
+// ClusterSweep::Run. Checks iterations against [1, kMaxIterations],
+// builds an engine over lowering.tasks (unless handed `engine`, one over
+// them already), and simulates iteration i seeded seed + i — with
+// TaskGraphSim::Run, or sharded by RunParallel on *shard_threads threads
+// when that is set. result.jobs[j] takes slice j's statistics;
+// result.combined.iterations[i] takes run i's makespan, and the rest of
+// the whole lowering's statistics (the 2-arg call) only when `whole` is
+// set. samples_per_iteration is the caller's to fill.
+MultiJobResult RunIterations(const Lowering& lowering,
+                             const sim::SimOptions& options, int iterations,
+                             std::uint64_t seed, bool whole = false,
+                             std::optional<int> shard_threads = std::nullopt,
+                             const sim::TaskGraphSim* engine = nullptr);
 
 // Samples one iteration of a job processes: the model's standard batch,
 // scaled by the batch factor, on each of the job's workers.

@@ -452,7 +452,7 @@ class ServiceLoop {
     }
     fabric.shared = runtime::BuildSharedFabric(entries, cache_);
     fabric.sim = std::make_unique<sim::TaskGraphSim>(
-        fabric.shared.lowering.combined.BuildSim());
+        fabric.shared.lowering.BuildSim());
     fabric.dirty = false;
     ++counters_.fabric_relowerings;
   }
@@ -466,15 +466,15 @@ class ServiceLoop {
     if (fabric.dirty) Relower(fabric);
     ActiveJob& job = fabric.jobs[slot.job];
     JobRecord& record = records_[job.record];
-    const runtime::MultiJobLowering& lowering = fabric.shared.lowering;
+    const runtime::Lowering& lowering = fabric.shared.lowering;
     EmitIterationFaults(timeline_.targets[slot.fabric], now_,
-                        lowering.total_workers, lowering.num_ps, iter_faults_);
+                        lowering.num_workers, lowering.num_ps, iter_faults_);
     sim::SimOptions& options = fabric.shared.options;
     options.faults = iter_faults_.empty() ? nullptr : &iter_faults_;
     const sim::SimResult run = fabric.sim->Run(
         options, record.spec.seed + record.iteration_times.size());
     ++counters_.sim_runs;
-    const runtime::MultiJobLowering::JobSlice& slice = lowering.jobs[slot.job];
+    const runtime::JobSlice& slice = lowering.jobs[slot.job];
     double duration = 0.0;
     for (sim::TaskId t = slice.first_task; t < slice.last_task; ++t) {
       duration = std::max(duration, run.end[static_cast<std::size_t>(t)]);

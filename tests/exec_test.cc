@@ -118,6 +118,45 @@ TEST(PsBackend, RejectsLoweringsPastTheThreadCap) {
                std::invalid_argument);
 }
 
+// The backend replays one job's single-iteration graph. A 2-job fabric
+// fits the worker/PS resource layout — (R - T) = S·(2T + 1) — but has no
+// job's update tables, and a pipelined lowering holds several
+// iterations: both are refused by name. A 1-job fabric is LowerCluster's
+// export, hooks included, so it is accepted.
+void ExpectBackendRefuses(const Fixture& f, const runtime::Lowering& lowering,
+                          const std::string& named) {
+  try {
+    PsBackend backend(lowering, f.runner->worker_graph(), f.Options(1));
+    ADD_FAILURE() << "expected an error naming '" << named << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PsBackend, RejectsMultiJobFabrics) {
+  Fixture f("AlexNet v2", "tic", 2, 2);
+  const runtime::JobLoweringInput job{f.runner->worker_graph(), f.schedule,
+                                      f.runner->ps_of_param(), f.config};
+  const runtime::Lowering fabric = runtime::Lower({job, job});
+  const int T = fabric.num_workers;
+  const int S = fabric.num_ps;
+  ASSERT_EQ(fabric.num_resources - T, S * (2 * T + 1));
+  ExpectBackendRefuses(f, fabric, "got 2 jobs and 1 iterations");
+  EXPECT_NO_THROW(PsBackend(runtime::Lower({job}), f.runner->worker_graph(),
+                            f.Options(1)));
+}
+
+TEST(PsBackend, RejectsPipelinedLowerings) {
+  Fixture f("AlexNet v2", "tic", 2, 2);
+  ExpectBackendRefuses(
+      f,
+      runtime::Lower({{f.runner->worker_graph(), f.schedule,
+                       f.runner->ps_of_param(), f.config}},
+                     3),
+      "got 1 jobs and 3 iterations");
+}
+
 TEST(PsBackend, SingleWorkerRunIsBitRepeatableUnderFixedSeed) {
   Fixture f("AlexNet v2", "tic", /*workers=*/1, /*ps=*/1);
   PsBackend a(f.lowering, f.runner->worker_graph(), f.Options(42));

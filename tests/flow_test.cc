@@ -81,9 +81,9 @@ TEST(FlowModel, NullNetworkIsBitIdenticalToTheStaticSplit) {
       ASSERT_NE(with_net.fabric().options.network, nullptr);
       ASSERT_EQ(legacy.fabric().options.network, nullptr);
 
-      const sim::TaskGraphSim sim = with_net.fabric().lowering.combined.BuildSim();
+      const sim::TaskGraphSim sim = with_net.fabric().lowering.BuildSim();
       const sim::TaskGraphSim legacy_sim =
-          legacy.fabric().lowering.combined.BuildSim();
+          legacy.fabric().lowering.BuildSim();
       const sim::SimResult reference =
           legacy_sim.Run(legacy.fabric().options, 42);
 
@@ -111,8 +111,8 @@ TEST(FlowModel, MultiJobFlowOffMatchesLegacyByteForByte) {
   };
   const runtime::MultiJobRunner with_net = make(true);
   const runtime::MultiJobRunner legacy = make(false);
-  const sim::TaskGraphSim sim = with_net.fabric().lowering.combined.BuildSim();
-  const sim::TaskGraphSim legacy_sim = legacy.fabric().lowering.combined.BuildSim();
+  const sim::TaskGraphSim sim = with_net.fabric().lowering.BuildSim();
+  const sim::TaskGraphSim legacy_sim = legacy.fabric().lowering.BuildSim();
   sim::SimOptions off = with_net.fabric().options;
   off.network = nullptr;
   for (const std::uint64_t seed : {1ull, 7ull}) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/tic.h"
 #include "models/builder.h"
@@ -176,11 +178,41 @@ TEST(Lowering, RejectsBadInputs) {
       std::invalid_argument);
 }
 
-TEST(Lowering, PipelineValidatesIterationsBeforeLowering) {
+// Lower's edge errors, each naming its cause.
+TEST(Lower, RejectsEdgeInputsByName) {
+  const auto expect_error = [](const std::vector<JobLoweringInput>& jobs,
+                               int iterations, const std::string& named) {
+    try {
+      Lower(jobs, iterations);
+      ADD_FAILURE() << "expected an error naming '" << named << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  };
   const Runner runner(models::FindModel("Inception v1"), EnvG(2, 1, true));
-  EXPECT_THROW(LowerPipeline(runner.worker_graph(), core::Schedule{},
-                             runner.ps_of_param(), runner.config(), 0),
-               std::invalid_argument);
+  ClusterConfig ring = runner.config();
+  ring.topology = Topology::kRing;
+  const core::Schedule none;
+  const JobLoweringInput ps_job{runner.worker_graph(), none,
+                                runner.ps_of_param(), runner.config()};
+  const JobLoweringInput ring_job{runner.worker_graph(), none,
+                                  runner.ps_of_param(), ring};
+
+  expect_error({}, 1, "lowering: Lower needs >= 1 job");
+  expect_error({ps_job}, 0, "iterations must be >= 1");
+  for (const std::vector<JobLoweringInput>& jobs :
+       {std::vector<JobLoweringInput>{ps_job, ring_job},
+        std::vector<JobLoweringInput>{ring_job, ps_job}}) {
+    expect_error(jobs, 1, "ring collectives have no shared fabric to slice");
+  }
+  expect_error({ps_job, ps_job}, 2, "single-iteration modules");
+  expect_error({ring_job}, 3,
+               "the ring collective lowers one iteration, got iterations=3");
+  // Each refused shape has a neighbour that lowers.
+  EXPECT_EQ(Lower({ps_job, ps_job}).jobs.size(), 2u);
+  EXPECT_EQ(Lower({ps_job}, 3).iterations, 3);
+  EXPECT_EQ(Lower({ring_job}).num_ps, 0);
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "models/zoo.h"
 #include "util/stats.h"
 
+#include "lowering_hash.h"
+
 namespace tictac::runtime {
 namespace {
 
@@ -197,28 +199,26 @@ TEST(MultiJob, InjectedCacheSharesRunnersAcrossReplicas) {
   EXPECT_EQ(sizes.size(), 2u);
 }
 
+// A 1-job fabric and LowerCluster are the same export: the same tasks,
+// tables, update/sink hooks and job slice, hashed whole.
 TEST(MultiJob, SingleJobLoweringMatchesLowerCluster) {
   MultiJobSpec multi;
   multi.jobs.push_back({Job("Inception v1", 2, 1, true, "tic"), 0.0});
   const MultiJobRunner runner(multi);
-  const MultiJobLowering& lowering = runner.fabric().lowering;
+  const Lowering& lowering = runner.fabric().lowering;
 
   ASSERT_EQ(lowering.jobs.size(), 1u);
+  EXPECT_FALSE(lowering.update_task.empty());
   const Runner single(models::FindModel("Inception v1"),
                       multi.jobs[0].spec.BuildCluster());
   const Lowering local =
       LowerCluster(single.worker_graph(), single.MakeSchedule("tic"),
                    single.ps_of_param(), single.config());
-  EXPECT_EQ(lowering.combined.num_resources, local.num_resources);
-  EXPECT_EQ(lowering.combined.tasks.size(), local.tasks.size());
-  EXPECT_EQ(lowering.jobs[0].first_task, 0);
-  EXPECT_EQ(lowering.jobs[0].delay_task, -1);
-  const sim::TaskGraph& combined = lowering.combined.tasks;
-  EXPECT_EQ(combined.resource, local.tasks.resource);
-  EXPECT_EQ(combined.duration, local.tasks.duration);
-  EXPECT_EQ(combined.pred_begin, local.tasks.pred_begin);
-  EXPECT_EQ(combined.pred_ids, local.tasks.pred_ids);
-  EXPECT_EQ(combined.gate_group, local.tasks.gate_group);
+  LoweringHash fabric_hash;
+  fabric_hash.AddFabric(lowering);
+  LoweringHash local_hash;
+  local_hash.AddFabric(local);
+  EXPECT_EQ(fabric_hash.value(), local_hash.value());
 }
 
 // Each task belongs to exactly one job, so the combined makespan is the
@@ -249,19 +249,19 @@ TEST(MultiJob, SharedFabricLayoutCollapsesPsResources) {
   multi.jobs.push_back({Job("Inception v1", 2, 2, true, "tic"), 0.0});
   multi.jobs.push_back({Job("Inception v1", 3, 2, true, "tic"), 0.0});
   const MultiJobRunner runner(multi);
-  const MultiJobLowering& lowering = runner.fabric().lowering;
+  const Lowering& lowering = runner.fabric().lowering;
 
-  const int T = lowering.total_workers;
+  const int T = lowering.num_workers;
   const int S = lowering.num_ps;
   EXPECT_EQ(T, 5);
   EXPECT_EQ(S, 2);
-  EXPECT_EQ(lowering.combined.num_resources, T + 2 * T * S + S);
+  EXPECT_EQ(lowering.num_resources, T + 2 * T * S + S);
   // Both jobs' PS-side tasks (read/aggregate/update) land on the shared
   // S bookkeeping CPUs at the top of the layout.
   const int ps_base = T + 2 * T * S;
-  for (const MultiJobLowering::JobSlice& slice : lowering.jobs) {
+  for (const JobSlice& slice : lowering.jobs) {
     bool saw_ps_task = false;
-    const sim::TaskGraph& tasks = lowering.combined.tasks;
+    const sim::TaskGraph& tasks = lowering.tasks;
     for (sim::TaskId t = slice.first_task; t < slice.last_task; ++t) {
       const auto ti = static_cast<std::size_t>(t);
       if (tasks.worker[ti] < 0) {
@@ -355,9 +355,9 @@ TEST(MultiJob, StartOffsetDelaysTheJob) {
   delayed.jobs.push_back({spec, 0.5});
 
   const MultiJobRunner runner(delayed);
-  const MultiJobLowering::JobSlice& slice = runner.fabric().lowering.jobs[0];
+  const JobSlice& slice = runner.fabric().lowering.jobs[0];
   EXPECT_GE(slice.delay_task, 0);
-  sim::TaskGraphSim sim = runner.fabric().lowering.combined.BuildSim();
+  sim::TaskGraphSim sim = runner.fabric().lowering.BuildSim();
   sim::SimOptions options = spec.BuildCluster().sim;
   options.enforce_gates = true;
   const sim::SimResult run = sim.Run(options, spec.seed);
@@ -406,10 +406,10 @@ TEST(MultiJob, MixedEnforcementJobsCoexist) {
 
 TEST(MultiJob, SharedClusterKeepsLegacyErrorPrecedence) {
   try {
-    LowerSharedCluster({});
+    Lower({});
     FAIL() << "expected the empty-jobs diagnostic";
   } catch (const std::invalid_argument& e) {
-    EXPECT_STREQ(e.what(), "multijob: LowerSharedCluster needs >= 1 job");
+    EXPECT_STREQ(e.what(), "lowering: Lower needs >= 1 job");
   }
   const Runner a(models::FindModel("Inception v1"), EnvG(2, 1, true));
   const Runner b(models::FindModel("Inception v1"), EnvG(2, 2, true));
@@ -420,7 +420,7 @@ TEST(MultiJob, SharedClusterKeepsLegacyErrorPrecedence) {
   inputs.push_back(
       JobLoweringInput{b.worker_graph(), none, b.ps_of_param(), b.config()});
   try {
-    LowerSharedCluster(inputs);
+    Lower(inputs);
     FAIL() << "expected the ps-mismatch diagnostic";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(

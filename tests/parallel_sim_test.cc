@@ -254,7 +254,7 @@ runtime::Lowering FlowFabric(const std::string& job) {
                  "{envG:workers=2:ps=1:training:flow " + job +
                  " iterations=1 seed=1}"))
       .fabric()
-      .lowering.combined;
+      .lowering;
 }
 
 // Metamorphic: a disjoint component appended after a graph that already

@@ -32,11 +32,11 @@ TEST(Pipeline, TaskCountsScaleWithIterations) {
   Fixture f;
   const auto once = LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
   const auto pipe =
-      LowerPipeline(f.graph, core::Schedule(), f.ps_of, f.config, 4);
-  EXPECT_EQ(pipe.lowering.tasks.size(), once.tasks.size() * 4);
-  EXPECT_EQ(pipe.task_iteration.size(), pipe.lowering.tasks.size());
+      Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 4);
+  EXPECT_EQ(pipe.tasks.size(), once.tasks.size() * 4);
+  EXPECT_EQ(pipe.task_iteration.size(), pipe.tasks.size());
   EXPECT_EQ(pipe.iterations, 4);
-  sim::TaskGraphSim sim = pipe.lowering.BuildSim();
+  sim::TaskGraphSim sim = pipe.BuildSim();
   EXPECT_NO_THROW(sim.Validate());
 }
 
@@ -44,9 +44,9 @@ TEST(Pipeline, SingleIterationMatchesLowerCluster) {
   Fixture f;
   const auto once = LowerCluster(f.graph, core::Schedule(), f.ps_of, f.config);
   const auto pipe =
-      LowerPipeline(f.graph, core::Schedule(), f.ps_of, f.config, 1);
+      Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 1);
   sim::TaskGraphSim a(once.tasks, once.num_resources);
-  sim::TaskGraphSim b(pipe.lowering.tasks, pipe.lowering.num_resources);
+  sim::TaskGraphSim b(pipe.tasks, pipe.num_resources);
   EXPECT_EQ(a.Run(f.config.sim, 5).makespan, b.Run(f.config.sim, 5).makespan);
 }
 
@@ -56,8 +56,8 @@ TEST(Pipeline, SteadyStateBeatsColdIterationTraining) {
   // iteration.
   Fixture f(/*training=*/true);
   const core::Schedule tic = core::Tic(f.graph);
-  const auto pipe = LowerPipeline(f.graph, tic, f.ps_of, f.config, 6);
-  sim::TaskGraphSim sim = pipe.lowering.BuildSim();
+  const auto pipe = Lower({{f.graph, tic, f.ps_of, f.config}}, 6);
+  sim::TaskGraphSim sim = pipe.BuildSim();
   sim::SimOptions options = f.config.sim;
   options.enforce_gates = true;
   const auto timing = ComputePipelineTiming(pipe, sim.Run(options, 1));
@@ -68,8 +68,8 @@ TEST(Pipeline, SteadyStateBeatsColdIterationTraining) {
 TEST(Pipeline, IterationFinishTimesMonotone) {
   Fixture f;
   const auto pipe =
-      LowerPipeline(f.graph, core::Schedule(), f.ps_of, f.config, 5);
-  sim::TaskGraphSim sim = pipe.lowering.BuildSim();
+      Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 5);
+  sim::TaskGraphSim sim = pipe.BuildSim();
   const auto timing = ComputePipelineTiming(pipe, sim.Run(f.config.sim, 2));
   ASSERT_EQ(timing.iteration_finish.size(), 5u);
   for (std::size_t k = 1; k < timing.iteration_finish.size(); ++k) {
@@ -82,12 +82,10 @@ TEST(Pipeline, TrainingIterationsRespectUpdateDependency) {
   // overlap; with them, total time must exceed a single iteration's by a
   // non-trivial margin.
   Fixture f(/*training=*/true);
-  const auto one = LowerPipeline(f.graph, core::Schedule(), f.ps_of,
-                                 f.config, 1);
-  const auto two = LowerPipeline(f.graph, core::Schedule(), f.ps_of,
-                                 f.config, 2);
-  sim::TaskGraphSim sim1 = one.lowering.BuildSim();
-  sim::TaskGraphSim sim2 = two.lowering.BuildSim();
+  const auto one = Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 1);
+  const auto two = Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 2);
+  sim::TaskGraphSim sim1 = one.BuildSim();
+  sim::TaskGraphSim sim2 = two.BuildSim();
   const double t1 = sim1.Run(f.config.sim, 3).makespan;
   const double t2 = sim2.Run(f.config.sim, 3).makespan;
   EXPECT_GT(t2, t1 * 1.3);
@@ -97,8 +95,8 @@ TEST(Pipeline, TrainingIterationsRespectUpdateDependency) {
 TEST(Pipeline, InferenceServingLoopSerializesPerWorker) {
   Fixture f(/*training=*/false);
   const auto pipe =
-      LowerPipeline(f.graph, core::Schedule(), f.ps_of, f.config, 3);
-  sim::TaskGraphSim sim = pipe.lowering.BuildSim();
+      Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 3);
+  sim::TaskGraphSim sim = pipe.BuildSim();
   const sim::SimResult result = sim.Run(f.config.sim, 7);
   const auto timing = ComputePipelineTiming(pipe, result);
   // Three serving steps cannot be faster than one (per-worker serial
@@ -110,8 +108,8 @@ TEST(Pipeline, InferenceServingLoopSerializesPerWorker) {
 TEST(Pipeline, GateGroupsAreDistinctPerIteration) {
   Fixture f;
   const core::Schedule tic = core::Tic(f.graph);
-  const auto pipe = LowerPipeline(f.graph, tic, f.ps_of, f.config, 3);
-  const std::vector<int>& groups = pipe.lowering.tasks.gate_group;
+  const auto pipe = Lower({{f.graph, tic, f.ps_of, f.config}}, 3);
+  const std::vector<int>& groups = pipe.tasks.gate_group;
   // 3 iterations x 2 workers -> groups 0..5.
   EXPECT_EQ(*std::max_element(groups.begin(), groups.end()), 5);
 }
@@ -119,7 +117,7 @@ TEST(Pipeline, GateGroupsAreDistinctPerIteration) {
 TEST(Pipeline, RejectsZeroIterations) {
   Fixture f;
   EXPECT_THROW(
-      LowerPipeline(f.graph, core::Schedule(), f.ps_of, f.config, 0),
+      Lower({{f.graph, core::Schedule(), f.ps_of, f.config}}, 0),
       std::invalid_argument);
 }
 

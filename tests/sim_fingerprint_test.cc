@@ -51,6 +51,7 @@
 #include "sim/flow.h"
 #include "util/rng.h"
 
+#include "lowering_hash.h"
 #include "service_invariants.h"
 #include "sim_invariants.h"
 
@@ -122,83 +123,22 @@ std::uint64_t Fingerprint(const std::string& report) {
   return h;
 }
 
-// FNV-1a over everything a lowering exports, in task order: each task's
-// duration bits, resource, priority, gate group and rank, pred count and
-// ids, op, kind and worker; then the resource and worker counts, the
-// worker tables and the update/sink hooks. Pipelines add the per-task
-// iteration tags, multi-job fabrics their job slices.
-class LoweringHash {
- public:
-  void Mix(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void MixInt(int v) { Mix(static_cast<std::uint32_t>(v)); }
-  void MixInts(const std::vector<int>& v) {
-    Mix(v.size());
-    for (const int x : v) MixInt(x);
-  }
-  void MixTables(const std::vector<std::vector<int>>& table) {
-    Mix(table.size());
-    for (const std::vector<int>& row : table) MixInts(row);
-  }
-
-  void Add(const runtime::Lowering& low) {
-    Mix(low.tasks.size());
-    for (std::size_t t = 0; t < low.tasks.size(); ++t) {
-      const sim::TaskGraph& task = low.tasks;
-      const std::span<const sim::TaskId> preds = task.preds(t);
-      Mix(std::bit_cast<std::uint64_t>(task.duration[t]));
-      MixInt(task.resource[t]);
-      MixInt(task.priority[t]);
-      MixInt(task.gate_group[t]);
-      MixInt(task.gate_rank[t]);
-      Mix(preds.size());
-      for (const sim::TaskId p : preds) MixInt(p);
-      MixInt(task.op[t]);
-      MixInt(static_cast<int>(task.kind[t]));
-      MixInt(task.worker[t]);
-    }
-    MixInt(low.num_resources);
-    MixInt(low.num_workers);
-    MixTables(low.worker_tasks);
-    MixTables(low.worker_recv_tasks);
-    MixTables(low.transfer_param);
-    MixInts(low.update_task);
-    MixInts(low.worker_sink);
-  }
-  void Add(const runtime::PipelineLowering& pipeline) {
-    Add(pipeline.lowering);
-    MixInts(pipeline.task_iteration);
-    MixInt(pipeline.iterations);
-  }
-  void Add(const runtime::MultiJobLowering& fabric) {
-    Add(fabric.combined);
-    MixInt(fabric.total_workers);
-    MixInt(fabric.num_ps);
-    Mix(fabric.jobs.size());
-    for (const runtime::MultiJobLowering::JobSlice& slice : fabric.jobs) {
-      MixInt(slice.first_task);
-      MixInt(slice.last_task);
-      MixInt(slice.first_worker);
-      MixInt(slice.num_workers);
-      MixInt(slice.delay_task);
-      Mix(std::bit_cast<std::uint64_t>(slice.start_offset));
-    }
-  }
-
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
 template <typename... Lowerings>
 std::uint64_t LoweringFingerprint(const Lowerings&... lowerings) {
   LoweringHash hash;
   (hash.Add(lowerings), ...);
+  return hash.value();
+}
+
+std::uint64_t PipelineFingerprint(const runtime::Lowering& lowering) {
+  LoweringHash hash;
+  hash.AddPipeline(lowering);
+  return hash.value();
+}
+
+std::uint64_t FabricFingerprint(const runtime::Lowering& lowering) {
+  LoweringHash hash;
+  hash.AddFabric(lowering);
   return hash.value();
 }
 
@@ -284,7 +224,7 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"lowering/pipeline/k=4/train", 0x1d757b47fdc58d3eull},
       {"lowering/ring/W=2", 0xf23f6d4309f753cfull},
       {"lowering/ring/W=5", 0xdcf9c2386ca1bc14ull},
-      {"lowering/shared/1-job", 0x8929c8efd1003cc7ull},
+      {"lowering/shared/1-job", 0xe6ef329debe86a6bull},
       {"lowering/shared/3-job-offset", 0xdd09a5c5a519774cull},
       {"lowering/flow-fabric", 0xddeb71f28b50d791ull},
       {"lowering/random-dags", 0x581488d60fe0747cull},
@@ -482,7 +422,7 @@ TEST(SimFingerprint, FlowFatTreeMultiJob) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
                  {"model=AlexNet v2 policy=tac",
                   "model=Inception v2 policy=tic"});
-  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const runtime::Lowering& low = runner.fabric().lowering;
   const sim::TaskGraphSim sim = low.BuildSim();
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ExpectGoldenRun("flow/fat-tree-2job/seed" + std::to_string(seed),
@@ -499,7 +439,7 @@ TEST(SimFingerprint, FlowUnderFaultTimeline) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
                  {"model=AlexNet v2 policy=tac",
                   "model=ResNet-50 v2 policy=tic"});
-  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const runtime::Lowering& low = runner.fabric().lowering;
   const sim::FlowNetwork& net = *runner.fabric().options.network;
   std::vector<int> channels;
   for (std::size_t r = 0; r < net.resource_links.size(); ++r) {
@@ -536,7 +476,7 @@ TEST(SimFingerprint, FlowOversubscribedCore) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=4:oversub=4",
                  {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tac",
                   "model=Inception v2 policy=baseline"});
-  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const runtime::Lowering& low = runner.fabric().lowering;
   const sim::TaskGraphSim sim = low.BuildSim();
   for (const std::uint64_t seed : {1ull, 7ull}) {
     ExpectGoldenRun("flow/pods4-oversub4/seed" + std::to_string(seed),
@@ -550,7 +490,7 @@ TEST(SimFingerprint, FlowInferenceFabric) {
       FlowFabric("envG:workers=2:ps=1:inference:flow:pods=1",
                  {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tic",
                   "model=ResNet-50 v2 policy=tac"});
-  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const runtime::Lowering& low = runner.fabric().lowering;
   ExpectGoldenRun(
       "flow/inference-3job-pods1", low.tasks,
       low.BuildSim().Run(Randomized(runner.fabric().options), 11));
@@ -703,7 +643,7 @@ TEST(SimFingerprint, FlowUplinkDownlinkLevelsApart) {
       FlowFabric("envG:workers=4:ps=2:training:flow:pods=2:oversub=2",
                  {"model=AlexNet v2 policy=tac", "model=VGG-16 policy=tic",
                   "model=Inception v2 policy=baseline"});
-  const runtime::Lowering& low = runner.fabric().lowering.combined;
+  const runtime::Lowering& low = runner.fabric().lowering;
   sim::FlowNetwork net = *runner.fabric().options.network;
   // Channels run downlinks first, then uplinks (runtime/lowering.h).
   std::vector<std::size_t> channels;
@@ -742,7 +682,7 @@ TEST(SimFingerprint, FlowRunParallel) {
                   std::vector<std::string>{"model=VGG-16 policy=tac",
                                            "model=VGG-16 policy=baseline"}}}) {
     const runtime::MultiJobRunner runner = FlowFabric(cluster, jobs);
-    merged.Append(runner.fabric().lowering.combined);
+    merged.Append(runner.fabric().lowering);
     options = Randomized(runner.fabric().options);
   }
   options.network = &merged.net;
@@ -836,9 +776,10 @@ TEST(LoweringFingerprint, PipelineIterations) {
       ExpectGolden(std::string("lowering/pipeline/k=") +
                        std::to_string(iterations) +
                        (training ? "/train" : "/infer"),
-                   LoweringFingerprint(runtime::LowerPipeline(
-                       runner.worker_graph(), schedule, runner.ps_of_param(),
-                       runner.config(), iterations)));
+                   PipelineFingerprint(runtime::Lower(
+                       {{runner.worker_graph(), schedule, runner.ps_of_param(),
+                         runner.config()}},
+                       iterations)));
     }
   }
 }
@@ -872,11 +813,12 @@ TEST(LoweringFingerprint, SharedFabricThreeJobsWithOffset) {
   inputs.push_back({b.worker_graph(), sb, b.ps_of_param(), b.config(), 0.05});
   inputs.push_back({c.worker_graph(), sc, c.ps_of_param(), c.config(), 0.0});
   ExpectGolden("lowering/shared/3-job-offset",
-               LoweringFingerprint(runtime::LowerSharedCluster(inputs)));
-  // A lone zero-offset job: the fabric degenerates to its own cluster.
+               FabricFingerprint(runtime::Lower(inputs)));
+  // A lone zero-offset job: the fabric degenerates to its own cluster,
+  // update/sink hooks included.
   while (inputs.size() > 1) inputs.pop_back();
   ExpectGolden("lowering/shared/1-job",
-               LoweringFingerprint(runtime::LowerSharedCluster(inputs)));
+               FabricFingerprint(runtime::Lower(inputs)));
 }
 
 // A flow fabric's graph plus the capacity graph lower_flow_nics attaches.
@@ -886,8 +828,8 @@ TEST(LoweringFingerprint, FlowFabric) {
                  {"model=AlexNet v2 policy=tac",
                   "model=Inception v2 policy=tic"});
   LoweringHash hash;
-  hash.Add(runner.fabric().lowering);
-  const sim::FlowNetwork& net = *runner.fabric().lowering.combined.flow;
+  hash.AddFabric(runner.fabric().lowering);
+  const sim::FlowNetwork& net = *runner.fabric().lowering.flow;
   hash.Mix(net.links.size());
   for (const sim::FlowLink& link : net.links) {
     hash.Mix(std::bit_cast<std::uint64_t>(link.capacity_bps));
@@ -921,7 +863,7 @@ TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
     const core::Schedule schedule =
         (seed % 2) ? core::Tic(graph) : core::Schedule{};
     hash.Add(runtime::LowerCluster(graph, schedule, ps_of_param, config));
-    hash.Add(runtime::LowerPipeline(graph, schedule, ps_of_param, config,
+    hash.AddPipeline(runtime::Lower({{graph, schedule, ps_of_param, config}},
                                     1 + static_cast<int>(seed % 3)));
     if (config.training && config.num_workers >= 2) {
       runtime::ClusterConfig ring = config;
@@ -931,7 +873,7 @@ TEST(LoweringFingerprint, RandomDagsThroughEveryPreset) {
     std::vector<runtime::JobLoweringInput> inputs;
     inputs.push_back({graph, schedule, ps_of_param, config});
     inputs.push_back({graph, schedule, ps_of_param, config, 0.01});
-    hash.Add(runtime::LowerSharedCluster(inputs));
+    hash.AddFabric(runtime::Lower(inputs));
   }
   ExpectGolden("lowering/random-dags", hash.value());
 }

@@ -1,7 +1,8 @@
 // Tests for the runner's derived statistics: overlap fraction, the
-// hardware-straggler injection knob, and ComputeIterationStats' two
+// hardware-straggler injection knob, ComputeIterationStats' two
 // interval paths (the walk over a time-ordered start_order and the sort
-// it falls back to), for a whole lowering and for shifted job slices.
+// it falls back to), for a whole lowering and for shifted job slices,
+// and the identities the RunIterations loop relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,20 +186,84 @@ TEST(IterationStats, JobSlicesFallBackToTheSameBits) {
       "policy=tac iterations=1 seed=5} {envG:workers=3:ps=2:training:"
       "jitter=0.3:ooo=0.05 model=AlexNet v2 policy=tic iterations=1 "
       "seed=5}@0.05"));
-  const MultiJobLowering& lowering = runner.fabric().lowering;
-  const sim::TaskGraphSim sim = lowering.combined.BuildSim();
+  const Lowering& lowering = runner.fabric().lowering;
+  const sim::TaskGraphSim sim = lowering.BuildSim();
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const sim::SimResult run = sim.Run(runner.fabric().options, seed);
     const std::vector<IterationStats> expected =
-        ComputeIterationStats(lowering.combined, run, lowering.jobs);
+        ComputeIterationStats(lowering, run, lowering.jobs);
     ASSERT_EQ(expected.size(), 2u);
     sim::SimResult reversed = run;
     std::reverse(reversed.start_order.begin(), reversed.start_order.end());
     const std::vector<IterationStats> got =
-        ComputeIterationStats(lowering.combined, reversed, lowering.jobs);
+        ComputeIterationStats(lowering, reversed, lowering.jobs);
     for (std::size_t j = 0; j < expected.size(); ++j) {
       ExpectSameBits(got[j], expected[j]);
     }
+  }
+}
+
+// Every caller of RunIterations reads the statistics of the one
+// 2-arg ComputeIterationStats call per run: RunSharedFabric's whole-fabric
+// `combined` row takes it on its own, apart from the job slices (an
+// offset job would shift a whole-fabric slice's intervals), and a
+// one-job lowering's slice is the whole lowering, so Runner::Run's
+// per-slice rows give its bits too, ring included.
+TEST(IterationStats, RunIterationsRowsAreTheWholeLoweringStats) {
+  constexpr int kIterations = 3;
+  constexpr std::uint64_t kSeed = 11;
+  const auto whole_stats = [&](const Lowering& lowering,
+                               const sim::SimOptions& options) {
+    const sim::TaskGraphSim sim = lowering.BuildSim();
+    std::vector<IterationStats> out;
+    for (int i = 0; i < kIterations; ++i) {
+      out.push_back(ComputeIterationStats(
+          lowering, sim.Run(options, kSeed + static_cast<std::uint64_t>(i))));
+    }
+    return out;
+  };
+  const auto expect_rows = [](const ExperimentResult& got,
+                              const std::vector<IterationStats>& want) {
+    ASSERT_EQ(got.iterations.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ExpectSameBits(got.iterations[i], want[i]);
+    }
+  };
+
+  // The 3-job offset fabric.
+  const MultiJobRunner fabric(MultiJobSpec::Parse(
+      "{envG:workers=2:ps=2:training:jitter=0.2 model=Inception v1 "
+      "policy=tac iterations=1 seed=5} {envG:workers=3:ps=2:training:"
+      "jitter=0.2 model=AlexNet v2 policy=baseline iterations=1 "
+      "seed=5}@0.05 {envG:workers=2:ps=2:inference:jitter=0.2 "
+      "model=Inception v2 policy=tic iterations=1 seed=5}"));
+  ASSERT_EQ(fabric.fabric().lowering.jobs.size(), 3u);
+  expect_rows(fabric.Run(kIterations, kSeed).combined,
+              whole_stats(fabric.fabric().lowering, fabric.fabric().options));
+
+  // One job, on the PS fabric and on the ring: Runner::Run's rows and
+  // RunIterations' whole-lowering rows.
+  for (const Topology topology : {Topology::kPsFabric, Topology::kRing}) {
+    ClusterConfig config = EnvG(3, 2, true);
+    config.topology = topology;
+    config.sim.jitter_sigma = 0.2;
+    const Runner runner(models::FindModel("Inception v1"), config);
+    const core::Schedule schedule = topology == Topology::kRing
+                                        ? core::Schedule{}
+                                        : runner.MakeSchedule("tic");
+    const Lowering lowering = LowerCluster(
+        runner.worker_graph(), schedule, runner.ps_of_param(), config);
+    ASSERT_EQ(lowering.jobs.size(), 1u);
+    sim::SimOptions options = config.sim;
+    options.enforce_gates =
+        schedule.size() == runner.worker_graph().size() &&
+        schedule.CoversAllRecvs(runner.worker_graph());
+    const std::vector<IterationStats> want = whole_stats(lowering, options);
+    expect_rows(runner.Run("tic", kIterations, kSeed), want);
+    expect_rows(RunIterations(lowering, options, kIterations, kSeed,
+                              /*whole=*/true)
+                    .combined,
+                want);
   }
 }
 
