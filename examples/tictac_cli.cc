@@ -216,21 +216,11 @@ int RunAndPrint(const runtime::ExperimentSpec& spec) {
 }
 
 int CmdRun(const Args& args) {
-  const std::string text = Join(args.spec, " ");
-  if (text.empty()) {
-    std::cerr << "run: missing experiment spec (use --spec \"...\")\n";
-    return 2;
-  }
-  return RunAndPrint(runtime::ExperimentSpec::Parse(text));
+  return RunAndPrint(runtime::ExperimentSpec::Parse(Join(args.spec, " ")));
 }
 
 int CmdSweep(const Args& args) {
-  const std::string text = Join(args.spec, " ");
-  if (text.empty()) {
-    std::cerr << "sweep: missing sweep spec (use --sweep \"...\")\n";
-    return 2;
-  }
-  const auto sweep = runtime::SweepSpec::Parse(text);
+  const auto sweep = runtime::SweepSpec::Parse(Join(args.spec, " "));
   const int parallelism = args.parallelism > 0
                               ? args.parallelism
                               : harness::Session::DefaultParallelism();
@@ -250,13 +240,7 @@ int CmdSweep(const Args& args) {
 }
 
 int CmdMultiJob(const Args& args) {
-  const std::string text = Join(args.spec, " ");
-  if (text.empty()) {
-    std::cerr << "multijob: missing job list (use --jobs "
-                 "\"2x{<experiment spec>} {<experiment spec>}@0.05\")\n";
-    return 2;
-  }
-  const auto spec = runtime::MultiJobSpec::Parse(text);
+  const auto spec = runtime::MultiJobSpec::Parse(Join(args.spec, " "));
   harness::Session session;
   const harness::MultiJobReport report =
       session.RunMultiJob(spec, /*with_isolated=*/!args.no_isolated);
@@ -286,12 +270,6 @@ int CmdMultiJob(const Args& args) {
 
 int CmdLower(const Args& args) {
   std::string text = Join(args.spec, " ");
-  if (text.empty()) {
-    std::cerr << "lower: missing job list (use --jobs "
-                 "\"{<experiment spec>} {<experiment spec>}@0.05\"; a bare "
-                 "experiment spec is accepted as a single job)\n";
-    return 2;
-  }
   // A bare experiment spec (no braces) is sugar for one job.
   if (text.find('{') == std::string::npos) text = '{' + text + '}';
   const auto spec = runtime::MultiJobSpec::Parse(text);
@@ -367,16 +345,10 @@ int CmdLower(const Args& args) {
 }
 
 int CmdClusterSweep(const Args& args) {
-  const std::string text = Join(args.spec, " ");
-  if (text.empty()) {
-    std::cerr << "clustersweep: missing job list (use --jobs "
-                 "\"1000x{<experiment spec>}\")\n";
-    return 2;
-  }
   // Same group grammar as multijob, but up to 4096 jobs in all — the
   // sweep partitions them over fabrics instead of packing one.
   std::vector<runtime::MultiJobEntry> jobs =
-      runtime::ParseJobGroups(text, /*max_count=*/4096);
+      runtime::ParseJobGroups(Join(args.spec, " "), /*max_count=*/4096);
   runtime::ClusterSweepOptions options;
   options.fabrics = args.fabrics.value_or(options.fabrics);
   options.num_threads = args.threads;
@@ -406,12 +378,6 @@ int CmdClusterSweep(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
-  if (args.arrivals.empty()) {
-    std::cerr << "serve: missing arrival process (use --arrivals "
-                 "\"poisson:rate=40\", \"bursty:rate=4:burst=8\", or "
-                 "\"trace:arrivals.csv\")\n";
-    return 2;
-  }
   sched::ServiceConfig config;
   config.arrivals = sched::ArrivalSpec::Parse(args.arrivals);
   for (const std::string& job : args.serve_jobs) {
@@ -565,18 +531,19 @@ struct Command {
   bool takes_model;  // a positional <model> follows the command
   bool joins_spec;   // stray (non-flag) tokens join the spec text
   int (*run)(const Args&);
+  std::string_view requires_flag = "";  // whose text the command runs
 };
 
 const Command kCommands[] = {
     {"models", false, false, CmdModels},
     {"policies", false, false, CmdListPolicies},
     {"schedule", true, false, CmdSchedule},
-    {"run", false, true, CmdRun},
-    {"sweep", false, true, CmdSweep},
-    {"multijob", false, true, CmdMultiJob},
-    {"lower", false, true, CmdLower},
-    {"clustersweep", false, true, CmdClusterSweep},
-    {"serve", false, false, CmdServe},
+    {"run", false, true, CmdRun, "--spec"},
+    {"sweep", false, true, CmdSweep, "--sweep"},
+    {"multijob", false, true, CmdMultiJob, "--jobs"},
+    {"lower", false, true, CmdLower, "--jobs"},
+    {"clustersweep", false, true, CmdClusterSweep, "--jobs"},
+    {"serve", false, false, CmdServe, "--arrivals"},
     {"exec", false, false, CmdExec},
     {"simulate", true, false, CmdSimulate},
     {"compare", true, false, CmdCompare},
@@ -638,6 +605,13 @@ const Flag kFlags[] = {
     {"--json", "", "sweep, multijob, lower, clustersweep, serve, exec",
      &Args::emit},
 };
+
+const Flag* FindFlag(std::string_view name) {
+  const Flag* flag =
+      std::find_if(std::begin(kFlags), std::end(kFlags),
+                   [&](const Flag& f) { return f.name == name; });
+  return flag == std::end(kFlags) ? nullptr : flag;
+}
 
 bool Reads(const Flag& flag, std::string_view command) {
   const std::string list = ", " + std::string(flag.commands) + ", ";
@@ -743,10 +717,8 @@ const Command* Parse(int argc, char** argv, Args& args) {
   }
   for (; i < argc; ++i) {
     const std::string_view token = argv[i];
-    const Flag* flag =
-        std::find_if(std::begin(kFlags), std::end(kFlags),
-                     [&](const Flag& f) { return f.name == token; });
-    if (flag == std::end(kFlags)) {
+    const Flag* flag = FindFlag(token);
+    if (!flag) {
       if (command->joins_spec && !token.starts_with("--")) {
         args.spec.emplace_back(token);  // unquoted spec text
         continue;
@@ -770,6 +742,17 @@ const Command* Parse(int argc, char** argv, Args& args) {
       value = argv[i];
     }
     if (!Store(*flag, value, name, args)) return nullptr;
+  }
+  // A required flag holds spec text: a string, or the spec pieces.
+  if (const Flag* flag = FindFlag(command->requires_flag)) {
+    const auto* text = std::get_if<std::string Args::*>(&flag->field);
+    const auto* pieces =
+        std::get_if<std::vector<std::string> Args::*>(&flag->field);
+    if (text ? (args.*(*text)).empty() : Join(args.*(*pieces), " ").empty()) {
+      std::cerr << name << ": missing " << flag->name << ' ' << flag->metavar
+                << "\n";
+      return nullptr;
+    }
   }
   return command;
 }

@@ -102,12 +102,15 @@ FaultEvent ParseEvent(std::string_view text, const std::string& where) {
     }
     const std::string_view name = field.substr(0, eq + 1);  // "worker="
     const std::string_view value = field.substr(eq + 1);
+    if (!seen.insert(key->key).second) {
+      Fail(where + "duplicate field '" + std::string(name) + "' in '" +
+           std::string(text) + "'");
+    }
     if (key->integer) {
       event.*key->integer = util::ReadNumber<int>("fault", name, value);
     } else {
       event.*key->real = util::ReadNumber<double>("fault", name, value);
     }
-    seen.insert(key->key);
   }
   // Per-kind required/forbidden fields, named loudly.
   const std::string clause =

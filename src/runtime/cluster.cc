@@ -32,14 +32,6 @@ Enforcement ParseEnforcement(std::string_view token) {
                               "' (known: priority, gate, chain)");
 }
 
-const char* ToString(Topology topology) {
-  switch (topology) {
-    case Topology::kPsFabric: return "parameter-server fabric";
-    case Topology::kRing: return "ring all-reduce";
-  }
-  return "unknown";
-}
-
 const char* TopologyToken(Topology topology) {
   switch (topology) {
     case Topology::kPsFabric: return "ps";

@@ -20,8 +20,6 @@ enum class Topology {
   kRing,
 };
 
-const char* ToString(Topology topology);
-
 // Compact token, the `topology=` value of the spec grammar: "ps" | "ring".
 const char* TopologyToken(Topology topology);
 

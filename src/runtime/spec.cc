@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <ranges>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "util/parse.h"
 
@@ -12,11 +19,8 @@ namespace tictac::runtime {
 namespace {
 
 std::vector<std::string> WhitespaceTokens(std::string_view text) {
-  std::vector<std::string> tokens;
   std::istringstream in{std::string(text)};
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
+  return {std::istream_iterator<std::string>(in), {}};
 }
 
 std::vector<std::string> Split(const std::string& value, char sep) {
@@ -45,22 +49,82 @@ int ParseBoundedInt(const std::string& value, const std::string& key,
   return static_cast<int>(result);
 }
 
+// The canonical text of a value; a list joins its values with ','.
+std::string Text(const std::string& text) { return text; }
+std::string Text(std::integral auto n) { return std::to_string(n); }
+std::string Text(double x) { return FormatDouble(x); }
+std::string Text(bool training) { return training ? "training" : "inference"; }
+std::string Text(ShardStrategy shard) { return ShardStrategyToken(shard); }
+std::string Text(Topology topology) { return TopologyToken(topology); }
+std::string Text(Enforcement e) { return EnforcementToken(e); }
+std::string Text(const std::optional<double>& x) { return Text(*x); }
+template <typename T>
+std::string Text(const std::vector<T>& values) {
+  std::string text;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) text += ',';
+    text += Text(values[i]);
+  }
+  return text;
+}
+
+// --- the cluster-setting table ----------------------------------------------
+
+// One value of a cluster setting: `text`, read from the `setting` token
+// "key=text" (or "key=a,text,b" on a list). It converts to its text, so
+// a reader may take the text alone.
+struct SettingValue {
+  const std::string& text;
+  const std::string& key;
+  const std::string& setting;
+
+  operator std::string_view() const { return text; }
+};
+
+// Value readers, each with its setting's bounds and error wording.
+int ReadCount(const SettingValue& v) {
+  return ParseBoundedInt(v.text, v.key, 1, 1 << 20);
+}
+
+bool ReadTask(const SettingValue& v) {
+  if (v.text != "training" && v.text != "inference") {
+    Fail("task= expects 'inference' or 'training', got '" + v.text + "'");
+  }
+  return v.text == "training";
+}
+
+double ReadDouble(const SettingValue& v) {
+  return ParseNumber<double>(v.text, v.key);
+}
+
+double ReadPositive(const SettingValue& v) {
+  const double number = ReadDouble(v);
+  if (number <= 0.0) Fail(v.key + " must be > 0, got " + v.text);
+  return number;
+}
+
 // A lognormal shape (sigma=, jitter=). Shapes past kMaxNoiseSigma are
 // rejected here, naming the spec token that carried them; NaN and
-// negative values fall through to ClusterConfig::Validate.
-double ParseSigma(const std::string& value, const std::string& key,
-                  const std::string& setting) {
-  const double sigma = ParseNumber<double>(value, key);
+// negative jitter= values fall through to ClusterConfig::Validate.
+double ReadShape(const SettingValue& v) {
+  const double sigma = ReadDouble(v);
   if (sigma > kMaxNoiseSigma) {
-    Fail(key + "= must be at most " + FormatDouble(kMaxNoiseSigma) +
+    Fail(v.key + "= must be at most " + FormatDouble(kMaxNoiseSigma) +
          " (a lognormal shape; larger values overflow the sampled times), "
-         "got '" + value + "' in '" + setting + "'");
+         "got '" + v.text + "' in '" + v.setting + "'");
   }
   return sigma;
 }
 
+double ReadSigma(const SettingValue& v) {
+  const double sigma = ReadShape(v);
+  if (sigma < 0.0) Fail(v.key + " must be >= 0, got " + v.text);
+  return sigma;
+}
+
 // Bytes with an optional binary suffix: "4194304", "4M", "4MiB", "512K".
-std::int64_t ParseBytes(const std::string& value, const std::string& key) {
+std::int64_t ReadBytes(const SettingValue& v) {
+  const std::string& value = v.text;
   const std::size_t digits = std::min(
       value.find_first_not_of("0123456789", value.starts_with('-') ? 1 : 0),
       value.size());
@@ -74,135 +138,199 @@ std::int64_t ParseBytes(const std::string& value, const std::string& key) {
   } else if (suffix == "g" || suffix == "gib") {
     scale = 1ll << 30;
   } else if (!suffix.empty()) {
-    Fail(key + "= has unknown byte suffix '" + suffix + "' in '" + value +
+    Fail(v.key + "= has unknown byte suffix '" + suffix + "' in '" + value +
          "' (use K, M or G)");
   }
-  const auto magnitude = ParseNumber<long long>(value.substr(0, digits), key);
+  const auto magnitude = ParseNumber<long long>(value.substr(0, digits), v.key);
   if (magnitude > std::numeric_limits<std::int64_t>::max() / scale ||
       magnitude < std::numeric_limits<std::int64_t>::min() / scale) {
-    Fail(key + "= overflows 64-bit bytes: '" + value + "'");
+    Fail(v.key + "= overflows 64-bit bytes: '" + value + "'");
   }
+  if (magnitude < 0) Fail(v.key + " must be >= 0, got " + value);
   return magnitude * scale;
 }
 
+// One cluster setting: ClusterSpec::*kCluster, held in SweepSpec::*kSweep
+// as the list of its values when it is a sweep axis, else as one value.
+// kRead reads one value with its bounds and error wording. A row without
+// one is a bare flag: it sets the member to `flag` and is printed while
+// the member holds it.
+template <auto kCluster, auto kSweep, auto kRead = nullptr>
+struct Key {
+  using Value =
+      std::remove_cvref_t<decltype(std::declval<ClusterSpec&>().*kCluster)>;
+  using Field =
+      std::remove_cvref_t<decltype(std::declval<SweepSpec&>().*kSweep)>;
+  static constexpr bool kFlag = std::is_null_pointer_v<decltype(kRead)>;
+  static constexpr bool kListed = !std::is_same_v<Value, Field>;
+  static constexpr bool kAxis = kListed && !kFlag;
 
-std::string Join(const std::vector<std::string>& values) {
-  std::string joined;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) joined += ',';
-    joined += values[i];
+  std::string_view name;
+  // What a repeat counts against: `name`, or the row whose value a flag
+  // spells ("training" is task=training).
+  std::string_view key = name;
+  bool always_printed = false;  // else omitted at the ClusterSpec default
+  bool flag = true;
+
+  // Sets the sweep from the values after "name=" (a flag has none).
+  void Parse(const std::string& setting, const std::vector<std::string>& values,
+             SweepSpec& sweep) const {
+    const std::string written(name);
+    Field& field = sweep.*kSweep;
+    if constexpr (kFlag) {
+      field = Field{flag};
+    } else if constexpr (std::ranges::range<Field>) {
+      field.clear();
+      for (const std::string& v : values) {
+        field.push_back(kRead(SettingValue{v, written, setting}));
+      }
+    } else {
+      if (values.size() != 1) Fail(written + "= is not a sweep axis");
+      field = kRead(SettingValue{values[0], written, setting});
+    }
   }
-  return joined;
+
+  static const Value& Of(const ClusterSpec& c) { return c.*kCluster; }
+  static const Field& Of(const SweepSpec& s) { return s.*kSweep; }
+
+  // "=v1,v2" (a flag: ""), or nullopt where the canonical form omits it.
+  template <typename Spec>
+  std::optional<std::string> Print(const Spec& spec) const {
+    const auto& field = Of(spec);
+    using F = std::remove_cvref_t<decltype(field)>;
+    if constexpr (kFlag) {
+      if (field == F{flag}) return "";
+    } else if (always_printed || field != F{Of(ClusterSpec{})}) {
+      return "=" + Text(field);
+    }
+    return std::nullopt;
+  }
+  std::size_t Size(const SweepSpec& sweep) const {
+    if constexpr (kListed) return Of(sweep).size();
+    return 1;
+  }
+  // Sets the cluster from value `index` of a list, or from the one value.
+  void Copy(const SweepSpec& sweep, std::size_t index,
+            ClusterSpec& cluster) const {
+    if constexpr (kListed) {
+      cluster.*kCluster = Of(sweep)[index];
+    } else {
+      cluster.*kCluster = Of(sweep);
+    }
+  }
+};
+
+using C = ClusterSpec;
+using S = SweepSpec;
+
+// One row per cluster setting, in canonical print order; a printed flag
+// stands for the rows after it that share its key. The names in order are
+// the "known:" list. Parsing, both ToStrings, SweepSpec::size() and
+// Expand walk this table.
+constexpr std::tuple kClusterKeys{
+    Key<&C::workers, &S::workers, ReadCount>{.name = "workers",
+                                             .always_printed = true},
+    Key<&C::ps, &S::ps, ReadCount>{.name = "ps", .always_printed = true},
+    Key<&C::training, &S::tasks>{.name = "training", .key = "task"},
+    Key<&C::training, &S::tasks>{
+        .name = "inference", .key = "task", .flag = false},
+    Key<&C::training, &S::tasks, ReadTask>{.name = "task",
+                                           .always_printed = true},
+    Key<&C::batch_factor, &S::batch_factors, ReadPositive>{"batch"},
+    Key<&C::chunk_bytes, &S::chunk_bytes, ReadBytes>{"chunk"},
+    Key<&C::shard, &S::shards, ParseShardStrategy>{"shard"},
+    Key<&C::topology, &S::topologies, ParseTopology>{"topology"},
+    Key<&C::enforcement, &S::enforcements, ParseEnforcement>{"enforce"},
+    Key<&C::tac_oracle_sigma, &S::tac_oracle_sigmas, ReadSigma>{"sigma"},
+    Key<&C::jitter_sigma, &S::jitter_sigma, ReadShape>{"jitter"},
+    Key<&C::out_of_order, &S::out_of_order, ReadDouble>{"ooo"},
+    Key<&C::worker_speed_factors, &S::worker_speed_factors, ReadDouble>{
+        "speeds"},
+    Key<&C::flow, &S::flow>{"flow"},
+    Key<&C::pods, &S::pods, ReadCount>{"pods"},
+    Key<&C::oversub, &S::oversub, ReadPositive>{"oversub"},
+};
+
+// Calls `visit` on every row, in table order.
+template <typename Visit>
+void ForEachKey(Visit&& visit) {
+  std::apply([&](const auto&... row) { (visit(row), ...); }, kClusterKeys);
 }
 
-template <typename T, typename Format>
-std::string JoinFormatted(const std::vector<T>& values, Format format) {
-  std::vector<std::string> parts;
-  parts.reserve(values.size());
-  for (const T& value : values) parts.push_back(format(value));
-  return Join(parts);
+// Expand's nest between model (outermost) and policy (fastest). Not the
+// table order: Session row order and Runner-cache reuse depend on it.
+constexpr std::string_view kNestOrder[] = {
+    "task", "workers", "ps", "batch", "chunk",
+    "shard", "topology", "enforce", "sigma"};
+
+// The base environment `name`; throws, after `prefix`, if it is unknown.
+auto FindEnvironment(const std::string& name, const std::string& prefix) {
+  if (name != "envG" && name != "envC") {
+    throw std::invalid_argument(prefix + "unknown environment '" + name +
+                                "' (known: envG, envC)");
+  }
+  return name == "envG" ? EnvG : EnvC;
 }
 
-// Shared cluster-token parser. Every axis is parsed as a list; the
-// single-spec path rejects sizes > 1 afterwards.
+// Every axis is parsed as a list; the single-spec path rejects sizes > 1
+// afterwards.
 void ParseClusterToken(const std::string& token, SweepSpec& sweep) {
   const std::vector<std::string> settings = Split(token, ':');
   sweep.env = settings[0];
-  if (sweep.env != "envG" && sweep.env != "envC") {
-    Fail("unknown environment '" + sweep.env + "' (known: envG, envC)");
-  }
+  FindEnvironment(sweep.env, "spec: ");
+  std::map<std::string_view, std::string_view> seen;  // key → its setting
   for (std::size_t i = 1; i < settings.size(); ++i) {
     const std::string& setting = settings[i];
-    if (setting == "training") {
-      sweep.tasks = {true};
-      continue;
-    }
-    if (setting == "inference") {
-      sweep.tasks = {false};
-      continue;
-    }
-    if (setting == "flow") {
-      sweep.flow = true;
-      continue;
-    }
     const std::size_t eq = setting.find('=');
-    if (eq == std::string::npos) {
+    const bool bare = eq == std::string::npos;
+    const std::string key = setting.substr(0, eq);
+    std::vector<std::string> values;
+    if (!bare) {
+      values = Split(setting.substr(eq + 1), ',');
+      if (values.front().empty()) {
+        Fail(key + "= has an empty value in '" + token + "'");
+      }
+    }
+    bool known = false;
+    ForEachKey([&](const auto& row) {
+      if (row.name != key || row.kFlag != bare) return;
+      known = true;
+      const auto [first, fresh] = seen.emplace(row.key, row.name);
+      if (!fresh) {
+        Fail("duplicate cluster setting '" + key + "' in '" + token + "'" +
+             (first->second == key
+                  ? ""
+                  : " (already set by '" + std::string(first->second) +
+                        "')"));
+      }
+      row.Parse(setting, values, sweep);
+    });
+    if (known) continue;
+    if (bare) {
       Fail("malformed cluster setting '" + setting + "' in '" + token + "'");
     }
-    const std::string key = setting.substr(0, eq);
-    const std::vector<std::string> values = Split(setting.substr(eq + 1), ',');
-    if (values.empty() || values.front().empty()) {
-      Fail(key + "= has an empty value in '" + token + "'");
-    }
-    // Every comma-separated value of a sweep axis, parsed into `axis`.
-    const auto each = [&](auto& axis, auto parse) {
-      axis.clear();
-      for (const auto& v : values) axis.push_back(parse(v));
-    };
-    // The one value of a setting that is not a sweep axis.
-    const auto scalar = [&]() -> const std::string& {
-      if (values.size() != 1) Fail(key + "= is not a sweep axis");
-      return values[0];
-    };
-    const auto count = [&](const std::string& v) {
-      return ParseBoundedInt(v, key, 1, 1 << 20);
-    };
-    const auto number = [&](const std::string& v) {
-      return ParseNumber<double>(v, key);
-    };
-    if (key == "workers") {
-      each(sweep.workers, count);
-    } else if (key == "ps") {
-      each(sweep.ps, count);
-    } else if (key == "task") {
-      each(sweep.tasks, [](const std::string& v) {
-        if (v != "training" && v != "inference") {
-          Fail("task= expects 'inference' or 'training', got '" + v + "'");
-        }
-        return v == "training";
-      });
-    } else if (key == "batch") {
-      each(sweep.batch_factors, [&](const std::string& v) {
-        const double b = number(v);
-        if (b <= 0.0) Fail("batch must be > 0, got " + v);
-        return b;
-      });
-    } else if (key == "chunk") {
-      each(sweep.chunk_bytes, [&](const std::string& v) {
-        const std::int64_t c = ParseBytes(v, key);
-        if (c < 0) Fail("chunk must be >= 0, got " + v);
-        return c;
-      });
-    } else if (key == "shard") {
-      each(sweep.shards, ParseShardStrategy);
-    } else if (key == "topology") {
-      each(sweep.topologies, ParseTopology);
-    } else if (key == "enforce") {
-      each(sweep.enforcements, ParseEnforcement);
-    } else if (key == "sigma") {
-      each(sweep.tac_oracle_sigmas, [&](const std::string& v) {
-        const double sigma = ParseSigma(v, key, setting);
-        if (sigma < 0.0) Fail("sigma must be >= 0, got " + v);
-        return sigma;
-      });
-    } else if (key == "jitter") {
-      sweep.jitter_sigma = ParseSigma(scalar(), key, setting);
-    } else if (key == "ooo") {
-      sweep.out_of_order = number(scalar());
-    } else if (key == "speeds") {
-      each(sweep.worker_speed_factors, number);
-    } else if (key == "pods") {
-      sweep.pods = count(scalar());
-    } else if (key == "oversub") {
-      sweep.oversub = number(scalar());
-      if (sweep.oversub <= 0.0) Fail("oversub must be > 0, got " + values[0]);
-    } else {
-      Fail("unknown cluster setting '" + key + "' in '" + token +
-           "' (known: workers, ps, training, inference, task, batch, "
-           "chunk, shard, topology, enforce, sigma, jitter, ooo, speeds, "
-           "flow, pods, oversub)");
-    }
+    std::string names;
+    ForEachKey([&](const auto& row) {
+      names += (names.empty() ? "" : ", ") + std::string(row.name);
+    });
+    Fail("unknown cluster setting '" + key + "' in '" + token +
+         "' (known: " + names + ")");
   }
+}
+
+// The cluster half of a canonical form.
+template <typename Spec>
+std::string ClusterText(const Spec& spec) {
+  std::string text = spec.env;
+  std::string_view printed;  // the key of the last row printed
+  ForEachKey([&](const auto& row) {
+    if (row.key == printed) return;
+    if (const std::optional<std::string> value = row.Print(spec)) {
+      text += ":" + std::string(row.name) + *value;
+      printed = row.key;
+    }
+  });
+  return text;
 }
 
 }  // namespace
@@ -211,28 +339,21 @@ std::string FormatDouble(double value) {
   // Shortest representation that parses back to the same bits, so
   // Parse(ToString()) round-trips exactly and Session cache keys never
   // alias two distinct configurations.
+  // NaN never compares equal, so it prints at 17 digits.
+  std::string text;
   for (int precision = 15; precision <= 17; ++precision) {
     std::ostringstream out;
     out.precision(precision);
     out << value;
-    if (util::ParseDouble(out.str()) == value) return out.str();
+    text = out.str();
+    if (util::ParseDouble(text) == value) break;
   }
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
+  return text;
 }
 
 ClusterConfig ClusterSpec::Build() const {
-  ClusterConfig config;
-  if (env == "envG") {
-    config = EnvG(workers, ps, training);
-  } else if (env == "envC") {
-    config = EnvC(workers, ps, training);
-  } else {
-    throw std::invalid_argument("ClusterSpec: unknown environment '" + env +
-                                "' (known: envG, envC)");
-  }
+  ClusterConfig config =
+      FindEnvironment(env, "ClusterSpec: ")(workers, ps, training);
   config.batch_factor = batch_factor;
   config.chunk_bytes = chunk_bytes;
   config.shard = shard;
@@ -249,35 +370,7 @@ ClusterConfig ClusterSpec::Build() const {
   return config;
 }
 
-std::string ClusterSpec::ToString() const {
-  std::string text = env;
-  text += ":workers=" + std::to_string(workers);
-  text += ":ps=" + std::to_string(ps);
-  text += training ? ":training" : ":inference";
-  if (batch_factor != 1.0) text += ":batch=" + FormatDouble(batch_factor);
-  if (chunk_bytes != 0) text += ":chunk=" + std::to_string(chunk_bytes);
-  if (shard != ShardStrategy::kBytes) {
-    text += std::string(":shard=") + ShardStrategyToken(shard);
-  }
-  if (topology != Topology::kPsFabric) {
-    text += std::string(":topology=") + TopologyToken(topology);
-  }
-  if (enforcement != Enforcement::kHandoffGate) {
-    text += std::string(":enforce=") + EnforcementToken(enforcement);
-  }
-  if (tac_oracle_sigma != 0.0) {
-    text += ":sigma=" + FormatDouble(tac_oracle_sigma);
-  }
-  if (jitter_sigma) text += ":jitter=" + FormatDouble(*jitter_sigma);
-  if (out_of_order) text += ":ooo=" + FormatDouble(*out_of_order);
-  if (!worker_speed_factors.empty()) {
-    text += ":speeds=" + JoinFormatted(worker_speed_factors, FormatDouble);
-  }
-  if (flow) text += ":flow";
-  if (pods != 1) text += ":pods=" + std::to_string(pods);
-  if (oversub != 1.0) text += ":oversub=" + FormatDouble(oversub);
-  return text;
-}
+std::string ClusterSpec::ToString() const { return ClusterText(*this); }
 
 std::string ExperimentSpec::ToString() const {
   std::string text = cluster.ToString();
@@ -301,129 +394,60 @@ ExperimentSpec ExperimentSpec::Parse(std::string_view text) {
 }
 
 std::size_t SweepSpec::size() const {
-  return models.size() * tasks.size() * workers.size() * ps.size() *
-         batch_factors.size() * chunk_bytes.size() * shards.size() *
-         topologies.size() * enforcements.size() * tac_oracle_sigmas.size() *
-         policies.size();
+  std::size_t size = models.size() * policies.size();
+  ForEachKey([&](const auto& row) {
+    if (row.kAxis) size *= row.Size(*this);
+  });
+  return size;
 }
 
 std::vector<ExperimentSpec> SweepSpec::Expand() const {
-  const auto require_nonempty = [](bool empty, const char* axis) {
-    if (empty) {
-      throw std::invalid_argument(std::string("SweepSpec: ") + axis +
+  const auto require_nonempty = [](std::size_t size, std::string_view axis) {
+    if (size == 0) {
+      throw std::invalid_argument("SweepSpec: " + std::string(axis) +
                                   " is empty — nothing to run");
     }
   };
-  require_nonempty(models.empty(), "models");
-  require_nonempty(tasks.empty(), "tasks");
-  require_nonempty(workers.empty(), "workers");
-  require_nonempty(ps.empty(), "ps");
-  require_nonempty(batch_factors.empty(), "batch_factors");
-  require_nonempty(chunk_bytes.empty(), "chunk_bytes");
-  require_nonempty(shards.empty(), "shards");
-  require_nonempty(topologies.empty(), "topologies");
-  require_nonempty(enforcements.empty(), "enforcements");
-  require_nonempty(tac_oracle_sigmas.empty(), "tac_oracle_sigmas");
-  require_nonempty(policies.empty(), "policies");
+  require_nonempty(models.size(), "models");
+  ExperimentSpec spec;
+  spec.cluster.env = env;
+  ForEachKey([&](const auto& row) {
+    if (!row.kListed) row.Copy(*this, 0, spec.cluster);
+  });
+  spec.iterations = iterations;
+  spec.seed = seed;
   std::vector<ExperimentSpec> specs;
   specs.reserve(size());
-  for (const std::string& model : models) {
-    for (const bool training : tasks) {
-      for (const int w : workers) {
-        for (const int p : ps) {
-          for (const double batch : batch_factors) {
-            for (const std::int64_t chunk : chunk_bytes) {
-              for (const ShardStrategy shard : shards) {
-                for (const Topology topology : topologies) {
-                  for (const Enforcement enforcement : enforcements) {
-                    for (const double sigma : tac_oracle_sigmas) {
-                      for (const std::string& policy : policies) {
-                        ExperimentSpec spec;
-                        spec.model = model;
-                        spec.cluster.env = env;
-                        spec.cluster.workers = w;
-                        spec.cluster.ps = p;
-                        spec.cluster.training = training;
-                        spec.cluster.batch_factor = batch;
-                        spec.cluster.chunk_bytes = chunk;
-                        spec.cluster.shard = shard;
-                        spec.cluster.topology = topology;
-                        spec.cluster.enforcement = enforcement;
-                        spec.cluster.tac_oracle_sigma = sigma;
-                        spec.cluster.jitter_sigma = jitter_sigma;
-                        spec.cluster.out_of_order = out_of_order;
-                        spec.cluster.worker_speed_factors =
-                            worker_speed_factors;
-                        spec.cluster.flow = flow;
-                        spec.cluster.pods = pods;
-                        spec.cluster.oversub = oversub;
-                        spec.policy = policy;
-                        spec.iterations = iterations;
-                        spec.seed = seed;
-                        specs.push_back(std::move(spec));
-                      }
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
+  // Sweeps axis kNestOrder[a] and, inside each of its values, the rest.
+  const auto nest = [&](const auto& self, std::size_t a) -> void {
+    if (a == std::size(kNestOrder)) {
+      require_nonempty(policies.size(), "policies");
+      for (const std::string& policy : policies) {
+        spec.policy = policy;
+        specs.push_back(spec);
       }
+      return;
     }
+    ForEachKey([&](const auto& row) {
+      if (row.name != kNestOrder[a]) return;
+      require_nonempty(row.Size(*this), row.name);
+      for (std::size_t i = 0; i < row.Size(*this); ++i) {
+        row.Copy(*this, i, spec.cluster);
+        self(self, a + 1);
+      }
+    });
+  };
+  for (const std::string& model : models) {
+    spec.model = model;
+    nest(nest, 0);
   }
   return specs;
 }
 
 std::string SweepSpec::ToString() const {
-  std::string text = env;
-  text += ":workers=" + JoinFormatted(workers, [](int w) {
-    return std::to_string(w);
-  });
-  text += ":ps=" + JoinFormatted(ps, [](int p) { return std::to_string(p); });
-  if (tasks.size() == 1) {
-    text += tasks.front() ? ":training" : ":inference";
-  } else {
-    text += ":task=" + JoinFormatted(tasks, [](bool training) {
-      return std::string(training ? "training" : "inference");
-    });
-  }
-  if (batch_factors != std::vector<double>{1.0}) {
-    text += ":batch=" + JoinFormatted(batch_factors, FormatDouble);
-  }
-  if (chunk_bytes != std::vector<std::int64_t>{0}) {
-    text += ":chunk=" + JoinFormatted(chunk_bytes, [](std::int64_t c) {
-      return std::to_string(c);
-    });
-  }
-  if (shards != std::vector<ShardStrategy>{ShardStrategy::kBytes}) {
-    text += ":shard=" + JoinFormatted(shards, [](ShardStrategy s) {
-      return std::string(ShardStrategyToken(s));
-    });
-  }
-  if (topologies != std::vector<Topology>{Topology::kPsFabric}) {
-    text += ":topology=" + JoinFormatted(topologies, [](Topology t) {
-      return std::string(TopologyToken(t));
-    });
-  }
-  if (enforcements != std::vector<Enforcement>{Enforcement::kHandoffGate}) {
-    text += ":enforce=" + JoinFormatted(enforcements, [](Enforcement e) {
-      return std::string(EnforcementToken(e));
-    });
-  }
-  if (tac_oracle_sigmas != std::vector<double>{0.0}) {
-    text += ":sigma=" + JoinFormatted(tac_oracle_sigmas, FormatDouble);
-  }
-  if (jitter_sigma) text += ":jitter=" + FormatDouble(*jitter_sigma);
-  if (out_of_order) text += ":ooo=" + FormatDouble(*out_of_order);
-  if (!worker_speed_factors.empty()) {
-    text += ":speeds=" + JoinFormatted(worker_speed_factors, FormatDouble);
-  }
-  if (flow) text += ":flow";
-  if (pods != 1) text += ":pods=" + std::to_string(pods);
-  if (oversub != 1.0) text += ":oversub=" + FormatDouble(oversub);
-  text += " models=" + Join(models);
-  text += " policies=" + Join(policies);
+  std::string text = ClusterText(*this);
+  text += " models=" + Text(models);
+  text += " policies=" + Text(policies);
   text += " iterations=" + std::to_string(iterations);
   text += " seed=" + std::to_string(seed);
   return text;
@@ -443,10 +467,8 @@ SweepSpec SweepSpec::Parse(std::string_view text) {
   // subsequent tokens until the next key=value token.
   std::string raw_models;
   std::string* pending = nullptr;
-  bool saw_models = false;
-  bool saw_policies = false;
-  bool saw_iterations = false;
-  bool saw_seed = false;
+  std::set<std::string> seen;  // model= and models= are one key, as are
+                               // policy= and policies=
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
     const std::size_t eq = token.find('=');
@@ -462,33 +484,32 @@ SweepSpec SweepSpec::Parse(std::string_view text) {
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
     pending = nullptr;
-    if (key == "model" || key == "models") {
-      if (saw_models) Fail("duplicate " + key + "= token");
-      saw_models = true;
+    const bool is_models = key == "model" || key == "models";
+    const bool is_policies = key == "policy" || key == "policies";
+    if (!is_models && !is_policies && key != "iterations" && key != "seed") {
+      Fail("unknown key '" + key +
+           "=' (known: model(s), policy/policies, iterations, seed)");
+    }
+    if (!seen.insert(is_models ? "models" : is_policies ? "policies" : key)
+             .second) {
+      Fail("duplicate " + key + "= token");
+    }
+    if (is_models) {
       raw_models = value;
       pending = &raw_models;
-    } else if (key == "policy" || key == "policies") {
-      if (saw_policies) Fail("duplicate " + key + "= token");
-      saw_policies = true;
+    } else if (is_policies) {
       sweep.policies.clear();
       for (const auto& p : Split(value, ',')) {
         if (p.empty()) Fail("policies= has an empty entry in '" + value + "'");
         sweep.policies.push_back(p);
       }
     } else if (key == "iterations") {
-      if (saw_iterations) Fail("duplicate iterations= token");
-      saw_iterations = true;
       sweep.iterations = ParseBoundedInt(value, key, 1, kMaxIterations);
-    } else if (key == "seed") {
-      if (saw_seed) Fail("duplicate seed= token");
-      saw_seed = true;
-      sweep.seed = ParseNumber<std::uint64_t>(value, key);
     } else {
-      Fail("unknown key '" + key +
-           "=' (known: model(s), policy/policies, iterations, seed)");
+      sweep.seed = ParseNumber<std::uint64_t>(value, key);
     }
   }
-  if (!saw_models || raw_models.empty()) {
+  if (!seen.contains("models") || raw_models.empty()) {
     Fail("model= (or models=) is required, e.g. model=Inception v2");
   }
   for (const std::string_view entry : util::Split(raw_models, ',')) {

@@ -105,8 +105,8 @@ struct ExperimentSpec {
 };
 
 // A cartesian grid of ExperimentSpecs: every cluster axis plus models
-// and policies may hold several values. iterations and seed are scalar
-// (shared by every run).
+// and policies may hold several values. The other ClusterSpec members,
+// iterations and seed are scalar, copied into every run.
 struct SweepSpec {
   std::vector<std::string> models;  // required, >= 1 name
   std::string env = "envG";
@@ -123,8 +123,6 @@ struct SweepSpec {
   std::optional<double> jitter_sigma;
   std::optional<double> out_of_order;
   std::vector<double> worker_speed_factors;
-  // Scalar flow-fairness knobs, mirrored into every expanded cluster
-  // (see ClusterSpec::flow/pods/oversub).
   bool flow = false;
   int pods = 1;
   double oversub = 1.0;
@@ -136,9 +134,9 @@ struct SweepSpec {
 
   // The full grid, nested model → task → workers → ps → batch → chunk →
   // shard → topology → enforcement → sigma → policy (policy varies
-  // fastest, so consecutive
-  // specs share a Session Runner-cache entry). Deterministic: the order
-  // depends only on the axis value order. Throws if models is empty.
+  // fastest, so consecutive specs share a Session Runner-cache entry).
+  // Deterministic: the order depends only on the axis value order.
+  // Throws naming the first empty axis.
   std::vector<ExperimentSpec> Expand() const;
 
   // Canonical text form; Parse(ToString()) == *this.

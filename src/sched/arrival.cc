@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -55,30 +56,32 @@ ArrivalSpec ArrivalSpec::Parse(std::string_view text) {
          "trace:<file>");
   }
   spec.kind = head == "poisson" ? Kind::kPoisson : Kind::kBursty;
-  bool saw_rate = false;
-  bool saw_burst = false;
+  std::set<std::string_view> seen;  // the keys the spec sets
   const std::vector<std::string_view> fields = util::Split(text, ':');
   for (std::size_t i = 1; i < fields.size(); ++i) {
     const std::string_view field = fields[i];
     const std::size_t eq = field.find('=');
     const std::string_view key = field.substr(0, eq + 1);  // "rate="
     const std::string_view value = field.substr(eq + 1);
-    if (key == "rate=") {
-      spec.rate = util::ReadNumber<double>("arrival", key, value);
-      saw_rate = true;
-    } else if (key == "burst=" && spec.kind == Kind::kBursty) {
-      spec.burst = util::ReadNumber<int>("arrival", key, value);
-      saw_burst = true;
-    } else {
+    if (key != "rate=" && (key != "burst=" || spec.kind != Kind::kBursty)) {
       Fail("unknown field '" + std::string(field) + "' in '" +
            std::string(text) + "'");
     }
+    if (!seen.insert(key).second) {
+      Fail("duplicate field '" + std::string(key) + "' in '" +
+           std::string(text) + "'");
+    }
+    if (key == "rate=") {
+      spec.rate = util::ReadNumber<double>("arrival", key, value);
+    } else {
+      spec.burst = util::ReadNumber<int>("arrival", key, value);
+    }
   }
-  if (!saw_rate) {
+  if (!seen.contains("rate=")) {
     Fail(std::string(head) + " requires rate=, e.g. " + std::string(head) +
          ":rate=40");
   }
-  if (spec.kind == Kind::kBursty && !saw_burst) {
+  if (spec.kind == Kind::kBursty && !seen.contains("burst=")) {
     Fail("bursty requires burst=, e.g. bursty:rate=4:burst=8");
   }
   spec.Validate();

@@ -134,6 +134,25 @@ TEST(ArrivalSpec, MalformedNumbersAreQuotedAsTyped) {
   }
 }
 
+// A repeated field is rejected naming it; it used to keep the last value
+// (poisson:rate=1e308:rate=2 echoed poisson:rate=2).
+TEST(ArrivalSpec, RepeatedFieldIsNamed) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"poisson:rate=1e308:rate=2",
+       "arrival: duplicate field 'rate=' in 'poisson:rate=1e308:rate=2'"},
+      {"bursty:rate=4:burst=8:burst=2", "duplicate field 'burst='"},
+  };
+  for (const auto& [spec, message] : cases) {
+    try {
+      ArrivalSpec::Parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ArrivalSpec, RejectsMoreMalformedSpecs) {
   EXPECT_THROW(ArrivalSpec::Parse(""), std::invalid_argument);
   EXPECT_THROW(ArrivalSpec::Parse("trace"), std::invalid_argument);

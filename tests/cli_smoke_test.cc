@@ -221,6 +221,48 @@ TEST(CliSmoke, LowerWithoutJobsPrintsUsageAndFails) {
       << result.stderr_text;
 }
 
+// Each command that runs spec text names the flag it is missing, in one
+// wording built from the flag table, and exits 2.
+TEST(CliSmoke, MissingSpecNamesTheRequiredFlag) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"run", "run: missing --spec \"<spec>\""},
+      {"sweep --parallel 2", "sweep: missing --sweep \"<sweep>\""},
+      {"multijob", "multijob: missing --jobs \"<job groups>\""},
+      {"lower --dump", "lower: missing --jobs \"<job groups>\""},
+      {"clustersweep", "clustersweep: missing --jobs \"<job groups>\""},
+      {"serve --duration 1", "serve: missing --arrivals \"<arrival>\""},
+      {"run --spec \"\"", "run: missing --spec \"<spec>\""},
+      {"serve --arrivals \"\"", "serve: missing --arrivals \"<arrival>\""},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.exit_code, 2) << args;
+    EXPECT_NE(result.stderr_text.find(message), std::string::npos)
+        << args << "\n" << result.stderr_text;
+  }
+}
+
+// A repeated key in any key=value grammar exits 1 naming it.
+TEST(CliSmoke, RepeatedKeysAreNamed) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"run --spec \"envG:workers=4:workers=2:ps=1 model=VGG-16\"",
+       "duplicate cluster setting 'workers'"},
+      {"run --spec \"envG:workers=4:ps=1:training:inference model=VGG-16\"",
+       "duplicate cluster setting 'inference'"},
+      {"serve --arrivals poisson:rate=1e308:rate=2 --duration 1",
+       "duplicate field 'rate='"},
+      {"serve --arrivals poisson:rate=20 --duration 1 "
+       "--faults straggler:worker=0:factor=3:factor=1:at=0",
+       "duplicate field 'factor='"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.exit_code, 1) << args;
+    EXPECT_NE(result.stderr_text.find(message), std::string::npos)
+        << args << "\n" << result.stderr_text;
+  }
+}
+
 TEST(CliSmoke, LowerRejectsNonPositiveChunkAtParseTime) {
   const CliResult result = RunCli(
       "lower --jobs \"{envG:workers=2:ps=1:training:chunk=-4 "

@@ -104,6 +104,37 @@ TEST(FaultSpec, MalformedNumbersAreQuotedAsTyped) {
   }
 }
 
+// A repeated field is rejected naming it, inline and in a trace row; it
+// used to keep the last value (factor=3:factor=1 echoed factor=1).
+TEST(FaultSpec, RepeatedFieldIsNamed) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"straggler:worker=0:factor=3:factor=1:at=0",
+       "fault: duplicate field 'factor=' in "
+       "'straggler:worker=0:factor=3:factor=1:at=0'"},
+      {"crash:fabric=0:at=1; crash:worker=1:at=1:at=2",
+       "duplicate field 'at='"},
+  };
+  for (const auto& [spec, message] : cases) {
+    try {
+      FaultSpec::Parse(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string path = ::testing::TempDir() + "/tictac_faults_dup.csv";
+  std::ofstream(path) << "crash:fabric=0:fabric=1:at=1\n";
+  try {
+    FaultSpec::Parse("trace:" + path).Materialize();
+    ADD_FAILURE() << "accepted a repeated field in a trace row";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1: duplicate field 'fabric='"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FaultSpec, ValidatesStructuralBounds) {
   EXPECT_THROW(FaultSpec::Parse("straggler:worker=1:factor=0.5:at=1"),
                std::invalid_argument);  // factor >= 1

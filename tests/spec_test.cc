@@ -9,6 +9,9 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "models/zoo.h"
 #include "runtime/multijob.h"
@@ -347,6 +350,37 @@ TEST(SweepSpec, ExpansionCountsAndOrdering) {
   EXPECT_EQ(specs, sweep.Expand());
 }
 
+// Expand nests model → task → workers → ps → batch → chunk → shard →
+// topology → enforce → sigma → policy: with two values on every axis,
+// bit k of a spec's index (policy is bit 0) picks its value on axis k.
+TEST(SweepSpec, ExpansionNestsEveryAxisInOrder) {
+  const SweepSpec sweep = SweepSpec::Parse(
+      "envG:workers=2,4:ps=1,2:task=inference,training:batch=0.5,1:"
+      "chunk=0,1M:shard=bytes,even:topology=ps,ring:enforce=priority,gate:"
+      "sigma=0,0.5 models=AlexNet v2,VGG-16 policies=tic,tac");
+  const std::vector<ExperimentSpec> specs = sweep.Expand();
+  ASSERT_EQ(specs.size(), 2048u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto bit = [i](int k) { return ((i >> k) & 1) == 1; };
+    const ClusterSpec& c = specs[i].cluster;
+    EXPECT_EQ(specs[i].policy, bit(0) ? "tac" : "tic") << i;
+    EXPECT_EQ(c.tac_oracle_sigma, bit(1) ? 0.5 : 0.0) << i;
+    EXPECT_EQ(c.enforcement, bit(2) ? Enforcement::kHandoffGate
+                                    : Enforcement::kPriorityOnly)
+        << i;
+    EXPECT_EQ(c.topology, bit(3) ? Topology::kRing : Topology::kPsFabric)
+        << i;
+    EXPECT_EQ(c.shard, bit(4) ? ShardStrategy::kEven : ShardStrategy::kBytes)
+        << i;
+    EXPECT_EQ(c.chunk_bytes, bit(5) ? 1 << 20 : 0) << i;
+    EXPECT_EQ(c.batch_factor, bit(6) ? 1.0 : 0.5) << i;
+    EXPECT_EQ(c.ps, bit(7) ? 2 : 1) << i;
+    EXPECT_EQ(c.workers, bit(8) ? 4 : 2) << i;
+    EXPECT_EQ(c.training, bit(9)) << i;
+    EXPECT_EQ(specs[i].model, bit(10) ? "VGG-16" : "AlexNet v2") << i;
+  }
+}
+
 TEST(SweepSpec, RoundTripIdentity) {
   const char* sweeps[] = {
       "envG:workers=1,2,4,8:ps=1:inference models=VGG-16 "
@@ -553,6 +587,176 @@ TEST(SweepSpec, FlowKnobsAreScalarsMirroredIntoEveryCluster) {
     EXPECT_EQ(spec.cluster.pods, 2);
     EXPECT_DOUBLE_EQ(spec.cluster.oversub, 4.0);
   }
+}
+
+// A repeated cluster setting is rejected naming it, as the whitespace
+// keys already were. training, inference and task= are one key.
+TEST(ClusterSpec, RejectsRepeatedSettingsNamingThem) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"envG:workers=4:workers=2:ps=1",
+       "duplicate cluster setting 'workers' in 'envG:workers=4:workers=2:"
+       "ps=1'"},
+      {"envG:workers=4:ps=1:training:inference",
+       "duplicate cluster setting 'inference' in 'envG:workers=4:ps=1:"
+       "training:inference' (already set by 'training')"},
+      {"envG:workers=4:ps=1:task=training:training",
+       "duplicate cluster setting 'training'"},
+      {"envG:workers=4:ps=1:training:flow:flow",
+       "duplicate cluster setting 'flow'"},
+      {"envG:workers=4:ps=1:training:flow:oversub=2:oversub=1",
+       "duplicate cluster setting 'oversub'"},
+      {"envG:workers=4:ps=1:sigma=0:sigma=0.5", "duplicate cluster setting "
+                                               "'sigma'"},
+  };
+  for (const auto& [cluster, message] : cases) {
+    ExpectThrowWith(
+        [&] { SweepSpec::Parse(std::string(cluster) + " models=VGG-16"); },
+        message);
+    ExpectThrowWith(
+        [&] { ExperimentSpec::Parse(std::string(cluster) + " model=VGG-16"); },
+        message);
+  }
+}
+
+// One case per row of the cluster-setting table, in table order. Each
+// setting s sits between `before` and `after` in a canonical cluster
+// text; `at_default` (when the row has an omittable default) must drop
+// out of the canonical form, every `canonical` setting (each bound and a
+// non-default value) must print back as written, and every `rejected`
+// setting (one step past a bound) must fail with `fragment`, which names
+// the key, or for the bounds only ClusterConfig::Validate holds (ooo=,
+// speeds=, inf) the config field. Axis rows go through SweepSpec; the
+// others through ExperimentSpec, which runs Validate.
+struct SettingCase {
+  std::string name;
+  bool axis;
+  std::string before;
+  std::string after;
+  std::string at_default;  // empty: always printed, or no such setting
+  std::vector<std::string> canonical;
+  std::vector<std::pair<std::string, std::string>> rejected;
+};
+
+const std::string kTiny = "4.94065645841247e-324";  // least positive
+const std::string kHuge = "1.7976931348623157e+308";  // largest finite
+const std::string kNegTiny = "-" + kTiny;
+
+std::vector<SettingCase> SettingCases() {
+  const std::string cluster = "envG:workers=4:ps=1:training:";
+  const std::string flow = cluster + "flow:";
+  const std::string counts = "must be in [1, 1048576]";
+  return {
+      {"workers", true, "envG:", ":ps=1:training", "",
+       {"workers=1", "workers=1048576", "workers=8"},
+       {{"workers=0", "workers " + counts},
+        {"workers=1048577", "workers " + counts}}},
+      {"ps", true, "envG:workers=4:", ":training", "",
+       {"ps=1", "ps=1048576", "ps=3"},
+       {{"ps=0", "ps " + counts}, {"ps=1048577", "ps " + counts}}},
+      {"training", false, "envG:workers=4:ps=1:", "", "", {"training"},
+       {{"training=1", "unknown cluster setting 'training'"}}},
+      {"inference", false, "envG:workers=4:ps=1:", "", "", {"inference"},
+       {{"inference=1", "unknown cluster setting 'inference'"}}},
+      {"task", true, "envG:workers=4:ps=1:", "", "",
+       {"task=inference,training", "task=training,training"},
+       {{"task=train", "task= expects 'inference' or 'training'"}}},
+      {"batch", true, cluster, "", "batch=1",
+       {"batch=" + kTiny, "batch=" + kHuge, "batch=0.5"},
+       {{"batch=0", "batch must be > 0"}, {"batch=inf", "batch_factor"}}},
+      {"chunk", true, cluster, "", "chunk=0",
+       {"chunk=9223372036854775807", "chunk=4194304"},
+       {{"chunk=-1", "chunk must be >= 0"},
+        {"chunk=9223372036854775808", "chunk= expects an integer"},
+        {"chunk=8589934592G", "chunk= overflows"}}},
+      {"shard", true, cluster, "", "shard=bytes", {"shard=even"},
+       {{"shard=hash", "unknown shard strategy 'hash'"}}},
+      {"topology", true, cluster, "", "topology=ps", {"topology=ring"},
+       {{"topology=mesh", "unknown topology 'mesh'"}}},
+      {"enforce", true, cluster, "", "enforce=gate",
+       {"enforce=priority", "enforce=chain"},
+       {{"enforce=dag", "unknown enforcement 'dag'"}}},
+      {"sigma", true, cluster, "", "sigma=0", {"sigma=10", "sigma=0.3"},
+       {{"sigma=" + kNegTiny, "sigma must be >= 0"},
+        {"sigma=10.000000000000002", "sigma= must be at most 10"}}},
+      {"jitter", false, cluster, "", "",
+       {"jitter=0", "jitter=10", "jitter=0.1"},
+       {{"jitter=" + kNegTiny, "jitter_sigma"},
+        {"jitter=10.000000000000002", "jitter= must be at most 10"},
+        {"jitter=0,1", "jitter= is not a sweep axis"}}},
+      {"ooo", false, cluster, "", "", {"ooo=0", "ooo=1", "ooo=0.25"},
+       {{"ooo=" + kNegTiny, "out_of_order_probability"},
+        {"ooo=1.0000000000000002", "out_of_order_probability"},
+        {"ooo=0,1", "ooo= is not a sweep axis"}}},
+      {"speeds", false, cluster, "", "",
+       {"speeds=" + kTiny + ",1,1," + kHuge, "speeds=1,1,1,0.5"},
+       {{"speeds=1,0,1,1", "worker_speed_factors[1]"},
+        {"speeds=1,1,1,inf", "worker_speed_factors[3]"},
+        {"speeds=1,1", "worker_speed_factors"}}},
+      {"flow", false, cluster, "", "", {"flow"},
+       {{"flow=1", "unknown cluster setting 'flow'"}}},
+      {"pods", false, flow, "", "pods=1", {"pods=1048576", "pods=2"},
+       {{"pods=0", "pods " + counts},
+        {"pods=1048577", "pods " + counts},
+        {"pods=2,4", "pods= is not a sweep axis"}}},
+      {"oversub", false, flow, "", "oversub=1",
+       {"oversub=" + kTiny, "oversub=" + kHuge, "oversub=2.5"},
+       {{"oversub=0", "oversub must be > 0"},
+        {"oversub=inf", "fabric_oversubscription"}}},
+  };
+}
+
+// The canonical text of `cluster` parsed as a one-row sweep or spec.
+std::string Canonical(const std::string& cluster, bool sweep) {
+  return sweep ? SweepSpec::Parse(cluster + " models=AlexNet v2").ToString()
+               : ExperimentSpec::Parse(cluster + " model=AlexNet v2")
+                     .ToString();
+}
+
+TEST(ClusterSpec, EverySettingRoundTripsAtItsBoundsAndDefault) {
+  const std::string sweep_tail =
+      " models=AlexNet v2 policies=tic iterations=10 seed=1";
+  const std::string spec_tail =
+      " model=AlexNet v2 policy=tic iterations=10 seed=1";
+  for (const SettingCase& row : SettingCases()) {
+    const std::string& tail = row.axis ? sweep_tail : spec_tail;
+    if (!row.at_default.empty()) {
+      const std::string omitted =
+          row.before.substr(0, row.before.size() - 1) + row.after;
+      EXPECT_EQ(Canonical(row.before + row.at_default + row.after, row.axis),
+                omitted + tail)
+          << row.name;
+    }
+    for (const std::string& setting : row.canonical) {
+      const std::string text = row.before + setting + row.after;
+      EXPECT_EQ(Canonical(text, row.axis), text + tail) << row.name;
+      // Expand nests every axis: one spec per value, each carrying it.
+      const SweepSpec sweep = SweepSpec::Parse(text + " models=AlexNet v2");
+      const std::vector<ExperimentSpec> specs = sweep.Expand();
+      ASSERT_EQ(specs.size(), sweep.size()) << text;
+      if (specs.size() == 1) {
+        EXPECT_EQ(specs[0].cluster.ToString(), text);
+      }
+    }
+    for (const auto& [setting, fragment] : row.rejected) {
+      ExpectThrowWith(
+          [&] {
+            ExperimentSpec::Parse(row.before + setting + row.after +
+                                  " model=AlexNet v2");
+          },
+          fragment);
+    }
+  }
+}
+
+TEST(ClusterSpec, UnknownSettingListsEveryRowInTableOrder) {
+  std::string names;
+  for (const SettingCase& row : SettingCases()) {
+    names += (names.empty() ? "" : ", ") + row.name;
+  }
+  ExpectThrowWith(
+      [] { ExperimentSpec::Parse("envG:workers=4:nosuch=1 model=VGG-16"); },
+      "unknown cluster setting 'nosuch' in 'envG:workers=4:nosuch=1' "
+      "(known: " + names + ")");
 }
 
 }  // namespace
