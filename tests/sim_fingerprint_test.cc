@@ -188,6 +188,8 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/freeze-rounds-onto-bound", 0xc6e04eecffafc2d3ull},
       {"flow/uplink-downlink-apart/seed2", 0xd194e27b13563f98ull},
       {"flow/uplink-downlink-apart/seed9", 0x6ae890b267e0dc28ull},
+      {"flow/finish-moves-member", 0x6d94116b3cdcc809ull},
+      {"flow/bench-64x-vgg16", 0xf1894ae31fff1171ull},
       {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
       {"lowering/zoo/AlexNet v2/infer", 0xab4724c124b8031dull},
       {"lowering/zoo/AlexNet v2/train", 0xd64521d490cb83fdull},
@@ -666,6 +668,68 @@ TEST(SimFingerprint, FlowUplinkDownlinkLevelsApart) {
     ExpectGoldenRun("flow/uplink-downlink-apart/seed" + std::to_string(seed),
                     low.tasks, sim.Run(options, seed));
   }
+}
+
+// Finishes that move a flow into the middle of a shared link's members.
+// Flow state lives in slots, and a finish swap-moves the last slot's flow
+// into the freed one. Every first-wave flow crosses link 0 and one of a
+// few near-tied group links (as in flow/near-tied-links), all start at
+// once in resource order, and the middle one is the shortest, so the
+// first finish moves the last flow between two others on link 0. A
+// second wave, one task per resource behind a random first-wave task,
+// starts and finishes more flows after it.
+TEST(SimFingerprint, FlowFinishMovesMember) {
+  std::string digests;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    util::Rng rng(seed);
+    const int flows = 5 + static_cast<int>(rng.Index(16));
+    const std::size_t groups = 1 + rng.Index(4);
+    const double shared = rng.Uniform(1.0, 100.0);
+    std::vector<std::size_t> group(static_cast<std::size_t>(flows));
+    std::vector<int> group_size(groups, 0);
+    for (std::size_t& g : group) ++group_size[g = rng.Index(groups)];
+    sim::FlowNetwork net;
+    net.links.push_back({shared});
+    for (const int size : group_size) {
+      net.links.push_back({shared * std::max(size, 1) / flows});
+    }
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      net.resource_links.push_back({0, 1 + static_cast<int>(group[k])});
+      net.resource_nominal_bps.push_back(1.0 +
+                                         static_cast<double>(rng.Index(2)));
+    }
+    std::vector<sim::Task> tasks(2 * group.size());
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      tasks[k].resource = static_cast<int>(k % group.size());
+      tasks[k].duration = 1.0 + static_cast<double>(rng.Index(3));
+      if (k >= group.size()) {
+        tasks[k].preds = {static_cast<sim::TaskId>(rng.Index(group.size()))};
+      }
+    }
+    const std::size_t middle = group.size() / 2;
+    tasks[middle].duration = 0.5;
+    net.resource_nominal_bps[middle] = 1.0;
+    sim::SimOptions options;
+    options.network = &net;
+    const sim::TaskGraph graph(tasks);
+    const sim::SimResult r = sim::TaskGraphSim(graph, flows).Run(options, 1);
+    sim::ExpectSimInvariants(graph, r);
+    digests += std::to_string(Fingerprint(r)) + ",";
+  }
+  ExpectGolden("flow/finish-moves-member", Fingerprint(digests));
+}
+
+// The fabric BM_SimFlow times (bench/bench_sched_overhead.cc): 64 VGG-16
+// training jobs on one two-pod fat tree, the shape of one cluster-512
+// fabric. Its solves hold ~124 flows over ~22 rounds, far more than any
+// other cell's.
+TEST(SimFingerprint, FlowBenchmarkFabric) {
+  const runtime::MultiJobRunner runner(runtime::MultiJobSpec::Parse(
+      "64x{envG:workers=2:ps=1:training:flow:pods=2:oversub=2 "
+      "model=VGG-16 policy=tac iterations=1 seed=1}"));
+  const runtime::SharedFabric& fabric = runner.fabric();
+  ExpectGoldenRun("flow/bench-64x-vgg16", fabric.lowering.tasks,
+                  fabric.lowering.BuildSim().Run(fabric.options, 1));
 }
 
 // Two flow fabrics side by side: the sharded engine runs two flow
