@@ -267,17 +267,27 @@ class FlowSolver {
   FlowSolver(const std::vector<int>& resource, const FlowNetwork& net)
       : resource_(resource),
         net_(net),
-        link_begin_(net.links.size(), 0),
-        link_end_(net.links.size(), 0),
-        link_head_(net.links.size(), 0),
-        link_count_(net.links.size(), 0),
+        link_begin_(net.links.size() + 1, 0),
         link_listed_(net.links.size(), 0),
+        link_head_(net.links.size(), 0),
         link_members_(net.links.size(), 0),
         link_residual_(net.links.size(), 0.0),
         link_ratio_(net.links.size(), 0.0),
         link_on_(net.links.size(), 0),
         link_in_band_(net.links.size(), 0),
-        link_gen_(net.links.size(), 0) {}
+        link_gen_(net.links.size(), 0) {
+    // A resource runs one task at a time, so link l never holds more
+    // members than the resources that cross it: its segment is sized to
+    // that count once.
+    for (const std::vector<int>& links : net.resource_links) {
+      for (int l : links) ++link_begin_[static_cast<std::size_t>(l) + 1];
+    }
+    for (std::size_t l = 0; l < net.links.size(); ++l) {
+      link_begin_[l + 1] += link_begin_[l];
+    }
+    link_end_.assign(link_begin_.begin(), link_begin_.end() - 1);
+    member_pos_.resize(link_begin_.back());
+  }
 
   // True when tasks on resource r share links (and so progress at the
   // water-filled rate instead of their fixed nominal duration).
@@ -292,24 +302,44 @@ class FlowSolver {
   void Start(TaskId t, double demand, double now) {
     const auto r =
         static_cast<std::size_t>(resource_[static_cast<std::size_t>(t)]);
+    const auto slot = static_cast<int>(flows_.size());
     flows_.push_back({t, demand, 0.0, 0.0, 0.0, net_.resource_nominal_bps[r],
                       net_.resource_links[r]});
+    // The newest slot is the largest, so it goes at each segment's tail.
     for (int l : net_.resource_links[r]) {
       const auto li = static_cast<std::size_t>(l);
-      if (link_count_[li]++ == 0 && !link_listed_[li]) {
+      if (link_end_[li] == link_begin_[li] && !link_listed_[li]) {
         link_listed_[li] = 1;
         touched_.push_back(l);
       }
+      assert(link_end_[li] < link_begin_[li + 1]);
+      member_pos_[link_end_[li]++] = slot;
     }
     Solve(now);
   }
 
   // next() completed at `now`: its bandwidth goes to the other flows.
+  // Its slot takes the last flow, whose entry moves from the tail of each
+  // of its links' segments to its sorted place.
   void FinishNext(double now) {
+    const auto slot = static_cast<int>(next_slot_);
+    const auto last = static_cast<int>(flows_.size() - 1);
     for (int l : flows_[next_slot_].links) {
-      --link_count_[static_cast<std::size_t>(l)];
+      const auto [first, end] = Segment(l);
+      int* const at = std::lower_bound(first, end, slot);
+      std::copy(at + 1, end, at);
+      --link_end_[static_cast<std::size_t>(l)];
     }
-    flows_[next_slot_] = flows_.back();
+    if (slot != last) {
+      flows_[next_slot_] = flows_.back();
+      for (int l : flows_[next_slot_].links) {
+        const auto [first, end] = Segment(l);
+        assert(end[-1] == last);
+        int* const at = std::upper_bound(first, end - 1, slot);
+        std::copy_backward(at, end - 1, end);
+        *at = slot;
+      }
+    }
     flows_.pop_back();
     Solve(now);
   }
@@ -347,6 +377,23 @@ class FlowSolver {
   double RefillBand();
   void Freeze(int p, double level);
 
+  // Link l's members: its slots, ascending.
+  std::pair<int*, int*> Segment(int l) {
+    const auto li = static_cast<std::size_t>(l);
+    return {member_pos_.data() + link_begin_[li],
+            member_pos_.data() + link_end_[li]};
+  }
+
+  // Index of link l's first unfrozen member at or after index i, or
+  // link_end_[l] when there is none.
+  std::size_t NextUnfrozen(int l, std::size_t i) const {
+    const std::size_t end = link_end_[static_cast<std::size_t>(l)];
+    while (i < end && pos_frozen_[static_cast<std::size_t>(member_pos_[i])]) {
+      ++i;
+    }
+    return i;
+  }
+
   // Link l's ratio is at most the band's bound: it joins the band unless
   // it is already in.
   void Enter(int l) {
@@ -359,10 +406,7 @@ class FlowSolver {
   // index i, if any.
   void PushCursor(int l, std::size_t i) {
     const auto li = static_cast<std::size_t>(l);
-    while (i < link_end_[li] &&
-           pos_frozen_[static_cast<std::size_t>(member_pos_[i])]) {
-      ++i;
-    }
+    i = NextUnfrozen(l, i);
     if (i == link_end_[li]) return;
     cursors_.push_back({member_pos_[i], l, i, link_gen_[li]});
     std::push_heap(cursors_.begin(), cursors_.end(), std::greater<Cursor>());
@@ -383,16 +427,17 @@ class FlowSolver {
   std::size_t next_slot_ = 0;
   double next_at_ = std::numeric_limits<double>::infinity();
 
-  // Water-fill scratch. Positions are slots; each touched link's
-  // members are a CSR segment [link_begin_, link_end_) of member_pos_ in
-  // ascending position, with link_head_ past its frozen prefix.
-  std::vector<char> pos_frozen_;
+  // Link membership, kept at Start and FinishNext. Positions are slots;
+  // link l's members are the segment [link_begin_[l], link_end_[l]) of
+  // member_pos_ in ascending position, inside its fixed room up to
+  // link_begin_[l + 1]. touched_ lists every link with a flow, plus ones
+  // emptied since the last solve.
   std::vector<int> member_pos_;
-  std::vector<std::size_t> link_begin_, link_end_, link_head_;
-  // Active flows per link, kept at Start and FinishNext; touched_ lists
-  // every link with a flow, plus ones emptied since the last solve.
-  std::vector<int> link_count_;
+  std::vector<std::size_t> link_begin_, link_end_;
   std::vector<char> link_listed_;      // in touched_
+  // Water-fill scratch. link_head_ is past a segment's frozen prefix.
+  std::vector<char> pos_frozen_;
+  std::vector<std::size_t> link_head_;
   std::vector<int> link_members_;      // unfrozen members
   std::vector<double> link_residual_;  // capacity not yet handed out
   std::vector<double> link_ratio_;     // residual / members, as last changed
@@ -436,29 +481,35 @@ void FlowSolver::Solve(double now) {
     if (f.remaining < 0.0) f.remaining = 0.0;
   }
   last_ = now;
-  std::size_t members = 0;
   std::size_t listed = 0;
   for (int l : touched_) {
     const auto li = static_cast<std::size_t>(l);
-    if (link_count_[li] == 0) {
+    if (link_end_[li] == link_begin_[li]) {
       link_listed_[li] = 0;
       continue;
     }
     touched_[listed++] = l;
-    link_members_[li] = link_count_[li];
+    link_members_[li] = static_cast<int>(link_end_[li] - link_begin_[li]);
     link_residual_[li] = net_.links[li].capacity_bps;
-    link_begin_[li] = link_end_[li] = link_head_[li] = members;
-    members += static_cast<std::size_t>(link_members_[li]);
+    link_head_[li] = link_begin_[li];
     link_ratio_[li] = link_residual_[li] / link_members_[li];
   }
   touched_.resize(listed);
-  member_pos_.resize(members);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (int l : flows_[p].links) {
-      member_pos_[link_end_[static_cast<std::size_t>(l)]++] =
-          static_cast<int>(p);
+#ifndef NDEBUG
+  // The kept membership is a rebuild's: every link's members are the
+  // slots crossing it, ascending, and every link with one is listed.
+  {
+    std::vector<std::size_t> next(link_begin_.begin(), link_begin_.end() - 1);
+    for (std::size_t p = 0; p < n; ++p) {
+      for (int l : flows_[p].links) {
+        const auto li = static_cast<std::size_t>(l);
+        assert(link_listed_[li] && next[li] < link_end_[li]);
+        assert(member_pos_[next[li]++] == static_cast<int>(p));
+      }
     }
+    assert(next == link_end_);
   }
+#endif
   live_ = touched_;
 
   std::size_t unfrozen = n;
@@ -466,25 +517,34 @@ void FlowSolver::Solve(double now) {
     const double level = FindLevel();
     for (int l : on_) {
       const auto li = static_cast<std::size_t>(l);
-      while (pos_frozen_[static_cast<std::size_t>(
-          member_pos_[link_head_[li]])]) {
-        ++link_head_[li];
-      }
+      link_head_[li] = NextUnfrozen(l, link_head_[li]);
       OpenCursor(l, link_head_[li]);
     }
     bool froze = false;
     while (!cursors_.empty()) {
       std::pop_heap(cursors_.begin(), cursors_.end(), std::greater<Cursor>());
-      const Cursor c = cursors_.back();
+      Cursor c = cursors_.back();
       cursors_.pop_back();
       const auto li = static_cast<std::size_t>(c.link);
       if (c.gen != link_gen_[li]) continue;
-      if (!pos_frozen_[static_cast<std::size_t>(c.pos)]) {
-        Freeze(c.pos, level);
-        froze = true;
-        --unfrozen;
+      // While c is the only cursor, no other link's member can come
+      // before its next one: walk its members in position order, and
+      // hand it back to the heap once a Freeze opens another cursor.
+      while (true) {
+        if (!pos_frozen_[static_cast<std::size_t>(c.pos)]) {
+          Freeze(c.pos, level);
+          froze = true;
+          --unfrozen;
+        }
+        if (c.gen != link_gen_[li]) break;  // moved off the level
+        if (!cursors_.empty()) {
+          PushCursor(c.link, c.idx + 1);
+          break;
+        }
+        c.idx = NextUnfrozen(c.link, c.idx + 1);
+        if (c.idx == link_end_[li]) break;
+        c.pos = member_pos_[c.idx];
       }
-      if (c.gen == link_gen_[li]) PushCursor(c.link, c.idx + 1);
     }
     for (int l : on_) link_on_[static_cast<std::size_t>(l)] = 0;
     // Unreachable for valid networks (the argmin link always has a
