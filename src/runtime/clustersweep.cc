@@ -165,17 +165,17 @@ ClusterSweepResult ClusterSweep::Run(int iterations,
   result.jobs = num_jobs();
   result.fabrics = num_fabrics();
   result.iterations = iterations;
-  {
-    const std::vector<int> component = sim.ComponentOf(merged_options_);
-    int max_component = -1;
-    for (const int c : component) max_component = std::max(max_component, c);
-    result.components = max_component + 1;
-  }
+  // The partition depends only on the graph and the options: one for the
+  // report and every iteration's sharded run.
+  const std::vector<int> component = sim.ComponentOf(merged_options_);
+  int max_component = -1;
+  for (const int c : component) max_component = std::max(max_component, c);
+  result.components = max_component + 1;
 
   // Per-job results, global job order (fabric-major).
-  MultiJobResult runs =
-      RunIterations(merged_, merged_options_, iterations, seed,
-                    /*whole=*/false, options_.num_threads, &sim);
+  MultiJobResult runs = RunIterations(
+      merged_, merged_options_, iterations, seed, /*whole=*/false,
+      ShardedRun{options_.num_threads, component}, &sim);
   std::vector<ExperimentResult>& per_job = runs.jobs;
   for (std::size_t g = 0; g < per_job.size(); ++g) {
     per_job[g].samples_per_iteration = samples_per_iteration_[g];

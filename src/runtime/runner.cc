@@ -258,7 +258,7 @@ IterationStats ComputeIterationStats(const Lowering& lowering,
 MultiJobResult RunIterations(const Lowering& lowering,
                              const sim::SimOptions& options, int iterations,
                              std::uint64_t seed, bool whole,
-                             std::optional<int> shard_threads,
+                             std::optional<ShardedRun> sharded,
                              const sim::TaskGraphSim* engine) {
   if (iterations < 1 || iterations > kMaxIterations) {
     throw std::invalid_argument("runtime: iterations must be in [1, " +
@@ -276,8 +276,9 @@ MultiJobResult RunIterations(const Lowering& lowering,
   for (int i = 0; i < iterations; ++i) {
     const std::uint64_t run_seed = seed + static_cast<std::uint64_t>(i);
     const sim::SimResult run =
-        shard_threads ? engine->RunParallel(options, run_seed, *shard_threads)
-                      : engine->Run(options, run_seed);
+        sharded ? engine->RunParallel(options, run_seed, sharded->threads,
+                                      sharded->component)
+                : engine->Run(options, run_seed);
     // The whole lowering is not one of the slices: FillIntervals keys its
     // clock shift per worker, and a task in two slices loses the walk.
     result.combined.iterations

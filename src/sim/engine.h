@@ -85,6 +85,10 @@ class TaskGraphSim {
   // means hardware concurrency.
   SimResult RunParallel(const SimOptions& options, std::uint64_t seed,
                         int num_threads) const;
+  // The same over `component`, this graph's ComponentOf(options), for a
+  // caller that runs one graph many times and partitions it once.
+  SimResult RunParallel(const SimOptions& options, std::uint64_t seed,
+                        int num_threads, std::span<const int> component) const;
 
   // Component id per task under `options` (flow links can merge
   // components), ids dense and ordered by each component's smallest task

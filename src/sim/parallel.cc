@@ -26,6 +26,9 @@
 #include <cstddef>
 #include <exception>
 #include <queue>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -143,7 +146,17 @@ std::vector<int> TaskGraphSim::ComponentOf(const SimOptions& options) const {
 SimResult TaskGraphSim::RunParallel(const SimOptions& options,
                                     std::uint64_t seed,
                                     int num_threads) const {
-  const std::vector<int> component = ComponentOf(options);
+  return RunParallel(options, seed, num_threads, ComponentOf(options));
+}
+
+SimResult TaskGraphSim::RunParallel(const SimOptions& options,
+                                    std::uint64_t seed, int num_threads,
+                                    std::span<const int> component) const {
+  if (component.size() != num_tasks()) {
+    throw std::invalid_argument(
+        "RunParallel: component covers " + std::to_string(component.size()) +
+        " tasks, the graph has " + std::to_string(num_tasks()));
+  }
   const auto n = static_cast<int>(num_tasks());
   int num_components = 0;
   for (int c : component) num_components = std::max(num_components, c + 1);
