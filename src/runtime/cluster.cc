@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/parse.h"
+
 namespace tictac::runtime {
 
 const char* ToString(Enforcement enforcement) {
@@ -59,7 +61,7 @@ void ClusterConfig::Validate() const {
   }
   if (!(batch_factor > 0.0) || std::isinf(batch_factor)) {
     fail("batch_factor must be a finite value > 0, got " +
-         std::to_string(batch_factor));
+         util::FormatDouble(batch_factor));
   }
   if (chunk_bytes < 0) {
     fail("chunk_bytes must be >= 0 (0 = chunking off), got " +
@@ -82,7 +84,7 @@ void ClusterConfig::Validate() const {
     if (!(sigma >= 0.0 && sigma <= kMaxNoiseSigma)) {
       fail(std::string(field) + " must be in [0, " +
            std::to_string(static_cast<int>(kMaxNoiseSigma)) + "], got " +
-           std::to_string(sigma));
+           util::FormatDouble(sigma));
     }
   };
   check_sigma("tac_oracle_sigma", tac_oracle_sigma);
@@ -90,7 +92,7 @@ void ClusterConfig::Validate() const {
   if (!(sim.out_of_order_probability >= 0.0 &&
         sim.out_of_order_probability <= 1.0)) {
     fail("sim.out_of_order_probability must be in [0, 1], got " +
-         std::to_string(sim.out_of_order_probability));
+         util::FormatDouble(sim.out_of_order_probability));
   }
   if (!worker_speed_factors.empty() &&
       worker_speed_factors.size() != static_cast<std::size_t>(num_workers)) {
@@ -104,7 +106,7 @@ void ClusterConfig::Validate() const {
         std::isinf(worker_speed_factors[w])) {
       fail("worker_speed_factors[" + std::to_string(w) +
            "] must be a finite value > 0, got " +
-           std::to_string(worker_speed_factors[w]));
+           util::FormatDouble(worker_speed_factors[w]));
     }
   }
   if (fabric_pods < 1) {
@@ -118,7 +120,7 @@ void ClusterConfig::Validate() const {
       std::isinf(fabric_oversubscription)) {
     fail("fabric_oversubscription must be a finite ratio > 0 (1 = full "
          "bisection bandwidth), got " +
-         std::to_string(fabric_oversubscription));
+         util::FormatDouble(fabric_oversubscription));
   }
   if (flow_fairness && topology == Topology::kRing) {
     fail("flow_fairness models the PS fabric's shared links; ring "

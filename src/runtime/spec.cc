@@ -335,22 +335,6 @@ std::string ClusterText(const Spec& spec) {
 
 }  // namespace
 
-std::string FormatDouble(double value) {
-  // Shortest representation that parses back to the same bits, so
-  // Parse(ToString()) round-trips exactly and Session cache keys never
-  // alias two distinct configurations.
-  // NaN never compares equal, so it prints at 17 digits.
-  std::string text;
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    text = out.str();
-    if (util::ParseDouble(text) == value) break;
-  }
-  return text;
-}
-
 ClusterConfig ClusterSpec::Build() const {
   ClusterConfig config =
       FindEnvironment(env, "ClusterSpec: ")(workers, ps, training);

@@ -27,13 +27,14 @@
 #include <vector>
 
 #include "runtime/cluster.h"
+#include "util/parse.h"
 
 namespace tictac::runtime {
 
-// Shortest decimal form of `value` that parses back to the same double
-// (15-17 significant digits). The grammar's emitters use it so spec
-// round-trips are exact without printing 17 digits for "0.5".
-std::string FormatDouble(double value);
+// Shortest round-trip decimal form of a double (util/parse.h). Spec
+// round-trips through it are exact, so Session cache keys never alias
+// two distinct configurations.
+using util::FormatDouble;
 
 // The cluster half of a spec: a named base environment (envG / envC)
 // plus the overrides the grammar exposes. Kept symbolic — rather than a

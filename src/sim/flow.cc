@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "util/parse.h"
 
 namespace tictac::sim {
 
@@ -32,7 +35,8 @@ void FlowNetwork::Validate(int num_resources) const {
     if (!(c > 0.0) || !std::isfinite(c)) {
       throw std::invalid_argument(
           "FlowNetwork: link " + std::to_string(l) +
-          " capacity must be positive and finite, got " + std::to_string(c));
+          " capacity must be positive and finite, got " +
+          util::FormatDouble(c));
     }
   }
   for (std::size_t r = 0; r < resource_links.size(); ++r) {
@@ -50,7 +54,7 @@ void FlowNetwork::Validate(int num_resources) const {
       throw std::invalid_argument(
           "FlowNetwork: resource " + std::to_string(r) +
           " needs a positive finite nominal rate, got " +
-          std::to_string(nominal));
+          util::FormatDouble(nominal));
     }
   }
 }

@@ -68,6 +68,13 @@ inline std::optional<double> ParseDouble(std::string_view text) {
   return ParseNumber<double>(text);
 }
 
+// The shortest decimal form of `value` (15-17 significant digits) that
+// ParseDouble reads back to the same double: grammar emitters print it
+// so a round-trip is exact without 17 digits for "0.5", and errors print
+// it so "1.0000000000000002" does not read as "1.000000". NaN never
+// compares equal, so it prints at 17 digits.
+std::string FormatDouble(double value);
+
 // `text` cut at every `sep`, empty pieces kept ("a,,b" → "a", "", "b").
 inline std::vector<std::string_view> Split(std::string_view text, char sep) {
   std::vector<std::string_view> parts;

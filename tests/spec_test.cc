@@ -625,7 +625,8 @@ TEST(ClusterSpec, RejectsRepeatedSettingsNamingThem) {
 // non-default value) must print back as written, and every `rejected`
 // setting (one step past a bound) must fail with `fragment`, which names
 // the key, or for the bounds only ClusterConfig::Validate holds (ooo=,
-// speeds=, inf) the config field. Axis rows go through SweepSpec; the
+// speeds=, inf) the config field; the ooo= cases also pin the offending
+// value at round-trip precision. Axis rows go through SweepSpec; the
 // others through ExperimentSpec, which runs Validate.
 struct SettingCase {
   std::string name;
@@ -684,8 +685,11 @@ std::vector<SettingCase> SettingCases() {
         {"jitter=10.000000000000002", "jitter= must be at most 10"},
         {"jitter=0,1", "jitter= is not a sweep axis"}}},
       {"ooo", false, cluster, "", "", {"ooo=0", "ooo=1", "ooo=0.25"},
-       {{"ooo=" + kNegTiny, "out_of_order_probability"},
-        {"ooo=1.0000000000000002", "out_of_order_probability"},
+       {{"ooo=" + kNegTiny, "out_of_order_probability must be in [0, 1], "
+                             "got " + kNegTiny},
+        {"ooo=1.0000000000000002",
+         "out_of_order_probability must be in [0, 1], "
+         "got 1.0000000000000002"},
         {"ooo=0,1", "ooo= is not a sweep axis"}}},
       {"speeds", false, cluster, "", "",
        {"speeds=" + kTiny + ",1,1," + kHuge, "speeds=1,1,1,0.5"},
