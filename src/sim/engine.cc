@@ -327,6 +327,7 @@ class FlowSolver {
     for (int l : flows_[next_slot_].links) {
       const auto [first, end] = Segment(l);
       int* const at = std::lower_bound(first, end, slot);
+      assert(at != end && *at == slot);
       std::copy(at + 1, end, at);
       --link_end_[static_cast<std::size_t>(l)];
     }
@@ -464,9 +465,12 @@ class FlowSolver {
 // when a freeze changes it, and a link at the level walks a cursor over
 // its members in active order — started past the current position when
 // a freeze brings the link to the level, dropped when a freeze moves it
-// off. The level itself comes from the near band (FindLevel), not a scan
-// of every link. That is the same flows, in the same order, against the
-// same state as a full scan, so every share is the same bits. Flows
+// off. Cursors take turns by (position, link) through a min-heap, except
+// that a cursor alone walks its link without it. The level itself comes
+// from the near band (FindLevel), not a scan of every link, and the link
+// memberships are the ones Start and FinishNext keep. That is the same
+// flows, in the same order, against the same state as a full scan, so
+// every share is the same bits. Flows
 // whose rate changed get a fresh completion projection; unchanged flows
 // keep theirs. All iteration is in deterministic (active-list / link-id)
 // order and uses exact float comparisons, so results are reproducible
