@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,6 +139,13 @@ TEST(RunParallel, ThreadCountCannotChangeTheResult) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectSameResult(sim.RunParallel(options, 17, threads), one);
   }
+  // A partition computed once and handed in gives the same result; one
+  // that does not cover the graph is refused.
+  const std::vector<int> component = sim.ComponentOf(options);
+  ExpectSameResult(sim.RunParallel(options, 17, 2, component), one);
+  EXPECT_THROW(sim.RunParallel(options, 17, 2,
+                               std::span<const int>(component).first(3)),
+               std::invalid_argument);
 }
 
 TEST(RunParallel, ShardRunsMatchManualComponentRuns) {
