@@ -13,6 +13,7 @@
 
 #include "core/properties.h"
 #include "ir/lower.h"
+#include "ir/passes.h"
 #include "models/zoo.h"
 #include "runtime/lowering.h"
 #include "runtime/runner.h"
@@ -50,14 +51,13 @@ void BM_LowerClusterPipeline(benchmark::State& state) {
   std::vector<tictac::runtime::JobLoweringInput> jobs;
   jobs.push_back({w.runner.worker_graph(), w.schedule,
                   w.runner.ps_of_param(), w.runner.config()});
-  const tictac::ir::Module module =
-      tictac::ir::StandardLoweringPipeline(
-          tictac::runtime::Topology::kPsFabric)
-          .Run(tictac::ir::BuildLogicalModule(jobs));
+  const tictac::ir::Module module = tictac::ir::RunLoweringPasses(
+      tictac::ir::BuildLogicalModule(jobs),
+      tictac::runtime::Topology::kPsFabric);
   state.counters["nodes"] = static_cast<double>(module.size());
   state.counters["pred_entries"] =
       static_cast<double>(module.graph().pred_ids.size());
-  state.SetLabel("ir::PassPipeline over the flat module");
+  state.SetLabel("ir::RunLoweringPasses over the flat module");
 }
 BENCHMARK(BM_LowerClusterPipeline)->Unit(benchmark::kMillisecond);
 

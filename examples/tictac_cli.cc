@@ -20,7 +20,7 @@
 //       (runtime/multijob.h, DESIGN.md §6).
 //   lower — Lower a composed scenario — each job chunked, sharded and scheduled
 //       by its Runner, then replica expansion, PS lowering, multi-job merging,
-//       arrival offsets in ONE ir::PassPipeline invocation (DESIGN.md §10) with
+//       arrival offsets in ONE ir::RunLoweringPasses call (DESIGN.md §10) with
 //       per-pass invariant checks, via the shared-fabric builder — then
 //       simulate and report per-job and combined results. --dump prints each
 //       pass's module summary; a bare experiment spec (no braces) is accepted
@@ -85,11 +85,12 @@
 #include "exec/validate.h"
 #include "fault/fault.h"
 #include "harness/session.h"
-#include "ir/pass.h"
+#include "ir/passes.h"
 #include "models/builder.h"
 #include "models/zoo.h"
 #include "runtime/clustersweep.h"
 #include "sched/placement.h"
+#include "sched/service.h"
 #include "util/parse.h"
 #include "util/table.h"
 
@@ -275,15 +276,15 @@ int CmdLower(const Args& args) {
   const auto spec = runtime::MultiJobSpec::Parse(text);
 
   // Every job's Runner chunks, shards and schedules it; the whole fabric
-  // then lowers as ONE PassPipeline invocation over one ir::Module
+  // then lowers as ONE ir::RunLoweringPasses call over one ir::Module
   // (DESIGN.md §10), through the builder every multi-job surface uses.
   std::cerr << "lower: " << spec.jobs.size() << " job(s), "
             << spec.TotalWorkers() << " workers on "
             << spec.jobs.front().spec.cluster.ps << " shared PS\n";
   std::vector<std::string> passes;
-  ir::PipelineOptions options;
-  options.check_invariants = true;  // validate the module after every pass
-  options.dump = [&](const std::string& pass, const ir::Module& module) {
+  // Setting the hook also validates the module after every pass.
+  const ir::PassHook after_pass = [&](const std::string& pass,
+                                      const ir::Module& module) {
     passes.push_back(pass);
     if (args.dump) {
       std::cerr << "  [after " << pass << "] " << module.DebugSummary()
@@ -292,7 +293,7 @@ int CmdLower(const Args& args) {
   };
   runtime::RunnerCache cache;
   const runtime::SharedFabric fabric =
-      runtime::BuildSharedFabric(spec.jobs, cache, options);
+      runtime::BuildSharedFabric(spec.jobs, cache, after_pass);
   std::cerr << "lower: pass pipeline:";
   for (const auto& name : passes) std::cerr << ' ' << name;
   std::cerr << "\n";
@@ -401,8 +402,7 @@ int CmdServe(const Args& args) {
     config.faults = fault::FaultSpec::Parse(args.faults);
   }
   config.retry_budget = args.retry_budget;
-  harness::Session session;
-  const sched::ServiceReport report = session.RunService(config);
+  const sched::ServiceReport report = sched::SchedulerService(config).Run();
   if (!args.trace_out.empty()) {
     std::ofstream out(args.trace_out);
     if (!out) {
@@ -458,8 +458,7 @@ int CmdExec(const Args& args) {
   spec.seed = args.seed;
   spec.deterministic = args.deterministic;
   spec.link_jitter_sigma = args.link_jitter;
-  harness::Session session;
-  const exec::ExecReport report = session.RunExec(spec);
+  const exec::ExecReport report = exec::ValidateAgainstSim(spec);
   if (args.emit == "--json") {
     std::cout << report.ToJson();
     return 0;

@@ -1,14 +1,12 @@
 #include "harness/session.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "util/csv.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace tictac::harness {
@@ -281,15 +279,6 @@ MultiJobReport Session::RunMultiJob(const runtime::MultiJobRunner& runner,
   return report;
 }
 
-sched::ServiceReport Session::RunService(const sched::ServiceConfig& config) {
-  sched::SchedulerService service(config);
-  return service.Run();
-}
-
-exec::ExecReport Session::RunExec(const exec::ExecSpec& spec) {
-  return exec::ValidateAgainstSim(spec);
-}
-
 const runtime::Runner& Session::runner(const runtime::ExperimentSpec& spec) {
   return cache_.runner(spec, spec.cluster.workers);
 }
@@ -312,47 +301,9 @@ ResultTable Session::RunAll(const std::vector<runtime::ExperimentSpec>& specs,
                                 std::to_string(parallelism));
   }
   std::vector<ResultRow> rows(specs.size());
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mu;
-  std::exception_ptr error;
-
-  const auto work = [&] {
-    while (!failed.load(std::memory_order_relaxed)) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= specs.size()) return;
-      try {
-        rows[i] = MakeRow(specs[i], Run(specs[i]));
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  const int threads = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(parallelism),
-                            specs.size()));
-  if (threads <= 1) {
-    work();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    try {
-      for (int t = 0; t < threads; ++t) pool.emplace_back(work);
-    } catch (...) {
-      // Thread spawn failed (resource exhaustion): stop the workers that
-      // did start and surface a catchable error instead of terminating
-      // via the vector's joinable-thread destructor.
-      failed.store(true, std::memory_order_relaxed);
-      for (std::thread& thread : pool) thread.join();
-      throw;
-    }
-    for (std::thread& thread : pool) thread.join();
-  }
-  if (error) std::rethrow_exception(error);
+  util::ParallelFor(specs.size(), parallelism, [&](std::size_t i) {
+    rows[i] = MakeRow(specs[i], Run(specs[i]));
+  });
   return ResultTable(std::move(rows));
 }
 

@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "core/metrics.h"
-#include "exec/validate.h"
 #include "runtime/multijob.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
-#include "sched/service.h"
 #include "util/table.h"
 
 namespace tictac::harness {
@@ -129,22 +127,6 @@ class Session {
                              bool with_isolated = true);
   MultiJobReport RunMultiJob(const runtime::MultiJobRunner& runner,
                              bool with_isolated = true);
-
-  // Plays a cluster-scheduler service run (sched::SchedulerService) to
-  // completion: open-system arrivals, admission, placement over K
-  // fabrics, SLO metrics. The service builds its fabrics through a
-  // RunnerCache of its own, not this Session's, so its cache counters —
-  // and the whole report — are deterministic in the config alone.
-  sched::ServiceReport RunService(const sched::ServiceConfig& config);
-
-  // Executes the spec's lowered task graphs for real on the in-process
-  // parameter-server backend (exec::PsBackend) and closes the sim-to-real
-  // loop: calibrate platform constants from the measured trace, re-simulate,
-  // and report predicted vs measured iteration time per policy
-  // (exec::ValidateAgainstSim). Builds its own Runner — the exec spec's
-  // cluster shape does not reuse this Session's cache. Deterministic in
-  // the spec alone when spec.deterministic is set.
-  exec::ExecReport RunExec(const exec::ExecSpec& spec);
 
   // Hardware concurrency, with a floor of 1 (and 4 when unknown).
   static int DefaultParallelism();

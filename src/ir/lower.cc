@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ir/passes.h"
-
 namespace tictac::ir {
 namespace {
 
@@ -101,29 +99,11 @@ Module BuildLogicalModule(
   return module;
 }
 
-PassPipeline StandardLoweringPipeline(runtime::Topology topology,
-                                      int iterations) {
-  PassPipeline pipeline;
-  pipeline.Add(MakeExpandReplicasPass());
-  if (topology == runtime::Topology::kRing) {
-    pipeline.Add(MakeLowerAllreduceRingPass());
-  } else {
-    pipeline.Add(MakeLowerPsFabricPass());
-    pipeline.Add(MakeMergeJobsPass());
-    // No-op (and no network built) unless a job's config enables
-    // flow_fairness, so the static-split presets are untouched.
-    pipeline.Add(MakeLowerFlowNicsPass());
-  }
-  pipeline.Add(MakeApplyArrivalOffsetsPass());
-  pipeline.Add(MakePipelineItersPass(iterations));
-  return pipeline;
-}
-
 runtime::Lowering ToLowering(Module module) {
   if (module.stage != Stage::kMerged) {
     throw std::invalid_argument(
         std::string("ir: ToLowering consumes a merged module, got ") +
-        ToString(module.stage) + " (run the lowering pipeline first)");
+        ToString(module.stage) + " (run the lowering passes first)");
   }
   const int T = module.total_workers;
   const auto n_all = static_cast<NodeId>(module.size());

@@ -1,23 +1,22 @@
-// The bridge between runtime::Lower and the IR pass pipeline (DESIGN.md
+// The bridge between runtime::Lower and the IR lowering passes (DESIGN.md
 // §10): the builder importing scheduled worker graphs into a kLogical
-// Module, the preset pass orders, and the one exporter producing the
-// sim-facing runtime::Lowering. The exporter takes the module by value
-// (callers std::move it) and moves its sim::TaskGraph into
-// Lowering::tasks, so no task is copied on the way out; each job becomes
-// a range view of the one graph (runtime::JobSlice).
+// Module and the one exporter producing the sim-facing runtime::Lowering.
+// The exporter takes the module by value (callers std::move it) and
+// moves its sim::TaskGraph into Lowering::tasks, so no task is copied on
+// the way out; each job becomes a range view of the one graph
+// (runtime::JobSlice).
 //
-// runtime::Lower is BuildLogicalModule + StandardLoweringPipeline +
-// ToLowering, and every runtime entry point (LowerCluster,
+// runtime::Lower is BuildLogicalModule + RunLoweringPasses (ir/passes.h)
+// + ToLowering, and every runtime entry point (LowerCluster,
 // BuildSharedFabric, `tictac_cli lower`) goes through it; the lowering/
 // cells of tests/sim_fingerprint_test.cc pin every field it exports.
 // Chunking, sharding and schedules come from runtime::Runner before the
-// pipeline runs.
+// passes run.
 #pragma once
 
 #include <vector>
 
 #include "ir/module.h"
-#include "ir/pass.h"
 #include "runtime/cluster.h"
 #include "runtime/lowering.h"
 
@@ -35,17 +34,6 @@ int AddJob(Module& module, JobInfo info);
 // only when the schedule covers the whole graph and every recv;
 // best-effort send priorities whenever the sizes match.
 Module BuildLogicalModule(const std::vector<runtime::JobLoweringInput>& jobs);
-
-// The preset pass orders.
-//   kPsFabric: expand_replicas, lower_ps_fabric, merge_jobs,
-//              lower_flow_nics, apply_arrival_offsets,
-//              pipeline_iters:<iterations>
-//   kRing:     expand_replicas, lower_allreduce_ring,
-//              apply_arrival_offsets, pipeline_iters:<iterations>
-// Throws std::invalid_argument("iterations must be >= 1") for
-// iterations < 1.
-PassPipeline StandardLoweringPipeline(runtime::Topology topology,
-                                      int iterations = 1);
 
 // kMerged module -> the simulator-facing task list, worker tables and
 // job slices, plus the per-task iteration tags when the module holds

@@ -202,8 +202,8 @@ class Module {
 
   // --- invariants ---------------------------------------------------------
 
-  // Structural validation, run between passes when the pipeline's
-  // check_invariants option is on: preds in range and acyclic, job
+  // Structural validation, run between passes when RunLoweringPasses
+  // has a hook (ir/passes.h): preds in range and acyclic, job
   // ranges partition the nodes in order, stage-consistent resources
   // (unassigned while logical/replicated, in [0, num_resources) once
   // merged), finite non-negative durations, and dense gate ranks per

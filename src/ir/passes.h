@@ -1,12 +1,10 @@
-// The built-in lowering passes (DESIGN.md §10). Each is a single-purpose
-// Module rewrite; the runtime's lowering entry points are presets over
-// them (ir/lower.h), and multi-job + pipelined compositions are just
-// longer pass orders. Chunking, parameter sharding and schedules are
-// inputs: runtime::Runner computes them before the module is built.
+// The lowering passes (DESIGN.md §10), run in one fixed order by
+// RunLoweringPasses. Each is a single-purpose Module rewrite; multi-job
+// and pipelined compositions are the same order over more jobs and
+// iterations. Chunking, parameter sharding and schedules are inputs:
+// runtime::Runner computes them before the module is built.
 //
-// Stage contract (passes throw std::invalid_argument on violations):
-//
-//   pass                  requires      produces   what it does
+//   pass                  consumes      produces   what it does
 //   ---------------------------------------------------------------------
 //   expand_replicas       kLogical      kReplicated clone ops per worker
 //                                                  (Model Replica)
@@ -28,29 +26,38 @@
 //   pipeline_iters:K      kMerged       kMerged    K pipelined iterations
 //                                                  with cross-iteration
 //                                                  dependencies
-//
-// lower_* consume kReplicated; merge_jobs and everything after consume
-// lowered modules.
 #pragma once
 
-#include <memory>
+#include <functional>
+#include <string>
 
-#include "ir/pass.h"
+#include "ir/module.h"
+#include "runtime/cluster.h"
 
 namespace tictac::ir {
 
-std::shared_ptr<const Pass> MakeExpandReplicasPass();
-std::shared_ptr<const Pass> MakeLowerPsFabricPass();
-std::shared_ptr<const Pass> MakeLowerAllreduceRingPass();
-std::shared_ptr<const Pass> MakeMergeJobsPass();
-std::shared_ptr<const Pass> MakeApplyArrivalOffsetsPass();
-// Throws std::invalid_argument("iterations must be >= 1") for k < 1, at
-// pipeline build, so runtime::Lower refuses it before any lowering work.
-std::shared_ptr<const Pass> MakePipelineItersPass(int iterations);
-// Attaches Module::flow, the capacity graph for the sim's max-min flow
-// model (DESIGN.md §11), when a job's config enables flow fairness. The
-// fat-tree knobs come from the merged jobs' ClusterConfigs, which must
-// agree. PS fabrics only; refuses ring modules and runs once.
-std::shared_ptr<const Pass> MakeLowerFlowNicsPass();
+// Called after each pass with the pass name and the rewritten module
+// (e.g. to print module.DebugSummary() or DebugDump()).
+using PassHook =
+    std::function<void(const std::string& pass, const Module& module)>;
+
+// Lowers a kLogical module to kMerged through the fixed pass order:
+//   kPsFabric: expand_replicas, lower_ps_fabric, merge_jobs,
+//              lower_flow_nics, apply_arrival_offsets,
+//              pipeline_iters:<iterations>
+//   kRing:     expand_replicas, lower_allreduce_ring,
+//              apply_arrival_offsets, pipeline_iters:<iterations>
+// lower_flow_nics attaches Module::flow, the capacity graph for the
+// sim's max-min flow model (DESIGN.md §11), only when a job's config
+// enables flow fairness; the merged jobs' fat-tree knobs must agree.
+//
+// With `after_pass` set, Module::Validate() runs on the input and after
+// every pass, and a violation is reported as "ir: invariant violated
+// after pass '<name>'"; the hook then sees each pass's output. Throws
+// std::invalid_argument("iterations must be >= 1") for iterations < 1,
+// before any pass runs. The ring order lowers one job and one iteration;
+// runtime::Lower refuses other ring inputs by name.
+Module RunLoweringPasses(Module module, runtime::Topology topology,
+                         int iterations = 1, const PassHook& after_pass = {});
 
 }  // namespace tictac::ir

@@ -18,13 +18,10 @@ namespace {
 }  // namespace
 
 Lowering Lower(const std::vector<JobLoweringInput>& jobs, int iterations,
-               const ir::PipelineOptions& pipeline) {
+               const ir::PassHook& after_pass) {
   // merge_jobs reads jobs.front() and checks the rest of the fabric.
   if (jobs.empty()) Fail("Lower needs >= 1 job");
   const Topology topology = jobs.front().config.topology;
-  // Validates iterations >= 1 before any lowering work.
-  const ir::PassPipeline passes =
-      ir::StandardLoweringPipeline(topology, iterations);
   const bool ring = topology == Topology::kRing;
   if (jobs.size() > 1 &&
       std::any_of(jobs.begin(), jobs.end(), [](const JobLoweringInput& job) {
@@ -45,13 +42,13 @@ Lowering Lower(const std::vector<JobLoweringInput>& jobs, int iterations,
     const JobLoweringInput& job = jobs.front();
     const core::Schedule no_schedule;
     const std::vector<int> no_params;
-    return ir::ToLowering(passes.Run(
+    return ir::ToLowering(ir::RunLoweringPasses(
         ir::BuildLogicalModule({{job.graph, no_schedule, no_params,
                                  job.config, job.start_offset}}),
-        pipeline));
+        topology, iterations, after_pass));
   }
-  return ir::ToLowering(
-      passes.Run(ir::BuildLogicalModule(jobs), pipeline));
+  return ir::ToLowering(ir::RunLoweringPasses(
+      ir::BuildLogicalModule(jobs), topology, iterations, after_pass));
 }
 
 Lowering LowerCluster(const core::Graph& worker_graph,

@@ -33,7 +33,7 @@
 
 #include "core/graph.h"
 #include "core/schedule.h"
-#include "ir/pass.h"
+#include "ir/passes.h"
 #include "runtime/cluster.h"
 #include "sim/engine.h"
 
@@ -120,8 +120,8 @@ struct JobLoweringInput {
 };
 
 // The one lowering entry point: ir::BuildLogicalModule(jobs), then
-// ir::StandardLoweringPipeline(jobs.front().config.topology, iterations)
-// (forwarding `pipeline`: invariant checks, dump hook), then
+// ir::RunLoweringPasses(module, jobs.front().config.topology, iterations,
+// after_pass) (a set hook also turns on per-pass invariant checks), then
 // ir::ToLowering. The lowering/ cells of tests/sim_fingerprint_test.cc
 // pin every field it exports.
 //
@@ -144,7 +144,7 @@ struct JobLoweringInput {
 // ring job on a fabric of several jobs, several jobs with iterations > 1,
 // a ring job with iterations > 1, or a lowering pass's refusal.
 Lowering Lower(const std::vector<JobLoweringInput>& jobs, int iterations = 1,
-               const ir::PipelineOptions& pipeline = {});
+               const ir::PassHook& after_pass = {});
 
 // Lower over one job, kept as the single-job entry point.
 Lowering LowerCluster(const core::Graph& worker_graph,

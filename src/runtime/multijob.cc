@@ -183,7 +183,7 @@ int MultiJobSpec::TotalWorkers() const {
 
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                RunnerCache& cache,
-                               const ir::PipelineOptions& pipeline) {
+                               const ir::PassHook& after_pass) {
   int total_workers = 0;
   for (const MultiJobEntry& entry : entries) {
     total_workers += entry.spec.cluster.workers;
@@ -203,7 +203,7 @@ SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
     fabric.samples_per_iteration.push_back(
         SamplesPerIteration(runner.model(), runner.config()));
   }
-  fabric.lowering = Lower(inputs, /*iterations=*/1, pipeline);
+  fabric.lowering = Lower(inputs, /*iterations=*/1, after_pass);
   fabric.options = inputs.front().config.sim;
   fabric.options.enforce_gates = any_scheduled;
   // Non-null exactly when a config enabled flow_fairness

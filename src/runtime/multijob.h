@@ -40,7 +40,7 @@
 #include <string_view>
 #include <vector>
 
-#include "ir/pass.h"
+#include "ir/passes.h"
 #include "runtime/lowering.h"
 #include "runtime/runner.h"
 #include "runtime/spec.h"
@@ -138,13 +138,13 @@ struct SharedFabric {
 // workers into T, takes each job's Runner (chunking, sharding) and
 // schedule from `cache` at fabric size T (so the schedules see the
 // contended oracle), lowers the fabric with Lower (forwarding
-// `pipeline`) and derives the sim options. The result owns
+// `after_pass`) and derives the sim options. The result owns
 // everything it points into; the cache need not outlive it.
 // MultiJobRunner, ClusterSweep, the scheduler service and `tictac_cli
 // lower` build here.
 SharedFabric BuildSharedFabric(const std::vector<MultiJobEntry>& entries,
                                RunnerCache& cache,
-                               const ir::PipelineOptions& pipeline = {});
+                               const ir::PassHook& after_pass = {});
 
 // Simulates `iterations` iterations of `fabric` through RunIterations,
 // seeded seed + i as the single-job path is: per-job statistics from the

@@ -1,5 +1,6 @@
 #include "sim/flow.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -40,13 +41,21 @@ void FlowNetwork::Validate(int num_resources) const {
     }
   }
   for (std::size_t r = 0; r < resource_links.size(); ++r) {
-    if (resource_links[r].empty()) continue;
-    for (const int l : resource_links[r]) {
+    const std::vector<int>& listed = resource_links[r];
+    if (listed.empty()) continue;
+    for (auto it = listed.begin(); it != listed.end(); ++it) {
+      const int l = *it;
       if (l < 0 || static_cast<std::size_t>(l) >= links.size()) {
         throw std::invalid_argument(
             "FlowNetwork: resource " + std::to_string(r) +
             " references link " + std::to_string(l) + " of " +
             std::to_string(links.size()));
+      }
+      // A repeat would count the flow twice in the link's water-fill.
+      if (std::find(listed.begin(), it, l) != it) {
+        throw std::invalid_argument("FlowNetwork: resource " +
+                                    std::to_string(r) + " lists link " +
+                                    std::to_string(l) + " twice");
       }
     }
     const double nominal = resource_nominal_bps[r];

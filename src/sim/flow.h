@@ -33,11 +33,11 @@ struct FlowLink {
 struct FlowNetwork {
   std::vector<FlowLink> links;
 
-  // resource -> ids of the links its transfers traverse, in link-id
-  // order. Empty = not a flow resource: tasks on it run at their nominal
-  // duration exactly as without a network. Indexed by resource id; may be
-  // shorter than the simulation's resource count (missing tail entries =
-  // not flow resources).
+  // resource -> ids of the links its transfers traverse, each at most
+  // once, in any order. Empty = not a flow resource: tasks on it run at
+  // their nominal duration exactly as without a network. Indexed by
+  // resource id; may be shorter than the simulation's resource count
+  // (missing tail entries = not flow resources).
   std::vector<std::vector<int>> resource_links;
 
   // resource -> the static per-channel rate (bytes/second) its task
@@ -49,9 +49,10 @@ struct FlowNetwork {
   // True when at least one resource has a link list.
   bool HasFlows() const;
 
-  // Structural checks: link ids in range, capacities and nominal rates
-  // positive and finite for flow resources, resource tables sized
-  // consistently and within `num_resources`. Throws std::invalid_argument
+  // Structural checks: link ids in range and not repeated within a
+  // resource's list, capacities and nominal rates positive and finite for
+  // flow resources, resource tables sized consistently and within
+  // `num_resources`. Throws std::invalid_argument
   // naming the offending entry.
   void Validate(int num_resources) const;
 };

@@ -22,9 +22,7 @@
 // therefore bit-identical to the serial engine.
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <queue>
 #include <span>
 #include <stdexcept>
@@ -35,6 +33,7 @@
 
 #include "sim/engine.h"
 #include "sim/flow.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace tictac::sim {
@@ -260,36 +259,15 @@ SimResult TaskGraphSim::RunParallel(const SimOptions& options,
   // Run shards over a work-stealing counter. Every shard's outcome is a
   // pure function of (shard, seed, component index), so the thread count
   // and interleaving cannot change any result.
-  std::atomic<int> next_shard{0};
-  std::exception_ptr failure;
-  std::atomic<bool> failed{false};
-  auto worker = [&] {
-    for (int c; (c = next_shard.fetch_add(1)) < num_components;) {
-      try {
-        Shard& s = shards[static_cast<std::size_t>(c)];
+  util::ParallelFor(
+      shards.size(),
+      num_threads > 0 ? num_threads
+                      : static_cast<int>(std::thread::hardware_concurrency()),
+      [&](std::size_t c) {
+        Shard& s = shards[c];
         const TaskGraphSim sim(std::move(s.graph), s.num_resources);
-        s.result = sim.Run(s.options,
-                           util::Rng::StreamSeed(
-                               seed, static_cast<std::uint64_t>(c)));
-      } catch (...) {
-        if (!failed.exchange(true)) failure = std::current_exception();
-      }
-    }
-  };
-  int threads = num_threads > 0
-                    ? num_threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  threads = std::max(1, std::min(threads, num_components));
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads - 1));
-    for (int i = 0; i < threads - 1; ++i) pool.emplace_back(worker);
-    worker();
-    for (std::thread& th : pool) th.join();
-  }
-  if (failed.load()) std::rethrow_exception(failure);
+        s.result = sim.Run(s.options, util::Rng::StreamSeed(seed, c));
+      });
 
   // Deterministic merge: per-task times scatter by global id; the global
   // start order interleaves the (already time-sorted) shard orders by

@@ -161,7 +161,7 @@ TEST(CliSmoke, ExecFlagsAreRejectedElsewhere) {
 
 TEST(CliSmoke, LowerRunsComposedScenarioThroughOnePipeline) {
   // The DESIGN.md §10 quickstart: chunked + sharded + multi-job, one
-  // ir::PassPipeline invocation. stdout carries the pass list and the
+  // ir::RunLoweringPasses call. stdout carries the pass list and the
   // combined result; --dump adds per-pass module summaries on stderr.
   const std::string out_path = ::testing::TempDir() + "/tictac_lower.json";
   const std::string cmd =
@@ -187,7 +187,7 @@ TEST(CliSmoke, LowerRunsComposedScenarioThroughOnePipeline) {
 }
 
 TEST(CliSmoke, LowerMatchesMultiJobWithFlowOffAndOn) {
-  // `lower` (the ir pass pipeline) and `multijob` (BuildSharedFabric)
+  // `lower` (the ir lowering passes) and `multijob` (BuildSharedFabric)
   // simulate the same fabric with the same options, flow network
   // included, so their combined and per-job iteration times agree. The
   // last input is the CI lower smoke's chunked + sharded spec.

@@ -240,6 +240,11 @@ TEST(FlowNetwork, ValidateNamesTheOffendingEntry) {
   bad_capacity.links[0].capacity_bps = 0.0;
   expect_throw(bad_capacity, 2, "capacity");
 
+  // A repeated link would be counted twice by the water-fill.
+  sim::FlowNetwork repeated_link = TwoChannelLink();
+  repeated_link.resource_links[1] = {0, 0};
+  expect_throw(repeated_link, 2, "resource 1 lists link 0 twice");
+
   sim::FlowNetwork bad_nominal = TwoChannelLink();
   bad_nominal.resource_nominal_bps[1] = 0.0;
   expect_throw(bad_nominal, 2, "nominal");

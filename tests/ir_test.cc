@@ -1,9 +1,9 @@
-// Unit tests of the flat task IR and the pass machinery (DESIGN.md
+// Unit tests of the flat task IR and its lowering passes (DESIGN.md
 // §10): Module defaults, in-order pred appends and invariant
-// validation, the stage contract / pass-order errors, pipeline options
-// (invariant checks, dump hooks), and the satellite knobs the
-// pipeline consumes (ChunkingOptions::Validate, shard strategies,
-// topology tokens and their ClusterConfig validation rules).
+// validation, the fixed pass orders and their hook (per-pass invariant
+// checks, dumps), and the satellite knobs the passes consume
+// (ChunkingOptions::Validate, shard strategies, topology tokens and
+// their ClusterConfig validation rules).
 #include "ir/module.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "core/chunking.h"
 #include "core/tic.h"
 #include "ir/lower.h"
-#include "ir/pass.h"
 #include "ir/passes.h"
 #include "models/builder.h"
 #include "models/zoo.h"
@@ -142,7 +141,7 @@ TEST(Module, DebugSummaryNamesStageAndCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage contract / pass ordering
+// Lowering passes
 
 // One real job (smallest zoo model) imported at kLogical.
 Module LogicalModule(bool training = true, int workers = 2, int ps = 1) {
@@ -159,29 +158,8 @@ Module LogicalModule(bool training = true, int workers = 2, int ps = 1) {
   return m;
 }
 
-TEST(PassOrdering, LoweringBeforeExpansionFailsLoudly) {
-  Module m = LogicalModule();
-  try {
-    MakeLowerPsFabricPass()->Run(m);
-    FAIL() << "expected a stage diagnostic";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("ir.lower_ps_fabric: requires a replicated module"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("check the pass order"), std::string::npos) << what;
-  }
-}
-
-TEST(PassOrdering, MergeBeforeLoweringFailsLoudly) {
-  Module m = LogicalModule();
-  MakeExpandReplicasPass()->Run(m);
-  EXPECT_THROW(MakeMergeJobsPass()->Run(m), std::invalid_argument);
-}
-
-TEST(PassOrdering, StandardPresetReachesMerged) {
-  Module m = StandardLoweringPipeline(runtime::Topology::kPsFabric)
-                 .Run(LogicalModule());
+TEST(LoweringPasses, PsOrderReachesMerged) {
+  Module m = RunLoweringPasses(LogicalModule(), runtime::Topology::kPsFabric);
   EXPECT_EQ(m.stage, Stage::kMerged);
   EXPECT_FALSE(m.ring);
   EXPECT_GT(m.num_resources, 0);
@@ -189,63 +167,62 @@ TEST(PassOrdering, StandardPresetReachesMerged) {
   EXPECT_NO_THROW(m.Validate());
 }
 
-TEST(PassOrdering, RingPresetSkipsThePsStage) {
-  Module m = StandardLoweringPipeline(runtime::Topology::kRing)
-                 .Run(LogicalModule());
+TEST(LoweringPasses, RingOrderSkipsThePsStage) {
+  Module m = RunLoweringPasses(LogicalModule(), runtime::Topology::kRing);
   EXPECT_EQ(m.stage, Stage::kMerged);
   EXPECT_TRUE(m.ring);
   EXPECT_EQ(m.num_resources, 2 * 2);  // W workers + W ring links
 }
 
-TEST(PassPipeline, PresetNamesMatchTheDocumentedOrder) {
-  const auto ps = StandardLoweringPipeline(runtime::Topology::kPsFabric, 3);
-  EXPECT_EQ(ps.names(),
+// The pass names the hook sees, in order, for `topology`.
+std::vector<std::string> HookedPasses(runtime::Topology topology,
+                                      int iterations) {
+  std::vector<std::string> seen;
+  RunLoweringPasses(LogicalModule(), topology, iterations,
+                    [&](const std::string& pass, const Module& module) {
+                      seen.push_back(pass);
+                      EXPECT_FALSE(module.DebugSummary().empty());
+                    });
+  return seen;
+}
+
+TEST(LoweringPasses, HookSeesTheDocumentedOrder) {
+  EXPECT_EQ(HookedPasses(runtime::Topology::kPsFabric, 3),
             (std::vector<std::string>{"expand_replicas", "lower_ps_fabric",
                                       "merge_jobs", "lower_flow_nics",
                                       "apply_arrival_offsets",
                                       "pipeline_iters:3"}));
-  EXPECT_THROW(StandardLoweringPipeline(runtime::Topology::kPsFabric, 0),
-               std::invalid_argument);
+  EXPECT_EQ(HookedPasses(runtime::Topology::kRing, 1),
+            (std::vector<std::string>{"expand_replicas",
+                                      "lower_allreduce_ring",
+                                      "apply_arrival_offsets",
+                                      "pipeline_iters:1"}));
+  EXPECT_THROW(
+      RunLoweringPasses(LogicalModule(), runtime::Topology::kPsFabric, 0),
+      std::invalid_argument);
 }
 
-TEST(PassPipeline, DumpHookSeesEveryPassInOrder) {
-  std::vector<std::string> seen;
-  PipelineOptions options;
-  options.check_invariants = true;
-  options.dump = [&](const std::string& pass, const Module& module) {
-    seen.push_back(pass);
-    EXPECT_FALSE(module.DebugSummary().empty());
-  };
-  const auto pipeline =
-      StandardLoweringPipeline(runtime::Topology::kPsFabric);
-  pipeline.Run(LogicalModule(), options);
-  EXPECT_EQ(seen, pipeline.names());
-}
-
-TEST(PassPipeline, InvariantCheckNamesTheFailingPass) {
-  // A pass that corrupts the module: the pipeline's check_invariants
-  // must attribute the violation to it by name.
-  struct Corruptor final : Pass {
-    std::string name() const override { return "corruptor"; }
-    void Run(Module& module) const override { module.duration(0) = -1.0; }
-  };
-  PassPipeline pipeline;
-  pipeline.Add(std::make_shared<Corruptor>());
-  PipelineOptions options;
-  options.check_invariants = true;
+TEST(LoweringPasses, InvariantCheckNamesTheFailingPass) {
+  // A parameter placed on a PS past num_ps: lower_ps_fabric gives its
+  // read a job-local resource, which merge_jobs maps past num_resources.
+  // With a hook set, the violation is attributed to merge_jobs by name.
+  Module m = LogicalModule(/*training=*/true, /*workers=*/2, /*ps=*/1);
+  m.jobs.front().ps_of_param.front() = 1;
   try {
-    pipeline.Run(TinyModule(), options);
+    RunLoweringPasses(std::move(m), runtime::Topology::kPsFabric, 1,
+                      [](const std::string&, const Module&) {});
     FAIL() << "expected an invariant diagnostic";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("after pass 'corruptor'"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "ir: invariant violated after pass 'merge_jobs'"),
               std::string::npos)
         << e.what();
   }
 }
 
-TEST(PassPipeline, ExportMovesTheModulesTaskGraph) {
-  const Module m = StandardLoweringPipeline(runtime::Topology::kPsFabric)
-                       .Run(LogicalModule(true, 4, 2));
+TEST(LoweringPasses, ExportMovesTheModulesTaskGraph) {
+  const Module m = RunLoweringPasses(LogicalModule(true, 4, 2),
+                                     runtime::Topology::kPsFabric);
   // Each pass appends every node's list once, in node order, so the CSR
   // holds exactly the per-node pred lists laid end to end; the exported
   // Lowering holds that same graph.

@@ -430,5 +430,24 @@ TEST(MultiJob, SharedClusterKeepsLegacyErrorPrecedence) {
   }
 }
 
+TEST(MultiJob, CoLocatedFlowJobsMustAgreeOnTheFabricTopology) {
+  // One shared fabric has one fat-tree: lower_flow_nics refuses jobs
+  // whose pods= / oversub= differ, naming both values.
+  const MultiJobSpec spec = MultiJobSpec::Parse(
+      "{envG:workers=2:ps=1:training:flow:pods=2:oversub=3 model=AlexNet v2 "
+      "policy=tac iterations=1} {envG:workers=2:ps=1:training:flow:pods=1 "
+      "model=AlexNet v2 policy=tac iterations=1}");
+  RunnerCache cache;
+  try {
+    BuildSharedFabric(spec.jobs, cache);
+    FAIL() << "expected the fabric-topology diagnostic";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "ir.lower_flow_nics: co-located jobs disagree on the fabric "
+                 "topology (pods=1 vs 2, over=1 vs 3) — one fabric, one "
+                 "topology");
+  }
+}
+
 }  // namespace
 }  // namespace tictac::runtime

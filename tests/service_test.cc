@@ -227,18 +227,6 @@ TEST(SchedulerService, JsonShapeIsPinned) {
   }
 }
 
-TEST(SchedulerService, RunServiceDelegates) {
-  const std::string path = WriteTrace("tictac_delegate.csv",
-                                      {{0.0, Job(2, 2).ToString()}});
-  harness::Session session;
-  const ServiceReport via_session =
-      session.RunService(TraceConfig(path));
-  ExpectServiceInvariants(via_session);
-  const ServiceReport direct =
-      RunChecked(TraceConfig(path));
-  EXPECT_EQ(via_session.ToJson(), direct.ToJson());
-}
-
 TEST(SchedulerService, ValidatesConfig) {
   ServiceConfig config;
   config.arrivals = ArrivalSpec::Parse("poisson:rate=4");

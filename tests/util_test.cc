@@ -3,9 +3,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -13,6 +15,26 @@
 
 namespace tictac::util {
 namespace {
+
+TEST(ParallelFor, VisitsEveryIndexOnceAtAnyThreadCount) {
+  for (const int threads : {1, 2, 4}) {
+    std::vector<int> visits(37, 0);
+    ParallelFor(visits.size(), threads,
+                [&](std::size_t i) { ++visits[i]; });
+    EXPECT_EQ(visits, std::vector<int>(37, 1)) << threads << " threads";
+  }
+  ParallelFor(0, 4, [](std::size_t) { FAIL() << "no index to visit"; });
+}
+
+TEST(ParallelFor, RethrowsABodyError) {
+  for (const int threads : {1, 3}) {
+    EXPECT_THROW(ParallelFor(16, threads,
+                             [](std::size_t i) {
+                               if (i == 5) throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);
