@@ -245,11 +245,17 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"report/clustersweep/flow-off", 0xcd893ab0c80cb714ull},
       {"report/clustersweep/flow-on", 0x529096e4295a226bull},
       {"report/clustersweep/vgg16-128-flow", 0x89e2aaad929caf16ull},
+      {"report/clustersweep/mixed-3fabric", 0xd49fd3c20c350ca7ull},
+      {"report/clustersweep/flow-pods2-oversub3", 0x5acae94cf8cfe8a2ull},
+      {"report/clustersweep/flow-1fabric", 0xff3aae1899506eecull},
       {"report/multijob/3-job-offset", 0x3668de5f0bacc687ull},
       {"report/multijob/chunk-shard-offset", 0xa78340ddff8fa066ull},
       {"stats/per-job/multijob-flow-off", 0x176fc454991753faull},
       {"stats/per-job/multijob-flow-on", 0x326813cd058de650ull},
       {"stats/per-job/clustersweep-flow", 0xee80faffb13f5933ull},
+      {"stats/per-job/clustersweep-mixed-3fabric", 0x7253a4fc0a2acf7bull},
+      {"stats/per-job/clustersweep-flow-pods2-oversub3", 0x2edf5c11b4fe4e7cull},
+      {"stats/per-job/clustersweep-flow-1fabric", 0x78249f636bd8c423ull},
   };
   return kGoldens;
 }
@@ -1128,6 +1134,58 @@ TEST(ReportFingerprint, VggFlowClusterSweep) {
     const runtime::ClusterSweep sweep(
         jobs, runtime::ClusterSweepOptions{.num_threads = threads});
     ExpectGolden("report/clustersweep/vgg16-128-flow", sweep.Run().ToJson());
+  }
+}
+
+// Sweep shapes the cells above miss, each pinned as its report and its
+// per-job statistics at one and four engine threads:
+//   * three fabrics of mixed worker counts and policies, one of them
+//     all-baseline, with offsets, jitter and out-of-order draws;
+//   * two flow fabrics on an oversubscribed two-pod tree, of five and
+//     four workers;
+//   * one flow fabric under jitter, the single-fabric path.
+TEST(ReportFingerprint, ClusterSweepShapes) {
+  struct Case {
+    std::string name;
+    std::string jobs;
+    int fabrics;
+  };
+  const std::string mixed = "envG:ps=1:training:jitter=0.2:ooo=0.1";
+  const std::string tree = "envG:ps=2:training:flow:pods=2:oversub=3";
+  const std::string lone =
+      "envG:workers=2:ps=1:training:jitter=0.2:flow:pods=2:oversub=2";
+  const std::vector<Case> cases = {
+      {"mixed-3fabric",
+       "2x{" + mixed + ":workers=2 model=AlexNet v2 policy=tac iterations=3 "
+       "seed=2} {" + mixed + ":workers=3 model=Inception v1 policy=tic "
+       "iterations=3 seed=2}@0.01 3x{" + mixed + ":workers=2 model=AlexNet "
+       "v2 policy=baseline iterations=3 seed=2}@0.02",
+       3},
+      {"flow-pods2-oversub3",
+       "{" + tree + ":workers=3 model=AlexNet v2 policy=tac iterations=2 "
+       "seed=4} {" + tree + ":workers=2 model=Inception v2 policy=tic "
+       "iterations=2 seed=4} 2x{" + tree + ":workers=2 model=AlexNet v2 "
+       "policy=baseline iterations=2 seed=4}@0.005",
+       2},
+      {"flow-1fabric",
+       "2x{" + lone + " model=AlexNet v2 policy=tac iterations=2 seed=6} "
+       "{" + lone + " model=Inception v2 policy=tic iterations=2 seed=6}",
+       1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<runtime::MultiJobEntry> jobs =
+        runtime::ParseJobGroups(c.jobs, 64);
+    for (const int threads : {1, 4}) {
+      const runtime::ClusterSweep sweep(
+          jobs, runtime::ClusterSweepOptions{.fabrics = c.fabrics,
+                                             .num_threads = threads});
+      const runtime::ClusterSweepResult result = sweep.Run();
+      ASSERT_EQ(result.fabrics, c.fabrics);
+      ExpectGolden("report/clustersweep/" + c.name, result.ToJson());
+      ExpectGolden("stats/per-job/clustersweep-" + c.name,
+                   Fingerprint(result.job_results));
+    }
   }
 }
 
