@@ -1,15 +1,16 @@
-// Datacenter-scale contended sweep through the sharded event engine
-// (runtime/clustersweep.h, DESIGN.md §11): N identical jobs partitioned
-// over ceil(N/64) PS fabrics, merged into one task graph, simulated by
-// TaskGraphSim::RunParallel. The 1000-job case is the ROADMAP's "out of
-// reach for the single-threaded engine" scale; its wall-clock plus the
-// population SLO counters (p99 job iteration, Jain fairness) land in
-// BENCH_sched.json next to the per-fabric BM_MultiJob* rows.
+// Datacenter-scale contended sweep (runtime/clustersweep.h, DESIGN.md
+// §11): N identical jobs partitioned over ceil(N/64) PS fabrics, each
+// simulated on its own engine, the fabrics in parallel on all cores. The
+// 1000-job case is the ROADMAP's "out of reach for the single-threaded
+// engine" scale; its wall-clock plus the population SLO counters (p99
+// job iteration, Jain fairness) land in BENCH_sched.json next to the
+// per-fabric BM_MultiJob* rows.
 //
-// Construction (1000 Runner builds: graphs, dependency analysis,
-// schedules) happens once per benchmark, outside the timed loop — the
-// timed region is one full simulated iteration of every job in the
-// cluster, the quantity the parallel engine is supposed to buy down.
+// Construction (partitioning, one Runner and schedule shared through the
+// sweep's RunnerCache, every fabric's lowering) happens once per
+// benchmark, outside the timed loop — the timed region is one full
+// simulated iteration of every job in the cluster, the quantity running
+// the fabrics in parallel buys down.
 #include <benchmark/benchmark.h>
 
 #include <string>

@@ -22,7 +22,7 @@
 # deleted pre-IR lowering's last timings as its yardstick) plus the
 # module's size (nodes, CSR pred entries), and
 # bench_clustersweep's BM_ClusterSweep cases record the 100/1000-job
-# contended sweep through the sharded parallel engine plus the population
+# contended sweep, one engine per fabric, plus the population
 # SLO counters (p99 job iteration, Jain fairness); the summary below
 # echoes all seven.
 #

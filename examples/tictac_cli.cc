@@ -30,8 +30,8 @@
 //   clustersweep — Datacenter-scale contended sweep (DESIGN.md §11): partition
 //       N jobs (same group grammar as multijob, but up to 4096 in all) over K
 //       shared PS fabrics — K = 0 or absent picks the fewest the 64-job
-//       per-fabric cap allows — merge them into one task graph and simulate it
-//       on the sharded event engine, e.g. --jobs
+//       per-fabric cap allows — and simulate each fabric on its own engine,
+//       the fabrics in parallel over --threads, e.g. --jobs
 //       "1000x{envG:workers=2:ps=1:training model=AlexNet v2 policy=tac
 //       iterations=2 seed=1}" --threads 8. The report (per-job iteration-time
 //       distribution, total throughput, Jain fairness) is byte-identical at

@@ -531,7 +531,7 @@ void ApplyArrivalOffsets(Module& module) {
     if (job.start_offset < 0.0) {
       throw std::invalid_argument("multijob: start_offset must be >= 0, "
                                   "got " +
-                                  std::to_string(job.start_offset));
+                                  util::FormatDouble(job.start_offset));
     }
     any |= job.start_offset > 0.0;
   }
@@ -618,7 +618,6 @@ void LowerFlowNics(Module& module) {
   shape.num_ps = first.config.num_ps;
   shape.bandwidth_bps =
       first.config.platform.bandwidth_bps * T / first.config.num_workers;
-  shape.resource_base = 0;
   module.flow = std::make_shared<const sim::FlowNetwork>(
       models::BuildFatTreeFlowNetwork(shape, options));
 }

@@ -42,10 +42,6 @@ void ValidateShape(const FabricShape& shape, const FatTreeOptions& options) {
         "FabricShape: bandwidth_bps must be positive and finite, got " +
         std::to_string(shape.bandwidth_bps));
   }
-  if (shape.resource_base < 0) {
-    throw std::invalid_argument("FabricShape: resource_base must be >= 0, got " +
-                                std::to_string(shape.resource_base));
-  }
   const int hosts = shape.num_workers + shape.num_ps;
   if (options.pods > hosts) {
     throw std::invalid_argument(
@@ -60,32 +56,27 @@ void ValidateShape(const FabricShape& shape, const FatTreeOptions& options) {
 
 }  // namespace
 
-void AppendFatTreeFabric(const FabricShape& shape,
-                         const FatTreeOptions& options,
-                         sim::FlowNetwork* network) {
+sim::FlowNetwork BuildFatTreeFlowNetwork(const FabricShape& shape,
+                                         const FatTreeOptions& options) {
   ValidateShape(shape, options);
   const int W = shape.num_workers;
   const int S = shape.num_ps;
   const int pods = options.pods;
   const double line_rate = shape.bandwidth_bps;
 
-  // Link layout for this fabric, offset by the links already present:
-  // worker ingress [0,W), worker egress [W,2W), PS egress [2W,2W+S),
-  // PS ingress [2W+S,2W+2S), then per-pod core uplinks and downlinks
-  // (only when pods > 1).
-  const int link_base = static_cast<int>(network->links.size());
-  const int worker_in = link_base;
+  // Link layout: worker ingress [0,W), worker egress [W,2W), PS egress
+  // [2W,2W+S), PS ingress [2W+S,2W+2S), then per-pod core uplinks and
+  // downlinks (only when pods > 1).
+  const int worker_in = 0;
   const int worker_out = worker_in + W;
   const int ps_out = worker_out + W;
   const int ps_in = ps_out + S;
   const int core_up = ps_in + S;
   const int core_down = core_up + (pods > 1 ? pods : 0);
-  const int total_links = core_down + (pods > 1 ? pods : 0) - link_base;
-  network->links.reserve(network->links.size() +
-                         static_cast<std::size_t>(total_links));
-  for (int i = 0; i < 2 * W + 2 * S; ++i) {
-    network->links.push_back({line_rate});
-  }
+  const int num_links = core_down + (pods > 1 ? pods : 0);
+  sim::FlowNetwork network;
+  network.links.reserve(static_cast<std::size_t>(num_links));
+  network.links.assign(static_cast<std::size_t>(2 * W + 2 * S), {line_rate});
   std::vector<int> worker_pod(static_cast<std::size_t>(W), 0);
   std::vector<int> ps_pod(static_cast<std::size_t>(S), 0);
   if (pods > 1) {
@@ -105,7 +96,7 @@ void AppendFatTreeFabric(const FabricShape& shape,
     }
     for (int direction = 0; direction < 2; ++direction) {
       for (int p = 0; p < pods; ++p) {
-        network->links.push_back(
+        network.links.push_back(
             {pod_hosts[static_cast<std::size_t>(p)] * line_rate /
              options.oversubscription});
       }
@@ -113,15 +104,11 @@ void AppendFatTreeFabric(const FabricShape& shape,
   }
 
   // Channel resource ids (runtime/lowering.h layout) -> traversed links.
-  const int base = shape.resource_base;
-  const int downlink_base = base + W;
-  const int uplink_base = base + W + W * S;
-  const int block_end = base + W + 2 * W * S + S;
-  if (static_cast<int>(network->resource_links.size()) < block_end) {
-    network->resource_links.resize(static_cast<std::size_t>(block_end));
-    network->resource_nominal_bps.resize(static_cast<std::size_t>(block_end),
-                                         0.0);
-  }
+  const int downlink_base = W;
+  const int uplink_base = W + W * S;
+  const auto block_end = static_cast<std::size_t>(W + 2 * W * S + S);
+  network.resource_links.resize(block_end);
+  network.resource_nominal_bps.resize(block_end, 0.0);
   const double nominal = line_rate / W;
   for (int w = 0; w < W; ++w) {
     for (int s = 0; s < S; ++s) {
@@ -129,7 +116,7 @@ void AppendFatTreeFabric(const FabricShape& shape,
           pods > 1 && worker_pod[static_cast<std::size_t>(w)] !=
                           ps_pod[static_cast<std::size_t>(s)];
       const auto down = static_cast<std::size_t>(downlink_base + w * S + s);
-      auto& down_links = network->resource_links[down];
+      auto& down_links = network.resource_links[down];
       down_links = {ps_out + s, worker_in + w};
       if (cross_pod) {
         down_links.push_back(core_up + ps_pod[static_cast<std::size_t>(s)]);
@@ -137,25 +124,19 @@ void AppendFatTreeFabric(const FabricShape& shape,
                              worker_pod[static_cast<std::size_t>(w)]);
       }
       std::sort(down_links.begin(), down_links.end());
-      network->resource_nominal_bps[down] = nominal;
+      network.resource_nominal_bps[down] = nominal;
 
       const auto up = static_cast<std::size_t>(uplink_base + w * S + s);
-      auto& up_links = network->resource_links[up];
+      auto& up_links = network.resource_links[up];
       up_links = {worker_out + w, ps_in + s};
       if (cross_pod) {
         up_links.push_back(core_up + worker_pod[static_cast<std::size_t>(w)]);
         up_links.push_back(core_down + ps_pod[static_cast<std::size_t>(s)]);
       }
       std::sort(up_links.begin(), up_links.end());
-      network->resource_nominal_bps[up] = nominal;
+      network.resource_nominal_bps[up] = nominal;
     }
   }
-}
-
-sim::FlowNetwork BuildFatTreeFlowNetwork(const FabricShape& shape,
-                                         const FatTreeOptions& options) {
-  sim::FlowNetwork network;
-  AppendFatTreeFabric(shape, options, &network);
   return network;
 }
 

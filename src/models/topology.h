@@ -25,10 +25,10 @@ namespace tictac::models {
 // One PS fabric's resource block, in the shared layout of
 // runtime/lowering.h (and of merge_jobs for co-located jobs, where
 // num_workers is the merged total T):
-//   [base, base+T)                 worker compute
-//   [base+T, base+T+T*S)           downlink channels, base+T + w*S + s
-//   [base+T+T*S, base+T+2*T*S)     uplink channels, base+T+T*S + w*S + s
-//   [base+T+2*T*S, ...+S)          PS CPUs
+//   [0, T)                 worker compute
+//   [T, T+T*S)             downlink channels, T + w*S + s
+//   [T+T*S, T+2*T*S)       uplink channels, T+T*S + w*S + s
+//   [T+2*T*S, T+2*T*S+S)   PS CPUs
 // Channel durations were computed against the static per-channel rate
 // bandwidth_bps / num_workers, which becomes the channels' nominal rate
 // in the flow model. `bandwidth_bps` is the ORIGINAL line rate of the
@@ -38,7 +38,6 @@ struct FabricShape {
   int num_workers = 0;
   int num_ps = 0;
   double bandwidth_bps = 0.0;
-  int resource_base = 0;
 };
 
 struct FatTreeOptions {
@@ -64,14 +63,5 @@ int PodOf(int index, int count, int pods);
 // (via FatTreeOptions::Validate or for a degenerate shape) on bad input.
 sim::FlowNetwork BuildFatTreeFlowNetwork(const FabricShape& shape,
                                          const FatTreeOptions& options);
-
-// Appends one fabric's links and channel mappings to an existing network
-// (the multi-fabric cluster sweep builds one FlowNetwork spanning every
-// fabric's resource block). Tables grow to cover the fabric's block;
-// resources before `shape.resource_base` that the network does not
-// already map stay non-flow.
-void AppendFatTreeFabric(const FabricShape& shape,
-                         const FatTreeOptions& options,
-                         sim::FlowNetwork* network);
 
 }  // namespace tictac::models

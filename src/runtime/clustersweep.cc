@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "sim/flow.h"
+#include "util/parallel.h"
 
 namespace tictac::runtime {
 namespace {
@@ -22,6 +25,39 @@ double Percentile(const std::vector<double>& sorted, double q) {
   const auto n = static_cast<double>(sorted.size());
   const auto rank = static_cast<std::size_t>(std::ceil(q * n));
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
+
+// Renumbers `fabric`'s resources densely in the order its tasks first
+// use them, the resources no task uses after those, and permutes its
+// flow network with them. The engine dispatches woken resources in id
+// order, so the numbering fixes the order of a run's random draws; every
+// recorded multi-fabric result was drawn under this one.
+void NumberResourcesByFirstUse(SharedFabric& fabric) {
+  Lowering& lowering = fabric.lowering;
+  const auto num_resources = static_cast<std::size_t>(lowering.num_resources);
+  std::vector<int> renumber(num_resources, -1);
+  int next = 0;
+  for (int& r : lowering.tasks.resource) {
+    int& id = renumber[static_cast<std::size_t>(r)];
+    if (id < 0) id = next++;
+    r = id;
+  }
+  for (int& id : renumber) {
+    if (id < 0) id = next++;
+  }
+  if (!lowering.flow) return;
+  const sim::FlowNetwork& native = *lowering.flow;
+  auto flow = std::make_shared<sim::FlowNetwork>();
+  flow->links = native.links;
+  flow->resource_links.resize(num_resources);
+  flow->resource_nominal_bps.resize(num_resources, 0.0);
+  for (std::size_t r = 0; r < native.resource_links.size(); ++r) {
+    const auto id = static_cast<std::size_t>(renumber[r]);
+    flow->resource_links[id] = native.resource_links[r];
+    flow->resource_nominal_bps[id] = native.resource_nominal_bps[r];
+  }
+  fabric.options.network = flow.get();
+  lowering.flow = std::move(flow);
 }
 
 }  // namespace
@@ -58,18 +94,11 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
   // co-located jobs, never across fabrics). Fabrics of the same size
   // share Runners and schedules through one cache, so replicated jobs
   // are analyzed once per sweep.
-  //
-  // Each fabric's lowering is moved into merged_ as soon as it is built:
-  // disjoint task, resource, worker, gate-group and flow-link id ranges,
-  // so the merged graph decomposes back into one independent component
-  // per fabric (sim::TaskGraphSim::ComponentOf) and the sharded engine
-  // runs the K event loops in parallel.
   RunnerCache cache;
-  num_fabrics_ = fabrics;
+  num_jobs_ = n;
   iterations_ = jobs.front().spec.iterations;
   seed_ = jobs.front().spec.seed;
-  std::shared_ptr<sim::FlowNetwork> merged_flow;
-  int gate_base = 0;
+  fabrics_.reserve(static_cast<std::size_t>(fabrics));
   std::size_t next = 0;
   for (int f = 0; f < fabrics; ++f) {
     const int size = base + (f < extra ? 1 : 0);
@@ -78,79 +107,17 @@ ClusterSweep::ClusterSweep(std::vector<MultiJobEntry> jobs,
                      jobs.begin() + static_cast<std::ptrdiff_t>(next) + size);
     next += static_cast<std::size_t>(size);
     spec.Validate();
-    SharedFabric fabric = BuildSharedFabric(spec.jobs, cache);
-
-    // Simulation options are global to the merged run: every fabric must
-    // agree on the knobs a single SimOptions carries. Gate enforcement
-    // ORs across fabrics exactly as BuildSharedFabric ORs it across
-    // co-located jobs.
-    if (f == 0) {
-      merged_options_ = fabric.options;
-    } else {
-      if (fabric.options.jitter_sigma != merged_options_.jitter_sigma ||
-          fabric.options.out_of_order_probability !=
-              merged_options_.out_of_order_probability) {
-        Fail("fabric " + std::to_string(f) +
-             " overrides jitter=/ooo= differently from fabric 0 — "
-             "simulation options are global to a run");
-      }
-      merged_options_.enforce_gates |= fabric.options.enforce_gates;
+    SharedFabric& fabric =
+        fabrics_.emplace_back(BuildSharedFabric(spec.jobs, cache));
+    if (fabric.options.jitter_sigma != fabrics_[0].options.jitter_sigma ||
+        fabric.options.out_of_order_probability !=
+            fabrics_[0].options.out_of_order_probability) {
+      Fail("fabric " + std::to_string(f) +
+           " overrides jitter=/ooo= differently from fabric 0 — "
+           "simulation options are global to a run");
     }
-
-    Lowering& lowering = fabric.lowering;
-    const auto task_base = static_cast<sim::TaskId>(merged_.tasks.size());
-    const int resource_base = merged_.num_resources;
-    const int worker_base = merged_.num_workers;
-    merged_.tasks.Append(lowering.tasks, resource_base, gate_base,
-                         worker_base);
-    const std::vector<int>& groups = lowering.tasks.gate_group;
-    const int max_gate =
-        groups.empty() ? -1 : *std::max_element(groups.begin(), groups.end());
-    for (std::size_t w = 0; w < lowering.worker_tasks.size(); ++w) {
-      for (sim::TaskId& t : lowering.worker_tasks[w]) t += task_base;
-      for (sim::TaskId& t : lowering.worker_recv_tasks[w]) t += task_base;
-      merged_.worker_tasks.push_back(std::move(lowering.worker_tasks[w]));
-      merged_.worker_recv_tasks.push_back(
-          std::move(lowering.worker_recv_tasks[w]));
-      merged_.transfer_param.push_back(std::move(lowering.transfer_param[w]));
-    }
-    // A fabric turns flow fairness on exactly when it has a flow network.
-    if (lowering.flow) {
-      if (!merged_flow) merged_flow = std::make_shared<sim::FlowNetwork>();
-      const sim::FlowNetwork& flow = *lowering.flow;
-      const int link_base = static_cast<int>(merged_flow->links.size());
-      merged_flow->links.insert(merged_flow->links.end(), flow.links.begin(),
-                                flow.links.end());
-      // Both resource tables restart at resource_base (padding the
-      // resources of flow-free fabrics before it with no links).
-      const auto r_base = static_cast<std::size_t>(resource_base);
-      merged_flow->resource_links.resize(r_base);
-      merged_flow->resource_nominal_bps.resize(r_base, 0.0);
-      for (const std::vector<int>& links : flow.resource_links) {
-        for (int& link : merged_flow->resource_links.emplace_back(links)) {
-          link += link_base;
-        }
-      }
-      merged_flow->resource_nominal_bps.insert(
-          merged_flow->resource_nominal_bps.end(),
-          flow.resource_nominal_bps.begin(), flow.resource_nominal_bps.end());
-    }
-    merged_.num_resources += lowering.num_resources;
-    merged_.num_workers += lowering.num_workers;
-    gate_base += max_gate + 1;
-    for (JobSlice job : lowering.jobs) {
-      job.first_task += task_base;
-      job.last_task += task_base;
-      job.first_worker += worker_base;
-      if (job.delay_task >= 0) job.delay_task += task_base;
-      merged_.jobs.push_back(job);
-    }
-    samples_per_iteration_.insert(samples_per_iteration_.end(),
-                                  fabric.samples_per_iteration.begin(),
-                                  fabric.samples_per_iteration.end());
+    if (fabrics > 1) NumberResourcesByFirstUse(fabric);
   }
-  merged_.flow = merged_flow;
-  merged_options_.network = merged_flow.get();
 }
 
 ClusterSweepResult ClusterSweep::Run() const {
@@ -159,31 +126,46 @@ ClusterSweepResult ClusterSweep::Run() const {
 
 ClusterSweepResult ClusterSweep::Run(int iterations,
                                      std::uint64_t seed) const {
-  const sim::TaskGraphSim sim = merged_.BuildSim();
-
   ClusterSweepResult result;
   result.jobs = num_jobs();
   result.fabrics = num_fabrics();
+  result.components = num_fabrics();
   result.iterations = iterations;
-  // The partition depends only on the graph and the options: one for the
-  // report and every iteration's sharded run.
-  const std::vector<int> component = sim.ComponentOf(merged_options_);
-  int max_component = -1;
-  for (const int c : component) max_component = std::max(max_component, c);
-  result.components = max_component + 1;
 
-  // Per-job results, global job order (fabric-major).
-  MultiJobResult runs = RunIterations(
-      merged_, merged_options_, iterations, seed, /*whole=*/false,
-      ShardedRun{options_.num_threads, component}, &sim);
-  std::vector<ExperimentResult>& per_job = runs.jobs;
-  for (std::size_t g = 0; g < per_job.size(); ++g) {
-    per_job[g].samples_per_iteration = samples_per_iteration_[g];
+  // Each fabric's run depends only on the fabric, the seed and its
+  // stream, so the thread count cannot change a result.
+  std::vector<MultiJobResult> runs(fabrics_.size());
+  const bool streams = fabrics_.size() > 1;
+  util::ParallelFor(
+      fabrics_.size(),
+      options_.num_threads > 0
+          ? options_.num_threads
+          : static_cast<int>(std::thread::hardware_concurrency()),
+      [&](std::size_t f) {
+        runs[f] = RunIterations(
+            fabrics_[f].lowering, fabrics_[f].options, iterations, seed,
+            /*whole=*/false,
+            streams ? std::optional<std::uint64_t>(f) : std::nullopt);
+      });
+
+  // Per-job results in global job order (fabric-major); an iteration's
+  // makespan is its latest fabric finish.
+  std::vector<ExperimentResult> per_job;
+  per_job.reserve(static_cast<std::size_t>(num_jobs()));
+  std::vector<double> makespan(static_cast<std::size_t>(iterations), 0.0);
+  for (std::size_t f = 0; f < runs.size(); ++f) {
+    for (std::size_t j = 0; j < runs[f].jobs.size(); ++j) {
+      per_job.push_back(std::move(runs[f].jobs[j]));
+      per_job.back().samples_per_iteration =
+          fabrics_[f].samples_per_iteration[j];
+    }
+    for (std::size_t i = 0; i < makespan.size(); ++i) {
+      makespan[i] =
+          std::max(makespan[i], runs[f].combined.iterations[i].makespan);
+    }
   }
   double makespan_sum = 0.0;
-  for (const IterationStats& run : runs.combined.iterations) {
-    makespan_sum += run.makespan;
-  }
+  for (const double m : makespan) makespan_sum += m;
   result.mean_makespan_s = makespan_sum / static_cast<double>(iterations);
 
   result.job_mean_iteration_s.reserve(per_job.size());

@@ -140,8 +140,7 @@ void MultiJobSpec::Validate() const {
            "match across jobs");
     }
     if (!(jobs[j].start_offset >= 0.0) || std::isinf(jobs[j].start_offset)) {
-      Fail(where + "has start offset " +
-           std::to_string(jobs[j].start_offset) +
+      Fail(where + "has start offset " + FormatDouble(jobs[j].start_offset) +
            " — offsets must be finite and >= 0");
     }
   }

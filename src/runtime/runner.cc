@@ -16,6 +16,7 @@
 #include "ir/module.h"
 #include "models/zoo.h"
 #include "runtime/sharding.h"
+#include "util/rng.h"
 
 namespace tictac::runtime {
 namespace {
@@ -258,15 +259,13 @@ IterationStats ComputeIterationStats(const Lowering& lowering,
 MultiJobResult RunIterations(const Lowering& lowering,
                              const sim::SimOptions& options, int iterations,
                              std::uint64_t seed, bool whole,
-                             std::optional<ShardedRun> sharded,
-                             const sim::TaskGraphSim* engine) {
+                             std::optional<std::uint64_t> stream) {
   if (iterations < 1 || iterations > kMaxIterations) {
     throw std::invalid_argument("runtime: iterations must be in [1, " +
                                 std::to_string(kMaxIterations) + "], got " +
                                 std::to_string(iterations));
   }
-  std::optional<sim::TaskGraphSim> own;
-  if (engine == nullptr) engine = &own.emplace(lowering.BuildSim());
+  const sim::TaskGraphSim engine = lowering.BuildSim();
   MultiJobResult result;
   result.jobs.resize(lowering.jobs.size());
   for (ExperimentResult& job : result.jobs) {
@@ -275,10 +274,8 @@ MultiJobResult RunIterations(const Lowering& lowering,
   result.combined.iterations.reserve(static_cast<std::size_t>(iterations));
   for (int i = 0; i < iterations; ++i) {
     const std::uint64_t run_seed = seed + static_cast<std::uint64_t>(i);
-    const sim::SimResult run =
-        sharded ? engine->RunParallel(options, run_seed, sharded->threads,
-                                      sharded->component)
-                : engine->Run(options, run_seed);
+    const sim::SimResult run = engine.Run(
+        options, stream ? util::Rng::StreamSeed(run_seed, *stream) : run_seed);
     // The whole lowering is not one of the slices: FillIntervals keys its
     // clock shift per worker, and a task in two slices loses the walk.
     result.combined.iterations

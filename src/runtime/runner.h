@@ -87,27 +87,20 @@ struct MultiJobResult {
   std::vector<ExperimentResult> jobs;
 };
 
-// How RunIterations shards: RunParallel on `threads` threads over
-// `component`, the engine's ComponentOf under the run's options.
-struct ShardedRun {
-  int threads = 0;
-  std::span<const int> component;
-};
-
 // The one iteration loop, behind Runner::Run, RunSharedFabric and
 // ClusterSweep::Run. Checks iterations against [1, kMaxIterations],
-// builds an engine over lowering.tasks (unless handed `engine`, one over
-// them already), and simulates iteration i seeded seed + i — with
-// TaskGraphSim::Run, or with RunParallel as `sharded` says when that is
-// set. result.jobs[j] takes slice j's statistics;
+// builds an engine over lowering.tasks and simulates iteration i with
+// TaskGraphSim::Run seeded seed + i, or util::Rng::StreamSeed(seed + i,
+// *stream) when `stream` is set (a cluster sweep's fabric of several).
+// result.jobs[j] takes slice j's statistics;
 // result.combined.iterations[i] takes run i's makespan, and the rest of
 // the whole lowering's statistics (the 2-arg call) only when `whole` is
 // set. samples_per_iteration is the caller's to fill.
 MultiJobResult RunIterations(const Lowering& lowering,
                              const sim::SimOptions& options, int iterations,
                              std::uint64_t seed, bool whole = false,
-                             std::optional<ShardedRun> sharded = std::nullopt,
-                             const sim::TaskGraphSim* engine = nullptr);
+                             std::optional<std::uint64_t> stream =
+                                 std::nullopt);
 
 // Samples one iteration of a job processes: the model's standard batch,
 // scaled by the batch factor, on each of the job's workers.

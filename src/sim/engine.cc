@@ -474,7 +474,7 @@ class FlowSolver {
 // whose rate changed get a fresh completion projection; unchanged flows
 // keep theirs. All iteration is in deterministic (active-list / link-id)
 // order and uses exact float comparisons, so results are reproducible
-// across runs and shards.
+// across runs.
 void FlowSolver::Solve(double now) {
   const std::size_t n = flows_.size();
   pos_frozen_.assign(n, 0);

@@ -74,27 +74,6 @@ class TaskGraphSim {
 
   SimResult Run(const SimOptions& options, std::uint64_t seed) const;
 
-  // Sharded execution (sim/parallel.cc, DESIGN.md §11): partitions the
-  // graph into independent components — tasks connected through a
-  // dependency edge, a shared resource, a shared gate group, or a shared
-  // flow link — and advances each component's event loop on its own
-  // thread with a per-component random stream. The result is identical
-  // at every thread count (component runs depend only on the component
-  // and the seed; merges are ordered), and with a single component this
-  // delegates to Run() and is bit-identical to it. num_threads <= 0
-  // means hardware concurrency.
-  SimResult RunParallel(const SimOptions& options, std::uint64_t seed,
-                        int num_threads) const;
-  // The same over `component`, this graph's ComponentOf(options), for a
-  // caller that runs one graph many times and partitions it once.
-  SimResult RunParallel(const SimOptions& options, std::uint64_t seed,
-                        int num_threads, std::span<const int> component) const;
-
-  // Component id per task under `options` (flow links can merge
-  // components), ids dense and ordered by each component's smallest task
-  // id. Exposed for tests and for shard-count reporting.
-  std::vector<int> ComponentOf(const SimOptions& options) const;
-
   std::size_t num_tasks() const { return graph_.size(); }
   int num_resources() const { return num_resources_; }
 

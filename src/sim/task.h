@@ -69,13 +69,6 @@ struct TaskGraph {
             pred_ids.data() + pred_begin[t + 1]};
   }
 
-  // Appends `other`'s tasks after these, its pred ids shifted by size(),
-  // its resources by `resource_base`, its gate groups by `gate_base` and
-  // its workers by `worker_base`: a graph placed beside this one, sharing
-  // nothing with it when the bases clear this graph's own ids.
-  void Append(const TaskGraph& other, int resource_base, int gate_base,
-              int worker_base);
-
   // The engine's columns.
   std::vector<double> duration;
   std::vector<int> resource;
@@ -104,32 +97,6 @@ inline TaskGraph::TaskGraph(std::span<const Task> rows) {
     pred_ids.insert(pred_ids.end(), row.preds.begin(), row.preds.end());
     pred_begin.push_back(pred_ids.size());
   }
-}
-
-inline void TaskGraph::Append(const TaskGraph& other, int resource_base,
-                              int gate_base, int worker_base) {
-  // Appends `from` to `to` with every id >= 0 shifted by `base`; a
-  // negative id means "none" and is kept.
-  const auto shifted = [](std::vector<int>& to, const std::vector<int>& from,
-                          int base) {
-    for (const int id : from) to.push_back(id >= 0 ? id + base : id);
-  };
-  const std::size_t entry_base = pred_ids.size();
-  for (std::size_t t = 1; t < other.pred_begin.size(); ++t) {
-    pred_begin.push_back(entry_base + other.pred_begin[t]);
-  }
-  shifted(pred_ids, other.pred_ids, static_cast<TaskId>(size()));
-  duration.insert(duration.end(), other.duration.begin(),
-                  other.duration.end());
-  shifted(resource, other.resource, resource_base);
-  priority.insert(priority.end(), other.priority.begin(),
-                  other.priority.end());
-  shifted(gate_group, other.gate_group, gate_base);
-  gate_rank.insert(gate_rank.end(), other.gate_rank.begin(),
-                   other.gate_rank.end());
-  op.insert(op.end(), other.op.begin(), other.op.end());
-  kind.insert(kind.end(), other.kind.begin(), other.kind.end());
-  shifted(worker, other.worker, worker_base);
 }
 
 // One step of a piecewise-constant resource-speed timeline (fault

@@ -1,6 +1,6 @@
 // A work-stealing loop over an index range, shared by the experiment
-// grid (harness::Session::RunAll) and the sharded simulation engine
-// (sim::TaskGraphSim::RunParallel).
+// grid (harness::Session::RunAll) and the cluster sweep's fabrics
+// (runtime::ClusterSweep::Run).
 #pragma once
 
 #include <cstddef>

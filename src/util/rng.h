@@ -99,8 +99,8 @@ class Rng {
   }
 
   // The child seed Stream() is built from, for consumers that pass seeds
-  // onward instead of holding a generator (the sharded sim engine seeds
-  // each component with StreamSeed(seed, component)).
+  // onward instead of holding a generator (a cluster sweep of several
+  // fabrics seeds fabric f's iteration i with StreamSeed(seed + i, f)).
   static std::uint64_t StreamSeed(std::uint64_t seed, std::uint64_t stream) {
     std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -430,6 +430,19 @@ TEST(CliSmoke, ClusterSweepJobCapErrorDoesNotNameMultijob) {
       << result.stderr_text;
 }
 
+// A refused offset prints exactly: six fixed digits read -1e-7 as
+// "-0.000000", an offset that looks valid.
+TEST(CliSmoke, MultiJobNegativeOffsetPrintsExactly) {
+  const CliResult result = RunCli(
+      "multijob --jobs \"{envG:workers=2:ps=1 model=AlexNet v2 "
+      "policy=tac}@-1e-7\"");
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.stderr_text.find(
+                "has start offset -1e-07 — offsets must be finite and >= 0"),
+            std::string::npos)
+      << result.stderr_text;
+}
+
 // Noise shapes past kMaxNoiseSigma overflow exp(sigma·z) to inf or 0;
 // uncapped, jitter=1e308 ran and printed a 0.00 ms mean iteration time.
 TEST(CliSmoke, RunRejectsOverflowingJitterNamingTheToken) {

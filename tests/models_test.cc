@@ -337,30 +337,5 @@ TEST(FatTree, OversubscribedCoreLinksOnCrossPodChannelsOnly) {
   net.Validate(12);
 }
 
-TEST(FatTree, AppendOffsetsSecondFabricsLinksAndResources) {
-  // Two fabrics in one network, the sweep's merged layout: fabric B's
-  // links start after A's 6, its resources after A's block of 7.
-  sim::FlowNetwork net;
-  AppendFatTreeFabric({.num_workers = 2, .num_ps = 1,
-                       .bandwidth_bps = 100.0, .resource_base = 0},
-                      {}, &net);
-  AppendFatTreeFabric({.num_workers = 1, .num_ps = 1,
-                       .bandwidth_bps = 200.0, .resource_base = 7},
-                      {}, &net);
-  ASSERT_EQ(net.links.size(), 10u);
-  EXPECT_DOUBLE_EQ(net.links[6].capacity_bps, 200.0);
-  // Fabric B block: worker {7}, downlink {8}, uplink {9}, PS CPU {10}.
-  ASSERT_EQ(net.resource_links.size(), 11u);
-  EXPECT_TRUE(net.resource_links[7].empty());
-  EXPECT_EQ(net.resource_links[8], (std::vector<int>{6, 8}));
-  EXPECT_EQ(net.resource_links[9], (std::vector<int>{7, 9}));
-  EXPECT_TRUE(net.resource_links[10].empty());
-  // Fabric A's mappings are untouched; B's nominal is its own line rate
-  // over its single worker.
-  EXPECT_EQ(net.resource_links[2], (std::vector<int>{0, 4}));
-  EXPECT_DOUBLE_EQ(net.resource_nominal_bps[8], 200.0);
-  net.Validate(11);
-}
-
 }  // namespace
 }  // namespace tictac::models

@@ -6,10 +6,10 @@
 // resource elects or when the random draws happen, so a dispatcher
 // rewrite that reorders resource visits would pass them all. These
 // 64-bit fingerprints hash every start/end bit pattern, the start order
-// and the makespan of seeded runs across the zoo, fault timelines,
-// flow-level fabrics and the sharded engine; they were generated with
-// the all-resource scan dispatcher and must never move unless a change
-// is meant to alter simulated results.
+// and the makespan of seeded runs across the zoo, fault timelines and
+// flow-level fabrics; they were generated with the all-resource scan
+// dispatcher and must never move unless a change is meant to alter
+// simulated results.
 //
 // The "lowering/" cells pin the exported task graphs themselves — every
 // field of every task plus the worker tables and job slices — so a
@@ -182,7 +182,6 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/pods4-oversub4/seed1", 0x15ea1d52afe2561aull},
       {"flow/pods4-oversub4/seed7", 0x948ad45f5692fe48ull},
       {"flow/inference-3job-pods1", 0xe193b547b2f4ebbaull},
-      {"flow/run-parallel-2fabric", 0xb47e889a55c3177bull},
       {"flow/near-tied-links", 0xa918ecebe798ff83ull},
       {"flow/capacity-ladder", 0xd610fe974f1ee12dull},
       {"flow/freeze-rounds-onto-bound", 0xc6e04eecffafc2d3ull},
@@ -190,7 +189,6 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"flow/uplink-downlink-apart/seed9", 0x6ae890b267e0dc28ull},
       {"flow/finish-moves-member", 0x6d94116b3cdcc809ull},
       {"flow/bench-64x-vgg16", 0xf1894ae31fff1171ull},
-      {"parallel/3-component", 0xbfd3b7c28d3c24f7ull},
       {"lowering/zoo/AlexNet v2/infer", 0xab4724c124b8031dull},
       {"lowering/zoo/AlexNet v2/train", 0xd64521d490cb83fdull},
       {"lowering/zoo/Inception v1/infer", 0x51e9b1cd6822ac74ull},
@@ -377,37 +375,6 @@ TEST(SimFingerprint, FaultOnAWideMostlyIdleGraph) {
   }
   EXPECT_EQ(resumed, 2.0);
 }
-
-// Lowerings side by side in one graph: disjoint tasks, resources, gate
-// groups and flow links, so each is its own component for the sharded
-// engine.
-struct MergedGraph {
-  sim::TaskGraph tasks;
-  int resources = 0;
-  int gate_groups = 0;
-  sim::FlowNetwork net;
-
-  void Append(const runtime::Lowering& low) {
-    tasks.Append(low.tasks, resources, gate_groups, 0);
-    int groups = 0;
-    for (const int g : low.tasks.gate_group) groups = std::max(groups, g + 1);
-    if (low.flow) {
-      const int link_base = static_cast<int>(net.links.size());
-      net.links.insert(net.links.end(), low.flow->links.begin(),
-                       low.flow->links.end());
-      net.resource_links.resize(static_cast<std::size_t>(resources));
-      net.resource_nominal_bps.resize(static_cast<std::size_t>(resources));
-      for (std::size_t r = 0; r < low.flow->resource_links.size(); ++r) {
-        std::vector<int> links = low.flow->resource_links[r];
-        for (int& l : links) l += link_base;
-        net.resource_links.push_back(std::move(links));
-        net.resource_nominal_bps.push_back(low.flow->resource_nominal_bps[r]);
-      }
-    }
-    resources += low.num_resources;
-    gate_groups += groups;
-  }
-};
 
 // One shared flow fabric: `cluster` with each of `jobs` ("model=…
 // policy=…") appended, at iterations=2 seed=3.
@@ -736,54 +703,6 @@ TEST(SimFingerprint, FlowBenchmarkFabric) {
   const runtime::SharedFabric& fabric = runner.fabric();
   ExpectGoldenRun("flow/bench-64x-vgg16", fabric.lowering.tasks,
                   fabric.lowering.BuildSim().Run(fabric.options, 1));
-}
-
-// Two flow fabrics side by side: the sharded engine runs two flow
-// components.
-TEST(SimFingerprint, FlowRunParallel) {
-  MergedGraph merged;
-  sim::SimOptions options;
-  for (const auto& [cluster, jobs] :
-       {std::pair{std::string("envG:workers=4:ps=2:training:flow:pods=2:"
-                              "oversub=2"),
-                  std::vector<std::string>{"model=AlexNet v2 policy=tac",
-                                           "model=Inception v2 policy=tic"}},
-        std::pair{std::string("envG:workers=2:ps=1:training:flow:pods=1"),
-                  std::vector<std::string>{"model=VGG-16 policy=tac",
-                                           "model=VGG-16 policy=baseline"}}}) {
-    const runtime::MultiJobRunner runner = FlowFabric(cluster, jobs);
-    merged.Append(runner.fabric().lowering);
-    options = Randomized(runner.fabric().options);
-  }
-  options.network = &merged.net;
-  const sim::TaskGraphSim sim(merged.tasks, merged.resources);
-  const std::vector<int> component = sim.ComponentOf(options);
-  ASSERT_EQ(*std::max_element(component.begin(), component.end()), 1);
-  for (const int threads : {1, 4}) {
-    ExpectGoldenRun("flow/run-parallel-2fabric", merged.tasks,
-                    sim.RunParallel(options, 13, threads));
-  }
-}
-
-// Three zoo lowerings side by side form a three-component graph for the
-// sharded engine.
-TEST(SimFingerprint, RunParallelMultiComponent) {
-  const runtime::ClusterConfig cluster = runtime::EnvG(2, 1, true);
-  MergedGraph merged;
-  for (const auto& [model, policy] :
-       {std::pair{"AlexNet v2", "tac"}, std::pair{"Inception v2", "tic"},
-        std::pair{"ResNet-50 v2", "baseline"}}) {
-    const runtime::Runner runner(models::FindModel(model), cluster);
-    merged.Append(LowerZoo(runner, policy));
-  }
-  const sim::TaskGraphSim sim(merged.tasks, merged.resources);
-  const sim::SimOptions options = Randomized(cluster.sim);
-  const std::vector<int> component = sim.ComponentOf(options);
-  ASSERT_EQ(*std::max_element(component.begin(), component.end()), 2);
-  for (const int threads : {1, 4}) {
-    ExpectGoldenRun("parallel/3-component", merged.tasks,
-                    sim.RunParallel(options, 9, threads));
-  }
 }
 
 // --- lowering/ cells: the exported task graphs ----------------------------
@@ -1233,8 +1152,8 @@ TEST(StatsFingerprint, MultiJobPerJob) {
   }
 }
 
-// The same per-job statistics out of a two-fabric merged sweep, at one
-// and four engine threads.
+// The same per-job statistics out of a two-fabric sweep, at one and
+// four threads.
 TEST(StatsFingerprint, ClusterSweepPerJob) {
   const std::string cluster =
       "envG:workers=2:ps=1:training:jitter=0.3:ooo=0.05:flow:pods=2:"
