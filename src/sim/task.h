@@ -116,8 +116,11 @@ struct ResourceFault {
 struct SimOptions {
   // Honor gate_group/gate_rank. Off = the unscheduled baseline.
   bool enforce_gates = true;
-  // Probability that a gated task is exempted from its gate, modeling
-  // gRPC hand-off reordering (the paper measures 0.4-0.5%).
+  // Probability that a dispatch ignores priority ranks, modeling gRPC
+  // hand-off reordering (the paper measures 0.4-0.5%): the resource then
+  // starts a task drawn uniformly from all tasks already enqueued on it,
+  // whatever their rank. A task still held at its gate is never exempted
+  // from it; it is enqueued only once the gate reaches its rank.
   double out_of_order_probability = 0.0;
   // Multiplicative lognormal jitter (shape sigma) on every task duration,
   // modeling platform timing variation. 0 = deterministic durations.

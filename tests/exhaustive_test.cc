@@ -102,7 +102,8 @@ TEST_P(OptimalitySweep, TacNearOptimalTicBeatsWorst) {
   // TAC no worse than the average random order; TIC — which ignores the
   // (here heavily skewed) transfer times — may land slightly above the
   // mean on adversarial random DAGs, so it gets a small margin. On real
-  // DNN structure TIC tracks TAC (Appendix B / bench_fig13).
+  // DNN structure TIC tracks TAC (Appendix B; bench_figures --figure
+  // fig13).
   EXPECT_LE(tac, space.mean + 1e-9) << "seed " << seed;
   EXPECT_LE(tic, space.mean * 1.08 + 1e-9) << "seed " << seed;
   // And strictly better than the worst order when there is any spread.

@@ -1,7 +1,14 @@
 // End-to-end behavioural tests mirroring the paper's headline claims,
-// expressed through the declarative ExperimentSpec / Session API.
+// expressed through the declarative ExperimentSpec / Session API, and
+// every declared figure's claim (harness/figures.h) checked across seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iostream>
+#include <set>
+#include <stdexcept>
+
+#include "harness/figures.h"
 #include "harness/session.h"
 #include "models/zoo.h"
 #include "util/stats.h"
@@ -132,6 +139,91 @@ TEST(Integration, MorePsImprovesCommBoundThroughput) {
           .Throughput();
   EXPECT_GT(ps4, ps1 * 1.5);
 }
+
+// --- The declared figures (harness/figures.h) --------------------------------
+
+TEST(Figures, IdsAreUniqueAndEverySweepParses) {
+  std::set<std::string> ids;
+  for (const auto& figure : harness::Figures()) {
+    EXPECT_TRUE(ids.insert(figure.id).second) << "repeated id " << figure.id;
+    EXPECT_NE(figure.tables.empty(), !figure.report) << figure.id;
+    EXPECT_NO_THROW(harness::FigureSpecs(figure)) << figure.id;
+  }
+}
+
+TEST(Figures, SelectTakesFlagsInOrderAndRejectsBadOnesListingIds) {
+  const auto all = harness::Figures();
+  EXPECT_EQ(harness::SelectFigures({}).size(), all.size());
+  const auto two =
+      harness::SelectFigures({"--figure", "fig13", "--figure", "fig7"});
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0].id + two[1].id, "fig13fig7");
+  for (const auto& [args, error] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"--figure", "fig8"}, "unknown figure 'fig8'"},
+           {{"--figure", "fig7", "--figure", "fig7"}, "'fig7' given twice"},
+           {{"--figure"}, "--figure needs an id"},
+           {{"--figure", "fig7", "--figure"}, "--figure needs an id"},
+           {{"--figure=fig7"}, "unknown argument '--figure=fig7'"}}) {
+    try {
+      harness::SelectFigures(args);
+      ADD_FAILURE() << "accepted " << ::testing::PrintToString(args);
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(error), std::string::npos) << what;
+      EXPECT_NE(what.find("(known figures: fig7, fig9, fig10, fig11"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+// Each figure's claim over seed shifts k = 0..9 (every sweep's seed plus
+// k; k = 0 is the printed table). The rule, fixed before any outcome was
+// seen: the claim holds on the cell-wise median of the ten shifts and at
+// no fewer than 8 of them. A declared known failure must still fail it.
+// fig7, fig9, fig12 and unique-orders run k = 0 only: their ten shifts
+// would take this test past 30 s in Release.
+class FigureClaim : public ::testing::TestWithParam<harness::Figure> {};
+
+TEST_P(FigureClaim, HoldsAcrossSeedShifts) {
+  const harness::Figure& figure = GetParam();
+  const std::set<std::string> unshifted = {"fig7", "fig9", "fig12",
+                                           "unique-orders"};
+  const int shifts = unshifted.count(figure.id) ? 1 : 10;
+  harness::Session session;
+  std::vector<harness::Values> runs;
+  int holding = 0;
+  for (int k = 0; k < shifts; ++k) {
+    runs.push_back(harness::MeasureFigure(figure, session, k).values);
+    holding += figure.check(runs.back()).holds;
+  }
+  harness::Values median = runs.front();  // cell-wise over the shifts
+  for (std::size_t t = 0; t < median.size(); ++t) {
+    for (std::size_t r = 0; r < median[t].size(); ++r) {
+      for (std::size_t c = 0; c < median[t][r].size(); ++c) {
+        std::vector<double> cell;
+        for (const auto& run : runs) cell.push_back(run[t][r][c]);
+        median[t][r][c] = util::Percentile(cell, 0.5);
+      }
+    }
+  }
+  const bool passes = figure.check(median).holds &&
+                      holding >= (shifts == 1 ? 1 : 8);
+  std::cout << figure.id << ": holds at " << holding << "/" << shifts
+            << " shifts and " << (figure.check(median).holds ? "" : "not ")
+            << "at the median\n";
+  EXPECT_EQ(passes, figure.known_failure.empty())
+      << figure.claim << "\nknown failure: " << figure.known_failure;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Figures, FigureClaim, ::testing::ValuesIn(harness::Figures()),
+    [](const ::testing::TestParamInfo<harness::Figure>& info) {
+      std::string name = info.param.id;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace tictac

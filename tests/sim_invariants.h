@@ -1,10 +1,10 @@
 // Properties every completed simulation must hold, whatever the graph,
 // options or thread count: finite times, each task after its preds, one
 // task at a time per resource, a makespan that is the last end, and a
-// start order that lists every task once in time order. The fingerprint
-// and sharded-engine suites call it on every run that completes all its
-// tasks, so an engine change that breaks one fails by name instead of as
-// a moved digest.
+// start order that lists every task once in time order.
+// sim_fingerprint_test and clustersweep_test call it on every run that
+// completes all its tasks, so an engine change that breaks one fails by
+// name instead of as a moved digest.
 #pragma once
 
 #include <gtest/gtest.h>
