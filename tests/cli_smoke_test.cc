@@ -72,6 +72,19 @@ TEST(CliSmoke, KnownSubcommandSucceeds) {
   EXPECT_EQ(result.exit_code, 0) << result.stderr_text;
 }
 
+TEST(CliSmoke, PoliciesTableIsExact) {
+  EXPECT_EQ(CliStdout("policies"),
+            "| Policy         | Needs oracle | Example spec   |\n"
+            "|----------------|--------------|----------------|\n"
+            "| baseline       | no           | baseline       |\n"
+            "| tic            | no           | tic            |\n"
+            "| tac            | yes          | tac            |\n"
+            "| random         | no           | random:99      |\n"
+            "| smallest-first | no           | smallest-first |\n"
+            "| largest-first  | no           | largest-first  |\n"
+            "| reverse        | no           | reverse:tic    |\n");
+}
+
 TEST(CliSmoke, NoArgumentsPrintsUsageAndFails) {
   const CliResult result = RunCli("");
   EXPECT_EQ(result.exit_code, 2);

@@ -88,6 +88,34 @@ TEST(PolicyRegistry, NoArgPoliciesRejectArguments) {
                std::invalid_argument);
 }
 
+// The message of the std::invalid_argument that Create(spec) throws.
+std::string CreateError(const std::string& spec) {
+  try {
+    PolicyRegistry::Global().Create(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+  return "";
+}
+
+TEST(PolicyRegistry, BadSpecsNameTheirFaultExactly) {
+  EXPECT_EQ(CreateError("tic:5"),
+            "policy \"tic\" takes no argument, got \"5\"");
+  EXPECT_EQ(CreateError("reverse:tic:5"),
+            "policy \"tic\" takes no argument, got \"5\"");
+  EXPECT_EQ(CreateError("random:-1"),
+            "policy \"random\" expects a non-negative integer seed, got "
+            "\"-1\"");
+  EXPECT_EQ(CreateError("random: 7"),
+            "policy \"random\" expects a non-negative integer seed, got "
+            "\" 7\"");
+  EXPECT_EQ(CreateError("no-such-policy"),
+            "unknown scheduling policy \"no-such-policy\"; available: "
+            "baseline, tic, tac, random, smallest-first, largest-first, "
+            "reverse");
+}
+
 TEST(PolicyRegistry, RandomSeedArgumentIsHonored) {
   const auto& registry = PolicyRegistry::Global();
   const AnalyticalTimeOracle oracle{PlatformModel{}};

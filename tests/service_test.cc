@@ -317,6 +317,51 @@ TEST(PlacementPolicy, BestFitPacksTheFullestEligibleFabric) {
   EXPECT_EQ(policy->Place(Job(), loads, 0, 2), 0);
 }
 
+// Equal scores go to the lowest fabric id.
+TEST(PlacementPolicy, TiesGoToTheLowestFabricId) {
+  const std::vector<FabricLoad> loads = {{1, 4, 64.0}, {1, 4, 64.0},
+                                         {1, 4, 64.0}};
+  for (const char* name :
+       {"least-loaded", "best-fit-bytes", "failure-aware"}) {
+    EXPECT_EQ(MakePlacementPolicy(name)->Place(Job(), loads, 2, 8), 0)
+        << name;
+  }
+  // Failure-aware ties on load plus fault penalty, not on load alone.
+  std::vector<FabricLoad> faulty(3);
+  for (FabricLoad& load : faulty) {
+    load.active_workers = 2;
+    load.recent_faults = 1;
+  }
+  faulty[0].down = true;
+  EXPECT_EQ(MakePlacementPolicy("failure-aware")->Place(Job(), faulty, 0, 8),
+            1);
+}
+
+// From the last fabric, round-robin wraps to the front, past full ones.
+TEST(PlacementPolicy, RoundRobinWrapsPastFullFabrics) {
+  const auto policy = MakePlacementPolicy("round-robin");
+  std::vector<FabricLoad> loads(4);
+  loads[3].active_jobs = 2;
+  loads[0].active_jobs = 2;
+  EXPECT_EQ(policy->Place(Job(), loads, 3, 2), 1);
+  EXPECT_EQ(policy->Place(Job(), loads, 7, 2), 1);
+  EXPECT_EQ(policy->Place(Job(), loads, 2, 2), 2);
+  loads[1].active_jobs = 2;
+  loads[2].down = true;
+  EXPECT_EQ(policy->Place(Job(), loads, 3, 2), -1);
+}
+
+TEST(PlacementPolicy, UnknownNameIsNamedExactly) {
+  try {
+    MakePlacementPolicy("nope");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "placement: unknown policy 'nope' — registered: "
+                 "least-loaded, round-robin, best-fit-bytes, failure-aware");
+  }
+}
+
 TEST(PlacementPolicy, UnknownNameListsRegisteredOnes) {
   try {
     MakePlacementPolicy("random");

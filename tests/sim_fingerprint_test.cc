@@ -19,6 +19,11 @@
 // service, cluster-sweep and multi-job JSON the CLI prints — so a
 // refactor of the layers above the engine is held to the same bytes.
 //
+// The "schedule/" cells pin every policy spec's Schedule — its size,
+// every op's priority, the spec's canonical name and whether it needs
+// the oracle — so a rewrite of the policy layer is held to the same
+// priorities.
+//
 // A mismatch prints the new table line for the cell, so an intentional
 // re-pin is a copy of the failure output into Goldens().
 #include <gtest/gtest.h>
@@ -32,9 +37,13 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/policy_registry.h"
+#include "core/properties.h"
 #include "core/tic.h"
+#include "core/time_oracle.h"
 #include "fault/fault.h"
 #include "harness/session.h"
 #include "models/builder.h"
@@ -254,6 +263,32 @@ const std::map<std::string, std::uint64_t>& Goldens() {
       {"stats/per-job/clustersweep-mixed-3fabric", 0x7253a4fc0a2acf7bull},
       {"stats/per-job/clustersweep-flow-pods2-oversub3", 0x2edf5c11b4fe4e7cull},
       {"stats/per-job/clustersweep-flow-1fabric", 0x78249f636bd8c423ull},
+      {"schedule/AlexNet v2/infer/baseline", 0x6ca45526ed55fc6aull},
+      {"schedule/AlexNet v2/infer/tic", 0x8cba9dc99ddf1cffull},
+      {"schedule/AlexNet v2/infer/tac", 0xdd0c63c46062a356ull},
+      {"schedule/AlexNet v2/infer/random", 0x310d23d8dc7d6c0aull},
+      {"schedule/AlexNet v2/infer/smallest-first", 0x93067cf9c1461fc6ull},
+      {"schedule/AlexNet v2/infer/largest-first", 0x9eaa010b52f7b742ull},
+      {"schedule/AlexNet v2/infer/reverse", 0x25bd251077e5514dull},
+      {"schedule/AlexNet v2/infer/random:7", 0xff350a6b450e94bcull},
+      {"schedule/AlexNet v2/infer/reverse:tac", 0xd185142981a6b424ull},
+      {"schedule/AlexNet v2/infer/reverse:baseline", 0xab8d8a44580e5713ull},
+      {"schedule/AlexNet v2/infer/reverse:random:7", 0xc2dc39091a36069eull},
+      {"schedule/AlexNet v2/infer/reverse:reverse:tic", 0x7e93aac518bfe62full},
+      {"schedule/AlexNet v2/infer/reverse:reverse:reverse:tic", 0x2e1b7eff3769389dull},
+      {"schedule/Inception v3/train/baseline", 0xbbe0e4111cab0296ull},
+      {"schedule/Inception v3/train/tic", 0xdfc58b126f84e4deull},
+      {"schedule/Inception v3/train/tac", 0x2a6c1ee40968b3f7ull},
+      {"schedule/Inception v3/train/random", 0x5656ce5c5108a44bull},
+      {"schedule/Inception v3/train/smallest-first", 0xdd8b9ad5a3723ea7ull},
+      {"schedule/Inception v3/train/largest-first", 0x7d4b00de27699423ull},
+      {"schedule/Inception v3/train/reverse", 0x8ca005f26ec6f56cull},
+      {"schedule/Inception v3/train/random:7", 0xa57baa0948199abdull},
+      {"schedule/Inception v3/train/reverse:tac", 0x17cca36977eb6505ull},
+      {"schedule/Inception v3/train/reverse:baseline", 0x116530f3b1af2392ull},
+      {"schedule/Inception v3/train/reverse:random:7", 0x4b0a0b7ac578459full},
+      {"schedule/Inception v3/train/reverse:reverse:tic", 0xbf11571521236a8eull},
+      {"schedule/Inception v3/train/reverse:reverse:reverse:tic", 0x73a863046fbf11bcull},
   };
   return kGoldens;
 }
@@ -703,6 +738,50 @@ TEST(SimFingerprint, FlowBenchmarkFabric) {
   const runtime::SharedFabric& fabric = runner.fabric();
   ExpectGoldenRun("flow/bench-64x-vgg16", fabric.lowering.tasks,
                   fabric.lowering.BuildSim().Run(fabric.options, 1));
+}
+
+// --- schedule/ cells: every policy spec's priorities -----------------------
+
+// FNV-1a over a policy's output on `index`: the schedule's size, each
+// op's priority (kNoPriority for an op the schedule leaves open), then
+// the policy's name bytes and its RequiresOracle() bit.
+std::uint64_t ScheduleFingerprint(const core::SchedulingPolicy& policy,
+                                  const core::PropertyIndex& index) {
+  const core::AnalyticalTimeOracle oracle{core::PlatformModel{}};
+  const core::Schedule schedule = policy.Compute(index, oracle);
+  LoweringHash hash;
+  hash.Mix(schedule.size());
+  const core::Graph& graph = index.graph();
+  for (core::OpId op = 0; op < static_cast<core::OpId>(graph.size()); ++op) {
+    hash.MixInt(schedule.priority(op));
+  }
+  const std::string name = policy.name();
+  hash.Mix(name.size());
+  for (const char c : name) hash.Mix(static_cast<unsigned char>(c));
+  hash.Mix(policy.RequiresOracle() ? 1 : 0);
+  return hash.value();
+}
+
+TEST(ScheduleFingerprint, EveryPolicySpec) {
+  std::vector<std::string> specs = core::PolicyRegistry::Global().List();
+  for (const char* spec :
+       {"random:7", "reverse:tac", "reverse:baseline", "reverse:random:7",
+        "reverse:reverse:tic", "reverse:reverse:reverse:tic"}) {
+    specs.push_back(spec);
+  }
+  for (const auto& [model, training] :
+       {std::pair<const char*, bool>{"AlexNet v2", false},
+        std::pair<const char*, bool>{"Inception v3", true}}) {
+    const core::Graph graph = models::BuildWorkerGraph(
+        models::FindModel(model), {.training = training});
+    const core::PropertyIndex index(graph);
+    for (const std::string& spec : specs) {
+      ExpectGolden(std::string("schedule/") + model +
+                       (training ? "/train/" : "/infer/") + spec,
+                   ScheduleFingerprint(
+                       *core::PolicyRegistry::Global().Create(spec), index));
+    }
+  }
 }
 
 // --- lowering/ cells: the exported task graphs ----------------------------
