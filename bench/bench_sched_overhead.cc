@@ -80,9 +80,9 @@ void BM_DependencyAnalysis(benchmark::State& state, const char* model) {
   }
 }
 
-// Every registered policy through the polymorphic interface, including
-// lookup + construction — bounds the cost of registry-driven dispatch
-// over calling the free functions directly.
+// Every built-in policy by spec, including the parse of the spec —
+// bounds the cost of selecting a policy by name over calling Tic/Tac
+// directly.
 void BM_RegistryPolicy(benchmark::State& state, const char* spec) {
   const auto& info = tictac::models::FindModel("Inception v3");
   const auto graph =

@@ -145,6 +145,14 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return text;
 }
 
+std::string PlacementNames() {
+  std::vector<std::string> names;
+  for (const sched::PlacementPolicy& policy : sched::kPlacementPolicies) {
+    names.emplace_back(policy.name);
+  }
+  return Join(names, ", ");
+}
+
 int CmdListPolicies(const Args&) {
   util::Table table({"Policy", "Needs oracle", "Example spec"});
   const auto& registry = core::PolicyRegistry::Global();
@@ -649,7 +657,7 @@ int Usage() {
          "slowlink:nic=0:scale=0.25:at=1:for=2; crash:worker=2:at=5; "
          "crash:fabric=1:at=5; flap:nic=0:period=0.5:at=1:for=3\n"
          "placements: "
-      << Join(sched::PlacementPolicyNames(), ", ")
+      << PlacementNames()
       << "\npolicies (see `tictac_cli policies`): "
       << Join(core::PolicyRegistry::Global().List(), ", ") << "\n";
   return 2;

@@ -1,57 +1,65 @@
-// String-keyed registry of scheduling policies.
-//
-// Policy selection everywhere above core (runner, harness, CLI, bench)
-// goes through this registry, so adding a policy is one Register() call
-// instead of an enum + switch edit in six files.
-//
-// A policy *spec* is "name" or "name:arg"; the part after the first ':'
-// is passed to the factory verbatim. Built-ins:
-//   baseline         no priorities (TensorFlow's arbitrary order)
-//   tic              Algorithm 2, DAG structure only
-//   tac              Algorithm 3, timing-aware (needs a time oracle)
-//   random[:seed]    fixed random permutation (default seed 99)
-//   smallest-first   ascending transfer bytes
-//   largest-first    descending transfer bytes
-//   reverse[:spec]   reverse of another policy's order (default "tic");
-//                    nests, e.g. "reverse:random:7"
+// Transfer-ordering policies, selected by spec string: "name" or
+// "name:arg". The paper's heuristics (TIC, TAC, baseline) and the repo's
+// ablation orders each map a prebuilt communication-dependency index and
+// a time oracle to a priority Schedule, and each is one row of the
+// constant table in policy_registry.cc, which documents its spec.
 #pragma once
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
-#include "core/policy.h"
+#include "core/properties.h"
+#include "core/schedule.h"
+#include "core/time_oracle.h"
 
 namespace tictac::core {
 
-class PolicyRegistry {
+struct PolicyRow;
+
+// A parsed spec: a table row, the random seed, and the number of
+// "reverse:" prefixes in front of the row's name.
+class SchedulingPolicy final {
  public:
-  // Builds a policy from the spec's argument part ("" when the spec has
-  // no ':'). Factories must throw std::invalid_argument on a bad arg.
-  using Factory =
-      std::function<std::unique_ptr<SchedulingPolicy>(const std::string&)>;
+  // Produces the priority schedule for index.graph(). `oracle` predicts
+  // per-op execution times; timing-independent policies ignore it.
+  Schedule Compute(const PropertyIndex& index,
+                   const TimeOracle& oracle) const;
 
-  // The process-wide registry, with the built-ins pre-registered.
-  static PolicyRegistry& Global();
+  // Canonical spec of this policy: PolicyRegistry::Global().Create(name())
+  // reconstructs an equivalent one (e.g. "tac", "random:99",
+  // "reverse:tic").
+  std::string name() const;
 
-  // Registers a factory under `name` (no ':' allowed). Throws
-  // std::invalid_argument on duplicates or malformed names.
-  void Register(const std::string& name, Factory factory);
-
-  bool Contains(const std::string& name) const;
-
-  // Creates the policy for a spec ("name" or "name:arg"). Throws
-  // std::invalid_argument for unknown names, listing what is available.
-  std::unique_ptr<SchedulingPolicy> Create(const std::string& spec) const;
-
-  // Registered names, in registration order.
-  std::vector<std::string> List() const { return order_; }
+  // True if Compute's result depends on the oracle's times. Callers use
+  // this to decide whether oracle quality (noise, calibration) matters.
+  bool RequiresOracle() const;
 
  private:
-  std::vector<std::string> order_;
-  std::unordered_map<std::string, Factory> factories_;
+  friend class PolicyRegistry;
+  SchedulingPolicy(const PolicyRow& row, std::uint64_t seed,
+                   std::size_t reversals)
+      : row_(&row), seed_(seed), reversals_(reversals) {}
+
+  const PolicyRow* row_;
+  std::uint64_t seed_;
+  std::size_t reversals_;
+};
+
+class PolicyRegistry {
+ public:
+  static const PolicyRegistry& Global();
+
+  // Creates the policy for a spec, in time linear in the spec's length.
+  // Throws std::invalid_argument for an unknown name, listing what is
+  // available, or for a bad argument.
+  std::unique_ptr<SchedulingPolicy> Create(std::string_view spec) const;
+
+  // Policy names, in table order: baseline first.
+  std::vector<std::string> List() const;
 };
 
 }  // namespace tictac::core

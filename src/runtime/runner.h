@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/policy.h"
+#include "core/policy_registry.h"
 #include "core/properties.h"
 #include "core/schedule.h"
 #include "models/builder.h"

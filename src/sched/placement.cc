@@ -1,118 +1,38 @@
 #include "sched/placement.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace tictac::sched {
-namespace {
 
-bool Eligible(const FabricLoad& load, int max_jobs_per_fabric) {
-  return !load.down && load.active_jobs < max_jobs_per_fabric;
+int PlacementPolicy::Place(const runtime::ExperimentSpec& job,
+                           const std::vector<FabricLoad>& loads,
+                           std::size_t decision_seq,
+                           int max_jobs_per_fabric) const {
+  const PlacementQuery query{job, loads, decision_seq, max_jobs_per_fabric};
+  int best = -1;
+  double best_score = 0.0;
+  for (std::size_t f = 0; f < loads.size(); ++f) {
+    if (loads[f].down || loads[f].active_jobs >= max_jobs_per_fabric) {
+      continue;
+    }
+    const double s = score(query, f);
+    if (best < 0 || s < best_score) {
+      best = static_cast<int>(f);
+      best_score = s;
+    }
+  }
+  return best;
 }
 
-class LeastLoaded final : public PlacementPolicy {
- public:
-  std::string_view name() const override { return "least-loaded"; }
-
-  int Place(const runtime::ExperimentSpec&,
-            const std::vector<FabricLoad>& loads, std::size_t,
-            int max_jobs_per_fabric) const override {
-    int best = -1;
-    for (std::size_t f = 0; f < loads.size(); ++f) {
-      if (!Eligible(loads[f], max_jobs_per_fabric)) continue;
-      if (best < 0 || loads[f].active_workers <
-                          loads[static_cast<std::size_t>(best)]
-                              .active_workers) {
-        best = static_cast<int>(f);
-      }
-    }
-    return best;
-  }
-};
-
-class RoundRobin final : public PlacementPolicy {
- public:
-  std::string_view name() const override { return "round-robin"; }
-
-  int Place(const runtime::ExperimentSpec&,
-            const std::vector<FabricLoad>& loads, std::size_t decision_seq,
-            int max_jobs_per_fabric) const override {
-    // Start at the rotation point and take the first eligible fabric.
-    for (std::size_t step = 0; step < loads.size(); ++step) {
-      const std::size_t f = (decision_seq + step) % loads.size();
-      if (Eligible(loads[f], max_jobs_per_fabric)) {
-        return static_cast<int>(f);
-      }
-    }
-    return -1;
-  }
-};
-
-class BestFitBytes final : public PlacementPolicy {
- public:
-  std::string_view name() const override { return "best-fit-bytes"; }
-
-  int Place(const runtime::ExperimentSpec&,
-            const std::vector<FabricLoad>& loads, std::size_t,
-            int max_jobs_per_fabric) const override {
-    int best = -1;
-    for (std::size_t f = 0; f < loads.size(); ++f) {
-      if (!Eligible(loads[f], max_jobs_per_fabric)) continue;
-      if (best < 0 || loads[f].active_param_mib >
-                          loads[static_cast<std::size_t>(best)]
-                              .active_param_mib) {
-        best = static_cast<int>(f);
-      }
-    }
-    return best;
-  }
-};
-
-class FailureAware final : public PlacementPolicy {
- public:
-  std::string_view name() const override { return "failure-aware"; }
-
-  int Place(const runtime::ExperimentSpec& job,
-            const std::vector<FabricLoad>& loads, std::size_t,
-            int max_jobs_per_fabric) const override {
-    // Least-loaded with each recent fault costed like a whole co-resident
-    // job of this size: a flapping fabric loses to any healthy one that
-    // still has room, yet stays usable when it is the only seat left.
-    const int penalty = job.cluster.workers > 0 ? job.cluster.workers : 1;
-    int best = -1;
-    long best_score = 0;
-    for (std::size_t f = 0; f < loads.size(); ++f) {
-      if (!Eligible(loads[f], max_jobs_per_fabric)) continue;
-      const long score =
-          loads[f].active_workers +
-          static_cast<long>(loads[f].recent_faults) * penalty *
-              static_cast<long>(max_jobs_per_fabric);
-      if (best < 0 || score < best_score) {
-        best = static_cast<int>(f);
-        best_score = score;
-      }
-    }
-    return best;
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<PlacementPolicy> MakePlacementPolicy(std::string_view name) {
-  if (name == "least-loaded") return std::make_unique<LeastLoaded>();
-  if (name == "round-robin") return std::make_unique<RoundRobin>();
-  if (name == "best-fit-bytes") return std::make_unique<BestFitBytes>();
-  if (name == "failure-aware") return std::make_unique<FailureAware>();
+const PlacementPolicy& FindPlacementPolicy(std::string_view name) {
   std::string known;
-  for (const std::string& policy : PlacementPolicyNames()) {
-    if (!known.empty()) known += ", ";
-    known += policy;
+  for (const PlacementPolicy& policy : kPlacementPolicies) {
+    if (policy.name == name) return policy;
+    known += (known.empty() ? "" : ", ") + std::string(policy.name);
   }
   throw std::invalid_argument("placement: unknown policy '" +
                               std::string(name) + "' — registered: " + known);
-}
-
-std::vector<std::string> PlacementPolicyNames() {
-  return {"least-loaded", "round-robin", "best-fit-bytes", "failure-aware"};
 }
 
 }  // namespace tictac::sched

@@ -7,9 +7,8 @@
 // service sweeps both axes independently (bench/bench_service.cc).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -35,38 +34,62 @@ struct FabricLoad {
   int recent_faults = 0;
 };
 
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-
-  virtual std::string_view name() const = 0;
-
-  // Fabric index for `job`, or -1 to defer the job to the admission
-  // queue. Only fabrics with active_jobs < max_jobs_per_fabric are
-  // eligible; a policy must never return a full fabric. `decision_seq`
-  // counts placement decisions so far (round-robin's rotation state —
-  // policies themselves stay stateless and the service replayable).
-  virtual int Place(const runtime::ExperimentSpec& job,
-                    const std::vector<FabricLoad>& loads,
-                    std::size_t decision_seq,
-                    int max_jobs_per_fabric) const = 0;
+// One placement decision's inputs. `decision_seq` counts placement
+// decisions so far (round-robin's rotation state — policies themselves
+// stay stateless and the service replayable).
+struct PlacementQuery {
+  const runtime::ExperimentSpec& job;
+  const std::vector<FabricLoad>& loads;
+  std::size_t decision_seq;
+  int max_jobs_per_fabric;
 };
 
-// Factory by name, for --placement flags and bench sweeps:
-//   least-loaded    fewest active workers wins (ties: lowest fabric id)
-//   round-robin     rotate over fabrics, skipping full ones
-//   best-fit-bytes  fullest-by-parameter-bytes eligible fabric wins
-//                   (bin-packing best fit: pack jobs together so other
-//                   fabrics stay empty for future large arrivals)
-//   failure-aware   least-loaded, but each recent fault on a fabric
-//                   weighs as heavily as a full co-resident job's worker
-//                   set — a recently-flapping fabric is chosen only when
-//                   every healthy one is full
-// Every policy skips fabrics that are down (crashed). Throws
-// std::invalid_argument listing the registered names for an unknown one.
-std::unique_ptr<PlacementPolicy> MakePlacementPolicy(std::string_view name);
+// A placement policy is a name and a score per fabric.
+struct PlacementPolicy {
+  std::string_view name;
+  double (*score)(const PlacementQuery& query, std::size_t fabric);
 
-// The registered policy names, in the order listed above.
-std::vector<std::string> PlacementPolicyNames();
+  // The eligible fabric with the lowest score, the lowest id on a tie, or
+  // -1 to defer the job to the admission queue. A fabric is eligible when
+  // it is not down and holds fewer than max_jobs_per_fabric jobs.
+  int Place(const runtime::ExperimentSpec& job,
+            const std::vector<FabricLoad>& loads, std::size_t decision_seq,
+            int max_jobs_per_fabric) const;
+};
+
+inline constexpr PlacementPolicy kPlacementPolicies[] = {
+    // Fewest active workers.
+    {"least-loaded",
+     [](const PlacementQuery& q, std::size_t f) {
+       return static_cast<double>(q.loads[f].active_workers);
+     }},
+    // Rotate over the fabrics: the distance from the rotation point, so
+    // the first eligible fabric at or after it wins.
+    {"round-robin",
+     [](const PlacementQuery& q, std::size_t f) {
+       const std::size_t k = q.loads.size();
+       return static_cast<double>((f + k - q.decision_seq % k) % k);
+     }},
+    // Bin-packing best fit: the fullest fabric by parameter bytes, so
+    // other fabrics stay empty for future large arrivals.
+    {"best-fit-bytes",
+     [](const PlacementQuery& q, std::size_t f) {
+       return -q.loads[f].active_param_mib;
+     }},
+    // Least-loaded with each recent fault costed like a full fabric of
+    // jobs this size: a flapping fabric loses to any healthy one that
+    // still has room, yet stays usable when it is the only seat left.
+    {"failure-aware",
+     [](const PlacementQuery& q, std::size_t f) {
+       const long workers = std::max(q.job.cluster.workers, 1);
+       return static_cast<double>(q.loads[f].active_workers +
+                                  q.loads[f].recent_faults * workers *
+                                      long{q.max_jobs_per_fabric});
+     }},
+};
+
+// The policy called `name`, for --placement flags and bench sweeps.
+// Throws std::invalid_argument listing every name for an unknown one.
+const PlacementPolicy& FindPlacementPolicy(std::string_view name);
 
 }  // namespace tictac::sched

@@ -268,7 +268,7 @@ class ServiceLoop {
         arrivals_(std::move(arrivals)),
         timeline_(CompileFaults(config.faults, config.fabrics)),
         fabrics_(static_cast<std::size_t>(config.fabrics)),
-        placement_(MakePlacementPolicy(config.placement)),
+        placement_(FindPlacementPolicy(config.placement)),
         fault_rng_(util::Rng::Stream(config.seed, kFaultRngStream)) {
     counters_.faults_injected = timeline_.events;
   }
@@ -418,15 +418,10 @@ class ServiceLoop {
   // resumes from its completed-iteration count.
   std::optional<Slot> Place(std::size_t r) {
     JobRecord& record = records_[r];
-    const int f = placement_->Place(record.spec, FabricLoads(), decisions_++,
-                                    config_.max_jobs_per_fabric);
+    const int f = placement_.Place(record.spec, FabricLoads(), decisions_++,
+                                   config_.max_jobs_per_fabric);
     if (f < 0) return std::nullopt;
     Fabric& fabric = fabrics_[static_cast<std::size_t>(f)];
-    if (fabric.down ||
-        static_cast<int>(fabric.jobs.size()) >= config_.max_jobs_per_fabric) {
-      Fail("placement policy '" + config_.placement +
-           "' returned ineligible fabric " + std::to_string(f));
-    }
     record.fabric = f;
     if (record.retries == 0) {
       record.admit_time = now_;
@@ -598,7 +593,7 @@ class ServiceLoop {
   const std::vector<ArrivalEvent> arrivals_;
   const FaultTimeline timeline_;
   std::vector<Fabric> fabrics_;
-  const std::unique_ptr<PlacementPolicy> placement_;
+  const PlacementPolicy& placement_;
   util::Rng fault_rng_;
 
   std::vector<JobRecord> records_;  // by submission order (id)
@@ -748,7 +743,7 @@ void ServiceConfig::Validate() const {
          std::to_string(admission_queue_capacity));
   }
   RequireInRange("fairness_windows", fairness_windows, 1, 4096);
-  MakePlacementPolicy(placement);  // throws, listing the registered names
+  FindPlacementPolicy(placement);  // throws, listing the registered names
   if (arrivals.kind != ArrivalSpec::Kind::kTrace && workload.empty()) {
     Fail("synthetic arrivals need >= 1 workload experiment spec");
   }

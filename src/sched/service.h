@@ -57,7 +57,7 @@ struct ServiceConfig {
   // Admission horizon in cluster seconds: arrivals stop at `duration`,
   // resident and queued jobs then drain to completion.
   double duration = 10.0;
-  // sched::MakePlacementPolicy name.
+  // Name of a sched::kPlacementPolicies row.
   std::string placement = "least-loaded";
   // Per-fabric co-location cap; arrivals beyond it queue.
   int max_jobs_per_fabric = 8;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/policies.h"
 #include "core/tac.h"
 #include "core/tic.h"
 #include "models/random_dag.h"

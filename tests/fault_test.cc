@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -353,36 +352,33 @@ TEST(ServiceFaults, StragglerSlowsOnlyTheStruckFabric) {
 }
 
 TEST(PlacementPolicy, FailureAwareAvoidsRecentlyFaultyFabrics) {
-  const auto policy = MakePlacementPolicy("failure-aware");
+  const PlacementPolicy& policy = FindPlacementPolicy("failure-aware");
   std::vector<FabricLoad> loads(2);
   loads[0].active_workers = 0;
   loads[0].recent_faults = 1;
   loads[1].active_workers = 4;
   // Least-loaded chases the empty-but-flapping fabric; failure-aware
   // pays the fault penalty and takes the healthy one.
-  EXPECT_EQ(MakePlacementPolicy("least-loaded")->Place(Job(), loads, 0, 8),
+  EXPECT_EQ(FindPlacementPolicy("least-loaded").Place(Job(), loads, 0, 8),
             0);
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 1);
   // ...but a faulty fabric is still usable when it is the only seat.
   loads[1].down = true;
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 0);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 0);
 }
 
 TEST(PlacementPolicy, DownFabricsAreIneligibleForEveryPolicy) {
-  for (const std::string& name : PlacementPolicyNames()) {
-    const auto policy = MakePlacementPolicy(name);
+  for (const PlacementPolicy& policy : kPlacementPolicies) {
     std::vector<FabricLoad> loads(2);
     loads[0].down = true;
-    EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 1) << name;
+    EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 1) << policy.name;
     loads[1].down = true;
-    EXPECT_EQ(policy->Place(Job(), loads, 0, 8), -1) << name;
+    EXPECT_EQ(policy.Place(Job(), loads, 0, 8), -1) << policy.name;
   }
 }
 
 TEST(PlacementPolicy, FailureAwareIsRegistered) {
-  const std::vector<std::string> names = PlacementPolicyNames();
-  EXPECT_NE(std::find(names.begin(), names.end(), "failure-aware"),
-            names.end());
+  EXPECT_EQ(FindPlacementPolicy("failure-aware").name, "failure-aware");
 }
 
 TEST(ServiceFaults, ValidatesRecoveryKnobs) {

@@ -1,7 +1,10 @@
-#include "core/policies.h"
-
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/policy_registry.h"
 #include "core/tic.h"
 #include "models/builder.h"
 #include "models/zoo.h"
@@ -19,11 +22,18 @@ Graph SizedRecvGraph() {
   return g;
 }
 
+// The schedule the policy for `spec` computes on `g`.
+Schedule Compute(const std::string& spec, const Graph& g) {
+  const PropertyIndex index(g);
+  const AnalyticalTimeOracle oracle{PlatformModel{}};
+  return PolicyRegistry::Global().Create(spec)->Compute(index, oracle);
+}
+
 TEST(Policies, FixedRandomIsAPermutationAndSeedStable) {
   const Graph g = SizedRecvGraph();
-  const Schedule a = FixedRandomOrder(g, 42);
-  const Schedule b = FixedRandomOrder(g, 42);
-  const Schedule c = FixedRandomOrder(g, 43);
+  const Schedule a = Compute("random:42", g);
+  const Schedule b = Compute("random:42", g);
+  const Schedule c = Compute("random:43", g);
   EXPECT_TRUE(a.CoversAllRecvs(g));
   EXPECT_EQ(a.RecvOrder(g), b.RecvOrder(g));
   // Different seed should (for 3! = 6 orders, usually) differ; we only
@@ -37,13 +47,13 @@ TEST(Policies, FixedRandomIsAPermutationAndSeedStable) {
 
 TEST(Policies, SmallestFirstOrdersByBytes) {
   const Graph g = SizedRecvGraph();
-  const Schedule s = SmallestFirst(g);
+  const Schedule s = Compute("smallest-first", g);
   EXPECT_EQ(s.RecvOrder(g), (std::vector<OpId>{0, 2, 1}));
 }
 
 TEST(Policies, LargestFirstOrdersByBytesDescending) {
   const Graph g = SizedRecvGraph();
-  const Schedule s = LargestFirst(g);
+  const Schedule s = Compute("largest-first", g);
   EXPECT_EQ(s.RecvOrder(g), (std::vector<OpId>{1, 2, 0}));
 }
 
@@ -54,14 +64,15 @@ TEST(Policies, ByteOrderTiesAreStableById) {
   const OpId sink = g.AddCompute("sink", 1.0);
   g.AddEdge(0, sink);
   g.AddEdge(1, sink);
-  EXPECT_EQ(SmallestFirst(g).RecvOrder(g), (std::vector<OpId>{0, 1}));
+  EXPECT_EQ(Compute("smallest-first", g).RecvOrder(g),
+            (std::vector<OpId>{0, 1}));
 }
 
 TEST(Policies, ReverseOrderInvertsTic) {
   const auto& info = models::FindModel("Inception v1");
   const Graph g = models::BuildWorkerGraph(info, {});
   const Schedule tic = Tic(g);
-  const Schedule reversed = ReverseOrder(g, tic);
+  const Schedule reversed = Compute("reverse:tic", g);
   auto forward = tic.RecvOrder(g);
   auto backward = reversed.RecvOrder(g);
   std::reverse(backward.begin(), backward.end());
@@ -71,9 +82,8 @@ TEST(Policies, ReverseOrderInvertsTic) {
 
 TEST(Policies, ReverseOfReverseIsIdentityOrder) {
   const Graph g = SizedRecvGraph();
-  const Schedule s = SmallestFirst(g);
-  const Schedule twice = ReverseOrder(g, ReverseOrder(g, s));
-  EXPECT_EQ(s.RecvOrder(g), twice.RecvOrder(g));
+  EXPECT_EQ(Compute("smallest-first", g).RecvOrder(g),
+            Compute("reverse:reverse:smallest-first", g).RecvOrder(g));
 }
 
 }  // namespace

@@ -279,42 +279,42 @@ TEST(SchedulerService, RejectsRingArrivals) {
 // ---- placement policies ----------------------------------------------------
 
 TEST(PlacementPolicy, LeastLoadedPicksFewestWorkers) {
-  const auto policy = MakePlacementPolicy("least-loaded");
+  const PlacementPolicy& policy = FindPlacementPolicy("least-loaded");
   const std::vector<FabricLoad> loads = {{2, 8, 100.0}, {1, 2, 50.0},
                                          {1, 4, 10.0}};
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 1);
 }
 
 TEST(PlacementPolicy, LeastLoadedSkipsFullFabrics) {
-  const auto policy = MakePlacementPolicy("least-loaded");
+  const PlacementPolicy& policy = FindPlacementPolicy("least-loaded");
   const std::vector<FabricLoad> loads = {{1, 2, 0.0}, {2, 8, 0.0}};
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 1), -1);  // all full
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 2), 0);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 1), -1);  // all full
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 2), 0);
 }
 
 TEST(PlacementPolicy, RoundRobinRotatesWithDecisionSeq) {
-  const auto policy = MakePlacementPolicy("round-robin");
+  const PlacementPolicy& policy = FindPlacementPolicy("round-robin");
   const std::vector<FabricLoad> loads(3);
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 0);
-  EXPECT_EQ(policy->Place(Job(), loads, 1, 8), 1);
-  EXPECT_EQ(policy->Place(Job(), loads, 2, 8), 2);
-  EXPECT_EQ(policy->Place(Job(), loads, 3, 8), 0);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 0);
+  EXPECT_EQ(policy.Place(Job(), loads, 1, 8), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 2, 8), 2);
+  EXPECT_EQ(policy.Place(Job(), loads, 3, 8), 0);
 }
 
 TEST(PlacementPolicy, RoundRobinSkipsFullFabric) {
-  const auto policy = MakePlacementPolicy("round-robin");
+  const PlacementPolicy& policy = FindPlacementPolicy("round-robin");
   std::vector<FabricLoad> loads(3);
   loads[1].active_jobs = 2;
-  EXPECT_EQ(policy->Place(Job(), loads, 1, 2), 2);  // 1 is full, move on
+  EXPECT_EQ(policy.Place(Job(), loads, 1, 2), 2);  // 1 is full, move on
 }
 
 TEST(PlacementPolicy, BestFitPacksTheFullestEligibleFabric) {
-  const auto policy = MakePlacementPolicy("best-fit-bytes");
+  const PlacementPolicy& policy = FindPlacementPolicy("best-fit-bytes");
   const std::vector<FabricLoad> loads = {{1, 2, 50.0}, {2, 4, 200.0},
                                          {0, 0, 0.0}};
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 8), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 8), 1);
   // With fabric 1 at capacity the next-fullest wins.
-  EXPECT_EQ(policy->Place(Job(), loads, 0, 2), 0);
+  EXPECT_EQ(policy.Place(Job(), loads, 0, 2), 0);
 }
 
 // Equal scores go to the lowest fabric id.
@@ -323,7 +323,7 @@ TEST(PlacementPolicy, TiesGoToTheLowestFabricId) {
                                          {1, 4, 64.0}};
   for (const char* name :
        {"least-loaded", "best-fit-bytes", "failure-aware"}) {
-    EXPECT_EQ(MakePlacementPolicy(name)->Place(Job(), loads, 2, 8), 0)
+    EXPECT_EQ(FindPlacementPolicy(name).Place(Job(), loads, 2, 8), 0)
         << name;
   }
   // Failure-aware ties on load plus fault penalty, not on load alone.
@@ -333,27 +333,27 @@ TEST(PlacementPolicy, TiesGoToTheLowestFabricId) {
     load.recent_faults = 1;
   }
   faulty[0].down = true;
-  EXPECT_EQ(MakePlacementPolicy("failure-aware")->Place(Job(), faulty, 0, 8),
+  EXPECT_EQ(FindPlacementPolicy("failure-aware").Place(Job(), faulty, 0, 8),
             1);
 }
 
 // From the last fabric, round-robin wraps to the front, past full ones.
 TEST(PlacementPolicy, RoundRobinWrapsPastFullFabrics) {
-  const auto policy = MakePlacementPolicy("round-robin");
+  const PlacementPolicy& policy = FindPlacementPolicy("round-robin");
   std::vector<FabricLoad> loads(4);
   loads[3].active_jobs = 2;
   loads[0].active_jobs = 2;
-  EXPECT_EQ(policy->Place(Job(), loads, 3, 2), 1);
-  EXPECT_EQ(policy->Place(Job(), loads, 7, 2), 1);
-  EXPECT_EQ(policy->Place(Job(), loads, 2, 2), 2);
+  EXPECT_EQ(policy.Place(Job(), loads, 3, 2), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 7, 2), 1);
+  EXPECT_EQ(policy.Place(Job(), loads, 2, 2), 2);
   loads[1].active_jobs = 2;
   loads[2].down = true;
-  EXPECT_EQ(policy->Place(Job(), loads, 3, 2), -1);
+  EXPECT_EQ(policy.Place(Job(), loads, 3, 2), -1);
 }
 
 TEST(PlacementPolicy, UnknownNameIsNamedExactly) {
   try {
-    MakePlacementPolicy("nope");
+    FindPlacementPolicy("nope");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(),
@@ -364,12 +364,12 @@ TEST(PlacementPolicy, UnknownNameIsNamedExactly) {
 
 TEST(PlacementPolicy, UnknownNameListsRegisteredOnes) {
   try {
-    MakePlacementPolicy("random");
+    FindPlacementPolicy("random");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    for (const std::string& name : PlacementPolicyNames()) {
-      EXPECT_NE(what.find(name), std::string::npos) << what;
+    for (const PlacementPolicy& policy : kPlacementPolicies) {
+      EXPECT_NE(what.find(policy.name), std::string::npos) << what;
     }
   }
 }
