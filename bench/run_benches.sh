@@ -207,7 +207,7 @@ if lowering:
 cluster = [b for b in data.get("benchmarks", [])
            if b.get("name", "").startswith("BM_ClusterSweep")]
 if cluster:
-    print("datacenter contended sweep (BM_ClusterSweep, sharded engine):")
+    print("datacenter contended sweep (BM_ClusterSweep, one engine per fabric):")
     for b in cluster:
         fabrics = b.get("fabrics")
         p99 = b.get("p99_job_iteration_s")

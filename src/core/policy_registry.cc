@@ -149,6 +149,11 @@ std::unique_ptr<SchedulingPolicy> PolicyRegistry::Create(
   for (;;) {
     const std::size_t colon = spec.find(':');
     const PolicyRow& row = FindRow(spec.substr(0, colon));
+    if (colon != spec.npos && colon + 1 == spec.size()) {
+      throw std::invalid_argument("policy \"" + std::string(row.name) +
+                                  "\" has an empty argument; drop the "
+                                  "trailing ':'");
+    }
     const std::string_view arg =
         colon == spec.npos ? "" : spec.substr(colon + 1);
     if (row.compute == nullptr) {

@@ -26,6 +26,11 @@
 //
 // Every event takes an optional `fabric=K` (default 0) naming the shared
 // fabric it strikes; `for=` omitted means the perturbation never lifts.
+// Each kind and key is one row of kFaultGrammar, which util/clause.h
+// reads, prints and bounds; crash is two rows (a worker or a whole
+// fabric), and only a flap's finite for= and 4096-cycle cap, which tie
+// two fields together, are checked by hand.
+//
 // Worker/NIC indices are fabric-local: worker slot w is the w-th worker
 // of the fabric's current lowering (events aimed past the current worker
 // count strike air — deterministic, and exactly what a dead slot does),
@@ -42,6 +47,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/clause.h"
 
 namespace tictac::fault {
 
@@ -73,6 +80,10 @@ struct FaultEvent {
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
+
+// The clause grammar's kind and field rows, for Parse, ToString and
+// Validate and for tests that walk every kind and key.
+extern const util::ClauseGrammar<FaultEvent> kFaultGrammar;
 
 // A whole fault timeline: inline events, or a trace file holding one
 // event clause per line. Default-constructed = no faults; every consumer

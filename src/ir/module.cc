@@ -1,6 +1,5 @@
 #include "ir/module.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
@@ -250,39 +249,6 @@ std::string Module::DebugSummary() const {
     sep = " ";
   }
   out << "], pred_entries=" << graph_.pred_ids.size() << "}";
-  return out.str();
-}
-
-std::string Module::DebugDump(std::size_t max_nodes) const {
-  std::ostringstream out;
-  out << DebugSummary() << "\n";
-  const std::size_t shown = std::min(max_nodes, size());
-  for (std::size_t i = 0; i < shown; ++i) {
-    const NodeId t = static_cast<NodeId>(i);
-    out << "  %" << t << " " << KindName(kind(t));
-    if (!name(t).empty()) out << " \"" << name(t) << "\"";
-    out << " job=" << job(t);
-    if (worker(t) >= 0) out << " w=" << worker(t);
-    if (param(t) >= 0) out << " p=" << param(t);
-    if (iteration(t) > 0) out << " iter=" << iteration(t);
-    if (resource(t) >= 0) out << " r=" << resource(t);
-    out << " d=" << duration(t);
-    if (priority(t) != sim::kNoPriority) out << " prio=" << priority(t);
-    if (gate_group(t) >= 0) {
-      out << " gate=" << gate_group(t) << ":" << gate_rank(t);
-    }
-    if (is_delay(t)) out << " delay";
-    out << " preds=[";
-    const char* sep = "";
-    for (NodeId p : preds(t)) {
-      out << sep << "%" << p;
-      sep = " ";
-    }
-    out << "]\n";
-  }
-  if (shown < size()) {
-    out << "  … " << (size() - shown) << " more nodes\n";
-  }
   return out.str();
 }
 

@@ -212,8 +212,6 @@ class Module {
 
   // One-line counts (nodes per kind, jobs, stage, pred entries).
   std::string DebugSummary() const;
-  // Per-node listing of the first `max_nodes` nodes, for dump hooks.
-  std::string DebugDump(std::size_t max_nodes = 64) const;
 
  private:
   std::size_t idx(NodeId n) const { return static_cast<std::size_t>(n); }

@@ -37,7 +37,7 @@
 namespace tictac::ir {
 
 // Called after each pass with the pass name and the rewritten module
-// (e.g. to print module.DebugSummary() or DebugDump()).
+// (e.g. to print module.DebugSummary()).
 using PassHook =
     std::function<void(const std::string& pass, const Module& module)>;
 

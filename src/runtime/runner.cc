@@ -316,12 +316,6 @@ double ExperimentResult::MeanStragglerPct() const {
   return sum / static_cast<double>(iterations.size());
 }
 
-double ExperimentResult::MaxEfficiency() const {
-  double m = 0.0;
-  for (const auto& it : iterations) m = std::max(m, it.mean_efficiency);
-  return m;
-}
-
 double ExperimentResult::MeanEfficiency() const {
   if (iterations.empty()) return 0.0;
   double sum = 0.0;

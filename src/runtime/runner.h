@@ -63,10 +63,9 @@ struct ExperimentResult {
 
   double MeanIterationTime() const;
   double Throughput() const;  // samples / second
-  // The paper reports the max across iterations for stragglers and E.
+  // The paper reports the max across iterations for stragglers.
   double MaxStragglerPct() const;
   double MeanStragglerPct() const;
-  double MaxEfficiency() const;
   double MeanEfficiency() const;
   double MeanOverlap() const;
   // Distinct worker-0 parameter arrival orders across iterations (§2.2).

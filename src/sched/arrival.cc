@@ -1,9 +1,8 @@
 #include "sched/arrival.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
-#include <set>
-#include <stdexcept>
 
 #include "util/csv.h"
 #include "util/parse.h"
@@ -13,96 +12,25 @@ namespace tictac::sched {
 namespace {
 
 [[noreturn]] void Fail(const std::string& message) {
-  throw std::invalid_argument("arrival: " + message);
+  kArrivalGrammar.Fail(message);
 }
 
-// Generous cap: a burst costs one fabric re-lowering per admitted job,
-// so a fat-fingered burst=1e9 would turn a one-line spec into hours.
-constexpr int kMaxBurst = 4096;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-}  // namespace
+constexpr util::ClauseKind<ArrivalSpec> kKinds[] = {
+    {"poisson", ArrivalSpec::Kind::kPoisson, "rate", "burst", "rate"},
+    {"bursty", ArrivalSpec::Kind::kBursty, "rate burst", "", "rate burst"},
+};
 
-std::string ArrivalSpec::ToString() const {
-  switch (kind) {
-    case Kind::kPoisson:
-      return "poisson:rate=" + runtime::FormatDouble(rate);
-    case Kind::kBursty:
-      return "bursty:rate=" + runtime::FormatDouble(rate) +
-             ":burst=" + std::to_string(burst);
-    case Kind::kTrace:
-      return "trace:" + trace_path;
-  }
-  Fail("unknown arrival kind");
-}
-
-ArrivalSpec ArrivalSpec::Parse(std::string_view text) {
-  ArrivalSpec spec;
-  const std::size_t colon = text.find(':');
-  const std::string_view head = text.substr(0, colon);
-  if (head == "trace") {
-    spec.kind = Kind::kTrace;
-    // Everything after the first ':' is the path verbatim (paths may
-    // contain further colons).
-    if (colon == std::string_view::npos || colon + 1 >= text.size()) {
-      Fail("trace expects a file path, e.g. trace:arrivals.csv");
-    }
-    spec.trace_path = std::string(text.substr(colon + 1));
-    spec.Validate();
-    return spec;
-  }
-  if (head != "poisson" && head != "bursty") {
-    Fail("unknown arrival process '" + std::string(head) +
-         "' — expected poisson:rate=..., bursty:rate=...:burst=..., or "
-         "trace:<file>");
-  }
-  spec.kind = head == "poisson" ? Kind::kPoisson : Kind::kBursty;
-  std::set<std::string_view> seen;  // the keys the spec sets
-  const std::vector<std::string_view> fields = util::Split(text, ':');
-  for (std::size_t i = 1; i < fields.size(); ++i) {
-    const std::string_view field = fields[i];
-    const std::size_t eq = field.find('=');
-    const std::string_view key = field.substr(0, eq + 1);  // "rate="
-    const std::string_view value = field.substr(eq + 1);
-    if (key != "rate=" && (key != "burst=" || spec.kind != Kind::kBursty)) {
-      Fail("unknown field '" + std::string(field) + "' in '" +
-           std::string(text) + "'");
-    }
-    if (!seen.insert(key).second) {
-      Fail("duplicate field '" + std::string(key) + "' in '" +
-           std::string(text) + "'");
-    }
-    if (key == "rate=") {
-      spec.rate = util::ReadNumber<double>("arrival", key, value);
-    } else {
-      spec.burst = util::ReadNumber<int>("arrival", key, value);
-    }
-  }
-  if (!seen.contains("rate=")) {
-    Fail(std::string(head) + " requires rate=, e.g. " + std::string(head) +
-         ":rate=40");
-  }
-  if (spec.kind == Kind::kBursty && !seen.contains("burst=")) {
-    Fail("bursty requires burst=, e.g. bursty:rate=4:burst=8");
-  }
-  spec.Validate();
-  return spec;
-}
-
-void ArrivalSpec::Validate() const {
-  if (kind == Kind::kTrace) {
-    if (trace_path.empty()) Fail("trace path must be non-empty");
-    return;
-  }
-  if (!(rate > 0.0) || !std::isfinite(rate)) {
-    Fail("rate must be finite and > 0, got " + runtime::FormatDouble(rate));
-  }
-  if (burst < 1 || burst > kMaxBurst) {
-    Fail("burst must be in [1, " + std::to_string(kMaxBurst) + "], got " +
-         std::to_string(burst));
-  }
-}
-
-namespace {
+constexpr util::ClauseField<ArrivalSpec> kFields[] = {
+    {"rate", nullptr, &ArrivalSpec::rate, {'(', 0, kInf, ')'},
+     "must be finite and > 0"},
+    // Generous cap: a burst costs one fabric re-lowering per admitted
+    // job, so a fat-fingered burst=1e9 would turn a one-line spec into
+    // hours.
+    {"burst", &ArrivalSpec::burst, nullptr, {'[', 1, 4096, ']'},
+     "must be in [1, 4096]"},
+};
 
 std::vector<ArrivalEvent> ReadTrace(const std::string& path,
                                     double duration) {
@@ -148,6 +76,31 @@ std::vector<ArrivalEvent> ReadTrace(const std::string& path,
 }
 
 }  // namespace
+
+const util::ClauseGrammar<ArrivalSpec> kArrivalGrammar = {
+    "arrival", "arrival process", "arrivals.csv", kKinds, kFields};
+
+std::string ArrivalSpec::ToString() const {
+  if (kind == Kind::kTrace) return "trace:" + trace_path;
+  return kArrivalGrammar.Print(*this);
+}
+
+ArrivalSpec ArrivalSpec::Parse(std::string_view text) {
+  ArrivalSpec spec;
+  if (std::optional<std::string> path = kArrivalGrammar.TracePath(text)) {
+    spec.kind = Kind::kTrace;
+    spec.trace_path = *std::move(path);
+  } else {
+    spec = kArrivalGrammar.Read(text, "");
+  }
+  spec.Validate();
+  return spec;
+}
+
+void ArrivalSpec::Validate() const {
+  if (kind != Kind::kTrace) return kArrivalGrammar.Check(*this, "");
+  if (trace_path.empty()) Fail("trace path must be non-empty");
+}
 
 std::vector<ArrivalEvent> GenerateArrivals(
     const ArrivalSpec& spec,

@@ -12,6 +12,9 @@
 //                                starts arriving at Poisson rate 4/s
 //   trace:path/to/arrivals.csv   replay a recorded submission log
 //
+// poisson and bursty are rows of kArrivalGrammar: util/clause.h reads,
+// prints and bounds them, the same reader as the fault grammar's.
+//
 // Synthetic processes draw inter-arrival gaps from util::Rng::Exponential
 // (portable inverse-CDF, so a seeded stream is bit-identical on every
 // platform) and take *what* arrives from a workload pool of
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "runtime/spec.h"
+#include "util/clause.h"
 
 namespace tictac::sched {
 
@@ -57,6 +61,11 @@ struct ArrivalSpec {
 
   friend bool operator==(const ArrivalSpec&, const ArrivalSpec&) = default;
 };
+
+// The synthetic kinds and their keys as rows, for Parse, ToString and
+// Validate and for tests that walk every row; trace:<file> is read by
+// the reader's trace head.
+extern const util::ClauseGrammar<ArrivalSpec> kArrivalGrammar;
 
 // One job submission: the cluster clock time it arrives and the complete
 // experiment it asks for.

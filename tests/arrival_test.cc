@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "clause_rows.h"
 #include "runtime/spec.h"
 
 namespace tictac::sched {
@@ -169,8 +170,20 @@ TEST(ArrivalSpec, RejectsMoreMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(ArrivalSpec::Parse("bursty:rate=4:burst=1000000"),
                std::invalid_argument);  // capped
+  EXPECT_NO_THROW(ArrivalSpec::Parse("bursty:rate=4:burst=4096"));
+  EXPECT_THROW(ArrivalSpec::Parse("bursty:rate=4:burst=4097"),
+               std::invalid_argument);
   EXPECT_THROW(ArrivalSpec::Parse("poisson:rate=4:color=red"),
                std::invalid_argument);  // unknown field
+}
+
+// Every kind row of kArrivalGrammar: round-trip, missing, forbidden and
+// repeated keys, and each bound's first value outside it.
+TEST(ArrivalSpec, EveryGrammarRowHolds) {
+  ASSERT_EQ(kArrivalGrammar.kinds.size(), 2u);
+  util::ExpectEveryRowHolds(kArrivalGrammar, [](const std::string& text) {
+    return ArrivalSpec::Parse(text);
+  });
 }
 
 // ---- synthetic generation --------------------------------------------------

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "clause_rows.h"
 #include "models/zoo.h"
 #include "runtime/cluster.h"
 #include "runtime/lowering.h"
@@ -63,6 +64,8 @@ TEST(FaultSpec, RejectsMalformedClauses) {
                std::invalid_argument);  // worker= forbidden
   EXPECT_THROW(FaultSpec::Parse("crash:at=1"),
                std::invalid_argument);  // worker= or fabric=
+  EXPECT_THROW(FaultSpec::Parse("crash:fabric=1:at=1:for=2"),
+               std::invalid_argument);  // permanent
   EXPECT_THROW(FaultSpec::Parse("flap:nic=0:period=1:at=0"),
                std::invalid_argument);  // unbounded flap
   EXPECT_THROW(
@@ -152,6 +155,18 @@ TEST(FaultSpec, ValidatesStructuralBounds) {
   // 60 / 0.001 = 60000 cycles — past the 4096-cycle flap cap.
   EXPECT_THROW(FaultSpec::Parse("flap:nic=0:period=0.001:at=0:for=60"),
                std::invalid_argument);
+}
+
+// Every kind row of kFaultGrammar (both crash rows included): round-trip,
+// missing, forbidden and repeated keys, and each bound's first value
+// outside it.
+TEST(FaultSpec, EveryGrammarRowHolds) {
+  ASSERT_EQ(kFaultGrammar.kinds.size(), 5u);
+  util::ExpectEveryRowHolds(kFaultGrammar, [](const std::string& text) {
+    const std::vector<FaultEvent> events = FaultSpec::Parse(text).events;
+    EXPECT_EQ(events.size(), 1u);
+    return events.at(0);
+  });
 }
 
 TEST(FaultSpec, TraceToleratesEditorArtifactsAndSortsByTime) {

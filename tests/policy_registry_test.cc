@@ -79,6 +79,17 @@ TEST(PolicyRegistry, BadSpecsNameTheirFaultExactly) {
   EXPECT_EQ(CreateError("random: 7"),
             "policy \"random\" expects a non-negative integer seed, got "
             "\" 7\"");
+  // A trailing ':' is an empty argument, not another spelling of the
+  // policy's default.
+  EXPECT_EQ(CreateError("random:"),
+            "policy \"random\" has an empty argument; drop the trailing ':'");
+  EXPECT_EQ(CreateError("tic:"),
+            "policy \"tic\" has an empty argument; drop the trailing ':'");
+  EXPECT_EQ(CreateError("reverse:"),
+            "policy \"reverse\" has an empty argument; drop the trailing "
+            "':'");
+  EXPECT_EQ(CreateError("reverse:random:"),
+            "policy \"random\" has an empty argument; drop the trailing ':'");
   EXPECT_EQ(CreateError("no-such-policy"),
             "unknown scheduling policy \"no-such-policy\"; available: "
             "baseline, tic, tac, random, smallest-first, largest-first, "
